@@ -102,25 +102,31 @@ def save_model(
         fh.write(body.getvalue())
 
 
+def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
+    """The manifest and the offset where the body starts.  A file cut
+    anywhere before the end of its manifest raises a ValueError saying so."""
+    if raw[: len(MAGIC)] != MAGIC[: len(raw)]:
+        raise ValueError(f"{path} is not a checkpoint (bad magic)")
+    offset = len(MAGIC) + _LEN.size
+    if len(raw) < offset:
+        raise ValueError(f"{path} is truncated: {len(raw)} bytes, shorter than the {offset}-byte header")
+    (length,) = _LEN.unpack_from(raw, len(MAGIC))
+    if len(raw) - offset < length:
+        raise ValueError(
+            f"{path} is truncated: its manifest needs {length} bytes, {len(raw) - offset} present"
+        )
+    return json.loads(raw[offset : offset + length]), offset + length
+
+
 def read_manifest(path: str | Path) -> dict:
-    with Path(path).open("rb") as fh:
-        head = fh.read(len(MAGIC))
-        if head != MAGIC:
-            raise ValueError(f"{path} is not a checkpoint (bad magic)")
-        (length,) = _LEN.unpack(fh.read(_LEN.size))
-        return json.loads(fh.read(length))
+    return _parse_manifest(Path(path).read_bytes(), path)[0]
 
 
 def load_model(path: str | Path) -> tuple[Model, dict]:
     from .linalg import matrix_from_bytes
 
     raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path} is not a checkpoint (bad magic)")
-    (length,) = _LEN.unpack(raw[len(MAGIC) : len(MAGIC) + _LEN.size])
-    offset = len(MAGIC) + _LEN.size
-    manifest = json.loads(raw[offset : offset + length])
-    offset += length
+    manifest, offset = _parse_manifest(raw, path)
     spec = manifest["model"]
     from .decomposition import DecompositionConfig
 

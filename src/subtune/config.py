@@ -4,6 +4,9 @@ unknown-key rejection, and the default preset used by the end-to-end runs."""
 from __future__ import annotations
 
 import dataclasses
+import math
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -104,8 +107,41 @@ _BLOCKED_KEYS = {
 }
 
 
+def _typed_value(value, hint, where: str):
+    """``value`` as the field type ``hint`` takes it, or a ValueError naming
+    the dotted key.  A string in a float field is parsed, because YAML 1.1
+    reads exponent forms without a dot, such as ``1e-4``, as strings; ints
+    stay valid in float fields, but a bool is no int and a float no int."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_typed_value(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if hint is float:
+        if isinstance(value, str):
+            try:
+                value = float(value)
+            except ValueError:
+                raise ValueError(f"config key {where} must be a number, got {value!r}") from None
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config key {where} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"config key {where} must be finite, got {value!r}")
+        return value
+    if hint is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"config key {where} must be an integer, got {value!r}")
+    if hint is str and not isinstance(value, str):
+        raise ValueError(f"config key {where} must be a string, got {value!r}")
+    return value
+
+
 def _fill_section(obj, section: dict, path: str):
     valid = {f.name: f for f in fields(obj)}
+    hints = typing.get_type_hints(type(obj))
     blocked = _BLOCKED_KEYS.get(path, {})
     for key, value in section.items():
         where = f"{path}.{key}" if path else key
@@ -121,9 +157,7 @@ def _fill_section(obj, section: dict, path: str):
         else:
             if isinstance(value, dict):
                 raise ValueError(f"config key {where} does not take a mapping")
-            if isinstance(value, list):
-                value = tuple(value)
-            setattr(obj, key, value)
+            setattr(obj, key, _typed_value(value, hints[key], where))
     return obj
 
 

@@ -341,10 +341,6 @@ def labels_of(samples: list[SyntheticSample]) -> np.ndarray:
     return np.array([s.label for s in samples], dtype=np.float64)
 
 
-def clip_ids_of(samples: list[SyntheticSample]) -> np.ndarray:
-    return np.array([s.clip_id for s in samples])
-
-
 def linear_probe_accuracy(
     train: list[SyntheticSample], test: list[SyntheticSample]
 ) -> float:

@@ -224,6 +224,8 @@ def layer_from_bytes(buf: bytes, offset: int = 0) -> tuple[DecomposedLayer, int]
         raise ValueError("layer header truncated")
     layer_id, d_out, d_in, sem_rank, n_sub, frob = _LAYER_HEADER.unpack_from(buf, offset)
     offset += _LAYER_HEADER.size
+    if len(buf) - offset < 8 * n_sub:
+        raise ValueError("layer artifact ranks truncated")
     ranks = struct.unpack_from(f"<{n_sub}Q", buf, offset)
     offset += 8 * n_sub
 

@@ -32,6 +32,23 @@ class LossReport:
     n_layers: int
 
 
+def _off_block_gram(tail: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """Gram matrix of the concatenated artifact factors with every
+    same-subspace block zeroed, leaving only cross-subspace overlaps."""
+    gram = tail.T @ tail
+    lo = 0
+    for r in ranks:
+        gram[lo : lo + r, lo : lo + r] = 0.0
+        lo += r
+    return gram
+
+
+def _orth_value(gram_u: np.ndarray, gram_v: np.ndarray, k: int) -> float:
+    # each unordered pair appears twice in the symmetric Grams, so the
+    # 2 / (K(K-1)) pair average becomes 1 / (K(K-1))
+    return (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) / (k * (k - 1))
+
+
 def orth_loss(layer: DecomposedLayer) -> float:
     """Pairwise squared Frobenius overlap of artifact factor bases, averaged
     over the pair count.  Zero for a single subspace.
@@ -43,36 +60,25 @@ def orth_loss(layer: DecomposedLayer) -> float:
     k = layer.n_subspaces
     if k < 2:
         return 0.0
-    acc = 0.0
-    for i in range(k):
-        ai = layer.artifacts[i]
-        for j in range(i + 1, k):
-            aj = layer.artifacts[j]
-            gu = ai.u.T @ aj.u
-            gv = ai.v.T @ aj.v
-            acc += float(np.sum(gu * gu)) + float(np.sum(gv * gv))
-    return 2.0 / (k * (k - 1)) * acc
+    ranks = [a.rank for a in layer.artifacts]
+    gram_u = _off_block_gram(np.hstack([a.u for a in layer.artifacts]), ranks)
+    gram_v = _off_block_gram(np.hstack([a.v for a in layer.artifacts]), ranks)
+    return _orth_value(gram_u, gram_v, k)
 
 
-def orth_loss_grads(layer: DecomposedLayer, scale: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of ``scale * orth_loss`` w.r.t. each artifact's (U, V)."""
-    k = layer.n_subspaces
-    out: list[tuple[np.ndarray, np.ndarray]] = []
+def orth_loss_grads(
+    u_tail: np.ndarray, v_tail: np.ndarray, ranks: list[int], scale: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``orth_loss`` of the layer whose artifact factors, concatenated in
+    subspace order, are ``u_tail`` and ``v_tail`` (artifact ranks ``ranks``),
+    and the gradients of ``scale * orth_loss`` w.r.t. both tails."""
+    k = len(ranks)
     if k < 2:
-        return [(np.zeros_like(a.u), np.zeros_like(a.v)) for a in layer.artifacts]
-    coef = scale * 2.0 / (k * (k - 1))
-    for i in range(k):
-        ai = layer.artifacts[i]
-        du = np.zeros_like(ai.u)
-        dv = np.zeros_like(ai.v)
-        for j in range(k):
-            if j == i:
-                continue
-            aj = layer.artifacts[j]
-            du += 2.0 * (aj.u @ (aj.u.T @ ai.u))
-            dv += 2.0 * (aj.v @ (aj.v.T @ ai.v))
-        out.append((coef * du, coef * dv))
-    return out
+        return 0.0, np.zeros_like(u_tail), np.zeros_like(v_tail)
+    gram_u = _off_block_gram(u_tail, ranks)
+    gram_v = _off_block_gram(v_tail, ranks)
+    coef = 4.0 * scale / (k * (k - 1))
+    return _orth_value(gram_u, gram_v, k), coef * (u_tail @ gram_u), coef * (v_tail @ gram_v)
 
 
 def spec_loss(layer: DecomposedLayer, w_eff: np.ndarray | None = None) -> float:

@@ -5,12 +5,11 @@ masked parameter updates with per-layer frozen optimizer state."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import model as model_mod
-from .decomposition import DecomposedLayer
 from .model import Gradients, Model
 
 
@@ -154,57 +153,75 @@ def adaptive_step(
     v: np.ndarray,
     step: int,
     opt: OptimizerState,
-) -> np.ndarray:
-    """Bias-corrected adaptive-moment update; mutates m and v in place.
-    ``step`` is the already-incremented per-stream counter."""
-    m *= opt.beta1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bias-corrected adaptive-moment update; returns the new parameters and
+    moments and leaves its arguments untouched.  ``step`` is the
+    already-incremented per-stream counter."""
+    m = m * opt.beta1
     m += (1.0 - opt.beta1) * grad
-    v *= opt.beta2
+    v = v * opt.beta2
     v += (1.0 - opt.beta2) * grad * grad
     m_hat = m / (1.0 - opt.beta1**step)
     v_hat = v / (1.0 - opt.beta2**step)
-    return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+    return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps), m, v
 
 
-def _step_vector(
+def _stage_step(
     theta: np.ndarray, grad: np.ndarray, opt: OptimizerState, stream: int | None
-) -> np.ndarray:
-    """stream None addresses the head; otherwise a layer index."""
+) -> tuple[np.ndarray, tuple | None]:
+    """New parameters and, in adaptive mode, the new (m, v, step) of one
+    stream (None: the head; else a layer index), without modifying ``opt``;
+    ``_commit_stream`` writes the state back."""
     if opt.mode == "plain":
-        return theta - opt.learning_rate * grad
+        return theta - opt.learning_rate * grad, None
     if stream is None:
-        opt.head_step += 1
-        return adaptive_step(theta, grad, opt.head_m, opt.head_v, opt.head_step, opt)
-    opt.layer_step[stream] += 1
-    return adaptive_step(
-        theta, grad, opt.layer_m[stream], opt.layer_v[stream], opt.layer_step[stream], opt
-    )
+        m, v, step = opt.head_m, opt.head_v, opt.head_step + 1
+    else:
+        m, v, step = opt.layer_m[stream], opt.layer_v[stream], opt.layer_step[stream] + 1
+    new, m, v = adaptive_step(theta, grad, m, v, step, opt)
+    return new, (m, v, step)
+
+
+def _commit_stream(opt: OptimizerState, stream: int | None, state: tuple | None) -> None:
+    if state is None:
+        return
+    m, v, step = state
+    if stream is None:
+        opt.head_m, opt.head_v, opt.head_step = m, v, step
+    else:
+        opt.layer_m[stream], opt.layer_v[stream], opt.layer_step[stream] = m, v, step
+
+
+def _check_finite(what: str, new: np.ndarray, state: tuple | None) -> None:
+    # a non-finite first moment always makes ``new`` non-finite, but a
+    # second moment that overflowed to inf leaves ``new`` finite
+    if not (np.isfinite(new).all() and (state is None or np.isfinite(state[1]).all())):
+        raise ValueError(f"non-finite update for {what}")
 
 
 def apply_update(
     model: Model, grads: Gradients, mask: LayerMask, opt: OptimizerState
 ) -> None:
     """Step the active attention layers and always the head.  Masked layers'
-    parameters and optimizer moments are left bit-untouched."""
+    parameters and optimizer moments are left bit-untouched.  All or
+    nothing: every new value is staged and checked before any is written, so
+    a non-finite update raises with the model and ``opt`` unchanged."""
     slots = model_mod.attention_slots(model)
     if mask.bits.shape[0] != len(slots):
         raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {len(slots)}")
+    staged = []
     for lid, block, name in slots:
         if mask.bits[lid] == 0:
             continue
         theta = model_mod.projection_param_vector(getattr(block, name))
-        grad_slot: Union[np.ndarray, model_mod.FactorGrads] = getattr(grads.blocks[lid // 4], name)
-        g = model_mod.projection_grad_vector(grad_slot)
-        new = _step_vector(theta, g, opt, lid)
-        if not np.all(np.isfinite(new)):
-            raise ValueError(f"non-finite update for layer {lid}")
+        g = model_mod.projection_grad_vector(getattr(grads.blocks[lid // 4], name))
+        new, state = _stage_step(theta, g, opt, lid)
+        _check_finite(f"layer {lid}", new, state)
+        staged.append((lid, block, name, new, state))
+    new_head, head_state = _stage_step(model.head.ravel(), grads.head.ravel(), opt, None)
+    _check_finite("the head", new_head, head_state)
+    for lid, block, name, new, state in staged:
         model_mod.set_projection_params(block, name, new)
-    new_head = _step_vector(model.head.ravel(), grads.head.ravel(), opt, None)
-    if not np.all(np.isfinite(new_head)):
-        raise ValueError("non-finite update for the head")
+        _commit_stream(opt, lid, state)
     model.head = new_head.reshape(model.head.shape)
-
-
-def masked_layer_is_decomposed(model: Model, lid: int) -> bool:
-    _, block, name = model_mod.attention_slots(model)[lid]
-    return isinstance(getattr(block, name), DecomposedLayer)
+    _commit_stream(opt, None, head_state)

@@ -152,12 +152,14 @@ def effective_weight(p: Projection) -> np.ndarray:
     return recompose(p) if isinstance(p, DecomposedLayer) else p
 
 
+# the cube is written as products: numpy's float power loop costs about ten
+# times as much as two multiplications on these arrays
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_A * (x + _GELU_B * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_A * (x + _GELU_B * (x * x * x))))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_A * (x + _GELU_B * x**3))
+    t = np.tanh(_GELU_A * (x + _GELU_B * (x * x * x)))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_A * (1.0 + 3.0 * _GELU_B * x * x)
 
 
@@ -306,9 +308,10 @@ def _project_weight_grad(
     w_eff: np.ndarray,
     weights: losses.LossWeights,
     n_layers: int,
-) -> FactorGrads:
+) -> tuple[float, FactorGrads]:
     """Map an effective-weight gradient onto artifact factors and add the
-    regularizer gradients (semantic factors receive nothing)."""
+    regularizer gradients (semantic factors receive nothing).  Also returns
+    the layer's orthogonality value, which shares the regularizer's Grams."""
     g_total = g_w
     if weights.spectral_weight != 0.0:
         delta = float(np.sum(w_eff * w_eff)) - layer.pretrained_frob_sq
@@ -317,21 +320,26 @@ def _project_weight_grad(
         # decomposition (delta ~ 1e-13 from rounding) gets an exact zero here
         if abs(delta) > 1e-9 * max(1.0, layer.pretrained_frob_sq):
             g_total = g_w + (weights.spectral_weight / n_layers) * math.copysign(2.0, delta) * w_eff
-    orth = (
-        losses.orth_loss_grads(layer, weights.orth_weight / n_layers)
-        if weights.orth_weight != 0.0
-        else None
+    # the artifact groups are consecutive column blocks of one tail, so each
+    # factor gradient is one product over the whole tail, split afterwards
+    ranks = [a.rank for a in layer.artifacts]
+    u_tail = np.hstack([a.u for a in layer.artifacts])
+    s_tail = np.concatenate([a.s for a in layer.artifacts])
+    v_tail = np.hstack([a.v for a in layer.artifacts])
+    orth, orth_du, orth_dv = losses.orth_loss_grads(
+        u_tail, v_tail, ranks, weights.orth_weight / n_layers
     )
+    g_v = g_total @ v_tail
+    du = g_v * s_tail + orth_du
+    dv = (g_total.T @ u_tail) * s_tail + orth_dv
+    ds = np.sum(u_tail * g_v, axis=0)
     parts = []
-    for idx, a in enumerate(layer.artifacts):
-        du = (g_total @ a.v) * a.s
-        ds = np.einsum("or,oi,ir->r", a.u, g_total, a.v)
-        dv = (g_total.T @ a.u) * a.s
-        if orth is not None:
-            du = du + orth[idx][0]
-            dv = dv + orth[idx][1]
-        parts.append((du, ds, dv))
-    return FactorGrads(parts=parts)
+    lo = 0
+    for r in ranks:
+        # contiguous copies, so that flattening the parts is one copy
+        parts.append((du[:, lo : lo + r].copy(), ds[lo : lo + r], dv[:, lo : lo + r].copy()))
+        lo += r
+    return orth, FactorGrads(parts=parts)
 
 
 def backward(
@@ -376,6 +384,7 @@ def backward(
     spec_values: list[float] = []
     scale = 1.0 / math.sqrt(cfg.d_model)
     block_grads: list[BlockGrads] = [None] * cfg.n_blocks  # type: ignore[list-item]
+    n_rows = n * cfg.n_tokens
 
     for b in range(cfg.n_blocks - 1, -1, -1):
         block = model.blocks[b]
@@ -383,26 +392,27 @@ def backward(
 
         # MLP half: h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T
         dz2 = dh
-        d_mlp_out = np.einsum("nto,nth->oh", dz2, c.act)
+        d_mlp_out = dz2.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1)
         dact = dz2 @ block.mlp_out
         dz1 = dact * gelu_grad(c.z1)
-        d_mlp_in = np.einsum("nth,ntd->hd", dz1, c.wn)
+        d_mlp_in = dz1.reshape(n_rows, -1).T @ c.wn.reshape(n_rows, -1)
         dwn = dz1 @ block.mlp_in
         dm_ln, d_g2, d_b2 = _layer_norm_backward(dwn, c.ln2_xhat, c.ln2_inv_std, block.norm2_gain)
         dm_in = dh + dm_ln
 
         # attention half: m_in = a_in + (softmax(q k^T / sqrt(d)) v) @ Wo^T
         do_ctx = dm_in @ c.weights["o"]
-        d_wo = np.einsum("nto,ntd->od", dm_in, c.ctx)
+        d_wo = dm_in.reshape(n_rows, -1).T @ c.ctx.reshape(n_rows, -1)
         dprobs = do_ctx @ c.v.transpose(0, 2, 1)
         dv_tok = c.probs.transpose(0, 2, 1) @ do_ctx
         # softmax rows backward
         dscores = c.probs * (dprobs - np.sum(dprobs * c.probs, axis=-1, keepdims=True))
         dq_tok = (dscores @ c.k) * scale
         dk_tok = (dscores.transpose(0, 2, 1) @ c.q) * scale
-        d_wq = np.einsum("nto,ntd->od", dq_tok, c.u)
-        d_wk = np.einsum("nto,ntd->od", dk_tok, c.u)
-        d_wv = np.einsum("nto,ntd->od", dv_tok, c.u)
+        u_rows = c.u.reshape(n_rows, -1)
+        d_wq = dq_tok.reshape(n_rows, -1).T @ u_rows
+        d_wk = dk_tok.reshape(n_rows, -1).T @ u_rows
+        d_wv = dv_tok.reshape(n_rows, -1).T @ u_rows
         du = dq_tok @ c.weights["q"] + dk_tok @ c.weights["k"] + dv_tok @ c.weights["v"]
         da_ln, d_g1, d_b1 = _layer_norm_backward(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
         dh = dm_in + da_ln
@@ -412,11 +422,11 @@ def backward(
             p = getattr(block, name)
             if isinstance(p, DecomposedLayer):
                 w_eff = c.weights[name]
-                orth_values.append(losses.orth_loss(p))
-                spec_values.append(losses.spec_loss(p, w_eff))
-                proj_grads[name] = _project_weight_grad(
+                orth, proj_grads[name] = _project_weight_grad(
                     p, g_w, w_eff, weights, cfg.n_decomposable
                 )
+                orth_values.append(orth)
+                spec_values.append(losses.spec_loss(p, w_eff))
             else:
                 proj_grads[name] = g_w
 
@@ -427,11 +437,9 @@ def backward(
             mlp_in=d_mlp_in, mlp_out=d_mlp_out,
         )
 
-    d_embed = np.einsum("ntd,nti->di", dh, np.asarray(inputs, dtype=np.float64))
+    d_embed = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
 
     if orth_values:
-        # backward walks blocks in reverse and q,k,v,o within each; restore
-        # layer-id order for the means (the mean itself is order-free)
         report = losses.total_loss(cls, orth_values, spec_values, weights)
     else:
         report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls, n_layers=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subtune.checkpoint import MAGIC, load_model, read_manifest, save_model
-from subtune.decomposition import DecompositionConfig
+from subtune.decomposition import DecompositionConfig, layer_to_bytes
 from subtune.linalg import make_rng
 from subtune.model import (
     ModelConfig,
@@ -132,3 +132,29 @@ def test_truncated_payload_rejected(tmp_path):
 def test_magic_is_stable():
     assert MAGIC == b"SUBT0001"
     assert len(MAGIC) == 8
+
+
+def test_every_truncation_is_a_value_error_naming_it(tmp_path):
+    model = tiny_model(seed=4, decomposed=True)
+    full = tmp_path / "m.ckpt"
+    save_model(full, model, step=2, config_echo={"seed": 4})
+    raw = full.read_bytes()
+    manifest_end = len(MAGIC) + 8 + int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
+    cut = tmp_path / "cut.ckpt"
+    for n in range(manifest_end + 1):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(cut)
+        if n < manifest_end:
+            with pytest.raises(ValueError, match="truncated"):
+                read_manifest(cut)
+    assert read_manifest(cut)["step"] == 2
+    # cuts in the body: inside the first matrix header, inside a plain
+    # matrix, in the first decomposed layer's header and rank list, and the
+    # last byte
+    first_layer = len(raw) - sum(len(layer_to_bytes(getattr(b, s))) for _, b, s in attention_slots(model))
+    for n in (manifest_end + 3, manifest_end + 40, first_layer + 20, first_layer + 50,
+              first_layer + 52, len(raw) // 2, len(raw) - 1):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(cut)

@@ -100,3 +100,45 @@ def test_empty_yaml_gives_defaults(tmp_path):
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError, match="plain or adaptive"):
         config_from_dict({"optimizer": {"mode": "sgd"}})
+
+
+def test_yaml_exponent_without_dot_loads_as_float(tmp_path):
+    # YAML 1.1 reads 1e-4 (no dot) as a string
+    path = tmp_path / "run.yaml"
+    path.write_text("optimizer:\n  learning_rate: 1e-4\npretrain:\n  learning_rate: 5E-3\n")
+    cfg = load_config(path)
+    assert cfg.optimizer.learning_rate == 1e-4
+    assert isinstance(cfg.optimizer.learning_rate, float)
+    assert cfg.pretrain.learning_rate == 5e-3
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"optimizer": {"learning_rate": "fast"}}, "optimizer.learning_rate must be a number"),
+        ({"optimizer": {"learning_rate": "nan"}}, "optimizer.learning_rate must be finite"),
+        ({"weights": {"orth_weight": None}}, "weights.orth_weight must be a number"),
+        ({"optimizer": {"epochs": 2.5}}, "optimizer.epochs must be an integer"),
+        ({"optimizer": {"epochs": "2"}}, "optimizer.epochs must be an integer"),
+        ({"model": {"n_blocks": True}}, "model.n_blocks must be an integer"),
+        ({"seed": False}, "seed must be an integer"),
+        ({"mask": {"warmup_steps": 1.5}}, "mask.warmup_steps must be an integer"),
+        ({"stats": {"ema_coeff": True}}, "stats.ema_coeff must be a number"),
+        ({"optimizer": {"mode": 3}}, "optimizer.mode must be a string"),
+        ({"data": {"families_train": "token-blur"}}, "data.families_train must be a list"),
+        ({"data": {"families_train": ["token-blur", 7]}}, r"data.families_train\[1\] must be a string"),
+    ],
+)
+def test_scalar_of_wrong_type_rejected_with_path(raw, message):
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(raw)
+
+
+def test_int_in_float_field_and_none_in_optional_field_stay_valid():
+    cfg = config_from_dict(
+        {"weights": {"orth_weight": 0, "spectral_weight": 2}, "mask": {"warmup_steps": None},
+         "decomposition": {"rank_policy": "fixed", "fixed_rank": 3}}
+    )
+    assert cfg.weights.orth_weight == 0 and cfg.weights.spectral_weight == 2
+    assert cfg.mask.warmup_steps is None
+    assert cfg.decomposition.fixed_rank == 3

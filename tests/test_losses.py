@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from reference_losses import pairwise_orth_loss, pairwise_orth_loss_grads
 from subtune import linalg
 from subtune.decomposition import DecompositionConfig, decompose, recompose
-from subtune.losses import LossWeights, cls_loss, orth_loss, spec_loss, total_loss
+from subtune.losses import LossWeights, cls_loss, orth_loss, orth_loss_grads, spec_loss, total_loss
 
 
 def fresh_layer(seed: int = 0, size: int = 10, n_subspaces: int = 3):
@@ -43,6 +44,41 @@ def test_orth_loss_symmetric_under_reordering() -> None:
     before = orth_loss(layer)
     layer.artifacts = [layer.artifacts[i] for i in (2, 0, 3, 1)]
     assert abs(orth_loss(layer) - before) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape, fixed_rank, ranks",
+    [
+        ((10, 10), 3, [7]),
+        ((12, 16), 5, [4, 3]),
+        ((16, 12), 5, [3, 2, 2]),
+        ((16, 16), 8, [2, 2, 2, 1, 1]),
+        ((16, 16), 3, [2, 2, 2, 2, 1, 1, 1, 1, 1]),
+    ],
+)
+def test_orth_value_and_gradients_match_pairwise_reference(shape, fixed_rank, ranks) -> None:
+    rng = linalg.make_rng(sum(ranks) + len(ranks))
+    cfg = DecompositionConfig(n_subspaces=len(ranks), rank_policy="fixed", fixed_rank=fixed_rank)
+    layer = decompose(rng.normal(size=shape), cfg)
+    assert [a.rank for a in layer.artifacts] == ranks
+    # leave the orthonormal point so every pair overlaps
+    for a in layer.artifacts:
+        a.u += 0.3 * rng.normal(size=a.u.shape)
+        a.v += 0.3 * rng.normal(size=a.v.shape)
+    want = pairwise_orth_loss(layer)
+    assert abs(orth_loss(layer) - want) <= 1e-12
+    u_tail = np.hstack([a.u for a in layer.artifacts])
+    v_tail = np.hstack([a.v for a in layer.artifacts])
+    scale = 0.37
+    value, du, dv = orth_loss_grads(u_tail, v_tail, ranks, scale)
+    assert abs(value - want) <= 1e-12
+    if len(ranks) > 1:
+        assert want > 0.01
+    lo = 0
+    for a, (ref_du, ref_dv) in zip(layer.artifacts, pairwise_orth_loss_grads(layer, scale)):
+        assert np.max(np.abs(du[:, lo : lo + a.rank] - ref_du)) <= 1e-12
+        assert np.max(np.abs(dv[:, lo : lo + a.rank] - ref_dv)) <= 1e-12
+        lo += a.rank
 
 
 def test_spec_loss_zero_at_init_and_energy_identity() -> None:

@@ -106,10 +106,11 @@ def test_plain_step_example() -> None:
     opt = init_optimizer("plain", 0.1, [1], 1)
     model, grads = _one_layer_setup()
     # direct vector check of the update rule
-    from subtune.masking import _step_vector
+    from subtune.masking import _stage_step
 
-    out = _step_vector(np.array([1.0]), np.array([0.5]), opt, 0)
+    out, state = _stage_step(np.array([1.0]), np.array([0.5]), opt, 0)
     assert np.allclose(out, [0.95], atol=1e-15)
+    assert state is None
     del model, grads
 
 
@@ -123,17 +124,22 @@ def test_adaptive_step_matches_reference() -> None:
         return theta - lr * mh / (np.sqrt(vh) + eps), m2, v2
 
     opt = init_optimizer("adaptive", 2e-4, [3], 3)
-    from subtune.masking import _step_vector
+    from subtune.masking import _commit_stream, _stage_step
 
     theta = np.array([0.0, 1.0, -2.0])
     g1 = np.array([0.5, -0.25, 0.125])
-    got = _step_vector(theta, g1, opt, 0)
+    got, state = _stage_step(theta, g1, opt, 0)
+    # staging leaves the optimizer alone until the state is committed
+    assert opt.layer_step[0] == 0 and not opt.layer_m[0].any()
+    _commit_stream(opt, 0, state)
     want, m_ref, v_ref = reference(theta, g1, np.zeros(3), np.zeros(3), 1, 2e-4)
     assert np.array_equal(got, want)
+    assert np.array_equal(opt.layer_m[0], m_ref) and np.array_equal(opt.layer_v[0], v_ref)
+    assert opt.layer_step[0] == 1
     # fresh-state magnitude: eta * (1 - 1e-8-scale correction)
     assert abs(abs(got[0] - theta[0]) - 2e-4) <= 1e-10
     g2 = np.array([-0.5, 0.5, 0.0])
-    got2 = _step_vector(got, g2, opt, 0)
+    got2, _ = _stage_step(got, g2, opt, 0)
     want2, _, _ = reference(got, g2, m_ref, v_ref, 2, 2e-4)
     assert np.array_equal(got2, want2)
 
@@ -212,6 +218,29 @@ def test_apply_update_rejects_non_finite() -> None:
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8), budget=1)
     with pytest.raises(ValueError, match="head"):
         apply_update(model, grads, mask, opt)
+
+
+# 1e200 keeps the parameters and the first moment finite but overflows the
+# second moment to inf
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
+    model, grads = _one_layer_setup()
+    sizes = [v.size for v in model_mod.trainable_layer_vectors(model)]
+    opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
+    everything = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
+    apply_update(model, grads, everything, opt)  # moments and counters non-trivial
+    params = model_mod.finetune_param_vector(model).tobytes()
+    moments = [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)]
+    head_state = (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step)
+    steps = list(opt.layer_step)
+    last = len(sizes) - 1
+    grads.blocks[-1].o.parts[-1][0][0, 0] = bad
+    with pytest.raises(ValueError, match=f"layer {last}"), np.errstate(over="ignore"):
+        apply_update(model, grads, everything, opt)
+    assert model_mod.finetune_param_vector(model).tobytes() == params
+    assert [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)] == moments
+    assert (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step) == head_state
+    assert opt.layer_step == steps
 
 
 def test_optimizer_validation() -> None:

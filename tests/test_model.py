@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reference_forward import reference_predict
+from reference_forward import _gelu_scalar, reference_predict
 from subtune import linalg, model as model_mod
 from subtune.decomposition import DecompositionConfig
 from subtune.gradcheck import grad_check, jitter_trainables
-from subtune.losses import LossWeights
+from subtune.losses import LossWeights, orth_loss
 from subtune.model import (
     Model,
     ModelConfig,
@@ -219,3 +219,41 @@ def test_decompose_attention_only_once() -> None:
     m = tiny_model(decomposed=True)
     with pytest.raises(ValueError):
         decompose_attention(m)
+
+
+def test_gelu_matches_scalar_reference_and_its_derivative() -> None:
+    rng = linalg.make_rng(21)
+    x = np.concatenate([rng.normal(scale=3.0, size=200), [0.0, -1e-8, 1e-8, -12.0, 12.0]])
+    want = np.array([_gelu_scalar(float(v)) for v in x])
+    assert np.max(np.abs(model_mod.gelu(x) - want) / np.maximum(1.0, np.abs(x))) <= 1e-15
+    h = 1e-6
+    numeric = (model_mod.gelu(x + h) - model_mod.gelu(x - h)) / (2.0 * h)
+    assert np.max(np.abs(model_mod.gelu_grad(x) - numeric)) <= 1e-8
+
+
+@pytest.mark.parametrize("d_model, n_subspaces", [(8, 1), (12, 9)])
+def test_grad_check_with_both_regularizers_at_extreme_subspace_counts(d_model, n_subspaces) -> None:
+    cfg = ModelConfig(
+        d_model=d_model, n_blocks=1, n_tokens=3, n_classes_pretrain=3,
+        decomposition=DecompositionConfig(n_subspaces=n_subspaces),
+    )
+    m = init_model(cfg, linalg.make_rng(7))
+    decompose_attention(m)
+    assert all(getattr(b, n).n_subspaces == n_subspaces for _, b, n in attention_slots(m))
+    reset_head(m, 1, linalg.make_rng(8))
+    jitter_trainables(m, linalg.make_rng(9), scale=0.05)
+    x, y = batch(10, 3, cfg)
+    rep = grad_check(m, x, y, LossWeights(1.0, 1.0), h=1e-5, tol=1e-5)
+    assert rep.passed, f"max rel err {rep.max_rel_err} at coord {rep.worst_index}"
+
+
+def test_orth_mean_reported_when_its_weight_is_zero() -> None:
+    m = tiny_model(seed=3, decomposed=True)
+    jitter_trainables(m, linalg.make_rng(4), scale=0.05)
+    x, y = batch(5, 4, m.config)
+    report, _, _ = backward(m, x, y, LossWeights(0.0, 1.0))
+    layers = [getattr(b, n) for _, b, n in attention_slots(m)]
+    want = float(np.mean([orth_loss(layer) for layer in layers]))
+    assert want > 0.0
+    assert abs(report.orth_mean - want) <= 1e-15
+    assert report.total == report.cls + report.spec_mean
