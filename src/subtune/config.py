@@ -129,7 +129,11 @@ def _typed_value(value, hint, where: str):
                 raise ValueError(f"config key {where} must be a number, got {value!r}") from None
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config key {where} must be a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"config key {where} must be finite, got {value!r}")
         return value
     if hint is int and (isinstance(value, bool) or not isinstance(value, int)):

@@ -43,15 +43,13 @@ def _off_block_gram(tail: np.ndarray, ranks: list[int]) -> np.ndarray:
     return gram
 
 
-def _orth_value(gram_u: np.ndarray, gram_v: np.ndarray, k: int) -> float:
-    # each unordered pair appears twice in the symmetric Grams, so the
-    # 2 / (K(K-1)) pair average becomes 1 / (K(K-1))
-    return (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) / (k * (k - 1))
-
-
-def orth_loss(layer: DecomposedLayer) -> float:
+def orth_loss(
+    layer: DecomposedLayer, grams: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
     """Pairwise squared Frobenius overlap of artifact factor bases, averaged
-    over the pair count.  Zero for a single subspace.
+    over the pair count.  Zero for a single subspace.  ``grams`` are the
+    layer's off-block Grams of the left and right factors, for a caller that
+    has built them already.
 
     The right-factor term is computed as ||V_i^T V_j||_F^2 on column-stored V;
     with row-stored right factors the same quantity reads ||V_i V_j^T||_F^2,
@@ -60,25 +58,33 @@ def orth_loss(layer: DecomposedLayer) -> float:
     k = layer.n_subspaces
     if k < 2:
         return 0.0
-    ranks = [a.rank for a in layer.artifacts]
-    gram_u = _off_block_gram(np.hstack([a.u for a in layer.artifacts]), ranks)
-    gram_v = _off_block_gram(np.hstack([a.v for a in layer.artifacts]), ranks)
-    return _orth_value(gram_u, gram_v, k)
+    if grams is None:
+        ranks = [a.rank for a in layer.artifacts]
+        grams = (
+            _off_block_gram(np.hstack([a.u for a in layer.artifacts]), ranks),
+            _off_block_gram(np.hstack([a.v for a in layer.artifacts]), ranks),
+        )
+    gram_u, gram_v = grams
+    # each unordered pair appears twice in the symmetric Grams, so the
+    # 2 / (K(K-1)) pair average becomes 1 / (K(K-1))
+    return (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) / (k * (k - 1))
 
 
 def orth_loss_grads(
-    u_tail: np.ndarray, v_tail: np.ndarray, ranks: list[int], scale: float
+    layer: DecomposedLayer, u_tail: np.ndarray, v_tail: np.ndarray, scale: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """``orth_loss`` of the layer whose artifact factors, concatenated in
-    subspace order, are ``u_tail`` and ``v_tail`` (artifact ranks ``ranks``),
-    and the gradients of ``scale * orth_loss`` w.r.t. both tails."""
-    k = len(ranks)
+    """``orth_loss`` of ``layer``, whose artifact factors concatenated in
+    subspace order are ``u_tail`` and ``v_tail``, and the gradients of
+    ``scale * orth_loss`` w.r.t. both tails."""
+    k = layer.n_subspaces
     if k < 2:
         return 0.0, np.zeros_like(u_tail), np.zeros_like(v_tail)
+    ranks = [a.rank for a in layer.artifacts]
     gram_u = _off_block_gram(u_tail, ranks)
     gram_v = _off_block_gram(v_tail, ranks)
     coef = 4.0 * scale / (k * (k - 1))
-    return _orth_value(gram_u, gram_v, k), coef * (u_tail @ gram_u), coef * (v_tail @ gram_v)
+    value = orth_loss(layer, (gram_u, gram_v))
+    return value, coef * (u_tail @ gram_u), coef * (v_tail @ gram_v)
 
 
 def spec_loss(layer: DecomposedLayer, w_eff: np.ndarray | None = None) -> float:

@@ -327,7 +327,7 @@ def _project_weight_grad(
     s_tail = np.concatenate([a.s for a in layer.artifacts])
     v_tail = np.hstack([a.v for a in layer.artifacts])
     orth, orth_du, orth_dv = losses.orth_loss_grads(
-        u_tail, v_tail, ranks, weights.orth_weight / n_layers
+        layer, u_tail, v_tail, weights.orth_weight / n_layers
     )
     g_v = g_total @ v_tail
     du = g_v * s_tail + orth_du

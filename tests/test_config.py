@@ -117,6 +117,7 @@ def test_yaml_exponent_without_dot_loads_as_float(tmp_path):
     [
         ({"optimizer": {"learning_rate": "fast"}}, "optimizer.learning_rate must be a number"),
         ({"optimizer": {"learning_rate": "nan"}}, "optimizer.learning_rate must be finite"),
+        ({"optimizer": {"learning_rate": 10**400}}, "optimizer.learning_rate must be finite"),
         ({"weights": {"orth_weight": None}}, "weights.orth_weight must be a number"),
         ({"optimizer": {"epochs": 2.5}}, "optimizer.epochs must be an integer"),
         ({"optimizer": {"epochs": "2"}}, "optimizer.epochs must be an integer"),

@@ -70,7 +70,7 @@ def test_orth_value_and_gradients_match_pairwise_reference(shape, fixed_rank, ra
     u_tail = np.hstack([a.u for a in layer.artifacts])
     v_tail = np.hstack([a.v for a in layer.artifacts])
     scale = 0.37
-    value, du, dv = orth_loss_grads(u_tail, v_tail, ranks, scale)
+    value, du, dv = orth_loss_grads(layer, u_tail, v_tail, scale)
     assert abs(value - want) <= 1e-12
     if len(ranks) > 1:
         assert want > 0.01

@@ -257,3 +257,24 @@ def test_orth_mean_reported_when_its_weight_is_zero() -> None:
     assert want > 0.0
     assert abs(report.orth_mean - want) <= 1e-15
     assert report.total == report.cls + report.spec_mean
+
+
+def test_backward_reaches_each_loss_function_through_its_module(monkeypatch) -> None:
+    # per-function tracing replaces the module attribute, so every loss term
+    # of a step must be looked up there, once per decomposed layer
+    from subtune import losses
+
+    calls: dict[str, int] = {}
+    for name in ("orth_loss", "orth_loss_grads", "spec_loss"):
+        fn = getattr(losses, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(losses, name, counted)
+    m = tiny_model(seed=3, decomposed=True)
+    x, y = batch(5, 4, m.config)
+    backward(m, x, y, LossWeights(1.0, 1.0))
+    n_layers = len(list(attention_slots(m)))
+    assert calls == {"orth_loss": n_layers, "orth_loss_grads": n_layers, "spec_loss": n_layers}
