@@ -12,13 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import layer_from_bytes, layer_to_bytes
-from .model import Block, DecomposedLayer, Model, ModelConfig, PROJECTION_NAMES
+from .model import BLOCK_SLOTS, PROJECTION_NAMES, Block, DecomposedLayer, Model, ModelConfig
 
 MAGIC = b"SUBT0001"
 _LEN = struct.Struct("<Q")
 
-_PLAIN_SLOTS = ("norm1_gain", "norm1_bias", "q", "k", "v", "o", "norm2_gain", "norm2_bias", "mlp_in", "mlp_out")
-_DECOMPOSED_PLAIN = ("norm1_gain", "norm1_bias", "norm2_gain", "norm2_bias", "mlp_in", "mlp_out")
+_DECOMPOSED_PLAIN = tuple(slot for slot in BLOCK_SLOTS if slot not in PROJECTION_NAMES)
 
 
 def _as_matrix(arr: np.ndarray) -> np.ndarray:
@@ -34,7 +33,7 @@ def _matrix_bytes(arr: np.ndarray) -> bytes:
 
 def _plain_names(cfg: ModelConfig, decomposed: bool) -> list[str]:
     names = ["token_embed"]
-    slots = _DECOMPOSED_PLAIN if decomposed else _PLAIN_SLOTS
+    slots = _DECOMPOSED_PLAIN if decomposed else BLOCK_SLOTS
     for b in range(cfg.n_blocks):
         names.extend(f"block{b}.{slot}" for slot in slots)
     names.append("head")
@@ -46,7 +45,6 @@ def save_model(
     model: Model,
     *,
     step: int = 0,
-    rng_state: dict | None = None,
     config_echo: dict | None = None,
 ) -> None:
     cfg = model.config
@@ -65,7 +63,8 @@ def save_model(
             "n_outputs": model.n_outputs,
         },
         "arrays": _plain_names(cfg, decomposed),
-        "rng_state": rng_state,
+        # kept in the format; nothing records a generator state yet
+        "rng_state": None,
         "config": config_echo,
     }
     if decomposed:
@@ -78,7 +77,7 @@ def save_model(
                         "name": f"block{b}.{slot}",
                         "layer_id": layer.layer_id,
                         "semantic_rank": layer.semantic_rank,
-                        "artifact_ranks": [a.rank for a in layer.artifacts],
+                        "artifact_ranks": list(layer.ranks),
                     }
                 )
     body = io.BytesIO()

@@ -341,28 +341,6 @@ def labels_of(samples: list[SyntheticSample]) -> np.ndarray:
     return np.array([s.label for s in samples], dtype=np.float64)
 
 
-def linear_probe_accuracy(
-    train: list[SyntheticSample], test: list[SyntheticSample]
-) -> float:
-    """Least-squares one-hot probe on flattened tokens over base classes."""
-    x_train = np.stack([s.tokens.ravel() for s in train])
-    x_test = np.stack([s.tokens.ravel() for s in test])
-    y_train = np.array([s.base_class for s in train])
-    y_test = np.array([s.base_class for s in test])
-    n_classes = int(max(y_train.max(), y_test.max())) + 1
-    onehot = np.eye(n_classes)[y_train]
-    aug = np.hstack([x_train, np.ones((x_train.shape[0], 1))])
-    w, *_ = np.linalg.lstsq(aug, onehot, rcond=None)
-    pred = np.hstack([x_test, np.ones((x_test.shape[0], 1))]) @ w
-    return float(np.mean(pred.argmax(axis=1) == y_test))
-
-
-def family_leakage(split: list[SyntheticSample], allowed: tuple[str, ...]) -> list[str]:
-    """Family ids present on fakes that are not in the allowed set."""
-    bad = sorted({s.family for s in split if s.label == 1 and s.family not in allowed})
-    return [b for b in bad if b is not None]
-
-
 def export_csv(samples: list[SyntheticSample], path: str | Path) -> None:
     """Header (clip_id, label, family, intensity, token columns); floats at
     17 significant digits so re-import is bit-exact."""

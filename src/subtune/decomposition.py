@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,9 @@ class SemanticPart:
     w: np.ndarray = field(repr=False)
 
 
-@dataclass
-class ArtifactPart:
+class ArtifactView(NamedTuple):
+    """One artifact subspace's (U, s, V) as views into a layer vector."""
+
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
@@ -59,9 +61,20 @@ class ArtifactPart:
 
 @dataclass
 class DecomposedLayer:
+    """A frozen semantic part plus the trainable tail of the spectrum.
+
+    ``params`` holds every trainable value in one vector laid out as
+    ``[U_tail (d_out x R, row-major), s_tail (R), V_tail (d_in x R,
+    row-major)]`` with R = sum(ranks); artifact subspace k is the k-th block
+    of ``ranks[k]`` consecutive tail columns.  ``u``, ``s``, ``v`` and
+    ``artifacts`` are views computed on access, never stored, so a deep copy
+    of the layer cannot leave a view pointing at the old vector.
+    """
+
     layer_id: int
     semantic: SemanticPart
-    artifacts: list[ArtifactPart]
+    ranks: tuple[int, ...]
+    params: np.ndarray
     pretrained_frob_sq: float
 
     @property
@@ -77,12 +90,50 @@ class DecomposedLayer:
         return int(self.semantic.s.shape[0])
 
     @property
+    def tail_rank(self) -> int:
+        return sum(self.ranks)
+
+    @property
     def total_rank(self) -> int:
-        return self.semantic_rank + sum(a.rank for a in self.artifacts)
+        return self.semantic_rank + self.tail_rank
 
     @property
     def n_subspaces(self) -> int:
-        return len(self.artifacts)
+        return len(self.ranks)
+
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U_tail, s_tail, V_tail) views of a vector in the ``params``
+        layout, such as ``params`` itself or its gradient."""
+        r = self.tail_rank
+        n_u = self.d_out * r
+        if vec.shape != (n_u + r + self.d_in * r,):
+            raise ValueError(
+                f"layer {self.layer_id} vector of shape {vec.shape} does not match "
+                f"{self.d_out}x{self.d_in} factors of tail rank {r}"
+            )
+        return vec[:n_u].reshape(self.d_out, r), vec[n_u : n_u + r], vec[n_u + r :].reshape(self.d_in, r)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.split(self.params)[0]
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.split(self.params)[1]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.split(self.params)[2]
+
+    @property
+    def artifacts(self) -> list[ArtifactView]:
+        u, s, v = self.split(self.params)
+        out = []
+        lo = 0
+        for r in self.ranks:
+            out.append(ArtifactView(u[:, lo : lo + r], s[lo : lo + r], v[:, lo : lo + r]))
+            lo += r
+        return out
 
 
 def partition_tail(total_rank: int, semantic_rank: int, n_subspaces: int) -> list[tuple[int, int]]:
@@ -146,33 +197,26 @@ def decompose(w: np.ndarray, cfg: DecompositionConfig, layer_id: int = 0) -> Dec
     sem_w = (sem_u * sem_s) @ sem_v.T
     for a in (sem_u, sem_s, sem_v, sem_w):
         a.setflags(write=False)
-    artifacts = [
-        ArtifactPart(
-            u=res.u[:, lo:hi].copy(),
-            s=res.s[lo:hi].copy(),
-            v=res.v[:, lo:hi].copy(),
-        )
-        for lo, hi in blocks
-    ]
     return DecomposedLayer(
         layer_id=layer_id,
         semantic=SemanticPart(u=sem_u, s=sem_s, v=sem_v, w=sem_w),
-        artifacts=artifacts,
+        ranks=tuple(hi - lo for lo, hi in blocks),
+        params=np.concatenate([res.u[:, r:].ravel(), res.s[r:], res.v[:, r:].ravel()]),
         pretrained_frob_sq=linalg.frobenius_sq(arr),
     )
 
 
 def recompose(layer: DecomposedLayer) -> np.ndarray:
-    """Effective weight: frozen semantic product plus every artifact product."""
-    d_out, d_in = layer.semantic.w.shape
+    """Effective weight: frozen semantic product plus every artifact
+    product, accumulated one subspace at a time (one whole-tail product
+    would round differently)."""
+    u, s, v = layer.split(layer.params)
     w = layer.semantic.w.copy()
-    for k, a in enumerate(layer.artifacts):
-        if a.u.shape != (d_out, a.rank) or a.v.shape != (d_in, a.rank):
-            raise ValueError(
-                f"layer {layer.layer_id} artifact {k} factor shapes "
-                f"{a.u.shape}/{a.s.shape}/{a.v.shape} do not match {d_out}x{d_in}"
-            )
-        w += (a.u * a.s) @ a.v.T
+    lo = 0
+    for r in layer.ranks:
+        hi = lo + r
+        w += (u[:, lo:hi] * s[lo:hi]) @ v[:, lo:hi].T
+        lo = hi
     return w
 
 
@@ -201,7 +245,7 @@ def layer_to_bytes(layer: DecomposedLayer) -> bytes:
             layer.pretrained_frob_sq,
         )
     ]
-    parts.append(struct.pack(f"<{layer.n_subspaces}Q", *[a.rank for a in layer.artifacts]))
+    parts.append(struct.pack(f"<{layer.n_subspaces}Q", *layer.ranks))
     parts.append(semantic_to_bytes(layer))
     for a in layer.artifacts:
         parts.append(linalg.matrix_to_bytes(a.u))
@@ -242,16 +286,20 @@ def layer_from_bytes(buf: bytes, offset: int = 0) -> tuple[DecomposedLayer, int]
     sem_w = (sem_u * sem_s) @ sem_v.T
     for a in (sem_u, sem_s, sem_v, sem_w):
         a.setflags(write=False)
-    artifacts = []
-    for rank in ranks:
-        u = take(d_out, rank)
-        s = take(1, rank)[0]
-        v = take(d_in, rank)
-        artifacts.append(ArtifactPart(u=u, s=s, v=v))
+    n_params = (d_out + 1 + d_in) * sum(ranks)
+    # the factors' values alone take 8 bytes each, so a corrupt rank list
+    # cannot make this allocate more than the buffer holds
+    if 8 * n_params > len(buf) - offset:
+        raise ValueError("layer artifact factors truncated")
     layer = DecomposedLayer(
         layer_id=int(layer_id),
         semantic=SemanticPart(u=sem_u, s=sem_s, v=sem_v, w=sem_w),
-        artifacts=artifacts,
+        ranks=tuple(ranks),
+        params=np.empty(n_params),
         pretrained_frob_sq=float(frob),
     )
+    for a in layer.artifacts:
+        a.u[...] = take(d_out, a.rank)
+        a.s[...] = take(1, a.rank)[0]
+        a.v[...] = take(d_in, a.rank)
     return layer, offset

@@ -21,22 +21,6 @@ class GradCheckReport:
     warning: str | None = None
 
 
-def _views(model: Model, mode: str):
-    if mode == "finetune":
-        return (
-            model_mod.finetune_param_vector,
-            model_mod.set_finetune_params,
-            model_mod.finetune_grad_vector,
-        )
-    if mode == "full":
-        return (
-            model_mod.full_param_vector,
-            model_mod.set_full_params,
-            model_mod.full_grad_vector,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def grad_check(
     model: Model,
     inputs: np.ndarray,
@@ -55,19 +39,18 @@ def grad_check(
     Relative error uses max(|analytic|, |numeric|, 1e-3) as denominator so
     near-zero coordinates are compared at a sane absolute scale.
     """
-    get_vec, set_vec, grad_vec = _views(model, mode)
-    theta = get_vec(model)
+    arrays = model_mod.trainable_arrays(model, mode)
+    theta = model_mod.flat_vector(arrays)
     if theta.size > 10_000:
         raise ValueError(f"model too large for exhaustive checking: {theta.size} coordinates")
 
     report, grads, _ = model_mod.backward(model, inputs, labels, weights)
-    analytic = grad_vec(model, grads)
+    analytic = model_mod.flat_vector(model_mod.trainable_arrays(grads, mode))
     if corrupt is not None:
-        analytic = analytic.copy()
         analytic[corrupt[0]] *= corrupt[1]
 
     def loss_at(vec: np.ndarray) -> float:
-        set_vec(model, vec)
+        model_mod.set_flat(arrays, vec)
         rep, _, _ = model_mod.backward(model, inputs, labels, weights)
         return rep.total
 
@@ -79,7 +62,7 @@ def grad_check(
         bumped[i] = theta[i] - h
         down = loss_at(bumped)
         numeric[i] = (up - down) / (2.0 * h)
-    set_vec(model, theta)
+    model_mod.set_flat(arrays, theta)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     rel = np.abs(analytic - numeric) / denom
@@ -101,6 +84,6 @@ def jitter_trainables(model: Model, rng: np.random.Generator, scale: float = 0.0
     """Move trainable parameters to a generic point.  The spectral penalty is
     an absolute value sitting exactly at its kink after decomposition, where
     finite differences are meaningless; checks run from a nearby offset."""
-    get_vec, set_vec, _ = _views(model, mode)
-    theta = get_vec(model)
-    set_vec(model, theta + scale * rng.normal(size=theta.shape))
+    arrays = model_mod.trainable_arrays(model, mode)
+    theta = model_mod.flat_vector(arrays)
+    model_mod.set_flat(arrays, theta + scale * rng.normal(size=theta.shape))

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from . import model as model_mod
 from .checkpoint import save_model
 from .config import TrainConfig, config_to_dict
 from .data import FAMILIES, LEVELS, SplitBundle, SyntheticSample, build_splits, labels_of, stack_tokens
@@ -31,6 +30,7 @@ from .masking import (
     LayerMask,
     OptimizerState,
     StatsConfig,
+    adaptive_step,
     apply_update,
     build_mask,
     compute_bvg,
@@ -44,14 +44,12 @@ from .model import (
     backward,
     clone_model,
     decompose_attention,
+    flat_vector,
     init_model,
     predict,
-    projection_grad_vector,
-    projection_param_vector,
     reset_head,
-    set_full_params,
-    full_grad_vector,
-    full_param_vector,
+    set_flat,
+    trainable_arrays,
 )
 
 _INIT_STREAM = 900_000_000
@@ -151,10 +149,11 @@ def run_pretrain(
         splits = build_splits(cfg.data, with_robustness=False)
     model = init_model(cfg.model, make_rng(cfg.seed + _INIT_STREAM))
     train, test = splits.pretrain_train, splits.pretrain_test
-    theta = full_param_vector(model)
+    params = trainable_arrays(model, "full")
+    theta = flat_vector(params)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    lr, b1, b2, eps = cfg.pretrain.learning_rate, 0.9, 0.999, 1e-8
+    opt = OptimizerState(mode="adaptive", learning_rate=cfg.pretrain.learning_rate)
     step = 0
     acc = pretrain_accuracy(model, test)
     epochs_run = 0
@@ -164,14 +163,11 @@ def run_pretrain(
             x = stack_tokens([train[i] for i in batch])
             y = np.array([train[i].base_class for i in batch])
             _, grads, _ = backward(model, x, y)
-            g = full_grad_vector(model, grads)
             step += 1
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            mh = m / (1.0 - b1**step)
-            vh = v / (1.0 - b2**step)
-            theta = theta - lr * mh / (np.sqrt(vh) + eps)
-            set_full_params(model, theta)
+            theta, m, v = adaptive_step(
+                theta, flat_vector(trainable_arrays(grads, "full")), m, v, step, opt
+            )
+            set_flat(params, theta)
         epochs_run = epoch + 1
         acc = pretrain_accuracy(model, test)
         if acc >= cfg.pretrain.accuracy_floor:
@@ -220,9 +216,8 @@ def run_finetune(
     reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
 
     train = splits.finetune_train
-    slots = attention_slots(model)
-    n_layers = len(slots)
-    layer_sizes = [projection_param_vector(getattr(block, name)).size for _, block, name in slots]
+    layer_sizes = [a.size for a in trainable_arrays(model)[:-1]]
+    n_layers = len(layer_sizes)
     steps_per_epoch = (len(train) + cfg.optimizer.batch_size - 1) // cfg.optimizer.batch_size
     warmup = cfg.mask.warmup_steps if cfg.mask.warmup_steps is not None else steps_per_epoch
     stats_cfg = StatsConfig(
@@ -249,10 +244,7 @@ def run_finetune(
             x = stack_tokens([train[i] for i in batch])
             y = np.array([train[i].label for i in batch], dtype=np.float64)
             report, grads, _ = backward(model, x, y, weights)
-            grad_vecs = [
-                projection_grad_vector(getattr(grads.blocks[lid // 4], name))
-                for lid, _, name in slots
-            ]
+            grad_vecs = [g.ravel() for g in trainable_arrays(grads)[:-1]]
             update_stats(stats, grad_vecs, stats_cfg)
             bvg = compute_bvg(stats, stats_cfg)
             if slm:
@@ -530,7 +522,7 @@ def decompose_inspect(model: Model) -> list[LayerReport]:
                 name=f"block{lid // 4}.{name}",
                 total_rank=layer.total_rank,
                 semantic_rank=layer.semantic_rank,
-                artifact_ranks=[a.rank for a in layer.artifacts],
+                artifact_ranks=list(layer.ranks),
                 energy_semantic=sem_share,
                 energy_artifacts=art_shares,
                 orth=losses_mod.orth_loss(layer),

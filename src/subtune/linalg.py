@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 from numpy.random import Generator, PCG64
@@ -96,21 +95,3 @@ def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise ValueError(f"matrix payload truncated: need {nbytes} bytes")
     arr = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset)
     return arr.reshape(rows, cols).astype(np.float64), offset + nbytes
-
-
-def write_matrix(fh: BinaryIO, w: np.ndarray) -> None:
-    fh.write(matrix_to_bytes(w))
-
-
-def read_matrix(fh: BinaryIO) -> np.ndarray:
-    header = fh.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise ValueError("matrix header truncated")
-    rows, cols = _HEADER.unpack(header)
-    if rows == 0 or cols == 0:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    payload = fh.read(rows * cols * 8)
-    if len(payload) < rows * cols * 8:
-        raise ValueError(f"matrix payload truncated: need {rows * cols * 8} bytes")
-    arr = np.frombuffer(payload, dtype="<f8", count=rows * cols)
-    return arr.reshape(rows, cols).astype(np.float64)

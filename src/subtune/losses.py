@@ -32,7 +32,7 @@ class LossReport:
     n_layers: int
 
 
-def _off_block_gram(tail: np.ndarray, ranks: list[int]) -> np.ndarray:
+def _off_block_gram(tail: np.ndarray, ranks: tuple[int, ...]) -> np.ndarray:
     """Gram matrix of the concatenated artifact factors with every
     same-subspace block zeroed, leaving only cross-subspace overlaps."""
     gram = tail.T @ tail
@@ -59,32 +59,25 @@ def orth_loss(
     if k < 2:
         return 0.0
     if grams is None:
-        ranks = [a.rank for a in layer.artifacts]
-        grams = (
-            _off_block_gram(np.hstack([a.u for a in layer.artifacts]), ranks),
-            _off_block_gram(np.hstack([a.v for a in layer.artifacts]), ranks),
-        )
+        grams = (_off_block_gram(layer.u, layer.ranks), _off_block_gram(layer.v, layer.ranks))
     gram_u, gram_v = grams
     # each unordered pair appears twice in the symmetric Grams, so the
     # 2 / (K(K-1)) pair average becomes 1 / (K(K-1))
     return (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) / (k * (k - 1))
 
 
-def orth_loss_grads(
-    layer: DecomposedLayer, u_tail: np.ndarray, v_tail: np.ndarray, scale: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """``orth_loss`` of ``layer``, whose artifact factors concatenated in
-    subspace order are ``u_tail`` and ``v_tail``, and the gradients of
-    ``scale * orth_loss`` w.r.t. both tails."""
+def orth_loss_grads(layer: DecomposedLayer, scale: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """``orth_loss`` of ``layer`` and the gradients of ``scale * orth_loss``
+    w.r.t. its whole left and right tail factors."""
+    u, v = layer.u, layer.v
     k = layer.n_subspaces
     if k < 2:
-        return 0.0, np.zeros_like(u_tail), np.zeros_like(v_tail)
-    ranks = [a.rank for a in layer.artifacts]
-    gram_u = _off_block_gram(u_tail, ranks)
-    gram_v = _off_block_gram(v_tail, ranks)
+        return 0.0, np.zeros_like(u), np.zeros_like(v)
+    gram_u = _off_block_gram(u, layer.ranks)
+    gram_v = _off_block_gram(v, layer.ranks)
     coef = 4.0 * scale / (k * (k - 1))
     value = orth_loss(layer, (gram_u, gram_v))
-    return value, coef * (u_tail @ gram_u), coef * (v_tail @ gram_v)
+    return value, coef * (u @ gram_u), coef * (v @ gram_v)
 
 
 def spec_loss(layer: DecomposedLayer, w_eff: np.ndarray | None = None) -> float:

@@ -206,22 +206,19 @@ def apply_update(
     parameters and optimizer moments are left bit-untouched.  All or
     nothing: every new value is staged and checked before any is written, so
     a non-finite update raises with the model and ``opt`` unchanged."""
-    slots = model_mod.attention_slots(model)
-    if mask.bits.shape[0] != len(slots):
-        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {len(slots)}")
+    params = model_mod.trainable_arrays(model)
+    grad_arrays = model_mod.trainable_arrays(grads)
+    n_layers = len(params) - 1
+    if mask.bits.shape[0] != n_layers:
+        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {n_layers}")
+    # stream None is the head, the last array
+    streams = [lid for lid in range(n_layers) if mask.bits[lid]] + [None]
     staged = []
-    for lid, block, name in slots:
-        if mask.bits[lid] == 0:
-            continue
-        theta = model_mod.projection_param_vector(getattr(block, name))
-        g = model_mod.projection_grad_vector(getattr(grads.blocks[lid // 4], name))
-        new, state = _stage_step(theta, g, opt, lid)
-        _check_finite(f"layer {lid}", new, state)
-        staged.append((lid, block, name, new, state))
-    new_head, head_state = _stage_step(model.head.ravel(), grads.head.ravel(), opt, None)
-    _check_finite("the head", new_head, head_state)
-    for lid, block, name, new, state in staged:
-        model_mod.set_projection_params(block, name, new)
-        _commit_stream(opt, lid, state)
-    model.head = new_head.reshape(model.head.shape)
-    _commit_stream(opt, None, head_state)
+    for stream in streams:
+        i = n_layers if stream is None else stream
+        new, state = _stage_step(params[i].ravel(), grad_arrays[i].ravel(), opt, stream)
+        _check_finite("the head" if stream is None else f"layer {stream}", new, state)
+        staged.append((params[i], new, stream, state))
+    for theta, new, stream, state in staged:
+        theta[...] = new.reshape(theta.shape)
+        _commit_stream(opt, stream, state)

@@ -16,13 +16,7 @@ from typing import Union
 import numpy as np
 
 from . import losses
-from .decomposition import (
-    ArtifactPart,
-    DecomposedLayer,
-    DecompositionConfig,
-    decompose,
-    recompose,
-)
+from .decomposition import DecomposedLayer, DecompositionConfig, decompose, recompose
 
 Projection = Union[np.ndarray, DecomposedLayer]
 
@@ -125,10 +119,6 @@ def attention_slots(model: Model) -> list[tuple[int, Block, str]]:
             out.append((lid, block, name))
             lid += 1
     return out
-
-
-def layer_names(model: Model) -> list[str]:
-    return [f"block{i // 4}.{PROJECTION_NAMES[i % 4]}" for i in range(model.config.n_decomposable)]
 
 
 def decompose_attention(model: Model) -> None:
@@ -275,20 +265,16 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class FactorGrads:
-    """Per-artifact (dU, ds, dV) for one decomposed projection."""
-
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-@dataclass
 class BlockGrads:
+    """Gradients laid out like ``Block``: a decomposed projection's gradient
+    is one vector in its layer's ``params`` layout."""
+
     norm1_gain: np.ndarray
     norm1_bias: np.ndarray
-    q: Union[np.ndarray, FactorGrads]
-    k: Union[np.ndarray, FactorGrads]
-    v: Union[np.ndarray, FactorGrads]
-    o: Union[np.ndarray, FactorGrads]
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    o: np.ndarray
     norm2_gain: np.ndarray
     norm2_bias: np.ndarray
     mlp_in: np.ndarray
@@ -308,10 +294,11 @@ def _project_weight_grad(
     w_eff: np.ndarray,
     weights: losses.LossWeights,
     n_layers: int,
-) -> tuple[float, FactorGrads]:
-    """Map an effective-weight gradient onto artifact factors and add the
-    regularizer gradients (semantic factors receive nothing).  Also returns
-    the layer's orthogonality value, which shares the regularizer's Grams."""
+) -> tuple[float, np.ndarray]:
+    """Map an effective-weight gradient onto the artifact factors and add the
+    regularizer gradients (semantic factors receive nothing); the result is
+    one vector in the layer's ``params`` layout.  Also returns the layer's
+    orthogonality value, which shares the regularizer's Grams."""
     g_total = g_w
     if weights.spectral_weight != 0.0:
         delta = float(np.sum(w_eff * w_eff)) - layer.pretrained_frob_sq
@@ -320,26 +307,17 @@ def _project_weight_grad(
         # decomposition (delta ~ 1e-13 from rounding) gets an exact zero here
         if abs(delta) > 1e-9 * max(1.0, layer.pretrained_frob_sq):
             g_total = g_w + (weights.spectral_weight / n_layers) * math.copysign(2.0, delta) * w_eff
-    # the artifact groups are consecutive column blocks of one tail, so each
-    # factor gradient is one product over the whole tail, split afterwards
-    ranks = [a.rank for a in layer.artifacts]
-    u_tail = np.hstack([a.u for a in layer.artifacts])
-    s_tail = np.concatenate([a.s for a in layer.artifacts])
-    v_tail = np.hstack([a.v for a in layer.artifacts])
-    orth, orth_du, orth_dv = losses.orth_loss_grads(
-        layer, u_tail, v_tail, weights.orth_weight / n_layers
-    )
-    g_v = g_total @ v_tail
-    du = g_v * s_tail + orth_du
-    dv = (g_total.T @ u_tail) * s_tail + orth_dv
-    ds = np.sum(u_tail * g_v, axis=0)
-    parts = []
-    lo = 0
-    for r in ranks:
-        # contiguous copies, so that flattening the parts is one copy
-        parts.append((du[:, lo : lo + r].copy(), ds[lo : lo + r], dv[:, lo : lo + r].copy()))
-        lo += r
-    return orth, FactorGrads(parts=parts)
+    orth, orth_du, orth_dv = losses.orth_loss_grads(layer, weights.orth_weight / n_layers)
+    u, s, v = layer.split(layer.params)
+    grad = np.empty_like(layer.params)
+    du, ds, dv = layer.split(grad)
+    g_v = g_total @ v
+    np.multiply(g_v, s, out=du)
+    du += orth_du
+    np.multiply(g_total.T @ u, s, out=dv)
+    dv += orth_dv
+    ds[...] = np.sum(u * g_v, axis=0)
+    return orth, grad
 
 
 def backward(
@@ -417,7 +395,7 @@ def backward(
         da_ln, d_g1, d_b1 = _layer_norm_backward(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
         dh = dm_in + da_ln
 
-        proj_grads: dict[str, Union[np.ndarray, FactorGrads]] = {}
+        proj_grads: dict[str, np.ndarray] = {}
         for name, g_w in (("q", d_wq), ("k", d_wk), ("v", d_wv), ("o", d_wo)):
             p = getattr(block, name)
             if isinstance(p, DecomposedLayer):
@@ -447,134 +425,55 @@ def backward(
     return report, grads, cache
 
 
-# --- flat parameter views -------------------------------------------------
-# The masking optimizer and the finite-difference checker address trainable
-# values as flat vectors; order is fixed: per artifact U raveled, then s,
-# then V raveled, artifacts in subspace order.
+# --- flat parameters ------------------------------------------------------
+# The optimizers and the finite-difference checker address a mode's
+# trainable values as a fixed list of arrays, each the model's own storage:
+# "finetune" lists every attention projection in layer-id order (a
+# decomposed layer's ``params`` vector, or the plain matrix) and then the
+# head; "full" lists every array of the plain pretraining model.
+# ``Gradients`` mirror the model's layout, so the same list taken from them
+# holds the matching gradients.
 
-
-def layer_param_vector(layer: DecomposedLayer) -> np.ndarray:
-    chunks = []
-    for a in layer.artifacts:
-        chunks.extend((a.u.ravel(), a.s.ravel(), a.v.ravel()))
-    return np.concatenate(chunks)
-
-
-def set_layer_params(layer: DecomposedLayer, vec: np.ndarray) -> None:
-    pos = 0
-    for a in layer.artifacts:
-        for attr in ("u", "s", "v"):
-            arr = getattr(a, attr)
-            n = arr.size
-            setattr(a, attr, vec[pos : pos + n].reshape(arr.shape).copy())
-            pos += n
-    if pos != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match layer size {pos}")
-
-
-def factor_grads_vector(fg: FactorGrads) -> np.ndarray:
-    chunks = []
-    for du, ds, dv in fg.parts:
-        chunks.extend((du.ravel(), ds.ravel(), dv.ravel()))
-    return np.concatenate(chunks)
-
-
-def projection_param_vector(p: Projection) -> np.ndarray:
-    return layer_param_vector(p) if isinstance(p, DecomposedLayer) else p.ravel().copy()
-
-
-def set_projection_params(model_block: Block, name: str, vec: np.ndarray) -> None:
-    p = getattr(model_block, name)
-    if isinstance(p, DecomposedLayer):
-        set_layer_params(p, vec)
-    else:
-        setattr(model_block, name, vec.reshape(p.shape).copy())
-
-
-def projection_grad_vector(g: Union[np.ndarray, FactorGrads]) -> np.ndarray:
-    return factor_grads_vector(g) if isinstance(g, FactorGrads) else g.ravel().copy()
-
-
-def trainable_layer_vectors(model: Model, grads: Gradients | None = None) -> list[np.ndarray]:
-    """One flat vector per maskable attention layer (params, or gradients
-    when ``grads`` is given), in layer-id order."""
-    out = []
-    for lid, block, name in attention_slots(model):
-        if grads is None:
-            out.append(projection_param_vector(getattr(block, name)))
-        else:
-            out.append(projection_grad_vector(getattr(grads.blocks[lid // 4], name)))
-    return out
-
-
-def finetune_param_vector(model: Model) -> np.ndarray:
-    return np.concatenate(trainable_layer_vectors(model) + [model.head.ravel()])
-
-
-def set_finetune_params(model: Model, vec: np.ndarray) -> None:
-    pos = 0
-    for _, block, name in attention_slots(model):
-        size = projection_param_vector(getattr(block, name)).size
-        set_projection_params(block, name, vec[pos : pos + size])
-        pos += size
-    n = model.head.size
-    model.head = vec[pos : pos + n].reshape(model.head.shape).copy()
-    pos += n
-    if pos != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match trainable size {pos}")
-
-
-def finetune_grad_vector(model: Model, grads: Gradients) -> np.ndarray:
-    return np.concatenate(trainable_layer_vectors(model, grads) + [grads.head.ravel()])
-
-
-_FULL_SLOTS = (
+BLOCK_SLOTS = (
     "norm1_gain", "norm1_bias", "q", "k", "v", "o",
     "norm2_gain", "norm2_bias", "mlp_in", "mlp_out",
 )
 
 
-def full_param_vector(model: Model) -> np.ndarray:
-    """Every parameter of a plain (not yet decomposed) model, for pretraining."""
-    if model.decomposed:
-        raise ValueError("full parameter view is for the plain pretraining model")
-    chunks = [model.token_embed.ravel()]
-    for block in model.blocks:
-        for slot in _FULL_SLOTS:
-            chunks.append(getattr(block, slot).ravel())
-    chunks.append(model.head.ravel())
-    return np.concatenate(chunks)
+def _storage(p: Projection) -> np.ndarray:
+    return p.params if isinstance(p, DecomposedLayer) else p
 
 
-def set_full_params(model: Model, vec: np.ndarray) -> None:
-    if model.decomposed:
-        raise ValueError("full parameter view is for the plain pretraining model")
+def trainable_arrays(state: Union[Model, Gradients], mode: str = "finetune") -> list[np.ndarray]:
+    if mode == "finetune":
+        slots = [getattr(block, name) for block in state.blocks for name in PROJECTION_NAMES]
+        return [_storage(p) for p in slots] + [state.head]
+    if mode == "full":
+        slots = [getattr(block, name) for block in state.blocks for name in BLOCK_SLOTS]
+        if any(isinstance(p, DecomposedLayer) for p in slots):
+            raise ValueError("full parameter view is for the plain pretraining model")
+        return [state.token_embed] + slots + [state.head]
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def flat_vector(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def set_flat(arrays: list[np.ndarray], vec: np.ndarray) -> None:
+    """Write ``vec`` into ``arrays`` in place, in list order."""
+    size = sum(a.size for a in arrays)
+    if vec.shape != (size,):
+        raise ValueError(f"vector of shape {vec.shape} does not match trainable size {size}")
     pos = 0
-
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = vec[pos : pos + size].reshape(shape).copy()
-        pos += size
-        return out
-
-    model.token_embed = take(model.token_embed.shape)
-    for block in model.blocks:
-        for slot in _FULL_SLOTS:
-            setattr(block, slot, take(getattr(block, slot).shape))
-    model.head = take(model.head.shape)
-    if pos != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match model size {pos}")
+    for a in arrays:
+        a[...] = vec[pos : pos + a.size].reshape(a.shape)
+        pos += a.size
 
 
-def full_grad_vector(model: Model, grads: Gradients) -> np.ndarray:
-    chunks = [grads.token_embed.ravel()]
-    for bg in grads.blocks:
-        for slot in _FULL_SLOTS:
-            g = getattr(bg, slot)
-            chunks.append(g.ravel())
-    chunks.append(grads.head.ravel())
-    return np.concatenate(chunks)
+def projection_param_vector(p: Projection) -> np.ndarray:
+    """A copy of one attention slot's trainable values."""
+    return _storage(p).flatten()
 
 
 def clone_model(model: Model) -> Model:

@@ -84,10 +84,10 @@ def test_round_trip_forward_identical(tmp_path):
 def test_same_state_writes_identical_bytes(tmp_path):
     model = tiny_model(seed=2, decomposed=True)
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    state = {"bit_generator": "PCG64", "state": {"state": 123, "inc": 5}}
-    save_model(a, model, step=3, rng_state=state, config_echo={"seed": 2})
-    save_model(b, model, step=3, rng_state=state, config_echo={"seed": 2})
+    save_model(a, model, step=3, config_echo={"seed": 2})
+    save_model(b, model, step=3, config_echo={"seed": 2})
     assert a.read_bytes() == b.read_bytes()
+    assert read_manifest(a)["rng_state"] is None
 
 
 def test_manifest_without_payload_parse(tmp_path):

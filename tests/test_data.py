@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from split_checks import family_leakage, linear_probe_accuracy
 from subtune.data import (
     FAMILIES,
     LEVELS,
@@ -11,10 +12,8 @@ from subtune.data import (
     class_basis,
     distort,
     export_csv,
-    family_leakage,
     gen_real,
     import_csv,
-    linear_probe_accuracy,
     stack_tokens,
     transform_tokens,
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_recompose_zeroed_and_perturbed_strengths() -> None:
 
 def test_recompose_detects_corrupted_shapes() -> None:
     layer = decompose(linalg.make_rng(2).normal(size=(6, 6)), DecompositionConfig(n_subspaces=2))
-    layer.artifacts[0].u = layer.artifacts[0].u[:-1, :]
+    layer.params = layer.params[:-1]
     with pytest.raises(ValueError):
         recompose(layer)
 
@@ -207,12 +208,29 @@ def test_layer_serialization_roundtrip_bit_exact() -> None:
         assert np.array_equal(a.v, b.v)
 
 
+def test_layer_from_bytes_rejects_corrupt_rank_list() -> None:
+    cfg = DecompositionConfig(n_subspaces=2, rank_policy="fixed", fixed_rank=2)
+    layer = decompose(linalg.make_rng(32).normal(size=(6, 5)), cfg)
+    assert layer.ranks == (2, 1)
+    blob = layer_to_bytes(layer)
+    rank_offset = 48  # the rank list follows the fixed-size layer header
+    swapped = bytearray(blob)
+    struct.pack_into("<QQ", swapped, rank_offset, 1, 2)
+    with pytest.raises(ValueError, match="expected 6x1 block"):
+        layer_from_bytes(bytes(swapped))
+    # a rank no buffer could hold is refused before anything is allocated
+    huge = bytearray(blob)
+    struct.pack_into("<Q", huge, rank_offset, 2**40)
+    with pytest.raises(ValueError, match="truncated"):
+        layer_from_bytes(bytes(huge))
+
+
 def test_semantic_bytes_unchanged_by_artifact_mutation() -> None:
     rng = linalg.make_rng(31)
     layer = decompose(rng.normal(size=(8, 8)), DecompositionConfig(n_subspaces=3))
     before = semantic_to_bytes(layer)
     for a in layer.artifacts:
-        a.u += rng.normal(size=a.u.shape)
-        a.s += rng.normal(size=a.s.shape)
-        a.v += rng.normal(size=a.v.shape)
+        a.u[...] += rng.normal(size=a.u.shape)
+        a.s[...] += rng.normal(size=a.s.shape)
+        a.v[...] += rng.normal(size=a.v.shape)
     assert semantic_to_bytes(layer) == before

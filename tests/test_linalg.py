@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
@@ -117,17 +115,6 @@ def test_matrix_bytes_layout_is_little_endian_row_major() -> None:
     assert np.array_equal(vals, [1.0, 2.0, 3.0, 4.0])
 
 
-def test_matrix_file_roundtrip_and_sequential_reads() -> None:
-    rng = linalg.make_rng(9)
-    mats = [rng.normal(size=(2, 3)), rng.normal(size=(4, 1))]
-    buf = io.BytesIO()
-    for m in mats:
-        linalg.write_matrix(buf, m)
-    buf.seek(0)
-    for m in mats:
-        assert np.array_equal(linalg.read_matrix(buf), m)
-
-
 def test_matrix_read_rejects_truncation_and_zero_dims() -> None:
     w = np.ones((2, 2))
     blob = linalg.matrix_to_bytes(w)
@@ -138,6 +125,3 @@ def test_matrix_read_rejects_truncation_and_zero_dims() -> None:
     bad = (0).to_bytes(8, "little") + (2).to_bytes(8, "little")
     with pytest.raises(ValueError):
         linalg.matrix_from_bytes(bad)
-    buf = io.BytesIO(blob[:-8])
-    with pytest.raises(ValueError):
-        linalg.read_matrix(buf)

@@ -159,15 +159,20 @@ def _one_layer_setup(seed: int = 0):
     return m, grads
 
 
+def layer_vectors(state) -> list[np.ndarray]:
+    """Each attention layer's flat trainable values (or gradients), as views."""
+    return [a.ravel() for a in model_mod.trainable_arrays(state)[:-1]]
+
+
 def test_apply_update_all_masked_leaves_layers_untouched() -> None:
     model, grads = _one_layer_setup()
-    before = [v.copy() for v in model_mod.trainable_layer_vectors(model)]
+    before = [v.copy() for v in layer_vectors(model)]
     head_before = model.head.copy()
     sizes = [v.size for v in before]
     opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8), budget=1)
     apply_update(model, grads, mask, opt)
-    after = model_mod.trainable_layer_vectors(model)
+    after = layer_vectors(model)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
     assert not np.array_equal(model.head, head_before)  # head is exempt
@@ -177,15 +182,15 @@ def test_apply_update_all_masked_leaves_layers_untouched() -> None:
 
 def test_apply_update_masked_moments_frozen_active_layers_move() -> None:
     model, grads = _one_layer_setup()
-    sizes = [v.size for v in model_mod.trainable_layer_vectors(model)]
+    sizes = [v.size for v in layer_vectors(model)]
     opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
     bits = np.zeros(len(sizes), dtype=np.int8)
     bits[::2] = 1
     mask = LayerMask(bits=bits, budget=int(bits.sum()))
-    before = [v.copy() for v in model_mod.trainable_layer_vectors(model)]
+    before = [v.copy() for v in layer_vectors(model)]
     moments_before = [m.copy() for m in opt.layer_m]
     apply_update(model, grads, mask, opt)
-    after = model_mod.trainable_layer_vectors(model)
+    after = layer_vectors(model)
     for lid in range(len(sizes)):
         if bits[lid]:
             assert not np.array_equal(before[lid], after[lid])
@@ -199,20 +204,20 @@ def test_apply_update_masked_moments_frozen_active_layers_move() -> None:
 
 def test_apply_update_plain_mode_and_mask_size_check() -> None:
     model, grads = _one_layer_setup()
-    sizes = [v.size for v in model_mod.trainable_layer_vectors(model)]
+    sizes = [v.size for v in layer_vectors(model)]
     opt = init_optimizer("plain", 0.1, sizes, model.head.size)
-    theta0 = model_mod.trainable_layer_vectors(model)[0].copy()
-    g0 = model_mod.trainable_layer_vectors(model, grads)[0]
+    theta0 = layer_vectors(model)[0].copy()
+    g0 = layer_vectors(grads)[0]
     mask = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
     apply_update(model, grads, mask, opt)
-    assert np.allclose(model_mod.trainable_layer_vectors(model)[0], theta0 - 0.1 * g0, atol=1e-15)
+    assert np.allclose(layer_vectors(model)[0], theta0 - 0.1 * g0, atol=1e-15)
     with pytest.raises(ValueError):
         apply_update(model, grads, LayerMask(bits=np.ones(2, dtype=np.int8), budget=2), opt)
 
 
 def test_apply_update_rejects_non_finite() -> None:
     model, grads = _one_layer_setup()
-    sizes = [v.size for v in model_mod.trainable_layer_vectors(model)]
+    sizes = [v.size for v in layer_vectors(model)]
     opt = init_optimizer("plain", 0.1, sizes, model.head.size)
     grads.head = np.full_like(grads.head, np.inf)
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8), budget=1)
@@ -225,19 +230,21 @@ def test_apply_update_rejects_non_finite() -> None:
 @pytest.mark.parametrize("bad", [np.nan, 1e200])
 def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
     model, grads = _one_layer_setup()
-    sizes = [v.size for v in model_mod.trainable_layer_vectors(model)]
+    sizes = [v.size for v in layer_vectors(model)]
     opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
     everything = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
     apply_update(model, grads, everything, opt)  # moments and counters non-trivial
-    params = model_mod.finetune_param_vector(model).tobytes()
+    params = model_mod.flat_vector(model_mod.trainable_arrays(model)).tobytes()
     moments = [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)]
     head_state = (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step)
     steps = list(opt.layer_step)
     last = len(sizes) - 1
-    grads.blocks[-1].o.parts[-1][0][0, 0] = bad
+    last_layer = model.blocks[-1].o
+    # first column of the last subspace's left factor
+    last_layer.split(grads.blocks[-1].o)[0][0, -last_layer.ranks[-1]] = bad
     with pytest.raises(ValueError, match=f"layer {last}"), np.errstate(over="ignore"):
         apply_update(model, grads, everything, opt)
-    assert model_mod.finetune_param_vector(model).tobytes() == params
+    assert model_mod.flat_vector(model_mod.trainable_arrays(model)).tobytes() == params
     assert [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)] == moments
     assert (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step) == head_state
     assert opt.layer_step == steps

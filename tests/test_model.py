@@ -47,6 +47,10 @@ def batch(seed: int, n: int, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def grad_vector(grads) -> np.ndarray:
+    return model_mod.flat_vector(model_mod.trainable_arrays(grads))
+
+
 def test_zero_head_gives_half_probability() -> None:
     m = tiny_model()
     m.head = np.zeros_like(m.head)
@@ -112,7 +116,7 @@ def test_backward_zero_signal_when_probabilities_match_labels() -> None:
     m = tiny_model(decomposed=True)
     x, y = batch(4, 4, m.config)
     _, grads, _ = backward(m, x, y, LossWeights(0.0, 0.0))
-    assert np.abs(model_mod.finetune_grad_vector(m, grads)).max() > 0.0
+    assert np.abs(grad_vector(grads)).max() > 0.0
     # saturate the head so p hits the clamp rails exactly at the true labels;
     # with regularizer weights zero the learning signal collapses (the
     # clamp's 1e-12 residual times the 1e4-scale head leaves ~1e-8 noise)
@@ -125,7 +129,7 @@ def test_backward_zero_signal_when_probabilities_match_labels() -> None:
     assert p[0] == 1.0 - 1e-12 and p[1] == 1e-12
     _, g2, _ = backward(big, big_x, big_y, LossWeights(0.0, 0.0))
     assert np.abs(g2.head).max() <= 1e-8
-    assert np.abs(model_mod.finetune_grad_vector(big, g2)).max() <= 1e-6
+    assert np.abs(grad_vector(g2)).max() <= 1e-6
 
 
 def test_backward_spectral_gradient_on_perturbed_strength() -> None:
@@ -140,17 +144,16 @@ def test_backward_spectral_gradient_on_perturbed_strength() -> None:
     fg = grads.blocks[0].q
     s_val = layer.artifacts[0].s[0]
     want = 2.0 * s_val / n  # positive drift: sign is +1
-    got = fg.parts[0][1][0]
+    got = layer.split(fg)[1][0]  # group 0 starts the tail
     assert abs(got - want) <= 1e-9
     # untouched fresh model: spectral gradient exactly zero at the kink
     m2 = tiny_model(seed=6, decomposed=True)
     _, g2, _ = backward(m2, x, y, LossWeights(0.0, 1.0))
-    for bg in g2.blocks:
-        for name in ("q", "k", "v", "o"):
-            for du, ds, dv in getattr(bg, name).parts:
-                assert np.max(np.abs(ds)) == 0.0
-                assert np.max(np.abs(du)) == 0.0
-                assert np.max(np.abs(dv)) == 0.0
+    for lid, block, name in attention_slots(m2):
+        du, ds, dv = getattr(block, name).split(getattr(g2.blocks[lid // 4], name))
+        assert np.max(np.abs(ds)) == 0.0
+        assert np.max(np.abs(du)) == 0.0
+        assert np.max(np.abs(dv)) == 0.0
 
 
 def test_grad_check_finetune_passes() -> None:
@@ -176,7 +179,7 @@ def test_grad_check_reports_corrupted_coordinate() -> None:
     honest = grad_check(m, x, y, LossWeights(1.0, 1.0))
     # pick a coordinate with a solidly nonzero gradient, then double it
     _, grads, _ = backward(m, x, y, LossWeights(1.0, 1.0))
-    vec = model_mod.finetune_grad_vector(m, grads)
+    vec = grad_vector(grads)
     target = int(np.argmax(np.abs(vec)))
     rep = grad_check(m, x, y, LossWeights(1.0, 1.0), corrupt=(target, 2.0))
     assert honest.passed and not rep.passed
@@ -192,18 +195,19 @@ def test_grad_check_large_step_warns() -> None:
 
 def test_param_vector_roundtrip() -> None:
     m = tiny_model(decomposed=True)
-    vec = model_mod.finetune_param_vector(m)
+    arrays = model_mod.trainable_arrays(m)
+    vec = model_mod.flat_vector(arrays)
     rng = linalg.make_rng(3)
     new = vec + rng.normal(size=vec.shape)
-    model_mod.set_finetune_params(m, new)
-    assert np.array_equal(model_mod.finetune_param_vector(m), new)
+    model_mod.set_flat(arrays, new)
+    assert np.array_equal(model_mod.flat_vector(model_mod.trainable_arrays(m)), new)
     plain = tiny_model(decomposed=False, binary=False)
-    full = model_mod.full_param_vector(plain)
+    full = model_mod.flat_vector(model_mod.trainable_arrays(plain, "full"))
     new_full = full + rng.normal(size=full.shape)
-    model_mod.set_full_params(plain, new_full)
-    assert np.array_equal(model_mod.full_param_vector(plain), new_full)
+    model_mod.set_flat(model_mod.trainable_arrays(plain, "full"), new_full)
+    assert np.array_equal(model_mod.flat_vector(model_mod.trainable_arrays(plain, "full")), new_full)
     with pytest.raises(ValueError):
-        model_mod.set_finetune_params(m, new[:-1])
+        model_mod.set_flat(arrays, new[:-1])
 
 
 def test_attention_slots_order_and_count() -> None:
@@ -212,7 +216,6 @@ def test_attention_slots_order_and_count() -> None:
     assert len(slots) == m.config.n_decomposable == 8
     assert [s[0] for s in slots] == list(range(8))
     assert [s[2] for s in slots[:4]] == ["q", "k", "v", "o"]
-    assert model_mod.layer_names(m)[:2] == ["block0.q", "block0.k"]
 
 
 def test_decompose_attention_only_once() -> None:
