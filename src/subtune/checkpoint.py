@@ -1,11 +1,13 @@
 """Single-file binary checkpoints: a magic tag, a length-prefixed JSON
 manifest with sorted keys, then raw float64 matrix blobs in manifest order.
-Writing the same state twice yields byte-identical files."""
+Writing the same state twice yields byte-identical files, and a write that
+fails leaves any earlier file at the path as it was."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -94,16 +96,29 @@ def save_model(
             for slot in PROJECTION_NAMES:
                 body.write(layer_to_bytes(getattr(block, slot)))
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_LEN.pack(len(blob)))
-        fh.write(blob)
-        fh.write(body.getvalue())
+    # written beside the target and renamed over it, so a reader never sees
+    # a partial file and a failed write keeps the previous checkpoint
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(MAGIC)
+            fh.write(_LEN.pack(len(blob)))
+            fh.write(blob)
+            fh.write(body.getvalue())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
     """The manifest and the offset where the body starts.  A file cut
-    anywhere before the end of its manifest raises a ValueError saying so."""
+    anywhere before the end of its manifest, or a manifest of another format
+    or kind or without the model, arrays or decomposed field, raises a
+    ValueError saying so."""
     if raw[: len(MAGIC)] != MAGIC[: len(raw)]:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     offset = len(MAGIC) + _LEN.size
@@ -114,7 +129,18 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
         raise ValueError(
             f"{path} is truncated: its manifest needs {length} bytes, {len(raw) - offset} present"
         )
-    return json.loads(raw[offset : offset + length]), offset + length
+    manifest = json.loads(raw[offset : offset + length])
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: the manifest is not a JSON object")
+    fmt = manifest.get("format")
+    if type(fmt) is not int or fmt != 1:
+        raise ValueError(f"{path}: manifest field 'format' is {fmt!r}, expected 1")
+    if manifest.get("kind") != "model":
+        raise ValueError(f"{path}: manifest field 'kind' is {manifest.get('kind')!r}, expected 'model'")
+    for key in ("model", "arrays", "decomposed"):
+        if key not in manifest:
+            raise ValueError(f"{path}: manifest field {key!r} is missing")
+    return manifest, offset + length
 
 
 def read_manifest(path: str | Path) -> dict:

@@ -64,9 +64,10 @@ def _config_for(args) -> TrainConfig:
 
 def _cmd_gen_data(args) -> None:
     cfg = _config_for(args)
-    splits = build_splits(cfg.data, with_robustness=False)
+    names = ("pretrain_train", "pretrain_test", "finetune_train", "test_in", "test_heldout")
+    splits = build_splits(cfg.data, names)
     args.out.mkdir(parents=True, exist_ok=True)
-    for name in ("pretrain_train", "pretrain_test", "finetune_train", "test_in", "test_heldout"):
+    for name in names:
         path = args.out / f"{name}.csv"
         export_csv(getattr(splits, name), path)
         print(f"wrote {path}")

@@ -35,10 +35,12 @@ LEVELS = (1, 2, 3, 4, 5)
 _PATCH_SCALE = 0.22
 _RIPPLE_SCALE = 0.09
 _RIPPLE_DC = 0.4
-_BLUR_WINDOW = 3
+_BLUR_TAP = 1.0 / 3.0  # weight of each tap of the 3-token box filter
 _BLUR_MIN_BLEND = 0.4
 _QUANT_SCALE = 0.12
 _STRUCT_SCALE = 0.07
+# families whose transform draws nothing from its rng stream
+_RNG_FREE_FAMILIES = frozenset({"token-blur", "block-quantization"})
 _CLIP_OFFSET_SCALE = 0.1
 
 # Families leave their own fixed direction plus per-sample randomness, and
@@ -114,15 +116,23 @@ class SyntheticSample:
 
 def class_basis(cfg: DataConfig, base_class: int) -> np.ndarray:
     """Fixed smooth signature of one base class: a few low token-frequency
-    harmonics with class-specific amplitudes and phases, unit RMS."""
-    rng = make_rng(cfg.seed + _CLASS_STREAM + base_class)
-    t = np.arange(cfg.n_tokens)
-    basis = np.zeros((cfg.n_tokens, cfg.d_model))
+    harmonics with class-specific amplitudes and phases, unit RMS.  Cached
+    and read-only, since every sample of the class shares it."""
+    return _class_basis(cfg.seed, cfg.n_tokens, cfg.d_model, base_class)
+
+
+@lru_cache(maxsize=256)
+def _class_basis(seed: int, n_tokens: int, d_model: int, base_class: int) -> np.ndarray:
+    rng = make_rng(seed + _CLASS_STREAM + base_class)
+    t = np.arange(n_tokens)
+    basis = np.zeros((n_tokens, d_model))
     for f in (1, 2, 3):
-        amp = rng.normal(size=cfg.d_model)
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=cfg.d_model)
-        basis += amp[None, :] * np.sin(2.0 * math.pi * f * t[:, None] / cfg.n_tokens + phase[None, :])
-    return basis / math.sqrt(float(np.mean(basis**2)))
+        amp = rng.normal(size=d_model)
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=d_model)
+        basis += amp[None, :] * np.sin(2.0 * math.pi * f * t[:, None] / n_tokens + phase[None, :])
+    basis = basis / math.sqrt(float(np.mean(basis**2)))
+    basis.setflags(write=False)
+    return basis
 
 
 def _real_tokens(cfg: DataConfig, base_class: int, clip_offset: np.ndarray, sample_rng) -> np.ndarray:
@@ -138,22 +148,22 @@ def gen_real(cfg: DataConfig, n_samples: int, split: str, clip_prefix: str = "r"
         raise ValueError("sample count must be a multiple of clip_size")
     offset = _SPLIT_STREAMS[split]
     out = []
-    for idx in range(n_samples):
-        clip_idx = idx // cfg.clip_size
+    for clip_idx in range(n_samples // cfg.clip_size):
         base_class = clip_idx % cfg.n_base_classes
         clip_rng = make_rng(cfg.seed + offset + _CLIP_SUBSTREAM + clip_idx)
         clip_offset = _CLIP_OFFSET_SCALE * clip_rng.normal(size=(1, cfg.d_model))
-        sample_rng = make_rng(cfg.seed + offset + idx)
-        out.append(
-            SyntheticSample(
-                tokens=_real_tokens(cfg, base_class, clip_offset, sample_rng),
-                label=0,
-                base_class=base_class,
-                family=None,
-                intensity=None,
-                clip_id=f"{split}-{clip_prefix}{clip_idx:05d}",
+        for member in range(cfg.clip_size):
+            sample_rng = make_rng(cfg.seed + offset + clip_idx * cfg.clip_size + member)
+            out.append(
+                SyntheticSample(
+                    tokens=_real_tokens(cfg, base_class, clip_offset, sample_rng),
+                    label=0,
+                    base_class=base_class,
+                    family=None,
+                    intensity=None,
+                    clip_id=f"{split}-{clip_prefix}{clip_idx:05d}",
+                )
             )
-        )
     return out
 
 
@@ -215,10 +225,14 @@ def transform_tokens(tokens: np.ndarray, family: str, level: int, rng) -> np.nda
         # blend toward a fixed smoothed signal; deviation scales as the
         # squared blend fraction times a constant, so it grows strictly with
         # level for any non-constant input, and constants are left untouched
-        kernel = np.ones(_BLUR_WINDOW) / _BLUR_WINDOW
-        pad = _BLUR_WINDOW // 2
-        padded = np.pad(out, ((pad, pad), (0, 0)), mode="reflect")
-        smoothed = np.apply_along_axis(lambda col: np.convolve(col, kernel, mode="valid"), 0, padded)
+        # box filter over tokens with reflect padding (a lone token reflects
+        # onto itself); the taps are summed left to right, which is what
+        # np.convolve does, so the bits match it
+        if t_count > 1:
+            padded = np.concatenate((out[1:2], out, out[-2:-1]))
+        else:
+            padded = np.repeat(out, 3, axis=0)
+        smoothed = padded[:-2] * _BLUR_TAP + padded[1:-1] * _BLUR_TAP + padded[2:] * _BLUR_TAP
         frac = _BLUR_MIN_BLEND + (1.0 - _BLUR_MIN_BLEND) * (level - 1) / 4.0
         out = out + frac * (smoothed - out)
     elif family == "block-quantization":
@@ -289,18 +303,44 @@ def _gen_fakes(
                 intensity=None,
                 clip_id=f"{split}-f{clip_idx:05d}",
             )
-            artifact_rng = make_rng(cfg.seed + offset + _FAKE_SUBSTREAM + idx)
+            artifact_rng = _artifact_rng(family, cfg.seed + offset + _FAKE_SUBSTREAM + idx)
             out.append(apply_artifact(clean, family, level, artifact_rng))
     return out
 
 
+def _artifact_rng(family: str, seed: int):
+    """The artifact stream of one sample, or None for a family whose
+    transform never draws from it."""
+    return None if family in _RNG_FREE_FAMILIES else make_rng(seed)
+
+
+def _robustness_grid(
+    cfg: DataConfig, test_in: list[SyntheticSample]
+) -> dict[tuple[str, int], list[SyntheticSample]]:
+    """Every (family, level) distortion of ``test_in``, labels kept."""
+    grid = {}
+    for cell_idx, family in enumerate(FAMILIES):
+        for level in LEVELS:
+            base = cfg.seed + _ROBUST_STREAM + (cell_idx * len(LEVELS) + level) * 10_000
+            grid[(family, level)] = [
+                distort(sample, family, level, _artifact_rng(family, base + s_idx))
+                for s_idx, sample in enumerate(test_in)
+            ]
+    return grid
+
+
+SPLITS = ("pretrain_train", "pretrain_test", "finetune_train", "test_in", "test_heldout", "robustness")
+
+
 @dataclass
 class SplitBundle:
-    pretrain_train: list[SyntheticSample]
-    pretrain_test: list[SyntheticSample]
-    finetune_train: list[SyntheticSample]
-    test_in: list[SyntheticSample]
-    test_heldout: list[SyntheticSample]
+    """Generated splits; a split the caller did not ask for stays empty."""
+
+    pretrain_train: list[SyntheticSample] = field(default_factory=list)
+    pretrain_test: list[SyntheticSample] = field(default_factory=list)
+    finetune_train: list[SyntheticSample] = field(default_factory=list)
+    test_in: list[SyntheticSample] = field(default_factory=list)
+    test_heldout: list[SyntheticSample] = field(default_factory=list)
     robustness: dict[tuple[str, int], list[SyntheticSample]] = field(default_factory=dict)
 
 
@@ -309,28 +349,31 @@ def _detection_split(cfg: DataConfig, n: int, split: str, families: tuple[str, .
     return gen_real(cfg, half, split) + _gen_fakes(cfg, half, split, families)
 
 
-def build_splits(cfg: DataConfig, with_robustness: bool = True) -> SplitBundle:
+def build_splits(cfg: DataConfig, splits: tuple[str, ...]) -> SplitBundle:
+    """Generate the named splits (names from ``SPLITS``; "robustness" is the
+    distortion grid over ``test_in``).  Each split's samples are the same
+    whichever others are asked for."""
     cfg.validate()
-    test_in = _detection_split(cfg, cfg.n_test, "test_in", cfg.families_train)
-    robustness: dict[tuple[str, int], list[SyntheticSample]] = {}
-    if with_robustness:
-        for cell_idx, family in enumerate(FAMILIES):
-            for level in LEVELS:
-                cell = []
-                for s_idx, sample in enumerate(test_in):
-                    rng = make_rng(
-                        cfg.seed + _ROBUST_STREAM + (cell_idx * len(LEVELS) + level) * 10_000 + s_idx
-                    )
-                    cell.append(distort(sample, family, level, rng))
-                robustness[(family, level)] = cell
-    return SplitBundle(
-        pretrain_train=gen_real(cfg, cfg.n_pretrain, "pretrain_train"),
-        pretrain_test=gen_real(cfg, cfg.n_pretrain_test, "pretrain_test"),
-        finetune_train=_detection_split(cfg, cfg.n_finetune, "finetune_train", cfg.families_train),
-        test_in=test_in,
-        test_heldout=_detection_split(cfg, cfg.n_test, "test_heldout", cfg.families_heldout),
-        robustness=robustness,
-    )
+    wanted = set(splits)
+    unknown = sorted(wanted.difference(SPLITS))
+    if unknown:
+        raise ValueError(f"unknown split {unknown[0]!r}; expected one of {', '.join(SPLITS)}")
+    bundle = SplitBundle()
+    if "pretrain_train" in wanted:
+        bundle.pretrain_train = gen_real(cfg, cfg.n_pretrain, "pretrain_train")
+    if "pretrain_test" in wanted:
+        bundle.pretrain_test = gen_real(cfg, cfg.n_pretrain_test, "pretrain_test")
+    if "finetune_train" in wanted:
+        bundle.finetune_train = _detection_split(cfg, cfg.n_finetune, "finetune_train", cfg.families_train)
+    if wanted & {"test_in", "robustness"}:
+        test_in = _detection_split(cfg, cfg.n_test, "test_in", cfg.families_train)
+        if "test_in" in wanted:
+            bundle.test_in = test_in
+        if "robustness" in wanted:
+            bundle.robustness = _robustness_grid(cfg, test_in)
+    if "test_heldout" in wanted:
+        bundle.test_heldout = _detection_split(cfg, cfg.n_test, "test_heldout", cfg.families_heldout)
+    return bundle
 
 
 def stack_tokens(samples: list[SyntheticSample]) -> np.ndarray:

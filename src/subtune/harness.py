@@ -61,6 +61,11 @@ _FINETUNE_SHUFFLE = 930_000_000
 # travel is bounded by lr x step count, dominate the random init quickly
 _HEAD_INIT_SCALE = 0.05
 
+# the splits each stage reads
+_PRETRAIN_SPLITS = ("pretrain_train", "pretrain_test")
+_TEST_SPLITS = ("test_in", "test_heldout")
+_FINETUNE_SPLITS = ("finetune_train",) + _TEST_SPLITS
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
@@ -146,7 +151,7 @@ def run_pretrain(
     """Full-model training on the base classes until the accuracy floor or
     the epoch cap.  Returns (model, base accuracy, checkpoint path)."""
     if splits is None:
-        splits = build_splits(cfg.data, with_robustness=False)
+        splits = build_splits(cfg.data, _PRETRAIN_SPLITS)
     model = init_model(cfg.model, make_rng(cfg.seed + _INIT_STREAM))
     train, test = splits.pretrain_train, splits.pretrain_test
     params = trainable_arrays(model, "full")
@@ -203,7 +208,7 @@ def run_finetune(
     fine-tuning loop; evaluates in-domain and heldout splits at the end."""
     t0 = time.perf_counter()
     if splits is None:
-        splits = build_splits(cfg.data, with_robustness=False)
+        splits = build_splits(cfg.data, _FINETUNE_SPLITS)
     model = clone_model(pretrained)
     if model.decomposed:
         raise ValueError("expected a plain pretrained model")
@@ -335,7 +340,7 @@ def _write_metrics_csv(path: Path, reports: dict[str, EvalReport]) -> None:
 
 
 def evaluate_to_dir(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
-    splits = build_splits(cfg.data, with_robustness=False)
+    splits = build_splits(cfg.data, _TEST_SPLITS)
     reports = {
         "in_domain": eval_split(model, splits.test_in),
         "heldout": eval_split(model, splits.test_heldout),
@@ -368,7 +373,7 @@ def _cell_config(cfg: TrainConfig, seed: int, **overrides) -> TrainConfig:
 
 
 def _run_cell(cell_cfg: TrainConfig, masft: bool, slm: bool) -> dict[str, float]:
-    splits = build_splits(cell_cfg.data, with_robustness=False)
+    splits = build_splits(cell_cfg.data, _PRETRAIN_SPLITS + _FINETUNE_SPLITS)
     model, _, _ = run_pretrain(cell_cfg, splits=splits)
     record = run_finetune(cell_cfg, model, masft=masft, slm=slm, splits=splits)
     r_in, r_out = record.metrics["in_domain"], record.metrics["heldout"]
@@ -465,7 +470,7 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
 def run_robustness(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     """Video-level AUC for every (family, level) distortion of the in-domain
     test split, plus the clean baseline row."""
-    splits = build_splits(cfg.data, with_robustness=True)
+    splits = build_splits(cfg.data, ("test_in", "robustness"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -80,12 +80,14 @@ def orth_loss_grads(layer: DecomposedLayer, scale: float) -> tuple[float, np.nda
     return value, coef * (u @ gram_u), coef * (v @ gram_v)
 
 
-def spec_loss(layer: DecomposedLayer, w_eff: np.ndarray | None = None) -> float:
+def spec_loss(layer: DecomposedLayer, energy: float | None = None) -> float:
     """Absolute drift of the effective weight's squared Frobenius energy from
-    the pretrained value."""
-    if w_eff is None:
-        w_eff = recompose(layer)
-    return abs(linalg.frobenius_sq(w_eff) - layer.pretrained_frob_sq)
+    the pretrained value.  ``energy`` is that squared norm, for a caller that
+    has summed it already (``model.forward`` has then checked the weights
+    through its activations)."""
+    if energy is None:
+        energy = linalg.frobenius_sq(recompose(layer))
+    return abs(energy - layer.pretrained_frob_sq)
 
 
 def cls_loss(p: np.ndarray, y: np.ndarray) -> float:

@@ -292,16 +292,18 @@ def _project_weight_grad(
     layer: DecomposedLayer,
     g_w: np.ndarray,
     w_eff: np.ndarray,
+    energy: float,
     weights: losses.LossWeights,
     n_layers: int,
 ) -> tuple[float, np.ndarray]:
     """Map an effective-weight gradient onto the artifact factors and add the
     regularizer gradients (semantic factors receive nothing); the result is
-    one vector in the layer's ``params`` layout.  Also returns the layer's
-    orthogonality value, which shares the regularizer's Grams."""
+    one vector in the layer's ``params`` layout.  ``energy`` is the squared
+    Frobenius norm of ``w_eff``.  Also returns the layer's orthogonality
+    value, which shares the regularizer's Grams."""
     g_total = g_w
     if weights.spectral_weight != 0.0:
-        delta = float(np.sum(w_eff * w_eff)) - layer.pretrained_frob_sq
+        delta = energy - layer.pretrained_frob_sq
         # subgradient of the absolute value at its kink taken as 0; "at the
         # kink" means within float-noise of the pretrained energy, so a fresh
         # decomposition (delta ~ 1e-13 from rounding) gets an exact zero here
@@ -400,11 +402,12 @@ def backward(
             p = getattr(block, name)
             if isinstance(p, DecomposedLayer):
                 w_eff = c.weights[name]
+                energy = float(np.sum(w_eff * w_eff))
                 orth, proj_grads[name] = _project_weight_grad(
-                    p, g_w, w_eff, weights, cfg.n_decomposable
+                    p, g_w, w_eff, energy, weights, cfg.n_decomposable
                 )
                 orth_values.append(orth)
-                spec_values.append(losses.spec_loss(p, w_eff))
+                spec_values.append(losses.spec_loss(p, energy))
             else:
                 proj_grads[name] = g_w
 

@@ -1,12 +1,17 @@
 """Checks on generated splits that only the tests use: a least-squares
-probe of how separable the base classes are, and the fake families that
-leak into a split."""
+probe of how separable the base classes are, the fake families that leak
+into a split, and a digest of every generated bit."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from subtune.data import SyntheticSample
+from subtune.data import SPLITS, SplitBundle, SyntheticSample
+
+# every split that is a list of samples, i.e. all but the robustness grid
+SAMPLE_SPLITS = tuple(name for name in SPLITS if name != "robustness")
 
 
 def linear_probe_accuracy(
@@ -29,3 +34,23 @@ def family_leakage(split: list[SyntheticSample], allowed: tuple[str, ...]) -> li
     """Family ids present on fakes that are not in the allowed set."""
     bad = sorted({s.family for s in split if s.label == 1 and s.family not in allowed})
     return [b for b in bad if b is not None]
+
+
+def samples_digest(samples: list[SyntheticSample]) -> str:
+    """sha256 over every sample's metadata and the raw bytes of its tokens,
+    in order, so any changed bit or reordering shows."""
+    h = hashlib.sha256()
+    for s in samples:
+        meta = (s.clip_id, s.label, s.base_class, s.family, s.intensity, s.tokens.shape)
+        h.update(repr(meta).encode())
+        h.update(np.ascontiguousarray(s.tokens, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def bundle_digest(bundle: SplitBundle) -> dict[str, str]:
+    """One digest per split and one per robustness cell, keyed
+    ``family@level``."""
+    out = {name: samples_digest(getattr(bundle, name)) for name in SAMPLE_SPLITS}
+    for (family, level), cell in sorted(bundle.robustness.items()):
+        out[f"{family}@{level}"] = samples_digest(cell)
+    return out

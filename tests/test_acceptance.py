@@ -15,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import brute_ap, brute_auc, brute_eer_dense, brute_eer_exact, enumerate_count_instances
+from split_checks import SAMPLE_SPLITS
 from subtune.config import config_from_dict, default_config
 from subtune.data import FAMILIES, LEVELS, build_splits
 from subtune.decomposition import DecompositionConfig, decompose, recompose, semantic_to_bytes
@@ -42,7 +43,7 @@ def smoke():
     runs = []
     for seed in (0, 1, 2):
         cfg = default_config(seed)
-        splits = build_splits(cfg.data, with_robustness=False)
+        splits = build_splits(cfg.data, SAMPLE_SPLITS)
         model, _, _ = run_pretrain(cfg, splits=splits)
         record = run_finetune(cfg, model, splits=splits)
         runs.append((cfg, model, record))
@@ -116,7 +117,7 @@ def test_criterion_5_mask_semantics(smoke):
     runs, _ = smoke
     _, pretrained, _ = runs[0]
     cfg = config_from_dict({"data": {"n_finetune": 640}})
-    splits = build_splits(cfg.data, with_robustness=False)
+    splits = build_splits(cfg.data, SAMPLE_SPLITS)
     n_layers = cfg.model.n_decomposable
     warmup = 640 // cfg.optimizer.batch_size
 
@@ -240,7 +241,7 @@ def test_criterion_9_structural_tables(tmp_path):
         ["1", "1"], ["4", "4"], ["16", "8"], ["48", "8"], ["96", "8"]
     ]
 
-    splits = build_splits(cfg.data, with_robustness=False)
+    splits = build_splits(cfg.data, SAMPLE_SPLITS)
     model, _, _ = run_pretrain(cfg, splits=splits)
     record = run_finetune(cfg, model, splits=splits)
     path_a = run_robustness(cfg, record.model, tmp_path / "ra")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,58 @@ def test_every_truncation_is_a_value_error_naming_it(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(ValueError, match="truncated"):
             load_model(cut)
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failing):
+    import subtune.checkpoint as ckpt
+
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_model(seed=1), step=1)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError(f"{failing} failed")
+
+    # fsync fails after the whole new file is written, replace at the rename
+    monkeypatch.setattr(ckpt.os, failing, fail)
+    with pytest.raises(OSError, match=f"{failing} failed"):
+        save_model(path, tiny_model(seed=2, decomposed=True), step=2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def _rewrite_manifest(path, edit):
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
+    start = len(MAGIC) + 8
+    manifest = json.loads(raw[start : start + length])
+    edit(manifest)
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + raw[start + length :])
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: m.update(format=2), "format"),
+        (lambda m: m.update(format="1"), "format"),
+        (lambda m: m.update(format=True), "format"),
+        (lambda m: m.pop("format"), "format"),
+        (lambda m: m.update(kind="optimizer"), "kind"),
+        (lambda m: m.pop("kind"), "kind"),
+        (lambda m: m.pop("model"), "model"),
+        (lambda m: m.pop("arrays"), "arrays"),
+        (lambda m: m.pop("decomposed"), "decomposed"),
+    ],
+    ids=["format-2", "format-string", "format-bool", "no-format", "kind-optimizer", "no-kind",
+         "no-model", "no-arrays", "no-decomposed"],
+)
+def test_manifest_of_another_format_or_kind_or_missing_a_field_is_rejected(tmp_path, edit, field):
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_model(seed=6, decomposed=True), step=1)
+    _rewrite_manifest(path, edit)
+    for read in (load_model, read_manifest):
+        with pytest.raises(ValueError, match=f"manifest field '{field}'") as info:
+            read(path)
+        assert "\n" not in str(info.value)

@@ -1,10 +1,24 @@
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from split_checks import family_leakage, linear_probe_accuracy
+from split_checks import (
+    SAMPLE_SPLITS,
+    bundle_digest,
+    family_leakage,
+    linear_probe_accuracy,
+    samples_digest,
+)
 from subtune.data import (
     FAMILIES,
     LEVELS,
+    SPLITS,
     DataConfig,
     SyntheticSample,
     apply_artifact,
@@ -165,7 +179,7 @@ def test_distort_preserves_label():
 
 def test_build_splits_shapes_balance_and_family_discipline():
     cfg = small_cfg()
-    splits = build_splits(cfg, with_robustness=False)
+    splits = build_splits(cfg, SAMPLE_SPLITS)
     assert len(splits.pretrain_train) == 64
     assert len(splits.pretrain_test) == 32
     assert len(splits.finetune_train) == 64
@@ -184,7 +198,7 @@ def test_build_splits_shapes_balance_and_family_discipline():
 
 def test_build_splits_clips_are_homogeneous():
     cfg = small_cfg()
-    splits = build_splits(cfg, with_robustness=False)
+    splits = build_splits(cfg, SAMPLE_SPLITS)
     for part in (splits.finetune_train, splits.test_in, splits.test_heldout):
         by_clip = {}
         for s in part:
@@ -198,8 +212,8 @@ def test_build_splits_clips_are_homogeneous():
 
 def test_robustness_grid_covers_all_cells_and_is_deterministic():
     cfg = small_cfg()
-    a = build_splits(cfg)
-    b = build_splits(cfg)
+    a = build_splits(cfg, SPLITS)
+    b = build_splits(cfg, SPLITS)
     assert set(a.robustness) == {(f, lv) for f in FAMILIES for lv in LEVELS}
     cell_a = a.robustness[("structured-noise", 3)]
     cell_b = b.robustness[("structured-noise", 3)]
@@ -211,21 +225,21 @@ def test_robustness_grid_covers_all_cells_and_is_deterministic():
 
 
 def test_different_seed_changes_data():
-    a = build_splits(small_cfg(seed=3), with_robustness=False)
-    b = build_splits(small_cfg(seed=4), with_robustness=False)
+    a = build_splits(small_cfg(seed=3), SAMPLE_SPLITS)
+    b = build_splits(small_cfg(seed=4), SAMPLE_SPLITS)
     assert not np.array_equal(stack_tokens(a.finetune_train), stack_tokens(b.finetune_train))
 
 
 def test_linear_probe_separates_base_classes():
     cfg = DataConfig()
-    splits = build_splits(cfg, with_robustness=False)
+    splits = build_splits(cfg, SAMPLE_SPLITS)
     acc = linear_probe_accuracy(splits.pretrain_train, splits.pretrain_test)
     assert acc >= 0.9
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
     cfg = small_cfg()
-    splits = build_splits(cfg, with_robustness=False)
+    splits = build_splits(cfg, SAMPLE_SPLITS)
     part = splits.finetune_train[:12]
     path = tmp_path / "part.csv"
     export_csv(part, path)
@@ -246,3 +260,66 @@ def test_import_csv_rejects_wrong_width(tmp_path):
     export_csv(part, path)
     with pytest.raises(ValueError, match="columns"):
         import_csv(path, cfg.n_tokens, cfg.d_model + 1)
+
+
+def test_build_splits_reproduces_the_committed_digest():
+    # digest of every split and grid cell, written by the generator before
+    # its per-sample work was cached and restructured
+    want = json.loads((Path(__file__).parent / "data" / "splits_digest.json").read_text())
+    for seed, digest in want["seeds"].items():
+        cfg = DataConfig(seed=int(seed), **want["config"])
+        assert bundle_digest(build_splits(cfg, SPLITS)) == digest, seed
+
+
+def test_every_split_selection_matches_a_full_build():
+    cfg = small_cfg(seed=5)
+    full = bundle_digest(build_splits(cfg, SPLITS))
+    full_grid = {key: digest for key, digest in full.items() if "@" in key}
+    for n in range(1, len(SPLITS) + 1):
+        for names in itertools.combinations(SPLITS, n):
+            bundle = build_splits(cfg, names)
+            for name in SAMPLE_SPLITS:
+                part = getattr(bundle, name)
+                if name in names:
+                    assert samples_digest(part) == full[name], (names, name)
+                else:
+                    assert part == [], (names, name)
+            got = bundle_digest(bundle)
+            grid = {key: digest for key, digest in got.items() if "@" in key}
+            assert grid == (full_grid if "robustness" in names else {}), names
+
+
+def test_build_splits_rejects_an_unknown_split_name():
+    with pytest.raises(ValueError, match="unknown split 'test_out'"):
+        build_splits(small_cfg(), ("test_in", "test_out"))
+
+
+def test_class_basis_is_cached_and_read_only():
+    cfg = small_cfg()
+    basis = class_basis(cfg, 1)
+    assert class_basis(small_cfg(), 1) is basis
+    assert class_basis(small_cfg(seed=4), 1) is not basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 0.0
+
+
+def _blur_reference(tokens: np.ndarray, level: int) -> np.ndarray:
+    """token-blur as first written: reflect padding and np.convolve with a
+    3-tap box kernel down every column, then the level's blend."""
+    kernel = np.ones(3) / 3
+    padded = np.pad(tokens, ((1, 1), (0, 0)), mode="reflect")
+    smoothed = np.apply_along_axis(lambda col: np.convolve(col, kernel, mode="valid"), 0, padded)
+    frac = 0.4 + (1.0 - 0.4) * (level - 1) / 4.0
+    return tokens + frac * (smoothed - tokens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(-1e300, 1e300))
+    ),
+    st.sampled_from(LEVELS),
+)
+def test_token_blur_is_bit_equal_to_the_convolve_reference(tokens, level):
+    got = transform_tokens(tokens, "token-blur", level, None)
+    assert np.array_equal(got, _blur_reference(tokens, level))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from split_checks import SAMPLE_SPLITS
 from subtune.checkpoint import load_model, save_model
 from subtune.config import config_from_dict
 from subtune.data import build_splits
@@ -57,7 +58,7 @@ def tiny_cfg(seed=11, **extra):
 @pytest.fixture(scope="module")
 def pretrained():
     cfg = tiny_cfg()
-    splits = build_splits(cfg.data, with_robustness=False)
+    splits = build_splits(cfg.data, SAMPLE_SPLITS)
     model, acc, _ = run_pretrain(cfg, splits=splits)
     return cfg, splits, model, acc
 

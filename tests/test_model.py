@@ -7,7 +7,7 @@ from reference_forward import _gelu_scalar, reference_predict
 from subtune import linalg, model as model_mod
 from subtune.decomposition import DecompositionConfig
 from subtune.gradcheck import grad_check, jitter_trainables
-from subtune.losses import LossWeights, orth_loss
+from subtune.losses import LossWeights, orth_loss, spec_loss
 from subtune.model import (
     Model,
     ModelConfig,
@@ -260,6 +260,18 @@ def test_orth_mean_reported_when_its_weight_is_zero() -> None:
     assert want > 0.0
     assert abs(report.orth_mean - want) <= 1e-15
     assert report.total == report.cls + report.spec_mean
+
+
+def test_spec_mean_is_the_standalone_spectral_loss() -> None:
+    # backward sums each effective weight's energy once and hands it to
+    # spec_loss; the value must be the one spec_loss computes on its own
+    m = tiny_model(seed=5, decomposed=True)
+    jitter_trainables(m, linalg.make_rng(6), scale=0.05)
+    x, y = batch(5, 4, m.config)
+    report, _, _ = backward(m, x, y)
+    layers = [getattr(b, n) for _, b, n in attention_slots(m)]
+    assert report.spec_mean > 0.0
+    assert report.spec_mean == float(np.mean([spec_loss(layer) for layer in layers]))
 
 
 def test_backward_reaches_each_loss_function_through_its_module(monkeypatch) -> None:
