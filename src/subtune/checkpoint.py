@@ -14,12 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import layer_from_bytes, layer_to_bytes
-from .model import BLOCK_SLOTS, PROJECTION_NAMES, Block, DecomposedLayer, Model, ModelConfig
+from .model import BLOCK_SLOTS, FROZEN_SLOTS, PROJECTION_NAMES, Block, DecomposedLayer, Model, ModelConfig
 
 MAGIC = b"SUBT0001"
 _LEN = struct.Struct("<Q")
-
-_DECOMPOSED_PLAIN = tuple(slot for slot in BLOCK_SLOTS if slot not in PROJECTION_NAMES)
 
 
 def _as_matrix(arr: np.ndarray) -> np.ndarray:
@@ -33,10 +31,13 @@ def _matrix_bytes(arr: np.ndarray) -> bytes:
     return matrix_to_bytes(_as_matrix(arr))
 
 
-def _plain_names(cfg: ModelConfig, decomposed: bool) -> list[str]:
+_MODEL_FIELDS = ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces")
+
+
+def _plain_names(n_blocks: int, decomposed: bool) -> list[str]:
     names = ["token_embed"]
-    slots = _DECOMPOSED_PLAIN if decomposed else BLOCK_SLOTS
-    for b in range(cfg.n_blocks):
+    slots = FROZEN_SLOTS if decomposed else BLOCK_SLOTS
+    for b in range(n_blocks):
         names.extend(f"block{b}.{slot}" for slot in slots)
     names.append("head")
     return names
@@ -64,7 +65,7 @@ def save_model(
             "n_subspaces": cfg.decomposition.n_subspaces,
             "n_outputs": model.n_outputs,
         },
-        "arrays": _plain_names(cfg, decomposed),
+        "arrays": _plain_names(cfg.n_blocks, decomposed),
         # kept in the format; nothing records a generator state yet
         "rng_state": None,
         "config": config_echo,
@@ -116,9 +117,9 @@ def save_model(
 
 def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
     """The manifest and the offset where the body starts.  A file cut
-    anywhere before the end of its manifest, or a manifest of another format
-    or kind or without the model, arrays or decomposed field, raises a
-    ValueError saying so."""
+    anywhere before the end of its manifest, a manifest of another format or
+    kind, or one missing a field that loading reads (a model dimension, a
+    block's array, a decomposed layer) raises a ValueError naming it."""
     if raw[: len(MAGIC)] != MAGIC[: len(raw)]:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     offset = len(MAGIC) + _LEN.size
@@ -140,7 +141,34 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
     for key in ("model", "arrays", "decomposed"):
         if key not in manifest:
             raise ValueError(f"{path}: manifest field {key!r} is missing")
+    for key in _MODEL_FIELDS:
+        if key not in manifest["model"]:
+            raise ValueError(f"{path}: manifest field 'model.{key}' is missing")
+    n_blocks = manifest["model"]["n_blocks"]
+    if type(n_blocks) is not int or n_blocks < 1:
+        raise ValueError(
+            f"{path}: manifest field 'model.n_blocks' is {n_blocks!r}, expected a positive int"
+        )
+    decomposed = manifest["decomposed"]
+    _require_names(path, "arrays", manifest["arrays"], _plain_names(n_blocks, decomposed))
+    if decomposed:
+        if "decomposed_layers" not in manifest:
+            raise ValueError(f"{path}: manifest field 'decomposed_layers' is missing")
+        entries = manifest["decomposed_layers"]
+        for entry in entries:
+            for key in ("name", "layer_id"):
+                if key not in entry:
+                    raise ValueError(f"{path}: a 'decomposed_layers' entry lacks {key!r}")
+        wanted = [f"block{b}.{slot}" for b in range(n_blocks) for slot in PROJECTION_NAMES]
+        _require_names(path, "decomposed_layers", [e["name"] for e in entries], wanted)
     return manifest, offset + length
+
+
+def _require_names(path: str | Path, field: str, present: list[str], wanted: list[str]) -> None:
+    present = set(present)
+    missing = [name for name in wanted if name not in present]
+    if missing:
+        raise ValueError(f"{path}: manifest field {field!r} lacks {missing[0]!r}")
 
 
 def read_manifest(path: str | Path) -> dict:

@@ -104,6 +104,7 @@ class RunRecord:
     metrics: dict[str, EvalReport]
     wall_clock: float
     model: Model
+    warmup_steps: int
     mask_log: list[np.ndarray] = field(default_factory=list)
     bvg_log: list[np.ndarray] = field(default_factory=list)
     gradient_log: list[list[np.ndarray]] = field(default_factory=list)
@@ -239,7 +240,7 @@ def run_finetune(
 
     record = RunRecord(
         config=config_to_dict(cfg), steps=[], metrics={}, wall_clock=0.0, model=model,
-        semantic_start=semantic_start, opt=opt,
+        warmup_steps=warmup, semantic_start=semantic_start, opt=opt,
     )
     step = 0
     for epoch in range(cfg.optimizer.epochs):
@@ -288,10 +289,10 @@ def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.
     if not record.gradient_log:
         raise ValueError("run was recorded without gradient logging")
     layer_sizes = [g.size for g in record.gradient_log[0]]
-    steps_per_epoch = max(1, len(record.mask_log) // max(1, cfg.optimizer.epochs))
-    warmup = cfg.mask.warmup_steps if cfg.mask.warmup_steps is not None else steps_per_epoch
     stats_cfg = StatsConfig(
-        ema_coeff=cfg.stats.ema_coeff, moment_floor=cfg.stats.moment_floor, warmup_steps=warmup
+        ema_coeff=cfg.stats.ema_coeff,
+        moment_floor=cfg.stats.moment_floor,
+        warmup_steps=record.warmup_steps,
     )
     stats = init_stats(layer_sizes)
     budget = min(cfg.mask.active_layer_budget, n_layers)

@@ -7,6 +7,7 @@ against brute-force oracles are exact rather than tolerance-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,77 +52,57 @@ def auc(s: ScoredSet) -> float:
     return float(num / (pos.size * neg.size))
 
 
+def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative true- and false-positive counts of a descending-threshold
+    sweep: entry 0 is the empty prefix, then one entry per distinct score,
+    taken after its whole block of tied scores."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), scores.size - 1)
+    tp = np.concatenate(([0], np.cumsum(labels[order])[ends]))
+    fp = np.concatenate(([0], ends + 1)) - tp
+    return tp, fp
+
+
 def average_precision(s: ScoredSet) -> float:
-    """Descending-score sweep with tied scores processed as one block."""
+    """Descending-score sweep with tied scores processed as one block:
+    the exact sum of (block positives / n_pos) * precision after the block."""
     scores, labels = _validated(s)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("average precision needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    ap = Fraction(0)
-    tp = 0
-    fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        block_tp = int(sorted_labels[i:j].sum())
-        block_fp = (j - i) - block_tp
-        tp += block_tp
-        fp += block_fp
-        if block_tp:
-            ap += Fraction(block_tp, n_pos) * Fraction(tp, tp + fp)
-        i = j
-    return float(ap)
-
-
-def _roc_vertices(scores: np.ndarray, labels: np.ndarray) -> list[tuple[Fraction, Fraction]]:
-    """(FPR, FNR) polyline vertices for a descending-threshold sweep,
-    starting at (0, 1) and ending at (1, 0); ties form one segment."""
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    verts = [(Fraction(0), Fraction(1))]
-    tp = 0
-    fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_labels[i:j].sum())
-        fp += (j - i) - int(sorted_labels[i:j].sum())
-        verts.append((Fraction(fp, n_neg), Fraction(n_pos - tp, n_pos)))
-        i = j
-    return verts
+    tp, fp = _sweep(scores, labels)
+    block_tp = np.diff(tp)
+    hit = np.flatnonzero(block_tp)
+    gains = block_tp[hit].tolist()
+    hits = tp[hit + 1].tolist()
+    cutoffs = (tp[hit + 1] + fp[hit + 1]).tolist()
+    # the exact sum of gain * hits / cutoff over one common denominator
+    common = math.lcm(*cutoffs)
+    total = sum(g * t * (common // c) for g, t, c in zip(gains, hits, cutoffs))
+    return float(Fraction(total, common * n_pos))
 
 
 def eer(s: ScoredSet) -> float:
     """Crossing of the false-positive and false-negative rate polylines,
     linearly interpolated inside the segment where the sign flips."""
     scores, labels = _validated(s)
-    if labels.sum() == 0 or labels.sum() == labels.size:
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("EER needs at least one positive and one negative")
-    verts = _roc_vertices(scores, labels)
-    prev_f, prev_g = verts[0]
-    for f, g in verts[1:]:
-        if f - g >= 0:
-            # fpr - fnr is nondecreasing along the sweep and was negative at
-            # the previous vertex; solve the linear crossing in this segment
-            denom = (f - prev_f) + (prev_g - g)
-            if denom == 0:
-                return float(prev_f)
-            tau = (prev_g - prev_f) / denom
-            return float(prev_f + tau * (f - prev_f))
-        prev_f, prev_g = f, g
-    raise AssertionError("ROC sweep must end at FPR=1, FNR=0")
+    tp, fp = _sweep(scores, labels)
+    # vertex i is (FPR, FNR) = (fp_i / n_neg, (n_pos - tp_i) / n_pos); FPR - FNR
+    # is nondecreasing along the sweep, -1 at vertex 0 and 1 at the last, so
+    # the first vertex where it is >= 0 closes the segment that crosses zero
+    i = int(np.flatnonzero(fp * n_pos >= (n_pos - tp) * n_neg)[0])
+    prev_f, f = Fraction(int(fp[i - 1]), n_neg), Fraction(int(fp[i]), n_neg)
+    prev_g, g = Fraction(n_pos - int(tp[i - 1]), n_pos), Fraction(n_pos - int(tp[i]), n_pos)
+    denom = (f - prev_f) + (prev_g - g)
+    if denom == 0:
+        return float(prev_f)
+    tau = (prev_g - prev_f) / denom
+    return float(prev_f + tau * (f - prev_f))
 
 
 def video_level(s: ScoredSet, pool: str = "mean") -> ScoredSet:

@@ -142,35 +142,67 @@ def effective_weight(p: Projection) -> np.ndarray:
     return recompose(p) if isinstance(p, DecomposedLayer) else p
 
 
-# the cube is written as products: numpy's float power loop costs about ten
-# times as much as two multiplications on these arrays
+# The elementwise kernels work in place on fresh temporaries, in the
+# operation order of the plain expressions they replace (a product or sum
+# with its operands swapped rounds identically, a regrouped one need not),
+# so they match those expressions bit for bit.  The cube is written as
+# products: numpy's float power loop costs about ten times as much as two
+# multiplications on these arrays.
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(a * (x + b * x*x*x)) in a new array."""
+    t = x * x
+    t *= x
+    t *= _GELU_B
+    t += x
+    t *= _GELU_A
+    return np.tanh(t, out=t)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_A * (x + _GELU_B * (x * x * x))))
+    # 0.5 * x * (1 + t)
+    t = _gelu_tanh(x)
+    t += 1.0
+    t *= 0.5 * x
+    return t
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_A * (x + _GELU_B * (x * x * x)))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_A * (1.0 + 3.0 * _GELU_B * x * x)
+    # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * a * (1 + 3 * b * x * x)
+    t = _gelu_tanh(x)
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= 0.5 * x
+    slope *= _GELU_A
+    cubic = x * (3.0 * _GELU_B)
+    cubic *= x
+    cubic += 1.0
+    slope *= cubic
+    t += 1.0
+    t *= 0.5
+    t += slope
+    return t
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - mean
+    out = xhat * xhat
+    # centred once; this is exactly how ``x.var`` computes it
+    var = out.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mean) * inv_std
-    return xhat * gain + bias, xhat, inv_std
+    xhat *= inv_std
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, xhat, inv_std
 
 
-def _layer_norm_backward(
+def _layer_norm_input_grad(
     dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dgain = np.sum(dy * xhat, axis=(0, 1))
-    dbias = np.sum(dy, axis=(0, 1))
+) -> np.ndarray:
     g = dy * gain
-    dx = inv_std * (
+    return inv_std * (
         g - g.mean(axis=-1, keepdims=True) - xhat * np.mean(g * xhat, axis=-1, keepdims=True)
     )
-    return dx, dgain, dbias
 
 
 @dataclass
@@ -201,7 +233,7 @@ class ForwardCache:
     probs: np.ndarray
 
 
-def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
+def _embed(model: Model, inputs: np.ndarray) -> np.ndarray:
     cfg = model.config
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != cfg.n_tokens or x.shape[2] != cfg.d_model:
@@ -212,78 +244,100 @@ def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
         raise ValueError("empty batch")
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs contain non-finite values")
+    return x @ model.token_embed.T
 
-    scale = 1.0 / math.sqrt(cfg.d_model)
-    h = x @ model.token_embed.T
-    caches: list[_BlockCache] = []
-    for b, block in enumerate(model.blocks):
-        weights = {name: effective_weight(getattr(block, name)) for name in PROJECTION_NAMES}
-        a_in = h
-        u, ln1_xhat, ln1_inv = _layer_norm(a_in, block.norm1_gain, block.norm1_bias)
-        q = u @ weights["q"].T
-        k = u @ weights["k"].T
-        v = u @ weights["v"].T
-        scores = (q @ k.transpose(0, 2, 1)) * scale
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        ctx = probs @ v
-        m_in = a_in + ctx @ weights["o"].T
-        wn, ln2_xhat, ln2_inv = _layer_norm(m_in, block.norm2_gain, block.norm2_bias)
-        z1 = wn @ block.mlp_in.T
-        act = gelu(z1)
-        h = m_in + act @ block.mlp_out.T
-        if not np.all(np.isfinite(h)):
-            raise ValueError(f"non-finite activations in block {b}")
-        caches.append(
-            _BlockCache(
-                a_in=a_in, ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv, u=u,
-                q=q, k=k, v=v, probs=probs, ctx=ctx, m_in=m_in,
-                ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv, wn=wn, z1=z1, act=act,
-                weights=weights,
-            )
-        )
 
+def _block_forward(block: Block, a_in: np.ndarray, index: int) -> tuple[np.ndarray, _BlockCache]:
+    """One block: h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T with
+    m_in = a_in + softmax(q k^T / sqrt(d)) v @ Wo^T, plus what the backward
+    pass reads."""
+    weights = {name: effective_weight(getattr(block, name)) for name in PROJECTION_NAMES}
+    u, ln1_xhat, ln1_inv = _layer_norm(a_in, block.norm1_gain, block.norm1_bias)
+    q = u @ weights["q"].T
+    k = u @ weights["k"].T
+    v = u @ weights["v"].T
+    probs = q @ k.transpose(0, 2, 1)
+    probs *= 1.0 / math.sqrt(a_in.shape[-1])
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ctx = probs @ v
+    m_in = ctx @ weights["o"].T
+    m_in += a_in
+    wn, ln2_xhat, ln2_inv = _layer_norm(m_in, block.norm2_gain, block.norm2_bias)
+    z1 = wn @ block.mlp_in.T
+    act = gelu(z1)
+    h = act @ block.mlp_out.T
+    h += m_in
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"non-finite activations in block {index}")
+    return h, _BlockCache(
+        a_in=a_in, ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv, u=u,
+        q=q, k=k, v=v, probs=probs, ctx=ctx, m_in=m_in,
+        ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv, wn=wn, z1=z1, act=act,
+        weights=weights,
+    )
+
+
+def _head(model: Model, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pool, logits, probabilities) of the last block's output."""
     pool = h.mean(axis=1)
     logits = pool @ model.head.T
     if model.n_outputs == 1:
         # |logit| beyond 40 saturates past the probability clamp anyway;
         # clipping first keeps exp() in range
         p = 1.0 / (1.0 + np.exp(-np.clip(logits[:, 0], -40.0, 40.0)))
-        probs_out = np.clip(p, losses.PROB_FLOOR, 1.0 - losses.PROB_FLOOR)
+        probs = np.clip(p, losses.PROB_FLOOR, 1.0 - losses.PROB_FLOOR)
     else:
         z = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        probs_out = e / e.sum(axis=-1, keepdims=True)
-    return ForwardCache(blocks=caches, pool=pool, logits=logits, probs=probs_out)
+        probs = e / e.sum(axis=-1, keepdims=True)
+    return pool, logits, probs
+
+
+def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
+    """The forward pass with every block's activations kept for ``backward``."""
+    h = _embed(model, inputs)
+    caches: list[_BlockCache] = []
+    for b, block in enumerate(model.blocks):
+        h, cache = _block_forward(block, h, b)
+        caches.append(cache)
+    pool, logits, probs = _head(model, h)
+    return ForwardCache(blocks=caches, pool=pool, logits=logits, probs=probs)
 
 
 def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     """Probabilities only: (N,) fake-probability for the binary head, (N, C)
-    class distribution for the pretraining head."""
-    return forward(model, inputs).probs
+    class distribution for the pretraining head.  Bit for bit
+    ``forward(model, inputs).probs``, but each block's activations are
+    dropped as soon as the block returns."""
+    h = _embed(model, inputs)
+    for b, block in enumerate(model.blocks):
+        h = _block_forward(block, h, b)[0]
+    return _head(model, h)[2]
 
 
 @dataclass
 class BlockGrads:
     """Gradients laid out like ``Block``: a decomposed projection's gradient
-    is one vector in its layer's ``params`` layout."""
+    is one vector in its layer's ``params`` layout.  The slots a binary-head
+    fine-tune keeps frozen are None for that head."""
 
-    norm1_gain: np.ndarray
-    norm1_bias: np.ndarray
+    norm1_gain: np.ndarray | None
+    norm1_bias: np.ndarray | None
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
     o: np.ndarray
-    norm2_gain: np.ndarray
-    norm2_bias: np.ndarray
-    mlp_in: np.ndarray
-    mlp_out: np.ndarray
+    norm2_gain: np.ndarray | None
+    norm2_bias: np.ndarray | None
+    mlp_in: np.ndarray | None
+    mlp_out: np.ndarray | None
 
 
 @dataclass
 class Gradients:
-    token_embed: np.ndarray
+    token_embed: np.ndarray | None
     blocks: list[BlockGrads]
     head: np.ndarray
 
@@ -328,19 +382,22 @@ def backward(
     labels: np.ndarray,
     weights: losses.LossWeights | None = None,
 ) -> tuple[losses.LossReport, Gradients, ForwardCache]:
-    """Loss and exact analytic gradients for every parameter slot.
+    """Loss and exact analytic gradients.
 
     Binary head: labels in {0,1}, loss = clamped cross-entropy plus (for a
     decomposed model) the orthogonality and spectral penalties averaged over
-    decomposed layers.  Pretraining head: integer class labels, softmax
-    cross-entropy, no regularizers.
+    decomposed layers.  Only the attention projections and the head are
+    fine-tuned, so only their gradients are formed; the other slots are None.
+    Pretraining head: integer class labels, softmax cross-entropy, no
+    regularizers, a gradient for every parameter slot.
     """
     cfg = model.config
     weights = weights if weights is not None else losses.LossWeights()
     cache = forward(model, inputs)
     n = inputs.shape[0]
 
-    if model.n_outputs == 1:
+    full = model.n_outputs != 1
+    if not full:
         y = np.asarray(labels, dtype=np.float64)
         cls = losses.cls_loss(cache.probs, y)
         dlogits = ((cache.probs - y) / n)[:, None]
@@ -371,14 +428,11 @@ def backward(
         c = cache.blocks[b]
 
         # MLP half: h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T
-        dz2 = dh
-        d_mlp_out = dz2.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1)
-        dact = dz2 @ block.mlp_out
-        dz1 = dact * gelu_grad(c.z1)
-        d_mlp_in = dz1.reshape(n_rows, -1).T @ c.wn.reshape(n_rows, -1)
+        dact = dh @ block.mlp_out
+        dz1 = gelu_grad(c.z1)
+        dz1 *= dact
         dwn = dz1 @ block.mlp_in
-        dm_ln, d_g2, d_b2 = _layer_norm_backward(dwn, c.ln2_xhat, c.ln2_inv_std, block.norm2_gain)
-        dm_in = dh + dm_ln
+        dm_in = dh + _layer_norm_input_grad(dwn, c.ln2_xhat, c.ln2_inv_std, block.norm2_gain)
 
         # attention half: m_in = a_in + (softmax(q k^T / sqrt(d)) v) @ Wo^T
         do_ctx = dm_in @ c.weights["o"]
@@ -394,8 +448,19 @@ def backward(
         d_wk = dk_tok.reshape(n_rows, -1).T @ u_rows
         d_wv = dv_tok.reshape(n_rows, -1).T @ u_rows
         du = dq_tok @ c.weights["q"] + dk_tok @ c.weights["k"] + dv_tok @ c.weights["v"]
-        da_ln, d_g1, d_b1 = _layer_norm_backward(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
-        dh = dm_in + da_ln
+        # formed before dh moves on to this block's input gradient
+        if full:
+            frozen = {
+                "norm1_gain": np.sum(du * c.ln1_xhat, axis=(0, 1)),
+                "norm1_bias": np.sum(du, axis=(0, 1)),
+                "norm2_gain": np.sum(dwn * c.ln2_xhat, axis=(0, 1)),
+                "norm2_bias": np.sum(dwn, axis=(0, 1)),
+                "mlp_in": dz1.reshape(n_rows, -1).T @ c.wn.reshape(n_rows, -1),
+                "mlp_out": dh.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1),
+            }
+        else:
+            frozen = dict.fromkeys(FROZEN_SLOTS)
+        dh = dm_in + _layer_norm_input_grad(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
 
         proj_grads: dict[str, np.ndarray] = {}
         for name, g_w in (("q", d_wq), ("k", d_wk), ("v", d_wv), ("o", d_wo)):
@@ -411,14 +476,11 @@ def backward(
             else:
                 proj_grads[name] = g_w
 
-        block_grads[b] = BlockGrads(
-            norm1_gain=d_g1, norm1_bias=d_b1,
-            q=proj_grads["q"], k=proj_grads["k"], v=proj_grads["v"], o=proj_grads["o"],
-            norm2_gain=d_g2, norm2_bias=d_b2,
-            mlp_in=d_mlp_in, mlp_out=d_mlp_out,
-        )
+        block_grads[b] = BlockGrads(**proj_grads, **frozen)
 
-    d_embed = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
+    d_embed = None
+    if full:
+        d_embed = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
 
     if orth_values:
         report = losses.total_loss(cls, orth_values, spec_values, weights)
@@ -441,6 +503,8 @@ BLOCK_SLOTS = (
     "norm1_gain", "norm1_bias", "q", "k", "v", "o",
     "norm2_gain", "norm2_bias", "mlp_in", "mlp_out",
 )
+# frozen while fine-tuning, and stored as plain arrays in a decomposed checkpoint
+FROZEN_SLOTS = tuple(slot for slot in BLOCK_SLOTS if slot not in PROJECTION_NAMES)
 
 
 def _storage(p: Projection) -> np.ndarray:
@@ -455,7 +519,13 @@ def trainable_arrays(state: Union[Model, Gradients], mode: str = "finetune") -> 
         slots = [getattr(block, name) for block in state.blocks for name in BLOCK_SLOTS]
         if any(isinstance(p, DecomposedLayer) for p in slots):
             raise ValueError("full parameter view is for the plain pretraining model")
-        return [state.token_embed] + slots + [state.head]
+        arrays = [state.token_embed] + slots + [state.head]
+        if any(a is None for a in arrays):
+            raise ValueError(
+                "full parameter view needs every gradient; a binary-head backward "
+                "forms only the fine-tuned ones"
+            )
+        return arrays
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -1,7 +1,9 @@
 """Brute-force metric oracles and exhaustive small-instance enumeration.
 
-Everything here recounts from scratch with plain loops (no sorting tricks
-shared with the implementation) and exact rational arithmetic.
+The brute-force oracles recount from scratch with plain loops (no sorting
+tricks shared with the implementation) and exact rational arithmetic.  The
+``loop_*`` versions at the end are the per-element tied-block sweeps that
+the vectorized metrics replaced, kept to check them bit for bit.
 """
 
 from __future__ import annotations
@@ -115,3 +117,56 @@ def enumerate_count_instances(n_max: int, alphabet=(0.0, 1.0, 2.0, 3.0)):
                 scores.extend([val] * count)
                 labels.extend([lab] * count)
             yield np.array(scores), np.array(labels)
+
+
+def _tied_blocks(scores, labels):
+    """(positives, negatives) per block of tied scores, in descending score
+    order: the per-element sweep the metrics module used before it was
+    vectorized."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    i = 0
+    n = scores.size
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        block_tp = int(sorted_labels[i:j].sum())
+        yield block_tp, (j - i) - block_tp
+        i = j
+
+
+def loop_average_precision(scores, labels) -> float:
+    n_pos = int(labels.sum())
+    ap = Fraction(0)
+    tp = 0
+    fp = 0
+    for block_tp, block_fp in _tied_blocks(scores, labels):
+        tp += block_tp
+        fp += block_fp
+        if block_tp:
+            ap += Fraction(block_tp, n_pos) * Fraction(tp, tp + fp)
+    return float(ap)
+
+
+def loop_eer(scores, labels) -> float:
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    verts = [(Fraction(0), Fraction(1))]
+    tp = 0
+    fp = 0
+    for block_tp, block_fp in _tied_blocks(scores, labels):
+        tp += block_tp
+        fp += block_fp
+        verts.append((Fraction(fp, n_neg), Fraction(n_pos - tp, n_pos)))
+    prev_f, prev_g = verts[0]
+    for f, g in verts[1:]:
+        if f - g >= 0:
+            denom = (f - prev_f) + (prev_g - g)
+            if denom == 0:
+                return float(prev_f)
+            tau = (prev_g - prev_f) / denom
+            return float(prev_f + tau * (f - prev_f))
+        prev_f, prev_g = f, g
+    raise AssertionError("ROC sweep must end at FPR=1, FNR=0")

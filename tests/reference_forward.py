@@ -88,3 +88,26 @@ def reference_predict(model: Model, inputs: np.ndarray) -> np.ndarray:
             e = np.exp(shifted)
             outs.append(e / sum(e))
     return np.array(outs)
+
+
+# The plain whole-array expressions that the model's in-place kernels
+# replaced; the kernels must match them bit for bit.
+_GELU_A = math.sqrt(2.0 / math.pi)
+_GELU_B = 0.044715
+
+
+def plain_gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + np.tanh(_GELU_A * (x + _GELU_B * (x * x * x))))
+
+
+def plain_gelu_grad(x: np.ndarray) -> np.ndarray:
+    t = np.tanh(_GELU_A * (x + _GELU_B * (x * x * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_A * (1.0 + 3.0 * _GELU_B * x * x)
+
+
+def plain_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + 1e-6)
+    xhat = (x - mean) * inv_std
+    return xhat * gain + bias, xhat, inv_std

@@ -215,3 +215,40 @@ def test_manifest_of_another_format_or_kind_or_missing_a_field_is_rejected(tmp_p
         with pytest.raises(ValueError, match=f"manifest field '{field}'") as info:
             read(path)
         assert "\n" not in str(info.value)
+
+
+def _drop_entry(key, name):
+    def edit(m):
+        if key == "arrays":
+            m["arrays"].remove(name)
+        else:
+            m[key] = [e for e in m[key] if e["name"] != name]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.pop("decomposed_layers"), "manifest field 'decomposed_layers' is missing"),
+        *[(lambda m, k=k: m["model"].pop(k), f"manifest field 'model.{k}' is missing")
+          for k in ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces")],
+        (lambda m: m["model"].update(n_blocks="2"), "manifest field 'model.n_blocks' is '2'"),
+        (_drop_entry("arrays", "block1.mlp_in"), "manifest field 'arrays' lacks 'block1.mlp_in'"),
+        (_drop_entry("arrays", "token_embed"), "manifest field 'arrays' lacks 'token_embed'"),
+        (_drop_entry("decomposed_layers", "block1.v"),
+         "manifest field 'decomposed_layers' lacks 'block1.v'"),
+        (lambda m: m["decomposed_layers"][0].pop("layer_id"),
+         "a 'decomposed_layers' entry lacks 'layer_id'"),
+    ],
+    ids=["no-decomposed-layers", "no-d_model", "no-n_blocks", "no-n_tokens",
+         "no-n_classes_pretrain", "no-n_subspaces", "n_blocks-string", "no-block-array",
+         "no-token-embed", "no-layer-entry", "entry-without-id"],
+)
+def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, message):
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_model(seed=6, decomposed=True), step=1)
+    _rewrite_manifest(path, edit)
+    for read in (load_model, read_manifest):
+        with pytest.raises(ValueError, match=message) as info:
+            read(path)
+        assert "\n" not in str(info.value)

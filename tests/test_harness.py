@@ -161,6 +161,21 @@ def test_replay_reproduces_every_mask(pretrained):
         assert np.array_equal(got, want)
 
 
+def test_replay_reads_the_recorded_warmup(pretrained):
+    cfg, splits, model, _ = pretrained
+    record = run_finetune(cfg, model, log_gradients=True, splits=splits)
+    # no warmup_steps configured: one epoch of 128 / 16 steps
+    assert record.warmup_steps == 8
+    # the warmup is read from the record, not re-derived from the config's
+    # epoch count
+    for replay_cfg in (cfg, tiny_cfg(**{"optimizer.epochs": 1})):
+        rebuilt = replay_masks(record, replay_cfg, n_layers=8)
+        assert all(np.array_equal(got, want) for got, want in zip(rebuilt, record.mask_log))
+    record.warmup_steps = 0
+    rebuilt = replay_masks(record, cfg, n_layers=8)
+    assert not all(np.array_equal(got, want) for got, want in zip(rebuilt, record.mask_log))
+
+
 def test_replay_requires_gradient_log(pretrained):
     cfg, splits, model, _ = pretrained
     record = run_finetune(cfg, model, splits=splits)

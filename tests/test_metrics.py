@@ -2,8 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_ap, brute_auc, brute_eer_dense, brute_eer_exact, enumerate_count_instances
+from oracles import (
+    brute_ap,
+    brute_auc,
+    brute_eer_dense,
+    brute_eer_exact,
+    enumerate_count_instances,
+    loop_average_precision,
+    loop_eer,
+)
 from subtune import linalg
 from subtune.metrics import ScoredSet, auc, average_precision, eer, video_level
 
@@ -144,3 +154,32 @@ def test_video_level_errors() -> None:
         video_level(ss([0.1, 0.2], [0, 1], ["a", "a"]))
     with pytest.raises(ValueError):
         video_level(ss([0.1, 0.2], [0, 0], ["a", "b"]), pool="median")
+
+
+@st.composite
+def tied_score_sets(draw):
+    """Scores drawn from a small pool (heavy ties, signed zeros, subnormal
+    and huge values) or from all finite floats, with 0/1 labels."""
+    n = draw(st.integers(1, 400))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300]),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=draw(st.sampled_from([1, 3, 12, 400])),
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = linalg.make_rng(seed)
+    scores = np.array(pool)[rng.integers(0, len(pool), size=n)]
+    labels = (rng.random(n) < draw(st.floats(0.0, 1.0))).astype(np.int64)
+    return scores, labels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_score_sets())
+def test_vectorized_sweeps_match_the_loop_versions_bit_for_bit(case) -> None:
+    scores, labels = case
+    s = ss(scores, labels)
+    n_pos = int(labels.sum())
+    if n_pos:
+        assert average_precision(s) == loop_average_precision(scores, labels)
+    if 0 < n_pos < labels.size:
+        assert eer(s) == loop_eer(scores, labels)

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from reference_forward import _gelu_scalar, reference_predict
+from reference_forward import (
+    _gelu_scalar,
+    plain_gelu,
+    plain_gelu_grad,
+    plain_layer_norm,
+    reference_predict,
+)
 from subtune import linalg, model as model_mod
 from subtune.decomposition import DecompositionConfig
 from subtune.gradcheck import grad_check, jitter_trainables
@@ -293,3 +304,90 @@ def test_backward_reaches_each_loss_function_through_its_module(monkeypatch) -> 
     backward(m, x, y, LossWeights(1.0, 1.0))
     n_layers = len(list(attention_slots(m)))
     assert calls == {"orth_loss": n_layers, "orth_loss_grads": n_layers, "spec_loss": n_layers}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 300),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_predict_is_forward_probs_bit_for_bit(n, decomposed, binary, seed) -> None:
+    m = tiny_model(seed=seed % 1000, decomposed=decomposed, binary=binary)
+    x = linalg.make_rng(seed).normal(size=(n, m.config.n_tokens, m.config.d_model))
+    got = predict(m, x)
+    assert got.shape == ((n,) if binary else (n, m.config.n_classes_pretrain))
+    assert got.tobytes() == forward(m, x).probs.tobytes()
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+             1e-160, 1e154, -1e154, 1e300, -1e300, 1.7976931348623157e308]
+_kernel_floats = st.one_of(
+    st.sampled_from(_EXTREMES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-40.0, 40.0),
+)
+
+
+def _same_bits(got, want) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=9), elements=_kernel_floats))
+def test_gelu_kernels_match_the_plain_expressions_bit_for_bit(x) -> None:
+    with np.errstate(all="ignore"):
+        _same_bits(model_mod.gelu(x), plain_gelu(x))
+        _same_bits(model_mod.gelu_grad(x), plain_gelu_grad(x))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4), st.integers(1, 5), st.integers(1, 24),
+    st.data(),
+)
+def test_layer_norm_matches_the_plain_expression_bit_for_bit(n, t, d, data) -> None:
+    x = data.draw(hnp.arrays(np.float64, (n, t, d), elements=_kernel_floats))
+    gain = data.draw(hnp.arrays(np.float64, (d,), elements=st.floats(-4.0, 4.0)))
+    bias = data.draw(hnp.arrays(np.float64, (d,), elements=st.floats(-4.0, 4.0)))
+    with np.errstate(all="ignore"):
+        for got, want in zip(model_mod._layer_norm(x, gain, bias), plain_layer_norm(x, gain, bias)):
+            _same_bits(got, want)
+
+
+def test_predict_keeps_no_backward_cache() -> None:
+    # forward holds every block's activations for backward; predict holds
+    # one block's at a time, so its traced peak is a fraction of forward's
+    m = init_model(ModelConfig(), linalg.make_rng(0))
+    decompose_attention(m)
+    reset_head(m, 1, linalg.make_rng(1))
+    x = linalg.make_rng(2).normal(size=(256, m.config.n_tokens, m.config.d_model))
+    peaks = {}
+    for name, fn in (("forward", forward), ("predict", predict)):
+        tracemalloc.start()
+        fn(m, x)
+        peaks[name] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks["predict"] * 3 < peaks["forward"], peaks
+
+
+def test_binary_head_backward_forms_only_the_fine_tuned_gradients() -> None:
+    m = tiny_model(seed=8, decomposed=True)
+    x, y = batch(9, 5, m.config)
+    _, grads, _ = backward(m, x, y, LossWeights(1.0, 1.0))
+    assert grads.token_embed is None
+    for bg in grads.blocks:
+        for slot in model_mod.FROZEN_SLOTS:
+            assert getattr(bg, slot) is None
+    assert [g.shape for g in model_mod.trainable_arrays(grads)] == [
+        a.shape for a in model_mod.trainable_arrays(m)
+    ]
+    with pytest.raises(ValueError, match="needs every gradient"):
+        model_mod.trainable_arrays(grads, "full")
+    plain = tiny_model(seed=8, binary=False)
+    _, full_grads, _ = backward(plain, x, np.array([0, 1, 2, 1, 0]))
+    assert [g.shape for g in model_mod.trainable_arrays(full_grads, "full")] == [
+        a.shape for a in model_mod.trainable_arrays(plain, "full")
+    ]
