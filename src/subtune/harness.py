@@ -107,7 +107,8 @@ class RunRecord:
     warmup_steps: int
     mask_log: list[np.ndarray] = field(default_factory=list)
     bvg_log: list[np.ndarray] = field(default_factory=list)
-    gradient_log: list[list[np.ndarray]] = field(default_factory=list)
+    # each step's gradient buffer, in the model's layout
+    gradient_log: list[np.ndarray] = field(default_factory=list)
     semantic_start: list[bytes] = field(default_factory=list)
     out_files: list[Path] = field(default_factory=list)
     opt: OptimizerState | None = None
@@ -215,6 +216,8 @@ def run_finetune(
         raise ValueError("expected a plain pretrained model")
     semantic_start: list[bytes] = []
     if masft:
+        # the run config's split, not the one the checkpoint was saved with
+        model.config.decomposition = copy.deepcopy(cfg.decomposition)
         decompose_attention(model)
         semantic_start = [
             semantic_to_bytes(getattr(block, name)) for _, block, name in attention_slots(model)
@@ -222,8 +225,7 @@ def run_finetune(
     reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
 
     train = splits.finetune_train
-    layer_sizes = [a.size for a in trainable_arrays(model)[:-1]]
-    n_layers = len(layer_sizes)
+    n_layers = model.layout.n_layers
     steps_per_epoch = (len(train) + cfg.optimizer.batch_size - 1) // cfg.optimizer.batch_size
     warmup = cfg.mask.warmup_steps if cfg.mask.warmup_steps is not None else steps_per_epoch
     stats_cfg = StatsConfig(
@@ -231,9 +233,9 @@ def run_finetune(
         moment_floor=cfg.stats.moment_floor,
         warmup_steps=warmup,
     )
-    stats = init_stats(layer_sizes)
+    stats = init_stats(model.layout)
     opt = init_optimizer(
-        cfg.optimizer.mode, cfg.optimizer.learning_rate, layer_sizes, model.head.size
+        cfg.optimizer.mode, cfg.optimizer.learning_rate, model.layout, model.head.size
     )
     budget = min(cfg.mask.active_layer_budget, n_layers)
     weights = cfg.weights
@@ -250,8 +252,7 @@ def run_finetune(
             x = stack_tokens([train[i] for i in batch])
             y = np.array([train[i].label for i in batch], dtype=np.float64)
             report, grads, _ = backward(model, x, y, weights)
-            grad_vecs = [g.ravel() for g in trainable_arrays(grads)[:-1]]
-            update_stats(stats, grad_vecs, stats_cfg)
+            update_stats(stats, grads.trainable, stats_cfg)
             bvg = compute_bvg(stats, stats_cfg)
             if slm:
                 mask = build_mask(bvg, budget, step, stats_cfg)
@@ -271,7 +272,7 @@ def run_finetune(
             record.mask_log.append(mask.bits.copy())
             record.bvg_log.append(bvg.copy())
             if log_gradients:
-                record.gradient_log.append([g.copy() for g in grad_vecs])
+                record.gradient_log.append(grads.trainable.copy())
 
     record.metrics = {
         "in_domain": eval_split(model, splits.test_in),
@@ -288,17 +289,16 @@ def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.
     must be reproducible from its own log."""
     if not record.gradient_log:
         raise ValueError("run was recorded without gradient logging")
-    layer_sizes = [g.size for g in record.gradient_log[0]]
     stats_cfg = StatsConfig(
         ema_coeff=cfg.stats.ema_coeff,
         moment_floor=cfg.stats.moment_floor,
         warmup_steps=record.warmup_steps,
     )
-    stats = init_stats(layer_sizes)
+    stats = init_stats(record.model.layout)
     budget = min(cfg.mask.active_layer_budget, n_layers)
     out = []
-    for step, grad_vecs in enumerate(record.gradient_log, start=1):
-        update_stats(stats, grad_vecs, stats_cfg)
+    for step, grad_buf in enumerate(record.gradient_log, start=1):
+        update_stats(stats, grad_buf, stats_cfg)
         bvg = compute_bvg(stats, stats_cfg)
         out.append(build_mask(bvg, budget, step, stats_cfg).bits)
     return out

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .decomposition import DecomposedLayer, recompose
+from .decomposition import DecomposedLayer, FactorStack, recompose
 
 PROB_FLOOR = 1e-12
 
@@ -34,22 +34,29 @@ class LossReport:
 
 def _off_block_gram(tail: np.ndarray, ranks: tuple[int, ...]) -> np.ndarray:
     """Gram matrix of the concatenated artifact factors with every
-    same-subspace block zeroed, leaving only cross-subspace overlaps."""
-    gram = tail.T @ tail
+    same-subspace block zeroed, leaving only cross-subspace overlaps; one
+    Gram per layer for a stack of factors."""
+    gram = np.swapaxes(tail, -1, -2) @ tail
     lo = 0
     for r in ranks:
-        gram[lo : lo + r, lo : lo + r] = 0.0
+        gram[..., lo : lo + r, lo : lo + r] = 0.0
         lo += r
     return gram
 
 
+# Every function below takes a DecomposedLayer or a FactorStack (the layers
+# of one rank group as stacked views) and then returns one value per layer,
+# or a scalar 0.0 standing for all of them when K < 2.  A stacked product or
+# sum rounds exactly as the same call on each layer.
+
+
 def orth_loss(
-    layer: DecomposedLayer, grams: tuple[np.ndarray, np.ndarray] | None = None
-) -> float:
+    layer: DecomposedLayer | FactorStack, grams: tuple[np.ndarray, np.ndarray] | None = None
+) -> float | np.ndarray:
     """Pairwise squared Frobenius overlap of artifact factor bases, averaged
     over the pair count.  Zero for a single subspace.  ``grams`` are the
-    layer's off-block Grams of the left and right factors, for a caller that
-    has built them already.
+    off-block Grams of the left and right factors, for a caller that has
+    built them already.
 
     The right-factor term is computed as ||V_i^T V_j||_F^2 on column-stored V;
     with row-stored right factors the same quantity reads ||V_i V_j^T||_F^2,
@@ -63,12 +70,16 @@ def orth_loss(
     gram_u, gram_v = grams
     # each unordered pair appears twice in the symmetric Grams, so the
     # 2 / (K(K-1)) pair average becomes 1 / (K(K-1))
-    return (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) / (k * (k - 1))
+    sq_u = np.sum(gram_u * gram_u, axis=(-2, -1))
+    sq_v = np.sum(gram_v * gram_v, axis=(-2, -1))
+    return (sq_u + sq_v) / (k * (k - 1))
 
 
-def orth_loss_grads(layer: DecomposedLayer, scale: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """``orth_loss`` of ``layer`` and the gradients of ``scale * orth_loss``
-    w.r.t. its whole left and right tail factors."""
+def orth_loss_grads(
+    layer: DecomposedLayer | FactorStack, scale: float
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """``orth_loss`` and the gradients of ``scale * orth_loss`` w.r.t. the
+    whole left and right tail factors."""
     u, v = layer.u, layer.v
     k = layer.n_subspaces
     if k < 2:
@@ -80,11 +91,13 @@ def orth_loss_grads(layer: DecomposedLayer, scale: float) -> tuple[float, np.nda
     return value, coef * (u @ gram_u), coef * (v @ gram_v)
 
 
-def spec_loss(layer: DecomposedLayer, energy: float | None = None) -> float:
+def spec_loss(
+    layer: DecomposedLayer | FactorStack, energy: float | np.ndarray | None = None
+) -> float | np.ndarray:
     """Absolute drift of the effective weight's squared Frobenius energy from
     the pretrained value.  ``energy`` is that squared norm, for a caller that
     has summed it already (``model.forward`` has then checked the weights
-    through its activations)."""
+    through its activations); a stack needs it."""
     if energy is None:
         energy = linalg.frobenius_sq(recompose(layer))
     return abs(energy - layer.pretrained_frob_sq)

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import model as model_mod
+from .decomposition import TrainableLayout
 from .model import Gradients, Model
 
 
@@ -28,57 +28,91 @@ class StatsConfig:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
+def _layout(layers: TrainableLayout | Sequence[int]) -> TrainableLayout:
+    return layers if isinstance(layers, TrainableLayout) else TrainableLayout.of_sizes(layers)
+
+
 @dataclass
 class GradientStats:
     """EMA first and second moments of each layer's flattened gradient.  The
     second moment here is the smoothed elementwise square, not a singular
-    value."""
+    value.  ``first_moment``/``second_moment`` cover every layer in
+    ``layout``; ``first[i]``/``second[i]`` are layer i's views of them."""
 
-    first: list[np.ndarray]
-    second: list[np.ndarray]
+    layout: TrainableLayout
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int = 0
+    first: list[np.ndarray] = field(init=False, repr=False)
+    second: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.first = self.layout.layer_views(self.first_moment)
+        self.second = self.layout.layer_views(self.second_moment)
 
     @property
     def n_layers(self) -> int:
-        return len(self.first)
+        return self.layout.n_layers
 
 
-def init_stats(layer_sizes: Sequence[int]) -> GradientStats:
-    return GradientStats(
-        first=[np.zeros(n) for n in layer_sizes],
-        second=[np.zeros(n) for n in layer_sizes],
-    )
+def init_stats(layers: TrainableLayout | Sequence[int]) -> GradientStats:
+    """Zero moments in a model's ``layout``, or for layers given by size."""
+    layout = _layout(layers)
+    return GradientStats(layout, np.zeros(layout.size), np.zeros(layout.size))
+
+
+def _gradient_buffer(layout: TrainableLayout, grads: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    """``grads`` as one buffer in ``layout``: a buffer passes through, one
+    vector per layer (by layer id) is packed."""
+    if isinstance(grads, np.ndarray):
+        if grads.shape != (layout.size,):
+            raise ValueError(
+                f"gradient buffer of shape {grads.shape} does not match the "
+                f"{layout.size} values of the stats"
+            )
+        return grads
+    if len(grads) != layout.n_layers:
+        raise ValueError(f"got {len(grads)} gradient vectors for {layout.n_layers} layers")
+    vectors = [np.asarray(g, dtype=np.float64) for g in grads]
+    for i, g in enumerate(vectors):
+        if g.shape != (layout.sizes[i],):
+            raise ValueError(
+                f"layer {i} gradient shape {g.shape} does not match stats ({layout.sizes[i]},)"
+            )
+    return np.concatenate([vectors[lid] for lid in layout.order])
 
 
 def update_stats(
-    stats: GradientStats, grads: Sequence[np.ndarray], cfg: StatsConfig
+    stats: GradientStats, grads: np.ndarray | Sequence[np.ndarray], cfg: StatsConfig
 ) -> GradientStats:
-    """One EMA step over every layer, masked or not.  Mutates ``stats``."""
+    """One EMA step over every layer, masked or not.  ``grads`` is a
+    gradient buffer in the stats' layout (``Gradients.trainable``) or one
+    vector per layer.  Mutates ``stats``."""
     cfg.validate()
-    if len(grads) != stats.n_layers:
-        raise ValueError(f"got {len(grads)} gradient vectors for {stats.n_layers} layers")
+    g = _gradient_buffer(stats.layout, grads)
     a = cfg.ema_coeff
-    for i, g in enumerate(grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != stats.first[i].shape:
-            raise ValueError(
-                f"layer {i} gradient shape {g.shape} does not match stats {stats.first[i].shape}"
-            )
-        stats.first[i] = a * stats.first[i] + (1.0 - a) * g
-        stats.second[i] = a * stats.second[i] + (1.0 - a) * g * g
+    # a * m + (1 - a) * g and a * v + ((1 - a) * g) * g, in place
+    scaled = (1.0 - a) * g
+    stats.first_moment *= a
+    stats.first_moment += scaled
+    scaled *= g
+    stats.second_moment *= a
+    stats.second_moment += scaled
     stats.step += 1
     return stats
 
 
 def compute_bvg(stats: GradientStats, cfg: StatsConfig) -> np.ndarray:
-    """Per-layer squared-bias over floored variance score."""
+    """Per-layer squared-bias over floored variance score, one row sum per
+    layer group (a row sums exactly as the layer's own vector would)."""
     cfg.validate()
     out = np.zeros(stats.n_layers)
-    for i in range(stats.n_layers):
-        mu = stats.first[i]
-        num = float(np.sum(mu * mu))
-        den = float(np.sum(stats.second[i] - mu * mu))
-        out[i] = num / max(den, cfg.moment_floor)
+    for group in stats.layout.groups:
+        mu = group.rows(stats.first_moment)
+        sq = mu * mu
+        num = sq.sum(axis=1)
+        np.subtract(group.rows(stats.second_moment), sq, out=sq)
+        out[group.ids] = num / np.maximum(sq.sum(axis=1), cfg.moment_floor)
     return out
 
 
@@ -114,13 +148,18 @@ def build_mask(bvg: np.ndarray, budget: int, step: int, cfg: StatsConfig) -> Lay
 class OptimizerState:
     """Plain gradient-descent or adaptive-moment updates.  Every layer (and
     the head) owns an independent step counter so a masked layer's state,
-    bias correction included, is bit-frozen while it sits out."""
+    bias correction included, is bit-frozen while it sits out.  In adaptive
+    mode ``m``/``v`` hold every layer's moments in ``layout`` and
+    ``layer_m[i]``/``layer_v[i]`` are layer i's views of them."""
 
     mode: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    layout: TrainableLayout | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     layer_m: list[np.ndarray] = field(default_factory=list)
     layer_v: list[np.ndarray] = field(default_factory=list)
     layer_step: list[int] = field(default_factory=list)
@@ -130,20 +169,38 @@ class OptimizerState:
 
 
 def init_optimizer(
-    mode: str, learning_rate: float, layer_sizes: Sequence[int], head_size: int
+    mode: str, learning_rate: float, layers: TrainableLayout | Sequence[int], head_size: int
 ) -> OptimizerState:
+    """Fresh state for a model's ``layout`` (or layers given by size)."""
     if mode not in ("plain", "adaptive"):
         raise ValueError(f"optimizer mode must be 'plain' or 'adaptive', got {mode!r}")
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    opt = OptimizerState(mode=mode, learning_rate=learning_rate)
-    opt.layer_step = [0] * len(layer_sizes)
+    layout = _layout(layers)
+    opt = OptimizerState(mode=mode, learning_rate=learning_rate, layout=layout)
+    opt.layer_step = [0] * layout.n_layers
     if mode == "adaptive":
-        opt.layer_m = [np.zeros(n) for n in layer_sizes]
-        opt.layer_v = [np.zeros(n) for n in layer_sizes]
+        opt.m = np.zeros(layout.size)
+        opt.v = np.zeros(layout.size)
+        opt.layer_m = layout.layer_views(opt.m)
+        opt.layer_v = layout.layer_views(opt.v)
         opt.head_m = np.zeros(head_size)
         opt.head_v = np.zeros(head_size)
     return opt
+
+
+def _moment_step(theta, grad, m, v, c1, c2, opt: OptimizerState):
+    """Bias-corrected adaptive-moment update with corrections ``c1`` =
+    1 - beta1**t and ``c2`` = 1 - beta2**t (floats, or one per element);
+    returns the new parameters and moments and leaves its arguments
+    untouched."""
+    m = m * opt.beta1
+    m += (1.0 - opt.beta1) * grad
+    v = v * opt.beta2
+    v += (1.0 - opt.beta2) * grad * grad
+    m_hat = m / c1
+    v_hat = v / c2
+    return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps), m, v
 
 
 def adaptive_step(
@@ -154,71 +211,60 @@ def adaptive_step(
     step: int,
     opt: OptimizerState,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bias-corrected adaptive-moment update; returns the new parameters and
-    moments and leaves its arguments untouched.  ``step`` is the
-    already-incremented per-stream counter."""
-    m = m * opt.beta1
-    m += (1.0 - opt.beta1) * grad
-    v = v * opt.beta2
-    v += (1.0 - opt.beta2) * grad * grad
-    m_hat = m / (1.0 - opt.beta1**step)
-    v_hat = v / (1.0 - opt.beta2**step)
-    return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps), m, v
-
-
-def _stage_step(
-    theta: np.ndarray, grad: np.ndarray, opt: OptimizerState, stream: int | None
-) -> tuple[np.ndarray, tuple | None]:
-    """New parameters and, in adaptive mode, the new (m, v, step) of one
-    stream (None: the head; else a layer index), without modifying ``opt``;
-    ``_commit_stream`` writes the state back."""
-    if opt.mode == "plain":
-        return theta - opt.learning_rate * grad, None
-    if stream is None:
-        m, v, step = opt.head_m, opt.head_v, opt.head_step + 1
-    else:
-        m, v, step = opt.layer_m[stream], opt.layer_v[stream], opt.layer_step[stream] + 1
-    new, m, v = adaptive_step(theta, grad, m, v, step, opt)
-    return new, (m, v, step)
-
-
-def _commit_stream(opt: OptimizerState, stream: int | None, state: tuple | None) -> None:
-    if state is None:
-        return
-    m, v, step = state
-    if stream is None:
-        opt.head_m, opt.head_v, opt.head_step = m, v, step
-    else:
-        opt.layer_m[stream], opt.layer_v[stream], opt.layer_step[stream] = m, v, step
-
-
-def _check_finite(what: str, new: np.ndarray, state: tuple | None) -> None:
-    # a non-finite first moment always makes ``new`` non-finite, but a
-    # second moment that overflowed to inf leaves ``new`` finite
-    if not (np.isfinite(new).all() and (state is None or np.isfinite(state[1]).all())):
-        raise ValueError(f"non-finite update for {what}")
+    """Adaptive-moment update of one stream; ``step`` is its
+    already-incremented counter."""
+    return _moment_step(theta, grad, m, v, 1.0 - opt.beta1**step, 1.0 - opt.beta2**step, opt)
 
 
 def apply_update(
     model: Model, grads: Gradients, mask: LayerMask, opt: OptimizerState
 ) -> None:
     """Step the active attention layers and always the head.  Masked layers'
-    parameters and optimizer moments are left bit-untouched.  All or
-    nothing: every new value is staged and checked before any is written, so
-    a non-finite update raises with the model and ``opt`` unchanged."""
-    params = model_mod.trainable_arrays(model)
-    grad_arrays = model_mod.trainable_arrays(grads)
-    n_layers = len(params) - 1
-    if mask.bits.shape[0] != n_layers:
-        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {n_layers}")
-    # stream None is the head, the last array
-    streams = [lid for lid in range(n_layers) if mask.bits[lid]] + [None]
-    staged = []
-    for stream in streams:
-        i = n_layers if stream is None else stream
-        new, state = _stage_step(params[i].ravel(), grad_arrays[i].ravel(), opt, stream)
-        _check_finite("the head" if stream is None else f"layer {stream}", new, state)
-        staged.append((params[i], new, stream, state))
-    for theta, new, stream, state in staged:
-        theta[...] = new.reshape(theta.shape)
-        _commit_stream(opt, stream, state)
+    parameters and optimizer moments are left bit-untouched.  The active
+    layers' values are gathered from the model buffer and stepped as one
+    array, each element with its own layer's bias corrections.  All or
+    nothing: every new value is staged and checked before any is written,
+    so a non-finite update raises with the model and ``opt`` unchanged."""
+    layout = model.layout
+    if mask.bits.shape[0] != layout.n_layers:
+        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {layout.n_layers}")
+    if opt.layout is None or not layout.same_positions(opt.layout):
+        raise ValueError("optimizer state is laid out for other layers than the model's")
+    bits = mask.bits.astype(bool)
+    picked = layout.element_mask(bits)
+    # active layer ids in buffer order, and their value counts
+    active = layout.order[bits[layout.order]]
+    counts = layout.sizes[active]
+    theta = model.trainable[picked]
+    grad = grads.trainable[picked]
+    head, head_grad = model.head.ravel(), grads.head.ravel()
+    if opt.mode == "plain":
+        new = theta - opt.learning_rate * grad
+        new_head = head - opt.learning_rate * head_grad
+        second = head_second = None
+    else:
+        steps = [opt.layer_step[lid] + 1 for lid in active]
+        c1 = np.repeat([1.0 - opt.beta1**t for t in steps], counts)
+        c2 = np.repeat([1.0 - opt.beta2**t for t in steps], counts)
+        new, first, second = _moment_step(theta, grad, opt.m[picked], opt.v[picked], c1, c2, opt)
+        new_head, head_first, head_second = adaptive_step(
+            head, head_grad, opt.head_m, opt.head_v, opt.head_step + 1, opt
+        )
+    # a non-finite first moment always makes the parameters non-finite, but
+    # a second moment that overflowed to inf leaves them finite
+    bad = ~np.isfinite(new)
+    if second is not None:
+        bad |= ~np.isfinite(second)
+    if bad.any():
+        lid = int(np.repeat(active, counts)[bad].min())
+        raise ValueError(f"non-finite update for layer {lid}")
+    if not (np.isfinite(new_head).all() and (head_second is None or np.isfinite(head_second).all())):
+        raise ValueError("non-finite update for the head")
+    model.trainable[picked] = new
+    model.head[...] = new_head.reshape(model.head.shape)
+    if opt.mode == "adaptive":
+        opt.m[picked] = first
+        opt.v[picked] = second
+        for lid in active:
+            opt.layer_step[lid] += 1
+        opt.head_m, opt.head_v, opt.head_step = head_first, head_second, opt.head_step + 1

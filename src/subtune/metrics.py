@@ -116,15 +116,23 @@ def video_level(s: ScoredSet, pool: str = "mean") -> ScoredSet:
         raise ValueError("group ids must align with scores")
     if pool not in ("mean", "max"):
         raise ValueError(f"pool must be 'mean' or 'max', got {pool!r}")
-    uniq = np.unique(groups)
-    out_scores = np.zeros(uniq.size)
-    out_labels = np.zeros(uniq.size, dtype=np.int64)
-    for idx, gid in enumerate(uniq):
-        sel = groups == gid
-        member_labels = np.unique(labels[sel])
-        if member_labels.size != 1:
-            raise ValueError(f"clip {gid!r} mixes real and fake frames")
-        out_labels[idx] = member_labels[0]
-        member = scores[sel]
-        out_scores[idx] = float(member.mean()) if pool == "mean" else float(member.max())
-    return ScoredSet(scores=out_scores, labels=out_labels, group_ids=uniq)
+    # one stable sort by clip keeps each clip's frames in their given order,
+    # so a clip's mean sums exactly as ``np.mean`` of its frames would
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_groups[1:] != sorted_groups[:-1])))
+    sizes = np.diff(np.append(starts, groups.size))
+    uniq = sorted_groups[starts]
+    sorted_labels = labels[order]
+    mixed = np.minimum.reduceat(sorted_labels, starts) != np.maximum.reduceat(sorted_labels, starts)
+    if mixed.any():
+        raise ValueError(f"clip {uniq[np.argmax(mixed)]!r} mixes real and fake frames")
+    sorted_scores = scores[order]
+    out_scores = np.empty(uniq.size)
+    # clips of one size form a (clips, size) matrix whose rows reduce like
+    # each clip's own vector
+    for size in np.unique(sizes):
+        clips = np.flatnonzero(sizes == size)
+        members = sorted_scores[starts[clips, None] + np.arange(size)]
+        out_scores[clips] = members.sum(axis=1) / size if pool == "mean" else members.max(axis=1)
+    return ScoredSet(scores=out_scores, labels=sorted_labels[starts], group_ids=uniq)

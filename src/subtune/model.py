@@ -16,7 +16,14 @@ from typing import Union
 import numpy as np
 
 from . import losses
-from .decomposition import DecomposedLayer, DecompositionConfig, decompose, recompose
+from .decomposition import (
+    DecomposedLayer,
+    DecompositionConfig,
+    FactorStack,
+    TrainableLayout,
+    decompose,
+    recompose,
+)
 
 Projection = Union[np.ndarray, DecomposedLayer]
 
@@ -71,10 +78,21 @@ PROJECTION_NAMES = ("q", "k", "v", "o")
 
 @dataclass
 class Model:
+    """``trainable`` holds every attention slot's trainable values (plain
+    matrices, or decomposed layers' ``params``) in the order ``layout``
+    gives, and each slot is a view into it; ``stacks`` are the stacked
+    factor views of each decomposed rank group (None for a plain group)."""
+
     config: ModelConfig
     token_embed: np.ndarray
     blocks: list[Block]
     head: np.ndarray
+    trainable: np.ndarray = field(init=False, repr=False)
+    layout: TrainableLayout = field(init=False, repr=False)
+    stacks: tuple[FactorStack | None, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        stack_trainables(self)
 
     @property
     def decomposed(self) -> bool:
@@ -121,6 +139,48 @@ def attention_slots(model: Model) -> list[tuple[int, Block, str]]:
     return out
 
 
+def _slot_views(layout: TrainableLayout, buf: np.ndarray) -> list[np.ndarray]:
+    """Each attention slot's part of ``buf``, by layer id, shaped like the
+    slot's storage: the matrix of a plain projection, the ``params`` vector
+    of a decomposed one."""
+    views = layout.layer_views(buf)
+    for group in layout.groups:
+        if group.ranks is None:
+            for lid in group.layer_ids:
+                views[lid] = views[lid].reshape(group.d_out, group.d_in)
+    return views
+
+
+def stack_trainables(model: Model) -> None:
+    """Copy every attention slot's trainable values into one new buffer and
+    point the slots at their views of it.  Needed whenever slots are
+    replaced or copied, since a copied view no longer aliases its buffer."""
+    slots = attention_slots(model)
+    projections = [getattr(block, name) for _, block, name in slots]
+    layout = TrainableLayout.of(
+        [(p.ranks, p.d_out, p.d_in) if isinstance(p, DecomposedLayer) else (None, *p.shape) for p in projections]
+    )
+    buf = np.empty(layout.size)
+    for (_, block, name), p, view in zip(slots, projections, _slot_views(layout, buf)):
+        if isinstance(p, DecomposedLayer):
+            view[...] = p.params
+            p.params = view
+        else:
+            view[...] = p
+            setattr(block, name, view)
+    model.trainable, model.layout = buf, layout
+    model.stacks = tuple(
+        None
+        if group.ranks is None
+        else FactorStack(
+            group.ranks,
+            *group.factors(buf),
+            np.array([projections[lid].pretrained_frob_sq for lid in group.layer_ids]),
+        )
+        for group in layout.groups
+    )
+
+
 def decompose_attention(model: Model) -> None:
     """Replace every plain attention projection with its subspace split."""
     if model.decomposed:
@@ -128,6 +188,7 @@ def decompose_attention(model: Model) -> None:
     for lid, block, name in attention_slots(model):
         w = getattr(block, name)
         setattr(block, name, decompose(w, model.config.decomposition, layer_id=lid))
+    stack_trainables(model)
 
 
 def reset_head(
@@ -337,43 +398,51 @@ class BlockGrads:
 
 @dataclass
 class Gradients:
+    """``trainable`` holds the attention slots' gradients in the model's
+    ``layout``; each ``BlockGrads`` projection slot is a view into it."""
+
     token_embed: np.ndarray | None
     blocks: list[BlockGrads]
     head: np.ndarray
+    trainable: np.ndarray
 
 
-def _project_weight_grad(
-    layer: DecomposedLayer,
+def _project_group(
+    stack: FactorStack,
     g_w: np.ndarray,
     w_eff: np.ndarray,
-    energy: float,
+    grad: tuple[np.ndarray, np.ndarray, np.ndarray],
     weights: losses.LossWeights,
     n_layers: int,
-) -> tuple[float, np.ndarray]:
-    """Map an effective-weight gradient onto the artifact factors and add the
-    regularizer gradients (semantic factors receive nothing); the result is
-    one vector in the layer's ``params`` layout.  ``energy`` is the squared
-    Frobenius norm of ``w_eff``.  Also returns the layer's orthogonality
-    value, which shares the regularizer's Grams."""
-    g_total = g_w
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map one rank group's effective-weight gradients ``g_w`` (G, d_out,
+    d_in) onto its artifact factors, add the regularizer gradients (semantic
+    factors receive nothing), and write the result into ``grad``, the
+    group's (dU, ds, dV) views of the gradient buffer.  ``g_w`` is
+    overwritten.  Returns each layer's orthogonality and spectral values."""
+    energy = np.sum(w_eff * w_eff, axis=(1, 2))
+    spec = losses.spec_loss(stack, energy)
     if weights.spectral_weight != 0.0:
-        delta = energy - layer.pretrained_frob_sq
+        delta = energy - stack.pretrained_frob_sq
         # subgradient of the absolute value at its kink taken as 0; "at the
         # kink" means within float-noise of the pretrained energy, so a fresh
-        # decomposition (delta ~ 1e-13 from rounding) gets an exact zero here
-        if abs(delta) > 1e-9 * max(1.0, layer.pretrained_frob_sq):
-            g_total = g_w + (weights.spectral_weight / n_layers) * math.copysign(2.0, delta) * w_eff
-    orth, orth_du, orth_dv = losses.orth_loss_grads(layer, weights.orth_weight / n_layers)
-    u, s, v = layer.split(layer.params)
-    grad = np.empty_like(layer.params)
-    du, ds, dv = layer.split(grad)
-    g_v = g_total @ v
+        # decomposition (delta ~ 1e-13 from rounding) gets an exact zero here.
+        # Layers at the kink skip the add: adding 0 * w would turn a -0.0
+        # gradient entry into +0.0.
+        live = np.abs(delta) > 1e-9 * np.maximum(1.0, stack.pretrained_frob_sq)
+        if live.any():
+            coef = (weights.spectral_weight / n_layers) * np.copysign(2.0, delta[live])
+            g_w[live] += coef[:, None, None] * w_eff[live]
+    orth, orth_du, orth_dv = losses.orth_loss_grads(stack, weights.orth_weight / n_layers)
+    du, ds, dv = grad
+    s = stack.s[:, None, :]
+    g_v = g_w @ stack.v
     np.multiply(g_v, s, out=du)
     du += orth_du
-    np.multiply(g_total.T @ u, s, out=dv)
+    np.multiply(np.swapaxes(g_w, 1, 2) @ stack.u, s, out=dv)
     dv += orth_dv
-    ds[...] = np.sum(u * g_v, axis=0)
-    return orth, grad
+    np.sum(stack.u * g_v, axis=1, out=ds)
+    return orth, spec
 
 
 def backward(
@@ -417,11 +486,19 @@ def backward(
     d_pool = dlogits @ model.head
     dh = np.repeat(d_pool[:, None, :], cfg.n_tokens, axis=1) / cfg.n_tokens
 
-    orth_values: list[float] = []
-    spec_values: list[float] = []
     scale = 1.0 / math.sqrt(cfg.d_model)
-    block_grads: list[BlockGrads] = [None] * cfg.n_blocks  # type: ignore[list-item]
+    frozen_grads: list[dict] = [None] * cfg.n_blocks  # type: ignore[list-item]
     n_rows = n * cfg.n_tokens
+    layout = model.layout
+    n_slots = layout.n_layers
+    rows = layout.rows_of
+    decomposed = model.decomposed
+    # each attention slot's weight gradient and (when decomposed) effective
+    # weight, one row per slot in buffer order, so a rank group's rows are
+    # one contiguous stack
+    g_w = np.empty((n_slots, cfg.d_model, cfg.d_model))
+    if decomposed:
+        w_eff = np.empty_like(g_w)
 
     for b in range(cfg.n_blocks - 1, -1, -1):
         block = model.blocks[b]
@@ -435,8 +512,9 @@ def backward(
         dm_in = dh + _layer_norm_input_grad(dwn, c.ln2_xhat, c.ln2_inv_std, block.norm2_gain)
 
         # attention half: m_in = a_in + (softmax(q k^T / sqrt(d)) v) @ Wo^T
+        q_row, k_row, v_row, o_row = rows[4 * b : 4 * b + 4]
         do_ctx = dm_in @ c.weights["o"]
-        d_wo = dm_in.reshape(n_rows, -1).T @ c.ctx.reshape(n_rows, -1)
+        np.matmul(dm_in.reshape(n_rows, -1).T, c.ctx.reshape(n_rows, -1), out=g_w[o_row])
         dprobs = do_ctx @ c.v.transpose(0, 2, 1)
         dv_tok = c.probs.transpose(0, 2, 1) @ do_ctx
         # softmax rows backward
@@ -444,13 +522,13 @@ def backward(
         dq_tok = (dscores @ c.k) * scale
         dk_tok = (dscores.transpose(0, 2, 1) @ c.q) * scale
         u_rows = c.u.reshape(n_rows, -1)
-        d_wq = dq_tok.reshape(n_rows, -1).T @ u_rows
-        d_wk = dk_tok.reshape(n_rows, -1).T @ u_rows
-        d_wv = dv_tok.reshape(n_rows, -1).T @ u_rows
+        np.matmul(dq_tok.reshape(n_rows, -1).T, u_rows, out=g_w[q_row])
+        np.matmul(dk_tok.reshape(n_rows, -1).T, u_rows, out=g_w[k_row])
+        np.matmul(dv_tok.reshape(n_rows, -1).T, u_rows, out=g_w[v_row])
         du = dq_tok @ c.weights["q"] + dk_tok @ c.weights["k"] + dv_tok @ c.weights["v"]
         # formed before dh moves on to this block's input gradient
         if full:
-            frozen = {
+            frozen_grads[b] = {
                 "norm1_gain": np.sum(du * c.ln1_xhat, axis=(0, 1)),
                 "norm1_bias": np.sum(du, axis=(0, 1)),
                 "norm2_gain": np.sum(dwn * c.ln2_xhat, axis=(0, 1)),
@@ -459,34 +537,40 @@ def backward(
                 "mlp_out": dh.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1),
             }
         else:
-            frozen = dict.fromkeys(FROZEN_SLOTS)
+            frozen_grads[b] = dict.fromkeys(FROZEN_SLOTS)
         dh = dm_in + _layer_norm_input_grad(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
-
-        proj_grads: dict[str, np.ndarray] = {}
-        for name, g_w in (("q", d_wq), ("k", d_wk), ("v", d_wv), ("o", d_wo)):
-            p = getattr(block, name)
-            if isinstance(p, DecomposedLayer):
-                w_eff = c.weights[name]
-                energy = float(np.sum(w_eff * w_eff))
-                orth, proj_grads[name] = _project_weight_grad(
-                    p, g_w, w_eff, energy, weights, cfg.n_decomposable
-                )
-                orth_values.append(orth)
-                spec_values.append(losses.spec_loss(p, energy))
-            else:
-                proj_grads[name] = g_w
-
-        block_grads[b] = BlockGrads(**proj_grads, **frozen)
+        if decomposed:
+            for row, name in zip((q_row, k_row, v_row, o_row), PROJECTION_NAMES):
+                w_eff[row] = c.weights[name]
 
     d_embed = None
     if full:
         d_embed = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
 
-    if orth_values:
-        report = losses.total_loss(cls, orth_values, spec_values, weights)
+    grad_buf = np.empty(layout.size)
+    orth = np.zeros(n_slots)
+    spec = np.zeros(n_slots)
+    for group, stack in zip(layout.groups, model.stacks):
+        span = group.row_span
+        if stack is None:
+            group.rows(grad_buf)[...] = g_w[span].reshape(group.n_layers, -1)
+        else:
+            orth[group.ids], spec[group.ids] = _project_group(
+                stack, g_w[span], w_eff[span], group.factors(grad_buf), weights, n_slots
+            )
+    if decomposed:
+        # the means sum in the order the per-block loop has always produced
+        # the values (last block first); summation order is part of the bits
+        order = [4 * b + j for b in range(cfg.n_blocks - 1, -1, -1) for j in range(4)]
+        report = losses.total_loss(cls, orth[order].tolist(), spec[order].tolist(), weights)
     else:
         report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls, n_layers=0)
-    grads = Gradients(token_embed=d_embed, blocks=block_grads, head=d_head)
+    views = _slot_views(layout, grad_buf)
+    block_grads = [
+        BlockGrads(**{name: views[4 * b + j] for j, name in enumerate(PROJECTION_NAMES)}, **frozen)
+        for b, frozen in enumerate(frozen_grads)
+    ]
+    grads = Gradients(token_embed=d_embed, blocks=block_grads, head=d_head, trainable=grad_buf)
     return report, grads, cache
 
 
@@ -550,7 +634,9 @@ def projection_param_vector(p: Projection) -> np.ndarray:
 
 
 def clone_model(model: Model) -> Model:
-    """Deep copy; decomposed layers share nothing with the source."""
+    """Deep copy that shares nothing with the source, with its own buffer."""
     import copy
 
-    return copy.deepcopy(model)
+    twin = copy.deepcopy(model)
+    stack_trainables(twin)
+    return twin

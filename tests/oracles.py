@@ -1,17 +1,25 @@
-"""Brute-force metric oracles and exhaustive small-instance enumeration.
+"""Brute-force metric oracles, exhaustive small-instance enumeration, and
+the per-layer training code that the stacked one replaced.
 
 The brute-force oracles recount from scratch with plain loops (no sorting
 tricks shared with the implementation) and exact rational arithmetic.  The
-``loop_*`` versions at the end are the per-element tied-block sweeps that
-the vectorized metrics replaced, kept to check them bit for bit.
+``loop_*`` versions are the per-element tied-block sweeps, the per-clip
+pooling loop, and the per-layer factor projection, EMA, BVG and
+adaptive-moment code that the vectorized and stacked versions replaced,
+kept to check them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from subtune.decomposition import recompose
+from subtune.metrics import ScoredSet
+from subtune.model import attention_slots, backward, clone_model, stack_trainables
 
 
 def brute_auc(scores, labels) -> float:
@@ -170,3 +178,144 @@ def loop_eer(scores, labels) -> float:
             return float(prev_f + tau * (f - prev_f))
         prev_f, prev_g = f, g
     raise AssertionError("ROC sweep must end at FPR=1, FNR=0")
+
+
+def loop_video_level(scores, labels, groups, pool: str = "mean") -> ScoredSet:
+    """Clip pooling one clip at a time, by a mask over every frame."""
+    uniq = np.unique(groups)
+    out_scores = np.zeros(uniq.size)
+    out_labels = np.zeros(uniq.size, dtype=np.int64)
+    for idx, gid in enumerate(uniq):
+        sel = groups == gid
+        member_labels = np.unique(labels[sel])
+        if member_labels.size != 1:
+            raise ValueError(f"clip {gid!r} mixes real and fake frames")
+        out_labels[idx] = member_labels[0]
+        member = scores[sel]
+        out_scores[idx] = float(member.mean()) if pool == "mean" else float(member.max())
+    return ScoredSet(scores=out_scores, labels=out_labels, group_ids=uniq)
+
+
+# --- per-layer training code ---------------------------------------------
+
+def _loop_off_block_gram(tail, ranks):
+    gram = tail.T @ tail
+    lo = 0
+    for r in ranks:
+        gram[lo : lo + r, lo : lo + r] = 0.0
+        lo += r
+    return gram
+
+
+def _loop_project(layer, g_w, w_eff, weights, n_layers):
+    """One layer's (orth value, spec value, factor gradient vector)."""
+    energy = float(np.sum(w_eff * w_eff))
+    spec = abs(energy - layer.pretrained_frob_sq)
+    g_total = g_w
+    if weights.spectral_weight != 0.0:
+        delta = energy - layer.pretrained_frob_sq
+        if abs(delta) > 1e-9 * max(1.0, layer.pretrained_frob_sq):
+            g_total = g_w + (weights.spectral_weight / n_layers) * math.copysign(2.0, delta) * w_eff
+    u, s, v = layer.split(layer.params.copy())
+    k = layer.n_subspaces
+    if k < 2:
+        orth, orth_du, orth_dv = 0.0, np.zeros_like(u), np.zeros_like(v)
+    else:
+        gram_u = _loop_off_block_gram(u, layer.ranks)
+        gram_v = _loop_off_block_gram(v, layer.ranks)
+        orth = (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) / (k * (k - 1))
+        coef = 4.0 * (weights.orth_weight / n_layers) / (k * (k - 1))
+        orth_du, orth_dv = coef * (u @ gram_u), coef * (v @ gram_v)
+    grad = np.empty_like(layer.params)
+    du, ds, dv = layer.split(grad)
+    g_v = g_total @ v
+    np.multiply(g_v, s, out=du)
+    du += orth_du
+    np.multiply(g_total.T @ u, s, out=dv)
+    dv += orth_dv
+    ds[...] = np.sum(u * g_v, axis=0)
+    return orth, spec, grad
+
+
+def loop_backward(model, inputs, labels, weights):
+    """(orth values, spec values, per-layer gradients) of a decomposed
+    model, projected one layer at a time.  The effective-weight gradients
+    come from a plain twin whose projections are the recomposed weights, so
+    its forward and weight gradients are the decomposed model's; the value
+    lists run last block first, q, k, v, o within a block."""
+    twin = clone_model(model)
+    slots = attention_slots(twin)
+    for _, block, name in slots:
+        setattr(block, name, recompose(getattr(block, name)))
+    stack_trainables(twin)
+    _, twin_grads, _ = backward(twin, inputs, labels, weights)
+    n_layers = len(slots)
+    orth, spec, grads = {}, {}, {}
+    for lid, block, name in attention_slots(model):
+        layer = getattr(block, name)
+        g_w = getattr(twin_grads.blocks[lid // 4], name).copy()
+        w_eff = getattr(twin.blocks[lid // 4], name)
+        orth[lid], spec[lid], grads[lid] = _loop_project(layer, g_w, w_eff, weights, n_layers)
+    order = [4 * b + j for b in range(len(model.blocks) - 1, -1, -1) for j in range(4)]
+    return [orth[i] for i in order], [spec[i] for i in order], [grads[i] for i in range(n_layers)]
+
+
+class LoopMasking:
+    """EMA statistics, BVG and masked updates kept as one array per layer,
+    stepped layer by layer."""
+
+    def __init__(self, params, head, mode, lr, ema, floor, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = [p.copy() for p in params]
+        self.head = head.copy()
+        self.first = [np.zeros(p.size) for p in params]
+        self.second = [np.zeros(p.size) for p in params]
+        self.m = [np.zeros(p.size) for p in params]
+        self.v = [np.zeros(p.size) for p in params]
+        self.steps = [0] * len(params)
+        self.head_m = np.zeros(head.size)
+        self.head_v = np.zeros(head.size)
+        self.head_step = 0
+        self.mode, self.lr, self.ema, self.floor = mode, lr, ema, floor
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def update_stats(self, grads):
+        a = self.ema
+        for i, g in enumerate(grads):
+            self.first[i] = a * self.first[i] + (1.0 - a) * g
+            self.second[i] = a * self.second[i] + (1.0 - a) * g * g
+
+    def bvg(self):
+        out = np.zeros(len(self.first))
+        for i, mu in enumerate(self.first):
+            num = float(np.sum(mu * mu))
+            den = float(np.sum(self.second[i] - mu * mu))
+            out[i] = num / max(den, self.floor)
+        return out
+
+    def _adam(self, theta, grad, m, v, step):
+        m = m * self.beta1
+        m += (1.0 - self.beta1) * grad
+        v = v * self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        m_hat = m / (1.0 - self.beta1**step)
+        v_hat = v / (1.0 - self.beta2**step)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps), m, v
+
+    def apply(self, grads, head_grad, bits):
+        for i in np.flatnonzero(bits):
+            if self.mode == "plain":
+                self.params[i] = self.params[i] - self.lr * grads[i]
+            else:
+                self.steps[i] += 1
+                self.params[i], self.m[i], self.v[i] = self._adam(
+                    self.params[i], grads[i], self.m[i], self.v[i], self.steps[i]
+                )
+        head = self.head.ravel()
+        if self.mode == "plain":
+            new = head - self.lr * head_grad.ravel()
+        else:
+            self.head_step += 1
+            new, self.head_m, self.head_v = self._adam(
+                head, head_grad.ravel(), self.head_m, self.head_v, self.head_step
+            )
+        self.head = new.reshape(self.head.shape)

@@ -3,7 +3,9 @@ import json
 import pytest
 import yaml
 
+from subtune.checkpoint import load_model
 from subtune.cli import main
+from subtune.model import attention_slots
 
 TINY = {
     "seed": 11,
@@ -80,6 +82,27 @@ def test_training_chain(tmp_path, cfg_path, capsys):
     out = capsys.readouterr().out
     assert "artifact_ranks" in out
     assert out.count("block") == 8
+
+
+def test_finetune_decomposes_under_the_run_config(tmp_path, cfg_path):
+    # the checkpoint keeps only the subspace count it was pretrained with;
+    # the fine-tune's own decomposition section decides the split
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(pre)]) == 0
+    fixed = tmp_path / "fixed.yaml"
+    fixed.write_text(yaml.safe_dump(
+        TINY | {"decomposition": {"n_subspaces": 3, "rank_policy": "fixed", "fixed_rank": 4}}
+    ))
+    fine = tmp_path / "fine"
+    assert main([
+        "finetune", "--config", str(fixed),
+        "--checkpoint", str(pre / "pretrained.ckpt"), "--out", str(fine),
+    ]) == 0
+    model, manifest = load_model(fine / "finetuned.ckpt")
+    layers = [getattr(block, name) for _, block, name in attention_slots(model)]
+    assert {(layer.semantic_rank, layer.ranks) for layer in layers} == {(4, (2, 1, 1))}
+    assert manifest["model"]["n_subspaces"] == 3
+    assert manifest["config"]["decomposition"]["n_subspaces"] == 3
 
 
 def test_seed_override_changes_the_run(tmp_path, cfg_path):

@@ -9,6 +9,7 @@ from subtune.losses import LossWeights
 from subtune.masking import (
     LayerMask,
     StatsConfig,
+    adaptive_step,
     apply_update,
     build_mask,
     compute_bvg,
@@ -103,15 +104,16 @@ def test_build_mask_tie_prefers_lower_layer_id() -> None:
 
 
 def test_plain_step_example() -> None:
-    opt = init_optimizer("plain", 0.1, [1], 1)
     model, grads = _one_layer_setup()
-    # direct vector check of the update rule
-    from subtune.masking import _stage_step
-
-    out, state = _stage_step(np.array([1.0]), np.array([0.5]), opt, 0)
-    assert np.allclose(out, [0.95], atol=1e-15)
-    assert state is None
-    del model, grads
+    opt = init_optimizer("plain", 0.1, model.layout, model.head.size)
+    layer = model.blocks[0].q
+    layer.params[0] = 1.0
+    grads.blocks[0].q[0] = 0.5
+    bits = np.zeros(model.layout.n_layers, dtype=np.int8)
+    bits[0] = 1
+    apply_update(model, grads, LayerMask(bits=bits, budget=1), opt)
+    assert np.allclose(layer.params[0], 0.95, atol=1e-15)
+    assert opt.m is None and opt.layer_m == []
 
 
 def test_adaptive_step_matches_reference() -> None:
@@ -124,22 +126,18 @@ def test_adaptive_step_matches_reference() -> None:
         return theta - lr * mh / (np.sqrt(vh) + eps), m2, v2
 
     opt = init_optimizer("adaptive", 2e-4, [3], 3)
-    from subtune.masking import _commit_stream, _stage_step
-
     theta = np.array([0.0, 1.0, -2.0])
     g1 = np.array([0.5, -0.25, 0.125])
-    got, state = _stage_step(theta, g1, opt, 0)
-    # staging leaves the optimizer alone until the state is committed
-    assert opt.layer_step[0] == 0 and not opt.layer_m[0].any()
-    _commit_stream(opt, 0, state)
+    got, m1, v1 = adaptive_step(theta, g1, opt.layer_m[0], opt.layer_v[0], 1, opt)
+    # the step returns new moments and leaves the optimizer's alone
+    assert not opt.layer_m[0].any() and not opt.layer_v[0].any()
     want, m_ref, v_ref = reference(theta, g1, np.zeros(3), np.zeros(3), 1, 2e-4)
     assert np.array_equal(got, want)
-    assert np.array_equal(opt.layer_m[0], m_ref) and np.array_equal(opt.layer_v[0], v_ref)
-    assert opt.layer_step[0] == 1
+    assert np.array_equal(m1, m_ref) and np.array_equal(v1, v_ref)
     # fresh-state magnitude: eta * (1 - 1e-8-scale correction)
     assert abs(abs(got[0] - theta[0]) - 2e-4) <= 1e-10
     g2 = np.array([-0.5, 0.5, 0.0])
-    got2, _ = _stage_step(got, g2, opt, 0)
+    got2, _, _ = adaptive_step(got, g2, m1, v1, 2, opt)
     want2, _, _ = reference(got, g2, m_ref, v_ref, 2, 2e-4)
     assert np.array_equal(got2, want2)
 

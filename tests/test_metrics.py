@@ -13,6 +13,7 @@ from oracles import (
     enumerate_count_instances,
     loop_average_precision,
     loop_eer,
+    loop_video_level,
 )
 from subtune import linalg
 from subtune.metrics import ScoredSet, auc, average_precision, eer, video_level
@@ -154,6 +155,46 @@ def test_video_level_errors() -> None:
         video_level(ss([0.1, 0.2], [0, 1], ["a", "a"]))
     with pytest.raises(ValueError):
         video_level(ss([0.1, 0.2], [0, 0], ["a", "b"]), pool="median")
+
+
+@st.composite
+def clip_sets(draw):
+    """Frames of clips of uneven sizes (up to 20 frames, so pooled sums cross
+    numpy's 8-way unrolled summation), shuffled, with integer or string
+    clip ids, tied and extreme scores, and sometimes a clip of mixed labels."""
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = linalg.make_rng(seed)
+    ids = rng.permutation(10 * len(sizes))[: len(sizes)]
+    if draw(st.booleans()):
+        ids = np.array([f"clip{i}" for i in ids])
+    groups = np.repeat(ids, sizes)
+    labels = np.repeat(rng.integers(0, 2, size=len(sizes)), sizes)
+    if draw(st.booleans()) and len(groups) > 1:
+        labels[int(rng.integers(0, len(labels)))] ^= 1
+    pool = np.array([0.0, -0.0, 5e-324, 0.1, 0.5, 1.0, 1e300])
+    scores = np.where(rng.random(len(groups)) < 0.3, pool[rng.integers(0, len(pool), len(groups))],
+                      rng.normal(size=len(groups)))
+    order = rng.permutation(len(groups))
+    return scores[order], labels[order], groups[order]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clip_sets(), st.sampled_from(["mean", "max"]))
+def test_video_level_matches_the_per_clip_loop_bit_for_bit(case, pool) -> None:
+    scores, labels, groups = case
+    try:
+        want = loop_video_level(scores, labels, groups, pool)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            video_level(ss(scores, labels, groups), pool=pool)
+        assert str(got.value) == str(exc)
+        return
+    got = video_level(ss(scores, labels, groups), pool=pool)
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert np.array_equal(got.group_ids, want.group_ids)
+    assert got.group_ids.dtype == want.group_ids.dtype
 
 
 @st.composite
