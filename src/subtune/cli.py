@@ -116,6 +116,10 @@ def _cmd_robustness(args) -> None:
 
 def _cmd_inspect(args) -> None:
     model, _ = load_model(args.checkpoint)
+    if args.config is not None and not model.decomposed:
+        # split a plain checkpoint as `finetune` would under this config; the
+        # checkpoint keeps only the subspace count it was pretrained with
+        model.config.decomposition = _config_for(args).decomposition
     rows = decompose_inspect(model)
     print("layer name           R   r   artifact_ranks      energy_sem  orth        spec")
     for r in rows:

@@ -3,7 +3,6 @@ the spectrum) plus contiguous trainable artifact subspaces over the tail."""
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -49,17 +48,28 @@ class SemanticPart:
 
 
 def _split_params(
-    vec: np.ndarray, d_out: int, d_in: int, r: int
+    vec: np.ndarray, d_out: int, d_in: int, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U_tail, s_tail, V_tail) views of the last axis of ``vec`` in the
-    ``params`` layout; leading axes (one per layer of a stack) stay."""
-    n_u = d_out * r
+    """(U_tail, s_tail, V_tail) views, ``width`` columns each, of the last
+    axis of ``vec`` in the ``params`` layout; leading axes (one per layer of
+    a stack) stay."""
+    n_u = d_out * width
     lead = vec.shape[:-1]
     return (
-        vec[..., :n_u].reshape(*lead, d_out, r),
-        vec[..., n_u : n_u + r],
-        vec[..., n_u + r :].reshape(*lead, d_in, r),
+        vec[..., :n_u].reshape(*lead, d_out, width),
+        vec[..., n_u : n_u + width],
+        vec[..., n_u + width :].reshape(*lead, d_in, width),
     )
+
+
+def _cross_mask(ranks: Sequence[int], width: int) -> np.ndarray:
+    """(width, width) 0/1 mask of the cross-subspace entries of a tail Gram
+    matrix: 0 on each subspace's own diagonal block and on the padding
+    past sum(ranks)."""
+    ids = np.repeat(np.arange(len(ranks)), ranks)
+    mask = np.zeros((width, width))
+    mask[: ids.size, : ids.size] = ids[:, None] != ids[None, :]
+    return mask
 
 
 class ArtifactView(NamedTuple):
@@ -79,12 +89,15 @@ class DecomposedLayer:
     """A frozen semantic part plus the trainable tail of the spectrum.
 
     ``params`` holds every trainable value in one vector laid out as
-    ``[U_tail (d_out x R, row-major), s_tail (R), V_tail (d_in x R,
-    row-major)]`` with R = sum(ranks); artifact subspace k is the k-th block
-    of ``ranks[k]`` consecutive tail columns.  ``u``, ``s``, ``v`` and
-    ``artifacts`` are views into ``params``, built on first access and
-    rebuilt whenever ``params`` is rebound; copies and pickles leave them
-    out, so a deep copy cannot keep a view of the old vector.
+    ``[U_tail (d_out x W, row-major), s_tail (W), V_tail (d_in x W,
+    row-major)]``.  The first R = sum(ranks) columns are the tail, artifact
+    subspace k being the k-th block of ``ranks[k]`` consecutive columns; the
+    W - R columns past them are zero padding.  A freshly decomposed or
+    loaded layer has W = R; in a model, W is the largest tail rank of its
+    layers.  ``u``, ``s``, ``v`` and ``artifacts`` are views of the real
+    columns, built on first access and rebuilt whenever ``params`` is
+    rebound; copies and pickles leave them out, so a deep copy cannot keep a
+    view of the old vector.
     """
 
     layer_id: int
@@ -117,16 +130,28 @@ class DecomposedLayer:
     def n_subspaces(self) -> int:
         return len(self.ranks)
 
+    @property
+    def cross_mask(self) -> np.ndarray:
+        return _cross_mask(self.ranks, self.tail_rank)
+
+    @property
+    def pair_scale(self) -> float:
+        """1/(K(K-1)), the orthogonality penalty's pair average; 0 when K < 2."""
+        k = self.n_subspaces
+        return 1.0 / (k * (k - 1)) if k > 1 else 0.0
+
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U_tail, s_tail, V_tail) views of a vector in the ``params``
-        layout, such as ``params`` itself or its gradient."""
-        r = self.tail_rank
-        if vec.shape != ((self.d_out + 1 + self.d_in) * r,):
+        """(U_tail, s_tail, V_tail) views of the real columns of a vector in
+        the ``params`` layout, such as ``params`` itself or its gradient."""
+        r, n = self.tail_rank, self.d_out + 1 + self.d_in
+        width = vec.shape[0] // n
+        if vec.shape != (n * width,) or width < r:
             raise ValueError(
                 f"layer {self.layer_id} vector of shape {vec.shape} does not match "
                 f"{self.d_out}x{self.d_in} factors of tail rank {r}"
             )
-        return _split_params(vec, self.d_out, self.d_in, r)
+        u, s, v = _split_params(vec, self.d_out, self.d_in, width)
+        return u[:, :r], s[:r], v[:, :r]
 
     def _views(self) -> tuple:
         views = self.__dict__.get("_cached_views")
@@ -163,142 +188,36 @@ class DecomposedLayer:
         return self._views()[4]
 
 
-@dataclass(frozen=True)
-class SlotGroup:
-    """Layers of one signature stored back to back in a trainable buffer:
-    the ``ranks`` of their artifact subspaces (None for plain matrices) and
-    their d_out x d_in shape.  ``lo`` is the group's first buffer offset and
-    ``first_row`` the position of its first layer in buffer order."""
-
-    ranks: tuple[int, ...] | None
-    d_out: int
-    d_in: int
-    layer_ids: tuple[int, ...]
-    lo: int
-    first_row: int
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_ids)
-
-    @property
-    def layer_size(self) -> int:
-        if self.ranks is None:
-            return self.d_out * self.d_in
-        return (self.d_out + 1 + self.d_in) * sum(self.ranks)
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.n_layers * self.layer_size
-
-    @property
-    def row_span(self) -> slice:
-        return slice(self.first_row, self.first_row + self.n_layers)
-
-    @functools.cached_property
-    def ids(self) -> np.ndarray:
-        return np.array(self.layer_ids, dtype=np.intp)
-
-    def rows(self, buf: np.ndarray) -> np.ndarray:
-        """(G, layer_size) view: one row per layer."""
-        return buf[self.lo : self.hi].reshape(self.n_layers, self.layer_size)
-
-    def factors(self, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """U (G, d_out, R), s (G, R), V (G, d_in, R) views of a decomposed
-        group's rows."""
-        return _split_params(self.rows(buf), self.d_out, self.d_in, sum(self.ranks))
-
-
-@dataclass(frozen=True)
-class TrainableLayout:
-    """Where each layer's trainable values sit in one model-wide buffer.
-    Layers of equal signature are grouped, groups in order of their first
-    layer, layers in id order within a group.  Gradients, EMA moments and
-    optimizer moments share the layout of the parameters."""
-
-    groups: tuple[SlotGroup, ...]
-
-    @classmethod
-    def of(cls, signatures: Sequence[tuple]) -> "TrainableLayout":
-        """Layout of the layers whose signatures, (ranks or None for a plain
-        matrix, d_out, d_in), are listed by layer id."""
-        members: dict[tuple, list[int]] = {}
-        for lid, sig in enumerate(signatures):
-            members.setdefault(tuple(sig), []).append(lid)
-        groups = []
-        lo = row = 0
-        for (ranks, d_out, d_in), ids in members.items():
-            group = SlotGroup(ranks, d_out, d_in, tuple(ids), lo, row)
-            groups.append(group)
-            lo, row = group.hi, row + group.n_layers
-        return cls(tuple(groups))
-
-    @classmethod
-    def of_sizes(cls, sizes: Sequence[int]) -> "TrainableLayout":
-        """Layout of layers known only by their value counts."""
-        return cls.of([(None, 1, int(n)) for n in sizes])
-
-    @functools.cached_property
-    def order(self) -> np.ndarray:
-        """Layer ids in buffer order."""
-        return np.concatenate([g.ids for g in self.groups])
-
-    @functools.cached_property
-    def sizes(self) -> np.ndarray:
-        """Value count of each layer, by layer id."""
-        out = np.empty(self.n_layers, dtype=np.intp)
-        for g in self.groups:
-            out[g.ids] = g.layer_size
-        return out
-
-    @functools.cached_property
-    def rows_of(self) -> np.ndarray:
-        """Position of each layer in buffer order, by layer id."""
-        out = np.empty(self.n_layers, dtype=np.intp)
-        out[self.order] = np.arange(self.n_layers)
-        return out
-
-    @property
-    def n_layers(self) -> int:
-        return sum(g.n_layers for g in self.groups)
-
-    @property
-    def size(self) -> int:
-        return self.groups[-1].hi if self.groups else 0
-
-    def same_positions(self, other: "TrainableLayout") -> bool:
-        """Whether every layer's values sit at the same offsets in both."""
-        return np.array_equal(self.order, other.order) and np.array_equal(self.sizes, other.sizes)
-
-    def layer_views(self, buf: np.ndarray) -> list[np.ndarray]:
-        """Each layer's values in ``buf`` as a vector view, by layer id."""
-        if buf.shape != (self.size,):
-            raise ValueError(f"buffer of shape {buf.shape} does not match the {self.size}-value layout")
-        out: list[np.ndarray] = [None] * self.n_layers  # type: ignore[list-item]
-        for g in self.groups:
-            for lid, row in zip(g.layer_ids, g.rows(buf)):
-                out[lid] = row
-        return out
-
-    def element_mask(self, bits: np.ndarray) -> np.ndarray:
-        """Boolean mask over the buffer selecting the layers ``bits`` marks."""
-        return np.repeat(bits[self.order], self.sizes[self.order])
-
-
 class FactorStack(NamedTuple):
-    """The layers of one rank group as stacked views of the model buffer:
-    U (G, d_out, R), s (G, R), V (G, d_in, R), and each layer's pretrained
-    squared Frobenius norm.  ``losses`` takes it wherever it takes a layer."""
+    """Every decomposed layer of a model as stacked views of its (n_layers,
+    P) trainable rows, each padded to the largest tail rank R: U (n,
+    d_out, R), s (n, R), V (n, d_in, R).  ``cross_mask`` (n, R, R) is each
+    layer's ``_cross_mask``, ``pair_scale`` and ``pretrained_frob_sq`` are
+    per layer.  ``losses`` takes it wherever it takes a layer."""
 
-    ranks: tuple[int, ...]
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
+    cross_mask: np.ndarray
+    pair_scale: np.ndarray
     pretrained_frob_sq: np.ndarray
 
-    @property
-    def n_subspaces(self) -> int:
-        return len(self.ranks)
+    @classmethod
+    def of(cls, layers: Sequence[DecomposedLayer], rows: np.ndarray) -> "FactorStack":
+        """The stack of ``layers`` whose ``params`` are the rows of ``rows``."""
+        d_out, d_in = layers[0].d_out, layers[0].d_in
+        width = rows.shape[1] // (d_out + 1 + d_in)
+        return cls(
+            *_split_params(rows, d_out, d_in, width),
+            np.stack([_cross_mask(layer.ranks, width) for layer in layers]),
+            np.array([layer.pair_scale for layer in layers]),
+            np.array([layer.pretrained_frob_sq for layer in layers]),
+        )
+
+    def split(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U, s, V views of (n_layers, P) rows laid out like the stack's,
+        such as the gradient rows."""
+        return _split_params(rows, self.u.shape[1], self.v.shape[1], self.s.shape[1])
 
 
 def partition_tail(total_rank: int, semantic_rank: int, n_subspaces: int) -> list[tuple[int, int]]:

@@ -107,7 +107,7 @@ class RunRecord:
     warmup_steps: int
     mask_log: list[np.ndarray] = field(default_factory=list)
     bvg_log: list[np.ndarray] = field(default_factory=list)
-    # each step's gradient buffer, in the model's layout
+    # each step's gradient rows (``Gradients.trainable``)
     gradient_log: list[np.ndarray] = field(default_factory=list)
     semantic_start: list[bytes] = field(default_factory=list)
     out_files: list[Path] = field(default_factory=list)
@@ -225,7 +225,7 @@ def run_finetune(
     reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
 
     train = splits.finetune_train
-    n_layers = model.layout.n_layers
+    n_layers = model.config.n_decomposable
     steps_per_epoch = (len(train) + cfg.optimizer.batch_size - 1) // cfg.optimizer.batch_size
     warmup = cfg.mask.warmup_steps if cfg.mask.warmup_steps is not None else steps_per_epoch
     stats_cfg = StatsConfig(
@@ -233,10 +233,9 @@ def run_finetune(
         moment_floor=cfg.stats.moment_floor,
         warmup_steps=warmup,
     )
-    stats = init_stats(model.layout)
-    opt = init_optimizer(
-        cfg.optimizer.mode, cfg.optimizer.learning_rate, model.layout, model.head.size
-    )
+    sizes = [row.size for row in model.trainable]
+    stats = init_stats(sizes)
+    opt = init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, sizes, model.head.size)
     budget = min(cfg.mask.active_layer_budget, n_layers)
     weights = cfg.weights
 
@@ -294,7 +293,7 @@ def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.
         moment_floor=cfg.stats.moment_floor,
         warmup_steps=record.warmup_steps,
     )
-    stats = init_stats(record.model.layout)
+    stats = init_stats([row.size for row in record.model.trainable])
     budget = min(cfg.mask.active_layer_budget, n_layers)
     out = []
     for step, grad_buf in enumerate(record.gradient_log, start=1):

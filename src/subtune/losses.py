@@ -32,22 +32,19 @@ class LossReport:
     n_layers: int
 
 
-def _off_block_gram(tail: np.ndarray, ranks: tuple[int, ...]) -> np.ndarray:
+def _cross_gram(tail: np.ndarray, cross_mask: np.ndarray) -> np.ndarray:
     """Gram matrix of the concatenated artifact factors with every
-    same-subspace block zeroed, leaving only cross-subspace overlaps; one
-    Gram per layer for a stack of factors."""
+    same-subspace block (and any padding) zeroed by ``cross_mask``, leaving
+    only cross-subspace overlaps; one Gram per layer for a stack."""
     gram = np.swapaxes(tail, -1, -2) @ tail
-    lo = 0
-    for r in ranks:
-        gram[..., lo : lo + r, lo : lo + r] = 0.0
-        lo += r
+    gram *= cross_mask
     return gram
 
 
-# Every function below takes a DecomposedLayer or a FactorStack (the layers
-# of one rank group as stacked views) and then returns one value per layer,
-# or a scalar 0.0 standing for all of them when K < 2.  A stacked product or
-# sum rounds exactly as the same call on each layer.
+# Every function below takes a DecomposedLayer or a FactorStack (every layer
+# of a model as stacked views) and then returns one value per layer.  A
+# stacked product or sum rounds exactly as the same call on each layer's
+# padded factors.
 
 
 def orth_loss(
@@ -55,24 +52,21 @@ def orth_loss(
 ) -> float | np.ndarray:
     """Pairwise squared Frobenius overlap of artifact factor bases, averaged
     over the pair count.  Zero for a single subspace.  ``grams`` are the
-    off-block Grams of the left and right factors, for a caller that has
-    built them already.
+    cross Grams of the left and right factors, for a caller that has built
+    them already.
 
     The right-factor term is computed as ||V_i^T V_j||_F^2 on column-stored V;
     with row-stored right factors the same quantity reads ||V_i V_j^T||_F^2,
     so the two spellings are one Gram matrix in different conventions.
     """
-    k = layer.n_subspaces
-    if k < 2:
-        return 0.0
     if grams is None:
-        grams = (_off_block_gram(layer.u, layer.ranks), _off_block_gram(layer.v, layer.ranks))
+        grams = (_cross_gram(layer.u, layer.cross_mask), _cross_gram(layer.v, layer.cross_mask))
     gram_u, gram_v = grams
     # each unordered pair appears twice in the symmetric Grams, so the
-    # 2 / (K(K-1)) pair average becomes 1 / (K(K-1))
+    # 2 / (K(K-1)) pair average becomes pair_scale = 1 / (K(K-1))
     sq_u = np.sum(gram_u * gram_u, axis=(-2, -1))
     sq_v = np.sum(gram_v * gram_v, axis=(-2, -1))
-    return (sq_u + sq_v) / (k * (k - 1))
+    return (sq_u + sq_v) * layer.pair_scale
 
 
 def orth_loss_grads(
@@ -80,13 +74,10 @@ def orth_loss_grads(
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """``orth_loss`` and the gradients of ``scale * orth_loss`` w.r.t. the
     whole left and right tail factors."""
-    u, v = layer.u, layer.v
-    k = layer.n_subspaces
-    if k < 2:
-        return 0.0, np.zeros_like(u), np.zeros_like(v)
-    gram_u = _off_block_gram(u, layer.ranks)
-    gram_v = _off_block_gram(v, layer.ranks)
-    coef = 4.0 * scale / (k * (k - 1))
+    u, v, mask = layer.u, layer.v, layer.cross_mask
+    gram_u = _cross_gram(u, mask)
+    gram_v = _cross_gram(v, mask)
+    coef = (4.0 * scale * np.asarray(layer.pair_scale))[..., None, None]
     value = orth_loss(layer, (gram_u, gram_v))
     return value, coef * (u @ gram_u), coef * (v @ gram_v)
 

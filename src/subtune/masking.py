@@ -9,7 +9,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import TrainableLayout
 from .model import Gradients, Model
 
 
@@ -28,92 +27,62 @@ class StatsConfig:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
-def _layout(layers: TrainableLayout | Sequence[int]) -> TrainableLayout:
-    return layers if isinstance(layers, TrainableLayout) else TrainableLayout.of_sizes(layers)
+def _moment_shape(sizes: Sequence[int]) -> tuple[int, int]:
+    """(n_layers, P) of per-layer state for layers of the given sizes, which
+    must be equal: one row per layer, as in ``Model.trainable``."""
+    sizes = [int(n) for n in sizes]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"layer sizes must all be equal, got {sorted(set(sizes))}")
+    return len(sizes), sizes[0] if sizes else 0
 
 
 @dataclass
 class GradientStats:
-    """EMA first and second moments of each layer's flattened gradient.  The
-    second moment here is the smoothed elementwise square, not a singular
-    value.  ``first_moment``/``second_moment`` cover every layer in
-    ``layout``; ``first[i]``/``second[i]`` are layer i's views of them."""
+    """EMA first and second moments of each layer's flattened gradient, one
+    row per layer (``first[i]``, ``second[i]``).  The second moment here is
+    the smoothed elementwise square, not a singular value."""
 
-    layout: TrainableLayout
-    first_moment: np.ndarray
-    second_moment: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
-    first: list[np.ndarray] = field(init=False, repr=False)
-    second: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.first = self.layout.layer_views(self.first_moment)
-        self.second = self.layout.layer_views(self.second_moment)
-
-    @property
-    def n_layers(self) -> int:
-        return self.layout.n_layers
 
 
-def init_stats(layers: TrainableLayout | Sequence[int]) -> GradientStats:
-    """Zero moments in a model's ``layout``, or for layers given by size."""
-    layout = _layout(layers)
-    return GradientStats(layout, np.zeros(layout.size), np.zeros(layout.size))
-
-
-def _gradient_buffer(layout: TrainableLayout, grads: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
-    """``grads`` as one buffer in ``layout``: a buffer passes through, one
-    vector per layer (by layer id) is packed."""
-    if isinstance(grads, np.ndarray):
-        if grads.shape != (layout.size,):
-            raise ValueError(
-                f"gradient buffer of shape {grads.shape} does not match the "
-                f"{layout.size} values of the stats"
-            )
-        return grads
-    if len(grads) != layout.n_layers:
-        raise ValueError(f"got {len(grads)} gradient vectors for {layout.n_layers} layers")
-    vectors = [np.asarray(g, dtype=np.float64) for g in grads]
-    for i, g in enumerate(vectors):
-        if g.shape != (layout.sizes[i],):
-            raise ValueError(
-                f"layer {i} gradient shape {g.shape} does not match stats ({layout.sizes[i]},)"
-            )
-    return np.concatenate([vectors[lid] for lid in layout.order])
+def init_stats(sizes: Sequence[int]) -> GradientStats:
+    """Zero moments for layers of the given (equal) sizes."""
+    shape = _moment_shape(sizes)
+    return GradientStats(np.zeros(shape), np.zeros(shape))
 
 
 def update_stats(
     stats: GradientStats, grads: np.ndarray | Sequence[np.ndarray], cfg: StatsConfig
 ) -> GradientStats:
-    """One EMA step over every layer, masked or not.  ``grads`` is a
-    gradient buffer in the stats' layout (``Gradients.trainable``) or one
-    vector per layer.  Mutates ``stats``."""
+    """One EMA step over every layer, masked or not.  ``grads`` holds one
+    gradient row per layer (``Gradients.trainable``, or a list of
+    vectors).  Mutates ``stats``."""
     cfg.validate()
-    g = _gradient_buffer(stats.layout, grads)
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != stats.first.shape:
+        raise ValueError(f"gradients of shape {g.shape} do not match the stats' {stats.first.shape}")
     a = cfg.ema_coeff
     # a * m + (1 - a) * g and a * v + ((1 - a) * g) * g, in place
     scaled = (1.0 - a) * g
-    stats.first_moment *= a
-    stats.first_moment += scaled
+    stats.first *= a
+    stats.first += scaled
     scaled *= g
-    stats.second_moment *= a
-    stats.second_moment += scaled
+    stats.second *= a
+    stats.second += scaled
     stats.step += 1
     return stats
 
 
 def compute_bvg(stats: GradientStats, cfg: StatsConfig) -> np.ndarray:
     """Per-layer squared-bias over floored variance score, one row sum per
-    layer group (a row sums exactly as the layer's own vector would)."""
+    layer (a row sums exactly as the layer's own vector would)."""
     cfg.validate()
-    out = np.zeros(stats.n_layers)
-    for group in stats.layout.groups:
-        mu = group.rows(stats.first_moment)
-        sq = mu * mu
-        num = sq.sum(axis=1)
-        np.subtract(group.rows(stats.second_moment), sq, out=sq)
-        out[group.ids] = num / np.maximum(sq.sum(axis=1), cfg.moment_floor)
-    return out
+    sq = stats.first * stats.first
+    num = sq.sum(axis=1)
+    np.subtract(stats.second, sq, out=sq)
+    return num / np.maximum(sq.sum(axis=1), cfg.moment_floor)
 
 
 @dataclass
@@ -149,19 +118,15 @@ class OptimizerState:
     """Plain gradient-descent or adaptive-moment updates.  Every layer (and
     the head) owns an independent step counter so a masked layer's state,
     bias correction included, is bit-frozen while it sits out.  In adaptive
-    mode ``m``/``v`` hold every layer's moments in ``layout`` and
-    ``layer_m[i]``/``layer_v[i]`` are layer i's views of them."""
+    mode ``layer_m``/``layer_v`` hold the moments, one row per layer."""
 
     mode: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    layout: TrainableLayout | None = None
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    layer_m: list[np.ndarray] = field(default_factory=list)
-    layer_v: list[np.ndarray] = field(default_factory=list)
+    layer_m: np.ndarray | None = None
+    layer_v: np.ndarray | None = None
     layer_step: list[int] = field(default_factory=list)
     head_m: np.ndarray | None = None
     head_v: np.ndarray | None = None
@@ -169,21 +134,18 @@ class OptimizerState:
 
 
 def init_optimizer(
-    mode: str, learning_rate: float, layers: TrainableLayout | Sequence[int], head_size: int
+    mode: str, learning_rate: float, sizes: Sequence[int], head_size: int
 ) -> OptimizerState:
-    """Fresh state for a model's ``layout`` (or layers given by size)."""
+    """Fresh state for layers of the given (equal) sizes."""
     if mode not in ("plain", "adaptive"):
         raise ValueError(f"optimizer mode must be 'plain' or 'adaptive', got {mode!r}")
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    layout = _layout(layers)
-    opt = OptimizerState(mode=mode, learning_rate=learning_rate, layout=layout)
-    opt.layer_step = [0] * layout.n_layers
+    shape = _moment_shape(sizes)
+    opt = OptimizerState(mode=mode, learning_rate=learning_rate, layer_step=[0] * shape[0])
     if mode == "adaptive":
-        opt.m = np.zeros(layout.size)
-        opt.v = np.zeros(layout.size)
-        opt.layer_m = layout.layer_views(opt.m)
-        opt.layer_v = layout.layer_views(opt.v)
+        opt.layer_m = np.zeros(shape)
+        opt.layer_v = np.zeros(shape)
         opt.head_m = np.zeros(head_size)
         opt.head_v = np.zeros(head_size)
     return opt
@@ -191,7 +153,7 @@ def init_optimizer(
 
 def _moment_step(theta, grad, m, v, c1, c2, opt: OptimizerState):
     """Bias-corrected adaptive-moment update with corrections ``c1`` =
-    1 - beta1**t and ``c2`` = 1 - beta2**t (floats, or one per element);
+    1 - beta1**t and ``c2`` = 1 - beta2**t (floats, or one per row);
     returns the new parameters and moments and leaves its arguments
     untouched."""
     m = m * opt.beta1
@@ -221,22 +183,20 @@ def apply_update(
 ) -> None:
     """Step the active attention layers and always the head.  Masked layers'
     parameters and optimizer moments are left bit-untouched.  The active
-    layers' values are gathered from the model buffer and stepped as one
-    array, each element with its own layer's bias corrections.  All or
-    nothing: every new value is staged and checked before any is written,
-    so a non-finite update raises with the model and ``opt`` unchanged."""
-    layout = model.layout
-    if mask.bits.shape[0] != layout.n_layers:
-        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {layout.n_layers}")
-    if opt.layout is None or not layout.same_positions(opt.layout):
-        raise ValueError("optimizer state is laid out for other layers than the model's")
-    bits = mask.bits.astype(bool)
-    picked = layout.element_mask(bits)
-    # active layer ids in buffer order, and their value counts
-    active = layout.order[bits[layout.order]]
-    counts = layout.sizes[active]
-    theta = model.trainable[picked]
-    grad = grads.trainable[picked]
+    layers' rows are gathered from ``model.trainable`` and stepped as one
+    array, each row with its own layer's bias corrections.  All or nothing:
+    every new value is staged and checked before any is written, so a
+    non-finite update raises with the model and ``opt`` unchanged."""
+    n_layers = model.trainable.shape[0]
+    if mask.bits.shape[0] != n_layers:
+        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {n_layers}")
+    if len(opt.layer_step) != n_layers or (
+        opt.layer_m is not None and opt.layer_m.shape != model.trainable.shape
+    ):
+        raise ValueError("optimizer state is shaped for other layers than the model's")
+    active = np.flatnonzero(mask.bits)
+    theta = model.trainable[active]
+    grad = grads.trainable[active]
     head, head_grad = model.head.ravel(), grads.head.ravel()
     if opt.mode == "plain":
         new = theta - opt.learning_rate * grad
@@ -244,9 +204,11 @@ def apply_update(
         second = head_second = None
     else:
         steps = [opt.layer_step[lid] + 1 for lid in active]
-        c1 = np.repeat([1.0 - opt.beta1**t for t in steps], counts)
-        c2 = np.repeat([1.0 - opt.beta2**t for t in steps], counts)
-        new, first, second = _moment_step(theta, grad, opt.m[picked], opt.v[picked], c1, c2, opt)
+        c1 = np.array([1.0 - opt.beta1**t for t in steps])[:, None]
+        c2 = np.array([1.0 - opt.beta2**t for t in steps])[:, None]
+        new, first, second = _moment_step(
+            theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt
+        )
         new_head, head_first, head_second = adaptive_step(
             head, head_grad, opt.head_m, opt.head_v, opt.head_step + 1, opt
         )
@@ -256,15 +218,14 @@ def apply_update(
     if second is not None:
         bad |= ~np.isfinite(second)
     if bad.any():
-        lid = int(np.repeat(active, counts)[bad].min())
-        raise ValueError(f"non-finite update for layer {lid}")
+        raise ValueError(f"non-finite update for layer {active[bad.any(axis=1)][0]}")
     if not (np.isfinite(new_head).all() and (head_second is None or np.isfinite(head_second).all())):
         raise ValueError("non-finite update for the head")
-    model.trainable[picked] = new
+    model.trainable[active] = new
     model.head[...] = new_head.reshape(model.head.shape)
     if opt.mode == "adaptive":
-        opt.m[picked] = first
-        opt.v[picked] = second
+        opt.layer_m[active] = first
+        opt.layer_v[active] = second
         for lid in active:
             opt.layer_step[lid] += 1
         opt.head_m, opt.head_v, opt.head_step = head_first, head_second, opt.head_step + 1

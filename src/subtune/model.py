@@ -20,7 +20,6 @@ from .decomposition import (
     DecomposedLayer,
     DecompositionConfig,
     FactorStack,
-    TrainableLayout,
     decompose,
     recompose,
 )
@@ -78,18 +77,19 @@ PROJECTION_NAMES = ("q", "k", "v", "o")
 
 @dataclass
 class Model:
-    """``trainable`` holds every attention slot's trainable values (plain
-    matrices, or decomposed layers' ``params``) in the order ``layout``
-    gives, and each slot is a view into it; ``stacks`` are the stacked
-    factor views of each decomposed rank group (None for a plain group)."""
+    """``trainable`` is one (n_layers, P) array holding every attention
+    slot's trainable values, one row per layer in layer-id order, and each
+    slot is a view of its row: a plain matrix (P = d_out * d_in) or a
+    decomposed layer's ``params``, zero-padded to the model's largest tail
+    rank.  ``factors`` stacks the decomposed layers' U, s and V views of
+    the rows (None for a plain model)."""
 
     config: ModelConfig
     token_embed: np.ndarray
     blocks: list[Block]
     head: np.ndarray
     trainable: np.ndarray = field(init=False, repr=False)
-    layout: TrainableLayout = field(init=False, repr=False)
-    stacks: tuple[FactorStack | None, ...] = field(init=False, repr=False)
+    factors: FactorStack | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         stack_trainables(self)
@@ -139,46 +139,28 @@ def attention_slots(model: Model) -> list[tuple[int, Block, str]]:
     return out
 
 
-def _slot_views(layout: TrainableLayout, buf: np.ndarray) -> list[np.ndarray]:
-    """Each attention slot's part of ``buf``, by layer id, shaped like the
-    slot's storage: the matrix of a plain projection, the ``params`` vector
-    of a decomposed one."""
-    views = layout.layer_views(buf)
-    for group in layout.groups:
-        if group.ranks is None:
-            for lid in group.layer_ids:
-                views[lid] = views[lid].reshape(group.d_out, group.d_in)
-    return views
-
-
 def stack_trainables(model: Model) -> None:
-    """Copy every attention slot's trainable values into one new buffer and
-    point the slots at their views of it.  Needed whenever slots are
-    replaced or copied, since a copied view no longer aliases its buffer."""
+    """Copy every attention slot's trainable values into one new
+    ``trainable`` array and point the slots at their rows.  Needed whenever
+    slots are replaced or copied, since a copied view no longer aliases its
+    buffer."""
     slots = attention_slots(model)
     projections = [getattr(block, name) for _, block, name in slots]
-    layout = TrainableLayout.of(
-        [(p.ranks, p.d_out, p.d_in) if isinstance(p, DecomposedLayer) else (None, *p.shape) for p in projections]
-    )
-    buf = np.empty(layout.size)
-    for (_, block, name), p, view in zip(slots, projections, _slot_views(layout, buf)):
-        if isinstance(p, DecomposedLayer):
-            view[...] = p.params
-            p.params = view
-        else:
-            view[...] = p
-            setattr(block, name, view)
-    model.trainable, model.layout = buf, layout
-    model.stacks = tuple(
-        None
-        if group.ranks is None
-        else FactorStack(
-            group.ranks,
-            *group.factors(buf),
-            np.array([projections[lid].pretrained_frob_sq for lid in group.layer_ids]),
-        )
-        for group in layout.groups
-    )
+    if not model.decomposed:
+        model.trainable = np.stack([p.ravel() for p in projections])
+        for (_, block, name), p, row in zip(slots, projections, model.trainable):
+            setattr(block, name, row.reshape(p.shape))
+        model.factors = None
+        return
+    first = projections[0]
+    width = max(p.tail_rank for p in projections)
+    rows = np.zeros((len(projections), (first.d_out + 1 + first.d_in) * width))
+    for p, row in zip(projections, rows):
+        values = (p.u, p.s, p.v)
+        p.params = row
+        for view, value in zip((p.u, p.s, p.v), values):
+            view[...] = value
+    model.trainable, model.factors = rows, FactorStack.of(projections, rows)
 
 
 def decompose_attention(model: Model) -> None:
@@ -381,8 +363,8 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
 @dataclass
 class BlockGrads:
     """Gradients laid out like ``Block``: a decomposed projection's gradient
-    is one vector in its layer's ``params`` layout.  The slots a binary-head
-    fine-tune keeps frozen are None for that head."""
+    is one vector in its layer's (padded) ``params`` layout.  The slots a
+    binary-head fine-tune keeps frozen are None for that head."""
 
     norm1_gain: np.ndarray | None
     norm1_bias: np.ndarray | None
@@ -398,28 +380,33 @@ class BlockGrads:
 
 @dataclass
 class Gradients:
-    """``trainable`` holds the attention slots' gradients in the model's
-    ``layout``; each ``BlockGrads`` projection slot is a view into it."""
+    """``trainable`` holds the attention slots' gradients in rows laid out
+    like the model's; each ``BlockGrads`` projection slot is a view of its
+    row.  ``slots`` are the model's attention slots, by layer id, which
+    say where a row's real (unpadded) values sit."""
 
     token_embed: np.ndarray | None
     blocks: list[BlockGrads]
     head: np.ndarray
     trainable: np.ndarray
+    slots: list[Projection]
 
 
-def _project_group(
+def _project_factors(
     stack: FactorStack,
     g_w: np.ndarray,
     w_eff: np.ndarray,
-    grad: tuple[np.ndarray, np.ndarray, np.ndarray],
+    grad: np.ndarray,
     weights: losses.LossWeights,
-    n_layers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map one rank group's effective-weight gradients ``g_w`` (G, d_out,
-    d_in) onto its artifact factors, add the regularizer gradients (semantic
+    """Map every layer's effective-weight gradient ``g_w`` (n, d_out, d_in)
+    onto its artifact factors, add the regularizer gradients (semantic
     factors receive nothing), and write the result into ``grad``, the
-    group's (dU, ds, dV) views of the gradient buffer.  ``g_w`` is
-    overwritten.  Returns each layer's orthogonality and spectral values."""
+    gradient rows laid out like the model's.  ``g_w`` is overwritten.
+    Returns each layer's orthogonality and spectral values.  A padded
+    column's gradient is zero, since its U, s and V are zero and the cross
+    mask zeroes its Gram row and column, so padding stays zero."""
+    n_layers = g_w.shape[0]
     energy = np.sum(w_eff * w_eff, axis=(1, 2))
     spec = losses.spec_loss(stack, energy)
     if weights.spectral_weight != 0.0:
@@ -434,7 +421,7 @@ def _project_group(
             coef = (weights.spectral_weight / n_layers) * np.copysign(2.0, delta[live])
             g_w[live] += coef[:, None, None] * w_eff[live]
     orth, orth_du, orth_dv = losses.orth_loss_grads(stack, weights.orth_weight / n_layers)
-    du, ds, dv = grad
+    du, ds, dv = stack.split(grad)
     s = stack.s[:, None, :]
     g_v = g_w @ stack.v
     np.multiply(g_v, s, out=du)
@@ -489,16 +476,16 @@ def backward(
     scale = 1.0 / math.sqrt(cfg.d_model)
     frozen_grads: list[dict] = [None] * cfg.n_blocks  # type: ignore[list-item]
     n_rows = n * cfg.n_tokens
-    layout = model.layout
-    n_slots = layout.n_layers
-    rows = layout.rows_of
+    n_slots = cfg.n_decomposable
     decomposed = model.decomposed
+    grad = np.empty_like(model.trainable)
     # each attention slot's weight gradient and (when decomposed) effective
-    # weight, one row per slot in buffer order, so a rank group's rows are
-    # one contiguous stack
-    g_w = np.empty((n_slots, cfg.d_model, cfg.d_model))
+    # weight, by layer id; a plain model's weight gradients are its rows
     if decomposed:
+        g_w = np.empty((n_slots, cfg.d_model, cfg.d_model))
         w_eff = np.empty_like(g_w)
+    else:
+        g_w = grad.reshape(n_slots, cfg.d_model, cfg.d_model)
 
     for b in range(cfg.n_blocks - 1, -1, -1):
         block = model.blocks[b]
@@ -512,7 +499,7 @@ def backward(
         dm_in = dh + _layer_norm_input_grad(dwn, c.ln2_xhat, c.ln2_inv_std, block.norm2_gain)
 
         # attention half: m_in = a_in + (softmax(q k^T / sqrt(d)) v) @ Wo^T
-        q_row, k_row, v_row, o_row = rows[4 * b : 4 * b + 4]
+        q_row, k_row, v_row, o_row = range(4 * b, 4 * b + 4)
         do_ctx = dm_in @ c.weights["o"]
         np.matmul(dm_in.reshape(n_rows, -1).T, c.ctx.reshape(n_rows, -1), out=g_w[o_row])
         dprobs = do_ctx @ c.v.transpose(0, 2, 1)
@@ -540,48 +527,40 @@ def backward(
             frozen_grads[b] = dict.fromkeys(FROZEN_SLOTS)
         dh = dm_in + _layer_norm_input_grad(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
         if decomposed:
-            for row, name in zip((q_row, k_row, v_row, o_row), PROJECTION_NAMES):
+            for row, name in enumerate(PROJECTION_NAMES, start=4 * b):
                 w_eff[row] = c.weights[name]
 
     d_embed = None
     if full:
         d_embed = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
 
-    grad_buf = np.empty(layout.size)
-    orth = np.zeros(n_slots)
-    spec = np.zeros(n_slots)
-    for group, stack in zip(layout.groups, model.stacks):
-        span = group.row_span
-        if stack is None:
-            group.rows(grad_buf)[...] = g_w[span].reshape(group.n_layers, -1)
-        else:
-            orth[group.ids], spec[group.ids] = _project_group(
-                stack, g_w[span], w_eff[span], group.factors(grad_buf), weights, n_slots
-            )
     if decomposed:
+        orth, spec = _project_factors(model.factors, g_w, w_eff, grad, weights)
         # the means sum in the order the per-block loop has always produced
         # the values (last block first); summation order is part of the bits
         order = [4 * b + j for b in range(cfg.n_blocks - 1, -1, -1) for j in range(4)]
         report = losses.total_loss(cls, orth[order].tolist(), spec[order].tolist(), weights)
+        views = list(grad)
     else:
         report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls, n_layers=0)
-    views = _slot_views(layout, grad_buf)
+        views = list(g_w)
     block_grads = [
         BlockGrads(**{name: views[4 * b + j] for j, name in enumerate(PROJECTION_NAMES)}, **frozen)
         for b, frozen in enumerate(frozen_grads)
     ]
-    grads = Gradients(token_embed=d_embed, blocks=block_grads, head=d_head, trainable=grad_buf)
+    slots = [getattr(block, name) for _, block, name in attention_slots(model)]
+    grads = Gradients(token_embed=d_embed, blocks=block_grads, head=d_head, trainable=grad, slots=slots)
     return report, grads, cache
 
 
 # --- flat parameters ------------------------------------------------------
 # The optimizers and the finite-difference checker address a mode's
-# trainable values as a fixed list of arrays, each the model's own storage:
-# "finetune" lists every attention projection in layer-id order (a
-# decomposed layer's ``params`` vector, or the plain matrix) and then the
-# head; "full" lists every array of the plain pretraining model.
-# ``Gradients`` mirror the model's layout, so the same list taken from them
-# holds the matching gradients.
+# trainable values as a fixed list of arrays, each a view of the model's own
+# storage: "finetune" lists every attention projection in layer-id order (a
+# decomposed layer's real U, s and V columns, never its padding, or the
+# plain matrix) and then the head; "full" lists every array of the plain
+# pretraining model.  The same list taken from ``Gradients`` holds the
+# matching gradients.
 
 BLOCK_SLOTS = (
     "norm1_gain", "norm1_bias", "q", "k", "v", "o",
@@ -591,14 +570,19 @@ BLOCK_SLOTS = (
 FROZEN_SLOTS = tuple(slot for slot in BLOCK_SLOTS if slot not in PROJECTION_NAMES)
 
 
-def _storage(p: Projection) -> np.ndarray:
-    return p.params if isinstance(p, DecomposedLayer) else p
+def _real_arrays(slot: Projection, values: Projection) -> list[np.ndarray]:
+    """``values``, a slot's storage or gradient, without padding: the real
+    U, s and V columns of a decomposed layer's vector, or the matrix."""
+    if isinstance(values, DecomposedLayer):
+        values = values.params
+    return list(slot.split(values)) if isinstance(slot, DecomposedLayer) else [values]
 
 
 def trainable_arrays(state: Union[Model, Gradients], mode: str = "finetune") -> list[np.ndarray]:
     if mode == "finetune":
-        slots = [getattr(block, name) for block in state.blocks for name in PROJECTION_NAMES]
-        return [_storage(p) for p in slots] + [state.head]
+        values = [getattr(block, name) for block in state.blocks for name in PROJECTION_NAMES]
+        slots = state.slots if isinstance(state, Gradients) else values
+        return [a for slot, v in zip(slots, values) for a in _real_arrays(slot, v)] + [state.head]
     if mode == "full":
         slots = [getattr(block, name) for block in state.blocks for name in BLOCK_SLOTS]
         if any(isinstance(p, DecomposedLayer) for p in slots):
@@ -630,7 +614,7 @@ def set_flat(arrays: list[np.ndarray], vec: np.ndarray) -> None:
 
 def projection_param_vector(p: Projection) -> np.ndarray:
     """A copy of one attention slot's trainable values."""
-    return _storage(p).flatten()
+    return flat_vector(_real_arrays(p, p))
 
 
 def clone_model(model: Model) -> Model:

@@ -198,17 +198,29 @@ def loop_video_level(scores, labels, groups, pool: str = "mean") -> ScoredSet:
 
 # --- per-layer training code ---------------------------------------------
 
-def _loop_off_block_gram(tail, ranks):
-    gram = tail.T @ tail
-    lo = 0
-    for r in ranks:
-        gram[lo : lo + r, lo : lo + r] = 0.0
-        lo += r
-    return gram
+def _loop_padded_factors(layer, vec):
+    """(U, s, V) of a vector in the layer's padded ``params`` layout, the
+    padding columns included."""
+    width = vec.size // (layer.d_out + 1 + layer.d_in)
+    n_u = layer.d_out * width
+    return (
+        vec[:n_u].reshape(layer.d_out, width),
+        vec[n_u : n_u + width],
+        vec[n_u + width :].reshape(layer.d_in, width),
+    )
+
+
+def _loop_cross_mask(ranks, width):
+    mask = np.zeros((width, width))
+    bounds = np.cumsum((0,) + tuple(ranks))
+    for i, j in itertools.permutations(range(len(ranks)), 2):
+        mask[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]] = 1.0
+    return mask
 
 
 def _loop_project(layer, g_w, w_eff, weights, n_layers):
-    """One layer's (orth value, spec value, factor gradient vector)."""
+    """One layer's (orth value, spec value, gradient row), formed from its
+    padded row with 2-D products."""
     energy = float(np.sum(w_eff * w_eff))
     spec = abs(energy - layer.pretrained_frob_sq)
     g_total = g_w
@@ -216,18 +228,17 @@ def _loop_project(layer, g_w, w_eff, weights, n_layers):
         delta = energy - layer.pretrained_frob_sq
         if abs(delta) > 1e-9 * max(1.0, layer.pretrained_frob_sq):
             g_total = g_w + (weights.spectral_weight / n_layers) * math.copysign(2.0, delta) * w_eff
-    u, s, v = layer.split(layer.params.copy())
+    u, s, v = _loop_padded_factors(layer, layer.params.copy())
     k = layer.n_subspaces
-    if k < 2:
-        orth, orth_du, orth_dv = 0.0, np.zeros_like(u), np.zeros_like(v)
-    else:
-        gram_u = _loop_off_block_gram(u, layer.ranks)
-        gram_v = _loop_off_block_gram(v, layer.ranks)
-        orth = (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) / (k * (k - 1))
-        coef = 4.0 * (weights.orth_weight / n_layers) / (k * (k - 1))
-        orth_du, orth_dv = coef * (u @ gram_u), coef * (v @ gram_v)
+    pair_scale = 1.0 / (k * (k - 1)) if k > 1 else 0.0
+    mask = _loop_cross_mask(layer.ranks, s.size)
+    gram_u = (u.T @ u) * mask
+    gram_v = (v.T @ v) * mask
+    orth = (float(np.sum(gram_u * gram_u)) + float(np.sum(gram_v * gram_v))) * pair_scale
+    coef = 4.0 * (weights.orth_weight / n_layers) * pair_scale
+    orth_du, orth_dv = coef * (u @ gram_u), coef * (v @ gram_v)
     grad = np.empty_like(layer.params)
-    du, ds, dv = layer.split(grad)
+    du, ds, dv = _loop_padded_factors(layer, grad)
     g_v = g_total @ v
     np.multiply(g_v, s, out=du)
     du += orth_du
@@ -238,7 +249,7 @@ def _loop_project(layer, g_w, w_eff, weights, n_layers):
 
 
 def loop_backward(model, inputs, labels, weights):
-    """(orth values, spec values, per-layer gradients) of a decomposed
+    """(orth values, spec values, per-layer gradient rows) of a decomposed
     model, projected one layer at a time.  The effective-weight gradients
     come from a plain twin whose projections are the recomposed weights, so
     its forward and weight gradients are the decomposed model's; the value
@@ -261,8 +272,8 @@ def loop_backward(model, inputs, labels, weights):
 
 
 class LoopMasking:
-    """EMA statistics, BVG and masked updates kept as one array per layer,
-    stepped layer by layer."""
+    """EMA statistics, BVG and masked updates kept as one array per layer
+    (a layer's padded row), stepped layer by layer."""
 
     def __init__(self, params, head, mode, lr, ema, floor, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = [p.copy() for p in params]

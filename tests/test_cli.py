@@ -105,6 +105,27 @@ def test_finetune_decomposes_under_the_run_config(tmp_path, cfg_path):
     assert manifest["config"]["decomposition"]["n_subspaces"] == 3
 
 
+def test_inspect_decomposes_under_the_given_config(tmp_path, cfg_path, capsys):
+    # a K=2 plain checkpoint inspected under a K=3 fixed-rank config is
+    # split as that config says; without --config the checkpoint's K holds
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(pre)]) == 0
+    fixed = tmp_path / "fixed.yaml"
+    fixed.write_text(yaml.safe_dump(
+        TINY | {"decomposition": {"n_subspaces": 3, "rank_policy": "fixed", "fixed_rank": 4}}
+    ))
+    capsys.readouterr()
+
+    def report(*extra):
+        assert main(["inspect", "--checkpoint", str(pre / "pretrained.ckpt"), *extra]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 8
+        return [(int(row[3]), row[4].split("+")) for row in rows]
+
+    assert all(r == 4 and len(ranks) == 3 for r, ranks in report("--config", str(fixed)))
+    assert all(len(ranks) == 2 for _, ranks in report())
+
+
 def test_seed_override_changes_the_run(tmp_path, cfg_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

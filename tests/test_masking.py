@@ -37,12 +37,20 @@ def test_ema_hand_recursion() -> None:
 
 def test_zero_gradients_stay_zero() -> None:
     cfg = StatsConfig(ema_coeff=0.9)
-    stats = init_stats([3, 5])
+    stats = init_stats([4, 4])
     for _ in range(10):
-        update_stats(stats, [np.zeros(3), np.zeros(5)], cfg)
+        update_stats(stats, [np.zeros(4), np.zeros(4)], cfg)
     assert all(np.all(m == 0.0) for m in stats.first)
     assert all(np.all(v == 0.0) for v in stats.second)
     assert np.array_equal(compute_bvg(stats, cfg), [0.0, 0.0])
+
+
+def test_unequal_layer_sizes_are_refused() -> None:
+    # per-layer state is one row per layer, so every layer has one size
+    for make in (init_stats, lambda sizes: init_optimizer("adaptive", 1e-3, sizes, 1)):
+        with pytest.raises(ValueError, match="equal") as err:
+            make([3, 5])
+        assert "\n" not in str(err.value)
 
 
 def test_update_stats_rejects_shape_mismatch() -> None:
@@ -105,15 +113,15 @@ def test_build_mask_tie_prefers_lower_layer_id() -> None:
 
 def test_plain_step_example() -> None:
     model, grads = _one_layer_setup()
-    opt = init_optimizer("plain", 0.1, model.layout, model.head.size)
+    opt = init_optimizer("plain", 0.1, [row.size for row in model.trainable], model.head.size)
     layer = model.blocks[0].q
     layer.params[0] = 1.0
     grads.blocks[0].q[0] = 0.5
-    bits = np.zeros(model.layout.n_layers, dtype=np.int8)
+    bits = np.zeros(len(model.trainable), dtype=np.int8)
     bits[0] = 1
     apply_update(model, grads, LayerMask(bits=bits, budget=1), opt)
     assert np.allclose(layer.params[0], 0.95, atol=1e-15)
-    assert opt.m is None and opt.layer_m == []
+    assert opt.layer_m is None and opt.layer_v is None
 
 
 def test_adaptive_step_matches_reference() -> None:
@@ -158,8 +166,8 @@ def _one_layer_setup(seed: int = 0):
 
 
 def layer_vectors(state) -> list[np.ndarray]:
-    """Each attention layer's flat trainable values (or gradients), as views."""
-    return [a.ravel() for a in model_mod.trainable_arrays(state)[:-1]]
+    """Each attention layer's (padded) trainable row or gradient row."""
+    return list(state.trainable)
 
 
 def test_apply_update_all_masked_leaves_layers_untouched() -> None:
