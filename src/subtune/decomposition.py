@@ -291,17 +291,9 @@ def decompose(w: np.ndarray, cfg: DecompositionConfig, layer_id: int = 0) -> Dec
 
 
 def recompose(layer: DecomposedLayer) -> np.ndarray:
-    """Effective weight: frozen semantic product plus every artifact
-    product, accumulated one subspace at a time (one whole-tail product
-    would round differently)."""
-    u, s, v = layer.u, layer.s, layer.v
-    w = layer.semantic.w.copy()
-    lo = 0
-    for r in layer.ranks:
-        hi = lo + r
-        w += (u[:, lo:hi] * s[lo:hi]) @ v[:, lo:hi].T
-        lo = hi
-    return w
+    """Effective weight: frozen semantic product plus the whole tail's
+    product, which is the sum of every artifact subspace's product."""
+    return layer.semantic.w + (layer.u * layer.s) @ layer.v.T
 
 
 def energy_fractions(layer: DecomposedLayer) -> tuple[float, list[float]]:

@@ -122,6 +122,16 @@ def _scored(model: Model, samples: list[SyntheticSample]) -> metrics_mod.ScoredS
     )
 
 
+def _require_binary_head(model: Model) -> None:
+    """Scoring reads one fake-probability per sample; refuse a pretraining
+    checkpoint before any data is built."""
+    if model.n_outputs != 1:
+        raise ValueError(
+            f"scoring needs a fine-tuned checkpoint with a 1-output binary head; "
+            f"this model's head has {model.n_outputs} outputs (a pretraining checkpoint?)"
+        )
+
+
 def eval_split(model: Model, samples: list[SyntheticSample]) -> EvalReport:
     frame = _scored(model, samples)
     video = metrics_mod.video_level(frame, pool="mean")
@@ -340,6 +350,7 @@ def _write_metrics_csv(path: Path, reports: dict[str, EvalReport]) -> None:
 
 
 def evaluate_to_dir(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
+    _require_binary_head(model)
     splits = build_splits(cfg.data, _TEST_SPLITS)
     reports = {
         "in_domain": eval_split(model, splits.test_in),
@@ -470,6 +481,7 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
 def run_robustness(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     """Video-level AUC for every (family, level) distortion of the in-domain
     test split, plus the clean baseline row."""
+    _require_binary_head(model)
     splits = build_splits(cfg.data, ("test_in", "robustness"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -181,8 +181,15 @@ def reset_head(
     model.head = rng.normal(scale=scale, size=(n_outputs, model.config.d_model))
 
 
-def effective_weight(p: Projection) -> np.ndarray:
-    return recompose(p) if isinstance(p, DecomposedLayer) else p
+def weight_stack(model: Model) -> np.ndarray:
+    """Every attention slot's effective weight as one (n_layers, d_out,
+    d_in) stack in layer-id order: a view of ``model.trainable`` for a plain
+    model, one ``recompose`` per layer for a decomposed one."""
+    n = model.config.n_decomposable
+    d = model.config.d_model
+    if not model.decomposed:
+        return model.trainable.reshape(n, d, d)
+    return np.stack([recompose(getattr(block, name)) for _, block, name in attention_slots(model)])
 
 
 # The elementwise kernels work in place on fresh temporaries, in the
@@ -190,8 +197,9 @@ def effective_weight(p: Projection) -> np.ndarray:
 # with its operands swapped rounds identically, a regrouped one need not),
 # so they match those expressions bit for bit.  The cube is written as
 # products: numpy's float power loop costs about ten times as much as two
-# multiplications on these arrays.
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+# multiplications on these arrays.  GELU and its derivative share the tanh
+# t = gelu_tanh(x): the training forward keeps it for the backward pass.
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
     """tanh(a * (x + b * x*x*x)) in a new array."""
     t = x * x
     t *= x
@@ -201,17 +209,21 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    # 0.5 * x * (1 + t)
-    t = _gelu_tanh(x)
-    t += 1.0
+def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * x * (1 + t) in a new array, t left as it is; without ``t`` the
+    tanh is formed here and overwritten by the result."""
+    if t is None:
+        t = gelu_tanh(x)
+        t += 1.0
+    else:
+        t = t + 1.0
     t *= 0.5 * x
     return t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * a * (1 + 3 * b * x * x)
-    t = _gelu_tanh(x)
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + t) + 0.5 * x * (1 - t * t) * a * (1 + 3 * b * x * x) in a
+    new array, given t = gelu_tanh(x)."""
     slope = t * t
     np.subtract(1.0, slope, out=slope)
     slope *= 0.5 * x
@@ -220,10 +232,10 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     cubic *= x
     cubic += 1.0
     slope *= cubic
-    t += 1.0
-    t *= 0.5
-    t += slope
-    return t
+    g = t + 1.0
+    g *= 0.5
+    g += slope
+    return g
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,7 +262,9 @@ def _layer_norm_input_grad(
 
 @dataclass
 class _BlockCache:
-    a_in: np.ndarray
+    """What ``backward`` reads of one block.  ``wn`` and ``act`` feed only
+    the frozen slots' gradients, so a binary-head forward leaves them None."""
+
     ln1_xhat: np.ndarray
     ln1_inv_std: np.ndarray
     u: np.ndarray
@@ -259,18 +273,21 @@ class _BlockCache:
     v: np.ndarray
     probs: np.ndarray
     ctx: np.ndarray
-    m_in: np.ndarray
     ln2_xhat: np.ndarray
     ln2_inv_std: np.ndarray
-    wn: np.ndarray
+    wn: np.ndarray | None
     z1: np.ndarray
-    act: np.ndarray
-    weights: dict[str, np.ndarray]
+    gelu_t: np.ndarray
+    act: np.ndarray | None
 
 
 @dataclass
 class ForwardCache:
+    """``weights`` is the effective-weight stack the pass used
+    (``weight_stack``)."""
+
     blocks: list[_BlockCache]
+    weights: np.ndarray
     pool: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
@@ -290,35 +307,43 @@ def _embed(model: Model, inputs: np.ndarray) -> np.ndarray:
     return x @ model.token_embed.T
 
 
-def _block_forward(block: Block, a_in: np.ndarray, index: int) -> tuple[np.ndarray, _BlockCache]:
+def _block_forward(
+    block: Block, w: np.ndarray, a_in: np.ndarray, index: int, keep: str | None
+) -> tuple[np.ndarray, _BlockCache | None]:
     """One block: h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T with
-    m_in = a_in + softmax(q k^T / sqrt(d)) v @ Wo^T, plus what the backward
-    pass reads."""
-    weights = {name: effective_weight(getattr(block, name)) for name in PROJECTION_NAMES}
+    m_in = a_in + softmax(q k^T / sqrt(d)) v @ Wo^T, where ``w`` stacks the
+    block's effective Wq, Wk, Wv, Wo.  ``keep`` is what to return for the
+    backward pass: None (nothing; the GELU then works in place), "trainable"
+    (what the attention gradients read) or "all" (also the frozen slots')."""
+    n, t, d = a_in.shape
     u, ln1_xhat, ln1_inv = _layer_norm(a_in, block.norm1_gain, block.norm1_bias)
-    q = u @ weights["q"].T
-    k = u @ weights["k"].T
-    v = u @ weights["v"].T
+    # one product for q, k and v; each column block rounds as its own product
+    qkv = (u.reshape(n * t, d) @ w[:3].reshape(3 * d, d).T).reshape(n, t, 3 * d)
+    q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
     probs = q @ k.transpose(0, 2, 1)
-    probs *= 1.0 / math.sqrt(a_in.shape[-1])
+    probs *= 1.0 / math.sqrt(d)
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     ctx = probs @ v
-    m_in = ctx @ weights["o"].T
+    m_in = ctx @ w[3].T
     m_in += a_in
     wn, ln2_xhat, ln2_inv = _layer_norm(m_in, block.norm2_gain, block.norm2_bias)
     z1 = wn @ block.mlp_in.T
-    act = gelu(z1)
+    gelu_t = None if keep is None else gelu_tanh(z1)
+    act = gelu(z1, gelu_t)
     h = act @ block.mlp_out.T
     h += m_in
     if not np.all(np.isfinite(h)):
         raise ValueError(f"non-finite activations in block {index}")
+    if keep is None:
+        return h, None
+    frozen = keep == "all"
     return h, _BlockCache(
-        a_in=a_in, ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv, u=u,
-        q=q, k=k, v=v, probs=probs, ctx=ctx, m_in=m_in,
-        ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv, wn=wn, z1=z1, act=act,
-        weights=weights,
+        ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv, u=u,
+        q=q, k=k, v=v, probs=probs, ctx=ctx,
+        ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv, wn=wn if frozen else None,
+        z1=z1, gelu_t=gelu_t, act=act if frozen else None,
     )
 
 
@@ -339,14 +364,17 @@ def _head(model: Model, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
-    """The forward pass with every block's activations kept for ``backward``."""
+    """The forward pass with every block's activations kept for ``backward``
+    (for a binary head, only those its fine-tuned gradients read)."""
     h = _embed(model, inputs)
+    w = weight_stack(model)
+    keep = "trainable" if model.n_outputs == 1 else "all"
     caches: list[_BlockCache] = []
     for b, block in enumerate(model.blocks):
-        h, cache = _block_forward(block, h, b)
+        h, cache = _block_forward(block, w[4 * b : 4 * b + 4], h, b, keep)
         caches.append(cache)
     pool, logits, probs = _head(model, h)
-    return ForwardCache(blocks=caches, pool=pool, logits=logits, probs=probs)
+    return ForwardCache(blocks=caches, weights=w, pool=pool, logits=logits, probs=probs)
 
 
 def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -355,8 +383,9 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     ``forward(model, inputs).probs``, but each block's activations are
     dropped as soon as the block returns."""
     h = _embed(model, inputs)
+    w = weight_stack(model)
     for b, block in enumerate(model.blocks):
-        h = _block_forward(block, h, b)[0]
+        h = _block_forward(block, w[4 * b : 4 * b + 4], h, b, None)[0]
     return _head(model, h)[2]
 
 
@@ -474,18 +503,14 @@ def backward(
     dh = np.repeat(d_pool[:, None, :], cfg.n_tokens, axis=1) / cfg.n_tokens
 
     scale = 1.0 / math.sqrt(cfg.d_model)
-    frozen_grads: list[dict] = [None] * cfg.n_blocks  # type: ignore[list-item]
+    frozen_grads: list[dict] = [dict.fromkeys(FROZEN_SLOTS) for _ in range(cfg.n_blocks)]
     n_rows = n * cfg.n_tokens
-    n_slots = cfg.n_decomposable
     decomposed = model.decomposed
+    w = cache.weights
     grad = np.empty_like(model.trainable)
-    # each attention slot's weight gradient and (when decomposed) effective
-    # weight, by layer id; a plain model's weight gradients are its rows
-    if decomposed:
-        g_w = np.empty((n_slots, cfg.d_model, cfg.d_model))
-        w_eff = np.empty_like(g_w)
-    else:
-        g_w = grad.reshape(n_slots, cfg.d_model, cfg.d_model)
+    # each attention slot's weight gradient by layer id; a plain model's
+    # weight gradients are its rows
+    g_w = np.empty_like(w) if decomposed else grad.reshape(w.shape)
 
     for b in range(cfg.n_blocks - 1, -1, -1):
         block = model.blocks[b]
@@ -493,14 +518,14 @@ def backward(
 
         # MLP half: h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T
         dact = dh @ block.mlp_out
-        dz1 = gelu_grad(c.z1)
+        dz1 = gelu_grad(c.z1, c.gelu_t)
         dz1 *= dact
         dwn = dz1 @ block.mlp_in
         dm_in = dh + _layer_norm_input_grad(dwn, c.ln2_xhat, c.ln2_inv_std, block.norm2_gain)
 
         # attention half: m_in = a_in + (softmax(q k^T / sqrt(d)) v) @ Wo^T
         q_row, k_row, v_row, o_row = range(4 * b, 4 * b + 4)
-        do_ctx = dm_in @ c.weights["o"]
+        do_ctx = dm_in @ w[o_row]
         np.matmul(dm_in.reshape(n_rows, -1).T, c.ctx.reshape(n_rows, -1), out=g_w[o_row])
         dprobs = do_ctx @ c.v.transpose(0, 2, 1)
         dv_tok = c.probs.transpose(0, 2, 1) @ do_ctx
@@ -512,7 +537,9 @@ def backward(
         np.matmul(dq_tok.reshape(n_rows, -1).T, u_rows, out=g_w[q_row])
         np.matmul(dk_tok.reshape(n_rows, -1).T, u_rows, out=g_w[k_row])
         np.matmul(dv_tok.reshape(n_rows, -1).T, u_rows, out=g_w[v_row])
-        du = dq_tok @ c.weights["q"] + dk_tok @ c.weights["k"] + dv_tok @ c.weights["v"]
+        if b == 0 and not full:
+            break  # nothing reads the input gradient of block 0
+        du = dq_tok @ w[q_row] + dk_tok @ w[k_row] + dv_tok @ w[v_row]
         # formed before dh moves on to this block's input gradient
         if full:
             frozen_grads[b] = {
@@ -523,19 +550,14 @@ def backward(
                 "mlp_in": dz1.reshape(n_rows, -1).T @ c.wn.reshape(n_rows, -1),
                 "mlp_out": dh.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1),
             }
-        else:
-            frozen_grads[b] = dict.fromkeys(FROZEN_SLOTS)
         dh = dm_in + _layer_norm_input_grad(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
-        if decomposed:
-            for row, name in enumerate(PROJECTION_NAMES, start=4 * b):
-                w_eff[row] = c.weights[name]
 
     d_embed = None
     if full:
         d_embed = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
 
     if decomposed:
-        orth, spec = _project_factors(model.factors, g_w, w_eff, grad, weights)
+        orth, spec = _project_factors(model.factors, g_w, w, grad, weights)
         # the means sum in the order the per-block loop has always produced
         # the values (last block first); summation order is part of the bits
         order = [4 * b + j for b in range(cfg.n_blocks - 1, -1, -1) for j in range(4)]

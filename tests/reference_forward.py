@@ -27,6 +27,15 @@ def _eff_weight(p) -> np.ndarray:
     return np.array(p, dtype=np.float64)
 
 
+def per_subspace_recompose(layer: DecomposedLayer) -> np.ndarray:
+    """The effective weight accumulated one artifact subspace at a time:
+    semantic product, then each subspace's U_k diag(s_k) V_k^T in order."""
+    w = layer.semantic.w.copy()
+    for art in layer.artifacts:
+        w += (art.u * art.s) @ art.v.T
+    return w
+
+
 def _norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     d = x.shape[1]

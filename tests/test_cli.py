@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from subtune import harness
 from subtune.checkpoint import load_model
 from subtune.cli import main
 from subtune.model import attention_slots
@@ -124,6 +125,30 @@ def test_inspect_decomposes_under_the_given_config(tmp_path, cfg_path, capsys):
 
     assert all(r == 4 and len(ranks) == 3 for r, ranks in report("--config", str(fixed)))
     assert all(len(ranks) == 2 for _, ranks in report())
+
+
+@pytest.mark.parametrize("command", ["eval", "robustness"])
+def test_scoring_a_pretrained_checkpoint_fails_before_building_data(
+    tmp_path, cfg_path, capsys, monkeypatch, command
+):
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(pre)]) == 0
+    capsys.readouterr()
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was built")
+
+    monkeypatch.setattr(harness, "build_splits", no_data)
+    rc = main([
+        command, "--config", str(cfg_path),
+        "--checkpoint", str(pre / "pretrained.ckpt"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ValueError: ")
+    assert "head has 4 outputs" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_override_changes_the_run(tmp_path, cfg_path):

@@ -5,10 +5,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_forward import per_subspace_recompose
 
 from subtune import linalg
 from subtune.decomposition import (
+    DecomposedLayer,
     DecompositionConfig,
+    SemanticPart,
     decompose,
     energy_fractions,
     layer_from_bytes,
@@ -175,6 +180,39 @@ def test_recompose_zeroed_and_perturbed_strengths() -> None:
     v = layer.artifacts[1].v[:, 0]
     diff = recompose(layer) - layer.semantic.w
     assert np.max(np.abs(diff - delta * np.outer(u, v))) <= 1e-14
+
+
+@st.composite
+def padded_layers(draw) -> DecomposedLayer:
+    """A layer with random factors (not orthonormal) over random ranks and
+    K, its params zero-padded past the tail as in a model's stack."""
+    d_out, d_in = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    ranks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    width = sum(ranks) + draw(st.integers(0, 4))
+    rng = linalg.make_rng(draw(st.integers(0, 2**32 - 1)))
+    sem_r = draw(st.integers(1, 4))
+    sem_u, sem_s, sem_v = rng.normal(size=(d_out, sem_r)), rng.normal(size=sem_r), rng.normal(size=(d_in, sem_r))
+    layer = DecomposedLayer(
+        layer_id=0,
+        semantic=SemanticPart(sem_u, sem_s, sem_v, (sem_u * sem_s) @ sem_v.T),
+        ranks=ranks,
+        params=np.zeros((d_out + 1 + d_in) * width),
+        pretrained_frob_sq=1.0,
+    )
+    for view in (layer.u, layer.s, layer.v):
+        view[...] = rng.normal(size=view.shape)
+    return layer
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(padded_layers())
+def test_whole_tail_recompose_matches_the_per_subspace_sum(layer) -> None:
+    # one product over the tail rounds differently from K summed products,
+    # but only at the level of float roundoff
+    want = per_subspace_recompose(layer)
+    got = recompose(layer)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_recompose_detects_corrupted_shapes() -> None:

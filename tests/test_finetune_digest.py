@@ -1,8 +1,8 @@
 """Byte-identity guard for the fine-tune path: a tiny pretrain and three
 fine-tunes (decomposed with the adaptive optimizer, decomposed with plain
 steps, and the plain-projection arm) must write exactly the files recorded
-in ``data/finetune_digest.json``.  The decomposed model spans two rank
-signatures, interleaved in layer order.
+in ``data/finetune_digest.json``, the pretrained checkpoint included.  The
+decomposed model spans two rank signatures, interleaved in layer order.
 
 The digest depends on float rounding, so it holds for the numpy and BLAS
 build it was recorded with.  Regenerate it only for a change that is meant
@@ -40,8 +40,8 @@ FILES = ("train_log.csv", "finetuned.ckpt")
 
 def digests(out_root: Path) -> dict[str, dict[str, str]]:
     base = config_from_dict(TINY)
-    pretrained, _, _ = run_pretrain(base)
-    out: dict[str, dict[str, str]] = {}
+    pretrained, _, path = run_pretrain(base, out_dir=out_root / "pretrain")
+    out = {"pretrain": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()}}
     for arm, (masft, mode) in ARMS.items():
         cfg = config_from_dict(TINY | {"optimizer": TINY["optimizer"] | {"mode": mode}})
         run_dir = out_root / arm

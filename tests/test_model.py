@@ -242,7 +242,7 @@ def test_gelu_matches_scalar_reference_and_its_derivative() -> None:
     assert np.max(np.abs(model_mod.gelu(x) - want) / np.maximum(1.0, np.abs(x))) <= 1e-15
     h = 1e-6
     numeric = (model_mod.gelu(x + h) - model_mod.gelu(x - h)) / (2.0 * h)
-    assert np.max(np.abs(model_mod.gelu_grad(x) - numeric)) <= 1e-8
+    assert np.max(np.abs(model_mod.gelu_grad(x, model_mod.gelu_tanh(x)) - numeric)) <= 1e-8
 
 
 @pytest.mark.parametrize("d_model, n_subspaces", [(8, 1), (12, 9)])
@@ -338,9 +338,14 @@ def _same_bits(got, want) -> None:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=9), elements=_kernel_floats))
 def test_gelu_kernels_match_the_plain_expressions_bit_for_bit(x) -> None:
+    # scoring forms the tanh in place; training keeps it for the gradient
     with np.errstate(all="ignore"):
         _same_bits(model_mod.gelu(x), plain_gelu(x))
-        _same_bits(model_mod.gelu_grad(x), plain_gelu_grad(x))
+        t = model_mod.gelu_tanh(x)
+        kept = t.copy()
+        _same_bits(model_mod.gelu(x, t), plain_gelu(x))
+        _same_bits(model_mod.gelu_grad(x, t), plain_gelu_grad(x))
+        _same_bits(t, kept)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
