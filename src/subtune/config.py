@@ -104,6 +104,8 @@ _BLOCKED_KEYS = {
     "data": {"n_tokens": "model.n_tokens", "d_model": "model.d_model",
              "n_base_classes": "model.n_classes_pretrain", "seed": "seed"},
     "model": {"decomposition": "decomposition"},
+    # kept in StatsConfig for the config echo; the run reads the mask's
+    "stats": {"warmup_steps": "mask.warmup_steps"},
 }
 
 

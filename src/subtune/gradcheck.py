@@ -44,15 +44,14 @@ def grad_check(
     if theta.size > 10_000:
         raise ValueError(f"model too large for exhaustive checking: {theta.size} coordinates")
 
-    report, grads, _ = model_mod.backward(model, inputs, labels, weights)
-    analytic = model_mod.flat_vector(model_mod.trainable_arrays(grads, mode))
+    _, grads = model_mod.backward(model, inputs, labels, weights)
+    analytic = model_mod.flat_vector(model_mod.trainable_arrays(model, mode, grads))
     if corrupt is not None:
         analytic[corrupt[0]] *= corrupt[1]
 
     def loss_at(vec: np.ndarray) -> float:
         model_mod.set_flat(arrays, vec)
-        rep, _, _ = model_mod.backward(model, inputs, labels, weights)
-        return rep.total
+        return model_mod.backward(model, inputs, labels, weights)[0].total
 
     numeric = np.zeros_like(theta)
     for i in range(theta.size):

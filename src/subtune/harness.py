@@ -179,10 +179,10 @@ def run_pretrain(
         for batch in _batches(len(train), cfg.pretrain.batch_size, rng):
             x = stack_tokens([train[i] for i in batch])
             y = np.array([train[i].base_class for i in batch])
-            _, grads, _ = backward(model, x, y)
+            _, grads = backward(model, x, y)
             step += 1
             theta, m, v = adaptive_step(
-                theta, flat_vector(trainable_arrays(grads, "full")), m, v, step, opt
+                theta, flat_vector(trainable_arrays(model, "full", grads)), m, v, step, opt
             )
             set_flat(params, theta)
         epochs_run = epoch + 1
@@ -260,7 +260,7 @@ def run_finetune(
             step += 1
             x = stack_tokens([train[i] for i in batch])
             y = np.array([train[i].label for i in batch], dtype=np.float64)
-            report, grads, _ = backward(model, x, y, weights)
+            report, grads = backward(model, x, y, weights)
             update_stats(stats, grads.trainable, stats_cfg)
             bvg = compute_bvg(stats, stats_cfg)
             if slm:
@@ -418,63 +418,43 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     column and the sweep continues."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    def attempt(row: dict, table: str, key: str, cell_cfg: TrainConfig, masft: bool, slm: bool) -> dict:
-        try:
-            row.update(_run_cell(cell_cfg, masft, slm))
-            row["status"] = "ok"
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            row["status"] = f"error:{type(exc).__name__}"
-            print(f"ablation cell {table}[{key}] failed: {exc}", file=sys.stderr)
-        return row
-
-    rows = []
-    for masft in (1, 0):
-        for slm in (1, 0):
-            key = f"masft={masft},slm={slm}"
-            cell = _cell_config(cfg, _cell_seed(cfg.seed, "components", key))
-            rows.append(attempt({"masft": masft, "slm": slm}, "components", key, cell, bool(masft), bool(slm)))
-    rows.sort(key=lambda r: (-r["masft"], -r["slm"]))
-    path = out / "components.csv"
-    _write_table(path, ("masft", "slm"), rows)
-    paths.append(path)
-
-    rows = []
-    for w1 in (0.0, 1.0):
-        for w2 in (0.0, 1.0):
-            key = f"orth={w1},spec={w2}"
-            cell = _cell_config(
-                cfg, _cell_seed(cfg.seed, "losses", key),
-                **{"weights.orth_weight": w1, "weights.spectral_weight": w2},
-            )
-            rows.append(attempt({"orth_weight": w1, "spec_weight": w2}, "losses", key, cell, True, True))
-    rows.sort(key=lambda r: (r["orth_weight"], r["spec_weight"]))
-    path = out / "losses.csv"
-    _write_table(path, ("orth_weight", "spec_weight"), rows)
-    paths.append(path)
-
-    rows = []
-    for k in _K_GRID:
-        key = f"K={k}"
-        cell = _cell_config(cfg, _cell_seed(cfg.seed, "subspaces", key), **{"decomposition.n_subspaces": k})
-        rows.append(attempt({"n_subspaces": k}, "subspaces", key, cell, True, True))
-    rows.sort(key=lambda r: r["n_subspaces"])
-    path = out / "subspaces.csv"
-    _write_table(path, ("n_subspaces",), rows)
-    paths.append(path)
-
-    rows = []
     n_layers = cfg.model.n_decomposable
-    for m in _M_GRID:
-        key = f"m={m}"
-        eff = min(m, n_layers)
-        cell = _cell_config(cfg, _cell_seed(cfg.seed, "budget", key), **{"mask.active_layer_budget": eff})
-        rows.append(attempt({"m_requested": m, "m_effective": eff}, "budget", key, cell, True, True))
-    rows.sort(key=lambda r: r["m_requested"])
-    path = out / "budget.csv"
-    _write_table(path, ("m_requested", "m_effective"), rows)
-    paths.append(path)
+    # (table, key columns, cells); a cell is (seed key, key values, config
+    # overrides, masft, slm), listed in the table's row order
+    grids = [
+        ("components", ("masft", "slm"), [
+            (f"masft={masft},slm={slm}", (masft, slm), {}, bool(masft), bool(slm))
+            for masft in (1, 0) for slm in (1, 0)
+        ]),
+        ("losses", ("orth_weight", "spec_weight"), [
+            (f"orth={w1},spec={w2}", (w1, w2),
+             {"weights.orth_weight": w1, "weights.spectral_weight": w2}, True, True)
+            for w1 in (0.0, 1.0) for w2 in (0.0, 1.0)
+        ]),
+        ("subspaces", ("n_subspaces",), [
+            (f"K={k}", (k,), {"decomposition.n_subspaces": k}, True, True) for k in _K_GRID
+        ]),
+        ("budget", ("m_requested", "m_effective"), [
+            (f"m={m}", (m, min(m, n_layers)), {"mask.active_layer_budget": min(m, n_layers)}, True, True)
+            for m in _M_GRID
+        ]),
+    ]
+    paths = []
+    for table, key_cols, cells in grids:
+        rows = []
+        for key, values, overrides, masft, slm in cells:
+            row = dict(zip(key_cols, values))
+            cell_cfg = _cell_config(cfg, _cell_seed(cfg.seed, table, key), **overrides)
+            try:
+                row.update(_run_cell(cell_cfg, masft, slm))
+                row["status"] = "ok"
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                row["status"] = f"error:{type(exc).__name__}"
+                print(f"ablation cell {table}[{key}] failed: {exc}", file=sys.stderr)
+            rows.append(row)
+        path = out / f"{table}.csv"
+        _write_table(path, key_cols, rows)
+        paths.append(path)
     return paths
 
 

@@ -289,7 +289,6 @@ class ForwardCache:
     blocks: list[_BlockCache]
     weights: np.ndarray
     pool: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -347,8 +346,8 @@ def _block_forward(
     )
 
 
-def _head(model: Model, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pool, logits, probabilities) of the last block's output."""
+def _head(model: Model, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pool, probabilities) of the last block's output."""
     pool = h.mean(axis=1)
     logits = pool @ model.head.T
     if model.n_outputs == 1:
@@ -360,7 +359,7 @@ def _head(model: Model, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         z = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(z)
         probs = e / e.sum(axis=-1, keepdims=True)
-    return pool, logits, probs
+    return pool, probs
 
 
 def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
@@ -373,8 +372,8 @@ def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
     for b, block in enumerate(model.blocks):
         h, cache = _block_forward(block, w[4 * b : 4 * b + 4], h, b, keep)
         caches.append(cache)
-    pool, logits, probs = _head(model, h)
-    return ForwardCache(blocks=caches, weights=w, pool=pool, logits=logits, probs=probs)
+    pool, probs = _head(model, h)
+    return ForwardCache(blocks=caches, weights=w, pool=pool, probs=probs)
 
 
 def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -386,39 +385,20 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     w = weight_stack(model)
     for b, block in enumerate(model.blocks):
         h = _block_forward(block, w[4 * b : 4 * b + 4], h, b, None)[0]
-    return _head(model, h)[2]
-
-
-@dataclass
-class BlockGrads:
-    """Gradients laid out like ``Block``: a decomposed projection's gradient
-    is one vector in its layer's (padded) ``params`` layout.  The slots a
-    binary-head fine-tune keeps frozen are None for that head."""
-
-    norm1_gain: np.ndarray | None
-    norm1_bias: np.ndarray | None
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    o: np.ndarray
-    norm2_gain: np.ndarray | None
-    norm2_bias: np.ndarray | None
-    mlp_in: np.ndarray | None
-    mlp_out: np.ndarray | None
+    return _head(model, h)[1]
 
 
 @dataclass
 class Gradients:
-    """``trainable`` holds the attention slots' gradients in rows laid out
-    like the model's; each ``BlockGrads`` projection slot is a view of its
-    row.  ``slots`` are the model's attention slots, by layer id, which
-    say where a row's real (unpadded) values sit."""
+    """Gradients laid out like the model's storage: ``trainable`` has the
+    shape of ``model.trainable``, one row per attention slot, and
+    ``frozen`` holds the other arrays' gradients in ``frozen_arrays``
+    order.  A binary-head ``backward`` forms only the fine-tuned
+    gradients, so its ``frozen`` is None."""
 
-    token_embed: np.ndarray | None
-    blocks: list[BlockGrads]
-    head: np.ndarray
     trainable: np.ndarray
-    slots: list[Projection]
+    head: np.ndarray
+    frozen: list[np.ndarray] | None
 
 
 def _project_factors(
@@ -466,13 +446,13 @@ def backward(
     inputs: np.ndarray,
     labels: np.ndarray,
     weights: losses.LossWeights | None = None,
-) -> tuple[losses.LossReport, Gradients, ForwardCache]:
+) -> tuple[losses.LossReport, Gradients]:
     """Loss and exact analytic gradients.
 
     Binary head: labels in {0,1}, loss = clamped cross-entropy plus (for a
     decomposed model) the orthogonality and spectral penalties averaged over
     decomposed layers.  Only the attention projections and the head are
-    fine-tuned, so only their gradients are formed; the other slots are None.
+    fine-tuned, so only their gradients are formed.
     Pretraining head: integer class labels, softmax cross-entropy, no
     regularizers, a gradient for every parameter slot.
     """
@@ -503,7 +483,8 @@ def backward(
     dh = np.repeat(d_pool[:, None, :], cfg.n_tokens, axis=1) / cfg.n_tokens
 
     scale = 1.0 / math.sqrt(cfg.d_model)
-    frozen_grads: list[dict] = [dict.fromkeys(FROZEN_SLOTS) for _ in range(cfg.n_blocks)]
+    n_frozen = len(FROZEN_SLOTS)
+    frozen: list | None = [None] * (1 + n_frozen * cfg.n_blocks) if full else None
     n_rows = n * cfg.n_tokens
     decomposed = model.decomposed
     w = cache.weights
@@ -542,19 +523,19 @@ def backward(
         du = dq_tok @ w[q_row] + dk_tok @ w[k_row] + dv_tok @ w[v_row]
         # formed before dh moves on to this block's input gradient
         if full:
-            frozen_grads[b] = {
-                "norm1_gain": np.sum(du * c.ln1_xhat, axis=(0, 1)),
-                "norm1_bias": np.sum(du, axis=(0, 1)),
-                "norm2_gain": np.sum(dwn * c.ln2_xhat, axis=(0, 1)),
-                "norm2_bias": np.sum(dwn, axis=(0, 1)),
-                "mlp_in": dz1.reshape(n_rows, -1).T @ c.wn.reshape(n_rows, -1),
-                "mlp_out": dh.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1),
-            }
+            at = 1 + n_frozen * b
+            frozen[at : at + n_frozen] = [  # in FROZEN_SLOTS order
+                np.sum(du * c.ln1_xhat, axis=(0, 1)),
+                np.sum(du, axis=(0, 1)),
+                np.sum(dwn * c.ln2_xhat, axis=(0, 1)),
+                np.sum(dwn, axis=(0, 1)),
+                dz1.reshape(n_rows, -1).T @ c.wn.reshape(n_rows, -1),
+                dh.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1),
+            ]
         dh = dm_in + _layer_norm_input_grad(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
 
-    d_embed = None
     if full:
-        d_embed = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
+        frozen[0] = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
 
     if decomposed:
         orth, spec = _project_factors(model.factors, g_w, w, grad, weights)
@@ -562,27 +543,20 @@ def backward(
         # the values (last block first); summation order is part of the bits
         order = [4 * b + j for b in range(cfg.n_blocks - 1, -1, -1) for j in range(4)]
         report = losses.total_loss(cls, orth[order].tolist(), spec[order].tolist(), weights)
-        views = list(grad)
     else:
         report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls, n_layers=0)
-        views = list(g_w)
-    block_grads = [
-        BlockGrads(**{name: views[4 * b + j] for j, name in enumerate(PROJECTION_NAMES)}, **frozen)
-        for b, frozen in enumerate(frozen_grads)
-    ]
-    slots = [getattr(block, name) for _, block, name in attention_slots(model)]
-    grads = Gradients(token_embed=d_embed, blocks=block_grads, head=d_head, trainable=grad, slots=slots)
-    return report, grads, cache
+    return report, Gradients(trainable=grad, head=d_head, frozen=frozen)
 
 
 # --- flat parameters ------------------------------------------------------
 # The optimizers and the finite-difference checker address a mode's
 # trainable values as a fixed list of arrays, each a view of the model's own
-# storage: "finetune" lists every attention projection in layer-id order (a
-# decomposed layer's real U, s and V columns, never its padding, or the
-# plain matrix) and then the head; "full" lists every array of the plain
-# pretraining model.  The same list taken from ``Gradients`` holds the
-# matching gradients.
+# storage: "finetune" lists every attention row in layer-id order, split
+# through its slot (a decomposed layer's real U, s and V columns, never its
+# padding, or the plain matrix), and then the head; "full" lists every
+# array of the plain pretraining model, the attention rows as the one
+# ``model.trainable``.  With ``grads`` the same list holds the matching
+# gradients.
 
 BLOCK_SLOTS = (
     "norm1_gain", "norm1_bias", "q", "k", "v", "o",
@@ -592,30 +566,30 @@ BLOCK_SLOTS = (
 FROZEN_SLOTS = tuple(slot for slot in BLOCK_SLOTS if slot not in PROJECTION_NAMES)
 
 
-def _real_arrays(slot: Projection, values: Projection) -> list[np.ndarray]:
-    """``values``, a slot's storage or gradient, without padding: the real
-    U, s and V columns of a decomposed layer's vector, or the matrix."""
-    if isinstance(values, DecomposedLayer):
-        values = values.params
-    return list(slot.split(values)) if isinstance(slot, DecomposedLayer) else [values]
+def frozen_arrays(model: Model) -> list[np.ndarray]:
+    """The arrays fine-tuning keeps frozen: the token embedding, then each
+    block's ``FROZEN_SLOTS``."""
+    return [model.token_embed] + [getattr(block, name) for block in model.blocks for name in FROZEN_SLOTS]
 
 
-def trainable_arrays(state: Union[Model, Gradients], mode: str = "finetune") -> list[np.ndarray]:
+def trainable_arrays(model: Model, mode: str = "finetune", grads: Gradients | None = None) -> list[np.ndarray]:
+    rows, head = (model.trainable, model.head) if grads is None else (grads.trainable, grads.head)
     if mode == "finetune":
-        values = [getattr(block, name) for block in state.blocks for name in PROJECTION_NAMES]
-        slots = state.slots if isinstance(state, Gradients) else values
-        return [a for slot, v in zip(slots, values) for a in _real_arrays(slot, v)] + [state.head]
+        arrays = []
+        for (_, block, name), row in zip(attention_slots(model), rows):
+            slot = getattr(block, name)
+            arrays += slot.split(row) if isinstance(slot, DecomposedLayer) else [row.reshape(slot.shape)]
+        return arrays + [head]
     if mode == "full":
-        slots = [getattr(block, name) for block in state.blocks for name in BLOCK_SLOTS]
-        if any(isinstance(p, DecomposedLayer) for p in slots):
+        if model.decomposed:
             raise ValueError("full parameter view is for the plain pretraining model")
-        arrays = [state.token_embed] + slots + [state.head]
-        if any(a is None for a in arrays):
+        frozen = frozen_arrays(model) if grads is None else grads.frozen
+        if frozen is None:
             raise ValueError(
                 "full parameter view needs every gradient; a binary-head backward "
                 "forms only the fine-tuned ones"
             )
-        return arrays
+        return frozen + [rows, head]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -636,7 +610,7 @@ def set_flat(arrays: list[np.ndarray], vec: np.ndarray) -> None:
 
 def projection_param_vector(p: Projection) -> np.ndarray:
     """A copy of one attention slot's trainable values."""
-    return flat_vector(_real_arrays(p, p))
+    return flat_vector(list(p.split(p.params)) if isinstance(p, DecomposedLayer) else [p])
 
 
 def clone_model(model: Model) -> Model:

@@ -259,13 +259,13 @@ def loop_backward(model, inputs, labels, weights):
     for _, block, name in slots:
         setattr(block, name, recompose(getattr(block, name)))
     stack_trainables(twin)
-    _, twin_grads, _ = backward(twin, inputs, labels, weights)
+    _, twin_grads = backward(twin, inputs, labels, weights)
     n_layers = len(slots)
     orth, spec, grads = {}, {}, {}
     for lid, block, name in attention_slots(model):
         layer = getattr(block, name)
-        g_w = getattr(twin_grads.blocks[lid // 4], name).copy()
         w_eff = getattr(twin.blocks[lid // 4], name)
+        g_w = twin_grads.trainable[lid].reshape(w_eff.shape).copy()
         orth[lid], spec[lid], grads[lid] = _loop_project(layer, g_w, w_eff, weights, n_layers)
     order = [4 * b + j for b in range(len(model.blocks) - 1, -1, -1) for j in range(4)]
     return [orth[i] for i in order], [spec[i] for i in order], [grads[i] for i in range(n_layers)]

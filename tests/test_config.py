@@ -47,6 +47,14 @@ def test_blocked_duplicate_scalar_rejected():
         config_from_dict({"data": {"d_model": 8}})
 
 
+def test_stats_warmup_steps_rejected_in_favour_of_the_mask_section():
+    # the fine-tuning run reads mask.warmup_steps; stats.warmup_steps was
+    # accepted, echoed into summary.json and ignored
+    with pytest.raises(ValueError, match="stats.warmup_steps is set via mask.warmup_steps"):
+        config_from_dict({"stats": {"warmup_steps": 3}})
+    assert config_from_dict({"stats": {"ema_coeff": 0.5}, "mask": {"warmup_steps": 3}}).mask.warmup_steps == 3
+
+
 def test_section_must_be_mapping():
     with pytest.raises(ValueError, match="optimizer must be a mapping"):
         config_from_dict({"optimizer": 3})

@@ -103,7 +103,7 @@ def test_views_alias_params_after_clone_load_and_update(tmp_path) -> None:
     rng = make_rng(4)
     x = rng.normal(size=(3, 4, 8))
     y = np.array([1.0, 0.0, 1.0])
-    _, grads, _ = backward(model, x, y, LossWeights())
+    _, grads = backward(model, x, y, LossWeights())
     params = [layer.params for layer in decomposed_layers(model)]
     before = [p.copy() for p in params]
     n_layers = len(params)
@@ -135,10 +135,10 @@ def test_no_two_layers_models_or_moments_share_storage() -> None:
 def test_non_finite_update_leaves_params_bit_unchanged() -> None:
     model = small_model()
     x = make_rng(5).normal(size=(2, 4, 8))
-    _, grads, _ = backward(model, x, np.array([0.0, 1.0]), LossWeights())
+    _, grads = backward(model, x, np.array([0.0, 1.0]), LossWeights())
     layers = decomposed_layers(model)
     before = [(layer.params, layer.params.tobytes()) for layer in layers]
-    grads.blocks[-1].k[-1] = np.nan
+    grads.trainable[5, -1] = np.nan  # block 1's k
     opt = init_optimizer("plain", 0.1, [layer.params.size for layer in layers], model.head.size)
     with pytest.raises(ValueError, match="layer 5"):
         apply_update(model, grads, LayerMask(np.ones(len(layers), dtype=np.int8), len(layers)), opt)
@@ -188,8 +188,8 @@ def round_trip(model, mode: str, labels: np.ndarray, rng) -> np.ndarray:
     set_flat(arrays, vec)
     assert flat_vector(trainable_arrays(model, mode)).tobytes() == vec.tobytes()
     x = rng.normal(size=(len(labels), model.config.n_tokens, model.config.d_model))
-    _, grads, _ = backward(model, x, labels)
-    assert [g.shape for g in trainable_arrays(grads, mode)] == [a.shape for a in arrays]
+    _, grads = backward(model, x, labels)
+    assert [g.shape for g in trainable_arrays(model, mode, grads)] == [a.shape for a in arrays]
     return vec
 
 

@@ -116,7 +116,7 @@ def test_plain_step_example() -> None:
     opt = init_optimizer("plain", 0.1, [row.size for row in model.trainable], model.head.size)
     layer = model.blocks[0].q
     layer.params[0] = 1.0
-    grads.blocks[0].q[0] = 0.5
+    grads.trainable[0, 0] = 0.5
     bits = np.zeros(len(model.trainable), dtype=np.int8)
     bits[0] = 1
     apply_update(model, grads, LayerMask(bits=bits, budget=1), opt)
@@ -161,7 +161,7 @@ def _one_layer_setup(seed: int = 0):
     rng = linalg.make_rng(seed + 2)
     x = rng.normal(size=(4, cfg.n_tokens, cfg.d_model))
     y = rng.integers(0, 2, size=4).astype(np.float64)
-    _, grads, _ = backward(m, x, y, LossWeights())
+    _, grads = backward(m, x, y, LossWeights())
     return m, grads
 
 
@@ -247,7 +247,7 @@ def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
     last = len(sizes) - 1
     last_layer = model.blocks[-1].o
     # first column of the last subspace's left factor
-    last_layer.split(grads.blocks[-1].o)[0][0, -last_layer.ranks[-1]] = bad
+    last_layer.split(grads.trainable[-1])[0][0, -last_layer.ranks[-1]] = bad
     with pytest.raises(ValueError, match=f"layer {last}"), np.errstate(over="ignore"):
         apply_update(model, grads, everything, opt)
     assert model_mod.flat_vector(model_mod.trainable_arrays(model)).tobytes() == params

@@ -58,8 +58,8 @@ def batch(seed: int, n: int, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def grad_vector(grads) -> np.ndarray:
-    return model_mod.flat_vector(model_mod.trainable_arrays(grads))
+def grad_vector(model: Model, grads) -> np.ndarray:
+    return model_mod.flat_vector(model_mod.trainable_arrays(model, grads=grads))
 
 
 def test_zero_head_gives_half_probability() -> None:
@@ -126,8 +126,8 @@ def test_forward_deterministic() -> None:
 def test_backward_zero_signal_when_probabilities_match_labels() -> None:
     m = tiny_model(decomposed=True)
     x, y = batch(4, 4, m.config)
-    _, grads, _ = backward(m, x, y, LossWeights(0.0, 0.0))
-    assert np.abs(grad_vector(grads)).max() > 0.0
+    _, grads = backward(m, x, y, LossWeights(0.0, 0.0))
+    assert np.abs(grad_vector(m, grads)).max() > 0.0
     # saturate the head so p hits the clamp rails exactly at the true labels;
     # with regularizer weights zero the learning signal collapses (the
     # clamp's 1e-12 residual times the 1e4-scale head leaves ~1e-8 noise)
@@ -138,9 +138,9 @@ def test_backward_zero_signal_when_probabilities_match_labels() -> None:
     big.head = 1e4 * (pool[0] - pool[1])[None, :]
     p = predict(big, big_x)
     assert p[0] == 1.0 - 1e-12 and p[1] == 1e-12
-    _, g2, _ = backward(big, big_x, big_y, LossWeights(0.0, 0.0))
+    _, g2 = backward(big, big_x, big_y, LossWeights(0.0, 0.0))
     assert np.abs(g2.head).max() <= 1e-8
-    assert np.abs(grad_vector(g2)).max() <= 1e-6
+    assert np.abs(grad_vector(big, g2)).max() <= 1e-6
 
 
 def test_backward_spectral_gradient_on_perturbed_strength() -> None:
@@ -151,17 +151,17 @@ def test_backward_spectral_gradient_on_perturbed_strength() -> None:
     n = m.config.n_decomposable
     layer = m.blocks[0].q
     layer.artifacts[0].s[0] += 0.1
-    _, grads, _ = backward(m, x, y, LossWeights(0.0, 1.0))
-    fg = grads.blocks[0].q
+    _, grads = backward(m, x, y, LossWeights(0.0, 1.0))
+    fg = grads.trainable[0]
     s_val = layer.artifacts[0].s[0]
     want = 2.0 * s_val / n  # positive drift: sign is +1
     got = layer.split(fg)[1][0]  # group 0 starts the tail
     assert abs(got - want) <= 1e-9
     # untouched fresh model: spectral gradient exactly zero at the kink
     m2 = tiny_model(seed=6, decomposed=True)
-    _, g2, _ = backward(m2, x, y, LossWeights(0.0, 1.0))
+    _, g2 = backward(m2, x, y, LossWeights(0.0, 1.0))
     for lid, block, name in attention_slots(m2):
-        du, ds, dv = getattr(block, name).split(getattr(g2.blocks[lid // 4], name))
+        du, ds, dv = getattr(block, name).split(g2.trainable[lid])
         assert np.max(np.abs(ds)) == 0.0
         assert np.max(np.abs(du)) == 0.0
         assert np.max(np.abs(dv)) == 0.0
@@ -189,8 +189,8 @@ def test_grad_check_reports_corrupted_coordinate() -> None:
     x, y = batch(11, 3, m.config)
     honest = grad_check(m, x, y, LossWeights(1.0, 1.0))
     # pick a coordinate with a solidly nonzero gradient, then double it
-    _, grads, _ = backward(m, x, y, LossWeights(1.0, 1.0))
-    vec = grad_vector(grads)
+    _, grads = backward(m, x, y, LossWeights(1.0, 1.0))
+    vec = grad_vector(m, grads)
     target = int(np.argmax(np.abs(vec)))
     rep = grad_check(m, x, y, LossWeights(1.0, 1.0), corrupt=(target, 2.0))
     assert honest.passed and not rep.passed
@@ -220,6 +220,22 @@ def test_param_vector_roundtrip() -> None:
     with pytest.raises(ValueError):
         model_mod.set_flat(arrays, new[:-1])
 
+
+
+def test_full_view_lists_every_parameter_exactly_once() -> None:
+    m = tiny_model(seed=8, binary=False)
+    arrays = model_mod.trainable_arrays(m, "full")
+    slots = [m.token_embed, m.head] + [
+        getattr(block, name) for block in m.blocks for name in model_mod.BLOCK_SLOTS
+    ]
+    assert sum(a.size for a in arrays) == sum(slot.size for slot in slots)
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+    for slot in slots:
+        assert sum(np.shares_memory(slot, a) for a in arrays) == 1
+    x, _ = batch(9, 5, m.config)
+    _, grads = backward(m, x, np.array([0, 1, 2, 1, 0]))
+    assert [g.shape for g in model_mod.trainable_arrays(m, "full", grads)] == [a.shape for a in arrays]
 
 def test_attention_slots_order_and_count() -> None:
     m = tiny_model()
@@ -265,7 +281,7 @@ def test_orth_mean_reported_when_its_weight_is_zero() -> None:
     m = tiny_model(seed=3, decomposed=True)
     jitter_trainables(m, linalg.make_rng(4), scale=0.05)
     x, y = batch(5, 4, m.config)
-    report, _, _ = backward(m, x, y, LossWeights(0.0, 1.0))
+    report, _ = backward(m, x, y, LossWeights(0.0, 1.0))
     layers = [getattr(b, n) for _, b, n in attention_slots(m)]
     want = float(np.mean([orth_loss(layer) for layer in layers]))
     assert want > 0.0
@@ -279,7 +295,7 @@ def test_spec_mean_is_the_standalone_spectral_loss() -> None:
     m = tiny_model(seed=5, decomposed=True)
     jitter_trainables(m, linalg.make_rng(6), scale=0.05)
     x, y = batch(5, 4, m.config)
-    report, _, _ = backward(m, x, y)
+    report, _ = backward(m, x, y)
     layers = [getattr(b, n) for _, b, n in attention_slots(m)]
     assert report.spec_mean > 0.0
     assert report.spec_mean == float(np.mean([spec_loss(layer) for layer in layers]))
@@ -381,18 +397,18 @@ def test_predict_keeps_no_backward_cache() -> None:
 def test_binary_head_backward_forms_only_the_fine_tuned_gradients() -> None:
     m = tiny_model(seed=8, decomposed=True)
     x, y = batch(9, 5, m.config)
-    _, grads, _ = backward(m, x, y, LossWeights(1.0, 1.0))
-    assert grads.token_embed is None
-    for bg in grads.blocks:
-        for slot in model_mod.FROZEN_SLOTS:
-            assert getattr(bg, slot) is None
-    assert [g.shape for g in model_mod.trainable_arrays(grads)] == [
+    _, grads = backward(m, x, y, LossWeights(1.0, 1.0))
+    assert grads.frozen is None
+    assert [g.shape for g in model_mod.trainable_arrays(m, grads=grads)] == [
         a.shape for a in model_mod.trainable_arrays(m)
     ]
+    binary_plain = tiny_model(seed=8)
+    _, plain_grads = backward(binary_plain, x, y)
+    assert plain_grads.frozen is None
     with pytest.raises(ValueError, match="needs every gradient"):
-        model_mod.trainable_arrays(grads, "full")
+        model_mod.trainable_arrays(binary_plain, "full", plain_grads)
     plain = tiny_model(seed=8, binary=False)
-    _, full_grads, _ = backward(plain, x, np.array([0, 1, 2, 1, 0]))
-    assert [g.shape for g in model_mod.trainable_arrays(full_grads, "full")] == [
+    _, full_grads = backward(plain, x, np.array([0, 1, 2, 1, 0]))
+    assert [g.shape for g in model_mod.trainable_arrays(plain, "full", full_grads)] == [
         a.shape for a in model_mod.trainable_arrays(plain, "full")
     ]
