@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import layer_from_bytes, layer_to_bytes
-from .model import BLOCK_SLOTS, FROZEN_SLOTS, PROJECTION_NAMES, Block, DecomposedLayer, Model, ModelConfig
+from .model import (BLOCK_SLOTS, FROZEN_SLOTS, PROJECTION_NAMES, Block, DecomposedLayer, Model,
+                    ModelConfig, attention_slots)
 
 MAGIC = b"SUBT0001"
 _LEN = struct.Struct("<Q")
@@ -52,6 +53,11 @@ def save_model(
 ) -> None:
     cfg = model.config
     decomposed = model.decomposed
+    # what the body holds, in order: the plain arrays, then the decomposed layers
+    slots = FROZEN_SLOTS if decomposed else BLOCK_SLOTS
+    arrays = [model.token_embed, *(getattr(b, slot) for b in model.blocks for slot in slots), model.head]
+    layers = [(f"block{lid // len(PROJECTION_NAMES)}.{name}", getattr(block, name))
+              for lid, block, name in attention_slots(model)] if decomposed else []
     manifest = {
         "format": 1,
         "kind": "model",
@@ -71,31 +77,16 @@ def save_model(
         "config": config_echo,
     }
     if decomposed:
-        manifest["decomposed_layers"] = []
-        for b, block in enumerate(model.blocks):
-            for slot in PROJECTION_NAMES:
-                layer: DecomposedLayer = getattr(block, slot)
-                manifest["decomposed_layers"].append(
-                    {
-                        "name": f"block{b}.{slot}",
-                        "layer_id": layer.layer_id,
-                        "semantic_rank": layer.semantic_rank,
-                        "artifact_ranks": list(layer.ranks),
-                    }
-                )
+        manifest["decomposed_layers"] = [
+            {"name": name, "layer_id": layer.layer_id, "semantic_rank": layer.semantic_rank,
+             "artifact_ranks": list(layer.ranks)}
+            for name, layer in layers
+        ]
     body = io.BytesIO()
-    for name in manifest["arrays"]:
-        if name == "token_embed":
-            body.write(_matrix_bytes(model.token_embed))
-        elif name == "head":
-            body.write(_matrix_bytes(model.head))
-        else:
-            b_idx, slot = name.split(".")
-            body.write(_matrix_bytes(getattr(model.blocks[int(b_idx[5:])], slot)))
-    if decomposed:
-        for b, block in enumerate(model.blocks):
-            for slot in PROJECTION_NAMES:
-                body.write(layer_to_bytes(getattr(block, slot)))
+    for arr in arrays:
+        body.write(_matrix_bytes(arr))
+    for _, layer in layers:
+        body.write(layer_to_bytes(layer))
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     # written beside the target and renamed over it, so a reader never sees
     # a partial file and a failed write keeps the previous checkpoint
@@ -141,27 +132,35 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
     for key in ("model", "arrays", "decomposed"):
         if key not in manifest:
             raise ValueError(f"{path}: manifest field {key!r} is missing")
+    spec = _require_type(path, "model", manifest["model"], dict, "an object")
     for key in _MODEL_FIELDS:
-        if key not in manifest["model"]:
+        if key not in spec:
             raise ValueError(f"{path}: manifest field 'model.{key}' is missing")
-    n_blocks = manifest["model"]["n_blocks"]
-    if type(n_blocks) is not int or n_blocks < 1:
-        raise ValueError(
-            f"{path}: manifest field 'model.n_blocks' is {n_blocks!r}, expected a positive int"
-        )
-    decomposed = manifest["decomposed"]
-    _require_names(path, "arrays", manifest["arrays"], _plain_names(n_blocks, decomposed))
+    for key, value in spec.items():
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{path}: manifest field 'model.{key}' is {value!r}, expected a positive int")
+    decomposed = _require_type(path, "decomposed", manifest["decomposed"], bool, "a bool")
+    arrays = _require_type(path, "arrays", manifest["arrays"], list, "a list")
+    _require_names(path, "arrays", arrays, _plain_names(spec["n_blocks"], decomposed))
     if decomposed:
         if "decomposed_layers" not in manifest:
             raise ValueError(f"{path}: manifest field 'decomposed_layers' is missing")
-        entries = manifest["decomposed_layers"]
+        entries = _require_type(path, "decomposed_layers", manifest["decomposed_layers"], list, "a list")
         for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: a 'decomposed_layers' entry is {entry!r}, expected an object")
             for key in ("name", "layer_id"):
                 if key not in entry:
                     raise ValueError(f"{path}: a 'decomposed_layers' entry lacks {key!r}")
-        wanted = [f"block{b}.{slot}" for b in range(n_blocks) for slot in PROJECTION_NAMES]
+        wanted = [f"block{b}.{slot}" for b in range(spec["n_blocks"]) for slot in PROJECTION_NAMES]
         _require_names(path, "decomposed_layers", [e["name"] for e in entries], wanted)
     return manifest, offset + length
+
+
+def _require_type(path: str | Path, field: str, value, kind: type, expected: str):
+    if type(value) is not kind:
+        raise ValueError(f"{path}: manifest field {field!r} is {value!r}, expected {expected}")
+    return value
 
 
 def _require_names(path: str | Path, field: str, present: list[str], wanted: list[str]) -> None:
@@ -206,6 +205,11 @@ def load_model(path: str | Path) -> tuple[Model, dict]:
             decomposed_layers[entry["name"]] = layer
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after checkpoint payload")
+    rows, cols = arrays["token_embed"].shape
+    if (rows, cols) != (cfg.d_model, cfg.d_model):
+        raise ValueError(
+            f"{path}: manifest field 'model.d_model' is {cfg.d_model}, but 'token_embed' is {rows}x{cols}"
+        )
 
     def vec(name: str) -> np.ndarray:
         return arrays[name].reshape(-1)

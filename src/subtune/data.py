@@ -60,8 +60,13 @@ _SPLIT_STREAMS = {
     "test_in": 4_000_000,
     "test_heldout": 5_000_000,
 }
+# within a split: real samples from 0, fake samples' clean tokens from
+# 300_000, real clips from 500_000, artifacts from 700_000, fake clips from
+# 750_000
+_FAKE_SAMPLE_SUBSTREAM = 300_000
 _CLIP_SUBSTREAM = 500_000
-_FAKE_SUBSTREAM = 700_000
+_ARTIFACT_SUBSTREAM = 700_000
+_FAKE_CLIP_SUBSTREAM = 750_000
 _ROBUST_STREAM = 6_000_000
 
 
@@ -140,30 +145,46 @@ def _real_tokens(cfg: DataConfig, base_class: int, clip_offset: np.ndarray, samp
     return class_basis(cfg, base_class) + clip_offset + noise
 
 
-def gen_real(cfg: DataConfig, n_samples: int, split: str, clip_prefix: str = "r") -> list[SyntheticSample]:
+def gen_clips(
+    cfg: DataConfig, n_samples: int, split: str, families: tuple[str, ...] = ()
+) -> list[SyntheticSample]:
     """Real clips, classes cycling per clip, one rng stream per sample and
-    one per clip so regeneration is index-exact."""
+    one per clip so regeneration is index-exact.  With ``families`` the clips
+    are fakes, drawn from their own streams: each a fresh real clip pushed
+    through one (family, level), cycling families first and levels second
+    for balanced coverage."""
     cfg.validate()
     if n_samples % cfg.clip_size != 0:
         raise ValueError("sample count must be a multiple of clip_size")
     offset = _SPLIT_STREAMS[split]
+    if families:
+        clip_stream, sample_stream, tag = _FAKE_CLIP_SUBSTREAM, _FAKE_SAMPLE_SUBSTREAM, "f"
+    else:
+        clip_stream, sample_stream, tag = _CLIP_SUBSTREAM, 0, "r"
     out = []
     for clip_idx in range(n_samples // cfg.clip_size):
         base_class = clip_idx % cfg.n_base_classes
-        clip_rng = make_rng(cfg.seed + offset + _CLIP_SUBSTREAM + clip_idx)
+        clip_rng = make_rng(cfg.seed + offset + clip_stream + clip_idx)
         clip_offset = _CLIP_OFFSET_SCALE * clip_rng.normal(size=(1, cfg.d_model))
+        clip_id = f"{split}-{tag}{clip_idx:05d}"
+        if families:
+            family = families[clip_idx % len(families)]
+            level = LEVELS[(clip_idx // len(families)) % len(LEVELS)]
         for member in range(cfg.clip_size):
-            sample_rng = make_rng(cfg.seed + offset + clip_idx * cfg.clip_size + member)
-            out.append(
-                SyntheticSample(
-                    tokens=_real_tokens(cfg, base_class, clip_offset, sample_rng),
-                    label=0,
-                    base_class=base_class,
-                    family=None,
-                    intensity=None,
-                    clip_id=f"{split}-{clip_prefix}{clip_idx:05d}",
-                )
+            idx = clip_idx * cfg.clip_size + member
+            sample_rng = make_rng(cfg.seed + offset + sample_stream + idx)
+            sample = SyntheticSample(
+                tokens=_real_tokens(cfg, base_class, clip_offset, sample_rng),
+                label=0,
+                base_class=base_class,
+                family=None,
+                intensity=None,
+                clip_id=clip_id,
             )
+            if families:
+                artifact_rng = _artifact_rng(family, cfg.seed + offset + _ARTIFACT_SUBSTREAM + idx)
+                sample = apply_artifact(sample, family, level, artifact_rng)
+            out.append(sample)
     return out
 
 
@@ -278,36 +299,6 @@ def distort(sample: SyntheticSample, family: str, level: int, rng) -> SyntheticS
     )
 
 
-def _gen_fakes(
-    cfg: DataConfig, n_samples: int, split: str, families: tuple[str, ...]
-) -> list[SyntheticSample]:
-    """Fake clips: a fresh real clip pushed through one (family, level) per
-    clip, cycling families first and levels second for balanced coverage."""
-    offset = _SPLIT_STREAMS[split]
-    out = []
-    n_clips = n_samples // cfg.clip_size
-    for clip_idx in range(n_clips):
-        family = families[clip_idx % len(families)]
-        level = LEVELS[(clip_idx // len(families)) % len(LEVELS)]
-        base_class = clip_idx % cfg.n_base_classes
-        clip_rng = make_rng(cfg.seed + offset + _CLIP_SUBSTREAM + 250_000 + clip_idx)
-        clip_offset = _CLIP_OFFSET_SCALE * clip_rng.normal(size=(1, cfg.d_model))
-        for member in range(cfg.clip_size):
-            idx = clip_idx * cfg.clip_size + member
-            sample_rng = make_rng(cfg.seed + offset + 300_000 + idx)
-            clean = SyntheticSample(
-                tokens=_real_tokens(cfg, base_class, clip_offset, sample_rng),
-                label=0,
-                base_class=base_class,
-                family=None,
-                intensity=None,
-                clip_id=f"{split}-f{clip_idx:05d}",
-            )
-            artifact_rng = _artifact_rng(family, cfg.seed + offset + _FAKE_SUBSTREAM + idx)
-            out.append(apply_artifact(clean, family, level, artifact_rng))
-    return out
-
-
 def _artifact_rng(family: str, seed: int):
     """The artifact stream of one sample, or None for a family whose
     transform never draws from it."""
@@ -346,7 +337,7 @@ class SplitBundle:
 
 def _detection_split(cfg: DataConfig, n: int, split: str, families: tuple[str, ...]) -> list[SyntheticSample]:
     half = n // 2
-    return gen_real(cfg, half, split) + _gen_fakes(cfg, half, split, families)
+    return gen_clips(cfg, half, split) + gen_clips(cfg, half, split, families)
 
 
 def build_splits(cfg: DataConfig, splits: tuple[str, ...]) -> SplitBundle:
@@ -360,9 +351,9 @@ def build_splits(cfg: DataConfig, splits: tuple[str, ...]) -> SplitBundle:
         raise ValueError(f"unknown split {unknown[0]!r}; expected one of {', '.join(SPLITS)}")
     bundle = SplitBundle()
     if "pretrain_train" in wanted:
-        bundle.pretrain_train = gen_real(cfg, cfg.n_pretrain, "pretrain_train")
+        bundle.pretrain_train = gen_clips(cfg, cfg.n_pretrain, "pretrain_train")
     if "pretrain_test" in wanted:
-        bundle.pretrain_test = gen_real(cfg, cfg.n_pretrain_test, "pretrain_test")
+        bundle.pretrain_test = gen_clips(cfg, cfg.n_pretrain_test, "pretrain_test")
     if "finetune_train" in wanted:
         bundle.finetune_train = _detection_split(cfg, cfg.n_finetune, "finetune_train", cfg.families_train)
     if wanted & {"test_in", "robustness"}:

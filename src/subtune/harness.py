@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -104,9 +105,11 @@ class RunRecord:
     metrics: dict[str, EvalReport]
     wall_clock: float
     model: Model
+    # what the mask rule reads besides the gradients and the stats config
     warmup_steps: int
+    budget: int
+    forced_zero: tuple[int, ...] = ()
     mask_log: list[np.ndarray] = field(default_factory=list)
-    bvg_log: list[np.ndarray] = field(default_factory=list)
     # each step's gradient rows (``Gradients.trainable``)
     gradient_log: list[np.ndarray] = field(default_factory=list)
     semantic_start: list[bytes] = field(default_factory=list)
@@ -204,6 +207,28 @@ def run_pretrain(
     return model, acc, path
 
 
+def _evaluate(model: Model, splits: SplitBundle) -> dict[str, EvalReport]:
+    return {"in_domain": eval_split(model, splits.test_in), "heldout": eval_split(model, splits.test_heldout)}
+
+
+def _mask_rule(cfg: TrainConfig, record: RunRecord) -> Callable[[int, np.ndarray], LayerMask]:
+    """The selective layer mask of ``record``'s run as a function of (step,
+    gradient rows); it holds the EMA stats, so each step is fed once, in
+    order.  The live run and its replay both build their masks here."""
+    stats_cfg = StatsConfig(ema_coeff=cfg.stats.ema_coeff, moment_floor=cfg.stats.moment_floor,
+                            warmup_steps=record.warmup_steps)
+    stats = init_stats([row.size for row in record.model.trainable])
+    forced_zero = np.asarray(record.forced_zero, dtype=np.intp)
+
+    def rule(step: int, grad_rows: np.ndarray) -> LayerMask:
+        update_stats(stats, grad_rows, stats_cfg)
+        mask = build_mask(compute_bvg(stats, stats_cfg), record.budget, step, stats_cfg)
+        mask.bits[forced_zero] = 0
+        return mask
+
+    return rule
+
+
 def run_finetune(
     cfg: TrainConfig,
     pretrained: Model,
@@ -219,11 +244,15 @@ def run_finetune(
     switched off), swap in a fresh binary head, and run the masked
     fine-tuning loop; evaluates in-domain and heldout splits at the end."""
     t0 = time.perf_counter()
+    if pretrained.decomposed:
+        raise ValueError("expected a plain pretrained model")
+    n_layers = pretrained.config.n_decomposable
+    for lid in forced_zero:
+        if not 0 <= lid < n_layers:
+            raise ValueError(f"forced_zero layer id {lid} is outside [0, {n_layers})")
     if splits is None:
         splits = build_splits(cfg.data, _FINETUNE_SPLITS)
     model = clone_model(pretrained)
-    if model.decomposed:
-        raise ValueError("expected a plain pretrained model")
     semantic_start: list[bytes] = []
     if masft:
         # the run config's split, not the one the checkpoint was saved with
@@ -235,24 +264,17 @@ def run_finetune(
     reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
 
     train = splits.finetune_train
-    n_layers = model.config.n_decomposable
     steps_per_epoch = (len(train) + cfg.optimizer.batch_size - 1) // cfg.optimizer.batch_size
     warmup = cfg.mask.warmup_steps if cfg.mask.warmup_steps is not None else steps_per_epoch
-    stats_cfg = StatsConfig(
-        ema_coeff=cfg.stats.ema_coeff,
-        moment_floor=cfg.stats.moment_floor,
-        warmup_steps=warmup,
-    )
     sizes = [row.size for row in model.trainable]
-    stats = init_stats(sizes)
     opt = init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, sizes, model.head.size)
-    budget = min(cfg.mask.active_layer_budget, n_layers)
-    weights = cfg.weights
 
     record = RunRecord(
         config=config_to_dict(cfg), steps=[], metrics={}, wall_clock=0.0, model=model,
-        warmup_steps=warmup, semantic_start=semantic_start, opt=opt,
+        warmup_steps=warmup, budget=cfg.mask.active_layer_budget if slm else n_layers,
+        forced_zero=tuple(forced_zero), semantic_start=semantic_start, opt=opt,
     )
+    mask_rule = _mask_rule(cfg, record)
     step = 0
     for epoch in range(cfg.optimizer.epochs):
         rng = make_rng(cfg.seed + _FINETUNE_SHUFFLE + epoch)
@@ -260,15 +282,8 @@ def run_finetune(
             step += 1
             x = stack_tokens([train[i] for i in batch])
             y = np.array([train[i].label for i in batch], dtype=np.float64)
-            report, grads = backward(model, x, y, weights)
-            update_stats(stats, grads.trainable, stats_cfg)
-            bvg = compute_bvg(stats, stats_cfg)
-            if slm:
-                mask = build_mask(bvg, budget, step, stats_cfg)
-            else:
-                mask = LayerMask(bits=np.ones(n_layers, dtype=np.int8), budget=n_layers)
-            for lid in forced_zero:
-                mask.bits[lid] = 0
+            report, grads = backward(model, x, y, cfg.weights)
+            mask = mask_rule(step, grads.trainable)
             apply_update(model, grads, mask, opt)
             bits_str = "".join(str(int(b)) for b in mask.bits)
             record.steps.append(
@@ -279,14 +294,10 @@ def run_finetune(
                 )
             )
             record.mask_log.append(mask.bits.copy())
-            record.bvg_log.append(bvg.copy())
             if log_gradients:
                 record.gradient_log.append(grads.trainable.copy())
 
-    record.metrics = {
-        "in_domain": eval_split(model, splits.test_in),
-        "heldout": eval_split(model, splits.test_heldout),
-    }
+    record.metrics = _evaluate(model, splits)
     record.wall_clock = time.perf_counter() - t0
     if out_dir is not None:
         _write_finetune_artifacts(cfg, record, Path(out_dir), step)
@@ -294,23 +305,17 @@ def run_finetune(
 
 
 def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.ndarray]:
-    """Rebuild every mask offline from the logged gradients; the live run
-    must be reproducible from its own log."""
+    """Rebuild every mask offline from the logged gradients through the
+    live run's own mask rule, so every arm (budget, ``slm`` off,
+    ``forced_zero``) is reproduced from its record.  ``cfg`` supplies the
+    stats section; ``n_layers`` must be the run's layer count."""
     if not record.gradient_log:
         raise ValueError("run was recorded without gradient logging")
-    stats_cfg = StatsConfig(
-        ema_coeff=cfg.stats.ema_coeff,
-        moment_floor=cfg.stats.moment_floor,
-        warmup_steps=record.warmup_steps,
-    )
-    stats = init_stats([row.size for row in record.model.trainable])
-    budget = min(cfg.mask.active_layer_budget, n_layers)
-    out = []
-    for step, grad_buf in enumerate(record.gradient_log, start=1):
-        update_stats(stats, grad_buf, stats_cfg)
-        bvg = compute_bvg(stats, stats_cfg)
-        out.append(build_mask(bvg, budget, step, stats_cfg).bits)
-    return out
+    run_layers = record.model.trainable.shape[0]
+    if n_layers != run_layers:
+        raise ValueError(f"replay asked for {n_layers} layers, the run has {run_layers}")
+    mask_rule = _mask_rule(cfg, record)
+    return [mask_rule(step, rows).bits for step, rows in enumerate(record.gradient_log, start=1)]
 
 
 def _write_finetune_artifacts(cfg: TrainConfig, record: RunRecord, out: Path, step: int) -> None:
@@ -351,11 +356,7 @@ def _write_metrics_csv(path: Path, reports: dict[str, EvalReport]) -> None:
 
 def evaluate_to_dir(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     _require_binary_head(model)
-    splits = build_splits(cfg.data, _TEST_SPLITS)
-    reports = {
-        "in_domain": eval_split(model, splits.test_in),
-        "heldout": eval_split(model, splits.test_heldout),
-    }
+    reports = _evaluate(model, build_splits(cfg.data, _TEST_SPLITS))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "metrics.csv"

@@ -239,16 +239,33 @@ def _drop_entry(key, name):
          "manifest field 'decomposed_layers' lacks 'block1.v'"),
         (lambda m: m["decomposed_layers"][0].pop("layer_id"),
          "a 'decomposed_layers' entry lacks 'layer_id'"),
+        (lambda m: m["model"].update(n_subspaces="x"), "manifest field 'model.n_subspaces' is 'x'"),
+        (lambda m: m["model"].update(n_tokens="4"), "manifest field 'model.n_tokens' is '4'"),
+        (lambda m: m["model"].update(n_classes_pretrain=True),
+         "manifest field 'model.n_classes_pretrain' is True"),
+        (lambda m: m["model"].update(n_outputs=0), "manifest field 'model.n_outputs' is 0"),
+        (lambda m: m.update(model=[8]), "manifest field 'model' is \\[8\\], expected an object"),
+        (lambda m: m.update(decomposed=1), "manifest field 'decomposed' is 1, expected a bool"),
+        (lambda m: m.update(arrays=5), "manifest field 'arrays' is 5, expected a list"),
+        (lambda m: m.update(decomposed_layers=5), "manifest field 'decomposed_layers' is 5, expected a list"),
+        (lambda m: m["decomposed_layers"].append(3), "a 'decomposed_layers' entry is 3"),
+        (lambda m: m["model"].update(d_model=16),
+         "manifest field 'model.d_model' is 16, but 'token_embed' is 8x8"),
     ],
     ids=["no-decomposed-layers", "no-d_model", "no-n_blocks", "no-n_tokens",
          "no-n_classes_pretrain", "no-n_subspaces", "n_blocks-string", "no-block-array",
-         "no-token-embed", "no-layer-entry", "entry-without-id"],
+         "no-token-embed", "no-layer-entry", "entry-without-id", "n_subspaces-string",
+         "n_tokens-string", "n_classes_pretrain-bool", "n_outputs-zero", "model-list",
+         "decomposed-int", "arrays-int", "layers-int", "entry-int", "d_model-off-the-arrays"],
 )
 def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     save_model(path, tiny_model(seed=6, decomposed=True), step=1)
     _rewrite_manifest(path, edit)
-    for read in (load_model, read_manifest):
+    # read_manifest reads no array, so only load_model can hold a dimension
+    # against one
+    readers = (load_model,) if "but 'token_embed'" in message else (load_model, read_manifest)
+    for read in readers:
         with pytest.raises(ValueError, match=message) as info:
             read(path)
         assert "\n" not in str(info.value)

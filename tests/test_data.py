@@ -26,7 +26,7 @@ from subtune.data import (
     class_basis,
     distort,
     export_csv,
-    gen_real,
+    gen_clips,
     import_csv,
     stack_tokens,
     transform_tokens,
@@ -84,8 +84,8 @@ def test_class_basis_unit_rms_and_distinct():
 
 def test_gen_real_deterministic_and_clip_structured():
     cfg = small_cfg()
-    a = gen_real(cfg, 16, "test_in")
-    b = gen_real(cfg, 16, "test_in")
+    a = gen_clips(cfg, 16, "test_in")
+    b = gen_clips(cfg, 16, "test_in")
     for x, y in zip(a, b):
         assert np.array_equal(x.tokens, y.tokens)
         assert x.clip_id == y.clip_id
@@ -158,7 +158,7 @@ def test_non_blur_families_share_the_processing_trace():
 
 def test_apply_artifact_flips_label_and_records_provenance():
     cfg = small_cfg()
-    sample = gen_real(cfg, 4, "test_in")[0]
+    sample = gen_clips(cfg, 4, "test_in")[0]
     fake = apply_artifact(sample, "high-frequency-ripple", 4, make_rng(2))
     assert fake.label == 1
     assert fake.family == "high-frequency-ripple"
@@ -169,7 +169,7 @@ def test_apply_artifact_flips_label_and_records_provenance():
 
 def test_distort_preserves_label():
     cfg = small_cfg()
-    sample = gen_real(cfg, 4, "test_in")[0]
+    sample = gen_clips(cfg, 4, "test_in")[0]
     fake = apply_artifact(sample, "localized-patch", 2, make_rng(3))
     for s in (sample, fake):
         d = distort(s, "structured-noise", 3, make_rng(4))
@@ -255,7 +255,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
 
 def test_import_csv_rejects_wrong_width(tmp_path):
     cfg = small_cfg()
-    part = gen_real(cfg, 4, "test_in")
+    part = gen_clips(cfg, 4, "test_in")
     path = tmp_path / "part.csv"
     export_csv(part, path)
     with pytest.raises(ValueError, match="columns"):

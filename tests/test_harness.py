@@ -152,9 +152,12 @@ def test_forced_zero_layer_stays_at_initialization(pretrained):
     assert any(moved)
 
 
-def test_replay_reproduces_every_mask(pretrained):
+@pytest.mark.parametrize(
+    "arm", [{}, {"slm": False}, {"forced_zero": (2,)}], ids=["default", "slm-off", "forced-zero"]
+)
+def test_replay_reproduces_every_mask(pretrained, arm):
     cfg, splits, model, _ = pretrained
-    record = run_finetune(cfg, model, log_gradients=True, splits=splits)
+    record = run_finetune(cfg, model, log_gradients=True, splits=splits, **arm)
     rebuilt = replay_masks(record, cfg, n_layers=8)
     assert len(rebuilt) == len(record.mask_log)
     for got, want in zip(rebuilt, record.mask_log):
@@ -181,6 +184,21 @@ def test_replay_requires_gradient_log(pretrained):
     record = run_finetune(cfg, model, splits=splits)
     with pytest.raises(ValueError, match="gradient logging"):
         replay_masks(record, cfg, n_layers=8)
+
+
+def test_replay_rejects_another_layer_count(pretrained):
+    cfg, splits, model, _ = pretrained
+    record = run_finetune(cfg, model, log_gradients=True, splits=splits)
+    with pytest.raises(ValueError, match="replay asked for 24 layers, the run has 8"):
+        replay_masks(record, cfg, n_layers=24)
+
+
+@pytest.mark.parametrize("lid", [-1, 8])
+def test_forced_zero_outside_the_layers_is_a_value_error(pretrained, lid):
+    cfg, splits, model, _ = pretrained
+    with pytest.raises(ValueError, match=rf"forced_zero layer id {lid} is outside \[0, 8\)") as info:
+        run_finetune(cfg, model, forced_zero=(lid,), splits=splits)
+    assert "\n" not in str(info.value)
 
 
 def test_semantic_subspace_bytes_frozen_through_finetune(pretrained):
