@@ -1,47 +1,53 @@
 """Single-file binary checkpoints: a magic tag, a length-prefixed JSON
 manifest with sorted keys, then raw float64 matrix blobs in manifest order.
 Writing the same state twice yields byte-identical files, and a write that
-fails leaves any earlier file at the path as it was."""
+fails leaves any earlier file at the path as it was (``files.write_file``)."""
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .decomposition import layer_from_bytes, layer_to_bytes
-from .model import (BLOCK_SLOTS, FROZEN_SLOTS, PROJECTION_NAMES, Block, DecomposedLayer, Model,
-                    ModelConfig, attention_slots)
+from .decomposition import DecompositionConfig, layer_from_bytes, layer_to_bytes
+from .files import write_file
+from .linalg import matrix_from_bytes, matrix_to_bytes
+from .model import BLOCK_SLOTS, FROZEN_SLOTS, PROJECTION_NAMES, Block, Model, ModelConfig, attention_slots
 
 MAGIC = b"SUBT0001"
 _LEN = struct.Struct("<Q")
 
 
-def _as_matrix(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    return arr.reshape(1, -1) if arr.ndim == 1 else arr
-
-
 def _matrix_bytes(arr: np.ndarray) -> bytes:
-    from .linalg import matrix_to_bytes
+    arr = np.asarray(arr, dtype=np.float64)
+    return matrix_to_bytes(arr.reshape(1, -1) if arr.ndim == 1 else arr)
 
-    return matrix_to_bytes(_as_matrix(arr))
+
+_MODEL_FIELDS = ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces", "n_outputs")
+
+# The body holds the plain arrays in ``_plain_names`` order (the token
+# embedding, each block's slots, the head), then, for a decomposed model,
+# the attention layers in ``_layer_names`` order (``attention_slots``').
 
 
-_MODEL_FIELDS = ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces")
+def _block_slots(decomposed: bool) -> tuple[str, ...]:
+    return FROZEN_SLOTS if decomposed else BLOCK_SLOTS
 
 
 def _plain_names(n_blocks: int, decomposed: bool) -> list[str]:
     names = ["token_embed"]
-    slots = FROZEN_SLOTS if decomposed else BLOCK_SLOTS
+    slots = _block_slots(decomposed)
     for b in range(n_blocks):
         names.extend(f"block{b}.{slot}" for slot in slots)
     names.append("head")
     return names
+
+
+def _layer_names(n_blocks: int) -> list[str]:
+    return [f"block{b}.{name}" for b in range(n_blocks) for name in PROJECTION_NAMES]
 
 
 def save_model(
@@ -53,11 +59,9 @@ def save_model(
 ) -> None:
     cfg = model.config
     decomposed = model.decomposed
-    # what the body holds, in order: the plain arrays, then the decomposed layers
-    slots = FROZEN_SLOTS if decomposed else BLOCK_SLOTS
+    slots = _block_slots(decomposed)
     arrays = [model.token_embed, *(getattr(b, slot) for b in model.blocks for slot in slots), model.head]
-    layers = [(f"block{lid // len(PROJECTION_NAMES)}.{name}", getattr(block, name))
-              for lid, block, name in attention_slots(model)] if decomposed else []
+    layers = [getattr(block, name) for _, block, name in attention_slots(model)] if decomposed else []
     manifest = {
         "format": 1,
         "kind": "model",
@@ -80,37 +84,26 @@ def save_model(
         manifest["decomposed_layers"] = [
             {"name": name, "layer_id": layer.layer_id, "semantic_rank": layer.semantic_rank,
              "artifact_ranks": list(layer.ranks)}
-            for name, layer in layers
+            for name, layer in zip(_layer_names(cfg.n_blocks), layers)
         ]
-    body = io.BytesIO()
-    for arr in arrays:
-        body.write(_matrix_bytes(arr))
-    for _, layer in layers:
-        body.write(layer_to_bytes(layer))
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    # written beside the target and renamed over it, so a reader never sees
-    # a partial file and a failed write keeps the previous checkpoint
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(MAGIC)
-            fh.write(_LEN.pack(len(blob)))
-            fh.write(blob)
-            fh.write(body.getvalue())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    out = io.BytesIO()
+    out.write(MAGIC)
+    out.write(_LEN.pack(len(blob)))
+    out.write(blob)
+    for arr in arrays:
+        out.write(_matrix_bytes(arr))
+    for layer in layers:
+        out.write(layer_to_bytes(layer))
+    write_file(path, out.getvalue())
 
 
 def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
     """The manifest and the offset where the body starts.  A file cut
     anywhere before the end of its manifest, a manifest of another format or
     kind, or one missing a field that loading reads (a model dimension, a
-    block's array, a decomposed layer) raises a ValueError naming it."""
+    block's array, a decomposed layer) or listing the body out of the order
+    ``save_model`` writes raises a ValueError naming it."""
     if raw[: len(MAGIC)] != MAGIC[: len(raw)]:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     offset = len(MAGIC) + _LEN.size
@@ -152,8 +145,7 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
             for key in ("name", "layer_id"):
                 if key not in entry:
                     raise ValueError(f"{path}: a 'decomposed_layers' entry lacks {key!r}")
-        wanted = [f"block{b}.{slot}" for b in range(spec["n_blocks"]) for slot in PROJECTION_NAMES]
-        _require_names(path, "decomposed_layers", [e["name"] for e in entries], wanted)
+        _require_names(path, "decomposed_layers", [e["name"] for e in entries], _layer_names(spec["n_blocks"]))
     return manifest, offset + length
 
 
@@ -163,11 +155,16 @@ def _require_type(path: str | Path, field: str, value, kind: type, expected: str
     return value
 
 
-def _require_names(path: str | Path, field: str, present: list[str], wanted: list[str]) -> None:
-    present = set(present)
-    missing = [name for name in wanted if name not in present]
-    if missing:
-        raise ValueError(f"{path}: manifest field {field!r} lacks {missing[0]!r}")
+def _require_names(path: str | Path, field: str, present: list, wanted: list[str]) -> None:
+    """``present`` must be ``wanted``, in that order."""
+    for name in wanted:
+        if name not in present:
+            raise ValueError(f"{path}: manifest field {field!r} lacks {name!r}")
+    if present != wanted:
+        at = next((i for i, (p, w) in enumerate(zip(present, wanted)) if p != w), len(wanted))
+        raise ValueError(
+            f"{path}: manifest field {field!r} has {present[at]!r} out of place, at position {at}"
+        )
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -175,13 +172,10 @@ def read_manifest(path: str | Path) -> dict:
 
 
 def load_model(path: str | Path) -> tuple[Model, dict]:
-    from .linalg import matrix_from_bytes
-
     raw = Path(path).read_bytes()
     manifest, offset = _parse_manifest(raw, path)
     spec = manifest["model"]
-    from .decomposition import DecompositionConfig
-
+    decomposed = manifest["decomposed"]
     cfg = ModelConfig(
         d_model=spec["d_model"],
         n_blocks=spec["n_blocks"],
@@ -189,47 +183,40 @@ def load_model(path: str | Path) -> tuple[Model, dict]:
         n_classes_pretrain=spec["n_classes_pretrain"],
         decomposition=DecompositionConfig(n_subspaces=spec["n_subspaces"]),
     )
-    arrays: dict[str, np.ndarray] = {}
-    for name in manifest["arrays"]:
+    # read by position: _parse_manifest has held the names to the saved order
+    arrays = []
+    for _ in manifest["arrays"]:
         arr, offset = matrix_from_bytes(raw, offset)
-        arrays[name] = arr
-    decomposed_layers: dict[str, DecomposedLayer] = {}
-    if manifest["decomposed"]:
-        for entry in manifest["decomposed_layers"]:
-            layer, offset = layer_from_bytes(raw, offset)
-            if layer.layer_id != entry["layer_id"]:
-                raise ValueError(
-                    f"checkpoint layer id mismatch for {entry['name']}: "
-                    f"{layer.layer_id} != {entry['layer_id']}"
-                )
-            decomposed_layers[entry["name"]] = layer
+        arrays.append(arr)
+    layers = []
+    for entry in manifest["decomposed_layers"] if decomposed else []:
+        layer, offset = layer_from_bytes(raw, offset)
+        if layer.layer_id != entry["layer_id"]:
+            raise ValueError(
+                f"checkpoint layer id mismatch for {entry['name']}: "
+                f"{layer.layer_id} != {entry['layer_id']}"
+            )
+        layers.append(layer)
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after checkpoint payload")
-    rows, cols = arrays["token_embed"].shape
+    token_embed, *block_arrays, head = arrays
+    rows, cols = token_embed.shape
     if (rows, cols) != (cfg.d_model, cfg.d_model):
         raise ValueError(
             f"{path}: manifest field 'model.d_model' is {cfg.d_model}, but 'token_embed' is {rows}x{cols}"
         )
-
-    def vec(name: str) -> np.ndarray:
-        return arrays[name].reshape(-1)
-
+    if head.shape != (spec["n_outputs"], cfg.d_model):
+        raise ValueError(
+            f"{path}: manifest field 'model.n_outputs' is {spec['n_outputs']}, but 'head' is "
+            f"{head.shape[0]}x{head.shape[1]}, not {spec['n_outputs']}x{cfg.d_model}"
+        )
+    slots = _block_slots(decomposed)
+    n_slots, n_proj = len(slots), len(PROJECTION_NAMES)
     blocks = []
     for b in range(cfg.n_blocks):
-        if manifest["decomposed"]:
-            projections = {slot: decomposed_layers[f"block{b}.{slot}"] for slot in PROJECTION_NAMES}
-        else:
-            projections = {slot: arrays[f"block{b}.{slot}"] for slot in PROJECTION_NAMES}
-        blocks.append(
-            Block(
-                norm1_gain=vec(f"block{b}.norm1_gain"),
-                norm1_bias=vec(f"block{b}.norm1_bias"),
-                norm2_gain=vec(f"block{b}.norm2_gain"),
-                norm2_bias=vec(f"block{b}.norm2_bias"),
-                mlp_in=arrays[f"block{b}.mlp_in"],
-                mlp_out=arrays[f"block{b}.mlp_out"],
-                **projections,
-            )
-        )
-    model = Model(config=cfg, token_embed=arrays["token_embed"], blocks=blocks, head=arrays["head"])
+        fields = {slot: arr.reshape(-1) if slot.startswith("norm") else arr
+                  for slot, arr in zip(slots, block_arrays[b * n_slots : (b + 1) * n_slots])}
+        fields.update(zip(PROJECTION_NAMES, layers[b * n_proj : (b + 1) * n_proj]))
+        blocks.append(Block(**fields))
+    model = Model(config=cfg, token_embed=token_embed, blocks=blocks, head=head)
     return model, manifest

@@ -10,7 +10,8 @@ from pathlib import Path
 from .checkpoint import load_model
 from .config import TrainConfig, default_config, load_config
 from .data import build_splits, export_csv
-from .gradcheck import grad_check
+from .decomposition import DecompositionConfig
+from .gradcheck import grad_check, jitter_trainables
 from .harness import (
     decompose_inspect,
     evaluate_to_dir,
@@ -31,8 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, config=True, seed=True, out=False, ckpt=False):
+    def add(name: str, help_text: str, run, *, config=True, seed=True, out=False, ckpt=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if config:
             p.add_argument("--config", type=Path, default=None, help="YAML run configuration")
         if seed:
@@ -43,14 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", type=Path, required=True, help="model checkpoint")
         return p
 
-    add("gen-data", "materialize every split as CSV", out=True)
-    add("pretrain", "train the full model on the base classes", out=True)
-    add("finetune", "decompose, mask, and fine-tune from a pretrained checkpoint", out=True, ckpt=True)
-    add("eval", "evaluate a checkpoint on the test splits", out=True, ckpt=True)
-    add("ablate", "run the four ablation grids", out=True)
-    add("robustness", "distortion grid evaluation of a fine-tuned checkpoint", out=True, ckpt=True)
-    add("inspect", "per-layer decomposition report of a checkpoint", ckpt=True)
-    add("gradcheck", "finite-difference check of the analytic gradients")
+    add("gen-data", "materialize every split as CSV", _cmd_gen_data, out=True)
+    add("pretrain", "train the full model on the base classes", _cmd_pretrain, out=True)
+    add("finetune", "decompose, mask, and fine-tune from a pretrained checkpoint", _cmd_finetune,
+        out=True, ckpt=True)
+    add("eval", "evaluate a checkpoint on the test splits", _cmd_eval, out=True, ckpt=True)
+    add("ablate", "run the four ablation grids", _cmd_ablate, out=True)
+    add("robustness", "distortion grid evaluation of a fine-tuned checkpoint", _cmd_robustness,
+        out=True, ckpt=True)
+    add("inspect", "per-layer decomposition report of a checkpoint", _cmd_inspect, ckpt=True)
+    add("gradcheck", "finite-difference check of the analytic gradients", _cmd_gradcheck)
     return parser
 
 
@@ -66,7 +70,6 @@ def _cmd_gen_data(args) -> None:
     cfg = _config_for(args)
     names = ("pretrain_train", "pretrain_test", "finetune_train", "test_in", "test_heldout")
     splits = build_splits(cfg.data, names)
-    args.out.mkdir(parents=True, exist_ok=True)
     for name in names:
         path = args.out / f"{name}.csv"
         export_csv(getattr(splits, name), path)
@@ -134,8 +137,6 @@ def _cmd_gradcheck(args) -> None:
     cfg = _config_for(args) if args.config is not None else None
     model_cfg = cfg.model if cfg is not None else ModelConfig(d_model=8, n_blocks=2, n_tokens=4)
     if cfg is None:
-        from .decomposition import DecompositionConfig
-
         model_cfg.decomposition = DecompositionConfig(n_subspaces=2)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg is not None else 0)
     model = init_model(model_cfg, make_rng(seed))
@@ -144,8 +145,6 @@ def _cmd_gradcheck(args) -> None:
     rng = make_rng(seed + 2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
     labels = rng.integers(0, 2, size=4).astype(float)
-    from .gradcheck import jitter_trainables
-
     jitter_trainables(model, make_rng(seed + 3), mode="finetune")
     report = grad_check(model, inputs, labels, LossWeights(), mode="finetune")
     print(
@@ -156,22 +155,10 @@ def _cmd_gradcheck(args) -> None:
         raise RuntimeError(f"gradient check failed: {report.max_rel_err:.3e} > {report.tol}")
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "robustness": _cmd_robustness,
-    "inspect": _cmd_inspect,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except Exception as exc:  # noqa: BLE001 - the contract is a one-line error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

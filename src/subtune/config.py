@@ -94,8 +94,7 @@ class TrainConfig:
                 f"active_layer_budget {self.mask.active_layer_budget} exceeds the "
                 f"{self.model.n_decomposable} decomposable layers"
             )
-        if self.weights.orth_weight < 0.0 or self.weights.spectral_weight < 0.0:
-            raise ValueError("loss weights must be >= 0")
+        self.weights.validate()
         return self
 
 

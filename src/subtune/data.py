@@ -9,7 +9,6 @@ generation is order-independent and reproducible sample by sample.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import write_csv
 from .linalg import make_rng
 
 FAMILIES = (
@@ -378,47 +378,20 @@ def labels_of(samples: list[SyntheticSample]) -> np.ndarray:
 def export_csv(samples: list[SyntheticSample], path: str | Path) -> None:
     """Header (clip_id, label, family, intensity, token columns); floats at
     17 significant digits so re-import is bit-exact."""
-    path = Path(path)
     if not samples:
         raise ValueError("nothing to export")
     t_count, d_count = samples[0].tokens.shape
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["clip_id", "label", "family", "intensity"]
-            + [f"tok_{i:04d}" for i in range(t_count * d_count)]
-        )
-        for s in samples:
-            writer.writerow(
-                [
-                    s.clip_id,
-                    s.label,
-                    s.family if s.family is not None else "",
-                    s.intensity if s.intensity is not None else "",
-                ]
-                + [f"{v:.17g}" for v in s.tokens.ravel()]
-            )
-
-
-def import_csv(path: str | Path, n_tokens: int, d_model: int) -> list[SyntheticSample]:
-    path = Path(path)
-    out = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        want = 4 + n_tokens * d_model
-        if len(header) != want:
-            raise ValueError(f"expected {want} columns for a {n_tokens}x{d_model} grid, got {len(header)}")
-        for row in reader:
-            tokens = np.array([float(v) for v in row[4:]]).reshape(n_tokens, d_model)
-            out.append(
-                SyntheticSample(
-                    tokens=tokens,
-                    label=int(row[1]),
-                    base_class=-1,
-                    family=row[2] if row[2] else None,
-                    intensity=int(row[3]) if row[3] else None,
-                    clip_id=row[0],
-                )
-            )
-    return out
+    write_csv(
+        path,
+        ["clip_id", "label", "family", "intensity"] + [f"tok_{i:04d}" for i in range(t_count * d_count)],
+        (
+            [
+                s.clip_id,
+                s.label,
+                s.family if s.family is not None else "",
+                s.intensity if s.intensity is not None else "",
+            ]
+            + [f"{v:.17g}" for v in s.tokens.ravel()]
+            for s in samples
+        ),
+    )

@@ -10,7 +10,6 @@ Wall-clock time appears only in the run summary, never in a CSV.
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import json
 import sys
@@ -26,6 +25,7 @@ from .checkpoint import save_model
 from .config import TrainConfig, config_to_dict
 from .data import FAMILIES, LEVELS, SplitBundle, SyntheticSample, build_splits, labels_of, stack_tokens
 from .decomposition import semantic_to_bytes
+from .files import write_csv, write_file
 from .linalg import make_rng
 from .masking import (
     LayerMask,
@@ -200,9 +200,7 @@ def run_pretrain(
         )
     path = None
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "pretrained.ckpt"
+        path = Path(out_dir) / "pretrained.ckpt"
         save_model(path, model, step=step, config_echo=config_to_dict(cfg))
     return model, acc, path
 
@@ -300,7 +298,7 @@ def run_finetune(
     record.metrics = _evaluate(model, splits)
     record.wall_clock = time.perf_counter() - t0
     if out_dir is not None:
-        _write_finetune_artifacts(cfg, record, Path(out_dir), step)
+        _write_finetune_artifacts(record, Path(out_dir), step)
     return record
 
 
@@ -318,17 +316,14 @@ def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.
     return [mask_rule(step, rows).bits for step, rows in enumerate(record.gradient_log, start=1)]
 
 
-def _write_finetune_artifacts(cfg: TrainConfig, record: RunRecord, out: Path, step: int) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def _write_finetune_artifacts(record: RunRecord, out: Path, step: int) -> None:
     train_log = out / "train_log.csv"
-    with train_log.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "epoch", "cls", "orth_mean", "spec_mean", "total", "popcount", "mask_bits"])
-        for s in record.steps:
-            writer.writerow(
-                [s.step, s.epoch, _fmt(s.cls), _fmt(s.orth_mean), _fmt(s.spec_mean),
-                 _fmt(s.total), s.popcount, s.mask_bits]
-            )
+    write_csv(
+        train_log,
+        ["step", "epoch", "cls", "orth_mean", "spec_mean", "total", "popcount", "mask_bits"],
+        ([s.step, s.epoch, _fmt(s.cls), _fmt(s.orth_mean), _fmt(s.spec_mean), _fmt(s.total),
+          s.popcount, s.mask_bits] for s in record.steps),
+    )
     metrics_csv = out / "metrics.csv"
     _write_metrics_csv(metrics_csv, record.metrics)
     summary = out / "summary.json"
@@ -338,28 +333,25 @@ def _write_finetune_artifacts(cfg: TrainConfig, record: RunRecord, out: Path, st
         "metrics": {k: v.as_dict() for k, v in record.metrics.items()},
         "wall_clock_seconds": record.wall_clock,
     }
-    summary.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_file(summary, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
     ckpt = out / "finetuned.ckpt"
     save_model(ckpt, record.model, step=step, config_echo=record.config)
     record.out_files = [train_log, metrics_csv, summary, ckpt]
 
 
 def _write_metrics_csv(path: Path, reports: dict[str, EvalReport]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "level", "auc", "ap", "eer"])
-        for split in sorted(reports):
-            r = reports[split]
-            writer.writerow([split, "frame", _fmt(r.frame_auc), _fmt(r.frame_ap), _fmt(r.frame_eer)])
-            writer.writerow([split, "video", _fmt(r.video_auc), _fmt(r.video_ap), _fmt(r.video_eer)])
+    rows = []
+    for split in sorted(reports):
+        r = reports[split]
+        rows.append([split, "frame", _fmt(r.frame_auc), _fmt(r.frame_ap), _fmt(r.frame_eer)])
+        rows.append([split, "video", _fmt(r.video_auc), _fmt(r.video_ap), _fmt(r.video_eer)])
+    write_csv(path, ["split", "level", "auc", "ap", "eer"], rows)
 
 
 def evaluate_to_dir(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     _require_binary_head(model)
     reports = _evaluate(model, build_splits(cfg.data, _TEST_SPLITS))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "metrics.csv"
+    path = Path(out_dir) / "metrics.csv"
     _write_metrics_csv(path, reports)
     return path
 
@@ -400,17 +392,16 @@ _METRIC_COLS = ("auc_in", "ap_in", "eer_in", "auc_heldout", "ap_heldout", "eer_h
 
 
 def _write_table(path: Path, key_cols: tuple[str, ...], rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(key_cols) + list(_METRIC_COLS) + ["status"])
-        for row in rows:
-            out = [row[k] for k in key_cols]
-            if row["status"] == "ok":
-                out += [_fmt(row[m]) for m in _METRIC_COLS]
-            else:
-                out += [""] * len(_METRIC_COLS)
-            out.append(row["status"])
-            writer.writerow(out)
+    lines = []
+    for row in rows:
+        line = [row[k] for k in key_cols]
+        if row["status"] == "ok":
+            line += [_fmt(row[m]) for m in _METRIC_COLS]
+        else:
+            line += [""] * len(_METRIC_COLS)
+        line.append(row["status"])
+        lines.append(line)
+    write_csv(path, list(key_cols) + list(_METRIC_COLS) + ["status"], lines)
 
 
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
@@ -418,7 +409,6 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     sweep, and active-budget sweep.  Cell failures are recorded in the status
     column and the sweep continues."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n_layers = cfg.model.n_decomposable
     # (table, key columns, cells); a cell is (seed key, key values, config
     # overrides, masft, slm), listed in the table's row order
@@ -464,8 +454,6 @@ def run_robustness(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     test split, plus the clean baseline row."""
     _require_binary_head(model)
     splits = build_splits(cfg.data, ("test_in", "robustness"))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     clean = eval_split(model, splits.test_in)
     rows.append(("clean", 0, clean.video_auc))
@@ -474,12 +462,8 @@ def run_robustness(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
             cell = eval_split(model, splits.robustness[(family, level)])
             rows.append((family, level, cell.video_auc))
     rows.sort(key=lambda r: (r[0] != "clean", r[0], r[1]))
-    path = out / "robustness.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "level", "video_auc"])
-        for family, level, value in rows:
-            writer.writerow([family, level, _fmt(value)])
+    path = Path(out_dir) / "robustness.csv"
+    write_csv(path, ["family", "level", "video_auc"], ([family, level, _fmt(value)] for family, level, value in rows))
     print(f"clean video AUC {clean.video_auc:.4f}")
     for family in FAMILIES:
         series = [v for f, _, v in rows if f == family]

@@ -1,10 +1,13 @@
 """Checks on generated splits that only the tests use: a least-squares
 probe of how separable the base classes are, the fake families that leak
-into a split, and a digest of every generated bit."""
+into a split, a digest of every generated bit, and a reader for the CSV
+that ``export_csv`` writes."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+from pathlib import Path
 
 import numpy as np
 
@@ -53,4 +56,29 @@ def bundle_digest(bundle: SplitBundle) -> dict[str, str]:
     out = {name: samples_digest(getattr(bundle, name)) for name in SAMPLE_SPLITS}
     for (family, level), cell in sorted(bundle.robustness.items()):
         out[f"{family}@{level}"] = samples_digest(cell)
+    return out
+
+
+def import_csv(path: str | Path, n_tokens: int, d_model: int) -> list[SyntheticSample]:
+    """The samples of an ``export_csv`` file; ``base_class`` is not written,
+    so it reads back as -1."""
+    out = []
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        want = 4 + n_tokens * d_model
+        if len(header) != want:
+            raise ValueError(f"expected {want} columns for a {n_tokens}x{d_model} grid, got {len(header)}")
+        for row in reader:
+            tokens = np.array([float(v) for v in row[4:]]).reshape(n_tokens, d_model)
+            out.append(
+                SyntheticSample(
+                    tokens=tokens,
+                    label=int(row[1]),
+                    base_class=-1,
+                    family=row[2] if row[2] else None,
+                    intensity=int(row[3]) if row[3] else None,
+                    clip_id=row[0],
+                )
+            )
     return out

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from subtune.checkpoint import MAGIC, load_model, read_manifest, save_model
+from subtune.config import config_from_dict
+from subtune.data import DataConfig, export_csv, gen_clips
 from subtune.decomposition import DecompositionConfig, layer_to_bytes
+from subtune.harness import evaluate_to_dir
 from subtune.linalg import make_rng
 from subtune.model import (
     ModelConfig,
@@ -162,23 +165,42 @@ def test_every_truncation_is_a_value_error_naming_it(tmp_path):
             load_model(cut)
 
 
-@pytest.mark.parametrize("failing", ["fsync", "replace"])
-def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failing):
-    import subtune.checkpoint as ckpt
+def _save(path, seed):
+    save_model(path, tiny_model(seed=seed, decomposed=seed % 2 == 0), step=seed)
 
-    path = tmp_path / "m.ckpt"
-    save_model(path, tiny_model(seed=1), step=1)
+
+def _evaluate(path, seed):
+    cfg = config_from_dict({"seed": seed, "model": {"d_model": 8, "n_blocks": 2, "n_tokens": 4},
+                            "decomposition": {"n_subspaces": 2}, "mask": {"active_layer_budget": 4},
+                            "data": {"n_test": 16, "clip_size": 4}})
+    evaluate_to_dir(cfg, tiny_model(seed=seed, decomposed=True), path.parent)
+
+
+def _export(path, seed):
+    export_csv(gen_clips(DataConfig(n_tokens=2, d_model=3, clip_size=2, seed=seed), 4, "test_in"), path)
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+@pytest.mark.parametrize(
+    "name, write", [("m.ckpt", _save), ("metrics.csv", _evaluate), ("part.csv", _export)],
+    ids=["save_model", "evaluate_to_dir", "export_csv"],
+)
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, failing, name, write):
+    import subtune.files as files
+
+    path = tmp_path / name
+    write(path, 1)
     before = path.read_bytes()
 
     def fail(*args):
         raise OSError(f"{failing} failed")
 
     # fsync fails after the whole new file is written, replace at the rename
-    monkeypatch.setattr(ckpt.os, failing, fail)
+    monkeypatch.setattr(files.os, failing, fail)
     with pytest.raises(OSError, match=f"{failing} failed"):
-        save_model(path, tiny_model(seed=2, decomposed=True), step=2)
+        write(path, 2)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def _rewrite_manifest(path, edit):
@@ -217,6 +239,14 @@ def test_manifest_of_another_format_or_kind_or_missing_a_field_is_rejected(tmp_p
         assert "\n" not in str(info.value)
 
 
+def _swap(m, key, i, j, field=None):
+    items = m[key]
+    if field is None:
+        items[i], items[j] = items[j], items[i]
+    else:
+        items[i][field], items[j][field] = items[j][field], items[i][field]
+
+
 def _drop_entry(key, name):
     def edit(m):
         if key == "arrays":
@@ -231,7 +261,7 @@ def _drop_entry(key, name):
     [
         (lambda m: m.pop("decomposed_layers"), "manifest field 'decomposed_layers' is missing"),
         *[(lambda m, k=k: m["model"].pop(k), f"manifest field 'model.{k}' is missing")
-          for k in ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces")],
+          for k in ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces", "n_outputs")],
         (lambda m: m["model"].update(n_blocks="2"), "manifest field 'model.n_blocks' is '2'"),
         (_drop_entry("arrays", "block1.mlp_in"), "manifest field 'arrays' lacks 'block1.mlp_in'"),
         (_drop_entry("arrays", "token_embed"), "manifest field 'arrays' lacks 'token_embed'"),
@@ -251,12 +281,20 @@ def _drop_entry(key, name):
         (lambda m: m["decomposed_layers"].append(3), "a 'decomposed_layers' entry is 3"),
         (lambda m: m["model"].update(d_model=16),
          "manifest field 'model.d_model' is 16, but 'token_embed' is 8x8"),
+        (lambda m: m["model"].update(n_outputs=3),
+         "manifest field 'model.n_outputs' is 3, but 'head' is 1x8, not 3x8"),
+        # same-shape names exchanged: only the saved order tells them apart
+        (lambda m: _swap(m, "arrays", 1, 2),
+         "manifest field 'arrays' has 'block0.norm1_bias' out of place, at position 1"),
+        (lambda m: _swap(m, "decomposed_layers", 0, 1, "name"),
+         "manifest field 'decomposed_layers' has 'block0.k' out of place, at position 0"),
     ],
     ids=["no-decomposed-layers", "no-d_model", "no-n_blocks", "no-n_tokens",
-         "no-n_classes_pretrain", "no-n_subspaces", "n_blocks-string", "no-block-array",
+         "no-n_classes_pretrain", "no-n_subspaces", "no-n_outputs", "n_blocks-string", "no-block-array",
          "no-token-embed", "no-layer-entry", "entry-without-id", "n_subspaces-string",
          "n_tokens-string", "n_classes_pretrain-bool", "n_outputs-zero", "model-list",
-         "decomposed-int", "arrays-int", "layers-int", "entry-int", "d_model-off-the-arrays"],
+         "decomposed-int", "arrays-int", "layers-int", "entry-int", "d_model-off-the-arrays",
+         "n_outputs-off-the-head", "arrays-swapped", "layer-names-swapped"],
 )
 def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
@@ -264,7 +302,7 @@ def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, me
     _rewrite_manifest(path, edit)
     # read_manifest reads no array, so only load_model can hold a dimension
     # against one
-    readers = (load_model,) if "but 'token_embed'" in message else (load_model, read_manifest)
+    readers = (load_model,) if ", but '" in message else (load_model, read_manifest)
     for read in readers:
         with pytest.raises(ValueError, match=message) as info:
             read(path)

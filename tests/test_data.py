@@ -12,6 +12,7 @@ from split_checks import (
     SAMPLE_SPLITS,
     bundle_digest,
     family_leakage,
+    import_csv,
     linear_probe_accuracy,
     samples_digest,
 )
@@ -27,7 +28,6 @@ from subtune.data import (
     distort,
     export_csv,
     gen_clips,
-    import_csv,
     stack_tokens,
     transform_tokens,
 )
