@@ -102,8 +102,8 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
     """The manifest and the offset where the body starts.  A file cut
     anywhere before the end of its manifest, a manifest of another format or
     kind, or one missing a field that loading reads (a model dimension, a
-    block's array, a decomposed layer) or listing the body out of the order
-    ``save_model`` writes raises a ValueError naming it."""
+    block's array, a decomposed layer and its ranks) or listing the body out
+    of the order ``save_model`` writes raises a ValueError naming it."""
     if raw[: len(MAGIC)] != MAGIC[: len(raw)]:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     offset = len(MAGIC) + _LEN.size
@@ -130,7 +130,7 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
         if key not in spec:
             raise ValueError(f"{path}: manifest field 'model.{key}' is missing")
     for key, value in spec.items():
-        if type(value) is not int or value < 1:
+        if not _positive_int(value):
             raise ValueError(f"{path}: manifest field 'model.{key}' is {value!r}, expected a positive int")
     decomposed = _require_type(path, "decomposed", manifest["decomposed"], bool, "a bool")
     arrays = _require_type(path, "arrays", manifest["arrays"], list, "a list")
@@ -139,14 +139,25 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
         if "decomposed_layers" not in manifest:
             raise ValueError(f"{path}: manifest field 'decomposed_layers' is missing")
         entries = _require_type(path, "decomposed_layers", manifest["decomposed_layers"], list, "a list")
-        for entry in entries:
+        for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"{path}: a 'decomposed_layers' entry is {entry!r}, expected an object")
-            for key in ("name", "layer_id"):
+            for key in ("name", "layer_id", "semantic_rank", "artifact_ranks"):
                 if key not in entry:
                     raise ValueError(f"{path}: a 'decomposed_layers' entry lacks {key!r}")
+            if not _positive_int(entry["semantic_rank"]):
+                raise ValueError(f"{path}: manifest field 'decomposed_layers[{i}].semantic_rank' is "
+                                 f"{entry['semantic_rank']!r}, expected a positive int")
+            ranks = entry["artifact_ranks"]
+            if type(ranks) is not list or not ranks or not all(_positive_int(r) for r in ranks):
+                raise ValueError(f"{path}: manifest field 'decomposed_layers[{i}].artifact_ranks' is "
+                                 f"{ranks!r}, expected a list of positive ints")
         _require_names(path, "decomposed_layers", [e["name"] for e in entries], _layer_names(spec["n_blocks"]))
     return manifest, offset + length
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
 
 
 def _require_type(path: str | Path, field: str, value, kind: type, expected: str):
@@ -189,13 +200,19 @@ def load_model(path: str | Path) -> tuple[Model, dict]:
         arr, offset = matrix_from_bytes(raw, offset)
         arrays.append(arr)
     layers = []
-    for entry in manifest["decomposed_layers"] if decomposed else []:
+    for i, entry in enumerate(manifest["decomposed_layers"] if decomposed else []):
         layer, offset = layer_from_bytes(raw, offset)
         if layer.layer_id != entry["layer_id"]:
             raise ValueError(
                 f"checkpoint layer id mismatch for {entry['name']}: "
                 f"{layer.layer_id} != {entry['layer_id']}"
             )
+        for key, saved in (("semantic_rank", layer.semantic_rank), ("artifact_ranks", list(layer.ranks))):
+            if entry[key] != saved:
+                raise ValueError(
+                    f"{path}: manifest field 'decomposed_layers[{i}].{key}' is {entry[key]!r}, "
+                    f"but '{entry['name']}' has {saved!r}"
+                )
         layers.append(layer)
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after checkpoint payload")

@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         out=True, ckpt=True)
     add("eval", "evaluate a checkpoint on the test splits", _cmd_eval, out=True, ckpt=True)
     add("ablate", "run the four ablation grids", _cmd_ablate, out=True)
-    add("robustness", "distortion grid evaluation of a fine-tuned checkpoint", _cmd_robustness,
+    add("robustness", "perturbation grid evaluation of a fine-tuned checkpoint", _cmd_robustness,
         out=True, ckpt=True)
     add("inspect", "per-layer decomposition report of a checkpoint", _cmd_inspect, ckpt=True)
     add("gradcheck", "finite-difference check of the analytic gradients", _cmd_gradcheck)

@@ -1,6 +1,6 @@
 """Seeded synthetic corpus: smooth class-conditional "real" token signals,
 five parameterized artifact families that fake them at five intensity
-levels, cross-family train/heldout splits, and a distortion grid that
+levels, cross-family train/heldout splits, and a robustness grid that
 perturbs whole test sets.
 
 Every draw is derived from (config seed + a fixed stream offset + index), so
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -110,13 +110,31 @@ class DataConfig:
 
 
 @dataclass
-class SyntheticSample:
+class Split:
+    """One data split as parallel arrays, one entry per sample: ``tokens``
+    (N, T, D), ``labels`` (float64, 0 real and 1 fake), ``base_class``,
+    ``family`` ("" on a real sample), ``intensity`` (0 on a real sample)
+    and ``clip_id``.  The arrays are read-only once built, since the
+    robustness grid's cells share all but their tokens and intensities."""
+
     tokens: np.ndarray
-    label: int
-    base_class: int
-    family: str | None
-    intensity: int | None
-    clip_id: str
+    labels: np.ndarray
+    base_class: np.ndarray
+    family: np.ndarray
+    intensity: np.ndarray
+    clip_id: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _empty_split() -> Split:
+    no_ints = np.empty(0, dtype=np.int64)
+    return Split(np.empty((0, 0, 0)), np.empty(0), no_ints, np.empty(0, dtype=str), no_ints, np.empty(0, dtype=str))
 
 
 def class_basis(cfg: DataConfig, base_class: int) -> np.ndarray:
@@ -140,14 +158,7 @@ def _class_basis(seed: int, n_tokens: int, d_model: int, base_class: int) -> np.
     return basis
 
 
-def _real_tokens(cfg: DataConfig, base_class: int, clip_offset: np.ndarray, sample_rng) -> np.ndarray:
-    noise = cfg.noise_level * sample_rng.normal(size=(cfg.n_tokens, cfg.d_model))
-    return class_basis(cfg, base_class) + clip_offset + noise
-
-
-def gen_clips(
-    cfg: DataConfig, n_samples: int, split: str, families: tuple[str, ...] = ()
-) -> list[SyntheticSample]:
+def gen_clips(cfg: DataConfig, n_samples: int, split: str, families: tuple[str, ...] = ()) -> Split:
     """Real clips, classes cycling per clip, one rng stream per sample and
     one per clip so regeneration is index-exact.  With ``families`` the clips
     are fakes, drawn from their own streams: each a fresh real clip pushed
@@ -161,31 +172,36 @@ def gen_clips(
         clip_stream, sample_stream, tag = _FAKE_CLIP_SUBSTREAM, _FAKE_SAMPLE_SUBSTREAM, "f"
     else:
         clip_stream, sample_stream, tag = _CLIP_SUBSTREAM, 0, "r"
-    out = []
-    for clip_idx in range(n_samples // cfg.clip_size):
+    n_clips = n_samples // cfg.clip_size
+    tokens = np.empty((n_samples, cfg.n_tokens, cfg.d_model))
+    # one entry per clip, repeated over its members below
+    clip_family, clip_level = [""] * n_clips, [0] * n_clips
+    for clip_idx in range(n_clips):
         base_class = clip_idx % cfg.n_base_classes
         clip_rng = make_rng(cfg.seed + offset + clip_stream + clip_idx)
         clip_offset = _CLIP_OFFSET_SCALE * clip_rng.normal(size=(1, cfg.d_model))
-        clip_id = f"{split}-{tag}{clip_idx:05d}"
         if families:
             family = families[clip_idx % len(families)]
             level = LEVELS[(clip_idx // len(families)) % len(LEVELS)]
+            clip_family[clip_idx], clip_level[clip_idx] = family, level
         for member in range(cfg.clip_size):
             idx = clip_idx * cfg.clip_size + member
             sample_rng = make_rng(cfg.seed + offset + sample_stream + idx)
-            sample = SyntheticSample(
-                tokens=_real_tokens(cfg, base_class, clip_offset, sample_rng),
-                label=0,
-                base_class=base_class,
-                family=None,
-                intensity=None,
-                clip_id=clip_id,
-            )
+            noise = cfg.noise_level * sample_rng.normal(size=(cfg.n_tokens, cfg.d_model))
+            sample = class_basis(cfg, base_class) + clip_offset + noise
             if families:
                 artifact_rng = _artifact_rng(family, cfg.seed + offset + _ARTIFACT_SUBSTREAM + idx)
-                sample = apply_artifact(sample, family, level, artifact_rng)
-            out.append(sample)
-    return out
+                sample = transform_tokens(sample, family, level, artifact_rng)
+            tokens[idx] = sample
+    clips = np.arange(n_clips)
+    return Split(
+        tokens=tokens,
+        labels=np.full(n_samples, 1.0 if families else 0.0),
+        base_class=np.repeat(clips % cfg.n_base_classes, cfg.clip_size),
+        family=np.repeat(np.array(clip_family), cfg.clip_size),
+        intensity=np.repeat(np.array(clip_level), cfg.clip_size),
+        clip_id=np.repeat(np.array([f"{split}-{tag}{c:05d}" for c in clips]), cfg.clip_size),
+    )
 
 
 def _rms(x: np.ndarray) -> float:
@@ -275,48 +291,23 @@ def transform_tokens(tokens: np.ndarray, family: str, level: int, rng) -> np.nda
     return out
 
 
-def apply_artifact(sample: SyntheticSample, family: str, level: int, rng) -> SyntheticSample:
-    """Fake a real sample: transform its tokens and flip the label."""
-    return SyntheticSample(
-        tokens=transform_tokens(sample.tokens, family, level, rng),
-        label=1,
-        base_class=sample.base_class,
-        family=family,
-        intensity=level,
-        clip_id=sample.clip_id,
-    )
-
-
-def distort(sample: SyntheticSample, family: str, level: int, rng) -> SyntheticSample:
-    """Robustness-protocol perturbation: same transforms, label preserved."""
-    return SyntheticSample(
-        tokens=transform_tokens(sample.tokens, family, level, rng),
-        label=sample.label,
-        base_class=sample.base_class,
-        family=sample.family,
-        intensity=level,
-        clip_id=sample.clip_id,
-    )
-
-
 def _artifact_rng(family: str, seed: int):
     """The artifact stream of one sample, or None for a family whose
     transform never draws from it."""
     return None if family in _RNG_FREE_FAMILIES else make_rng(seed)
 
 
-def _robustness_grid(
-    cfg: DataConfig, test_in: list[SyntheticSample]
-) -> dict[tuple[str, int], list[SyntheticSample]]:
-    """Every (family, level) distortion of ``test_in``, labels kept."""
+def _robustness_grid(cfg: DataConfig, test_in: Split) -> dict[tuple[str, int], Split]:
+    """Every (family, level) perturbation of ``test_in``'s tokens; each cell
+    shares ``test_in``'s other arrays, with ``intensity`` set to its level."""
     grid = {}
     for cell_idx, family in enumerate(FAMILIES):
         for level in LEVELS:
             base = cfg.seed + _ROBUST_STREAM + (cell_idx * len(LEVELS) + level) * 10_000
-            grid[(family, level)] = [
-                distort(sample, family, level, _artifact_rng(family, base + s_idx))
-                for s_idx, sample in enumerate(test_in)
-            ]
+            tokens = np.empty_like(test_in.tokens)
+            for s_idx, sample in enumerate(test_in.tokens):
+                tokens[s_idx] = transform_tokens(sample, family, level, _artifact_rng(family, base + s_idx))
+            grid[(family, level)] = replace(test_in, tokens=tokens, intensity=np.full(len(test_in), level))
     return grid
 
 
@@ -327,22 +318,22 @@ SPLITS = ("pretrain_train", "pretrain_test", "finetune_train", "test_in", "test_
 class SplitBundle:
     """Generated splits; a split the caller did not ask for stays empty."""
 
-    pretrain_train: list[SyntheticSample] = field(default_factory=list)
-    pretrain_test: list[SyntheticSample] = field(default_factory=list)
-    finetune_train: list[SyntheticSample] = field(default_factory=list)
-    test_in: list[SyntheticSample] = field(default_factory=list)
-    test_heldout: list[SyntheticSample] = field(default_factory=list)
-    robustness: dict[tuple[str, int], list[SyntheticSample]] = field(default_factory=dict)
+    pretrain_train: Split = field(default_factory=_empty_split)
+    pretrain_test: Split = field(default_factory=_empty_split)
+    finetune_train: Split = field(default_factory=_empty_split)
+    test_in: Split = field(default_factory=_empty_split)
+    test_heldout: Split = field(default_factory=_empty_split)
+    robustness: dict[tuple[str, int], Split] = field(default_factory=dict)
 
 
-def _detection_split(cfg: DataConfig, n: int, split: str, families: tuple[str, ...]) -> list[SyntheticSample]:
-    half = n // 2
-    return gen_clips(cfg, half, split) + gen_clips(cfg, half, split, families)
+def _detection_split(cfg: DataConfig, n: int, split: str, families: tuple[str, ...]) -> Split:
+    real, fake = gen_clips(cfg, n // 2, split), gen_clips(cfg, n // 2, split, families)
+    return Split(*(np.concatenate((getattr(real, f.name), getattr(fake, f.name))) for f in fields(Split)))
 
 
 def build_splits(cfg: DataConfig, splits: tuple[str, ...]) -> SplitBundle:
     """Generate the named splits (names from ``SPLITS``; "robustness" is the
-    distortion grid over ``test_in``).  Each split's samples are the same
+    perturbation grid over ``test_in``).  Each split's samples are the same
     whichever others are asked for."""
     cfg.validate()
     wanted = set(splits)
@@ -367,31 +358,20 @@ def build_splits(cfg: DataConfig, splits: tuple[str, ...]) -> SplitBundle:
     return bundle
 
 
-def stack_tokens(samples: list[SyntheticSample]) -> np.ndarray:
-    return np.stack([s.tokens for s in samples])
-
-
-def labels_of(samples: list[SyntheticSample]) -> np.ndarray:
-    return np.array([s.label for s in samples], dtype=np.float64)
-
-
-def export_csv(samples: list[SyntheticSample], path: str | Path) -> None:
-    """Header (clip_id, label, family, intensity, token columns); floats at
-    17 significant digits so re-import is bit-exact."""
-    if not samples:
+def export_csv(split: Split, path: str | Path) -> None:
+    """Header (clip_id, label, family, intensity, token columns), with a
+    real sample's 0 intensity left blank; floats at 17 significant digits
+    so re-import is bit-exact."""
+    if not len(split):
         raise ValueError("nothing to export")
-    t_count, d_count = samples[0].tokens.shape
+    _, t_count, d_count = split.tokens.shape
     write_csv(
         path,
         ["clip_id", "label", "family", "intensity"] + [f"tok_{i:04d}" for i in range(t_count * d_count)],
         (
-            [
-                s.clip_id,
-                s.label,
-                s.family if s.family is not None else "",
-                s.intensity if s.intensity is not None else "",
-            ]
-            + [f"{v:.17g}" for v in s.tokens.ravel()]
-            for s in samples
+            [clip_id, int(label), family, int(level) if level else ""] + [f"{v:.17g}" for v in tokens.ravel()]
+            for clip_id, label, family, level, tokens in zip(
+                split.clip_id, split.labels, split.family, split.intensity, split.tokens
+            )
         ),
     )

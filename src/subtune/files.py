@@ -8,17 +8,22 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 
-def write_file(path: str | Path, data: bytes) -> None:
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle on a temporary file that replaces ``path`` once the
+    block exits cleanly; on any failure the temporary file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            fh.write(data)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -27,10 +32,20 @@ def write_file(path: str | Path, data: bytes) -> None:
         raise
 
 
+def write_file(path: str | Path, data: bytes) -> None:
+    with _replacing(path) as fh:
+        fh.write(data)
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """``header`` then every row of ``rows``, formatted by ``csv.writer``."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_file(path, text.getvalue().encode())
+    """``header`` then every row of ``rows``, formatted by ``csv.writer``
+    and streamed to the file row by row."""
+    with _replacing(path) as fh:
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        try:
+            writer = csv.writer(text)
+            writer.writerow(header)
+            writer.writerows(rows)
+        finally:
+            # flushes the text buffer and leaves ``fh`` open for the fsync
+            text.detach()

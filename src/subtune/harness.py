@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .checkpoint import save_model
 from .config import TrainConfig, config_to_dict
-from .data import FAMILIES, LEVELS, SplitBundle, SyntheticSample, build_splits, labels_of, stack_tokens
+from .data import FAMILIES, LEVELS, Split, SplitBundle, build_splits
 from .decomposition import semantic_to_bytes
 from .files import write_csv, write_file
 from .linalg import make_rng
@@ -117,14 +117,6 @@ class RunRecord:
     opt: OptimizerState | None = None
 
 
-def _scored(model: Model, samples: list[SyntheticSample]) -> metrics_mod.ScoredSet:
-    return metrics_mod.ScoredSet(
-        scores=predict(model, stack_tokens(samples)),
-        labels=labels_of(samples),
-        group_ids=np.array([s.clip_id for s in samples]),
-    )
-
-
 def _require_binary_head(model: Model) -> None:
     """Scoring reads one fake-probability per sample; refuse a pretraining
     checkpoint before any data is built."""
@@ -135,8 +127,8 @@ def _require_binary_head(model: Model) -> None:
         )
 
 
-def eval_split(model: Model, samples: list[SyntheticSample]) -> EvalReport:
-    frame = _scored(model, samples)
+def eval_split(model: Model, split: Split) -> EvalReport:
+    frame = metrics_mod.ScoredSet(scores=predict(model, split.tokens), labels=split.labels, group_ids=split.clip_id)
     video = metrics_mod.video_level(frame, pool="mean")
     return EvalReport(
         frame_auc=metrics_mod.auc(frame),
@@ -153,11 +145,9 @@ def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def pretrain_accuracy(model: Model, samples: list[SyntheticSample]) -> float:
-    probs = predict(model, stack_tokens(samples))
-    got = probs.argmax(axis=1)
-    want = np.array([s.base_class for s in samples])
-    return float(np.mean(got == want))
+def pretrain_accuracy(model: Model, split: Split) -> float:
+    got = predict(model, split.tokens).argmax(axis=1)
+    return float(np.mean(got == split.base_class))
 
 
 def run_pretrain(
@@ -180,9 +170,7 @@ def run_pretrain(
     for epoch in range(cfg.pretrain.max_epochs):
         rng = make_rng(cfg.seed + _PRETRAIN_SHUFFLE + epoch)
         for batch in _batches(len(train), cfg.pretrain.batch_size, rng):
-            x = stack_tokens([train[i] for i in batch])
-            y = np.array([train[i].base_class for i in batch])
-            _, grads = backward(model, x, y)
+            _, grads = backward(model, train.tokens[batch], train.base_class[batch])
             step += 1
             theta, m, v = adaptive_step(
                 theta, flat_vector(trainable_arrays(model, "full", grads)), m, v, step, opt
@@ -278,9 +266,7 @@ def run_finetune(
         rng = make_rng(cfg.seed + _FINETUNE_SHUFFLE + epoch)
         for batch in _batches(len(train), cfg.optimizer.batch_size, rng):
             step += 1
-            x = stack_tokens([train[i] for i in batch])
-            y = np.array([train[i].label for i in batch], dtype=np.float64)
-            report, grads = backward(model, x, y, cfg.weights)
+            report, grads = backward(model, train.tokens[batch], train.labels[batch], cfg.weights)
             mask = mask_rule(step, grads.trainable)
             apply_update(model, grads, mask, opt)
             bits_str = "".join(str(int(b)) for b in mask.bits)
@@ -450,7 +436,7 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
 
 
 def run_robustness(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
-    """Video-level AUC for every (family, level) distortion of the in-domain
+    """Video-level AUC for every (family, level) perturbation of the in-domain
     test split, plus the clean baseline row."""
     _require_binary_head(model)
     splits = build_splits(cfg.data, ("test_in", "robustness"))

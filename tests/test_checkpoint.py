@@ -203,6 +203,41 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, failing, na
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+def _rows(n, fail_at=None):
+    for i in range(n):
+        if i == fail_at:
+            raise RuntimeError(f"row {i} failed")
+        yield [f"clip-{i:06d}", i % 2] + [f"{(i * 24 + j) / 7:.17g}" for j in range(24)]
+
+
+def test_csv_rows_are_streamed_to_the_file(tmp_path):
+    import tracemalloc
+
+    from subtune.files import write_csv
+
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["clip_id", "label"] + [f"tok_{j:04d}" for j in range(24)], _rows(10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size >= 4 * 2**20
+    assert peak < 2**20, peak
+
+
+def test_a_row_that_fails_mid_stream_keeps_the_previous_file(tmp_path):
+    from subtune.files import write_csv
+
+    path = tmp_path / "part.csv"
+    write_csv(path, ["clip_id", "label"], [["a", 0]])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="row 5000 failed"):
+        write_csv(path, ["clip_id", "label"], _rows(10_000, fail_at=5_000))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["part.csv"]
+
+
 def _rewrite_manifest(path, edit):
     raw = path.read_bytes()
     length = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
@@ -288,13 +323,25 @@ def _drop_entry(key, name):
          "manifest field 'arrays' has 'block0.norm1_bias' out of place, at position 1"),
         (lambda m: _swap(m, "decomposed_layers", 0, 1, "name"),
          "manifest field 'decomposed_layers' has 'block0.k' out of place, at position 0"),
+        (lambda m: m["decomposed_layers"][0].update(semantic_rank=1, artifact_ranks=[7, 7, 7]),
+         "manifest field 'decomposed_layers\\[0\\].semantic_rank' is 1, but 'block0.q' has 4"),
+        (lambda m: m["decomposed_layers"][1].update(artifact_ranks=[1, 2]),
+         "manifest field 'decomposed_layers\\[1\\].artifact_ranks' is \\[1, 2\\], but 'block0.k' has \\[2, 1\\]"),
+        (lambda m: m["decomposed_layers"][2].pop("artifact_ranks"),
+         "a 'decomposed_layers' entry lacks 'artifact_ranks'"),
+        (lambda m: m["decomposed_layers"][0].update(semantic_rank=True),
+         "manifest field 'decomposed_layers\\[0\\].semantic_rank' is True, expected a positive int"),
+        (lambda m: m["decomposed_layers"][3].update(artifact_ranks=[2, "2"]),
+         "manifest field 'decomposed_layers\\[3\\].artifact_ranks' is \\[2, '2'\\], "
+         "expected a list of positive ints"),
     ],
     ids=["no-decomposed-layers", "no-d_model", "no-n_blocks", "no-n_tokens",
          "no-n_classes_pretrain", "no-n_subspaces", "no-n_outputs", "n_blocks-string", "no-block-array",
          "no-token-embed", "no-layer-entry", "entry-without-id", "n_subspaces-string",
          "n_tokens-string", "n_classes_pretrain-bool", "n_outputs-zero", "model-list",
          "decomposed-int", "arrays-int", "layers-int", "entry-int", "d_model-off-the-arrays",
-         "n_outputs-off-the-head", "arrays-swapped", "layer-names-swapped"],
+         "n_outputs-off-the-head", "arrays-swapped", "layer-names-swapped", "semantic-rank-off-the-body",
+         "artifact-ranks-off-the-body", "no-artifact_ranks", "semantic-rank-bool", "artifact-ranks-string"],
 )
 def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"

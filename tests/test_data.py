@@ -21,14 +21,10 @@ from subtune.data import (
     LEVELS,
     SPLITS,
     DataConfig,
-    SyntheticSample,
-    apply_artifact,
     build_splits,
     class_basis,
-    distort,
     export_csv,
     gen_clips,
-    stack_tokens,
     transform_tokens,
 )
 from subtune.linalg import make_rng
@@ -86,13 +82,13 @@ def test_gen_real_deterministic_and_clip_structured():
     cfg = small_cfg()
     a = gen_clips(cfg, 16, "test_in")
     b = gen_clips(cfg, 16, "test_in")
-    for x, y in zip(a, b):
-        assert np.array_equal(x.tokens, y.tokens)
-        assert x.clip_id == y.clip_id
+    assert np.array_equal(a.tokens, b.tokens)
+    assert np.array_equal(a.clip_id, b.clip_id)
     # 4 clips of 4, class cycling per clip
-    assert [s.clip_id for s in a[:4]] == ["test_in-r00000"] * 4
-    assert [s.base_class for s in a[::4]] == [0, 1, 2, 3]
-    assert all(s.label == 0 and s.family is None for s in a)
+    assert a.clip_id[:4].tolist() == ["test_in-r00000"] * 4
+    assert a.base_class[::4].tolist() == [0, 1, 2, 3]
+    assert a.labels.dtype == np.float64 and not a.labels.any()
+    assert a.family.tolist() == [""] * 16 and not a.intensity.any()
 
 
 def test_transform_rejects_bad_family_and_level():
@@ -156,25 +152,18 @@ def test_non_blur_families_share_the_processing_trace():
     assert np.array_equal(blurred, tokens)
 
 
-def test_apply_artifact_flips_label_and_records_provenance():
+def test_fake_clips_flip_the_label_and_record_family_and_level():
     cfg = small_cfg()
-    sample = gen_clips(cfg, 4, "test_in")[0]
-    fake = apply_artifact(sample, "high-frequency-ripple", 4, make_rng(2))
-    assert fake.label == 1
-    assert fake.family == "high-frequency-ripple"
-    assert fake.intensity == 4
-    assert fake.base_class == sample.base_class
-    assert not np.array_equal(fake.tokens, sample.tokens)
-
-
-def test_distort_preserves_label():
-    cfg = small_cfg()
-    sample = gen_clips(cfg, 4, "test_in")[0]
-    fake = apply_artifact(sample, "localized-patch", 2, make_rng(3))
-    for s in (sample, fake):
-        d = distort(s, "structured-noise", 3, make_rng(4))
-        assert d.label == s.label
-        assert d.clip_id == s.clip_id
+    families = ("high-frequency-ripple", "token-blur")
+    real = gen_clips(cfg, 16, "test_in")
+    fake = gen_clips(cfg, 16, "test_in", families)
+    assert fake.labels.dtype == np.float64 and fake.labels.tolist() == [1.0] * 16
+    # families cycle per clip first, levels second
+    assert fake.family.tolist() == [f for f in families * 2 for _ in range(4)]
+    assert fake.intensity.tolist() == [1] * 8 + [2] * 8
+    assert np.array_equal(fake.base_class, real.base_class)
+    assert fake.clip_id[::4].tolist() == [f"test_in-f{c:05d}" for c in range(4)]
+    assert not np.array_equal(fake.tokens, real.tokens)
 
 
 def test_build_splits_shapes_balance_and_family_discipline():
@@ -187,12 +176,11 @@ def test_build_splits_shapes_balance_and_family_discipline():
     assert len(splits.test_heldout) == 32
     for name in ("finetune_train", "test_in", "test_heldout"):
         part = getattr(splits, name)
-        labs = [s.label for s in part]
-        assert sum(labs) * 2 == len(labs)
+        assert part.labels.sum() * 2 == len(part)
     assert family_leakage(splits.finetune_train, cfg.families_train) == []
     assert family_leakage(splits.test_in, cfg.families_train) == []
     assert family_leakage(splits.test_heldout, cfg.families_heldout) == []
-    heldout_fams = {s.family for s in splits.test_heldout if s.label == 1}
+    heldout_fams = set(splits.test_heldout.family[splits.test_heldout.labels == 1].tolist())
     assert heldout_fams == set(cfg.families_heldout)
 
 
@@ -200,14 +188,12 @@ def test_build_splits_clips_are_homogeneous():
     cfg = small_cfg()
     splits = build_splits(cfg, SAMPLE_SPLITS)
     for part in (splits.finetune_train, splits.test_in, splits.test_heldout):
-        by_clip = {}
-        for s in part:
-            by_clip.setdefault(s.clip_id, []).append(s)
-        for clip_id, members in by_clip.items():
-            assert len(members) == cfg.clip_size
-            assert len({m.label for m in members}) == 1, clip_id
-            fams = {m.family for m in members}
-            assert len(fams) == 1, clip_id
+        for clip_id in np.unique(part.clip_id):
+            members = part.clip_id == clip_id
+            assert members.sum() == cfg.clip_size
+            assert len(set(part.labels[members].tolist())) == 1, clip_id
+            assert len(set(part.family[members].tolist())) == 1, clip_id
+            assert len(set(part.intensity[members].tolist())) == 1, clip_id
 
 
 def test_robustness_grid_covers_all_cells_and_is_deterministic():
@@ -215,19 +201,22 @@ def test_robustness_grid_covers_all_cells_and_is_deterministic():
     a = build_splits(cfg, SPLITS)
     b = build_splits(cfg, SPLITS)
     assert set(a.robustness) == {(f, lv) for f in FAMILIES for lv in LEVELS}
-    cell_a = a.robustness[("structured-noise", 3)]
-    cell_b = b.robustness[("structured-noise", 3)]
-    assert len(cell_a) == len(a.test_in)
-    for x, y, base in zip(cell_a, cell_b, a.test_in):
-        assert np.array_equal(x.tokens, y.tokens)
-        assert x.label == base.label
-        assert x.clip_id == base.clip_id
+    for (family, level), cell_a in a.robustness.items():
+        cell_b = b.robustness[(family, level)]
+        assert len(cell_a) == len(a.test_in)
+        assert np.array_equal(cell_a.tokens, cell_b.tokens)
+        assert not np.array_equal(cell_a.tokens, a.test_in.tokens)
+        # labels, classes, families and clips are the clean split's; the
+        # intensity is the cell's level on every sample
+        for name in ("labels", "base_class", "family", "clip_id"):
+            assert np.array_equal(getattr(cell_a, name), getattr(a.test_in, name)), name
+        assert cell_a.intensity.tolist() == [level] * len(a.test_in)
 
 
 def test_different_seed_changes_data():
     a = build_splits(small_cfg(seed=3), SAMPLE_SPLITS)
     b = build_splits(small_cfg(seed=4), SAMPLE_SPLITS)
-    assert not np.array_equal(stack_tokens(a.finetune_train), stack_tokens(b.finetune_train))
+    assert not np.array_equal(a.finetune_train.tokens, b.finetune_train.tokens)
 
 
 def test_linear_probe_separates_base_classes():
@@ -240,17 +229,13 @@ def test_linear_probe_separates_base_classes():
 def test_csv_round_trip_is_bit_exact(tmp_path):
     cfg = small_cfg()
     splits = build_splits(cfg, SAMPLE_SPLITS)
-    part = splits.finetune_train[:12]
+    part = splits.finetune_train
     path = tmp_path / "part.csv"
     export_csv(part, path)
     back = import_csv(path, cfg.n_tokens, cfg.d_model)
     assert len(back) == len(part)
-    for orig, rt in zip(part, back):
-        assert np.array_equal(orig.tokens, rt.tokens)
-        assert rt.label == orig.label
-        assert rt.family == orig.family
-        assert rt.intensity == orig.intensity
-        assert rt.clip_id == orig.clip_id
+    for name in ("tokens", "labels", "family", "intensity", "clip_id"):
+        assert np.array_equal(getattr(back, name), getattr(part, name)), name
 
 
 def test_import_csv_rejects_wrong_width(tmp_path):
@@ -283,7 +268,7 @@ def test_every_split_selection_matches_a_full_build():
                 if name in names:
                     assert samples_digest(part) == full[name], (names, name)
                 else:
-                    assert part == [], (names, name)
+                    assert len(part) == 0, (names, name)
             got = bundle_digest(bundle)
             grid = {key: digest for key, digest in got.items() if "@" in key}
             assert grid == (full_grid if "robustness" in names else {}), names
@@ -292,6 +277,17 @@ def test_every_split_selection_matches_a_full_build():
 def test_build_splits_rejects_an_unknown_split_name():
     with pytest.raises(ValueError, match="unknown split 'test_out'"):
         build_splits(small_cfg(), ("test_in", "test_out"))
+
+
+def test_split_arrays_are_read_only():
+    splits = build_splits(small_cfg(), SPLITS)
+    cell = splits.robustness[("token-blur", 2)]
+    for split in (splits.pretrain_train, splits.finetune_train, splits.test_in, cell):
+        for name in ("tokens", "labels", "base_class", "family", "intensity", "clip_id"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(split, name)[0] = getattr(split, name)[-1]
+    # the cell shares the clean split's labels, so one write would reach both
+    assert np.shares_memory(cell.labels, splits.test_in.labels)
 
 
 def test_class_basis_is_cached_and_read_only():
