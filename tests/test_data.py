@@ -166,6 +166,20 @@ def test_fake_clips_flip_the_label_and_record_family_and_level():
     assert not np.array_equal(fake.tokens, real.tokens)
 
 
+def test_distort_preserves_label():
+    cfg = small_cfg()
+    splits = build_splits(cfg, ("test_in", "robustness"))
+    clean = splits.test_in
+    distorted = splits.robustness[("structured-noise", 3)]
+    for label in (0.0, 1.0):
+        rows = np.flatnonzero(clean.labels == label)
+        assert rows.size > 0
+        assert distorted.labels[rows].tolist() == [label] * rows.size
+        assert np.array_equal(distorted.clip_id[rows], clean.clip_id[rows])
+        for r in rows:
+            assert not np.array_equal(distorted.tokens[r], clean.tokens[r])
+
+
 def test_build_splits_shapes_balance_and_family_discipline():
     cfg = small_cfg()
     splits = build_splits(cfg, SAMPLE_SPLITS)
