@@ -15,7 +15,7 @@ import numpy as np
 from .decomposition import DecompositionConfig, layer_from_bytes, layer_to_bytes
 from .files import write_file
 from .linalg import matrix_from_bytes, matrix_to_bytes
-from .model import BLOCK_SLOTS, FROZEN_SLOTS, PROJECTION_NAMES, Block, Model, ModelConfig, attention_slots
+from .model import BLOCK_SLOTS, PROJECTION_NAMES, Block, Model, ModelConfig, block_shapes
 
 MAGIC = b"SUBT0001"
 _LEN = struct.Struct("<Q")
@@ -26,28 +26,38 @@ def _matrix_bytes(arr: np.ndarray) -> bytes:
     return matrix_to_bytes(arr.reshape(1, -1) if arr.ndim == 1 else arr)
 
 
-_MODEL_FIELDS = ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces", "n_outputs")
-
-# The body holds the plain arrays in ``_plain_names`` order (the token
-# embedding, each block's slots, the head), then, for a decomposed model,
-# the attention layers in ``_layer_names`` order (``attention_slots``').
+# the manifest's ``model`` fields: the ``ModelConfig`` ones, then two more
+_CONFIG_FIELDS = ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain")
+_MODEL_FIELDS = (*_CONFIG_FIELDS, "n_subspaces", "n_outputs")
 
 
-def _block_slots(decomposed: bool) -> tuple[str, ...]:
-    return FROZEN_SLOTS if decomposed else BLOCK_SLOTS
+def _model_config(spec: dict) -> ModelConfig:
+    return ModelConfig(**{key: spec[key] for key in _CONFIG_FIELDS},
+                       decomposition=DecompositionConfig(n_subspaces=spec["n_subspaces"]))
 
 
-def _plain_names(n_blocks: int, decomposed: bool) -> list[str]:
-    names = ["token_embed"]
-    slots = _block_slots(decomposed)
-    for b in range(n_blocks):
-        names.extend(f"block{b}.{slot}" for slot in slots)
-    names.append("head")
-    return names
+def _body(spec: dict, decomposed: bool) -> tuple[list, list]:
+    """(name, shape) of every array in the body of a model with the manifest
+    ``model`` fields ``spec``, in the order ``save_model`` writes them: the
+    plain arrays (the token embedding, each block's slots, the head), then
+    a decomposed model's attention projections as layers.  A vector's blob
+    holds it as one row."""
+    cfg = _model_config(spec)
+    d = cfg.d_model
+    plain, layers = [("token_embed", (d, d))], []
+    for b in range(cfg.n_blocks):
+        for slot, shape in block_shapes(cfg).items():
+            (layers if decomposed and slot in PROJECTION_NAMES else plain).append((f"block{b}.{slot}", shape))
+    plain.append(("head", (spec["n_outputs"], d)))
+    return plain, layers
 
 
-def _layer_names(n_blocks: int) -> list[str]:
-    return [f"block{b}.{name}" for b in range(n_blocks) for name in PROJECTION_NAMES]
+def _named_arrays(model: Model) -> dict:
+    """Every array and attention slot of ``model`` by its body name."""
+    named = {"token_embed": model.token_embed, "head": model.head}
+    for b, block in enumerate(model.blocks):
+        named.update((f"block{b}.{slot}", getattr(block, slot)) for slot in BLOCK_SLOTS)
+    return named
 
 
 def save_model(
@@ -59,42 +69,36 @@ def save_model(
 ) -> None:
     cfg = model.config
     decomposed = model.decomposed
-    slots = _block_slots(decomposed)
-    arrays = [model.token_embed, *(getattr(b, slot) for b in model.blocks for slot in slots), model.head]
-    layers = [getattr(block, name) for _, block, name in attention_slots(model)] if decomposed else []
+    spec = {key: getattr(cfg, key) for key in _CONFIG_FIELDS}
+    spec.update(n_subspaces=cfg.decomposition.n_subspaces, n_outputs=model.n_outputs)
+    plain, layers = _body(spec, decomposed)
+    named = _named_arrays(model)
     manifest = {
         "format": 1,
         "kind": "model",
         "step": int(step),
         "decomposed": decomposed,
-        "model": {
-            "d_model": cfg.d_model,
-            "n_blocks": cfg.n_blocks,
-            "n_tokens": cfg.n_tokens,
-            "n_classes_pretrain": cfg.n_classes_pretrain,
-            "n_subspaces": cfg.decomposition.n_subspaces,
-            "n_outputs": model.n_outputs,
-        },
-        "arrays": _plain_names(cfg.n_blocks, decomposed),
+        "model": spec,
+        "arrays": [name for name, _ in plain],
         # kept in the format; nothing records a generator state yet
         "rng_state": None,
         "config": config_echo,
     }
     if decomposed:
         manifest["decomposed_layers"] = [
-            {"name": name, "layer_id": layer.layer_id, "semantic_rank": layer.semantic_rank,
-             "artifact_ranks": list(layer.ranks)}
-            for name, layer in zip(_layer_names(cfg.n_blocks), layers)
+            {"name": name, "layer_id": named[name].layer_id, "semantic_rank": named[name].semantic_rank,
+             "artifact_ranks": list(named[name].ranks)}
+            for name, _ in layers
         ]
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     out = io.BytesIO()
     out.write(MAGIC)
     out.write(_LEN.pack(len(blob)))
     out.write(blob)
-    for arr in arrays:
-        out.write(_matrix_bytes(arr))
-    for layer in layers:
-        out.write(layer_to_bytes(layer))
+    for name, _ in plain:
+        out.write(_matrix_bytes(named[name]))
+    for name, _ in layers:
+        out.write(layer_to_bytes(named[name]))
     write_file(path, out.getvalue())
 
 
@@ -134,7 +138,8 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
             raise ValueError(f"{path}: manifest field 'model.{key}' is {value!r}, expected a positive int")
     decomposed = _require_type(path, "decomposed", manifest["decomposed"], bool, "a bool")
     arrays = _require_type(path, "arrays", manifest["arrays"], list, "a list")
-    _require_names(path, "arrays", arrays, _plain_names(spec["n_blocks"], decomposed))
+    plain, layers = _body(spec, decomposed)
+    _require_names(path, "arrays", arrays, [name for name, _ in plain])
     if decomposed:
         if "decomposed_layers" not in manifest:
             raise ValueError(f"{path}: manifest field 'decomposed_layers' is missing")
@@ -152,7 +157,7 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
             if type(ranks) is not list or not ranks or not all(_positive_int(r) for r in ranks):
                 raise ValueError(f"{path}: manifest field 'decomposed_layers[{i}].artifact_ranks' is "
                                  f"{ranks!r}, expected a list of positive ints")
-        _require_names(path, "decomposed_layers", [e["name"] for e in entries], _layer_names(spec["n_blocks"]))
+        _require_names(path, "decomposed_layers", [e["name"] for e in entries], [name for name, _ in layers])
     return manifest, offset + length
 
 
@@ -185,55 +190,42 @@ def read_manifest(path: str | Path) -> dict:
 def load_model(path: str | Path) -> tuple[Model, dict]:
     raw = Path(path).read_bytes()
     manifest, offset = _parse_manifest(raw, path)
+    try:
+        return _read_body(raw, offset, manifest), manifest
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_body(raw: bytes, offset: int, manifest: dict) -> Model:
+    """The model the body holds from ``offset`` on, read in ``_body``'s order
+    (``_parse_manifest`` has held the names to it), each array held to its shape."""
     spec = manifest["model"]
-    decomposed = manifest["decomposed"]
-    cfg = ModelConfig(
-        d_model=spec["d_model"],
-        n_blocks=spec["n_blocks"],
-        n_tokens=spec["n_tokens"],
-        n_classes_pretrain=spec["n_classes_pretrain"],
-        decomposition=DecompositionConfig(n_subspaces=spec["n_subspaces"]),
-    )
-    # read by position: _parse_manifest has held the names to the saved order
-    arrays = []
-    for _ in manifest["arrays"]:
+    plain, layers = _body(spec, manifest["decomposed"])
+    named = {}
+    for name, shape in plain:
         arr, offset = matrix_from_bytes(raw, offset)
-        arrays.append(arr)
-    layers = []
-    for i, entry in enumerate(manifest["decomposed_layers"] if decomposed else []):
+        _require_shape(spec, name, arr.shape, (1,) * (2 - len(shape)) + shape)
+        named[name] = arr.reshape(shape)
+    for i, (name, shape) in enumerate(layers):
         layer, offset = layer_from_bytes(raw, offset)
-        if layer.layer_id != entry["layer_id"]:
-            raise ValueError(
-                f"checkpoint layer id mismatch for {entry['name']}: "
-                f"{layer.layer_id} != {entry['layer_id']}"
-            )
-        for key, saved in (("semantic_rank", layer.semantic_rank), ("artifact_ranks", list(layer.ranks))):
+        _require_shape(spec, name, (layer.d_out, layer.d_in), shape)
+        entry = manifest["decomposed_layers"][i]
+        for key, saved in (("layer_id", layer.layer_id), ("semantic_rank", layer.semantic_rank),
+                           ("artifact_ranks", list(layer.ranks))):
             if entry[key] != saved:
-                raise ValueError(
-                    f"{path}: manifest field 'decomposed_layers[{i}].{key}' is {entry[key]!r}, "
-                    f"but '{entry['name']}' has {saved!r}"
-                )
-        layers.append(layer)
+                raise ValueError(f"manifest field 'decomposed_layers[{i}].{key}' is {entry[key]!r}, "
+                                 f"but '{name}' has {saved!r}")
+        named[name] = layer
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after checkpoint payload")
-    token_embed, *block_arrays, head = arrays
-    rows, cols = token_embed.shape
-    if (rows, cols) != (cfg.d_model, cfg.d_model):
-        raise ValueError(
-            f"{path}: manifest field 'model.d_model' is {cfg.d_model}, but 'token_embed' is {rows}x{cols}"
-        )
-    if head.shape != (spec["n_outputs"], cfg.d_model):
-        raise ValueError(
-            f"{path}: manifest field 'model.n_outputs' is {spec['n_outputs']}, but 'head' is "
-            f"{head.shape[0]}x{head.shape[1]}, not {spec['n_outputs']}x{cfg.d_model}"
-        )
-    slots = _block_slots(decomposed)
-    n_slots, n_proj = len(slots), len(PROJECTION_NAMES)
-    blocks = []
-    for b in range(cfg.n_blocks):
-        fields = {slot: arr.reshape(-1) if slot.startswith("norm") else arr
-                  for slot, arr in zip(slots, block_arrays[b * n_slots : (b + 1) * n_slots])}
-        fields.update(zip(PROJECTION_NAMES, layers[b * n_proj : (b + 1) * n_proj]))
-        blocks.append(Block(**fields))
-    model = Model(config=cfg, token_embed=token_embed, blocks=blocks, head=head)
-    return model, manifest
+    cfg = _model_config(spec)
+    blocks = [Block(**{slot: named[f"block{b}.{slot}"] for slot in BLOCK_SLOTS}) for b in range(cfg.n_blocks)]
+    return Model(config=cfg, token_embed=named["token_embed"], blocks=blocks, head=named["head"])
+
+
+def _require_shape(spec: dict, name: str, have: tuple[int, int], want: tuple[int, int]) -> None:
+    """Every dimension but the head's rows follows ``model.d_model``."""
+    if have != want:
+        field = "n_outputs" if name == "head" and have[0] != want[0] else "d_model"
+        raise ValueError(f"manifest field 'model.{field}' is {spec[field]}, but '{name}' is "
+                         f"{have[0]}x{have[1]}, not {want[0]}x{want[1]}")

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("ablate", "run the four ablation grids", _cmd_ablate, out=True)
     add("robustness", "perturbation grid evaluation of a fine-tuned checkpoint", _cmd_robustness,
         out=True, ckpt=True)
-    add("inspect", "per-layer decomposition report of a checkpoint", _cmd_inspect, ckpt=True)
+    add("inspect", "per-layer decomposition report of a checkpoint", _cmd_inspect, seed=False, ckpt=True)
     add("gradcheck", "finite-difference check of the analytic gradients", _cmd_gradcheck)
     return parser
 
@@ -122,7 +122,7 @@ def _cmd_inspect(args) -> None:
     if args.config is not None and not model.decomposed:
         # split a plain checkpoint as `finetune` would under this config; the
         # checkpoint keeps only the subspace count it was pretrained with
-        model.config.decomposition = _config_for(args).decomposition
+        model.config.decomposition = load_config(args.config).decomposition
     rows = decompose_inspect(model)
     print("layer name           R   r   artifact_ranks      energy_sem  orth        spec")
     for r in rows:

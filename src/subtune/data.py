@@ -68,6 +68,11 @@ _CLIP_SUBSTREAM = 500_000
 _ARTIFACT_SUBSTREAM = 700_000
 _FAKE_CLIP_SUBSTREAM = 750_000
 _ROBUST_STREAM = 6_000_000
+# each split size's multiple of clip_size (a detection split is half fake) and
+# the largest size whose draws keep to their own streams: robustness cells are
+# 10_000 seeds apart, fake artifacts 50_000 below fake clips, real samples 500_000 below theirs
+_SPLIT_SIZES = {"n_pretrain": (1, 500_000), "n_pretrain_test": (1, 500_000),
+                "n_finetune": (2, 100_000), "n_test": (2, 10_000)}
 
 
 @dataclass
@@ -101,12 +106,13 @@ class DataConfig:
             raise ValueError("clip_size must be >= 1")
         if self.noise_level < 0.0:
             raise ValueError("noise_level must be >= 0")
-        for name in ("n_pretrain", "n_pretrain_test"):
-            if getattr(self, name) % self.clip_size != 0 or getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be a positive multiple of clip_size")
-        for name in ("n_finetune", "n_test"):
-            if getattr(self, name) % (2 * self.clip_size) != 0 or getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be a positive multiple of 2*clip_size")
+        for name, (clips, limit) in _SPLIT_SIZES.items():
+            size = getattr(self, name)
+            if size % (clips * self.clip_size) != 0 or size <= 0:
+                raise ValueError(f"{name} must be a positive multiple of {'2*' if clips == 2 else ''}clip_size")
+            if size > limit:
+                raise ValueError(f"{name} is {size}, above its limit of {limit}: "
+                                 f"larger splits would reuse random streams")
 
 
 @dataclass

@@ -29,16 +29,11 @@ def grad_check(
     h: float = 1e-5,
     tol: float = 1e-5,
     mode: str = "finetune",
-    corrupt: tuple[int, float] | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences coordinate by
-    coordinate.
-
-    ``corrupt`` is a fault-injection hook for validating the checker itself:
-    (index, factor) multiplies one analytic coordinate before comparison.
-    Relative error uses max(|analytic|, |numeric|, 1e-3) as denominator so
-    near-zero coordinates are compared at a sane absolute scale.
-    """
+    coordinate.  Relative error uses max(|analytic|, |numeric|, 1e-3) as
+    denominator so near-zero coordinates are compared at a sane absolute
+    scale."""
     arrays = model_mod.trainable_arrays(model, mode)
     theta = model_mod.flat_vector(arrays)
     if theta.size > 10_000:
@@ -46,8 +41,6 @@ def grad_check(
 
     _, grads = model_mod.backward(model, inputs, labels, weights)
     analytic = model_mod.flat_vector(model_mod.trainable_arrays(model, mode, grads))
-    if corrupt is not None:
-        analytic[corrupt[0]] *= corrupt[1]
 
     def loss_at(vec: np.ndarray) -> float:
         model_mod.set_flat(arrays, vec)

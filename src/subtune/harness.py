@@ -127,6 +127,14 @@ def _require_binary_head(model: Model) -> None:
         )
 
 
+def _require_fit(cfg: TrainConfig, model: Model) -> None:
+    """Refuse a model of another token grid than the run config's before any data is built."""
+    have, want = model.config, cfg.model
+    if (have.d_model, have.n_tokens) != (want.d_model, want.n_tokens):
+        raise ValueError(f"the checkpoint's model has d_model {have.d_model} and n_tokens {have.n_tokens}, "
+                         f"but the run config has d_model {want.d_model} and n_tokens {want.n_tokens}")
+
+
 def eval_split(model: Model, split: Split) -> EvalReport:
     frame = metrics_mod.ScoredSet(scores=predict(model, split.tokens), labels=split.labels, group_ids=split.clip_id)
     video = metrics_mod.video_level(frame, pool="mean")
@@ -232,6 +240,7 @@ def run_finetune(
     t0 = time.perf_counter()
     if pretrained.decomposed:
         raise ValueError("expected a plain pretrained model")
+    _require_fit(cfg, pretrained)
     n_layers = pretrained.config.n_decomposable
     for lid in forced_zero:
         if not 0 <= lid < n_layers:
@@ -336,6 +345,7 @@ def _write_metrics_csv(path: Path, reports: dict[str, EvalReport]) -> None:
 
 def evaluate_to_dir(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     _require_binary_head(model)
+    _require_fit(cfg, model)
     reports = _evaluate(model, build_splits(cfg.data, _TEST_SPLITS))
     path = Path(out_dir) / "metrics.csv"
     _write_metrics_csv(path, reports)
@@ -439,6 +449,7 @@ def run_robustness(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     """Video-level AUC for every (family, level) perturbation of the in-domain
     test split, plus the clean baseline row."""
     _require_binary_head(model)
+    _require_fit(cfg, model)
     splits = build_splits(cfg.data, ("test_in", "robustness"))
     rows = []
     clean = eval_split(model, splits.test_in)

@@ -10,7 +10,7 @@ the head (token embed, layer norms, MLPs) is frozen during fine-tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -73,6 +73,17 @@ class Block:
 
 
 PROJECTION_NAMES = ("q", "k", "v", "o")
+BLOCK_SLOTS = tuple(f.name for f in fields(Block))
+# frozen while fine-tuning, and stored as plain arrays in a decomposed checkpoint
+FROZEN_SLOTS = tuple(slot for slot in BLOCK_SLOTS if slot not in PROJECTION_NAMES)
+
+
+def block_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each block slot's shape, in ``Block`` field order; a projection's is
+    that of its plain matrix."""
+    d, h = cfg.d_model, cfg.mlp_hidden
+    return {"norm1_gain": (d,), "norm1_bias": (d,), "q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
+            "norm2_gain": (d,), "norm2_bias": (d,), "mlp_in": (h, d), "mlp_out": (d, h)}
 
 
 @dataclass
@@ -104,27 +115,21 @@ class Model:
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
+    """Gains start at one, biases at zero and every matrix at N(0, 1/fan_in),
+    drawn block by block in ``Block`` field order, then the head, then the
+    token embedding."""
     cfg.validate()
-    d, h = cfg.d_model, cfg.mlp_hidden
-    scale = 1.0 / math.sqrt(d)
-    blocks = []
-    for _ in range(cfg.n_blocks):
-        blocks.append(
-            Block(
-                norm1_gain=np.ones(d),
-                norm1_bias=np.zeros(d),
-                q=rng.normal(scale=scale, size=(d, d)),
-                k=rng.normal(scale=scale, size=(d, d)),
-                v=rng.normal(scale=scale, size=(d, d)),
-                o=rng.normal(scale=scale, size=(d, d)),
-                norm2_gain=np.ones(d),
-                norm2_bias=np.zeros(d),
-                mlp_in=rng.normal(scale=scale, size=(h, d)),
-                mlp_out=rng.normal(scale=1.0 / math.sqrt(h), size=(d, h)),
-            )
-        )
-    head = rng.normal(scale=scale, size=(cfg.n_classes_pretrain, d))
-    return Model(config=cfg, token_embed=rng.normal(scale=scale, size=(d, d)), blocks=blocks, head=head)
+
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.ones(shape) if name.endswith("gain") else np.zeros(shape)
+        return rng.normal(scale=1.0 / math.sqrt(shape[1]), size=shape)
+
+    shapes = block_shapes(cfg)
+    blocks = [Block(**{slot: init(slot, shape) for slot, shape in shapes.items()}) for _ in range(cfg.n_blocks)]
+    head = init("head", (cfg.n_classes_pretrain, cfg.d_model))
+    token_embed = init("token_embed", (cfg.d_model, cfg.d_model))
+    return Model(config=cfg, token_embed=token_embed, blocks=blocks, head=head)
 
 
 def attention_slots(model: Model) -> list[tuple[int, Block, str]]:
@@ -557,13 +562,6 @@ def backward(
 # array of the plain pretraining model, the attention rows as the one
 # ``model.trainable``.  With ``grads`` the same list holds the matching
 # gradients.
-
-BLOCK_SLOTS = (
-    "norm1_gain", "norm1_bias", "q", "k", "v", "o",
-    "norm2_gain", "norm2_bias", "mlp_in", "mlp_out",
-)
-# frozen while fine-tuning, and stored as plain arrays in a decomposed checkpoint
-FROZEN_SLOTS = tuple(slot for slot in BLOCK_SLOTS if slot not in PROJECTION_NAMES)
 
 
 def frozen_arrays(model: Model) -> list[np.ndarray]:

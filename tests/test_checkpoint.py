@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from subtune.config import config_from_dict
 from subtune.data import DataConfig, export_csv, gen_clips
 from subtune.decomposition import DecompositionConfig, layer_to_bytes
 from subtune.harness import evaluate_to_dir
-from subtune.linalg import make_rng
+from subtune.linalg import make_rng, matrix_from_bytes, matrix_to_bytes
 from subtune.model import (
+    BLOCK_SLOTS,
+    PROJECTION_NAMES,
     ModelConfig,
     attention_slots,
     decompose_attention,
@@ -354,3 +357,75 @@ def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, me
         with pytest.raises(ValueError, match=message) as info:
             read(path)
         assert "\n" not in str(info.value)
+
+
+def _plain_names(decomposed):
+    slots = [s for s in BLOCK_SLOTS if not (decomposed and s in PROJECTION_NAMES)]
+    return ["token_embed", *(f"block{b}.{s}" for b in range(2) for s in slots), "head"]
+
+
+def _blob_offsets(raw):
+    """Where each plain array's blob starts, by name, and where the layers start."""
+    length = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
+    offset = len(MAGIC) + 8 + length
+    offsets = {}
+    for name in json.loads(raw[len(MAGIC) + 8 : offset])["arrays"]:
+        offsets[name] = offset
+        offset = matrix_from_bytes(raw, offset)[1]
+    return offsets, offset
+
+
+def _load_error(path):
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message, message
+    return message
+
+
+@pytest.mark.parametrize(
+    "decomposed, name", [(d, name) for d in (False, True) for name in _plain_names(d)],
+    ids=[f"{'decomposed' if d else 'plain'}-{name}" for d in (False, True) for name in _plain_names(d)],
+)
+def test_plain_array_of_a_wrong_shape_and_the_same_size_is_rejected(tmp_path, decomposed, name):
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_model(seed=7, decomposed=decomposed))
+    raw = bytearray(path.read_bytes())
+    at = _blob_offsets(bytes(raw))[0][name]
+    rows, cols = struct.unpack_from("<QQ", raw, at)
+    # 16x8 becomes 32x4, 1x8 becomes 2x4: every size here has an even column count
+    struct.pack_into("<QQ", raw, at, 2 * rows, cols // 2)
+    path.write_bytes(bytes(raw))
+    message = _load_error(path)
+    assert f"'{name}' is {2 * rows}x{cols // 2}, not {rows}x{cols}" in message
+
+
+def _splice(raw, start, end, blob):
+    return raw[:start] + blob + raw[end:]
+
+
+def test_body_errors_name_the_file(tmp_path):
+    model = tiny_model(seed=4, decomposed=True)
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+    raw = path.read_bytes()
+    offsets, first_layer = _blob_offsets(raw)
+    narrow_cfg = ModelConfig(d_model=6, n_blocks=1, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
+    narrow = init_model(narrow_cfg, make_rng(4))
+    decompose_attention(narrow)
+    q_end = first_layer + len(layer_to_bytes(model.blocks[0].q))
+    cases = [
+        (raw[: offsets["block0.mlp_in"] + 40], "matrix payload truncated"),
+        (raw + b"\x00\x00", "2 trailing bytes after checkpoint payload"),
+        # a vector of another length, and an attention layer of another width
+        (_splice(raw, offsets["block0.norm2_gain"], offsets["block0.norm2_bias"], matrix_to_bytes(np.ones((1, 5)))),
+         "manifest field 'model.d_model' is 8, but 'block0.norm2_gain' is 1x5, not 1x8"),
+        (_splice(raw, first_layer, q_end, layer_to_bytes(narrow.blocks[0].q)),
+         "manifest field 'model.d_model' is 8, but 'block0.q' is 6x6, not 8x8"),
+    ]
+    for spoiled, expected in cases:
+        path.write_bytes(spoiled)
+        assert expected in _load_error(path)
+    path.write_bytes(raw)
+    _rewrite_manifest(path, lambda m: m["decomposed_layers"][0].update(layer_id=5))
+    assert "manifest field 'decomposed_layers[0].layer_id' is 5, but 'block0.q' has 0" in _load_error(path)

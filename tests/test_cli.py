@@ -4,9 +4,11 @@ import pytest
 import yaml
 
 from subtune import harness
-from subtune.checkpoint import load_model
+from subtune.checkpoint import load_model, save_model
 from subtune.cli import main
-from subtune.model import attention_slots
+from subtune.decomposition import DecompositionConfig
+from subtune.linalg import make_rng
+from subtune.model import ModelConfig, attention_slots, decompose_attention, init_model, reset_head
 
 TINY = {
     "seed": 11,
@@ -149,6 +151,37 @@ def test_scoring_a_pretrained_checkpoint_fails_before_building_data(
     assert err[0].startswith("error: ValueError: ")
     assert "head has 4 outputs" in err[0]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval", "robustness"])
+def test_checkpoint_of_another_token_grid_fails_before_building_data(tmp_path, capsys, monkeypatch, command):
+    # the default config reads 8x16 token grids; this model takes 4x8 ones
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
+    model = init_model(cfg, make_rng(0))
+    if command != "finetune":
+        decompose_attention(model)
+        reset_head(model, 1, make_rng(1))
+    save_model(tmp_path / "m.ckpt", model)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was built")
+
+    monkeypatch.setattr(harness, "build_splits", no_data)
+    rc = main([command, "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ValueError: the checkpoint's model has d_model 8 and n_tokens 4, "
+        "but the run config has d_model 16 and n_tokens 8"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_inspect_takes_no_seed(tmp_path, capsys):
+    save_model(tmp_path / "m.ckpt", init_model(ModelConfig(d_model=4, n_blocks=1, n_tokens=2), make_rng(0)))
+    with pytest.raises(SystemExit) as info:
+        main(["inspect", "--checkpoint", str(tmp_path / "m.ckpt"), "--seed", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_seed_override_changes_the_run(tmp_path, cfg_path):

@@ -151,3 +151,14 @@ def test_int_in_float_field_and_none_in_optional_field_stay_valid():
     assert cfg.weights.orth_weight == 0 and cfg.weights.spectral_weight == 2
     assert cfg.mask.warmup_steps is None
     assert cfg.decomposition.fixed_rank == 3
+
+
+@pytest.mark.parametrize(
+    "name, limit", [("n_test", 10_000), ("n_finetune", 100_000), ("n_pretrain", 500_000), ("n_pretrain_test", 500_000)]
+)
+def test_split_sizes_stop_where_their_random_streams_would_meet(name, limit):
+    # default clip_size 8: the limit and the next multiple of 2*clip_size
+    assert getattr(config_from_dict({"data": {name: limit}}).data, name) == limit
+    with pytest.raises(ValueError, match=f"^{name} is {limit + 16}, above its limit of {limit}: ") as info:
+        config_from_dict({"data": {name: limit + 16}})
+    assert "\n" not in str(info.value)

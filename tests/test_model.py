@@ -183,16 +183,31 @@ def test_grad_check_full_pretrain_model_passes() -> None:
     assert rep.passed, f"max rel err {rep.max_rel_err} at coord {rep.worst_index}"
 
 
-def test_grad_check_reports_corrupted_coordinate() -> None:
+def test_grad_check_reports_corrupted_coordinate(monkeypatch) -> None:
     m = tiny_model(seed=42, decomposed=True)
     jitter_trainables(m, linalg.make_rng(5), scale=0.05)
     x, y = batch(11, 3, m.config)
     honest = grad_check(m, x, y, LossWeights(1.0, 1.0))
-    # pick a coordinate with a solidly nonzero gradient, then double it
+    # pick a coordinate with a solidly nonzero gradient, then double it in
+    # the first, analytic backward only; the finite differences stay honest
     _, grads = backward(m, x, y, LossWeights(1.0, 1.0))
     vec = grad_vector(m, grads)
     target = int(np.argmax(np.abs(vec)))
-    rep = grad_check(m, x, y, LossWeights(1.0, 1.0), corrupt=(target, 2.0))
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        report, grads = backward(*args, **kwargs)
+        if not calls:
+            arrays = model_mod.trainable_arrays(m, grads=grads)
+            flat = model_mod.flat_vector(arrays)
+            flat[target] *= 2.0
+            model_mod.set_flat(arrays, flat)
+        calls.append(1)
+        return report, grads
+
+    monkeypatch.setattr(model_mod, "backward", corrupted)
+    rep = grad_check(m, x, y, LossWeights(1.0, 1.0))
+    assert len(calls) == 1 + 2 * rep.n_coords
     assert honest.passed and not rep.passed
     assert rep.worst_index == target
 
@@ -243,6 +258,17 @@ def test_attention_slots_order_and_count() -> None:
     assert len(slots) == m.config.n_decomposable == 8
     assert [s[0] for s in slots] == list(range(8))
     assert [s[2] for s in slots[:4]] == ["q", "k", "v", "o"]
+    assert all(block is m.blocks[lid // 4] for lid, block, _ in slots)
+
+
+def test_init_model_follows_the_block_shape_table() -> None:
+    m = init_model(tiny_config(), linalg.make_rng(0))
+    shapes = model_mod.block_shapes(m.config)
+    assert tuple(shapes) == model_mod.BLOCK_SLOTS
+    for block in m.blocks:
+        assert {slot: getattr(block, slot).shape for slot in shapes} == shapes
+        assert np.all(block.norm1_gain == 1.0) and np.all(block.norm2_gain == 1.0)
+        assert not block.norm1_bias.any() and not block.norm2_bias.any()
 
 
 def test_decompose_attention_only_once() -> None:
