@@ -150,6 +150,10 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
             for key in ("name", "layer_id", "semantic_rank", "artifact_ranks"):
                 if key not in entry:
                     raise ValueError(f"{path}: a 'decomposed_layers' entry lacks {key!r}")
+            layer_id = entry["layer_id"]
+            if type(layer_id) is not int or layer_id < 0:
+                raise ValueError(f"{path}: manifest field 'decomposed_layers[{i}].layer_id' is "
+                                 f"{layer_id!r}, expected a non-negative int")
             if not _positive_int(entry["semantic_rank"]):
                 raise ValueError(f"{path}: manifest field 'decomposed_layers[{i}].semantic_rank' is "
                                  f"{entry['semantic_rank']!r}, expected a positive int")

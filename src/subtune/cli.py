@@ -4,6 +4,7 @@ print one ``error: <type>: <message>`` line on stderr and exit 1."""
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -155,7 +156,21 @@ def _cmd_gradcheck(args) -> None:
         raise RuntimeError(f"gradient check failed: {report.max_rel_err:.3e} > {report.tol}")
 
 
+def _keep_heap_resident() -> None:
+    """Keep a step's temporaries on the heap, process-wide.  By default glibc
+    serves every block above 128 KiB from a fresh mmap and hands freed heap
+    back to the OS, so each pass faults its memory in again.  Changes no
+    number; does nothing without glibc's ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to open
+        return
+    mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: blocks below 8 MiB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of freed heap
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap_resident()
     args = _build_parser().parse_args(argv)
     try:
         args.run(args)

@@ -128,11 +128,15 @@ def _require_binary_head(model: Model) -> None:
 
 
 def _require_fit(cfg: TrainConfig, model: Model) -> None:
-    """Refuse a model of another token grid than the run config's before any data is built."""
+    """Refuse a model of another token grid or block count than the run
+    config's, whose mask budget counts its layers, before any data is built."""
     have, want = model.config, cfg.model
     if (have.d_model, have.n_tokens) != (want.d_model, want.n_tokens):
         raise ValueError(f"the checkpoint's model has d_model {have.d_model} and n_tokens {have.n_tokens}, "
                          f"but the run config has d_model {want.d_model} and n_tokens {want.n_tokens}")
+    if have.n_blocks != want.n_blocks:
+        raise ValueError(f"the checkpoint's model has n_blocks {have.n_blocks}, "
+                         f"but the run config has n_blocks {want.n_blocks}")
 
 
 def eval_split(model: Model, split: Split) -> EvalReport:

@@ -337,6 +337,11 @@ def _drop_entry(key, name):
         (lambda m: m["decomposed_layers"][3].update(artifact_ranks=[2, "2"]),
          "manifest field 'decomposed_layers\\[3\\].artifact_ranks' is \\[2, '2'\\], "
          "expected a list of positive ints"),
+        # True == 1, so a bool id over the layer with id 1 compares equal to it
+        (lambda m: m["decomposed_layers"][1].update(layer_id=True),
+         "manifest field 'decomposed_layers\\[1\\].layer_id' is True, expected a non-negative int"),
+        (lambda m: m["decomposed_layers"][0].update(layer_id=-1),
+         "manifest field 'decomposed_layers\\[0\\].layer_id' is -1, expected a non-negative int"),
     ],
     ids=["no-decomposed-layers", "no-d_model", "no-n_blocks", "no-n_tokens",
          "no-n_classes_pretrain", "no-n_subspaces", "no-n_outputs", "n_blocks-string", "no-block-array",
@@ -344,7 +349,8 @@ def _drop_entry(key, name):
          "n_tokens-string", "n_classes_pretrain-bool", "n_outputs-zero", "model-list",
          "decomposed-int", "arrays-int", "layers-int", "entry-int", "d_model-off-the-arrays",
          "n_outputs-off-the-head", "arrays-swapped", "layer-names-swapped", "semantic-rank-off-the-body",
-         "artifact-ranks-off-the-body", "no-artifact_ranks", "semantic-rank-bool", "artifact-ranks-string"],
+         "artifact-ranks-off-the-body", "no-artifact_ranks", "semantic-rank-bool", "artifact-ranks-string",
+         "layer-id-bool", "layer-id-negative"],
 )
 def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"

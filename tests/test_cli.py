@@ -176,6 +176,27 @@ def test_checkpoint_of_another_token_grid_fails_before_building_data(tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["finetune", "eval", "robustness"])
+def test_checkpoint_of_another_block_count_fails_before_building_data(tmp_path, capsys, monkeypatch, command):
+    # the default config's token grid and mask budget, but six blocks, not one
+    model = init_model(ModelConfig(n_blocks=1), make_rng(0))
+    if command != "finetune":
+        decompose_attention(model)
+        reset_head(model, 1, make_rng(1))
+    save_model(tmp_path / "m.ckpt", model)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was built")
+
+    monkeypatch.setattr(harness, "build_splits", no_data)
+    rc = main([command, "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ValueError: the checkpoint's model has n_blocks 1, but the run config has n_blocks 6"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 def test_inspect_takes_no_seed(tmp_path, capsys):
     save_model(tmp_path / "m.ckpt", init_model(ModelConfig(d_model=4, n_blocks=1, n_tokens=2), make_rng(0)))
     with pytest.raises(SystemExit) as info:

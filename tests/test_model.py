@@ -97,6 +97,21 @@ def test_forward_matches_reference_pretrain_softmax() -> None:
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_tokens", [1, 3])
+@pytest.mark.parametrize("decomposed, binary", [(False, True), (True, True), (False, False)])
+def test_forward_matches_reference_at_other_token_counts(n_tokens, decomposed, binary) -> None:
+    # the softmax row maximum is taken one key column at a time
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=n_tokens, n_classes_pretrain=3,
+                      decomposition=DecompositionConfig(n_subspaces=2))
+    m = init_model(cfg, linalg.make_rng(11))
+    if decomposed:
+        decompose_attention(m)
+    if binary:
+        reset_head(m, 1, linalg.make_rng(12))
+    x, _ = batch(13, 5, cfg)
+    assert np.max(np.abs(predict(m, x) - reference_predict(m, x))) <= 1e-12
+
+
 def test_forward_rejects_bad_inputs() -> None:
     m = tiny_model()
     with pytest.raises(ValueError):

@@ -1,0 +1,45 @@
+"""``cli.main`` keeps the heap resident: after it has run once, scoring a
+256-row batch reuses freed memory instead of faulting fresh pages in.
+Without that, glibc serves each temporary above 128 KiB from a new mmap
+and a default-shape ``predict`` takes about 1,100 minor faults."""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import subtune
+
+# a fresh interpreter, so nothing another test did to the heap counts
+_CHILD = """
+import json, resource
+from subtune import cli, linalg
+from subtune.model import ModelConfig, decompose_attention, init_model, predict, reset_head
+
+cli.main(["gradcheck"])
+model = init_model(ModelConfig(), linalg.make_rng(0))
+decompose_attention(model)
+reset_head(model, 1, linalg.make_rng(1))
+x = linalg.make_rng(2).normal(size=(256, model.config.n_tokens, model.config.d_model))
+for _ in range(2):
+    predict(model, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    predict(model, x)
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_scoring_after_main_faults_no_fresh_pages() -> None:
+    src = str(Path(subtune.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True, check=True)
+    faults = json.loads(done.stdout.splitlines()[-1])
+    assert faults < 50, f"5 predict calls took {faults} minor page faults"
