@@ -4,7 +4,11 @@ levels, cross-family train/heldout splits, and a robustness grid that
 perturbs whole test sets.
 
 Every draw is derived from (config seed + a fixed stream offset + index), so
-generation is order-independent and reproducible sample by sample.
+generation is order-independent and reproducible sample by sample.  The
+streams are drawn per sample (and per clip) in a loop into whole arrays;
+the arithmetic then runs once per stack, elementwise in the order of a
+one-sample computation, so every bit is what a sample-by-sample generator
+writes.
 """
 
 from __future__ import annotations
@@ -173,33 +177,47 @@ def gen_clips(cfg: DataConfig, n_samples: int, split: str, families: tuple[str, 
     cfg.validate()
     if n_samples % cfg.clip_size != 0:
         raise ValueError("sample count must be a multiple of clip_size")
-    offset = _SPLIT_STREAMS[split]
+    return _fill_clips(cfg, np.empty((n_samples, cfg.n_tokens, cfg.d_model)), split, families)
+
+
+def _fill_clips(cfg: DataConfig, tokens: np.ndarray, split: str, families: tuple[str, ...] = ()) -> Split:
+    """``gen_clips`` writing its tokens into ``tokens`` (N, T, D): the
+    streams are drawn per clip and per sample, then each clip's clean
+    signal is added to its members' noise, and the fakes are transformed
+    one (family, level) group of rows at a time."""
+    n_samples, t_count, d_count = tokens.shape
+    seed = cfg.seed + _SPLIT_STREAMS[split]
     if families:
         clip_stream, sample_stream, tag = _FAKE_CLIP_SUBSTREAM, _FAKE_SAMPLE_SUBSTREAM, "f"
     else:
         clip_stream, sample_stream, tag = _CLIP_SUBSTREAM, 0, "r"
     n_clips = n_samples // cfg.clip_size
-    tokens = np.empty((n_samples, cfg.n_tokens, cfg.d_model))
+    clips = np.arange(n_clips)
+    clip_offset = np.empty((n_clips, 1, d_count))
+    for clip_idx in range(n_clips):
+        clip_offset[clip_idx] = make_rng(seed + clip_stream + clip_idx).normal(size=(1, d_count))
+    clip_offset *= _CLIP_OFFSET_SCALE
+    # class basis + clip offset, the clean signal every member shares
+    clean = np.stack([class_basis(cfg, c) for c in range(cfg.n_base_classes)])[clips % cfg.n_base_classes]
+    clean += clip_offset
+    for idx in range(n_samples):
+        tokens[idx] = make_rng(seed + sample_stream + idx).normal(size=(t_count, d_count))
+    tokens *= cfg.noise_level
+    for member in range(cfg.clip_size):
+        tokens[member :: cfg.clip_size] += clean
     # one entry per clip, repeated over its members below
     clip_family, clip_level = [""] * n_clips, [0] * n_clips
-    for clip_idx in range(n_clips):
-        base_class = clip_idx % cfg.n_base_classes
-        clip_rng = make_rng(cfg.seed + offset + clip_stream + clip_idx)
-        clip_offset = _CLIP_OFFSET_SCALE * clip_rng.normal(size=(1, cfg.d_model))
-        if families:
-            family = families[clip_idx % len(families)]
-            level = LEVELS[(clip_idx // len(families)) % len(LEVELS)]
-            clip_family[clip_idx], clip_level[clip_idx] = family, level
-        for member in range(cfg.clip_size):
-            idx = clip_idx * cfg.clip_size + member
-            sample_rng = make_rng(cfg.seed + offset + sample_stream + idx)
-            noise = cfg.noise_level * sample_rng.normal(size=(cfg.n_tokens, cfg.d_model))
-            sample = class_basis(cfg, base_class) + clip_offset + noise
-            if families:
-                artifact_rng = _artifact_rng(family, cfg.seed + offset + _ARTIFACT_SUBSTREAM + idx)
-                sample = transform_tokens(sample, family, level, artifact_rng)
-            tokens[idx] = sample
-    clips = np.arange(n_clips)
+    if families:
+        n_fam = len(families)
+        clip_family = [families[c % n_fam] for c in range(n_clips)]
+        clip_level = [LEVELS[c // n_fam % len(LEVELS)] for c in range(n_clips)]
+        # clip c is in (family, level) group c % (n_fam * 5): family
+        # g % n_fam at level index g // n_fam, one transform per group
+        group = np.repeat(clips % (n_fam * len(LEVELS)), cfg.clip_size)
+        for g in range(min(n_clips, n_fam * len(LEVELS))):
+            rows = np.flatnonzero(group == g)
+            seeds = (seed + _ARTIFACT_SUBSTREAM + rows).tolist()
+            tokens[rows] = transform_tokens(tokens[rows], families[g % n_fam], LEVELS[g // n_fam], seeds)
     return Split(
         tokens=tokens,
         labels=np.full(n_samples, 1.0 if families else 0.0),
@@ -239,68 +257,130 @@ def common_trace(d_model: int) -> np.ndarray:
     return trace
 
 
-def transform_tokens(tokens: np.ndarray, family: str, level: int, rng) -> np.ndarray:
-    """Apply one artifact family at one intensity; pure function of the rng
-    stream.  Deviation from the input grows strictly with level on average."""
+def transform_tokens(tokens: np.ndarray, family: str, level: int, seeds) -> np.ndarray:
+    """Apply one artifact family at one intensity to every sample of an
+    (N, T, D) stack; sample i draws from the stream ``make_rng(seeds[i])``,
+    and token-blur and block-quantization, which draw nothing, may take
+    None.  The streams are drawn in one loop and the arithmetic then runs
+    once over the stack, elementwise in the order of a one-sample
+    transform, so each sample's bits depend only on its own tokens and
+    seed.  Deviation from the input grows strictly with level on average."""
     if family not in FAMILIES:
         raise ValueError(f"unknown artifact family {family!r}")
     if level not in LEVELS:
         raise ValueError(f"intensity level must be in 1..5, got {level}")
-    t_count, d_count = tokens.shape
-    out = tokens.copy()
-    if family == "localized-patch":
-        wt = max(2, t_count // 2)
-        wd = max(2, d_count // 4)
-        t0 = int(rng.integers(0, t_count - wt + 1))
-        d0 = int(rng.integers(0, d_count - wd + 1))
-        sig = family_signature(family, d_count)[d0 : d0 + wd]
-        bump = sig[None, :] + _SIG_NOISE_WEIGHT * rng.normal(size=(wt, wd))
-        out[t0 : t0 + wt, d0 : d0 + wd] += _PATCH_SCALE * level * bump
-    elif family == "high-frequency-ripple":
-        # token-alternating carrier with a DC offset so pooling over tokens
-        # does not cancel the trace
-        alt = np.cos(math.pi * np.arange(t_count)) + _RIPPLE_DC
-        sig = family_signature(family, d_count)
-        amp = sig + _SIG_NOISE_WEIGHT * rng.normal(size=d_count)
-        amp = amp / math.sqrt(1.0 + _SIG_NOISE_WEIGHT**2)
-        out += _RIPPLE_SCALE * level * alt[:, None] * amp[None, :]
-    elif family == "token-blur":
-        # blend toward a fixed smoothed signal; deviation scales as the
-        # squared blend fraction times a constant, so it grows strictly with
-        # level for any non-constant input, and constants are left untouched
-        # box filter over tokens with reflect padding (a lone token reflects
-        # onto itself); the taps are summed left to right, which is what
-        # np.convolve does, so the bits match it
-        if t_count > 1:
-            padded = np.concatenate((out[1:2], out, out[-2:-1]))
-        else:
-            padded = np.repeat(out, 3, axis=0)
-        smoothed = padded[:-2] * _BLUR_TAP + padded[1:-1] * _BLUR_TAP + padded[2:] * _BLUR_TAP
-        frac = _BLUR_MIN_BLEND + (1.0 - _BLUR_MIN_BLEND) * (level - 1) / 4.0
-        out = out + frac * (smoothed - out)
-    elif family == "block-quantization":
+    if tokens.ndim != 3:
+        raise ValueError(f"tokens must be an (N, T, D) stack, got shape {tokens.shape}")
+    n_seeds = 0 if seeds is None else len(seeds)
+    if (seeds is not None or family not in _RNG_FREE_FAMILIES) and n_seeds != len(tokens):
+        raise ValueError(f"{family} takes one artifact seed per sample: got {n_seeds} seeds for {len(tokens)} samples")
+    if family == "token-blur":
+        return _blur(tokens, level)
+    if family == "block-quantization":
         step = _QUANT_SCALE * level
-        out = np.round(out / step) * step
-    else:  # structured-noise
-        # rank-one field with a positive token-profile mean, so the trace
-        # keeps a consistent sign along the family direction
-        u = 0.5 + rng.normal(size=t_count)
-        sig = family_signature(family, d_count)
-        w_vec = sig + _SIG_NOISE_WEIGHT * rng.normal(size=d_count)
-        w_vec = w_vec / math.sqrt(1.0 + _SIG_NOISE_WEIGHT**2)
-        fiel = np.outer(u, w_vec) / math.sqrt(1.25)
-        z = rng.normal(size=(t_count, d_count))
-        mix = (fiel + 0.5 * z) / math.sqrt(1.25)
-        out += _STRUCT_SCALE * level * mix
-    if family != "token-blur":
-        out += _TRACE_SCALE * level * common_trace(d_count)[None, :]
+        out = tokens / step
+        np.round(out, out=out)
+        out *= step
+    else:
+        transform = {"localized-patch": _patch, "high-frequency-ripple": _ripple, "structured-noise": _structured_noise}
+        out = transform[family](tokens, level, seeds)
+    out += _TRACE_SCALE * level * common_trace(tokens.shape[2])[None, :]
     return out
 
 
-def _artifact_rng(family: str, seed: int):
-    """The artifact stream of one sample, or None for a family whose
-    transform never draws from it."""
-    return None if family in _RNG_FREE_FAMILIES else make_rng(seed)
+def _patch(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
+    """A signature-tinted bump on one random (token, dimension) window of
+    each sample."""
+    n, t_count, d_count = tokens.shape
+    wt = max(2, t_count // 2)
+    wd = max(2, d_count // 4)
+    t0 = np.empty(n, dtype=np.intp)
+    d0 = np.empty(n, dtype=np.intp)
+    bump = np.empty((n, wt, wd))
+    for i, seed in enumerate(seeds):
+        rng = make_rng(seed)
+        t0[i] = rng.integers(0, t_count - wt + 1)
+        d0[i] = rng.integers(0, d_count - wd + 1)
+        bump[i] = rng.normal(size=(wt, wd))
+    cols = d0[:, None] + np.arange(wd)
+    bump *= _SIG_NOISE_WEIGHT
+    bump += family_signature("localized-patch", d_count)[cols][:, None, :]
+    bump *= _PATCH_SCALE * level
+    out = tokens.copy()
+    # each sample's window is its own, so no element is added to twice
+    out[np.arange(n)[:, None, None], (t0[:, None] + np.arange(wt))[:, :, None], cols[:, None, :]] += bump
+    return out
+
+
+def _ripple(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
+    """A token-alternating carrier with a DC offset, so pooling over tokens
+    does not cancel the trace, along a per-sample direction."""
+    n, t_count, d_count = tokens.shape
+    amp = np.empty((n, d_count))
+    for i, seed in enumerate(seeds):
+        amp[i] = make_rng(seed).normal(size=d_count)
+    amp *= _SIG_NOISE_WEIGHT
+    amp += family_signature("high-frequency-ripple", d_count)
+    amp /= math.sqrt(1.0 + _SIG_NOISE_WEIGHT**2)
+    alt = np.cos(math.pi * np.arange(t_count)) + _RIPPLE_DC
+    out = (_RIPPLE_SCALE * level * alt)[None, :, None] * amp[:, None, :]
+    out += tokens
+    return out
+
+
+def _structured_noise(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
+    """A rank-one field with a positive token-profile mean, so the trace
+    keeps a consistent sign along the family direction, plus white noise.
+    The noise is drawn straight into the result, which then takes the
+    field one token row at a time."""
+    n, t_count, d_count = tokens.shape
+    profile = np.empty((n, t_count + d_count))
+    out = np.empty_like(tokens)
+    for i, seed in enumerate(seeds):
+        rng = make_rng(seed)
+        profile[i] = rng.normal(size=t_count + d_count)
+        out[i] = rng.normal(size=(t_count, d_count))
+    u = profile[:, :t_count]
+    u += 0.5
+    w_vec = profile[:, t_count:]
+    w_vec *= _SIG_NOISE_WEIGHT
+    w_vec += family_signature("structured-noise", d_count)
+    w_vec /= math.sqrt(1.0 + _SIG_NOISE_WEIGHT**2)
+    # (u w^T / sqrt(1.25) + 0.5 z) / sqrt(1.25), with z already in out
+    out *= 0.5
+    row = np.empty((n, d_count))
+    for t in range(t_count):
+        np.multiply(u[:, t, None], w_vec, out=row)
+        row /= math.sqrt(1.25)
+        out[:, t] += row
+    out /= math.sqrt(1.25)
+    out *= _STRUCT_SCALE * level
+    out += tokens
+    return out
+
+
+def _blur(tokens: np.ndarray, level: int) -> np.ndarray:
+    """Blend toward a fixed smoothed signal; deviation scales as the squared
+    blend fraction times a constant, so it grows strictly with level for any
+    non-constant input, and constants are left untouched.  The smoothing is
+    a box filter over tokens with reflect padding (a lone token reflects
+    onto itself); the taps are summed left to right, which is what
+    np.convolve does, so the bits match it."""
+    t_count = tokens.shape[1]
+    # the token each padded position reads, reflect padding included
+    padded = np.r_[1, 0:t_count, t_count - 2] if t_count > 1 else np.zeros(3, dtype=np.intp)
+    out = np.take(tokens, padded[:-2], axis=1)
+    out *= _BLUR_TAP
+    tap = tokens * _BLUR_TAP
+    out += tap
+    # every index is in range; "clip" only spares the copy that "raise" buffers through
+    np.take(tokens, padded[2:], axis=1, out=tap, mode="clip")
+    tap *= _BLUR_TAP
+    out += tap
+    out -= tokens
+    out *= _BLUR_MIN_BLEND + (1.0 - _BLUR_MIN_BLEND) * (level - 1) / 4.0
+    out += tokens
+    return out
 
 
 def _robustness_grid(cfg: DataConfig, test_in: Split) -> dict[tuple[str, int], Split]:
@@ -310,9 +390,7 @@ def _robustness_grid(cfg: DataConfig, test_in: Split) -> dict[tuple[str, int], S
     for cell_idx, family in enumerate(FAMILIES):
         for level in LEVELS:
             base = cfg.seed + _ROBUST_STREAM + (cell_idx * len(LEVELS) + level) * 10_000
-            tokens = np.empty_like(test_in.tokens)
-            for s_idx, sample in enumerate(test_in.tokens):
-                tokens[s_idx] = transform_tokens(sample, family, level, _artifact_rng(family, base + s_idx))
+            tokens = transform_tokens(test_in.tokens, family, level, range(base, base + len(test_in)))
             grid[(family, level)] = replace(test_in, tokens=tokens, intensity=np.full(len(test_in), level))
     return grid
 
@@ -333,8 +411,10 @@ class SplitBundle:
 
 
 def _detection_split(cfg: DataConfig, n: int, split: str, families: tuple[str, ...]) -> Split:
-    real, fake = gen_clips(cfg, n // 2, split), gen_clips(cfg, n // 2, split, families)
-    return Split(*(np.concatenate((getattr(real, f.name), getattr(fake, f.name))) for f in fields(Split)))
+    """Real clips then fakes, both written straight into one tokens array."""
+    tokens = np.empty((n, cfg.n_tokens, cfg.d_model))
+    halves = (_fill_clips(cfg, tokens[: n // 2], split), _fill_clips(cfg, tokens[n // 2 :], split, families))
+    return Split(tokens, *(np.concatenate([getattr(half, f.name) for half in halves]) for f in fields(Split)[1:]))
 
 
 def build_splits(cfg: DataConfig, splits: tuple[str, ...]) -> SplitBundle:

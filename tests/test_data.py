@@ -1,13 +1,15 @@
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference_data import transform_sample
 from split_checks import (
     SAMPLE_SPLITS,
     bundle_digest,
@@ -92,21 +94,64 @@ def test_gen_real_deterministic_and_clip_structured():
 
 
 def test_transform_rejects_bad_family_and_level():
-    tokens = np.zeros((8, 16))
+    tokens = np.zeros((1, 8, 16))
     with pytest.raises(ValueError, match="unknown artifact family"):
-        transform_tokens(tokens, "nope", 1, make_rng(0))
+        transform_tokens(tokens, "nope", 1, [0])
     with pytest.raises(ValueError, match="level"):
-        transform_tokens(tokens, "token-blur", 0, make_rng(0))
+        transform_tokens(tokens, "token-blur", 0, [0])
     with pytest.raises(ValueError, match="level"):
-        transform_tokens(tokens, "token-blur", 6, make_rng(0))
+        transform_tokens(tokens, "token-blur", 6, [0])
+
+
+# the families that draw from their samples' artifact streams
+_DRAWING_FAMILIES = ("localized-patch", "high-frequency-ripple", "structured-noise")
+
+
+@pytest.mark.parametrize("family", _DRAWING_FAMILIES)
+def test_transform_rejects_a_drawing_family_without_seeds(family):
+    with pytest.raises(ValueError, match=f"^{family} takes one artifact seed per sample: got 0 seeds for 4 samples$"):
+        transform_tokens(np.zeros((4, 8, 16)), family, 1, None)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_transform_rejects_a_seed_count_other_than_the_sample_count(family):
+    with pytest.raises(ValueError, match=f"^{family} takes one artifact seed per sample: got 3 seeds for 4 samples$"):
+        transform_tokens(np.zeros((4, 8, 16)), family, 1, [0, 1, 2])
+
+
+def test_transform_rejects_a_lone_sample():
+    with pytest.raises(ValueError, match=r"\(N, T, D\) stack, got shape \(8, 16\)"):
+        transform_tokens(np.zeros((8, 16)), "token-blur", 1, None)
 
 
 def test_transform_does_not_mutate_input():
-    tokens = make_rng(5).normal(size=(8, 16))
+    tokens = make_rng(5).normal(size=(3, 8, 16))
     keep = tokens.copy()
     for fam in FAMILIES:
-        transform_tokens(tokens, fam, 3, make_rng(9))
+        transform_tokens(tokens, fam, 3, [9, 10, 11])
         assert np.array_equal(tokens, keep)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(LEVELS),
+    st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(2, 24)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1e-3, 1.0, 1e3)),
+    st.data(),
+)
+def test_stacked_transform_is_bit_equal_to_the_per_sample_reference(family, level, shape, token_seed, scale, data):
+    # a patch window spans two tokens, and configs hold at least two
+    assume(family != "localized-patch" or shape[1] >= 2)
+    tokens = scale * make_rng(token_seed).normal(size=shape)
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=shape[0], max_size=shape[0]))
+    keep = tokens.copy()
+    got = transform_tokens(tokens, family, level, seeds)
+    want = np.stack([transform_sample(sample, family, level, make_rng(seed)) for sample, seed in zip(tokens, seeds)])
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(tokens, keep)
 
 
 def test_msd_strictly_increases_with_level_for_every_family():
@@ -115,27 +160,27 @@ def test_msd_strictly_increases_with_level_for_every_family():
         means = []
         for level in LEVELS:
             acc = 0.0
+            clean = np.stack([class_basis(cfg, i % cfg.n_base_classes) for i in range(100)])
             for i in range(100):
-                rng = make_rng(777_000 + i)
-                clean = class_basis(cfg, i % cfg.n_base_classes)
-                clean = clean + cfg.noise_level * rng.normal(size=clean.shape)
-                dirty = transform_tokens(clean, fam, level, make_rng(888_000 + level * 1000 + i))
-                acc += float(np.mean((dirty - clean) ** 2))
+                clean[i] += cfg.noise_level * make_rng(777_000 + i).normal(size=clean.shape[1:])
+            dirty = transform_tokens(clean, fam, level, [888_000 + level * 1000 + i for i in range(100)])
+            for i in range(100):
+                acc += float(np.mean((dirty[i] - clean[i]) ** 2))
             means.append(acc / 100)
         assert all(b > a for a, b in zip(means, means[1:])), (fam, means)
 
 
 def test_token_blur_fixes_constant_input():
-    const = np.full((8, 16), -2.5)
+    const = np.full((1, 8, 16), -2.5)
     for level in LEVELS:
-        out = transform_tokens(const, "token-blur", level, make_rng(1))
+        out = transform_tokens(const, "token-blur", level, [1])
         assert np.array_equal(out, const)
 
 
 def test_quantization_ignores_the_rng_stream():
-    tokens = make_rng(11).normal(size=(8, 16))
-    a = transform_tokens(tokens, "block-quantization", 2, make_rng(0))
-    b = transform_tokens(tokens, "block-quantization", 2, make_rng(12345))
+    tokens = make_rng(11).normal(size=(1, 8, 16))
+    a = transform_tokens(tokens, "block-quantization", 2, [0])
+    b = transform_tokens(tokens, "block-quantization", 2, [12345])
     assert np.array_equal(a, b)
 
 
@@ -144,11 +189,11 @@ def test_non_blur_families_share_the_processing_trace():
 
     trace = common_trace(16)
     assert np.sqrt(np.mean(trace**2)) == pytest.approx(1.0, abs=1e-12)
-    tokens = np.zeros((8, 16))
+    tokens = np.zeros((1, 8, 16))
     # quantization of zeros is zeros, so the residue is exactly the trace
-    out = transform_tokens(tokens, "block-quantization", 3, make_rng(0))
-    assert np.allclose(out, 3 * 0.1 * np.tile(trace, (8, 1)), atol=1e-12)
-    blurred = transform_tokens(tokens, "token-blur", 3, make_rng(0))
+    out = transform_tokens(tokens, "block-quantization", 3, [0])
+    assert np.allclose(out[0], 3 * 0.1 * np.tile(trace, (8, 1)), atol=1e-12)
+    blurred = transform_tokens(tokens, "token-blur", 3, [0])
     assert np.array_equal(blurred, tokens)
 
 
@@ -261,13 +306,45 @@ def test_import_csv_rejects_wrong_width(tmp_path):
         import_csv(path, cfg.n_tokens, cfg.d_model + 1)
 
 
+def _assert_committed_digest(name: str) -> None:
+    want = json.loads((Path(__file__).parent / "data" / name).read_text())
+    config = {key: tuple(value) if isinstance(value, list) else value for key, value in want["config"].items()}
+    for seed, digest in want["seeds"].items():
+        cfg = DataConfig(seed=int(seed), **config)
+        assert bundle_digest(build_splits(cfg, SPLITS)) == digest, seed
+
+
 def test_build_splits_reproduces_the_committed_digest():
     # digest of every split and grid cell, written by the generator before
     # its per-sample work was cached and restructured
-    want = json.loads((Path(__file__).parent / "data" / "splits_digest.json").read_text())
-    for seed, digest in want["seeds"].items():
-        cfg = DataConfig(seed=int(seed), **want["config"])
-        assert bundle_digest(build_splits(cfg, SPLITS)) == digest, seed
+    _assert_committed_digest("splits_digest.json")
+
+
+def test_build_splits_reproduces_the_odd_shape_digest():
+    # the same digest at a 3x5 grid with clips of one sample, one train
+    # family and four held out, written by the per-sample generator before
+    # it was stacked
+    _assert_committed_digest("splits_digest_odd_shape.json")
+
+
+def _traced_build(splits: tuple[str, ...]):
+    tracemalloc.start()
+    try:
+        bundle = build_splits(DataConfig(), splits)
+        return bundle, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_detection_split_is_written_into_one_tokens_array():
+    bundle, peak = _traced_build(("finetune_train",))
+    assert peak <= 1.5 * bundle.finetune_train.tokens.nbytes, peak
+
+
+def test_the_robustness_grid_needs_no_cell_sized_scratch():
+    bundle, peak = _traced_build(("robustness",))
+    held = sum(cell.tokens.nbytes for cell in bundle.robustness.values())
+    assert peak <= 1.2 * held, (peak, held)
 
 
 def test_every_split_selection_matches_a_full_build():
@@ -331,5 +408,5 @@ def _blur_reference(tokens: np.ndarray, level: int) -> np.ndarray:
     st.sampled_from(LEVELS),
 )
 def test_token_blur_is_bit_equal_to_the_convolve_reference(tokens, level):
-    got = transform_tokens(tokens, "token-blur", level, None)
-    assert np.array_equal(got, _blur_reference(tokens, level))
+    got = transform_tokens(tokens[None], "token-blur", level, None)
+    assert np.array_equal(got[0], _blur_reference(tokens, level))
