@@ -341,7 +341,7 @@ def test_a_detection_split_is_written_into_one_tokens_array():
     assert peak <= 1.5 * bundle.finetune_train.tokens.nbytes, peak
 
 
-def test_the_robustness_grid_needs_no_cell_sized_scratch():
+def test_the_robustness_grid_peaks_near_the_bytes_it_holds():
     bundle, peak = _traced_build(("robustness",))
     held = sum(cell.tokens.nbytes for cell in bundle.robustness.values())
     assert peak <= 1.2 * held, (peak, held)
