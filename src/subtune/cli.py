@@ -146,8 +146,8 @@ def _cmd_gradcheck(args) -> None:
     rng = make_rng(seed + 2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
     labels = rng.integers(0, 2, size=4).astype(float)
-    jitter_trainables(model, make_rng(seed + 3), mode="finetune")
-    report = grad_check(model, inputs, labels, LossWeights(), mode="finetune")
+    jitter_trainables(model, make_rng(seed + 3))
+    report = grad_check(model, inputs, labels, LossWeights())
     print(
         f"checked {report.n_coords} coordinates; max relative error "
         f"{report.max_rel_err:.3e} at flat index {report.worst_index}"

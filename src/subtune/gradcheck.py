@@ -28,33 +28,27 @@ def grad_check(
     weights: LossWeights | None = None,
     h: float = 1e-5,
     tol: float = 1e-5,
-    mode: str = "finetune",
 ) -> GradCheckReport:
-    """Compare analytic gradients against central differences coordinate by
-    coordinate.  Relative error uses max(|analytic|, |numeric|, 1e-3) as
-    denominator so near-zero coordinates are compared at a sane absolute
-    scale."""
-    arrays = model_mod.trainable_arrays(model, mode)
-    theta = model_mod.flat_vector(arrays)
-    if theta.size > 10_000:
-        raise ValueError(f"model too large for exhaustive checking: {theta.size} coordinates")
+    """Compare analytic gradients against central differences at every
+    ``trained_positions`` coordinate of ``model.params``, in buffer order.
+    Relative error uses max(|analytic|, |numeric|, 1e-3) as denominator so
+    near-zero coordinates are compared at a sane absolute scale."""
+    positions = model_mod.trained_positions(model)
+    if positions.size > 10_000:
+        raise ValueError(f"model too large for exhaustive checking: {positions.size} coordinates")
 
     _, grads = model_mod.backward(model, inputs, labels, weights)
-    analytic = model_mod.flat_vector(model_mod.trainable_arrays(model, mode, grads))
+    analytic = grads.params[positions]
 
-    def loss_at(vec: np.ndarray) -> float:
-        model_mod.set_flat(arrays, vec)
-        return model_mod.backward(model, inputs, labels, weights)[0].total
-
-    numeric = np.zeros_like(theta)
-    for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] = theta[i] + h
-        up = loss_at(bumped)
-        bumped[i] = theta[i] - h
-        down = loss_at(bumped)
+    numeric = np.zeros(positions.size)
+    for i, at in enumerate(positions):
+        theta = model.params[at]
+        model.params[at] = theta + h
+        up = model_mod.backward(model, inputs, labels, weights)[0].total
+        model.params[at] = theta - h
+        down = model_mod.backward(model, inputs, labels, weights)[0].total
+        model.params[at] = theta
         numeric[i] = (up - down) / (2.0 * h)
-    model_mod.set_flat(arrays, theta)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     rel = np.abs(analytic - numeric) / denom
@@ -65,17 +59,17 @@ def grad_check(
     return GradCheckReport(
         max_rel_err=float(rel[worst]),
         worst_index=worst,
-        n_coords=int(theta.size),
+        n_coords=int(positions.size),
         tol=tol,
         passed=bool(rel[worst] <= tol),
         warning=warning,
     )
 
 
-def jitter_trainables(model: Model, rng: np.random.Generator, scale: float = 0.05, mode: str = "finetune") -> None:
-    """Move trainable parameters to a generic point.  The spectral penalty is
-    an absolute value sitting exactly at its kink after decomposition, where
-    finite differences are meaningless; checks run from a nearby offset."""
-    arrays = model_mod.trainable_arrays(model, mode)
-    theta = model_mod.flat_vector(arrays)
-    model_mod.set_flat(arrays, theta + scale * rng.normal(size=theta.shape))
+def jitter_trainables(model: Model, rng: np.random.Generator, scale: float = 0.05) -> None:
+    """Move the ``trained_positions`` of ``model.params`` to a generic point.
+    The spectral penalty is an absolute value sitting exactly at its kink
+    after decomposition, where finite differences are meaningless; checks
+    run from a nearby offset."""
+    positions = model_mod.trained_positions(model)
+    model.params[positions] += scale * rng.normal(size=positions.shape)

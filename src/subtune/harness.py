@@ -31,12 +31,12 @@ from .masking import (
     LayerMask,
     OptimizerState,
     StatsConfig,
-    adaptive_step,
     apply_update,
     build_mask,
     compute_bvg,
     init_optimizer,
     init_stats,
+    step_buffer,
     update_stats,
 )
 from .model import (
@@ -45,12 +45,9 @@ from .model import (
     backward,
     clone_model,
     decompose_attention,
-    flat_vector,
     init_model,
     predict,
     reset_head,
-    set_flat,
-    trainable_arrays,
 )
 
 _INIT_STREAM = 900_000_000
@@ -171,10 +168,7 @@ def run_pretrain(
         splits = build_splits(cfg.data, _PRETRAIN_SPLITS)
     model = init_model(cfg.model, make_rng(cfg.seed + _INIT_STREAM))
     train, test = splits.pretrain_train, splits.pretrain_test
-    params = trainable_arrays(model, "full")
-    theta = flat_vector(params)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m, v = np.zeros_like(model.params), np.zeros_like(model.params)
     opt = OptimizerState(mode="adaptive", learning_rate=cfg.pretrain.learning_rate)
     step = 0
     acc = pretrain_accuracy(model, test)
@@ -184,10 +178,7 @@ def run_pretrain(
         for batch in _batches(len(train), cfg.pretrain.batch_size, rng):
             _, grads = backward(model, train.tokens[batch], train.base_class[batch])
             step += 1
-            theta, m, v = adaptive_step(
-                theta, flat_vector(trainable_arrays(model, "full", grads)), m, v, step, opt
-            )
-            set_flat(params, theta)
+            step_buffer(model.params, grads.params, m, v, step, opt, f"pretraining step {step}")
         epochs_run = epoch + 1
         acc = pretrain_accuracy(model, test)
         if acc >= cfg.pretrain.accuracy_floor:
@@ -252,6 +243,9 @@ def run_finetune(
     if splits is None:
         splits = build_splits(cfg.data, _FINETUNE_SPLITS)
     model = clone_model(pretrained)
+    # the new head repacks the model's buffer; a plain model repacks for a
+    # fraction of what a decomposed one costs
+    reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
     semantic_start: list[bytes] = []
     if masft:
         # the run config's split, not the one the checkpoint was saved with
@@ -260,7 +254,6 @@ def run_finetune(
         semantic_start = [
             semantic_to_bytes(getattr(block, name)) for _, block, name in attention_slots(model)
         ]
-    reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
 
     train = splits.finetune_train
     steps_per_epoch = (len(train) + cfg.optimizer.batch_size - 1) // cfg.optimizer.batch_size

@@ -165,17 +165,28 @@ def _moment_step(theta, grad, m, v, c1, c2, opt: OptimizerState):
     return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps), m, v
 
 
-def adaptive_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    step: int,
-    opt: OptimizerState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive-moment update of one stream; ``step`` is its
-    already-incremented counter."""
-    return _moment_step(theta, grad, m, v, 1.0 - opt.beta1**step, 1.0 - opt.beta2**step, opt)
+def _unusable(new: np.ndarray, second: np.ndarray | None) -> np.ndarray:
+    """Where a staged update must not be written: a non-finite parameter, or
+    a second moment that overflowed to inf (which leaves the parameters
+    finite but freezes the coordinate for good)."""
+    bad = ~np.isfinite(new)
+    if second is not None:
+        bad |= ~np.isfinite(second)
+    return bad
+
+
+def step_buffer(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
+                opt: OptimizerState, what: str) -> None:
+    """One adaptive-moment update of a whole parameter buffer and its
+    moments, in place, with ``step`` the already-incremented counter.  All
+    or nothing: a non-finite update raises a ValueError naming ``what`` and
+    writes nothing."""
+    new, first, second = _moment_step(theta, grad, m, v, 1.0 - opt.beta1**step, 1.0 - opt.beta2**step, opt)
+    if _unusable(new, second).any():
+        raise ValueError(f"non-finite update at {what}")
+    theta[...] = new
+    m[...] = first
+    v[...] = second
 
 
 def apply_update(
@@ -209,17 +220,14 @@ def apply_update(
         new, first, second = _moment_step(
             theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt
         )
-        new_head, head_first, head_second = adaptive_step(
-            head, head_grad, opt.head_m, opt.head_v, opt.head_step + 1, opt
+        t = opt.head_step + 1
+        new_head, head_first, head_second = _moment_step(
+            head, head_grad, opt.head_m, opt.head_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
         )
-    # a non-finite first moment always makes the parameters non-finite, but
-    # a second moment that overflowed to inf leaves them finite
-    bad = ~np.isfinite(new)
-    if second is not None:
-        bad |= ~np.isfinite(second)
+    bad = _unusable(new, second)
     if bad.any():
         raise ValueError(f"non-finite update for layer {active[bad.any(axis=1)][0]}")
-    if not (np.isfinite(new_head).all() and (head_second is None or np.isfinite(head_second).all())):
+    if _unusable(new_head, head_second).any():
         raise ValueError("non-finite update for the head")
     model.trainable[active] = new
     model.head[...] = new_head.reshape(model.head.shape)

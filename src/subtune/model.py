@@ -4,7 +4,8 @@ gradients.
 Attention projections (q, k, v, o per block) start as plain matrices; after
 backbone pretraining they can be decomposed into a frozen semantic subspace
 plus trainable artifact subspaces.  Everything outside those projections and
-the head (token embed, layer norms, MLPs) is frozen during fine-tuning.
+the head (token embed, layer norms, MLPs) is frozen during fine-tuning.  Every
+array of a model is a view of one parameter buffer, ``Model.params``.
 """
 
 from __future__ import annotations
@@ -88,17 +89,21 @@ def block_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class Model:
-    """``trainable`` is one (n_layers, P) array holding every attention
-    slot's trainable values, one row per layer in layer-id order, and each
-    slot is a view of its row: a plain matrix (P = d_out * d_in) or a
-    decomposed layer's ``params``, zero-padded to the model's largest tail
-    rank.  ``factors`` stacks the decomposed layers' U, s and V views of
-    the rows (None for a plain model)."""
+    """Every array of the model is a view of one float64 buffer,
+    ``params``, laid out as: the (n_layers, P) ``trainable`` rows, the
+    head, ``token_embed``, then each block's ``FROZEN_SLOTS`` (``_carve``).
+    ``trainable`` holds every attention slot's trainable values, one row per
+    layer in layer-id order, and each slot is a view of its row: a plain
+    matrix (P = d_out * d_in) or a decomposed layer's ``params``,
+    zero-padded to the model's largest tail rank.  ``factors`` stacks the
+    decomposed layers' U, s and V views of the rows (None for a plain
+    model)."""
 
     config: ModelConfig
     token_embed: np.ndarray
     blocks: list[Block]
     head: np.ndarray
+    params: np.ndarray = field(init=False, repr=False)
     trainable: np.ndarray = field(init=False, repr=False)
     factors: FactorStack | None = field(init=False, repr=False)
 
@@ -144,28 +149,57 @@ def attention_slots(model: Model) -> list[tuple[int, Block, str]]:
     return out
 
 
+def _carve(
+    model: Model, rows: tuple[int, int], full: bool = True, buf: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list[dict[str, np.ndarray]]]:
+    """The one place that knows the parameter layout: ``buf`` (by default a
+    new uninitialised buffer) split into its views, returned as (buffer, the
+    (n_layers, P) trainable ``rows``, the head, the token embedding, one
+    dict of ``FROZEN_SLOTS`` views per block).  Without ``full`` the buffer
+    is only the layout's trained prefix, the rows and the head, and the
+    frozen views are None and empty."""
+    cfg = model.config
+    sections = [rows, model.head.shape]
+    if full:
+        shapes = block_shapes(cfg)
+        sections += [(cfg.d_model, cfg.d_model)] + [shapes[slot] for _ in range(cfg.n_blocks) for slot in FROZEN_SLOTS]
+    sizes = [math.prod(shape) for shape in sections]
+    if buf is None:
+        buf = np.empty(sum(sizes))
+    views, at = [], 0
+    for shape, size in zip(sections, sizes):
+        views.append(buf[at : at + size].reshape(shape))
+        at += size
+    frozen = iter(views[3:])
+    blocks = [{slot: next(frozen) for slot in FROZEN_SLOTS} for _ in range(cfg.n_blocks)] if full else []
+    return buf, views[0], views[1], views[2] if full else None, blocks
+
+
 def stack_trainables(model: Model) -> None:
-    """Copy every attention slot's trainable values into one new
-    ``trainable`` array and point the slots at their rows.  Needed whenever
-    slots are replaced or copied, since a copied view no longer aliases its
-    buffer."""
+    """Copy every array of the model into one new ``params`` buffer and
+    point each slot at its view.  Needed whenever an array is replaced or
+    copied, since a copied view no longer aliases its buffer."""
     slots = attention_slots(model)
     projections = [getattr(block, name) for _, block, name in slots]
-    if not model.decomposed:
-        model.trainable = np.stack([p.ravel() for p in projections])
-        for (_, block, name), p, row in zip(slots, projections, model.trainable):
-            setattr(block, name, row.reshape(p.shape))
-        model.factors = None
-        return
-    first = projections[0]
-    width = max(p.tail_rank for p in projections)
-    rows = np.zeros((len(projections), (first.d_out + 1 + first.d_in) * width))
-    for p, row in zip(projections, rows):
-        values = (p.u, p.s, p.v)
-        p.params = row
-        for view, value in zip((p.u, p.s, p.v), values):
-            view[...] = value
-    model.trainable, model.factors = rows, FactorStack.of(projections, rows)
+    decomposed, first = model.decomposed, projections[0]
+    row_size = (first.d_out + 1 + first.d_in) * max(p.tail_rank for p in projections) if decomposed else first.size
+    model.params, model.trainable, head, embed, frozen = _carve(model, (len(projections), row_size))
+    views = [(model, "head", head), (model, "token_embed", embed)]
+    views += [(block, slot, view) for block, named in zip(model.blocks, frozen) for slot, view in named.items()]
+    if decomposed:
+        model.trainable[...] = 0.0  # the padding past each layer's tail
+        for p, row in zip(projections, model.trainable):
+            values = (p.u, p.s, p.v)
+            p.params = row
+            for view, value in zip((p.u, p.s, p.v), values):
+                view[...] = value
+    else:
+        views += [(block, name, row.reshape(p.shape))
+                  for (_, block, name), p, row in zip(slots, projections, model.trainable)]
+    for owner, name, view in views:
+        view[...] = getattr(owner, name)
+        setattr(owner, name, view)
+    model.factors = FactorStack.of(projections, model.trainable) if decomposed else None
 
 
 def decompose_attention(model: Model) -> None:
@@ -184,6 +218,7 @@ def reset_head(
     if scale is None:
         scale = 1.0 / math.sqrt(model.config.d_model)
     model.head = rng.normal(scale=scale, size=(n_outputs, model.config.d_model))
+    stack_trainables(model)  # the head changes size
 
 
 def weight_stack(model: Model) -> np.ndarray:
@@ -414,15 +449,15 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Gradients:
-    """Gradients laid out like the model's storage: ``trainable`` has the
-    shape of ``model.trainable``, one row per attention slot, and
-    ``frozen`` holds the other arrays' gradients in ``frozen_arrays``
-    order.  A binary-head ``backward`` forms only the fine-tuned
-    gradients, so its ``frozen`` is None."""
+    """Gradients laid out like ``model.params``, with ``trainable`` (one row
+    per attention slot) and ``head`` views of ``params``.  A binary-head
+    ``backward`` forms only the fine-tuned gradients, so its ``params`` is
+    the layout's prefix of rows and head; a pretraining head's covers the
+    whole layout."""
 
+    params: np.ndarray
     trainable: np.ndarray
     head: np.ndarray
-    frozen: list[np.ndarray] | None
 
 
 def _project_factors(
@@ -502,17 +537,15 @@ def backward(
         onehot[np.arange(n), y_idx] = 1.0
         dlogits = (cache.probs - onehot) / n
 
-    d_head = dlogits.T @ cache.pool
+    params, grad, d_head, d_embed, d_frozen = _carve(model, model.trainable.shape, full)
+    np.matmul(dlogits.T, cache.pool, out=d_head)
     d_pool = dlogits @ model.head
     dh = np.repeat(d_pool[:, None, :], cfg.n_tokens, axis=1) / cfg.n_tokens
 
     scale = 1.0 / math.sqrt(cfg.d_model)
-    n_frozen = len(FROZEN_SLOTS)
-    frozen: list | None = [None] * (1 + n_frozen * cfg.n_blocks) if full else None
     n_rows = n * cfg.n_tokens
     decomposed = model.decomposed
     w = cache.weights
-    grad = np.empty_like(model.trainable)
     # each attention slot's weight gradient by layer id; a plain model's
     # weight gradients are its rows
     g_w = np.empty_like(w) if decomposed else grad.reshape(w.shape)
@@ -547,19 +580,18 @@ def backward(
         du = _rows_matmul(dq_tok, w[q_row]) + _rows_matmul(dk_tok, w[k_row]) + _rows_matmul(dv_tok, w[v_row])
         # formed before dh moves on to this block's input gradient
         if full:
-            at = 1 + n_frozen * b
-            frozen[at : at + n_frozen] = [  # in FROZEN_SLOTS order
-                np.sum(du * c.ln1_xhat, axis=(0, 1)),
-                np.sum(du, axis=(0, 1)),
-                np.sum(dwn * c.ln2_xhat, axis=(0, 1)),
-                np.sum(dwn, axis=(0, 1)),
-                dz1.reshape(n_rows, -1).T @ c.wn.reshape(n_rows, -1),
-                dh.reshape(n_rows, -1).T @ c.act.reshape(n_rows, -1),
-            ]
+            g = d_frozen[b]
+            np.sum(du * c.ln1_xhat, axis=(0, 1), out=g["norm1_gain"])
+            np.sum(du, axis=(0, 1), out=g["norm1_bias"])
+            np.sum(dwn * c.ln2_xhat, axis=(0, 1), out=g["norm2_gain"])
+            np.sum(dwn, axis=(0, 1), out=g["norm2_bias"])
+            np.matmul(dz1.reshape(n_rows, -1).T, c.wn.reshape(n_rows, -1), out=g["mlp_in"])
+            np.matmul(dh.reshape(n_rows, -1).T, c.act.reshape(n_rows, -1), out=g["mlp_out"])
         dh = dm_in + _layer_norm_input_grad(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
 
     if full:
-        frozen[0] = dh.reshape(n_rows, -1).T @ np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
+        x_rows = np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
+        np.matmul(dh.reshape(n_rows, -1).T, x_rows, out=d_embed)
 
     if decomposed:
         orth, spec = _project_factors(model.factors, g_w, w, grad, weights)
@@ -569,71 +601,37 @@ def backward(
         report = losses.total_loss(cls, orth[order].tolist(), spec[order].tolist(), weights)
     else:
         report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls, n_layers=0)
-    return report, Gradients(trainable=grad, head=d_head, frozen=frozen)
+    return report, Gradients(params=params, trainable=grad, head=d_head)
 
 
-# --- flat parameters ------------------------------------------------------
-# The optimizers and the finite-difference checker address a mode's
-# trainable values as a fixed list of arrays, each a view of the model's own
-# storage: "finetune" lists every attention row in layer-id order, split
-# through its slot (a decomposed layer's real U, s and V columns, never its
-# padding, or the plain matrix), and then the head; "full" lists every
-# array of the plain pretraining model, the attention rows as the one
-# ``model.trainable``.  With ``grads`` the same list holds the matching
-# gradients.
-
-
-def frozen_arrays(model: Model) -> list[np.ndarray]:
-    """The arrays fine-tuning keeps frozen: the token embedding, then each
-    block's ``FROZEN_SLOTS``."""
-    return [model.token_embed] + [getattr(block, name) for block in model.blocks for name in FROZEN_SLOTS]
-
-
-def trainable_arrays(model: Model, mode: str = "finetune", grads: Gradients | None = None) -> list[np.ndarray]:
-    rows, head = (model.trainable, model.head) if grads is None else (grads.trainable, grads.head)
-    if mode == "finetune":
-        arrays = []
-        for (_, block, name), row in zip(attention_slots(model), rows):
-            slot = getattr(block, name)
-            arrays += slot.split(row) if isinstance(slot, DecomposedLayer) else [row.reshape(slot.shape)]
-        return arrays + [head]
-    if mode == "full":
-        if model.decomposed:
-            raise ValueError("full parameter view is for the plain pretraining model")
-        frozen = frozen_arrays(model) if grads is None else grads.frozen
-        if frozen is None:
-            raise ValueError(
-                "full parameter view needs every gradient; a binary-head backward "
-                "forms only the fine-tuned ones"
-            )
-        return frozen + [rows, head]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def flat_vector(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def set_flat(arrays: list[np.ndarray], vec: np.ndarray) -> None:
-    """Write ``vec`` into ``arrays`` in place, in list order."""
-    size = sum(a.size for a in arrays)
-    if vec.shape != (size,):
-        raise ValueError(f"vector of shape {vec.shape} does not match trainable size {size}")
-    pos = 0
-    for a in arrays:
-        a[...] = vec[pos : pos + a.size].reshape(a.shape)
-        pos += a.size
+def trained_positions(model: Model) -> np.ndarray:
+    """The positions in ``model.params`` of what ``backward`` differentiates,
+    in buffer order: for a binary head, each attention row's real values (a
+    decomposed layer's U, s and V columns, never its padding, or the plain
+    matrix) and then the head; for a pretraining head, every position."""
+    index = np.arange(model.params.size)
+    if model.n_outputs != 1:
+        return index
+    _, rows, head, _, _ = _carve(model, model.trainable.shape, buf=index)
+    parts = []
+    for (_, block, name), row in zip(attention_slots(model), rows):
+        slot = getattr(block, name)
+        parts += slot.split(row) if isinstance(slot, DecomposedLayer) else [row]
+    return np.concatenate([part.ravel() for part in parts + [head]])
 
 
 def projection_param_vector(p: Projection) -> np.ndarray:
     """A copy of one attention slot's trainable values."""
-    return flat_vector(list(p.split(p.params)) if isinstance(p, DecomposedLayer) else [p])
+    parts = p.split(p.params) if isinstance(p, DecomposedLayer) else [p]
+    return np.concatenate([part.ravel() for part in parts])
 
 
 def clone_model(model: Model) -> Model:
     """Deep copy that shares nothing with the source, with its own buffer."""
     import copy
 
-    twin = copy.deepcopy(model)
+    # the repack rebuilds the buffer and its stacked views, so the deep copy
+    # leaves them out rather than copy the model's values twice
+    twin = copy.deepcopy(model, {id(a): None for a in (model.params, model.trainable, model.factors)})
     stack_trainables(twin)
     return twin

@@ -91,11 +91,11 @@ def test_criterion_3_gradient_oracle():
     model = init_model(model_cfg, make_rng(0))
     decompose_attention(model)
     reset_head(model, 1, make_rng(1))
-    jitter_trainables(model, make_rng(3), mode="finetune")
+    jitter_trainables(model, make_rng(3))
     rng = make_rng(2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
     labels = rng.integers(0, 2, size=4).astype(float)
-    report = grad_check(model, inputs, labels, LossWeights(), h=1e-5, tol=1e-5, mode="finetune")
+    report = grad_check(model, inputs, labels, LossWeights(), h=1e-5, tol=1e-5)
     assert report.passed
     assert report.max_rel_err <= 1e-5
     assert time.perf_counter() - t0 <= 60.0

@@ -215,7 +215,10 @@ def test_seed_override_changes_the_run(tmp_path, cfg_path):
 
 def test_gradcheck_passes_without_config(capsys):
     assert main(["gradcheck"]) == 0
-    assert "max relative error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max relative error" in out
+    # the same coordinates as the per-array flattening that came before
+    assert out.startswith("checked 484 coordinates;")
 
 
 def test_missing_checkpoint_is_a_one_line_error(tmp_path, cfg_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from split_checks import SAMPLE_SPLITS
+from subtune import harness
 from subtune.checkpoint import load_model, save_model
 from subtune.config import config_from_dict
 from subtune.data import build_splits
@@ -20,12 +21,11 @@ from subtune.harness import (
 from subtune.linalg import make_rng
 from subtune.model import (
     attention_slots,
+    backward,
     clone_model,
     decompose_attention,
-    flat_vector,
     init_model,
     projection_param_vector,
-    trainable_arrays,
 )
 
 
@@ -77,9 +77,27 @@ def test_pretrain_zero_epochs_equals_initialization():
     from subtune.harness import _INIT_STREAM
 
     fresh = init_model(cfg.model, make_rng(cfg.seed + _INIT_STREAM))
-    assert np.array_equal(
-        flat_vector(trainable_arrays(model, "full")), flat_vector(trainable_arrays(fresh, "full"))
-    )
+    assert np.array_equal(model.params, fresh.params)
+
+
+# a NaN gradient would reach the model and surface only as the next
+# forward's "non-finite activations"; 1e200 keeps the parameters finite but
+# overflows the second moment to inf, which freezes its coordinate silently
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_pretrain_refuses_a_non_finite_update(monkeypatch, bad):
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        report, grads = backward(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 2:
+            grads.params[-1] = bad
+        return report, grads
+
+    monkeypatch.setattr(harness, "backward", corrupted)
+    with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
+        run_pretrain(tiny_cfg())
+    assert str(err.value) == "non-finite update at pretraining step 2"
 
 
 def test_pretrain_unreachable_floor_suggests_easier_data():

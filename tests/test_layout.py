@@ -1,7 +1,7 @@
 """The trainable layout: one ``params`` vector per decomposed layer with
-``u``/``s``/``v``/``artifacts`` as views into it, one list of trainable
-arrays per mode, and checkpoints that read and write the same bytes as
-the per-subspace layout that came before.
+``u``/``s``/``v``/``artifacts`` as views into it, one set of trained
+positions in the model's parameter buffer, and checkpoints that read and
+write the same bytes as the per-subspace layout that came before.
 
 The recorded probabilities depend on float rounding, so they hold for the
 numpy and BLAS build they were recorded with.  Regenerate them only for a
@@ -34,12 +34,10 @@ from subtune.model import (
     backward,
     clone_model,
     decompose_attention,
-    flat_vector,
     init_model,
     predict,
     reset_head,
-    set_flat,
-    trainable_arrays,
+    trained_positions,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -121,8 +119,7 @@ def test_no_two_layers_models_or_moments_share_storage() -> None:
     sizes = [layer.params.size for layer in decomposed_layers(model)]
     opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
     arrays = (
-        trainable_arrays(model)
-        + trainable_arrays(twin)
+        [*model.trainable, model.head, *twin.trainable, twin.head]
         + list(opt.layer_m)
         + list(opt.layer_v)
         + [opt.head_m, opt.head_v]
@@ -180,16 +177,17 @@ def test_layer_bytes_and_recompose_properties(case) -> None:
     assert np.max(np.abs(recompose(layer) - w)) <= 1e-8
 
 
-def round_trip(model, mode: str, labels: np.ndarray, rng) -> np.ndarray:
-    """Write a random vector through the mode's arrays, read it back, and
-    check that the gradients come in the same shapes."""
-    arrays = trainable_arrays(model, mode)
-    vec = rng.normal(size=flat_vector(arrays).shape)
-    set_flat(arrays, vec)
-    assert flat_vector(trainable_arrays(model, mode)).tobytes() == vec.tobytes()
+def round_trip(model, labels: np.ndarray, rng) -> np.ndarray:
+    """Write a random vector to the trained positions of the model's buffer,
+    read it back, and check that the gradients hold the same positions."""
+    positions = trained_positions(model)
+    assert np.all(np.diff(positions) > 0)  # buffer order, each once
+    vec = rng.normal(size=positions.shape)
+    model.params[positions] = vec
+    assert model.params[positions].tobytes() == vec.tobytes()
     x = rng.normal(size=(len(labels), model.config.n_tokens, model.config.d_model))
     _, grads = backward(model, x, labels)
-    assert [g.shape for g in trainable_arrays(model, mode, grads)] == [a.shape for a in arrays]
+    assert grads.params[positions].shape == positions.shape
     return vec
 
 
@@ -200,13 +198,16 @@ def test_flat_round_trip_is_bit_exact_in_both_modes(case, n_blocks) -> None:
     cfg = ModelConfig(d_model=d_model, n_blocks=n_blocks, n_tokens=3, decomposition=dcfg)
     model = init_model(cfg, make_rng(seed))
     rng = make_rng(seed + 1)
-    round_trip(model, "full", np.array([0, 1]), rng)
+    vec = round_trip(model, np.array([0, 1]), rng)
+    # a pretraining head trains every value
+    assert vec.size == model.params.size and model.params.tobytes() == vec.tobytes()
     decompose_attention(model)
     reset_head(model, 1, rng)
-    vec = round_trip(model, "finetune", np.array([1.0, 0.0]), rng)
+    vec = round_trip(model, np.array([1.0, 0.0]), rng)
     assert_views_alias_params(model)
-    layer_values = flat_vector([a for layer in decomposed_layers(model) for a in layer.split(layer.params)])
-    assert layer_values.tobytes() == vec[: -model.head.size].tobytes()
+    # a binary head trains each slot's real values in layer order, then the head
+    slots = [model_mod.projection_param_vector(layer) for layer in decomposed_layers(model)]
+    assert np.concatenate(slots + [model.head.ravel()]).tobytes() == vec.tobytes()
     first = model_mod.projection_param_vector(model.blocks[0].q)
     assert first.tobytes() == vec[: first.size].tobytes()
 

@@ -3,18 +3,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from subtune import linalg, model as model_mod
+from subtune import linalg
 from subtune.decomposition import DecompositionConfig
 from subtune.losses import LossWeights
 from subtune.masking import (
     LayerMask,
+    OptimizerState,
     StatsConfig,
-    adaptive_step,
+    _moment_step,
     apply_update,
     build_mask,
     compute_bvg,
     init_optimizer,
     init_stats,
+    step_buffer,
     update_stats,
 )
 from subtune.model import ModelConfig, backward, decompose_attention, init_model, reset_head
@@ -136,7 +138,7 @@ def test_adaptive_step_matches_reference() -> None:
     opt = init_optimizer("adaptive", 2e-4, [3], 3)
     theta = np.array([0.0, 1.0, -2.0])
     g1 = np.array([0.5, -0.25, 0.125])
-    got, m1, v1 = adaptive_step(theta, g1, opt.layer_m[0], opt.layer_v[0], 1, opt)
+    got, m1, v1 = _moment_step(theta, g1, opt.layer_m[0], opt.layer_v[0], 1 - 0.9**1, 1 - 0.999**1, opt)
     # the step returns new moments and leaves the optimizer's alone
     assert not opt.layer_m[0].any() and not opt.layer_v[0].any()
     want, m_ref, v_ref = reference(theta, g1, np.zeros(3), np.zeros(3), 1, 2e-4)
@@ -145,7 +147,7 @@ def test_adaptive_step_matches_reference() -> None:
     # fresh-state magnitude: eta * (1 - 1e-8-scale correction)
     assert abs(abs(got[0] - theta[0]) - 2e-4) <= 1e-10
     g2 = np.array([-0.5, 0.5, 0.0])
-    got2, _, _ = adaptive_step(got, g2, m1, v1, 2, opt)
+    got2, _, _ = _moment_step(got, g2, m1, v1, 1 - 0.9**2, 1 - 0.999**2, opt)
     want2, _, _ = reference(got, g2, m_ref, v_ref, 2, 2e-4)
     assert np.array_equal(got2, want2)
 
@@ -240,7 +242,7 @@ def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
     opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
     everything = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
     apply_update(model, grads, everything, opt)  # moments and counters non-trivial
-    params = model_mod.flat_vector(model_mod.trainable_arrays(model)).tobytes()
+    params = model.params.tobytes()
     moments = [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)]
     head_state = (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step)
     steps = list(opt.layer_step)
@@ -250,10 +252,28 @@ def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
     last_layer.split(grads.trainable[-1])[0][0, -last_layer.ranks[-1]] = bad
     with pytest.raises(ValueError, match=f"layer {last}"), np.errstate(over="ignore"):
         apply_update(model, grads, everything, opt)
-    assert model_mod.flat_vector(model_mod.trainable_arrays(model)).tobytes() == params
+    assert model.params.tobytes() == params
     assert [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)] == moments
     assert (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step) == head_state
     assert opt.layer_step == steps
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_pretraining_step_refuses_a_non_finite_update(bad) -> None:
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, n_classes_pretrain=3)
+    model = init_model(cfg, linalg.make_rng(0))
+    x = linalg.make_rng(1).normal(size=(4, cfg.n_tokens, cfg.d_model))
+    labels = np.array([0, 1, 2, 1])
+    opt = OptimizerState(mode="adaptive", learning_rate=1e-3)
+    m, v = np.zeros_like(model.params), np.zeros_like(model.params)
+    _, grads = backward(model, x, labels)
+    step_buffer(model.params, grads.params, m, v, 1, opt, "pretraining step 1")  # non-trivial moments
+    _, grads = backward(model, x, labels)
+    grads.params[-1] = bad  # the last block's mlp_out
+    state = [a.tobytes() for a in (model.params, m, v)]
+    with pytest.raises(ValueError, match="^non-finite update at pretraining step 2$"), np.errstate(over="ignore"):
+        step_buffer(model.params, grads.params, m, v, 2, opt, "pretraining step 2")
+    assert [a.tobytes() for a in (model.params, m, v)] == state
 
 
 def test_optimizer_validation() -> None:

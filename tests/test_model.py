@@ -29,6 +29,7 @@ from subtune.model import (
     init_model,
     predict,
     reset_head,
+    trained_positions,
 )
 
 
@@ -59,7 +60,7 @@ def batch(seed: int, n: int, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grad_vector(model: Model, grads) -> np.ndarray:
-    return model_mod.flat_vector(model_mod.trainable_arrays(model, grads=grads))
+    return grads.params[trained_positions(model)]
 
 
 def test_zero_head_gives_half_probability() -> None:
@@ -194,7 +195,7 @@ def test_grad_check_full_pretrain_model_passes() -> None:
     m = tiny_model(seed=13, decomposed=False, binary=False)
     x, _ = batch(12, 3, m.config)
     labels = np.array([0, 2, 1])
-    rep = grad_check(m, x, labels, None, h=1e-5, tol=1e-5, mode="full")
+    rep = grad_check(m, x, labels, None, h=1e-5, tol=1e-5)
     assert rep.passed, f"max rel err {rep.max_rel_err} at coord {rep.worst_index}"
 
 
@@ -213,10 +214,7 @@ def test_grad_check_reports_corrupted_coordinate(monkeypatch) -> None:
     def corrupted(*args, **kwargs):
         report, grads = backward(*args, **kwargs)
         if not calls:
-            arrays = model_mod.trainable_arrays(m, grads=grads)
-            flat = model_mod.flat_vector(arrays)
-            flat[target] *= 2.0
-            model_mod.set_flat(arrays, flat)
+            grads.params[trained_positions(m)[target]] *= 2.0
         calls.append(1)
         return report, grads
 
@@ -236,36 +234,38 @@ def test_grad_check_large_step_warns() -> None:
 
 def test_param_vector_roundtrip() -> None:
     m = tiny_model(decomposed=True)
-    arrays = model_mod.trainable_arrays(m)
-    vec = model_mod.flat_vector(arrays)
+    positions = trained_positions(m)
+    vec = m.params[positions]
     rng = linalg.make_rng(3)
     new = vec + rng.normal(size=vec.shape)
-    model_mod.set_flat(arrays, new)
-    assert np.array_equal(model_mod.flat_vector(model_mod.trainable_arrays(m)), new)
+    m.params[positions] = new
+    assert np.array_equal(m.params[positions], new)
+    # the write reaches every slot and the head, in layer order
+    slots = [model_mod.projection_param_vector(getattr(b, n)) for _, b, n in attention_slots(m)]
+    assert np.array_equal(np.concatenate(slots + [m.head.ravel()]), new)
     plain = tiny_model(decomposed=False, binary=False)
-    full = model_mod.flat_vector(model_mod.trainable_arrays(plain, "full"))
-    new_full = full + rng.normal(size=full.shape)
-    model_mod.set_flat(model_mod.trainable_arrays(plain, "full"), new_full)
-    assert np.array_equal(model_mod.flat_vector(model_mod.trainable_arrays(plain, "full")), new_full)
+    full = trained_positions(plain)
+    new_full = plain.params[full] + rng.normal(size=full.shape)
+    plain.params[full] = new_full
+    assert np.array_equal(plain.params[full], new_full)
     with pytest.raises(ValueError):
-        model_mod.set_flat(arrays, new[:-1])
-
+        m.params[positions] = new[:-1]
 
 
 def test_full_view_lists_every_parameter_exactly_once() -> None:
     m = tiny_model(seed=8, binary=False)
-    arrays = model_mod.trainable_arrays(m, "full")
+    assert np.array_equal(trained_positions(m), np.arange(m.params.size))
     slots = [m.token_embed, m.head] + [
         getattr(block, name) for block in m.blocks for name in model_mod.BLOCK_SLOTS
     ]
-    assert sum(a.size for a in arrays) == sum(slot.size for slot in slots)
-    for i, a in enumerate(arrays):
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
-    for slot in slots:
-        assert sum(np.shares_memory(slot, a) for a in arrays) == 1
+    assert sum(slot.size for slot in slots) == m.params.size
+    for i, slot in enumerate(slots):
+        assert np.shares_memory(slot, m.params)
+        assert not any(np.shares_memory(slot, other) for other in slots[i + 1 :])
     x, _ = batch(9, 5, m.config)
     _, grads = backward(m, x, np.array([0, 1, 2, 1, 0]))
-    assert [g.shape for g in model_mod.trainable_arrays(m, "full", grads)] == [a.shape for a in arrays]
+    assert grads.params.shape == m.params.shape
+
 
 def test_attention_slots_order_and_count() -> None:
     m = tiny_model()
@@ -439,17 +439,14 @@ def test_binary_head_backward_forms_only_the_fine_tuned_gradients() -> None:
     m = tiny_model(seed=8, decomposed=True)
     x, y = batch(9, 5, m.config)
     _, grads = backward(m, x, y, LossWeights(1.0, 1.0))
-    assert grads.frozen is None
-    assert [g.shape for g in model_mod.trainable_arrays(m, grads=grads)] == [
-        a.shape for a in model_mod.trainable_arrays(m)
-    ]
+    # the gradient is the layout's prefix of rows and head, nothing frozen
+    assert grads.params.shape == (m.trainable.size + m.head.size,) and grads.params.size < m.params.size
+    assert (grads.trainable.shape, grads.head.shape) == (m.trainable.shape, m.head.shape)
+    assert grad_vector(m, grads).shape == m.params[trained_positions(m)].shape
     binary_plain = tiny_model(seed=8)
     _, plain_grads = backward(binary_plain, x, y)
-    assert plain_grads.frozen is None
-    with pytest.raises(ValueError, match="needs every gradient"):
-        model_mod.trainable_arrays(binary_plain, "full", plain_grads)
+    assert plain_grads.params.shape == (binary_plain.trainable.size + binary_plain.head.size,)
+    assert plain_grads.params.size < binary_plain.params.size
     plain = tiny_model(seed=8, binary=False)
     _, full_grads = backward(plain, x, np.array([0, 1, 2, 1, 0]))
-    assert [g.shape for g in model_mod.trainable_arrays(plain, "full", full_grads)] == [
-        a.shape for a in model_mod.trainable_arrays(plain, "full")
-    ]
+    assert full_grads.params.shape == plain.params.shape

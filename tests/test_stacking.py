@@ -1,6 +1,7 @@
 """The layer-stacked trainable state: one (n_layers, P) array with a row per
 layer in layer-id order, decomposed tails zero-padded to the largest tail
-rank, every slot and factor view aliasing it, the padding staying exactly
+rank, at the head of one parameter buffer that every array of the model
+tiles, every slot and factor view aliasing it, the padding staying exactly
 zero, and the batched backward, EMA, BVG and masked update matching the
 per-layer code on each padded row (``oracles``) bit for bit."""
 
@@ -31,16 +32,16 @@ from subtune.masking import (
     update_stats,
 )
 from subtune.model import (
+    FROZEN_SLOTS,
     ModelConfig,
     attention_slots,
     backward,
     clone_model,
     decompose_attention,
-    flat_vector,
     init_model,
+    projection_param_vector,
     reset_head,
     stack_trainables,
-    trainable_arrays,
 )
 
 
@@ -144,18 +145,58 @@ def _layers(model) -> list[DecomposedLayer]:
     return [getattr(block, name) for _, block, name in attention_slots(model)]
 
 
+def _offset(view: np.ndarray, buf: np.ndarray) -> int:
+    """Where the contiguous ``view`` starts in ``buf``, in values."""
+    assert view.flags.c_contiguous and np.shares_memory(view, buf)
+    return (view.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
+
+
+def assert_tiles(buf: np.ndarray, tiles: list[np.ndarray]) -> None:
+    """The ``tiles`` are contiguous views of ``buf`` that cover it exactly
+    once, in list order."""
+    at = 0
+    for tile in tiles:
+        assert _offset(tile, buf) == at
+        at += tile.size
+    assert at == buf.size
+
+
 def assert_one_buffer(model) -> None:
-    """Every slot and factor view is a view of its layer's row of the
-    model's (n_layers, P) array, and the factor stack a view of the array."""
-    buf = model.trainable
-    assert buf.ndim == 2 and buf.flags.c_contiguous
-    for layer, row in zip(_layers(model), buf):
+    """Every array of the model is a view of ``model.params``, which owns its
+    values: the attention rows (each slot, or a decomposed layer's
+    ``params``), the head, the token embedding and each block's frozen
+    slots tile it exactly once, in that order.  The (n_layers, P)
+    ``trainable`` array is the rows, every factor view is a view of its
+    layer's row, and the factor stack a view of the rows."""
+    buf = model.params
+    assert buf.ndim == 1 and buf.dtype == np.float64 and buf.base is None
+    slots = _layers(model)
+    rows = [slot.params if model.decomposed else slot for slot in slots]
+    frozen = [getattr(block, name) for block in model.blocks for name in FROZEN_SLOTS]
+    assert_tiles(buf, rows + [model.head, model.token_embed] + frozen)
+    trainable = model.trainable
+    assert trainable.ndim == 2 and _offset(trainable, buf) == 0 and trainable.size == sum(r.size for r in rows)
+    for row, mine in zip(rows, trainable):
+        assert row.size == mine.size and _offset(row, buf) == _offset(mine, buf)
+    if not model.decomposed:
+        assert model.factors is None
+        return
+    for layer, row in zip(slots, trainable):
         assert layer.params.shape == row.shape
-        assert layer.params.__array_interface__["data"] == row.__array_interface__["data"]
         for part in (layer.u, layer.s, layer.v, *(a.u for a in layer.artifacts), *(a.v for a in layer.artifacts)):
             assert np.shares_memory(part, row)
     for part in model.factors[:3]:
-        assert np.shares_memory(part, buf)
+        assert np.shares_memory(part, trainable)
+
+
+def assert_gradient_layout(model, grads) -> None:
+    """``grads.params`` is laid out like ``model.params``: a binary head's
+    is the prefix of rows and head, a pretraining head's the whole layout,
+    and ``trainable`` and ``head`` are its views."""
+    want = model.trainable.size + model.head.size if model.n_outputs == 1 else model.params.size
+    assert grads.params.shape == (want,) and grads.params.base is None
+    assert (grads.trainable.shape, grads.head.shape) == (model.trainable.shape, model.head.shape)
+    assert_tiles(grads.params[: model.trainable.size + model.head.size], [grads.trainable, grads.head])
 
 
 def padding(model, rows=None) -> np.ndarray:
@@ -190,38 +231,36 @@ def mixed_model(seed: int = 0):
     return model
 
 
-def small_model(seed: int = 0):
-    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
-    model = init_model(cfg, make_rng(seed))
-    for _, block, name in attention_slots(model):
-        assert np.shares_memory(getattr(block, name), model.trainable)
-    decompose_attention(model)
-    reset_head(model, 1, make_rng(seed + 1))
-    return model
-
-
 def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
-    model = small_model()
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
+    model = init_model(cfg, make_rng(0))
+    x, y = _batch(model, make_rng(3))
+
+    def check(labels) -> None:
+        assert_one_buffer(model)
+        assert_gradient_layout(model, backward(model, x, labels)[1])
+
+    check(y.astype(int))  # the pretraining head takes class ids
+    decompose_attention(model)
+    check(y.astype(int))
+    reset_head(model, 1, make_rng(1))
+    check(y)
     assert len({layer.tail_rank for layer in _layers(model)}) >= 2
-    assert_one_buffer(model)
     jitter_trainables(model, make_rng(2))
     assert_one_buffer(model)
 
     twin = clone_model(model)
     assert_one_buffer(twin)
-    assert twin.trainable.tobytes() == model.trainable.tobytes()
-    mine = [model.trainable, model.head, *(layer.params for layer in _layers(model))]
-    theirs = [twin.trainable, twin.head, *(layer.params for layer in _layers(twin))]
-    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+    assert twin.params.tobytes() == model.params.tobytes()
+    assert not np.shares_memory(model.params, twin.params)
 
     save_model(tmp_path / "m.ckpt", model)
     loaded = load_model(tmp_path / "m.ckpt")[0]
     assert_one_buffer(loaded)
-    assert loaded.trainable.tobytes() == model.trainable.tobytes()
+    assert loaded.params.tobytes() == model.params.tobytes()
 
-    x, y = _batch(model, make_rng(3))
     _, grads = backward(model, x, y, LossWeights())
-    assert all(np.shares_memory(g, grads.trainable) for g in trainable_arrays(model, grads=grads)[:-1])
+    assert_gradient_layout(model, grads)
     buf = model.trainable
     before = buf.copy()
     opt = init_optimizer("adaptive", 1e-2, [row.size for row in buf], model.head.size)
@@ -258,6 +297,7 @@ def test_padding_stays_exactly_zero_through_training(mode, jitter) -> None:
 
 def test_mixed_checkpoint_round_trips_without_padding(tmp_path) -> None:
     model = mixed_model()
+    assert_one_buffer(model)
     jitter_trainables(model, make_rng(2))
     layers = _layers(model)
     assert {layer.n_subspaces for layer in layers} == {2, 3}
@@ -270,12 +310,13 @@ def test_mixed_checkpoint_round_trips_without_padding(tmp_path) -> None:
     unpadded = [
         DecomposedLayer(
             layer.layer_id, layer.semantic, layer.ranks,
-            flat_vector(layer.split(layer.params)), layer.pretrained_frob_sq,
+            projection_param_vector(layer), layer.pretrained_frob_sq,
         )
         for layer in layers
     ]
     assert raw.endswith(b"".join(layer_to_bytes(layer) for layer in unpadded))
     loaded = load_model(path)[0]
+    assert_one_buffer(loaded)
     assert [layer.ranks for layer in _layers(loaded)] == [layer.ranks for layer in layers]
     assert loaded.trainable.tobytes() == model.trainable.tobytes()
     assert_zero_padding(loaded)
