@@ -2,15 +2,15 @@
 fine-tune the decomposed attention under the masking optimizer, evaluate
 frame- and video-level metrics, and drive the ablation and robustness grids.
 
-Every run is a pure function of (config, seed): shuffles, inits, and grid
-cells draw from fixed offset streams, and result CSVs round to 6 decimals.
+Every run is a pure function of (config, seed): shuffles and inits draw
+from fixed offset streams, the cells of an ablation table fine-tune one
+backbone on one set of splits, and result CSVs round to 6 decimals.
 Wall-clock time appears only in the run summary, never in a CSV.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import sys
 import time
@@ -171,7 +171,6 @@ def run_pretrain(
     m, v = np.zeros_like(model.params), np.zeros_like(model.params)
     opt = OptimizerState(mode="adaptive", learning_rate=cfg.pretrain.learning_rate)
     step = 0
-    acc = pretrain_accuracy(model, test)
     epochs_run = 0
     for epoch in range(cfg.pretrain.max_epochs):
         rng = make_rng(cfg.seed + _PRETRAIN_SHUFFLE + epoch)
@@ -183,7 +182,9 @@ def run_pretrain(
         acc = pretrain_accuracy(model, test)
         if acc >= cfg.pretrain.accuracy_floor:
             break
-    if cfg.pretrain.max_epochs > 0 and acc < cfg.pretrain.accuracy_floor:
+    if cfg.pretrain.max_epochs == 0:  # otherwise every epoch has scored the model
+        acc = pretrain_accuracy(model, test)
+    elif acc < cfg.pretrain.accuracy_floor:
         raise RuntimeError(
             f"pretraining reached base accuracy {acc:.3f} after {epochs_run} epochs, "
             f"below the floor {cfg.pretrain.accuracy_floor}; try an easier data "
@@ -353,11 +354,8 @@ def evaluate_to_dir(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path
 
 _K_GRID = (1, 3, 5, 7, 9)
 _M_GRID = (1, 4, 16, 48, 96)
-
-
-def _cell_seed(base: int, table: str, key: str) -> int:
-    digest = hashlib.sha256(f"{table}|{key}".encode()).digest()
-    return base + int.from_bytes(digest[:8], "little") % (1 << 20)
+# ablation table t draws from seed + t * _TABLE_STREAM, above every stream offset
+_TABLE_STREAM = 10**12
 
 
 def _cell_config(cfg: TrainConfig, seed: int, **overrides) -> TrainConfig:
@@ -369,10 +367,8 @@ def _cell_config(cfg: TrainConfig, seed: int, **overrides) -> TrainConfig:
     return cell.finalize()
 
 
-def _run_cell(cell_cfg: TrainConfig, masft: bool, slm: bool) -> dict[str, float]:
-    splits = build_splits(cell_cfg.data, _PRETRAIN_SPLITS + _FINETUNE_SPLITS)
-    model, _, _ = run_pretrain(cell_cfg, splits=splits)
-    record = run_finetune(cell_cfg, model, masft=masft, slm=slm, splits=splits)
+def _run_cell(cfg: TrainConfig, masft: bool, slm: bool, backbone: Model, splits: SplitBundle) -> dict[str, float]:
+    record = run_finetune(cfg, backbone, masft=masft, slm=slm, splits=splits)
     r_in, r_out = record.metrics["in_domain"], record.metrics["heldout"]
     return {
         "auc_in": r_in.frame_auc, "ap_in": r_in.frame_ap, "eer_in": r_in.frame_eer,
@@ -399,11 +395,12 @@ def _write_table(path: Path, key_cols: tuple[str, ...], rows: list[dict]) -> Non
 
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     """Four fixed grids: component on/off, loss-weight on/off, subspace-count
-    sweep, and active-budget sweep.  Cell failures are recorded in the status
-    column and the sweep continues."""
+    sweep, and active-budget sweep.  Each table is one paired draw: its cells
+    fine-tune one backbone, pretrained on one set of splits, under the table's
+    own seed.  Failures are recorded in the status column and the sweep continues."""
     out = Path(out_dir)
     n_layers = cfg.model.n_decomposable
-    # (table, key columns, cells); a cell is (seed key, key values, config
+    # (table, key columns, cells); a cell is (name, key values, config
     # overrides, masft, slm), listed in the table's row order
     grids = [
         ("components", ("masft", "slm"), [
@@ -424,14 +421,22 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
         ]),
     ]
     paths = []
-    for table, key_cols, cells in grids:
+    for t, (table, key_cols, cells) in enumerate(grids):
+        seed = cfg.seed + t * _TABLE_STREAM
+        try:
+            table_cfg = _cell_config(cfg, seed)
+            splits = build_splits(table_cfg.data, _PRETRAIN_SPLITS + _FINETUNE_SPLITS)
+            backbone, table_error = run_pretrain(table_cfg, splits=splits)[0], None
+        except Exception as exc:  # noqa: BLE001 - the table is written regardless
+            table_error = f"error:{type(exc).__name__}"
+            print(f"ablation pretraining for {table} failed: {exc}", file=sys.stderr)
         rows = []
         for key, values, overrides, masft, slm in cells:
-            row = dict(zip(key_cols, values))
-            cell_cfg = _cell_config(cfg, _cell_seed(cfg.seed, table, key), **overrides)
+            row = dict(zip(key_cols, values), status=table_error)
             try:
-                row.update(_run_cell(cell_cfg, masft, slm))
-                row["status"] = "ok"
+                if table_error is None:
+                    cell_cfg = _cell_config(cfg, seed, **overrides)
+                    row.update(_run_cell(cell_cfg, masft, slm, backbone, splits), status="ok")
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 row["status"] = f"error:{type(exc).__name__}"
                 print(f"ablation cell {table}[{key}] failed: {exc}", file=sys.stderr)

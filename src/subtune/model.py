@@ -608,7 +608,19 @@ def trained_positions(model: Model) -> np.ndarray:
     """The positions in ``model.params`` of what ``backward`` differentiates,
     in buffer order: for a binary head, each attention row's real values (a
     decomposed layer's U, s and V columns, never its padding, or the plain
-    matrix) and then the head; for a pretraining head, every position."""
+    matrix) and then the head; for a pretraining head, every position.
+    Refuses a model whose head, ``token_embed`` or any block slot was
+    rebound off the buffer, which everything that works on it would skip."""
+    _, rows, head, embed, frozen = _carve(model, model.trainable.shape, buf=model.params)
+    views = [("head", model.head, head), ("token_embed", model.token_embed, embed)]
+    for (lid, block, name), row in zip(attention_slots(model), rows):
+        slot = getattr(block, name)
+        views.append((f"block{lid // 4}.{name}", slot.params if isinstance(slot, DecomposedLayer) else slot, row))
+    views += [(f"block{b}.{slot}", getattr(model.blocks[b], slot), view)
+              for b, named in enumerate(frozen) for slot, view in named.items()]
+    for name, array, view in views:
+        if array.ctypes.data != view.ctypes.data or array.size != view.size:
+            raise ValueError(f"{name} is not a view of model.params; write into it with [...] or repack the model")
     index = np.arange(model.params.size)
     if model.n_outputs != 1:
         return index

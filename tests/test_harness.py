@@ -73,11 +73,14 @@ def test_pretrain_reaches_floor_and_is_deterministic(tmp_path, pretrained):
 
 def test_pretrain_zero_epochs_equals_initialization():
     cfg = tiny_cfg(**{"pretrain.max_epochs": 0})
-    model, _, _ = run_pretrain(cfg)
+    model, acc, _ = run_pretrain(cfg)
     from subtune.harness import _INIT_STREAM
 
     fresh = init_model(cfg.model, make_rng(cfg.seed + _INIT_STREAM))
     assert np.array_equal(model.params, fresh.params)
+    # with no epoch to score it, the initialisation's accuracy is reported
+    test = build_splits(cfg.data, ("pretrain_test",)).pretrain_test
+    assert acc == harness.pretrain_accuracy(fresh, test)
 
 
 # a NaN gradient would reach the model and surface only as the next
@@ -296,6 +299,51 @@ def test_ablation_row_sets_and_determinism(tmp_path):
     assert [r.split(",")[:2] for r in loss[1:]] == [
         ["0.0", "0.0"], ["0.0", "1.0"], ["1.0", "0.0"], ["1.0", "1.0"]
     ]
+
+
+def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypatch):
+    seeds = {"build_splits": [], "run_pretrain": [], "run_finetune": []}
+    for name in seeds:
+        def recorded(cfg, *args, _name=name, _real=getattr(harness, name), **kwargs):
+            seeds[_name].append(cfg.seed)
+            return _real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recorded)
+    # K and the budget both sit on their grids, so each table has the run's arm
+    cfg = tiny_cfg(**{"decomposition.n_subspaces": 3})
+    tables = {p.stem: p.read_text().splitlines()[1:] for p in run_ablation(cfg, tmp_path)}
+    # one set of splits and one backbone per table, both from the table's
+    # seed, and every cell of the table fine-tunes under that seed
+    table_seeds = [cfg.seed + t * harness._TABLE_STREAM for t in range(4)]
+    assert seeds["build_splits"] == seeds["run_pretrain"] == table_seeds
+    assert list(dict.fromkeys(seeds["run_finetune"])) == table_seeds
+
+    def metrics(table, *key):
+        prefix = ",".join(key) + ","
+        (row,) = [r for r in tables[table] if r.startswith(prefix)]
+        return row[len(prefix):]
+
+    # within a table only the arm differs: the budget rows that all keep every
+    # layer active are one arm, and arms that differ score differently
+    unmasked = metrics("budget", "16", "8")
+    assert unmasked.endswith(",ok")
+    assert [metrics("budget", m, "8") for m in ("48", "96")] == [unmasked] * 2
+    full = metrics("components", "1", "1")
+    assert full.endswith(",ok")
+    assert metrics("components", "0", "0") != full
+    # the tables are separate draws: the run's own arm scores differently in each
+    own_arm = [full, metrics("losses", "1.0", "1.0"), metrics("subspaces", "3"),
+               metrics("budget", "4", "4")]
+    assert len(set(own_arm)) == 4
+
+
+def test_ablation_writes_every_table_when_pretraining_fails(tmp_path):
+    cfg = tiny_cfg(**{"pretrain.max_epochs": 1, "pretrain.accuracy_floor": 1.0})
+    paths = run_ablation(cfg, tmp_path)
+    assert [p.name for p in paths] == ["components.csv", "losses.csv", "subspaces.csv", "budget.csv"]
+    rows = [r.split(",") for p in paths for r in p.read_text().splitlines()[1:]]
+    assert len(rows) == 18
+    assert all(r[-1] == "error:RuntimeError" and r[-8:-1] == [""] * 7 for r in rows)
 
 
 def test_inspect_fresh_decomposition(pretrained):

@@ -151,7 +151,7 @@ def test_backward_zero_signal_when_probabilities_match_labels() -> None:
     big_x = x[:2]
     big_y = np.array([1.0, 0.0])
     pool = forward(big, big_x).pool
-    big.head = 1e4 * (pool[0] - pool[1])[None, :]
+    big.head[...] = 1e4 * (pool[0] - pool[1])[None, :]
     p = predict(big, big_x)
     assert p[0] == 1.0 - 1e-12 and p[1] == 1e-12
     _, g2 = backward(big, big_x, big_y, LossWeights(0.0, 0.0))
@@ -223,6 +223,21 @@ def test_grad_check_reports_corrupted_coordinate(monkeypatch) -> None:
     assert len(calls) == 1 + 2 * rep.n_coords
     assert honest.passed and not rep.passed
     assert rep.worst_index == target
+
+
+@pytest.mark.parametrize("rebind", ["head", "token_embed", "block0.mlp_in", "block0.q"])
+def test_grad_check_refuses_an_array_rebound_off_the_buffer(rebind) -> None:
+    # a copy no longer aliases model.params, so a check over the buffer
+    # would skip it (the head read relative error 1.0 before the refusal)
+    m = tiny_model(seed=42, decomposed=rebind != "block0.q")
+    owner, name = (m, rebind) if "." not in rebind else (m.blocks[0], rebind.split(".")[1])
+    setattr(owner, name, getattr(owner, name).copy())
+    x, y = batch(11, 3, m.config)
+    with pytest.raises(ValueError, match=rf"^{rebind} is not a view of model.params;") as err:
+        grad_check(m, x, y, LossWeights(1.0, 1.0))
+    assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match=rf"^{rebind} is not a view"):
+        jitter_trainables(m, linalg.make_rng(5))
 
 
 def test_grad_check_large_step_warns() -> None:
