@@ -5,7 +5,9 @@ frame- and video-level metrics, and drive the ablation and robustness grids.
 Every run is a pure function of (config, seed): shuffles and inits draw
 from fixed offset streams, the cells of an ablation table fine-tune one
 backbone on one set of splits, and result CSVs round to 6 decimals.
-Wall-clock time appears only in the run summary, never in a CSV.
+A fine-tune starts from a ``FinetuneState``, fresh or taken after k steps,
+so arms that share a prefix run it once.  Wall-clock time appears only in
+the run summary, never in a CSV.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import copy
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -28,6 +31,7 @@ from .decomposition import semantic_to_bytes
 from .files import write_csv, write_file
 from .linalg import make_rng
 from .masking import (
+    GradientStats,
     LayerMask,
     OptimizerState,
     StatsConfig,
@@ -112,6 +116,34 @@ class RunRecord:
     semantic_start: list[bytes] = field(default_factory=list)
     out_files: list[Path] = field(default_factory=list)
     opt: OptimizerState | None = None
+
+
+@dataclass
+class FinetuneState:
+    """What a fine-tune carries from one step to the next: the model, the
+    optimizer state, the EMA gradient stats, the number of steps taken
+    (the epoch and the batch within it follow from it and the config's
+    batch size), and the steps, masks and gradients logged so far.
+    ``config``, ``masft``, ``budget`` (the effective layer budget) and
+    ``forced_zero`` are the set-up that shaped it, held against the run
+    that resumes it."""
+
+    model: Model
+    opt: OptimizerState
+    stats: GradientStats
+    step: int
+    steps: list[StepLog]
+    mask_log: list[np.ndarray]
+    gradient_log: list[np.ndarray]
+    config: dict
+    masft: bool
+    budget: int
+    forced_zero: tuple[int, ...]
+
+
+def copy_state(state: FinetuneState) -> FinetuneState:
+    """A copy of ``state`` that shares no array or list with it."""
+    return copy.deepcopy(state, {id(state.model): clone_model(state.model)})
 
 
 def _require_binary_head(model: Model) -> None:
@@ -201,13 +233,13 @@ def _evaluate(model: Model, splits: SplitBundle) -> dict[str, EvalReport]:
     return {"in_domain": eval_split(model, splits.test_in), "heldout": eval_split(model, splits.test_heldout)}
 
 
-def _mask_rule(cfg: TrainConfig, record: RunRecord) -> Callable[[int, np.ndarray], LayerMask]:
+def _mask_rule(cfg: TrainConfig, record: RunRecord, stats: GradientStats) -> Callable[[int, np.ndarray], LayerMask]:
     """The selective layer mask of ``record``'s run as a function of (step,
-    gradient rows); it holds the EMA stats, so each step is fed once, in
-    order.  The live run and its replay both build their masks here."""
+    gradient rows); it advances the EMA ``stats``, so each step is fed
+    once, in order.  The live run and its replay both build their masks
+    here."""
     stats_cfg = StatsConfig(ema_coeff=cfg.stats.ema_coeff, moment_floor=cfg.stats.moment_floor,
                             warmup_steps=record.warmup_steps)
-    stats = init_stats([row.size for row in record.model.trainable])
     forced_zero = np.asarray(record.forced_zero, dtype=np.intp)
 
     def rule(step: int, grad_rows: np.ndarray) -> LayerMask:
@@ -219,9 +251,77 @@ def _mask_rule(cfg: TrainConfig, record: RunRecord) -> Callable[[int, np.ndarray
     return rule
 
 
+def _schedule(cfg: TrainConfig, n_train: int) -> tuple[int, int, int]:
+    """(steps per epoch, warmup steps, total steps) of a fine-tune over
+    ``n_train`` rows; the warmup defaults to one epoch."""
+    per_epoch = (n_train + cfg.optimizer.batch_size - 1) // cfg.optimizer.batch_size
+    warmup = cfg.mask.warmup_steps if cfg.mask.warmup_steps is not None else per_epoch
+    return per_epoch, warmup, per_epoch * cfg.optimizer.epochs
+
+
+def _prefix(config: dict, masft: bool, budget: int, forced_zero: tuple[int, ...], n_steps: int,
+            warmup: int) -> dict:
+    """What decides a fine-tune's state after ``n_steps`` steps, as a flat
+    dict of dotted keys: the run config and arm, less the loss weights
+    before the first step (they act through the gradients) and less the
+    layer budget up to the warmup edge (every layer is active until then)."""
+    flat = {"steps": n_steps, "masft": masft, "forced_zero": list(forced_zero)}
+    for section, value in config.items():
+        if isinstance(value, dict):
+            flat.update((f"{section}.{name}", v) for name, v in value.items())
+        else:
+            flat[section] = value
+    del flat["mask.active_layer_budget"]
+    if n_steps > warmup:
+        flat["budget"] = budget
+    if n_steps == 0:
+        flat = {k: v for k, v in flat.items() if not k.startswith("weights.")}
+    return flat
+
+
+def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
+                 forced_zero: tuple[int, ...]) -> FinetuneState:
+    """Step 0: a clone of ``pretrained`` under a fresh binary head, its
+    attention decomposed (unless the decomposition arm is off), with a zero
+    optimizer and zero stats."""
+    model = clone_model(pretrained)
+    # the new head repacks the model's buffer; a plain model repacks for a
+    # fraction of what a decomposed one costs
+    reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
+    if masft:
+        # the run config's split, not the one the checkpoint was saved with
+        model.config.decomposition = copy.deepcopy(cfg.decomposition)
+        decompose_attention(model)
+    sizes = [row.size for row in model.trainable]
+    return FinetuneState(
+        model=model, opt=init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, sizes, model.head.size),
+        stats=init_stats(sizes), step=0, steps=[], mask_log=[], gradient_log=[],
+        config=config_to_dict(cfg), masft=masft, budget=budget, forced_zero=forced_zero,
+    )
+
+
+def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, budget: int,
+                   forced_zero: tuple[int, ...], warmup: int, log_gradients: bool) -> FinetuneState:
+    """A copy of ``state`` to continue under this run's set-up, which must
+    agree with every part of the set-up that shaped its steps so far."""
+    have = _prefix(state.config, state.masft, state.budget, state.forced_zero, state.step, warmup)
+    want = _prefix(config_to_dict(cfg), masft, budget, forced_zero, state.step, warmup)
+    for key in sorted(have.keys() | want.keys()):
+        if have.get(key) != want.get(key):
+            raise ValueError(f"cannot resume: the state after {state.step} steps was made with "
+                             f"{key} {have.get(key)!r}, this run has {want.get(key)!r}")
+    if log_gradients and len(state.gradient_log) != state.step:
+        raise ValueError(f"cannot log gradients from a state whose {state.step} steps were run without them")
+    state = copy_state(state)
+    state.config, state.budget = config_to_dict(cfg), budget
+    if not log_gradients:
+        state.gradient_log = []
+    return state
+
+
 def run_finetune(
     cfg: TrainConfig,
-    pretrained: Model,
+    start: Model | FinetuneState,
     *,
     out_dir: str | Path | None = None,
     masft: bool = True,
@@ -229,53 +329,58 @@ def run_finetune(
     forced_zero: tuple[int, ...] = (),
     log_gradients: bool = False,
     splits: SplitBundle | None = None,
+    on_step: Callable[[FinetuneState], None] | None = None,
 ) -> RunRecord:
-    """Decompose the attention projections (unless the decomposition arm is
-    switched off), swap in a fresh binary head, and run the masked
-    fine-tuning loop; evaluates in-domain and heldout splits at the end."""
+    """Run the masked fine-tuning loop to the end of the config's epochs
+    and evaluate the in-domain and heldout splits.  ``start`` is a plain
+    pretrained model, which gets a fresh binary head and its attention
+    decomposed (unless the decomposition arm is switched off), or a
+    ``FinetuneState`` taken after k steps, which is copied and continued
+    at step k + 1 by rebuilding the epoch's batch order and skipping the
+    batches already taken.  ``on_step`` sees the live state before the
+    first step and after every step; keep it with ``copy_state``."""
     t0 = time.perf_counter()
-    if pretrained.decomposed:
+    resuming = isinstance(start, FinetuneState)
+    model = start.model if resuming else start
+    if not resuming and model.decomposed:
         raise ValueError("expected a plain pretrained model")
-    _require_fit(cfg, pretrained)
-    n_layers = pretrained.config.n_decomposable
+    _require_fit(cfg, model)
+    n_layers = model.config.n_decomposable
     for lid in forced_zero:
         if not 0 <= lid < n_layers:
             raise ValueError(f"forced_zero layer id {lid} is outside [0, {n_layers})")
+    forced_zero = tuple(forced_zero)
+    budget = cfg.mask.active_layer_budget if slm else n_layers
     if splits is None:
         splits = build_splits(cfg.data, _FINETUNE_SPLITS)
-    model = clone_model(pretrained)
-    # the new head repacks the model's buffer; a plain model repacks for a
-    # fraction of what a decomposed one costs
-    reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
-    semantic_start: list[bytes] = []
-    if masft:
-        # the run config's split, not the one the checkpoint was saved with
-        model.config.decomposition = copy.deepcopy(cfg.decomposition)
-        decompose_attention(model)
-        semantic_start = [
-            semantic_to_bytes(getattr(block, name)) for _, block, name in attention_slots(model)
-        ]
-
     train = splits.finetune_train
-    steps_per_epoch = (len(train) + cfg.optimizer.batch_size - 1) // cfg.optimizer.batch_size
-    warmup = cfg.mask.warmup_steps if cfg.mask.warmup_steps is not None else steps_per_epoch
-    sizes = [row.size for row in model.trainable]
-    opt = init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, sizes, model.head.size)
+    per_epoch, warmup, _ = _schedule(cfg, len(train))
+    if resuming:
+        state = _resumed_state(cfg, start, masft, budget, forced_zero, warmup, log_gradients)
+    else:
+        state = _fresh_state(cfg, start, masft, budget, forced_zero)
+    model, opt = state.model, state.opt
+    semantic_start = [
+        semantic_to_bytes(getattr(block, name)) for _, block, name in attention_slots(model)
+    ] if model.decomposed else []
 
     record = RunRecord(
-        config=config_to_dict(cfg), steps=[], metrics={}, wall_clock=0.0, model=model,
-        warmup_steps=warmup, budget=cfg.mask.active_layer_budget if slm else n_layers,
-        forced_zero=tuple(forced_zero), semantic_start=semantic_start, opt=opt,
+        config=state.config, steps=state.steps, metrics={}, wall_clock=0.0, model=model,
+        warmup_steps=warmup, budget=budget, forced_zero=forced_zero, mask_log=state.mask_log,
+        gradient_log=state.gradient_log, semantic_start=semantic_start, opt=opt,
     )
-    mask_rule = _mask_rule(cfg, record)
-    step = 0
-    for epoch in range(cfg.optimizer.epochs):
+    mask_rule = _mask_rule(cfg, record, state.stats)
+    if on_step is not None:
+        on_step(state)
+    first_epoch, taken = divmod(state.step, per_epoch)
+    for epoch in range(first_epoch, cfg.optimizer.epochs):
         rng = make_rng(cfg.seed + _FINETUNE_SHUFFLE + epoch)
-        for batch in _batches(len(train), cfg.optimizer.batch_size, rng):
-            step += 1
+        for batch in _batches(len(train), cfg.optimizer.batch_size, rng)[taken:]:
+            step = state.step + 1
             report, grads = backward(model, train.tokens[batch], train.labels[batch], cfg.weights)
             mask = mask_rule(step, grads.trainable)
             apply_update(model, grads, mask, opt)
+            state.step = step
             bits_str = "".join(str(int(b)) for b in mask.bits)
             record.steps.append(
                 StepLog(
@@ -287,11 +392,14 @@ def run_finetune(
             record.mask_log.append(mask.bits.copy())
             if log_gradients:
                 record.gradient_log.append(grads.trainable.copy())
+            if on_step is not None:
+                on_step(state)
+        taken = 0
 
     record.metrics = _evaluate(model, splits)
     record.wall_clock = time.perf_counter() - t0
     if out_dir is not None:
-        _write_finetune_artifacts(record, Path(out_dir), step)
+        _write_finetune_artifacts(record, Path(out_dir), state.step)
     return record
 
 
@@ -305,7 +413,7 @@ def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.
     run_layers = record.model.trainable.shape[0]
     if n_layers != run_layers:
         raise ValueError(f"replay asked for {n_layers} layers, the run has {run_layers}")
-    mask_rule = _mask_rule(cfg, record)
+    mask_rule = _mask_rule(cfg, record, init_stats([row.size for row in record.model.trainable]))
     return [mask_rule(step, rows).bits for step, rows in enumerate(record.gradient_log, start=1)]
 
 
@@ -367,8 +475,9 @@ def _cell_config(cfg: TrainConfig, seed: int, **overrides) -> TrainConfig:
     return cell.finalize()
 
 
-def _run_cell(cfg: TrainConfig, masft: bool, slm: bool, backbone: Model, splits: SplitBundle) -> dict[str, float]:
-    record = run_finetune(cfg, backbone, masft=masft, slm=slm, splits=splits)
+def _run_cell(cfg: TrainConfig, masft: bool, slm: bool, start: Model | FinetuneState, splits: SplitBundle,
+              on_step: Callable[[FinetuneState], None] | None = None) -> dict[str, float]:
+    record = run_finetune(cfg, start, masft=masft, slm=slm, splits=splits, on_step=on_step)
     r_in, r_out = record.metrics["in_domain"], record.metrics["heldout"]
     return {
         "auc_in": r_in.frame_auc, "ap_in": r_in.frame_ap, "eer_in": r_in.frame_eer,
@@ -393,11 +502,90 @@ def _write_table(path: Path, key_cols: tuple[str, ...], rows: list[dict]) -> Non
     write_csv(path, list(key_cols) + list(_METRIC_COLS) + ["status"], lines)
 
 
+@dataclass
+class _Arm:
+    """A runnable cell of an ablation table: its config and arm, the row
+    its results go to, and its prefix keys ``(steps, key)``, shallowest
+    first, the last one covering the whole run."""
+
+    name: str
+    row: dict
+    cfg: TrainConfig
+    masft: bool
+    slm: bool
+    prefixes: list[tuple[int, str]]
+
+
+def _arm(name: str, row: dict, cfg: TrainConfig, masft: bool, slm: bool, n_train: int) -> _Arm:
+    """The arm's prefixes are its step-0 state, its warmup edge and its
+    whole run; two arms share a prefix when its keys are equal."""
+    _, warmup, total = _schedule(cfg, n_train)
+    budget = cfg.mask.active_layer_budget if slm else cfg.model.n_decomposable
+    config = config_to_dict(cfg)
+    prefixes = [(n, json.dumps(_prefix(config, masft, budget, (), n, warmup), sort_keys=True))
+                for n in sorted({0, min(warmup, total), total})]
+    return _Arm(name, row, cfg, masft, slm, prefixes)
+
+
+def _fail(table: str, name: str, row: dict, exc: Exception) -> None:
+    row["status"] = f"error:{type(exc).__name__}"
+    print(f"ablation cell {table}[{name}] failed: {exc}", file=sys.stderr)
+
+
+def _run_arms(table: str, arms: list[_Arm], backbone: Model, splits: SplitBundle) -> None:
+    """Fill the arms' rows in order, computing what they share once.  An
+    arm whose whole run equals an earlier arm's copies that arm's row,
+    status included.  Any other arm is one ``_run_cell``, started from the
+    deepest prefix it shares with an earlier arm (the step-0 state of a
+    decomposition, or a budget family's warmup), which the earlier arm
+    snapshotted on its way; an arm that failed before reaching such a
+    prefix fails every arm that would start from it."""
+    seen: set[str] = set()
+    starts: list[str | None] = []
+    users: Counter = Counter()  # arms still to start from each prefix
+    for arm in arms:
+        keys = [key for _, key in arm.prefixes]
+        shared = [key for key in keys if key in seen]
+        starts.append(shared[-1] if shared else None)
+        if shared and shared[-1] != keys[-1]:
+            users[shared[-1]] += 1
+        seen.update(keys)
+    results: dict[str, dict] = {}  # whole-run key -> metrics and status
+    saved: dict[str, FinetuneState | Exception] = {}
+    for arm, start in zip(arms, starts):
+        whole = arm.prefixes[-1][1]
+        if whole in results:
+            arm.row.update(results[whole])
+            continue
+        origin: Model | FinetuneState | Exception = backbone
+        if start is not None:
+            origin = saved[start]
+            users[start] -= 1
+            if not users[start]:
+                del saved[start]  # a snapshot lives only until its last arm starts
+        keep = {n: key for n, key in arm.prefixes[:-1] if users[key] and key not in saved}
+
+        def snapshot(state: FinetuneState) -> None:
+            if state.step in keep:
+                saved[keep[state.step]] = copy_state(state)
+
+        try:
+            if isinstance(origin, Exception):
+                raise origin
+            arm.row.update(_run_cell(arm.cfg, arm.masft, arm.slm, origin, splits, snapshot), status="ok")
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            for key in keep.values():
+                saved.setdefault(key, exc)
+            _fail(table, arm.name, arm.row, exc)
+        results[whole] = {k: v for k, v in arm.row.items() if k in _METRIC_COLS or k == "status"}
+
+
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     """Four fixed grids: component on/off, loss-weight on/off, subspace-count
     sweep, and active-budget sweep.  Each table is one paired draw: its cells
     fine-tune one backbone, pretrained on one set of splits, under the table's
-    own seed.  Failures are recorded in the status column and the sweep continues."""
+    own seed, and share what they compute alike (``_run_arms``).  Failures
+    are recorded in the status column and the sweep continues."""
     out = Path(out_dir)
     n_layers = cfg.model.n_decomposable
     # (table, key columns, cells); a cell is (name, key values, config
@@ -430,17 +618,16 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
         except Exception as exc:  # noqa: BLE001 - the table is written regardless
             table_error = f"error:{type(exc).__name__}"
             print(f"ablation pretraining for {table} failed: {exc}", file=sys.stderr)
-        rows = []
-        for key, values, overrides, masft, slm in cells:
-            row = dict(zip(key_cols, values), status=table_error)
-            try:
-                if table_error is None:
+        rows = [dict(zip(key_cols, values), status=table_error) for _, values, *_ in cells]
+        if table_error is None:
+            arms = []
+            for row, (name, _, overrides, masft, slm) in zip(rows, cells):
+                try:
                     cell_cfg = _cell_config(cfg, seed, **overrides)
-                    row.update(_run_cell(cell_cfg, masft, slm, backbone, splits), status="ok")
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                row["status"] = f"error:{type(exc).__name__}"
-                print(f"ablation cell {table}[{key}] failed: {exc}", file=sys.stderr)
-            rows.append(row)
+                    arms.append(_arm(name, row, cell_cfg, masft, slm, len(splits.finetune_train)))
+                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                    _fail(table, name, row, exc)
+            _run_arms(table, arms, backbone, splits)
         path = out / f"{table}.csv"
         _write_table(path, key_cols, rows)
         paths.append(path)

@@ -3,6 +3,10 @@ write exactly the four tables recorded in ``data/ablation_digest.json``.
 The cells of each table fine-tune the one backbone pretrained from the
 table's seed, so a pure refactor of the grid, the per-table set-up or the
 cell loop keeps these bytes, and a change that moves them has to say so.
+A second digest, ``data/ablation_digest_warmup5.json``, pins the same grid
+with the mask warmup ending mid-epoch (5 of 8 steps per epoch), so arms
+that share their warmup and part ways at step 5 are held to the bytes of
+arms that were run from the start.
 
 The digest depends on float rounding, so it holds for the numpy and BLAS
 build it was recorded with.  Regenerate it only for a change that is meant
@@ -22,10 +26,11 @@ from pathlib import Path
 from subtune.config import config_from_dict
 from subtune.harness import run_ablation
 
-DIGEST = Path(__file__).parent / "data" / "ablation_digest.json"
+DATA = Path(__file__).parent / "data"
 
 # d_model 12 leaves rank for the K=9 cell, so every row is scored; 16 of the
-# 18 rows differ (budget 48 and 96 repeat 16: each keeps all 4 layers active)
+# 18 rows differ (budgets 48 and 96 repeat 16: each keeps all 8 decomposable
+# layers active, m_effective 8)
 TINY = {
     "seed": 5,
     "model": {"d_model": 12, "n_blocks": 2, "n_tokens": 6},
@@ -36,15 +41,31 @@ TINY = {
 }
 
 
-def digests(out: Path) -> dict[str, str]:
+# digest file -> the run it pins
+RUNS = {
+    "ablation_digest.json": TINY,
+    "ablation_digest_warmup5.json": TINY | {"mask": {"active_layer_budget": 4, "warmup_steps": 5}},
+}
+
+
+def digests(name: str, out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in run_ablation(config_from_dict(TINY), out)}
+            for p in run_ablation(config_from_dict(RUNS[name]), out)}
+
+
+def recorded(name: str) -> dict[str, str]:
+    return json.loads((DATA / name).read_text())
 
 
 def test_tiny_ablation_writes_the_recorded_bytes(tmp_path) -> None:
-    assert digests(tmp_path) == json.loads(DIGEST.read_text())
+    assert digests("ablation_digest.json", tmp_path) == recorded("ablation_digest.json")
+
+
+def test_tiny_ablation_with_a_mid_epoch_warmup_writes_the_recorded_bytes(tmp_path) -> None:
+    assert digests("ablation_digest_warmup5.json", tmp_path) == recorded("ablation_digest_warmup5.json")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    with tempfile.TemporaryDirectory() as tmp:
-        DIGEST.write_text(json.dumps(digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
+    for name in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            (DATA / name).write_text(json.dumps(digests(name, Path(tmp)), indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from subtune.config import config_from_dict
 from subtune.data import build_splits
 from subtune.decomposition import semantic_to_bytes
 from subtune.harness import (
+    copy_state,
     decompose_inspect,
     eval_split,
     replay_masks,
@@ -214,6 +216,120 @@ def test_replay_rejects_another_layer_count(pretrained):
         replay_masks(record, cfg, n_layers=24)
 
 
+# 8 steps per epoch and 16 in all; the warmup ends mid-epoch, at step 5
+MID_WARMUP = {"mask.warmup_steps": 5}
+RESUME_AT = (0, 5, 8, 11, 16)
+RUN_FILES = ("train_log.csv", "finetuned.ckpt", "metrics.csv")
+
+
+def snapshots(cfg, model, splits, out_dir=None, **arm):
+    """One uninterrupted run, logging gradients, with a copy of its state
+    after each step count in RESUME_AT."""
+    snaps = {}
+
+    def keep(state):
+        if state.step in RESUME_AT:
+            snaps[state.step] = copy_state(state)
+
+    record = run_finetune(cfg, model, out_dir=out_dir, log_gradients=True, splits=splits, on_step=keep, **arm)
+    return record, snaps
+
+
+def same_files(a, b):
+    return all((a / name).read_bytes() == (b / name).read_bytes() for name in RUN_FILES)
+
+
+@pytest.mark.parametrize(
+    "arm", [{}, {"slm": False}, {"masft": False}], ids=["default", "slm-off", "masft-off"]
+)
+def test_a_resumed_run_ends_byte_identical_to_an_uninterrupted_one(tmp_path, pretrained, arm):
+    _, splits, model, _ = pretrained
+    cfg = tiny_cfg(**MID_WARMUP)
+    whole, snaps = snapshots(cfg, model, splits, tmp_path / "whole", **arm)
+    assert sorted(snaps) == list(RESUME_AT)
+    for k, snap in snaps.items():
+        out = tmp_path / f"from{k}"
+        resumed = run_finetune(cfg, snap, out_dir=out, log_gradients=True, splits=splits, **arm)
+        assert same_files(out, tmp_path / "whole"), k
+        assert resumed.semantic_start == whole.semantic_start
+        for log in ("mask_log", "gradient_log"):
+            got, want = getattr(resumed, log), getattr(whole, log)
+            assert len(got) == len(want) == 16
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (k, log)
+        rebuilt = replay_masks(resumed, cfg, n_layers=8)
+        assert len(rebuilt) == 16
+        assert all(np.array_equal(g, w) for g, w in zip(rebuilt, resumed.mask_log)), k
+
+
+def test_a_resumed_run_leaves_its_snapshot_untouched(pretrained):
+    _, splits, model, _ = pretrained
+    cfg = tiny_cfg(**MID_WARMUP)
+    _, snaps = snapshots(cfg, model, splits)
+    snap = snaps[11]
+    before = pickle.dumps(snap)
+    resumed = run_finetune(cfg, snap, log_gradients=True, splits=splits)
+    resumed.model.params += 1.0
+    resumed.opt.layer_m += 1.0
+    resumed.opt.layer_step[0] += 5
+    resumed.steps[0].cls = -1.0
+    resumed.mask_log[0][:] = 0
+    resumed.gradient_log[0][:] = 0
+    resumed.steps.clear()
+    assert pickle.dumps(snap) == before
+
+
+# each setting acts from its step: the loss weights from the first step,
+# the layer budget (and so ``slm``) after the warmup
+@pytest.mark.parametrize("k, change, arm", [
+    (5, {"mask.active_layer_budget": 2}, {}),
+    (5, {}, {"slm": False}),
+    (0, {"weights.orth_weight": 0.0, "weights.spectral_weight": 0.0}, {}),
+], ids=["budget-at-warmup-edge", "slm-off-at-warmup-edge", "weights-at-step-0"])
+def test_a_state_resumes_under_settings_that_have_not_acted_yet(tmp_path, pretrained, k, change, arm):
+    _, splits, model, _ = pretrained
+    _, snaps = snapshots(tiny_cfg(**MID_WARMUP), model, splits)
+    other = tiny_cfg(**MID_WARMUP, **change)
+    run_finetune(other, model, out_dir=tmp_path / "fresh", splits=splits, **arm)
+    run_finetune(other, snaps[k], out_dir=tmp_path / "forked", splits=splits, **arm)
+    assert same_files(tmp_path / "fresh", tmp_path / "forked")
+
+
+@pytest.mark.parametrize("k, change, arm, key", [
+    (6, {"mask.active_layer_budget": 2}, {}, "budget"),
+    (6, {}, {"slm": False}, "budget"),
+    (1, {"weights.orth_weight": 0.0}, {}, "weights.orth_weight"),
+    (0, {"optimizer.learning_rate": 1e-3}, {}, "optimizer.learning_rate"),
+    (5, {"mask.warmup_steps": 4}, {}, "mask.warmup_steps"),
+    (0, {"decomposition.n_subspaces": 3}, {}, "decomposition.n_subspaces"),
+    (0, {}, {"masft": False}, "masft"),
+    (1, {}, {"forced_zero": (2,)}, "forced_zero"),
+])
+def test_resuming_under_a_setup_that_shaped_the_state_otherwise_is_a_value_error(pretrained, k, change, arm, key):
+    _, splits, model, _ = pretrained
+    snap = None
+
+    def keep(state):
+        nonlocal snap
+        if state.step == k:
+            snap = copy_state(state)
+
+    run_finetune(tiny_cfg(**MID_WARMUP), model, splits=splits, on_step=keep)
+    with pytest.raises(ValueError, match=rf"^cannot resume: the state after {k} steps was made with {key} ") as info:
+        run_finetune(tiny_cfg(**{**MID_WARMUP, **change}), snap, splits=splits, **arm)
+    assert "\n" not in str(info.value)
+
+
+def test_gradient_logging_resumes_only_a_logged_prefix(pretrained):
+    _, splits, model, _ = pretrained
+    cfg = tiny_cfg(**MID_WARMUP)
+    snaps = {}
+    run_finetune(cfg, model, splits=splits, on_step=lambda state: snaps.setdefault(state.step, copy_state(state)))
+    # nothing was logged at step 0, so a fresh state logs from the start
+    run_finetune(cfg, snaps[0], log_gradients=True, splits=splits)
+    with pytest.raises(ValueError, match="cannot log gradients from a state whose 5 steps were run without them"):
+        run_finetune(cfg, snaps[5], log_gradients=True, splits=splits)
+
+
 @pytest.mark.parametrize("lid", [-1, 8])
 def test_forced_zero_outside_the_layers_is_a_value_error(pretrained, lid):
     cfg, splits, model, _ = pretrained
@@ -302,13 +418,27 @@ def test_ablation_row_sets_and_determinism(tmp_path):
 
 
 def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypatch):
-    seeds = {"build_splits": [], "run_pretrain": [], "run_finetune": []}
+    seeds = {"build_splits": [], "run_pretrain": [], "run_finetune": [], "_run_cell": []}
+    arm_keywords = []
+    open_runs = []
     for name in seeds:
         def recorded(cfg, *args, _name=name, _real=getattr(harness, name), **kwargs):
             seeds[_name].append(cfg.seed)
-            return _real(cfg, *args, **kwargs)
+            if _name == "run_finetune":
+                arm_keywords.append({"masft", "slm"} <= kwargs.keys())
+            open_runs.append(_name)
+            try:
+                return _real(cfg, *args, **kwargs)
+            finally:
+                open_runs.pop()
 
         monkeypatch.setattr(harness, name, recorded)
+
+    def stepped(*args, _real=harness.apply_update):
+        assert "run_finetune" in open_runs, "a fine-tune step ran outside run_finetune"
+        return _real(*args)
+
+    monkeypatch.setattr(harness, "apply_update", stepped)
     # K and the budget both sit on their grids, so each table has the run's arm
     cfg = tiny_cfg(**{"decomposition.n_subspaces": 3})
     tables = {p.stem: p.read_text().splitlines()[1:] for p in run_ablation(cfg, tmp_path)}
@@ -316,7 +446,12 @@ def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypat
     # seed, and every cell of the table fine-tunes under that seed
     table_seeds = [cfg.seed + t * harness._TABLE_STREAM for t in range(4)]
     assert seeds["build_splits"] == seeds["run_pretrain"] == table_seeds
-    assert list(dict.fromkeys(seeds["run_finetune"])) == table_seeds
+    # one _run_cell and one run_finetune, with the arm as keywords, per
+    # distinct arm: all 4, 4 and 5, and 3 of the 5 budgets (m_effective 1, 4, 8)
+    distinct_arms = [4, 4, 5, 3]
+    per_arm = [seed for seed, n in zip(table_seeds, distinct_arms) for _ in range(n)]
+    assert seeds["run_finetune"] == seeds["_run_cell"] == per_arm
+    assert all(arm_keywords)
 
     def metrics(table, *key):
         prefix = ",".join(key) + ","
@@ -335,6 +470,63 @@ def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypat
     own_arm = [full, metrics("losses", "1.0", "1.0"), metrics("subspaces", "3"),
                metrics("budget", "4", "4")]
     assert len(set(own_arm)) == 4
+
+
+class InjectedFault(Exception):
+    pass
+
+
+def ablation_rows(paths):
+    """table -> each row's text after its key columns"""
+    rows = {}
+    for p in paths:
+        header, *lines = p.read_text().splitlines()
+        n_keys = header.split(",").index("auc_in")
+        rows[p.stem] = [",".join(line.split(",")[n_keys:]) for line in lines]
+    return rows
+
+
+def statuses(rows):
+    return {table: [r.split(",")[-1] for r in lines] for table, lines in rows.items()}
+
+
+SUBSPACES = ["ok"] * 4 + ["error:ValueError"]  # K=9 leaves no rank at d_model 8
+
+
+def test_a_failed_shared_warmup_fails_its_whole_family(tmp_path, monkeypatch):
+    def failing(model, grads, mask, opt, _real=harness.apply_update):
+        if mask.budget == 1:  # the budget table's first arm runs its family's warmup
+            raise InjectedFault("injected")
+        return _real(model, grads, mask, opt)
+
+    monkeypatch.setattr(harness, "apply_update", failing)
+    rows = ablation_rows(run_ablation(tiny_cfg(**MID_WARMUP), tmp_path))
+    assert rows["budget"] == [",,,,,,,error:InjectedFault"] * 5
+    assert statuses(rows) == {"components": ["ok"] * 4, "losses": ["ok"] * 4, "subspaces": SUBSPACES,
+                              "budget": ["error:InjectedFault"] * 5}
+
+
+def test_a_failure_after_the_fork_marks_only_its_own_arm(tmp_path, monkeypatch):
+    cfg = tiny_cfg(**MID_WARMUP)
+    clean = ablation_rows(run_ablation(cfg, tmp_path / "clean"))
+
+    def failing(model, grads, mask, opt, _real=harness.apply_update):
+        if mask.budget == 1 and mask.bits.sum() == 1:  # past the warmup of the budget-1 arm
+            raise InjectedFault("injected")
+        return _real(model, grads, mask, opt)
+
+    monkeypatch.setattr(harness, "apply_update", failing)
+    rows = ablation_rows(run_ablation(cfg, tmp_path / "faulty"))
+    assert rows["budget"][0] == ",,,,,,,error:InjectedFault"
+    assert rows["budget"][1:] == clean["budget"][1:]
+    assert {t: r for t, r in rows.items() if t != "budget"} == {t: r for t, r in clean.items() if t != "budget"}
+
+
+def test_a_failed_decomposition_fails_exactly_the_arms_that_use_it(tmp_path):
+    rows = ablation_rows(run_ablation(tiny_cfg(**MID_WARMUP, **{"decomposition.n_subspaces": 9}), tmp_path))
+    error = "error:ValueError"
+    assert statuses(rows) == {"components": [error, error, "ok", "ok"], "losses": [error] * 4,
+                              "subspaces": SUBSPACES, "budget": [error] * 5}
 
 
 def test_ablation_writes_every_table_when_pretraining_fails(tmp_path):
