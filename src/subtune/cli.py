@@ -142,11 +142,11 @@ def _cmd_gradcheck(args) -> None:
     seed = args.seed if args.seed is not None else (cfg.seed if cfg is not None else 0)
     model = init_model(model_cfg, make_rng(seed))
     decompose_attention(model)
-    reset_head(model, 1, make_rng(seed + 1))
-    rng = make_rng(seed + 2)
+    reset_head(model, 1, make_rng(seed, 1))
+    rng = make_rng(seed, 2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
     labels = rng.integers(0, 2, size=4).astype(float)
-    jitter_trainables(model, make_rng(seed + 3))
+    jitter_trainables(model, make_rng(seed, 3))
     report = grad_check(model, inputs, labels, LossWeights())
     print(
         f"checked {report.n_coords} coordinates; max relative error "

@@ -78,6 +78,8 @@ class TrainConfig:
     def finalize(self) -> "TrainConfig":
         """Propagate shared scalars into the sections that mirror them, then
         validate everything.  Token grid and seed have one source of truth."""
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.model.decomposition = self.decomposition
         self.data.n_tokens = self.model.n_tokens
         self.data.d_model = self.model.d_model

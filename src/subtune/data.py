@@ -3,17 +3,18 @@ five parameterized artifact families that fake them at five intensity
 levels, cross-family train/heldout splits, and a robustness grid that
 perturbs whole test sets.
 
-Every draw is derived from (config seed + a fixed stream offset + index), so
-generation is order-independent and reproducible sample by sample.  The
-streams are drawn per sample (and per clip) in a loop into whole arrays;
-the arithmetic then runs once per stack, elementwise in the order of a
-one-sample computation, so every bit is what a sample-by-sample generator
-writes.
+Every draw comes from its own keyed stream of the config seed,
+``make_rng(seed, split, half, draw)``: one per split, real or fake half and
+kind of draw (clip offsets, noise, each (family, level) group's artifacts),
+one per robustness cell and one per class basis.  Each stream draws its
+whole ``(N, ...)`` array at once, so a split's bits do not depend on which
+others are generated, and distinct seeds share no stream.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -43,8 +44,6 @@ _BLUR_TAP = 1.0 / 3.0  # weight of each tap of the 3-token box filter
 _BLUR_MIN_BLEND = 0.4
 _QUANT_SCALE = 0.12
 _STRUCT_SCALE = 0.07
-# families whose transform draws nothing from its rng stream
-_RNG_FREE_FAMILIES = frozenset({"token-blur", "block-quantization"})
 _CLIP_OFFSET_SCALE = 0.1
 
 # Families leave their own fixed direction plus per-sample randomness, and
@@ -55,28 +54,16 @@ _CLIP_OFFSET_SCALE = 0.1
 _SIG_NOISE_WEIGHT = 0.6
 _TRACE_SCALE = 0.1
 
-# stream offsets: every random draw belongs to exactly one (offset, index)
-_CLASS_STREAM = 101_000
-_SPLIT_STREAMS = {
-    "pretrain_train": 1_000_000,
-    "pretrain_test": 2_000_000,
-    "finetune_train": 3_000_000,
-    "test_in": 4_000_000,
-    "test_heldout": 5_000_000,
-}
-# within a split: real samples from 0, fake samples' clean tokens from
-# 300_000, real clips from 500_000, artifacts from 700_000, fake clips from
-# 750_000
-_FAKE_SAMPLE_SUBSTREAM = 300_000
-_CLIP_SUBSTREAM = 500_000
-_ARTIFACT_SUBSTREAM = 700_000
-_FAKE_CLIP_SUBSTREAM = 750_000
-_ROBUST_STREAM = 6_000_000
-# each split size's multiple of clip_size (a detection split is half fake) and
-# the largest size whose draws keep to their own streams: robustness cells are
-# 10_000 seeds apart, fake artifacts 50_000 below fake clips, real samples 500_000 below theirs
-_SPLIT_SIZES = {"n_pretrain": (1, 500_000), "n_pretrain_test": (1, 500_000),
-                "n_finetune": (2, 100_000), "n_test": (2, 10_000)}
+# stream keys: make_rng(seed, split, half, draw[, group]) for a split's
+# draws, make_rng(seed, _ROBUST_STREAM, cell) for a robustness cell and
+# make_rng(seed, _CLASS_STREAM, class) for a class basis; the harness keys
+# its streams from 100 up
+_CLASS_STREAM = 0
+_SPLIT_STREAMS = {"pretrain_train": 1, "pretrain_test": 2, "finetune_train": 3, "test_in": 4, "test_heldout": 5}
+_ROBUST_STREAM = 6
+_CLIP_DRAW, _NOISE_DRAW, _ARTIFACT_DRAW = 0, 1, 2
+# each split size's multiple of clip_size: a detection split is half fake
+_SPLIT_SIZES = {"n_pretrain": 1, "n_pretrain_test": 1, "n_finetune": 2, "n_test": 2}
 
 
 @dataclass
@@ -110,13 +97,10 @@ class DataConfig:
             raise ValueError("clip_size must be >= 1")
         if self.noise_level < 0.0:
             raise ValueError("noise_level must be >= 0")
-        for name, (clips, limit) in _SPLIT_SIZES.items():
+        for name, clips in _SPLIT_SIZES.items():
             size = getattr(self, name)
             if size % (clips * self.clip_size) != 0 or size <= 0:
                 raise ValueError(f"{name} must be a positive multiple of {'2*' if clips == 2 else ''}clip_size")
-            if size > limit:
-                raise ValueError(f"{name} is {size}, above its limit of {limit}: "
-                                 f"larger splits would reuse random streams")
 
 
 @dataclass
@@ -156,7 +140,7 @@ def class_basis(cfg: DataConfig, base_class: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _class_basis(seed: int, n_tokens: int, d_model: int, base_class: int) -> np.ndarray:
-    rng = make_rng(seed + _CLASS_STREAM + base_class)
+    rng = make_rng(seed, _CLASS_STREAM, base_class)
     t = np.arange(n_tokens)
     basis = np.zeros((n_tokens, d_model))
     for f in (1, 2, 3):
@@ -169,11 +153,10 @@ def _class_basis(seed: int, n_tokens: int, d_model: int, base_class: int) -> np.
 
 
 def gen_clips(cfg: DataConfig, n_samples: int, split: str, families: tuple[str, ...] = ()) -> Split:
-    """Real clips, classes cycling per clip, one rng stream per sample and
-    one per clip so regeneration is index-exact.  With ``families`` the clips
-    are fakes, drawn from their own streams: each a fresh real clip pushed
-    through one (family, level), cycling families first and levels second
-    for balanced coverage."""
+    """Real clips, classes cycling per clip, drawn from the split's real
+    streams.  With ``families`` the clips are fakes, drawn from the split's
+    fake streams: each a fresh real clip pushed through one (family, level),
+    cycling families first and levels second for balanced coverage."""
     cfg.validate()
     if n_samples % cfg.clip_size != 0:
         raise ValueError("sample count must be a multiple of clip_size")
@@ -181,43 +164,36 @@ def gen_clips(cfg: DataConfig, n_samples: int, split: str, families: tuple[str, 
 
 
 def _fill_clips(cfg: DataConfig, tokens: np.ndarray, split: str, families: tuple[str, ...] = ()) -> Split:
-    """``gen_clips`` writing its tokens into ``tokens`` (N, T, D): the
-    streams are drawn per clip and per sample, then each clip's clean
-    signal is added to its members' noise, and the fakes are transformed
-    one (family, level) group of rows at a time."""
+    """``gen_clips`` writing its tokens into ``tokens`` (N, T, D): the noise
+    is drawn straight into them and each clip's clean signal added to its
+    members, then the fakes are transformed one (family, level) group of
+    clips at a time, each group from its own stream."""
     n_samples, t_count, d_count = tokens.shape
-    seed = cfg.seed + _SPLIT_STREAMS[split]
-    if families:
-        clip_stream, sample_stream, tag = _FAKE_CLIP_SUBSTREAM, _FAKE_SAMPLE_SUBSTREAM, "f"
-    else:
-        clip_stream, sample_stream, tag = _CLIP_SUBSTREAM, 0, "r"
+    tag, half = ("f", 1) if families else ("r", 0)
+    key = (_SPLIT_STREAMS[split], half)
     n_clips = n_samples // cfg.clip_size
     clips = np.arange(n_clips)
-    clip_offset = np.empty((n_clips, 1, d_count))
-    for clip_idx in range(n_clips):
-        clip_offset[clip_idx] = make_rng(seed + clip_stream + clip_idx).normal(size=(1, d_count))
-    clip_offset *= _CLIP_OFFSET_SCALE
     # class basis + clip offset, the clean signal every member shares
     clean = np.stack([class_basis(cfg, c) for c in range(cfg.n_base_classes)])[clips % cfg.n_base_classes]
-    clean += clip_offset
-    for idx in range(n_samples):
-        tokens[idx] = make_rng(seed + sample_stream + idx).normal(size=(t_count, d_count))
+    clean += _CLIP_OFFSET_SCALE * make_rng(cfg.seed, *key, _CLIP_DRAW).standard_normal((n_clips, 1, d_count))
+    make_rng(cfg.seed, *key, _NOISE_DRAW).standard_normal(out=tokens)
     tokens *= cfg.noise_level
-    for member in range(cfg.clip_size):
-        tokens[member :: cfg.clip_size] += clean
+    by_clip = tokens.reshape(n_clips, cfg.clip_size, t_count, d_count)
+    by_clip += clean[:, None]
     # one entry per clip, repeated over its members below
     clip_family, clip_level = [""] * n_clips, [0] * n_clips
     if families:
         n_fam = len(families)
         clip_family = [families[c % n_fam] for c in range(n_clips)]
         clip_level = [LEVELS[c // n_fam % len(LEVELS)] for c in range(n_clips)]
-        # clip c is in (family, level) group c % (n_fam * 5): family
-        # g % n_fam at level index g // n_fam, one transform per group
-        group = np.repeat(clips % (n_fam * len(LEVELS)), cfg.clip_size)
-        for g in range(min(n_clips, n_fam * len(LEVELS))):
-            rows = np.flatnonzero(group == g)
-            seeds = (seed + _ARTIFACT_SUBSTREAM + rows).tolist()
-            tokens[rows] = transform_tokens(tokens[rows], families[g % n_fam], LEVELS[g // n_fam], seeds)
+        # clip c is in (family, level) group c % n_groups: family g % n_fam
+        # at level index g // n_fam
+        n_groups = n_fam * len(LEVELS)
+        for g in range(min(n_clips, n_groups)):
+            rng = make_rng(cfg.seed, *key, _ARTIFACT_DRAW, g)
+            rows = by_clip[g::n_groups].reshape(-1, t_count, d_count)
+            out = transform_tokens(rows, families[g % n_fam], LEVELS[g // n_fam], rng)
+            by_clip[g::n_groups] = out.reshape(-1, cfg.clip_size, t_count, d_count)
     return Split(
         tokens=tokens,
         labels=np.full(n_samples, 1.0 if families else 0.0),
@@ -257,23 +233,20 @@ def common_trace(d_model: int) -> np.ndarray:
     return trace
 
 
-def transform_tokens(tokens: np.ndarray, family: str, level: int, seeds) -> np.ndarray:
+def transform_tokens(tokens: np.ndarray, family: str, level: int, rng: np.random.Generator | None) -> np.ndarray:
     """Apply one artifact family at one intensity to every sample of an
-    (N, T, D) stack; sample i draws from the stream ``make_rng(seeds[i])``,
-    and token-blur and block-quantization, which draw nothing, may take
-    None.  The streams are drawn in one loop and the arithmetic then runs
-    once over the stack, elementwise in the order of a one-sample
-    transform, so each sample's bits depend only on its own tokens and
-    seed.  Deviation from the input grows strictly with level on average."""
+    (N, T, D) stack.  Each kind of draw is taken from ``rng`` for the whole
+    stack at once, in the order a one-sample transform takes it; token-blur
+    and block-quantization draw nothing and may take None.  The arithmetic
+    runs elementwise in the order of a one-sample transform, so each
+    sample's bits depend only on its own tokens and its slice of the draws.
+    Deviation from the input grows strictly with level on average."""
     if family not in FAMILIES:
         raise ValueError(f"unknown artifact family {family!r}")
     if level not in LEVELS:
         raise ValueError(f"intensity level must be in 1..5, got {level}")
     if tokens.ndim != 3:
         raise ValueError(f"tokens must be an (N, T, D) stack, got shape {tokens.shape}")
-    n_seeds = 0 if seeds is None else len(seeds)
-    if (seeds is not None or family not in _RNG_FREE_FAMILIES) and n_seeds != len(tokens):
-        raise ValueError(f"{family} takes one artifact seed per sample: got {n_seeds} seeds for {len(tokens)} samples")
     if family == "token-blur":
         return _blur(tokens, level)
     if family == "block-quantization":
@@ -283,25 +256,20 @@ def transform_tokens(tokens: np.ndarray, family: str, level: int, seeds) -> np.n
         out *= step
     else:
         transform = {"localized-patch": _patch, "high-frequency-ripple": _ripple, "structured-noise": _structured_noise}
-        out = transform[family](tokens, level, seeds)
+        out = transform[family](tokens, level, rng)
     out += _TRACE_SCALE * level * common_trace(tokens.shape[2])[None, :]
     return out
 
 
-def _patch(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
+def _patch(tokens: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
     """A signature-tinted bump on one random (token, dimension) window of
     each sample."""
     n, t_count, d_count = tokens.shape
     wt = max(2, t_count // 2)
     wd = max(2, d_count // 4)
-    t0 = np.empty(n, dtype=np.intp)
-    d0 = np.empty(n, dtype=np.intp)
-    bump = np.empty((n, wt, wd))
-    for i, seed in enumerate(seeds):
-        rng = make_rng(seed)
-        t0[i] = rng.integers(0, t_count - wt + 1)
-        d0[i] = rng.integers(0, d_count - wd + 1)
-        bump[i] = rng.normal(size=(wt, wd))
+    t0 = rng.integers(0, t_count - wt + 1, size=n)
+    d0 = rng.integers(0, d_count - wd + 1, size=n)
+    bump = rng.standard_normal((n, wt, wd))
     cols = d0[:, None] + np.arange(wd)
     bump *= _SIG_NOISE_WEIGHT
     bump += family_signature("localized-patch", d_count)[cols][:, None, :]
@@ -312,13 +280,11 @@ def _patch(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
     return out
 
 
-def _ripple(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
+def _ripple(tokens: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
     """A token-alternating carrier with a DC offset, so pooling over tokens
     does not cancel the trace, along a per-sample direction."""
     n, t_count, d_count = tokens.shape
-    amp = np.empty((n, d_count))
-    for i, seed in enumerate(seeds):
-        amp[i] = make_rng(seed).normal(size=d_count)
+    amp = rng.standard_normal((n, d_count))
     amp *= _SIG_NOISE_WEIGHT
     amp += family_signature("high-frequency-ripple", d_count)
     amp /= math.sqrt(1.0 + _SIG_NOISE_WEIGHT**2)
@@ -328,24 +294,19 @@ def _ripple(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
     return out
 
 
-def _structured_noise(tokens: np.ndarray, level: int, seeds) -> np.ndarray:
+def _structured_noise(tokens: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
     """A rank-one field with a positive token-profile mean, so the trace
     keeps a consistent sign along the family direction, plus white noise.
     The noise is drawn straight into the result, which then takes the
     field one token row at a time."""
     n, t_count, d_count = tokens.shape
-    profile = np.empty((n, t_count + d_count))
-    out = np.empty_like(tokens)
-    for i, seed in enumerate(seeds):
-        rng = make_rng(seed)
-        profile[i] = rng.normal(size=t_count + d_count)
-        out[i] = rng.normal(size=(t_count, d_count))
-    u = profile[:, :t_count]
+    u = rng.standard_normal((n, t_count))
     u += 0.5
-    w_vec = profile[:, t_count:]
+    w_vec = rng.standard_normal((n, d_count))
     w_vec *= _SIG_NOISE_WEIGHT
     w_vec += family_signature("structured-noise", d_count)
     w_vec /= math.sqrt(1.0 + _SIG_NOISE_WEIGHT**2)
+    out = rng.standard_normal(tokens.shape)
     # (u w^T / sqrt(1.25) + 0.5 z) / sqrt(1.25), with z already in out
     out *= 0.5
     row = np.empty((n, d_count))
@@ -387,11 +348,9 @@ def _robustness_grid(cfg: DataConfig, test_in: Split) -> dict[tuple[str, int], S
     """Every (family, level) perturbation of ``test_in``'s tokens; each cell
     shares ``test_in``'s other arrays, with ``intensity`` set to its level."""
     grid = {}
-    for cell_idx, family in enumerate(FAMILIES):
-        for level in LEVELS:
-            base = cfg.seed + _ROBUST_STREAM + (cell_idx * len(LEVELS) + level) * 10_000
-            tokens = transform_tokens(test_in.tokens, family, level, range(base, base + len(test_in)))
-            grid[(family, level)] = replace(test_in, tokens=tokens, intensity=np.full(len(test_in), level))
+    for cell, (family, level) in enumerate(itertools.product(FAMILIES, LEVELS)):
+        tokens = transform_tokens(test_in.tokens, family, level, make_rng(cfg.seed, _ROBUST_STREAM, cell))
+        grid[(family, level)] = replace(test_in, tokens=tokens, intensity=np.full(len(test_in), level))
     return grid
 
 

@@ -2,9 +2,10 @@
 fine-tune the decomposed attention under the masking optimizer, evaluate
 frame- and video-level metrics, and drive the ablation and robustness grids.
 
-Every run is a pure function of (config, seed): shuffles and inits draw
-from fixed offset streams, the cells of an ablation table fine-tune one
-backbone on one set of splits, and result CSVs round to 6 decimals.
+Every run is a pure function of (config, seed): the init, the head and each
+epoch's shuffle draw from their own keyed streams of the seed, the cells of
+an ablation table fine-tune one backbone on one set of splits, and result
+CSVs round to 6 decimals.
 A fine-tune starts from a ``FinetuneState``, fresh or taken after k steps,
 so arms that share a prefix run it once.  Wall-clock time appears only in
 the run summary, never in a CSV.
@@ -54,10 +55,8 @@ from .model import (
     reset_head,
 )
 
-_INIT_STREAM = 900_000_000
-_HEAD_STREAM = 910_000_000
-_PRETRAIN_SHUFFLE = 920_000_000
-_FINETUNE_SHUFFLE = 930_000_000
+# stream keys, above the data streams': make_rng(seed, key[, epoch])
+_INIT_STREAM, _HEAD_STREAM, _PRETRAIN_SHUFFLE, _FINETUNE_SHUFFLE, _TABLE_STREAM = 100, 101, 102, 103, 104
 
 # fresh binary head starts near zero so the adaptive steps, whose total
 # travel is bounded by lr x step count, dominate the random init quickly
@@ -198,14 +197,14 @@ def run_pretrain(
     the epoch cap.  Returns (model, base accuracy, checkpoint path)."""
     if splits is None:
         splits = build_splits(cfg.data, _PRETRAIN_SPLITS)
-    model = init_model(cfg.model, make_rng(cfg.seed + _INIT_STREAM))
+    model = init_model(cfg.model, make_rng(cfg.seed, _INIT_STREAM))
     train, test = splits.pretrain_train, splits.pretrain_test
     m, v = np.zeros_like(model.params), np.zeros_like(model.params)
     opt = OptimizerState(mode="adaptive", learning_rate=cfg.pretrain.learning_rate)
     step = 0
     epochs_run = 0
     for epoch in range(cfg.pretrain.max_epochs):
-        rng = make_rng(cfg.seed + _PRETRAIN_SHUFFLE + epoch)
+        rng = make_rng(cfg.seed, _PRETRAIN_SHUFFLE, epoch)
         for batch in _batches(len(train), cfg.pretrain.batch_size, rng):
             _, grads = backward(model, train.tokens[batch], train.base_class[batch])
             step += 1
@@ -287,7 +286,7 @@ def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
     model = clone_model(pretrained)
     # the new head repacks the model's buffer; a plain model repacks for a
     # fraction of what a decomposed one costs
-    reset_head(model, 1, make_rng(cfg.seed + _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
+    reset_head(model, 1, make_rng(cfg.seed, _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
     if masft:
         # the run config's split, not the one the checkpoint was saved with
         model.config.decomposition = copy.deepcopy(cfg.decomposition)
@@ -374,7 +373,7 @@ def run_finetune(
         on_step(state)
     first_epoch, taken = divmod(state.step, per_epoch)
     for epoch in range(first_epoch, cfg.optimizer.epochs):
-        rng = make_rng(cfg.seed + _FINETUNE_SHUFFLE + epoch)
+        rng = make_rng(cfg.seed, _FINETUNE_SHUFFLE, epoch)
         for batch in _batches(len(train), cfg.optimizer.batch_size, rng)[taken:]:
             step = state.step + 1
             report, grads = backward(model, train.tokens[batch], train.labels[batch], cfg.weights)
@@ -462,8 +461,13 @@ def evaluate_to_dir(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path
 
 _K_GRID = (1, 3, 5, 7, 9)
 _M_GRID = (1, 4, 16, 48, 96)
-# ablation table t draws from seed + t * _TABLE_STREAM, above every stream offset
-_TABLE_STREAM = 10**12
+
+
+def _table_seed(seed: int, table: int) -> int:
+    """The seed of ablation table ``table``, a 63-bit draw from the run
+    seed's own table stream: the tables of nearby seeds are independent
+    draws, not offsets of one another."""
+    return int(make_rng(seed, _TABLE_STREAM, table).integers(2**63))
 
 
 def _cell_config(cfg: TrainConfig, seed: int, **overrides) -> TrainConfig:
@@ -584,8 +588,9 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     """Four fixed grids: component on/off, loss-weight on/off, subspace-count
     sweep, and active-budget sweep.  Each table is one paired draw: its cells
     fine-tune one backbone, pretrained on one set of splits, under the table's
-    own seed, and share what they compute alike (``_run_arms``).  Failures
-    are recorded in the status column and the sweep continues."""
+    own seed (``_table_seed``), and share what they compute alike
+    (``_run_arms``).  Failures are recorded in the status column and the
+    sweep continues."""
     out = Path(out_dir)
     n_layers = cfg.model.n_decomposable
     # (table, key columns, cells); a cell is (name, key values, config
@@ -610,7 +615,7 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     ]
     paths = []
     for t, (table, key_cols, cells) in enumerate(grids):
-        seed = cfg.seed + t * _TABLE_STREAM
+        seed = _table_seed(cfg.seed, t)
         try:
             table_cfg = _cell_config(cfg, seed)
             splits = build_splits(table_cfg.data, _PRETRAIN_SPLITS + _FINETUNE_SPLITS)

@@ -7,7 +7,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, PCG64
+from numpy.random import Generator, PCG64, SeedSequence
 
 
 class SvdConvergenceError(RuntimeError):
@@ -64,11 +64,16 @@ def frobenius_sq(w: np.ndarray) -> float:
     return float(np.sum(arr * arr))
 
 
-def make_rng(seed: int) -> Generator:
-    """Deterministic generator; identical seeds yield identical streams."""
+def make_rng(seed: int, *key: int) -> Generator:
+    """Deterministic generator for stream ``key`` of ``seed``: identical
+    arguments yield identical streams, and distinct keys independent ones,
+    ``(k,)``, ``(k, 0)`` and ``(k, 0, 0)`` included.  With no key it is
+    ``PCG64(seed)``'s stream."""
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    return Generator(PCG64(int(seed)))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return Generator(PCG64(SeedSequence(int(seed), spawn_key=key)))
 
 
 # Binary layout: 8-byte little-endian unsigned row count, 8-byte little-endian

@@ -1,5 +1,14 @@
+"""Tests of the synthetic corpus.  Two of them hold ``build_splits`` to the
+digests recorded in ``data/splits_digest.json`` and
+``data/splits_digest_odd_shape.json``; the digests change with every draw,
+so regenerate them only for a change that is meant to move numbers:
+
+    PYTHONPATH=src python tests/test_data.py --write
+"""
+
 import itertools
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +27,7 @@ from split_checks import (
     linear_probe_accuracy,
     samples_digest,
 )
+from subtune import data
 from subtune.data import (
     FAMILIES,
     LEVELS,
@@ -96,27 +106,11 @@ def test_gen_real_deterministic_and_clip_structured():
 def test_transform_rejects_bad_family_and_level():
     tokens = np.zeros((1, 8, 16))
     with pytest.raises(ValueError, match="unknown artifact family"):
-        transform_tokens(tokens, "nope", 1, [0])
+        transform_tokens(tokens, "nope", 1, make_rng(0))
     with pytest.raises(ValueError, match="level"):
-        transform_tokens(tokens, "token-blur", 0, [0])
+        transform_tokens(tokens, "token-blur", 0, make_rng(0))
     with pytest.raises(ValueError, match="level"):
-        transform_tokens(tokens, "token-blur", 6, [0])
-
-
-# the families that draw from their samples' artifact streams
-_DRAWING_FAMILIES = ("localized-patch", "high-frequency-ripple", "structured-noise")
-
-
-@pytest.mark.parametrize("family", _DRAWING_FAMILIES)
-def test_transform_rejects_a_drawing_family_without_seeds(family):
-    with pytest.raises(ValueError, match=f"^{family} takes one artifact seed per sample: got 0 seeds for 4 samples$"):
-        transform_tokens(np.zeros((4, 8, 16)), family, 1, None)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_transform_rejects_a_seed_count_other_than_the_sample_count(family):
-    with pytest.raises(ValueError, match=f"^{family} takes one artifact seed per sample: got 3 seeds for 4 samples$"):
-        transform_tokens(np.zeros((4, 8, 16)), family, 1, [0, 1, 2])
+        transform_tokens(tokens, "token-blur", 6, make_rng(0))
 
 
 def test_transform_rejects_a_lone_sample():
@@ -128,8 +122,43 @@ def test_transform_does_not_mutate_input():
     tokens = make_rng(5).normal(size=(3, 8, 16))
     keep = tokens.copy()
     for fam in FAMILIES:
-        transform_tokens(tokens, fam, 3, [9, 10, 11])
+        transform_tokens(tokens, fam, 3, make_rng(9))
         assert np.array_equal(tokens, keep)
+
+
+class _Recorder:
+    """A generator that keeps a copy of every draw it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append(np.array(out, copy=True))
+            return out
+
+        return draw
+
+
+class _Replay:
+    """Sample ``i``'s slice of each recorded stacked draw, handed out in
+    order: a stub rng for the one-sample reference transform."""
+
+    def __init__(self, draws, i):
+        self.slices = iter([draw[i] for draw in draws])
+
+    def integers(self, low, high):
+        value = next(self.slices)
+        assert value.shape == () and low <= value < high
+        return value
+
+    def normal(self, size):
+        value = next(self.slices)
+        assert value.shape == np.zeros(size).shape
+        return value
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -139,16 +168,21 @@ def test_transform_does_not_mutate_input():
     st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(2, 24)),
     st.integers(0, 2**32 - 1),
     st.sampled_from((1e-3, 1.0, 1e3)),
-    st.data(),
+    st.integers(0, 2**63 - 1),
 )
-def test_stacked_transform_is_bit_equal_to_the_per_sample_reference(family, level, shape, token_seed, scale, data):
+def test_stacked_transform_is_bit_equal_to_the_per_sample_reference(family, level, shape, token_seed, scale, rng_seed):
     # a patch window spans two tokens, and configs hold at least two
     assume(family != "localized-patch" or shape[1] >= 2)
     tokens = scale * make_rng(token_seed).normal(size=shape)
-    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=shape[0], max_size=shape[0]))
     keep = tokens.copy()
-    got = transform_tokens(tokens, family, level, seeds)
-    want = np.stack([transform_sample(sample, family, level, make_rng(seed)) for sample, seed in zip(tokens, seeds)])
+    rng = _Recorder(make_rng(rng_seed))
+    got = transform_tokens(tokens, family, level, rng)
+    want = []
+    for i, sample in enumerate(tokens):
+        replay = _Replay(rng.draws, i)
+        want.append(transform_sample(sample, family, level, replay))
+        assert next(replay.slices, None) is None
+    want = np.stack(want)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(tokens, keep)
@@ -163,7 +197,7 @@ def test_msd_strictly_increases_with_level_for_every_family():
             clean = np.stack([class_basis(cfg, i % cfg.n_base_classes) for i in range(100)])
             for i in range(100):
                 clean[i] += cfg.noise_level * make_rng(777_000 + i).normal(size=clean.shape[1:])
-            dirty = transform_tokens(clean, fam, level, [888_000 + level * 1000 + i for i in range(100)])
+            dirty = transform_tokens(clean, fam, level, make_rng(888, level))
             for i in range(100):
                 acc += float(np.mean((dirty[i] - clean[i]) ** 2))
             means.append(acc / 100)
@@ -173,14 +207,14 @@ def test_msd_strictly_increases_with_level_for_every_family():
 def test_token_blur_fixes_constant_input():
     const = np.full((1, 8, 16), -2.5)
     for level in LEVELS:
-        out = transform_tokens(const, "token-blur", level, [1])
+        out = transform_tokens(const, "token-blur", level, None)
         assert np.array_equal(out, const)
 
 
 def test_quantization_ignores_the_rng_stream():
     tokens = make_rng(11).normal(size=(1, 8, 16))
-    a = transform_tokens(tokens, "block-quantization", 2, [0])
-    b = transform_tokens(tokens, "block-quantization", 2, [12345])
+    a = transform_tokens(tokens, "block-quantization", 2, make_rng(0))
+    b = transform_tokens(tokens, "block-quantization", 2, make_rng(12345))
     assert np.array_equal(a, b)
 
 
@@ -191,9 +225,9 @@ def test_non_blur_families_share_the_processing_trace():
     assert np.sqrt(np.mean(trace**2)) == pytest.approx(1.0, abs=1e-12)
     tokens = np.zeros((1, 8, 16))
     # quantization of zeros is zeros, so the residue is exactly the trace
-    out = transform_tokens(tokens, "block-quantization", 3, [0])
+    out = transform_tokens(tokens, "block-quantization", 3, None)
     assert np.allclose(out[0], 3 * 0.1 * np.tile(trace, (8, 1)), atol=1e-12)
-    blurred = transform_tokens(tokens, "token-blur", 3, [0])
+    blurred = transform_tokens(tokens, "token-blur", 3, None)
     assert np.array_equal(blurred, tokens)
 
 
@@ -278,6 +312,34 @@ def test_different_seed_changes_data():
     assert not np.array_equal(a.finetune_train.tokens, b.finetune_train.tokens)
 
 
+# while every draw was make_rng(seed + offset + index), seed s + 1 replayed
+# seed s shifted by one sample, one clip and one class
+
+
+def test_adjacent_seeds_do_not_share_samples():
+    a = build_splits(DataConfig(seed=0), ("pretrain_train",)).pretrain_train
+    b = build_splits(DataConfig(seed=1), ("pretrain_train",)).pretrain_train
+    assert not np.array_equal(b.tokens[7], a.tokens[8])
+
+
+def test_adjacent_seeds_do_not_share_class_bases():
+    for c in range(3):
+        assert not np.array_equal(class_basis(DataConfig(seed=1), c), class_basis(DataConfig(seed=0), c + 1))
+
+
+def test_a_split_draws_from_as_many_generators_whatever_its_size(monkeypatch):
+    # one per half and kind of draw, one per artifact group and one per
+    # robustness cell, where there used to be one or more per sample
+    build_splits(small_cfg(n_test=128), ("test_in", "robustness"))  # caches the class bases
+    made = []
+    monkeypatch.setattr(data, "make_rng", lambda *args: made.append(args) or make_rng(*args))
+    groups = len(DataConfig().families_train) * len(LEVELS)
+    for n_test in (128, 1024):
+        made.clear()
+        build_splits(small_cfg(n_test=n_test), ("test_in", "robustness"))
+        assert len(made) == 2 + 2 + groups + len(FAMILIES) * len(LEVELS), n_test
+
+
 def test_linear_probe_separates_base_classes():
     cfg = DataConfig()
     splits = build_splits(cfg, SAMPLE_SPLITS)
@@ -306,24 +368,32 @@ def test_import_csv_rejects_wrong_width(tmp_path):
         import_csv(path, cfg.n_tokens, cfg.d_model + 1)
 
 
+DATA = Path(__file__).parent / "data"
+DIGESTS = ("splits_digest.json", "splits_digest_odd_shape.json")
+
+
+def _digest(recorded: dict) -> dict:
+    """``recorded`` with each of its seeds' digests computed afresh under
+    its config."""
+    config = {key: tuple(value) if isinstance(value, list) else value for key, value in recorded["config"].items()}
+    seeds = {seed: bundle_digest(build_splits(DataConfig(seed=int(seed), **config), SPLITS))
+             for seed in recorded["seeds"]}
+    return recorded | {"seeds": seeds}
+
+
 def _assert_committed_digest(name: str) -> None:
-    want = json.loads((Path(__file__).parent / "data" / name).read_text())
-    config = {key: tuple(value) if isinstance(value, list) else value for key, value in want["config"].items()}
-    for seed, digest in want["seeds"].items():
-        cfg = DataConfig(seed=int(seed), **config)
-        assert bundle_digest(build_splits(cfg, SPLITS)) == digest, seed
+    recorded = json.loads((DATA / name).read_text())
+    assert _digest(recorded) == recorded
 
 
 def test_build_splits_reproduces_the_committed_digest():
-    # digest of every split and grid cell, written by the generator before
-    # its per-sample work was cached and restructured
+    # digest of every split and grid cell at two seeds
     _assert_committed_digest("splits_digest.json")
 
 
 def test_build_splits_reproduces_the_odd_shape_digest():
     # the same digest at a 3x5 grid with clips of one sample, one train
-    # family and four held out, written by the per-sample generator before
-    # it was stacked
+    # family and four held out
     _assert_committed_digest("splits_digest_odd_shape.json")
 
 
@@ -410,3 +480,9 @@ def _blur_reference(tokens: np.ndarray, level: int) -> np.ndarray:
 def test_token_blur_is_bit_equal_to_the_convolve_reference(tokens, level):
     got = transform_tokens(tokens[None], "token-blur", level, None)
     assert np.array_equal(got[0], _blur_reference(tokens, level))
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    for name in DIGESTS:
+        recorded = json.loads((DATA / name).read_text())
+        (DATA / name).write_text(json.dumps(_digest(recorded), indent=1, sort_keys=True) + "\n")

@@ -78,7 +78,7 @@ def test_pretrain_zero_epochs_equals_initialization():
     model, acc, _ = run_pretrain(cfg)
     from subtune.harness import _INIT_STREAM
 
-    fresh = init_model(cfg.model, make_rng(cfg.seed + _INIT_STREAM))
+    fresh = init_model(cfg.model, make_rng(cfg.seed, _INIT_STREAM))
     assert np.array_equal(model.params, fresh.params)
     # with no epoch to score it, the initialisation's accuracy is reported
     test = build_splits(cfg.data, ("pretrain_test",)).pretrain_test
@@ -151,6 +151,24 @@ def test_finetune_artifacts_are_deterministic(tmp_path, pretrained):
     sb = json.loads((tmp_path / "b/summary.json").read_text())
     sa.pop("wall_clock_seconds"), sb.pop("wall_clock_seconds")
     assert sa == sb
+
+
+def test_adjacent_seeds_do_not_share_shuffles(monkeypatch, pretrained):
+    # while epoch e shuffled from make_rng(seed + offset + e), seed 1's first
+    # epoch replayed seed 0's second
+    _, splits, model, _ = pretrained
+    orders = []
+
+    def recorded(*args, _real=harness._batches):
+        batches = _real(*args)
+        orders.append(np.concatenate(batches))
+        return batches
+
+    monkeypatch.setattr(harness, "_batches", recorded)
+    for seed in (0, 1):
+        run_finetune(tiny_cfg(seed), model, splits=splits)
+    seed0_epoch1, seed1_epoch0 = orders[1], orders[2]
+    assert len(orders) == 4 and not np.array_equal(seed1_epoch0, seed0_epoch1)
 
 
 def test_forced_zero_layer_stays_at_initialization(pretrained):
@@ -444,7 +462,7 @@ def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypat
     tables = {p.stem: p.read_text().splitlines()[1:] for p in run_ablation(cfg, tmp_path)}
     # one set of splits and one backbone per table, both from the table's
     # seed, and every cell of the table fine-tunes under that seed
-    table_seeds = [cfg.seed + t * harness._TABLE_STREAM for t in range(4)]
+    table_seeds = [harness._table_seed(cfg.seed, t) for t in range(4)]
     assert seeds["build_splits"] == seeds["run_pretrain"] == table_seeds
     # one _run_cell and one run_finetune, with the arm as keywords, per
     # distinct arm: all 4, 4 and 5, and 3 of the 5 budgets (m_effective 1, 4, 8)
@@ -470,6 +488,13 @@ def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypat
     own_arm = [full, metrics("losses", "1.0", "1.0"), metrics("subspaces", "3"),
                metrics("budget", "4", "4")]
     assert len(set(own_arm)) == 4
+
+
+def test_ablation_tables_do_not_replay_another_seeds_tables():
+    # while table t ran on seed + t * 10**12, seed 10**12's first table was
+    # seed 0's second
+    seeds = {harness._table_seed(base, t) for base in (0, 1, 10**12) for t in range(4)}
+    assert len(seeds) == 12 and seeds.isdisjoint({0, 1, 10**12})
 
 
 class InjectedFault(Exception):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,20 @@ def test_matrix_read_rejects_truncation_and_zero_dims() -> None:
     bad = (0).to_bytes(8, "little") + (2).to_bytes(8, "little")
     with pytest.raises(ValueError):
         linalg.matrix_from_bytes(bad)
+
+
+def test_rng_without_a_key_is_the_plain_pcg64_stream() -> None:
+    for seed in (0, 5, 2**31 + 3, 10**12 + 7):
+        want = np.random.Generator(np.random.PCG64(seed)).random(64)
+        assert linalg.make_rng(seed).random(64).tobytes() == want.tobytes()
+
+
+def test_rng_keys_of_different_lengths_are_distinct_streams() -> None:
+    draws = [linalg.make_rng(3, *key).random(8) for key in ((4,), (4, 0), (4, 0, 0))]
+    for i, j in itertools.combinations(range(3), 2):
+        assert not np.array_equal(draws[i], draws[j])
+
+
+def test_rng_rejects_a_negative_seed() -> None:
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        linalg.make_rng(-1)
