@@ -6,9 +6,10 @@ Every run is a pure function of (config, seed): the init, the head and each
 epoch's shuffle draw from their own keyed streams of the seed, the cells of
 an ablation table fine-tune one backbone on one set of splits, and result
 CSVs round to 6 decimals.
-A fine-tune starts from a ``FinetuneState``, fresh or taken after k steps,
-so arms that share a prefix run it once.  Wall-clock time appears only in
-the run summary, never in a CSV.
+Both phases step one ``masking.OptimizerState``.  A fine-tune starts from
+a ``FinetuneState``, fresh or taken after k steps, so arms that share a
+prefix run it once, and its ``RunRecord`` is that state run to the end.
+Wall-clock time appears only in the run summary, never in a CSV.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -41,7 +42,7 @@ from .masking import (
     compute_bvg,
     init_optimizer,
     init_stats,
-    step_buffer,
+    staged_step,
     update_stats,
 )
 from .model import (
@@ -99,25 +100,6 @@ class StepLog:
 
 
 @dataclass
-class RunRecord:
-    config: dict
-    steps: list[StepLog]
-    metrics: dict[str, EvalReport]
-    wall_clock: float
-    model: Model
-    # what the mask rule reads besides the gradients and the stats config
-    warmup_steps: int
-    budget: int
-    forced_zero: tuple[int, ...] = ()
-    mask_log: list[np.ndarray] = field(default_factory=list)
-    # each step's gradient rows (``Gradients.trainable``)
-    gradient_log: list[np.ndarray] = field(default_factory=list)
-    semantic_start: list[bytes] = field(default_factory=list)
-    out_files: list[Path] = field(default_factory=list)
-    opt: OptimizerState | None = None
-
-
-@dataclass
 class FinetuneState:
     """What a fine-tune carries from one step to the next: the model, the
     optimizer state, the EMA gradient stats, the number of steps taken
@@ -140,8 +122,23 @@ class FinetuneState:
     forced_zero: tuple[int, ...]
 
 
+@dataclass
+class RunRecord(FinetuneState):
+    """A fine-tune's state, live while it runs and final once it returns,
+    plus what the run adds: the warmup its mask rule reads, the semantic
+    bytes it started from, the evaluation, the wall-clock time and the
+    files written."""
+
+    warmup_steps: int
+    semantic_start: list[bytes]
+    metrics: dict[str, EvalReport] = field(default_factory=dict)
+    wall_clock: float = 0.0
+    out_files: list[Path] = field(default_factory=list)
+
+
 def copy_state(state: FinetuneState) -> FinetuneState:
-    """A copy of ``state`` that shares no array or list with it."""
+    """A copy of ``state`` that shares no writeable array or list with it
+    (``clone_model`` shares the read-only semantic parts)."""
     return copy.deepcopy(state, {id(state.model): clone_model(state.model)})
 
 
@@ -199,16 +196,14 @@ def run_pretrain(
         splits = build_splits(cfg.data, _PRETRAIN_SPLITS)
     model = init_model(cfg.model, make_rng(cfg.seed, _INIT_STREAM))
     train, test = splits.pretrain_train, splits.pretrain_test
-    m, v = np.zeros_like(model.params), np.zeros_like(model.params)
-    opt = OptimizerState(mode="adaptive", learning_rate=cfg.pretrain.learning_rate)
-    step = 0
+    opt = init_optimizer("adaptive", cfg.pretrain.learning_rate, model)
+    every_row = np.arange(model.trainable.shape[0])
     epochs_run = 0
     for epoch in range(cfg.pretrain.max_epochs):
         rng = make_rng(cfg.seed, _PRETRAIN_SHUFFLE, epoch)
         for batch in _batches(len(train), cfg.pretrain.batch_size, rng):
             _, grads = backward(model, train.tokens[batch], train.base_class[batch])
-            step += 1
-            step_buffer(model.params, grads.params, m, v, step, opt, f"pretraining step {step}")
+            staged_step(model, grads, every_row, opt, f"pretraining step {opt.rest_step + 1}")
         epochs_run = epoch + 1
         acc = pretrain_accuracy(model, test)
         if acc >= cfg.pretrain.accuracy_floor:
@@ -224,7 +219,7 @@ def run_pretrain(
     path = None
     if out_dir is not None:
         path = Path(out_dir) / "pretrained.ckpt"
-        save_model(path, model, step=step, config_echo=config_to_dict(cfg))
+        save_model(path, model, step=opt.rest_step, config_echo=config_to_dict(cfg))
     return model, acc, path
 
 
@@ -291,10 +286,9 @@ def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
         # the run config's split, not the one the checkpoint was saved with
         model.config.decomposition = copy.deepcopy(cfg.decomposition)
         decompose_attention(model)
-    sizes = [row.size for row in model.trainable]
     return FinetuneState(
-        model=model, opt=init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, sizes, model.head.size),
-        stats=init_stats(sizes), step=0, steps=[], mask_log=[], gradient_log=[],
+        model=model, opt=init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, model),
+        stats=init_stats([row.size for row in model.trainable]), step=0, steps=[], mask_log=[], gradient_log=[],
         config=config_to_dict(cfg), masft=masft, budget=budget, forced_zero=forced_zero,
     )
 
@@ -336,8 +330,9 @@ def run_finetune(
     decomposed (unless the decomposition arm is switched off), or a
     ``FinetuneState`` taken after k steps, which is copied and continued
     at step k + 1 by rebuilding the epoch's batch order and skipping the
-    batches already taken.  ``on_step`` sees the live state before the
-    first step and after every step; keep it with ``copy_state``."""
+    batches already taken.  The returned ``RunRecord`` is the run's own
+    state: ``on_step`` sees it live before the first step and after every
+    step; keep it with ``copy_state``."""
     t0 = time.perf_counter()
     resuming = isinstance(start, FinetuneState)
     model = start.model if resuming else start
@@ -358,28 +353,24 @@ def run_finetune(
         state = _resumed_state(cfg, start, masft, budget, forced_zero, warmup, log_gradients)
     else:
         state = _fresh_state(cfg, start, masft, budget, forced_zero)
-    model, opt = state.model, state.opt
+    model = state.model
     semantic_start = [
         semantic_to_bytes(getattr(block, name)) for _, block, name in attention_slots(model)
     ] if model.decomposed else []
-
-    record = RunRecord(
-        config=state.config, steps=state.steps, metrics={}, wall_clock=0.0, model=model,
-        warmup_steps=warmup, budget=budget, forced_zero=forced_zero, mask_log=state.mask_log,
-        gradient_log=state.gradient_log, semantic_start=semantic_start, opt=opt,
-    )
-    mask_rule = _mask_rule(cfg, record, state.stats)
+    record = RunRecord(**{f.name: getattr(state, f.name) for f in fields(FinetuneState)},
+                       warmup_steps=warmup, semantic_start=semantic_start)
+    mask_rule = _mask_rule(cfg, record, record.stats)
     if on_step is not None:
-        on_step(state)
-    first_epoch, taken = divmod(state.step, per_epoch)
+        on_step(record)
+    first_epoch, taken = divmod(record.step, per_epoch)
     for epoch in range(first_epoch, cfg.optimizer.epochs):
         rng = make_rng(cfg.seed, _FINETUNE_SHUFFLE, epoch)
         for batch in _batches(len(train), cfg.optimizer.batch_size, rng)[taken:]:
-            step = state.step + 1
+            step = record.step + 1
             report, grads = backward(model, train.tokens[batch], train.labels[batch], cfg.weights)
             mask = mask_rule(step, grads.trainable)
-            apply_update(model, grads, mask, opt)
-            state.step = step
+            apply_update(model, grads, mask, record.opt)
+            record.step = step
             bits_str = "".join(str(int(b)) for b in mask.bits)
             record.steps.append(
                 StepLog(
@@ -392,13 +383,13 @@ def run_finetune(
             if log_gradients:
                 record.gradient_log.append(grads.trainable.copy())
             if on_step is not None:
-                on_step(state)
+                on_step(record)
         taken = 0
 
     record.metrics = _evaluate(model, splits)
     record.wall_clock = time.perf_counter() - t0
     if out_dir is not None:
-        _write_finetune_artifacts(record, Path(out_dir), state.step)
+        _write_finetune_artifacts(record, Path(out_dir))
     return record
 
 
@@ -416,7 +407,7 @@ def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.
     return [mask_rule(step, rows).bits for step, rows in enumerate(record.gradient_log, start=1)]
 
 
-def _write_finetune_artifacts(record: RunRecord, out: Path, step: int) -> None:
+def _write_finetune_artifacts(record: RunRecord, out: Path) -> None:
     train_log = out / "train_log.csv"
     write_csv(
         train_log,
@@ -429,13 +420,13 @@ def _write_finetune_artifacts(record: RunRecord, out: Path, step: int) -> None:
     summary = out / "summary.json"
     payload = {
         "config": record.config,
-        "steps": step,
+        "steps": record.step,
         "metrics": {k: v.as_dict() for k, v in record.metrics.items()},
         "wall_clock_seconds": record.wall_clock,
     }
     write_file(summary, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
     ckpt = out / "finetuned.ckpt"
-    save_model(ckpt, record.model, step=step, config_echo=record.config)
+    save_model(ckpt, record.model, step=record.step, config_echo=record.config)
     record.out_files = [train_log, metrics_csv, summary, ckpt]
 
 

@@ -1,6 +1,7 @@
 """Selective layer masking: streamed per-layer gradient moments, the
 bias-variance score derived from them, top-budget mask construction, and
-masked parameter updates with per-layer frozen optimizer state."""
+the one optimizer step, with per-layer frozen state, that both the masked
+fine-tune update and pretraining (every layer active) take."""
 
 from __future__ import annotations
 
@@ -115,10 +116,14 @@ def build_mask(bvg: np.ndarray, budget: int, step: int, cfg: StatsConfig) -> Lay
 
 @dataclass
 class OptimizerState:
-    """Plain gradient-descent or adaptive-moment updates.  Every layer (and
-    the head) owns an independent step counter so a masked layer's state,
-    bias correction included, is bit-frozen while it sits out.  In adaptive
-    mode ``layer_m``/``layer_v`` hold the moments, one row per layer."""
+    """Plain gradient-descent or adaptive-moment updates of the gradient
+    buffer ``backward`` forms: the (n_layers, P) rows, one per attention
+    layer, and the rest past them (the head for a binary head; the head,
+    ``token_embed`` and every frozen slot for a pretraining head).  Every
+    layer and the rest own an independent step counter, so a masked
+    layer's state, bias correction included, is bit-frozen while it sits
+    out.  In adaptive mode ``layer_m``/``layer_v`` hold the rows' moments,
+    one row per layer, and ``rest_m``/``rest_v`` the rest's."""
 
     mode: str
     learning_rate: float
@@ -128,26 +133,25 @@ class OptimizerState:
     layer_m: np.ndarray | None = None
     layer_v: np.ndarray | None = None
     layer_step: list[int] = field(default_factory=list)
-    head_m: np.ndarray | None = None
-    head_v: np.ndarray | None = None
-    head_step: int = 0
+    rest_m: np.ndarray | None = None
+    rest_v: np.ndarray | None = None
+    rest_step: int = 0
 
 
-def init_optimizer(
-    mode: str, learning_rate: float, sizes: Sequence[int], head_size: int
-) -> OptimizerState:
-    """Fresh state for layers of the given (equal) sizes."""
+def init_optimizer(mode: str, learning_rate: float, model: Model) -> OptimizerState:
+    """Fresh state for the gradients ``backward`` forms for ``model``: its
+    rows and head for a binary head, all of ``model.params`` for a
+    pretraining head."""
     if mode not in ("plain", "adaptive"):
         raise ValueError(f"optimizer mode must be 'plain' or 'adaptive', got {mode!r}")
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    shape = _moment_shape(sizes)
+    shape = model.trainable.shape
     opt = OptimizerState(mode=mode, learning_rate=learning_rate, layer_step=[0] * shape[0])
     if mode == "adaptive":
-        opt.layer_m = np.zeros(shape)
-        opt.layer_v = np.zeros(shape)
-        opt.head_m = np.zeros(head_size)
-        opt.head_v = np.zeros(head_size)
+        rest = model.head.size if model.n_outputs == 1 else model.params.size - model.trainable.size
+        opt.layer_m, opt.layer_v = np.zeros(shape), np.zeros(shape)
+        opt.rest_m, opt.rest_v = np.zeros(rest), np.zeros(rest)
     return opt
 
 
@@ -175,44 +179,25 @@ def _unusable(new: np.ndarray, second: np.ndarray | None) -> np.ndarray:
     return bad
 
 
-def step_buffer(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
-                opt: OptimizerState, what: str) -> None:
-    """One adaptive-moment update of a whole parameter buffer and its
-    moments, in place, with ``step`` the already-incremented counter.  All
-    or nothing: a non-finite update raises a ValueError naming ``what`` and
-    writes nothing."""
-    new, first, second = _moment_step(theta, grad, m, v, 1.0 - opt.beta1**step, 1.0 - opt.beta2**step, opt)
-    if _unusable(new, second).any():
-        raise ValueError(f"non-finite update at {what}")
-    theta[...] = new
-    m[...] = first
-    v[...] = second
-
-
-def apply_update(
-    model: Model, grads: Gradients, mask: LayerMask, opt: OptimizerState
-) -> None:
-    """Step the active attention layers and always the head.  Masked layers'
-    parameters and optimizer moments are left bit-untouched.  The active
-    layers' rows are gathered from ``model.trainable`` and stepped as one
-    array, each row with its own layer's bias corrections.  All or nothing:
-    every new value is staged and checked before any is written, so a
-    non-finite update raises with the model and ``opt`` unchanged."""
-    n_layers = model.trainable.shape[0]
-    if mask.bits.shape[0] != n_layers:
-        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {n_layers}")
-    if len(opt.layer_step) != n_layers or (
-        opt.layer_m is not None and opt.layer_m.shape != model.trainable.shape
-    ):
+def staged_step(model: Model, grads: Gradients, active: np.ndarray, opt: OptimizerState,
+                at: str | None = None) -> None:
+    """One step of the ``active`` rows, gathered from ``model.trainable``
+    and stepped as one array, each row with its own layer's bias
+    corrections, and of the rest of the gradient buffer past the rows.
+    Inactive rows and their moments are left bit-untouched.  All or
+    nothing: every new value is staged and checked before any is written,
+    so a non-finite update raises with the model and ``opt`` unchanged,
+    naming ``at`` if given, else the first bad layer or the head."""
+    rows = model.trainable
+    if len(opt.layer_step) != rows.shape[0] or (opt.layer_m is not None and opt.layer_m.shape != rows.shape):
         raise ValueError("optimizer state is shaped for other layers than the model's")
-    active = np.flatnonzero(mask.bits)
-    theta = model.trainable[active]
-    grad = grads.trainable[active]
-    head, head_grad = model.head.ravel(), grads.head.ravel()
+    theta, grad = rows[active], grads.trainable[active]
+    rest = model.params[rows.size : grads.params.size]
+    rest_grad = grads.params[rows.size :]
     if opt.mode == "plain":
         new = theta - opt.learning_rate * grad
-        new_head = head - opt.learning_rate * head_grad
-        second = head_second = None
+        new_rest = rest - opt.learning_rate * rest_grad
+        second = rest_second = None
     else:
         steps = [opt.layer_step[lid] + 1 for lid in active]
         c1 = np.array([1.0 - opt.beta1**t for t in steps])[:, None]
@@ -220,20 +205,35 @@ def apply_update(
         new, first, second = _moment_step(
             theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt
         )
-        t = opt.head_step + 1
-        new_head, head_first, head_second = _moment_step(
-            head, head_grad, opt.head_m, opt.head_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
+        t = opt.rest_step + 1
+        new_rest, rest_first, rest_second = _moment_step(
+            rest, rest_grad, opt.rest_m, opt.rest_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
         )
-    bad = _unusable(new, second)
+    bad = _unusable(new, second).any(axis=1)
+    bad_rest = _unusable(new_rest, rest_second).any()
+    if at is not None and (bad.any() or bad_rest):
+        raise ValueError(f"non-finite update at {at}")
     if bad.any():
-        raise ValueError(f"non-finite update for layer {active[bad.any(axis=1)][0]}")
-    if _unusable(new_head, head_second).any():
+        raise ValueError(f"non-finite update for layer {active[bad][0]}")
+    if bad_rest:
         raise ValueError("non-finite update for the head")
-    model.trainable[active] = new
-    model.head[...] = new_head.reshape(model.head.shape)
+    rows[active] = new
+    rest[...] = new_rest
     if opt.mode == "adaptive":
         opt.layer_m[active] = first
         opt.layer_v[active] = second
         for lid in active:
             opt.layer_step[lid] += 1
-        opt.head_m, opt.head_v, opt.head_step = head_first, head_second, opt.head_step + 1
+        opt.rest_m, opt.rest_v, opt.rest_step = rest_first, rest_second, t
+
+
+def apply_update(
+    model: Model, grads: Gradients, mask: LayerMask, opt: OptimizerState
+) -> None:
+    """Step the active attention layers and always the rest (for a binary
+    head, the head) through ``staged_step``.  Masked layers' parameters and
+    optimizer moments are left bit-untouched."""
+    n_layers = model.trainable.shape[0]
+    if mask.bits.shape[0] != n_layers:
+        raise ValueError(f"mask covers {mask.bits.shape[0]} layers, model has {n_layers}")
+    staged_step(model, grads, np.flatnonzero(mask.bits), opt)

@@ -189,7 +189,7 @@ def stack_trainables(model: Model) -> None:
     if decomposed:
         model.trainable[...] = 0.0  # the padding past each layer's tail
         for p, row in zip(projections, model.trainable):
-            values = (p.u, p.s, p.v)
+            values = p.split(p.params)
             p.params = row
             for view, value in zip((p.u, p.s, p.v), values):
                 view[...] = value
@@ -639,11 +639,16 @@ def projection_param_vector(p: Projection) -> np.ndarray:
 
 
 def clone_model(model: Model) -> Model:
-    """Deep copy that shares nothing with the source, with its own buffer."""
+    """A copy with its own buffer, config, blocks and layers, packed once.
+    It shares only the decomposed layers' read-only semantic parts."""
     import copy
 
-    # the repack rebuilds the buffer and its stacked views, so the deep copy
-    # leaves them out rather than copy the model's values twice
-    twin = copy.deepcopy(model, {id(a): None for a in (model.params, model.trainable, model.factors)})
-    stack_trainables(twin)
-    return twin
+    blocks = []
+    for block in model.blocks:
+        twin = copy.copy(block)
+        for name in PROJECTION_NAMES:
+            p = getattr(block, name)
+            if isinstance(p, DecomposedLayer):
+                setattr(twin, name, copy.copy(p))  # repointed at the new rows by the pack
+        blocks.append(twin)
+    return Model(config=copy.deepcopy(model.config), token_embed=model.token_embed, blocks=blocks, head=model.head)

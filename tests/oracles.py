@@ -4,9 +4,10 @@ the per-layer training code that the stacked one replaced.
 The brute-force oracles recount from scratch with plain loops (no sorting
 tricks shared with the implementation) and exact rational arithmetic.  The
 ``loop_*`` versions are the per-element tied-block sweeps, the per-clip
-pooling loop, and the per-layer factor projection, EMA, BVG and
-adaptive-moment code that the vectorized and stacked versions replaced,
-kept to check them bit for bit.
+pooling loop, the per-layer factor projection, EMA, BVG and
+adaptive-moment code, and pretraining's whole-buffer adaptive-moment step
+that the vectorized, stacked and shared versions replaced, kept to check
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from subtune.decomposition import recompose
+from subtune.masking import _moment_step, _unusable
 from subtune.metrics import ScoredSet
 from subtune.model import attention_slots, backward, clone_model, stack_trainables
 
@@ -283,9 +285,9 @@ class LoopMasking:
         self.m = [np.zeros(p.size) for p in params]
         self.v = [np.zeros(p.size) for p in params]
         self.steps = [0] * len(params)
-        self.head_m = np.zeros(head.size)
-        self.head_v = np.zeros(head.size)
-        self.head_step = 0
+        self.rest_m = np.zeros(head.size)
+        self.rest_v = np.zeros(head.size)
+        self.rest_step = 0
         self.mode, self.lr, self.ema, self.floor = mode, lr, ema, floor
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
@@ -325,8 +327,22 @@ class LoopMasking:
         if self.mode == "plain":
             new = head - self.lr * head_grad.ravel()
         else:
-            self.head_step += 1
-            new, self.head_m, self.head_v = self._adam(
-                head, head_grad.ravel(), self.head_m, self.head_v, self.head_step
+            self.rest_step += 1
+            new, self.rest_m, self.rest_v = self._adam(
+                head, head_grad.ravel(), self.rest_m, self.rest_v, self.rest_step
             )
         self.head = new.reshape(self.head.shape)
+
+
+def step_buffer(theta, grad, m, v, step, opt, what):
+    """Pretraining's step before it shared ``masking.staged_step``: one
+    adaptive-moment update of a whole parameter buffer and its moments, in
+    place, with ``step`` the already-incremented counter.  All or nothing:
+    a non-finite update raises a ValueError naming ``what`` and writes
+    nothing."""
+    new, first, second = _moment_step(theta, grad, m, v, 1.0 - opt.beta1**step, 1.0 - opt.beta2**step, opt)
+    if _unusable(new, second).any():
+        raise ValueError(f"non-finite update at {what}")
+    theta[...] = new
+    m[...] = first
+    v[...] = second

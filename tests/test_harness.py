@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from split_checks import SAMPLE_SPLITS
-from subtune import harness
+from subtune import harness, masking
 from subtune.checkpoint import load_model, save_model
 from subtune.config import config_from_dict
 from subtune.data import build_splits
@@ -103,6 +103,25 @@ def test_pretrain_refuses_a_non_finite_update(monkeypatch, bad):
     with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
         run_pretrain(tiny_cfg())
     assert str(err.value) == "non-finite update at pretraining step 2"
+
+
+def test_only_fine_tune_steps_go_through_apply_update(monkeypatch, pretrained):
+    # pretraining shares the staged step under another name, so whatever
+    # wraps ``apply_update`` sees one call per fine-tune step and none else
+    cfg, splits, _, _ = pretrained
+    calls = []
+    apply_update = masking.apply_update
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply_update(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "apply_update", counted)
+    monkeypatch.setattr(masking, "apply_update", counted)
+    model = run_pretrain(cfg, splits=splits)[0]
+    assert calls == []
+    record = run_finetune(cfg, model, splits=splits)
+    assert len(calls) == record.step == len(record.steps) == 16
 
 
 def test_pretrain_unreachable_floor_suggests_easier_data():

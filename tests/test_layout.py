@@ -105,7 +105,7 @@ def test_views_alias_params_after_clone_load_and_update(tmp_path) -> None:
     params = [layer.params for layer in decomposed_layers(model)]
     before = [p.copy() for p in params]
     n_layers = len(params)
-    opt = init_optimizer("adaptive", 1e-2, [p.size for p in params], model.head.size)
+    opt = init_optimizer("adaptive", 1e-2, model)
     apply_update(model, grads, LayerMask(np.ones(n_layers, dtype=np.int8), n_layers), opt)
     for layer, p, old in zip(decomposed_layers(model), params, before):
         assert layer.params is p  # updated in place
@@ -113,16 +113,41 @@ def test_views_alias_params_after_clone_load_and_update(tmp_path) -> None:
     assert_views_alias_params(model)
 
 
+def test_a_clone_shares_only_the_read_only_semantic_parts() -> None:
+    model = small_model()
+    source = model.params.tobytes()
+    twin = clone_model(model)
+    assert twin.params.tobytes() == source
+    assert twin.config == model.config and twin.config is not model.config
+    for layer, twin_layer in zip(decomposed_layers(model), decomposed_layers(twin)):
+        assert twin_layer is not layer and twin_layer.semantic is layer.semantic
+        for a in (twin_layer.semantic.u, twin_layer.semantic.s, twin_layer.semantic.v, twin_layer.semantic.w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+    twin.params += 1.0
+    twin.head[...] = 7.0
+    for block in twin.blocks:
+        for slot in model_mod.FROZEN_SLOTS:
+            getattr(block, slot)[...] = -3.0
+    twin.token_embed[...] = 5.0
+    for layer in decomposed_layers(twin):
+        layer.params[...] = 2.0
+    twin.config.decomposition.n_subspaces = 1
+    assert model.params.tobytes() == source
+    assert model.config.decomposition.n_subspaces == 3
+    assert_views_alias_params(twin)
+
+
 def test_no_two_layers_models_or_moments_share_storage() -> None:
     model = small_model()
     twin = clone_model(model)
-    sizes = [layer.params.size for layer in decomposed_layers(model)]
-    opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
+    opt = init_optimizer("adaptive", 1e-3, model)
     arrays = (
         [*model.trainable, model.head, *twin.trainable, twin.head]
         + list(opt.layer_m)
         + list(opt.layer_v)
-        + [opt.head_m, opt.head_v]
+        + [opt.rest_m, opt.rest_v]
     )
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
@@ -136,7 +161,7 @@ def test_non_finite_update_leaves_params_bit_unchanged() -> None:
     layers = decomposed_layers(model)
     before = [(layer.params, layer.params.tobytes()) for layer in layers]
     grads.trainable[5, -1] = np.nan  # block 1's k
-    opt = init_optimizer("plain", 0.1, [layer.params.size for layer in layers], model.head.size)
+    opt = init_optimizer("plain", 0.1, model)
     with pytest.raises(ValueError, match="layer 5"):
         apply_update(model, grads, LayerMask(np.ones(len(layers), dtype=np.int8), len(layers)), opt)
     for layer, (params, raw) in zip(layers, before):

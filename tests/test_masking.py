@@ -16,7 +16,7 @@ from subtune.masking import (
     compute_bvg,
     init_optimizer,
     init_stats,
-    step_buffer,
+    staged_step,
     update_stats,
 )
 from subtune.model import ModelConfig, backward, decompose_attention, init_model, reset_head
@@ -48,11 +48,11 @@ def test_zero_gradients_stay_zero() -> None:
 
 
 def test_unequal_layer_sizes_are_refused() -> None:
-    # per-layer state is one row per layer, so every layer has one size
-    for make in (init_stats, lambda sizes: init_optimizer("adaptive", 1e-3, sizes, 1)):
-        with pytest.raises(ValueError, match="equal") as err:
-            make([3, 5])
-        assert "\n" not in str(err.value)
+    # per-layer state is one row per layer, so every layer has one size;
+    # the optimizer is sized from a model's rows, which are one array
+    with pytest.raises(ValueError, match="equal") as err:
+        init_stats([3, 5])
+    assert "\n" not in str(err.value)
 
 
 def test_update_stats_rejects_shape_mismatch() -> None:
@@ -115,7 +115,7 @@ def test_build_mask_tie_prefers_lower_layer_id() -> None:
 
 def test_plain_step_example() -> None:
     model, grads = _one_layer_setup()
-    opt = init_optimizer("plain", 0.1, [row.size for row in model.trainable], model.head.size)
+    opt = init_optimizer("plain", 0.1, model)
     layer = model.blocks[0].q
     layer.params[0] = 1.0
     grads.trainable[0, 0] = 0.5
@@ -135,12 +135,13 @@ def test_adaptive_step_matches_reference() -> None:
         vh = v2 / (1 - b2**t)
         return theta - lr * mh / (np.sqrt(vh) + eps), m2, v2
 
-    opt = init_optimizer("adaptive", 2e-4, [3], 3)
+    opt = OptimizerState(mode="adaptive", learning_rate=2e-4)
+    m0, v0 = np.zeros(3), np.zeros(3)
     theta = np.array([0.0, 1.0, -2.0])
     g1 = np.array([0.5, -0.25, 0.125])
-    got, m1, v1 = _moment_step(theta, g1, opt.layer_m[0], opt.layer_v[0], 1 - 0.9**1, 1 - 0.999**1, opt)
-    # the step returns new moments and leaves the optimizer's alone
-    assert not opt.layer_m[0].any() and not opt.layer_v[0].any()
+    got, m1, v1 = _moment_step(theta, g1, m0, v0, 1 - 0.9**1, 1 - 0.999**1, opt)
+    # the step returns new moments and leaves the ones it was given alone
+    assert not m0.any() and not v0.any()
     want, m_ref, v_ref = reference(theta, g1, np.zeros(3), np.zeros(3), 1, 2e-4)
     assert np.array_equal(got, want)
     assert np.array_equal(m1, m_ref) and np.array_equal(v1, v_ref)
@@ -177,7 +178,7 @@ def test_apply_update_all_masked_leaves_layers_untouched() -> None:
     before = [v.copy() for v in layer_vectors(model)]
     head_before = model.head.copy()
     sizes = [v.size for v in before]
-    opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
+    opt = init_optimizer("adaptive", 1e-3, model)
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8), budget=1)
     apply_update(model, grads, mask, opt)
     after = layer_vectors(model)
@@ -185,13 +186,13 @@ def test_apply_update_all_masked_leaves_layers_untouched() -> None:
         assert np.array_equal(b, a)
     assert not np.array_equal(model.head, head_before)  # head is exempt
     assert all(s == 0 for s in opt.layer_step)
-    assert opt.head_step == 1
+    assert opt.rest_step == 1
 
 
 def test_apply_update_masked_moments_frozen_active_layers_move() -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
+    opt = init_optimizer("adaptive", 1e-3, model)
     bits = np.zeros(len(sizes), dtype=np.int8)
     bits[::2] = 1
     mask = LayerMask(bits=bits, budget=int(bits.sum()))
@@ -213,7 +214,7 @@ def test_apply_update_masked_moments_frozen_active_layers_move() -> None:
 def test_apply_update_plain_mode_and_mask_size_check() -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("plain", 0.1, sizes, model.head.size)
+    opt = init_optimizer("plain", 0.1, model)
     theta0 = layer_vectors(model)[0].copy()
     g0 = layer_vectors(grads)[0]
     mask = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
@@ -226,8 +227,8 @@ def test_apply_update_plain_mode_and_mask_size_check() -> None:
 def test_apply_update_rejects_non_finite() -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("plain", 0.1, sizes, model.head.size)
-    grads.head = np.full_like(grads.head, np.inf)
+    opt = init_optimizer("plain", 0.1, model)
+    grads.head[...] = np.inf
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8), budget=1)
     with pytest.raises(ValueError, match="head"):
         apply_update(model, grads, mask, opt)
@@ -239,12 +240,12 @@ def test_apply_update_rejects_non_finite() -> None:
 def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("adaptive", 1e-3, sizes, model.head.size)
+    opt = init_optimizer("adaptive", 1e-3, model)
     everything = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
     apply_update(model, grads, everything, opt)  # moments and counters non-trivial
     params = model.params.tobytes()
     moments = [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)]
-    head_state = (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step)
+    rest_state = (opt.rest_m.tobytes(), opt.rest_v.tobytes(), opt.rest_step)
     steps = list(opt.layer_step)
     last = len(sizes) - 1
     last_layer = model.blocks[-1].o
@@ -254,7 +255,7 @@ def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
         apply_update(model, grads, everything, opt)
     assert model.params.tobytes() == params
     assert [(m.tobytes(), v.tobytes()) for m, v in zip(opt.layer_m, opt.layer_v)] == moments
-    assert (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step) == head_state
+    assert (opt.rest_m.tobytes(), opt.rest_v.tobytes(), opt.rest_step) == rest_state
     assert opt.layer_step == steps
 
 
@@ -264,23 +265,26 @@ def test_pretraining_step_refuses_a_non_finite_update(bad) -> None:
     model = init_model(cfg, linalg.make_rng(0))
     x = linalg.make_rng(1).normal(size=(4, cfg.n_tokens, cfg.d_model))
     labels = np.array([0, 1, 2, 1])
-    opt = OptimizerState(mode="adaptive", learning_rate=1e-3)
-    m, v = np.zeros_like(model.params), np.zeros_like(model.params)
+    opt = init_optimizer("adaptive", 1e-3, model)
+    every_row = np.arange(model.trainable.shape[0])
     _, grads = backward(model, x, labels)
-    step_buffer(model.params, grads.params, m, v, 1, opt, "pretraining step 1")  # non-trivial moments
+    staged_step(model, grads, every_row, opt, "pretraining step 1")  # non-trivial moments
     _, grads = backward(model, x, labels)
     grads.params[-1] = bad  # the last block's mlp_out
-    state = [a.tobytes() for a in (model.params, m, v)]
+    state = [a.tobytes() for a in (model.params, opt.layer_m, opt.layer_v, opt.rest_m, opt.rest_v)]
+    counters = (list(opt.layer_step), opt.rest_step)
     with pytest.raises(ValueError, match="^non-finite update at pretraining step 2$"), np.errstate(over="ignore"):
-        step_buffer(model.params, grads.params, m, v, 2, opt, "pretraining step 2")
-    assert [a.tobytes() for a in (model.params, m, v)] == state
+        staged_step(model, grads, every_row, opt, "pretraining step 2")
+    assert [a.tobytes() for a in (model.params, opt.layer_m, opt.layer_v, opt.rest_m, opt.rest_v)] == state
+    assert (opt.layer_step, opt.rest_step) == counters == ([1] * len(every_row), 1)
 
 
 def test_optimizer_validation() -> None:
+    model, _ = _one_layer_setup()
     with pytest.raises(ValueError):
-        init_optimizer("momentum", 0.1, [1], 1)
+        init_optimizer("momentum", 0.1, model)
     with pytest.raises(ValueError):
-        init_optimizer("plain", 0.0, [1], 1)
+        init_optimizer("plain", 0.0, model)
     with pytest.raises(ValueError):
         StatsConfig(ema_coeff=1.0).validate()
     with pytest.raises(ValueError):

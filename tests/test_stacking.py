@@ -2,8 +2,9 @@
 layer in layer-id order, decomposed tails zero-padded to the largest tail
 rank, at the head of one parameter buffer that every array of the model
 tiles, every slot and factor view aliasing it, the padding staying exactly
-zero, and the batched backward, EMA, BVG and masked update matching the
-per-layer code on each padded row (``oracles``) bit for bit."""
+zero, the batched backward, EMA, BVG and masked update matching the
+per-layer code on each padded row (``oracles``) bit for bit, and
+pretraining's every-row step matching the whole-buffer one."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import LoopMasking, loop_backward
+from oracles import LoopMasking, loop_backward, step_buffer
 from subtune import losses
 from subtune.checkpoint import load_model, save_model
 from subtune.decomposition import DecomposedLayer, DecompositionConfig, decompose, layer_to_bytes
@@ -23,12 +24,14 @@ from subtune.linalg import make_rng
 from subtune.losses import LossWeights
 from subtune.masking import (
     LayerMask,
+    OptimizerState,
     StatsConfig,
     apply_update,
     build_mask,
     compute_bvg,
     init_optimizer,
     init_stats,
+    staged_step,
     update_stats,
 )
 from subtune.model import (
@@ -113,7 +116,7 @@ def test_masked_steps_match_the_per_layer_state(case, mode) -> None:
     stats_cfg = StatsConfig(ema_coeff=0.7)
     sizes = [row.size for row in model.trainable]
     stats = init_stats(sizes)
-    opt = init_optimizer(mode, 1e-2, sizes, model.head.size)
+    opt = init_optimizer(mode, 1e-2, model)
     loop = LoopMasking(
         list(model.trainable), model.head, mode, 1e-2, stats_cfg.ema_coeff, stats_cfg.moment_floor
     )
@@ -135,8 +138,33 @@ def test_masked_steps_match_the_per_layer_state(case, mode) -> None:
         assert opt.layer_step == loop.steps if mode == "adaptive" else opt.layer_step == [0] * n_layers
         if mode == "adaptive":
             assert _bits(opt.layer_m) == _bits(loop.m) and _bits(opt.layer_v) == _bits(loop.v)
-            assert (opt.head_m.tobytes(), opt.head_v.tobytes(), opt.head_step) == (
-                loop.head_m.tobytes(), loop.head_v.tobytes(), loop.head_step)
+            assert (opt.rest_m.tobytes(), opt.rest_v.tobytes(), opt.rest_step) == (
+                loop.rest_m.tobytes(), loop.rest_v.tobytes(), loop.rest_step)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(1, 2), st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_pretraining_steps_match_the_whole_buffer_step(d, n_blocks, n_classes, k, seed) -> None:
+    # a pretraining head's gradient covers the whole buffer, so stepping
+    # every row and the rest is one elementwise step of all of it
+    cfg = ModelConfig(d_model=d, n_blocks=n_blocks, n_tokens=3, n_classes_pretrain=n_classes)
+    model = init_model(cfg, make_rng(seed))
+    ref = clone_model(model)
+    opt = init_optimizer("adaptive", 1e-2, model)
+    ref_opt = OptimizerState(mode="adaptive", learning_rate=1e-2)
+    m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
+    every_row = np.arange(model.trainable.shape[0])
+    n_rows = model.trainable.size
+    rng = make_rng(seed + 1)
+    for step in range(1, k + 1):
+        x = rng.normal(size=(4, cfg.n_tokens, d))
+        labels = rng.integers(0, n_classes, size=4)
+        staged_step(model, backward(model, x, labels)[1], every_row, opt, f"pretraining step {step}")
+        step_buffer(ref.params, backward(ref, x, labels)[1].params, m, v, step, ref_opt, f"pretraining step {step}")
+        assert model.params.tobytes() == ref.params.tobytes()
+        assert _bits([opt.layer_m, opt.layer_v]) == _bits([m[:n_rows], v[:n_rows]])
+        assert _bits([opt.rest_m, opt.rest_v]) == _bits([m[n_rows:], v[n_rows:]])
+        assert (opt.layer_step, opt.rest_step) == ([step] * len(every_row), step)
 
 
 # --- aliasing ---------------------------------------------------------------
@@ -263,7 +291,7 @@ def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
     assert_gradient_layout(model, grads)
     buf = model.trainable
     before = buf.copy()
-    opt = init_optimizer("adaptive", 1e-2, [row.size for row in buf], model.head.size)
+    opt = init_optimizer("adaptive", 1e-2, model)
     assert opt.layer_m.shape == opt.layer_v.shape == buf.shape
     n_layers = len(buf)
     apply_update(model, grads, LayerMask(np.ones(n_layers, dtype=np.int8), n_layers), opt)
@@ -282,7 +310,7 @@ def test_padding_stays_exactly_zero_through_training(mode, jitter) -> None:
     sizes = [row.size for row in model.trainable]
     stats_cfg = StatsConfig(ema_coeff=0.9, warmup_steps=5)
     stats = init_stats(sizes)
-    opt = init_optimizer(mode, 1e-2, sizes, model.head.size)
+    opt = init_optimizer(mode, 1e-2, model)
     for step in range(1, 201):
         x, y = _batch(model, rng)
         _, grads = backward(model, x, y, LossWeights())
