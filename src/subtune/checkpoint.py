@@ -15,7 +15,7 @@ import numpy as np
 from .decomposition import DecompositionConfig, layer_from_bytes, layer_to_bytes
 from .files import write_file
 from .linalg import matrix_from_bytes, matrix_to_bytes
-from .model import BLOCK_SLOTS, PROJECTION_NAMES, Block, Model, ModelConfig, block_shapes
+from .model import BLOCK_SLOTS, PROJECTION_NAMES, Block, Model, ModelConfig, block_shapes, stack_trainables
 
 MAGIC = b"SUBT0001"
 _LEN = struct.Struct("<Q")
@@ -224,7 +224,7 @@ def _read_body(raw: bytes, offset: int, manifest: dict) -> Model:
         raise ValueError(f"{len(raw) - offset} trailing bytes after checkpoint payload")
     cfg = _model_config(spec)
     blocks = [Block(**{slot: named[f"block{b}.{slot}"] for slot in BLOCK_SLOTS}) for b in range(cfg.n_blocks)]
-    return Model(config=cfg, token_embed=named["token_embed"], blocks=blocks, head=named["head"])
+    return stack_trainables(cfg, named["token_embed"], blocks, named["head"])
 
 
 def _require_shape(spec: dict, name: str, have: tuple[int, int], want: tuple[int, int]) -> None:

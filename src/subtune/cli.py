@@ -120,11 +120,10 @@ def _cmd_robustness(args) -> None:
 
 def _cmd_inspect(args) -> None:
     model, _ = load_model(args.checkpoint)
-    if args.config is not None and not model.decomposed:
-        # split a plain checkpoint as `finetune` would under this config; the
-        # checkpoint keeps only the subspace count it was pretrained with
-        model.config.decomposition = load_config(args.config).decomposition
-    rows = decompose_inspect(model)
+    # split a plain checkpoint as `finetune` would under this config; the
+    # checkpoint keeps only the subspace count it was pretrained with
+    split = load_config(args.config).decomposition if args.config is not None and not model.decomposed else None
+    rows = decompose_inspect(model, split)
     print("layer name           R   r   artifact_ranks      energy_sem  orth        spec")
     for r in rows:
         ranks = "+".join(str(k) for k in r.artifact_ranks)

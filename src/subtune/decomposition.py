@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ class SemanticPart:
     w: np.ndarray = field(repr=False)
 
 
-def _split_params(
+def split_params(
     vec: np.ndarray, d_out: int, d_in: int, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U_tail, s_tail, V_tail) views, ``width`` columns each, of the last
@@ -62,7 +63,7 @@ def _split_params(
     )
 
 
-def _cross_mask(ranks: Sequence[int], width: int) -> np.ndarray:
+def cross_mask(ranks: Sequence[int], width: int) -> np.ndarray:
     """(width, width) 0/1 mask of the cross-subspace entries of a tail Gram
     matrix: 0 on each subspace's own diagonal block and on the padding
     past sum(ranks)."""
@@ -84,7 +85,7 @@ class ArtifactView(NamedTuple):
         return int(self.s.shape[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecomposedLayer:
     """A frozen semantic part plus the trainable tail of the spectrum.
 
@@ -95,9 +96,9 @@ class DecomposedLayer:
     W - R columns past them are zero padding.  A freshly decomposed or
     loaded layer has W = R; in a model, W is the largest tail rank of its
     layers.  ``u``, ``s``, ``v`` and ``artifacts`` are views of the real
-    columns, built on first access and rebuilt whenever ``params`` is
-    rebound; copies and pickles leave them out, so a deep copy cannot keep a
-    view of the old vector.
+    columns, built when the layer is made.  A layer is frozen: ``params``
+    is never rebound, so its views cannot go stale, and a layer that joins
+    a model is a new layer on the model's row.
     """
 
     layer_id: int
@@ -105,6 +106,16 @@ class DecomposedLayer:
     ranks: tuple[int, ...]
     params: np.ndarray
     pretrained_frob_sq: float
+    u: np.ndarray = field(init=False, repr=False)
+    s: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    artifacts: tuple[ArtifactView, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        u, s, v = self.split(self.params)
+        bounds = list(accumulate(self.ranks, initial=0))
+        artifacts = tuple(ArtifactView(u[:, lo:hi], s[lo:hi], v[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        vars(self).update(u=u, s=s, v=v, artifacts=artifacts)  # past the frozen __setattr__
 
     @property
     def d_out(self) -> int:
@@ -132,7 +143,7 @@ class DecomposedLayer:
 
     @property
     def cross_mask(self) -> np.ndarray:
-        return _cross_mask(self.ranks, self.tail_rank)
+        return cross_mask(self.ranks, self.tail_rank)
 
     @property
     def pair_scale(self) -> float:
@@ -150,50 +161,16 @@ class DecomposedLayer:
                 f"layer {self.layer_id} vector of shape {vec.shape} does not match "
                 f"{self.d_out}x{self.d_in} factors of tail rank {r}"
             )
-        u, s, v = _split_params(vec, self.d_out, self.d_in, width)
+        u, s, v = split_params(vec, self.d_out, self.d_in, width)
         return u[:, :r], s[:r], v[:, :r]
-
-    def _views(self) -> tuple:
-        views = self.__dict__.get("_cached_views")
-        if views is None or views[0] is not self.params:
-            u, s, v = self.split(self.params)
-            artifacts = []
-            lo = 0
-            for r in self.ranks:
-                artifacts.append(ArtifactView(u[:, lo : lo + r], s[lo : lo + r], v[:, lo : lo + r]))
-                lo += r
-            views = (self.params, u, s, v, tuple(artifacts))
-            self.__dict__["_cached_views"] = views
-        return views
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_cached_views", None)
-        return state
-
-    @property
-    def u(self) -> np.ndarray:
-        return self._views()[1]
-
-    @property
-    def s(self) -> np.ndarray:
-        return self._views()[2]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._views()[3]
-
-    @property
-    def artifacts(self) -> tuple[ArtifactView, ...]:
-        return self._views()[4]
 
 
 class FactorStack(NamedTuple):
     """Every decomposed layer of a model as stacked views of its (n_layers,
     P) trainable rows, each padded to the largest tail rank R: U (n,
-    d_out, R), s (n, R), V (n, d_in, R).  ``cross_mask`` (n, R, R) is each
-    layer's ``_cross_mask``, ``pair_scale`` and ``pretrained_frob_sq`` are
-    per layer.  ``losses`` takes it wherever it takes a layer."""
+    d_out, R), s (n, R), V (n, d_in, R), with the layout's per-layer
+    ``cross_mask`` (n, R, R), ``pair_scale`` and ``pretrained_frob_sq``.
+    ``losses`` takes it wherever it takes a layer."""
 
     u: np.ndarray
     s: np.ndarray
@@ -202,22 +179,10 @@ class FactorStack(NamedTuple):
     pair_scale: np.ndarray
     pretrained_frob_sq: np.ndarray
 
-    @classmethod
-    def of(cls, layers: Sequence[DecomposedLayer], rows: np.ndarray) -> "FactorStack":
-        """The stack of ``layers`` whose ``params`` are the rows of ``rows``."""
-        d_out, d_in = layers[0].d_out, layers[0].d_in
-        width = rows.shape[1] // (d_out + 1 + d_in)
-        return cls(
-            *_split_params(rows, d_out, d_in, width),
-            np.stack([_cross_mask(layer.ranks, width) for layer in layers]),
-            np.array([layer.pair_scale for layer in layers]),
-            np.array([layer.pretrained_frob_sq for layer in layers]),
-        )
-
     def split(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """U, s, V views of (n_layers, P) rows laid out like the stack's,
         such as the gradient rows."""
-        return _split_params(rows, self.u.shape[1], self.v.shape[1], self.s.shape[1])
+        return split_params(rows, self.u.shape[1], self.v.shape[1], self.s.shape[1])
 
 
 def partition_tail(total_rank: int, semantic_rank: int, n_subspaces: int) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +29,7 @@ from . import metrics as metrics_mod
 from .checkpoint import save_model
 from .config import TrainConfig, config_to_dict
 from .data import FAMILIES, LEVELS, Split, SplitBundle, build_splits
-from .decomposition import semantic_to_bytes
+from .decomposition import DecompositionConfig, semantic_to_bytes
 from .files import write_csv, write_file
 from .linalg import make_rng
 from .masking import (
@@ -50,10 +50,9 @@ from .model import (
     attention_slots,
     backward,
     clone_model,
-    decompose_attention,
+    derive_model,
     init_model,
     predict,
-    reset_head,
 )
 
 # stream keys, above the data streams': make_rng(seed, key[, epoch])
@@ -137,9 +136,22 @@ class RunRecord(FinetuneState):
 
 
 def copy_state(state: FinetuneState) -> FinetuneState:
-    """A copy of ``state`` that shares no writeable array or list with it
-    (``clone_model`` shares the read-only semantic parts)."""
-    return copy.deepcopy(state, {id(state.model): clone_model(state.model)})
+    """A copy of ``state``'s ``FinetuneState`` fields that shares no
+    writeable array or list with it: the model cloned (sharing only its
+    read-only layout), the optimizer and stats arrays, the logs and the
+    config copied."""
+    opt, stats = state.opt, state.stats
+    moments = {name: getattr(opt, name).copy() for name in ("layer_m", "layer_v", "rest_m", "rest_v")
+               if getattr(opt, name) is not None}
+    return FinetuneState(**{f.name: getattr(state, f.name) for f in fields(FinetuneState)} | dict(
+        model=clone_model(state.model),
+        opt=replace(opt, layer_step=list(opt.layer_step), **moments),
+        stats=replace(stats, first=stats.first.copy(), second=stats.second.copy()),
+        steps=[replace(log) for log in state.steps],
+        mask_log=[bits.copy() for bits in state.mask_log],
+        gradient_log=[rows.copy() for rows in state.gradient_log],
+        config=copy.deepcopy(state.config),
+    ))
 
 
 def _require_binary_head(model: Model) -> None:
@@ -275,17 +287,12 @@ def _prefix(config: dict, masft: bool, budget: int, forced_zero: tuple[int, ...]
 
 def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
                  forced_zero: tuple[int, ...]) -> FinetuneState:
-    """Step 0: a clone of ``pretrained`` under a fresh binary head, its
-    attention decomposed (unless the decomposition arm is off), with a zero
-    optimizer and zero stats."""
-    model = clone_model(pretrained)
-    # the new head repacks the model's buffer; a plain model repacks for a
-    # fraction of what a decomposed one costs
-    reset_head(model, 1, make_rng(cfg.seed, _HEAD_STREAM), scale=_HEAD_INIT_SCALE)
-    if masft:
-        # the run config's split, not the one the checkpoint was saved with
-        model.config.decomposition = copy.deepcopy(cfg.decomposition)
-        decompose_attention(model)
+    """Step 0: ``pretrained`` under a fresh binary head, its attention
+    decomposed under the run config's split, not the one the checkpoint was
+    saved with (unless the decomposition arm is off), packed into one new
+    buffer, with a zero optimizer and zero stats."""
+    head = make_rng(cfg.seed, _HEAD_STREAM).normal(scale=_HEAD_INIT_SCALE, size=(1, pretrained.config.d_model))
+    model = derive_model(pretrained, head=head, split=cfg.decomposition if masft else None)
     return FinetuneState(
         model=model, opt=init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, model),
         stats=init_stats([row.size for row in model.trainable]), step=0, steps=[], mask_log=[], gradient_log=[],
@@ -667,15 +674,15 @@ class LayerReport:
     spec: float
 
 
-def decompose_inspect(model: Model) -> list[LayerReport]:
+def decompose_inspect(model: Model, split: DecompositionConfig | None = None) -> list[LayerReport]:
     """Per-layer view of a freshly decomposed (or loaded) model: rank split,
-    cumulative energy at the semantic cut, and the init regularizer values."""
+    cumulative energy at the semantic cut, and the init regularizer values.
+    A plain model is split under ``split``, by default its config's."""
     from . import losses as losses_mod
     from .decomposition import energy_fractions
 
     if not model.decomposed:
-        model = clone_model(model)
-        decompose_attention(model)
+        model = derive_model(model, split=model.config.decomposition if split is None else split)
     out = []
     for lid, block, name in attention_slots(model):
         layer = getattr(block, name)

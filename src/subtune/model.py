@@ -4,14 +4,19 @@ gradients.
 Attention projections (q, k, v, o per block) start as plain matrices; after
 backbone pretraining they can be decomposed into a frozen semantic subspace
 plus trainable artifact subspaces.  Everything outside those projections and
-the head (token embed, layer norms, MLPs) is frozen during fine-tuning.  Every
-array of a model is a view of one parameter buffer, ``Model.params``.
+the head (token embed, layer norms, MLPs) is frozen during fine-tuning.  A
+model is an immutable ``Layout``, which a model shares with its clones, plus
+one parameter buffer, ``Model.params``, of which every array of the model is
+a view.  ``stack_trainables`` is the one packer, the only code that copies
+values into a new buffer; a clone is one copy of the buffer.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -21,8 +26,11 @@ from .decomposition import (
     DecomposedLayer,
     DecompositionConfig,
     FactorStack,
+    SemanticPart,
+    cross_mask,
     decompose,
     recompose,
+    split_params,
 )
 
 Projection = Union[np.ndarray, DecomposedLayer]
@@ -59,7 +67,7 @@ class ModelConfig:
         self.decomposition.validate()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
     norm1_gain: np.ndarray
     norm1_bias: np.ndarray
@@ -87,32 +95,106 @@ def block_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
             "norm2_gain": (d,), "norm2_bias": (d,), "mlp_in": (h, d), "mlp_out": (d, h)}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """All of a model but its values, built once by ``stack_trainables``
+    and shared, read-only, by the model and its clones.  ``sections`` are
+    the shapes of the parts of ``params`` in buffer order (the (n_layers,
+    P) trainable rows, the head, ``token_embed``, then each block's
+    ``FROZEN_SLOTS``), ``offsets`` where each starts and then the size.
+    ``layers`` holds each decomposed slot's (layer id, semantic part,
+    ranks, pretrained energy), followed by the ``FactorStack`` constants
+    (none for a plain model); ``trained`` is ``trained_positions``'s for
+    a binary head."""
+
+    sections: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+    layers: tuple[tuple[int, SemanticPart, tuple[int, ...], float], ...] = field(repr=False)
+    cross_mask: np.ndarray | None = field(repr=False)
+    pair_scale: np.ndarray | None = field(repr=False)
+    pretrained_frob_sq: np.ndarray | None = field(repr=False)
+    trained: np.ndarray | None = field(repr=False)
+
+    def carve(self, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[dict[str, np.ndarray]]]:
+        """``buf`` split into its views: (the (n_layers, P) rows, the head,
+        the token embedding, one dict of ``FROZEN_SLOTS`` views per block).
+        A buffer of only the rows and the head (``offsets[2]`` values, a
+        binary head's gradient) gives (rows, head, None, [])."""
+        rows, head, *rest = [buf[lo:hi].reshape(shape) for shape, lo, hi
+                             in zip(self.sections, self.offsets, self.offsets[1:]) if hi <= buf.size]
+        embed, *frozen = rest or [None]
+        k = len(FROZEN_SLOTS)
+        return rows, head, embed, [dict(zip(FROZEN_SLOTS, frozen[i : i + k])) for i in range(0, len(frozen), k)]
+
+
+def _layout(cfg: ModelConfig, n_outputs: int, projections: list[Projection]) -> Layout:
+    """The layout of a model of ``cfg``'s dimensions with an ``n_outputs``-row
+    head and these attention slots, in layer-id order: plain matrices, or
+    decomposed layers whose rows are padded to the largest tail rank."""
+    d, first = cfg.d_model, projections[0]
+    decomposed = isinstance(first, DecomposedLayer)
+    width = max(p.tail_rank for p in projections) if decomposed else 0
+    row_size = (first.d_out + 1 + first.d_in) * width if decomposed else first.size
+    shapes = block_shapes(cfg)
+    sections = ((len(projections), row_size), (n_outputs, d), (d, d))
+    sections += tuple(shapes[slot] for _ in range(cfg.n_blocks) for slot in FROZEN_SLOTS)
+    offsets = tuple(accumulate((math.prod(shape) for shape in sections), initial=0))
+    trained = None  # a pretraining head trains every position
+    if n_outputs == 1:  # each row's real values, never its padding, then the head
+        index = np.arange(offsets[-1])
+        rows, head = index[: offsets[1]].reshape(sections[0]), index[offsets[1] : offsets[2]]
+        parts = [part for p, row in zip(projections, rows) for part in p.split(row)] if decomposed else [rows]
+        trained = np.concatenate([part.ravel() for part in parts + [head]])
+    layers, constants = (), (None, None, None)
+    if decomposed:
+        layers = tuple((p.layer_id, p.semantic, p.ranks, p.pretrained_frob_sq) for p in projections)
+        constants = (np.stack([cross_mask(p.ranks, width) for p in projections]),
+                     np.array([p.pair_scale for p in projections]),
+                     np.array([p.pretrained_frob_sq for p in projections]))
+    for a in (*constants, trained):
+        if a is not None:
+            a.setflags(write=False)
+    return Layout(sections, offsets, layers, *constants, trained)
+
+
+@dataclass(frozen=True)
 class Model:
-    """Every array of the model is a view of one float64 buffer,
-    ``params``, laid out as: the (n_layers, P) ``trainable`` rows, the
-    head, ``token_embed``, then each block's ``FROZEN_SLOTS`` (``_carve``).
-    ``trainable`` holds every attention slot's trainable values, one row per
-    layer in layer-id order, and each slot is a view of its row: a plain
-    matrix (P = d_out * d_in) or a decomposed layer's ``params``,
-    zero-padded to the model's largest tail rank.  ``factors`` stacks the
-    decomposed layers' U, s and V views of the rows (None for a plain
-    model)."""
+    """A model is its ``config``, a ``layout`` shared with its clones, and
+    one float64 buffer, ``params``, of which every other array is a view,
+    carved by the layout when the model is made: the ``trainable`` rows,
+    one per attention slot in layer-id order (a plain matrix, P = d_out *
+    d_in, or a decomposed layer's ``params`` zero-padded to the model's
+    largest tail rank), the head, ``token_embed``, each slot of ``blocks``
+    and ``factors``, the decomposed layers' U, s and V views of the rows
+    (None for a plain model).  A model, its blocks and layers are frozen,
+    so no array can be rebound off the buffer: write into it with [...]."""
 
     config: ModelConfig
-    token_embed: np.ndarray
-    blocks: list[Block]
-    head: np.ndarray
-    params: np.ndarray = field(init=False, repr=False)
+    layout: Layout
+    params: np.ndarray = field(repr=False)
+    token_embed: np.ndarray = field(init=False, repr=False)
+    blocks: tuple[Block, ...] = field(init=False, repr=False)
+    head: np.ndarray = field(init=False, repr=False)
     trainable: np.ndarray = field(init=False, repr=False)
     factors: FactorStack | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        stack_trainables(self)
+        layout, d = self.layout, self.config.d_model
+        rows, head, embed, frozen = layout.carve(self.params)
+        if layout.layers:
+            slots = [DecomposedLayer(lid, semantic, ranks, row, frob)
+                     for (lid, semantic, ranks, frob), row in zip(layout.layers, rows)]
+            factors = FactorStack(*split_params(rows, d, d, layout.cross_mask.shape[1]),
+                                  layout.cross_mask, layout.pair_scale, layout.pretrained_frob_sq)
+        else:
+            slots, factors = [row.reshape(d, d) for row in rows], None
+        blocks = tuple(Block(**dict(zip(PROJECTION_NAMES, slots[4 * b : 4 * b + 4])), **named)
+                       for b, named in enumerate(frozen))
+        vars(self).update(trainable=rows, head=head, token_embed=embed, blocks=blocks, factors=factors)
 
     @property
     def decomposed(self) -> bool:
-        return isinstance(self.blocks[0].q, DecomposedLayer)
+        return bool(self.layout.layers)
 
     @property
     def n_outputs(self) -> int:
@@ -134,91 +216,63 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
     blocks = [Block(**{slot: init(slot, shape) for slot, shape in shapes.items()}) for _ in range(cfg.n_blocks)]
     head = init("head", (cfg.n_classes_pretrain, cfg.d_model))
     token_embed = init("token_embed", (cfg.d_model, cfg.d_model))
-    return Model(config=cfg, token_embed=token_embed, blocks=blocks, head=head)
+    return stack_trainables(cfg, token_embed, blocks, head)
 
 
 def attention_slots(model: Model) -> list[tuple[int, Block, str]]:
     """(layer_id, block, projection name) for every maskable layer, in a fixed
     order: block 0 q,k,v,o then block 1 q,k,v,o and so on."""
-    out = []
-    lid = 0
-    for block in model.blocks:
-        for name in PROJECTION_NAMES:
-            out.append((lid, block, name))
-            lid += 1
-    return out
+    return [(4 * b + j, block, name) for b, block in enumerate(model.blocks) for j, name in enumerate(PROJECTION_NAMES)]
 
 
-def _carve(
-    model: Model, rows: tuple[int, int], full: bool = True, buf: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list[dict[str, np.ndarray]]]:
-    """The one place that knows the parameter layout: ``buf`` (by default a
-    new uninitialised buffer) split into its views, returned as (buffer, the
-    (n_layers, P) trainable ``rows``, the head, the token embedding, one
-    dict of ``FROZEN_SLOTS`` views per block).  Without ``full`` the buffer
-    is only the layout's trained prefix, the rows and the head, and the
-    frozen views are None and empty."""
-    cfg = model.config
-    sections = [rows, model.head.shape]
-    if full:
-        shapes = block_shapes(cfg)
-        sections += [(cfg.d_model, cfg.d_model)] + [shapes[slot] for _ in range(cfg.n_blocks) for slot in FROZEN_SLOTS]
-    sizes = [math.prod(shape) for shape in sections]
-    if buf is None:
-        buf = np.empty(sum(sizes))
-    views, at = [], 0
-    for shape, size in zip(sections, sizes):
-        views.append(buf[at : at + size].reshape(shape))
-        at += size
-    frozen = iter(views[3:])
-    blocks = [{slot: next(frozen) for slot in FROZEN_SLOTS} for _ in range(cfg.n_blocks)] if full else []
-    return buf, views[0], views[1], views[2] if full else None, blocks
-
-
-def stack_trainables(model: Model) -> None:
-    """Copy every array of the model into one new ``params`` buffer and
-    point each slot at its view.  Needed whenever an array is replaced or
-    copied, since a copied view no longer aliases its buffer."""
-    slots = attention_slots(model)
-    projections = [getattr(block, name) for _, block, name in slots]
-    decomposed, first = model.decomposed, projections[0]
-    row_size = (first.d_out + 1 + first.d_in) * max(p.tail_rank for p in projections) if decomposed else first.size
-    model.params, model.trainable, head, embed, frozen = _carve(model, (len(projections), row_size))
-    views = [(model, "head", head), (model, "token_embed", embed)]
-    views += [(block, slot, view) for block, named in zip(model.blocks, frozen) for slot, view in named.items()]
-    if decomposed:
-        model.trainable[...] = 0.0  # the padding past each layer's tail
-        for p, row in zip(projections, model.trainable):
-            values = p.split(p.params)
-            p.params = row
-            for view, value in zip((p.u, p.s, p.v), values):
+def stack_trainables(config: ModelConfig, token_embed: np.ndarray, blocks: list[Block], head: np.ndarray) -> Model:
+    """The one packer: a model of these arrays under a new layout, their
+    values copied into its new buffer.  Its decomposed layers share the
+    given layers' read-only semantic parts, and their rows are zero past
+    each layer's tail."""
+    projections = [getattr(block, name) for block in blocks for name in PROJECTION_NAMES]
+    layout = _layout(config, head.shape[0], projections)
+    model = Model(config, layout, np.zeros(layout.offsets[-1]))
+    model.head[...] = head
+    model.token_embed[...] = token_embed
+    for block, mine in zip(blocks, model.blocks):
+        for slot in BLOCK_SLOTS:
+            value, view = getattr(block, slot), getattr(mine, slot)
+            if isinstance(view, DecomposedLayer):
+                view.u[...], view.s[...], view.v[...] = value.u, value.s, value.v
+            else:
                 view[...] = value
-    else:
-        views += [(block, name, row.reshape(p.shape))
-                  for (_, block, name), p, row in zip(slots, projections, model.trainable)]
-    for owner, name, view in views:
-        view[...] = getattr(owner, name)
-        setattr(owner, name, view)
-    model.factors = FactorStack.of(projections, model.trainable) if decomposed else None
+    return model
 
 
-def decompose_attention(model: Model) -> None:
-    """Replace every plain attention projection with its subspace split."""
-    if model.decomposed:
-        raise ValueError("attention projections are already decomposed")
-    for lid, block, name in attention_slots(model):
-        w = getattr(block, name)
-        setattr(block, name, decompose(w, model.config.decomposition, layer_id=lid))
-    stack_trainables(model)
+def derive_model(model: Model, *, head: np.ndarray | None = None, split: DecompositionConfig | None = None) -> Model:
+    """A new model of ``model``'s arrays, packed once, with its own copy of
+    ``model``'s config; ``head`` replaces the head if given, and given a
+    ``split``, every plain attention projection is decomposed under it and
+    the split is recorded in the new config."""
+    config, blocks = copy.deepcopy(model.config), model.blocks
+    if split is not None:
+        if model.decomposed:
+            raise ValueError("attention projections are already decomposed")
+        config.decomposition = copy.deepcopy(split)
+        blocks = [replace(block, **{name: decompose(getattr(block, name), split, layer_id=lid)
+                                    for lid, name in enumerate(PROJECTION_NAMES, start=4 * b)})
+                  for b, block in enumerate(model.blocks)]
+    return stack_trainables(config, model.token_embed, blocks, model.head if head is None else head)
 
 
-def reset_head(
-    model: Model, n_outputs: int, rng: np.random.Generator, scale: float | None = None
-) -> None:
+def decompose_attention(model: Model, split: DecompositionConfig | None = None) -> None:
+    """Replace every plain attention projection with its subspace split under
+    ``split`` (by default the split in the model's config), and record the
+    split in the model's config.  The model becomes the new one whole."""
+    vars(model).update(vars(derive_model(model, split=model.config.decomposition if split is None else split)))
+
+
+def reset_head(model: Model, n_outputs: int, rng: np.random.Generator, scale: float | None = None) -> None:
     if scale is None:
         scale = 1.0 / math.sqrt(model.config.d_model)
-    model.head = rng.normal(scale=scale, size=(n_outputs, model.config.d_model))
-    stack_trainables(model)  # the head changes size
+    head = rng.normal(scale=scale, size=(n_outputs, model.config.d_model))
+    vars(model).update(vars(derive_model(model, head=head)))
 
 
 def weight_stack(model: Model) -> np.ndarray:
@@ -537,7 +591,9 @@ def backward(
         onehot[np.arange(n), y_idx] = 1.0
         dlogits = (cache.probs - onehot) / n
 
-    params, grad, d_head, d_embed, d_frozen = _carve(model, model.trainable.shape, full)
+    layout = model.layout
+    params = np.empty(layout.offsets[-1 if full else 2])
+    grad, d_head, d_embed, d_frozen = layout.carve(params)
     np.matmul(dlogits.T, cache.pool, out=d_head)
     d_pool = dlogits @ model.head
     dh = np.repeat(d_pool[:, None, :], cfg.n_tokens, axis=1) / cfg.n_tokens
@@ -608,28 +664,9 @@ def trained_positions(model: Model) -> np.ndarray:
     """The positions in ``model.params`` of what ``backward`` differentiates,
     in buffer order: for a binary head, each attention row's real values (a
     decomposed layer's U, s and V columns, never its padding, or the plain
-    matrix) and then the head; for a pretraining head, every position.
-    Refuses a model whose head, ``token_embed`` or any block slot was
-    rebound off the buffer, which everything that works on it would skip."""
-    _, rows, head, embed, frozen = _carve(model, model.trainable.shape, buf=model.params)
-    views = [("head", model.head, head), ("token_embed", model.token_embed, embed)]
-    for (lid, block, name), row in zip(attention_slots(model), rows):
-        slot = getattr(block, name)
-        views.append((f"block{lid // 4}.{name}", slot.params if isinstance(slot, DecomposedLayer) else slot, row))
-    views += [(f"block{b}.{slot}", getattr(model.blocks[b], slot), view)
-              for b, named in enumerate(frozen) for slot, view in named.items()]
-    for name, array, view in views:
-        if array.ctypes.data != view.ctypes.data or array.size != view.size:
-            raise ValueError(f"{name} is not a view of model.params; write into it with [...] or repack the model")
-    index = np.arange(model.params.size)
-    if model.n_outputs != 1:
-        return index
-    _, rows, head, _, _ = _carve(model, model.trainable.shape, buf=index)
-    parts = []
-    for (_, block, name), row in zip(attention_slots(model), rows):
-        slot = getattr(block, name)
-        parts += slot.split(row) if isinstance(slot, DecomposedLayer) else [row]
-    return np.concatenate([part.ravel() for part in parts + [head]])
+    matrix) and then the head (``Layout.trained``); for a pretraining head,
+    every position."""
+    return model.layout.trained if model.n_outputs == 1 else np.arange(model.params.size)
 
 
 def projection_param_vector(p: Projection) -> np.ndarray:
@@ -639,16 +676,7 @@ def projection_param_vector(p: Projection) -> np.ndarray:
 
 
 def clone_model(model: Model) -> Model:
-    """A copy with its own buffer, config, blocks and layers, packed once.
-    It shares only the decomposed layers' read-only semantic parts."""
-    import copy
-
-    blocks = []
-    for block in model.blocks:
-        twin = copy.copy(block)
-        for name in PROJECTION_NAMES:
-            p = getattr(block, name)
-            if isinstance(p, DecomposedLayer):
-                setattr(twin, name, copy.copy(p))  # repointed at the new rows by the pack
-        blocks.append(twin)
-    return Model(config=copy.deepcopy(model.config), token_embed=model.token_embed, blocks=blocks, head=model.head)
+    """A copy with its own buffer and config, carved by the same layout: it
+    shares only the layout, whose arrays (the semantic parts among them)
+    are read-only."""
+    return Model(copy.deepcopy(model.config), model.layout, model.params.copy())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from subtune.decomposition import recompose
 from subtune.masking import _moment_step, _unusable
 from subtune.metrics import ScoredSet
-from subtune.model import attention_slots, backward, clone_model, stack_trainables
+from subtune.model import PROJECTION_NAMES, attention_slots, backward, stack_trainables
 
 
 def brute_auc(scores, labels) -> float:
@@ -256,11 +257,10 @@ def loop_backward(model, inputs, labels, weights):
     come from a plain twin whose projections are the recomposed weights, so
     its forward and weight gradients are the decomposed model's; the value
     lists run last block first, q, k, v, o within a block."""
-    twin = clone_model(model)
+    blocks = [replace(block, **{name: recompose(getattr(block, name)) for name in PROJECTION_NAMES})
+              for block in model.blocks]
+    twin = stack_trainables(model.config, model.token_embed, blocks, model.head)
     slots = attention_slots(twin)
-    for _, block, name in slots:
-        setattr(block, name, recompose(getattr(block, name)))
-    stack_trainables(twin)
     _, twin_grads = backward(twin, inputs, labels, weights)
     n_layers = len(slots)
     orth, spec, grads = {}, {}, {}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -215,11 +216,14 @@ def test_whole_tail_recompose_matches_the_per_subspace_sum(layer) -> None:
     assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(want)
 
 
-def test_recompose_detects_corrupted_shapes() -> None:
+def test_a_layer_refuses_a_vector_of_the_wrong_size() -> None:
+    # a layer's views are built when it is made, so a vector of the wrong
+    # size is refused there, and params cannot be rebound afterwards
     layer = decompose(linalg.make_rng(2).normal(size=(6, 6)), DecompositionConfig(n_subspaces=2))
-    layer.params = layer.params[:-1]
-    with pytest.raises(ValueError):
-        recompose(layer)
+    with pytest.raises(ValueError, match="does not match"):
+        DecomposedLayer(layer.layer_id, layer.semantic, layer.ranks, layer.params[:-1], layer.pretrained_frob_sq)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.params = layer.params[:-1]
 
 
 def test_energy_fractions_sum_to_one() -> None:

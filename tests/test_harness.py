@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from subtune.config import config_from_dict
 from subtune.data import build_splits
 from subtune.decomposition import semantic_to_bytes
 from subtune.harness import (
+    FinetuneState,
     copy_state,
     decompose_inspect,
     eval_split,
@@ -298,6 +300,43 @@ def test_a_resumed_run_ends_byte_identical_to_an_uninterrupted_one(tmp_path, pre
         assert all(np.array_equal(g, w) for g, w in zip(rebuilt, resumed.mask_log)), k
 
 
+def assert_copied(copy, source, where: str) -> None:
+    """Every array field of the dataclass ``source``, of its optimizer state
+    and stats, and every array in each of its lists, has the same bytes in
+    ``copy`` and shares no memory with it; no list is shared.  The fields
+    are read from the dataclass, so one that the copy forgets fails here."""
+    for f in fields(source):
+        got, want, name = getattr(copy, f.name), getattr(source, f.name), f"{where}.{f.name}"
+        if isinstance(want, (masking.OptimizerState, masking.GradientStats)):
+            assert_copied(got, want, name)
+        items = [(name, got, want)]
+        if isinstance(want, list):
+            assert got is not want and len(got) == len(want), name
+            items = [(f"{name}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+        for at, g, w in items:
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), at
+                assert not np.shares_memory(g, w), at
+
+
+def test_a_snapshot_copies_every_array_of_the_state(pretrained):
+    _, splits, model, _ = pretrained
+    states = []
+    run_finetune(tiny_cfg(**MID_WARMUP), model, log_gradients=True, splits=splits,
+                 on_step=lambda state: states.append(copy_state(state)) if state.step == 7 else None)
+    state = states[0]
+    assert len(state.steps) == len(state.mask_log) == len(state.gradient_log) == 7
+    assert state.opt.layer_m is not None and state.stats.step == 7
+    snap = copy_state(state)
+    assert type(snap) is FinetuneState
+    assert_copied(snap, state, "state")
+    assert snap.model.layout is state.model.layout
+    assert snap.model.params.tobytes() == state.model.params.tobytes()
+    assert not np.shares_memory(snap.model.params, state.model.params)
+    assert snap.steps == state.steps and all(a is not b for a, b in zip(snap.steps, state.steps))
+    assert snap.config == state.config and snap.config is not state.config
+
+
 def test_a_resumed_run_leaves_its_snapshot_untouched(pretrained):
     _, splits, model, _ = pretrained
     cfg = tiny_cfg(**MID_WARMUP)
@@ -305,7 +344,7 @@ def test_a_resumed_run_leaves_its_snapshot_untouched(pretrained):
     snap = snaps[11]
     before = pickle.dumps(snap)
     resumed = run_finetune(cfg, snap, log_gradients=True, splits=splits)
-    resumed.model.params += 1.0
+    resumed.model.params[...] += 1.0
     resumed.opt.layer_m += 1.0
     resumed.opt.layer_step[0] += 5
     resumed.steps[0].cls = -1.0

@@ -125,7 +125,7 @@ def test_a_clone_shares_only_the_read_only_semantic_parts() -> None:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0
-    twin.params += 1.0
+    twin.params[...] += 1.0
     twin.head[...] = 7.0
     for block in twin.blocks:
         for slot in model_mod.FROZEN_SLOTS:

@@ -7,7 +7,7 @@ import pytest
 
 from reference_losses import pairwise_orth_loss, pairwise_orth_loss_grads
 from subtune import linalg
-from subtune.decomposition import DecompositionConfig, decompose, recompose
+from subtune.decomposition import DecomposedLayer, DecompositionConfig, decompose, recompose
 from subtune.losses import LossWeights, cls_loss, orth_loss, orth_loss_grads, spec_loss, total_loss
 
 
@@ -16,15 +16,16 @@ def fresh_layer(seed: int = 0, size: int = 10, n_subspaces: int = 3):
     return decompose(rng.normal(size=(size, size)), DecompositionConfig(n_subspaces=n_subspaces))
 
 
-def permute_groups(layer, order) -> None:
-    """Reorder the artifact subspaces: a permutation of the tail's column
-    blocks, written into ``params`` in place."""
+def permute_groups(layer, order) -> DecomposedLayer:
+    """The layer with its artifact subspaces reordered: a permutation of the
+    tail's column blocks, and of ``ranks``."""
     groups = layer.artifacts
     us = [groups[i].u for i in order]
     ss = [groups[i].s for i in order]
     vs = [groups[i].v for i in order]
-    layer.params[...] = np.concatenate([np.hstack(us).ravel(), np.concatenate(ss), np.hstack(vs).ravel()])
-    layer.ranks = tuple(layer.ranks[i] for i in order)
+    params = np.concatenate([np.hstack(us).ravel(), np.concatenate(ss), np.hstack(vs).ravel()])
+    ranks = tuple(layer.ranks[i] for i in order)
+    return DecomposedLayer(layer.layer_id, layer.semantic, ranks, params, layer.pretrained_frob_sq)
 
 
 def test_orth_loss_zero_at_init() -> None:
@@ -53,7 +54,7 @@ def test_orth_loss_symmetric_under_reordering() -> None:
         a.u[...] += 0.1 * rng.normal(size=a.u.shape)
         a.v[...] += 0.1 * rng.normal(size=a.v.shape)
     before = orth_loss(layer)
-    permute_groups(layer, (2, 0, 3, 1))
+    layer = permute_groups(layer, (2, 0, 3, 1))
     assert abs(orth_loss(layer) - before) <= 1e-12
 
 

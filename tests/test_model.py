@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -65,7 +66,7 @@ def grad_vector(model: Model, grads) -> np.ndarray:
 
 def test_zero_head_gives_half_probability() -> None:
     m = tiny_model()
-    m.head = np.zeros_like(m.head)
+    m.head[...] = 0.0
     x, _ = batch(0, 5, m.config)
     p = predict(m, x)
     assert np.array_equal(p, np.full(5, 0.5))
@@ -127,7 +128,7 @@ def test_forward_rejects_bad_inputs() -> None:
 
 def test_forward_names_exploding_block() -> None:
     m = tiny_model()
-    m.blocks[1].mlp_out = np.full_like(m.blocks[1].mlp_out, 1e308)
+    m.blocks[1].mlp_out[...] = 1e308
     x, _ = batch(2, 2, m.config)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="block 1"):
         forward(m, x)
@@ -225,19 +226,23 @@ def test_grad_check_reports_corrupted_coordinate(monkeypatch) -> None:
     assert rep.worst_index == target
 
 
-@pytest.mark.parametrize("rebind", ["head", "token_embed", "block0.mlp_in", "block0.q"])
-def test_grad_check_refuses_an_array_rebound_off_the_buffer(rebind) -> None:
-    # a copy no longer aliases model.params, so a check over the buffer
-    # would skip it (the head read relative error 1.0 before the refusal)
-    m = tiny_model(seed=42, decomposed=rebind != "block0.q")
-    owner, name = (m, rebind) if "." not in rebind else (m.blocks[0], rebind.split(".")[1])
-    setattr(owner, name, getattr(owner, name).copy())
-    x, y = batch(11, 3, m.config)
-    with pytest.raises(ValueError, match=rf"^{rebind} is not a view of model.params;") as err:
-        grad_check(m, x, y, LossWeights(1.0, 1.0))
+@pytest.mark.parametrize("rebind, decomposed", [
+    ("params", False), ("head", True), ("token_embed", True), ("block0.mlp_in", True),
+    ("block0.q", False), ("block0.q", True), ("block0.q.params", True),
+])
+def test_an_array_cannot_be_rebound_off_the_buffer(rebind, decomposed) -> None:
+    # a copy would no longer alias model.params, so everything that works
+    # on the buffer, a gradient check among them, would skip it
+    m = tiny_model(seed=42, decomposed=decomposed)
+    *path, name = rebind.split(".")
+    owner = m
+    for part in path:
+        owner = owner.blocks[0] if part == "block0" else getattr(owner, part)
+    before = m.params.tobytes()
+    with pytest.raises(AttributeError, match=rf"^cannot assign to field '{name}'$") as err:
+        setattr(owner, name, copy.copy(getattr(owner, name)))
     assert "\n" not in str(err.value)
-    with pytest.raises(ValueError, match=rf"^{rebind} is not a view"):
-        jitter_trainables(m, linalg.make_rng(5))
+    assert m.params.tobytes() == before
 
 
 def test_grad_check_large_step_warns() -> None:
@@ -299,6 +304,17 @@ def test_init_model_follows_the_block_shape_table() -> None:
         assert {slot: getattr(block, slot).shape for slot in shapes} == shapes
         assert np.all(block.norm1_gain == 1.0) and np.all(block.norm2_gain == 1.0)
         assert not block.norm1_bias.any() and not block.norm2_bias.any()
+
+
+def test_decompose_attention_takes_its_split_and_records_it() -> None:
+    cfg = tiny_config(n_subspaces=2)
+    m = init_model(cfg, linalg.make_rng(0))
+    split = DecompositionConfig(n_subspaces=3, rank_policy="fixed", fixed_rank=4)
+    decompose_attention(m, split)
+    layers = [getattr(block, name) for _, block, name in attention_slots(m)]
+    assert {(layer.semantic_rank, layer.ranks) for layer in layers} == {(4, (2, 1, 1))}
+    assert m.config.decomposition == split and m.config.decomposition is not split
+    assert cfg.decomposition == DecompositionConfig(n_subspaces=2)  # the caller's config is left as it was
 
 
 def test_decompose_attention_only_once() -> None:

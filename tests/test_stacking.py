@@ -8,6 +8,8 @@ pretraining's every-row step matching the whole-buffer one."""
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import LoopMasking, loop_backward, step_buffer
 from subtune import losses
+from subtune import model as model_mod
 from subtune.checkpoint import load_model, save_model
 from subtune.decomposition import DecomposedLayer, DecompositionConfig, decompose, layer_to_bytes
 from subtune.gradcheck import jitter_trainables
@@ -36,6 +39,7 @@ from subtune.masking import (
 )
 from subtune.model import (
     FROZEN_SLOTS,
+    PROJECTION_NAMES,
     ModelConfig,
     attention_slots,
     backward,
@@ -48,11 +52,24 @@ from subtune.model import (
 )
 
 
+def decomposed_per_layer(model, split):
+    """``model`` packed anew with layer ``lid`` decomposed under
+    ``split(lid)``."""
+    blocks = [
+        replace(block, **{name: decompose(getattr(block, name), split(lid), lid)
+                          for lid, name in enumerate(PROJECTION_NAMES, start=4 * b)})
+        for b, block in enumerate(model.blocks)
+    ]
+    return stack_trainables(model.config, model.token_embed, blocks, model.head)
+
+
 @st.composite
-def stacked_models(draw, allow_plain: bool = True):
+def stacked_models(draw, allow_plain: bool = True, pretraining_head: bool = False):
     """A binary-head model whose layers are decomposed under one of two
     configurations, so tail ranks and K differ from layer to layer and
-    shorter tails are padded; or, if allowed, sometimes the plain model."""
+    shorter tails are padded; or, if allowed, sometimes the plain model,
+    and sometimes one that keeps its pretraining head.  Sometimes the
+    model is a clone, which must serve as well as its source."""
     d = draw(st.integers(3, 9))
     n_blocks = draw(st.integers(1, 2))
     policy = draw(st.sampled_from(["energy", "fixed"]))
@@ -73,12 +90,13 @@ def stacked_models(draw, allow_plain: bool = True):
         make_rng(seed),
     )
     if not (allow_plain and draw(st.booleans())):
-        for lid, block, name in attention_slots(model):
-            setattr(block, name, decompose(getattr(block, name), configs[picks[lid]], lid))
-        stack_trainables(model)
-    reset_head(model, 1, make_rng(seed + 1))
+        model = decomposed_per_layer(model, lambda lid: configs[picks[lid]])
+    if not (pretraining_head and draw(st.booleans())):
+        reset_head(model, 1, make_rng(seed + 1))
     if draw(st.booleans()):  # off the spectral kink; else every layer sits on it
         jitter_trainables(model, make_rng(seed + 2), scale=0.05)
+    if draw(st.booleans()):
+        model = clone_model(model)
     weights = LossWeights(draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.sampled_from([0.0, 1.0])))
     return model, weights, seed
 
@@ -252,9 +270,7 @@ def mixed_model(seed: int = 0):
         DecompositionConfig(n_subspaces=3, rank_policy="fixed", fixed_rank=4),
     ]
     model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=configs[0]), make_rng(seed))
-    for lid, block, name in attention_slots(model):
-        setattr(block, name, decompose(getattr(block, name), configs[lid % 2], lid))
-    stack_trainables(model)
+    model = decomposed_per_layer(model, lambda lid: configs[lid % 2])
     reset_head(model, 1, make_rng(seed + 1))
     return model
 
@@ -321,6 +337,44 @@ def test_padding_stays_exactly_zero_through_training(mode, jitter) -> None:
     assert not np.array_equal(model.trainable, mixed_model().trainable)
     assert_zero_padding(model)
     assert_zero_padding(clone_model(model))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(stacked_models(pretraining_head=True))
+def test_a_clone_is_its_source_in_a_buffer_of_its_own(case) -> None:
+    model, weights, seed = case
+    twin = clone_model(model)
+    assert_one_buffer(twin)
+    assert twin.layout is model.layout
+    assert twin.params.tobytes() == model.params.tobytes()
+    assert not np.shares_memory(twin.params, model.params)
+    rng = make_rng(seed + 5)
+    x, labels = _batch(model, rng)
+    if model.n_outputs > 1:
+        labels = rng.integers(0, model.n_outputs, size=len(labels))
+    report, grads = backward(model, x, labels, weights)
+    twin_report, twin_grads = backward(twin, x, labels, weights)
+    assert twin_grads.params.tobytes() == grads.params.tobytes()
+    assert twin_report == report
+
+
+def test_a_clone_neither_packs_nor_lays_out(monkeypatch) -> None:
+    # the layout (offsets, cross masks, pair scales, trained positions) is
+    # built by the pack only; a clone reuses its source's
+    model = mixed_model()
+    calls = Counter()
+    for name in ("stack_trainables", "_layout", "cross_mask"):
+        def counted(*args, _name=name, _original=getattr(model_mod, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(model_mod, name, counted)
+    reset_head(model, 1, make_rng(3))
+    assert calls == {"stack_trainables": 1, "_layout": 1, "cross_mask": 8}
+    calls.clear()
+    twin = clone_model(model)
+    assert not calls
+    assert twin.layout is model.layout
+    assert_one_buffer(twin)
 
 
 def test_mixed_checkpoint_round_trips_without_padding(tmp_path) -> None:
