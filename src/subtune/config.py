@@ -33,14 +33,11 @@ class MaskSection:
 
 @dataclass
 class OptimizerSection:
-    mode: str = "adaptive"
     learning_rate: float = 2e-4
     batch_size: int = 32
     epochs: int = 10
 
     def validate(self) -> None:
-        if self.mode not in ("plain", "adaptive"):
-            raise ValueError(f"optimizer mode must be plain or adaptive, got {self.mode!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1 or self.epochs < 0:
@@ -105,7 +102,7 @@ _BLOCKED_KEYS = {
     "data": {"n_tokens": "model.n_tokens", "d_model": "model.d_model",
              "n_base_classes": "model.n_classes_pretrain", "seed": "seed"},
     "model": {"decomposition": "decomposition"},
-    # kept in StatsConfig for the config echo; the run reads the mask's
+    # the mask warmup is set in the mask section, which the run reads
     "stats": {"warmup_steps": "mask.warmup_steps"},
 }
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -95,10 +96,11 @@ class DecomposedLayer:
     subspace k being the k-th block of ``ranks[k]`` consecutive columns; the
     W - R columns past them are zero padding.  A freshly decomposed or
     loaded layer has W = R; in a model, W is the largest tail rank of its
-    layers.  ``u``, ``s``, ``v`` and ``artifacts`` are views of the real
-    columns, built when the layer is made.  A layer is frozen: ``params``
-    is never rebound, so its views cannot go stale, and a layer that joins
-    a model is a new layer on the model's row.
+    layers.  ``u``, ``s`` and ``v`` are views of the real columns, built
+    when the layer is made, and ``artifacts`` views of theirs, built on
+    first use.  A layer is frozen: ``params`` is never rebound, so its
+    views cannot go stale, and a layer that joins a model is a new layer on
+    the model's row.
     """
 
     layer_id: int
@@ -109,13 +111,17 @@ class DecomposedLayer:
     u: np.ndarray = field(init=False, repr=False)
     s: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
-    artifacts: tuple[ArtifactView, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         u, s, v = self.split(self.params)
+        vars(self).update(u=u, s=s, v=v)  # past the frozen __setattr__
+
+    @cached_property
+    def artifacts(self) -> tuple[ArtifactView, ...]:
+        """Each artifact subspace's (U, s, V) views, in subspace order."""
         bounds = list(accumulate(self.ranks, initial=0))
-        artifacts = tuple(ArtifactView(u[:, lo:hi], s[lo:hi], v[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-        vars(self).update(u=u, s=s, v=v, artifacts=artifacts)  # past the frozen __setattr__
+        return tuple(ArtifactView(self.u[:, lo:hi], self.s[lo:hi], self.v[:, lo:hi])
+                     for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def d_out(self) -> int:

@@ -36,7 +36,6 @@ from .masking import (
     GradientStats,
     LayerMask,
     OptimizerState,
-    StatsConfig,
     apply_update,
     build_mask,
     compute_bvg,
@@ -141,8 +140,7 @@ def copy_state(state: FinetuneState) -> FinetuneState:
     read-only layout), the optimizer and stats arrays, the logs and the
     config copied."""
     opt, stats = state.opt, state.stats
-    moments = {name: getattr(opt, name).copy() for name in ("layer_m", "layer_v", "rest_m", "rest_v")
-               if getattr(opt, name) is not None}
+    moments = {name: getattr(opt, name).copy() for name in ("layer_m", "layer_v", "rest_m", "rest_v")}
     return FinetuneState(**{f.name: getattr(state, f.name) for f in fields(FinetuneState)} | dict(
         model=clone_model(state.model),
         opt=replace(opt, layer_step=list(opt.layer_step), **moments),
@@ -208,7 +206,7 @@ def run_pretrain(
         splits = build_splits(cfg.data, _PRETRAIN_SPLITS)
     model = init_model(cfg.model, make_rng(cfg.seed, _INIT_STREAM))
     train, test = splits.pretrain_train, splits.pretrain_test
-    opt = init_optimizer("adaptive", cfg.pretrain.learning_rate, model)
+    opt = init_optimizer(cfg.pretrain.learning_rate, model)
     every_row = np.arange(model.trainable.shape[0])
     epochs_run = 0
     for epoch in range(cfg.pretrain.max_epochs):
@@ -244,13 +242,11 @@ def _mask_rule(cfg: TrainConfig, record: RunRecord, stats: GradientStats) -> Cal
     gradient rows); it advances the EMA ``stats``, so each step is fed
     once, in order.  The live run and its replay both build their masks
     here."""
-    stats_cfg = StatsConfig(ema_coeff=cfg.stats.ema_coeff, moment_floor=cfg.stats.moment_floor,
-                            warmup_steps=record.warmup_steps)
     forced_zero = np.asarray(record.forced_zero, dtype=np.intp)
 
     def rule(step: int, grad_rows: np.ndarray) -> LayerMask:
-        update_stats(stats, grad_rows, stats_cfg)
-        mask = build_mask(compute_bvg(stats, stats_cfg), record.budget, step, stats_cfg)
+        update_stats(stats, grad_rows, cfg.stats)
+        mask = build_mask(compute_bvg(stats, cfg.stats), record.budget, step, record.warmup_steps)
         mask.bits[forced_zero] = 0
         return mask
 
@@ -294,7 +290,7 @@ def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
     head = make_rng(cfg.seed, _HEAD_STREAM).normal(scale=_HEAD_INIT_SCALE, size=(1, pretrained.config.d_model))
     model = derive_model(pretrained, head=head, split=cfg.decomposition if masft else None)
     return FinetuneState(
-        model=model, opt=init_optimizer(cfg.optimizer.mode, cfg.optimizer.learning_rate, model),
+        model=model, opt=init_optimizer(cfg.optimizer.learning_rate, model),
         stats=init_stats([row.size for row in model.trainable]), step=0, steps=[], mask_log=[], gradient_log=[],
         config=config_to_dict(cfg), masft=masft, budget=budget, forced_zero=forced_zero,
     )

@@ -1,11 +1,12 @@
 """Selective layer masking: streamed per-layer gradient moments, the
-bias-variance score derived from them, top-budget mask construction, and
-the one optimizer step, with per-layer frozen state, that both the masked
-fine-tune update and pretraining (every layer active) take."""
+bias-variance score derived from them, top-budget mask construction after
+an all-active warmup, and the one adaptive-moment optimizer step, with
+per-layer frozen state, that both the masked fine-tune update and
+pretraining (every layer active) take."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,15 +18,12 @@ from .model import Gradients, Model
 class StatsConfig:
     ema_coeff: float = 0.9
     moment_floor: float = 1e-12
-    warmup_steps: int = 0
 
     def validate(self) -> None:
         if not 0.0 <= self.ema_coeff < 1.0:
             raise ValueError(f"ema_coeff must be in [0, 1), got {self.ema_coeff}")
         if self.moment_floor <= 0.0:
             raise ValueError(f"moment_floor must be > 0, got {self.moment_floor}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
 def _moment_shape(sizes: Sequence[int]) -> tuple[int, int]:
@@ -96,16 +94,17 @@ class LayerMask:
         return int(self.bits.sum())
 
 
-def build_mask(bvg: np.ndarray, budget: int, step: int, cfg: StatsConfig) -> LayerMask:
-    """All-active during warmup; afterwards the ``budget`` largest scores win,
-    ties going to the lower layer id."""
-    cfg.validate()
+def build_mask(bvg: np.ndarray, budget: int, step: int, warmup: int) -> LayerMask:
+    """All-active up to step ``warmup``; afterwards the ``budget`` largest
+    scores win, ties going to the lower layer id."""
     scores = np.asarray(bvg, dtype=np.float64)
     n = scores.shape[0]
     if budget < 1:
         raise ValueError(f"active-layer budget must be >= 1, got {budget}")
+    if warmup < 0:
+        raise ValueError(f"warmup_steps must be >= 0, got {warmup}")
     bits = np.zeros(n, dtype=np.int8)
-    if step <= cfg.warmup_steps:
+    if step <= warmup:
         bits[:] = 1
     else:
         take = min(budget, n)
@@ -116,43 +115,37 @@ def build_mask(bvg: np.ndarray, budget: int, step: int, cfg: StatsConfig) -> Lay
 
 @dataclass
 class OptimizerState:
-    """Plain gradient-descent or adaptive-moment updates of the gradient
-    buffer ``backward`` forms: the (n_layers, P) rows, one per attention
-    layer, and the rest past them (the head for a binary head; the head,
-    ``token_embed`` and every frozen slot for a pretraining head).  Every
-    layer and the rest own an independent step counter, so a masked
+    """Adaptive-moment updates of the gradient buffer ``backward`` forms:
+    the (n_layers, P) rows, one per attention layer, and the rest past them
+    (the head for a binary head; the head, ``token_embed`` and every frozen
+    slot for a pretraining head).  ``layer_m``/``layer_v`` hold the rows'
+    moments, one row per layer, and ``rest_m``/``rest_v`` the rest's.
+    Every layer and the rest own an independent step counter, so a masked
     layer's state, bias correction included, is bit-frozen while it sits
-    out.  In adaptive mode ``layer_m``/``layer_v`` hold the rows' moments,
-    one row per layer, and ``rest_m``/``rest_v`` the rest's."""
+    out."""
 
-    mode: str
     learning_rate: float
+    layer_m: np.ndarray
+    layer_v: np.ndarray
+    layer_step: list[int]
+    rest_m: np.ndarray
+    rest_v: np.ndarray
+    rest_step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    layer_m: np.ndarray | None = None
-    layer_v: np.ndarray | None = None
-    layer_step: list[int] = field(default_factory=list)
-    rest_m: np.ndarray | None = None
-    rest_v: np.ndarray | None = None
-    rest_step: int = 0
 
 
-def init_optimizer(mode: str, learning_rate: float, model: Model) -> OptimizerState:
+def init_optimizer(learning_rate: float, model: Model) -> OptimizerState:
     """Fresh state for the gradients ``backward`` forms for ``model``: its
     rows and head for a binary head, all of ``model.params`` for a
     pretraining head."""
-    if mode not in ("plain", "adaptive"):
-        raise ValueError(f"optimizer mode must be 'plain' or 'adaptive', got {mode!r}")
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     shape = model.trainable.shape
-    opt = OptimizerState(mode=mode, learning_rate=learning_rate, layer_step=[0] * shape[0])
-    if mode == "adaptive":
-        rest = model.head.size if model.n_outputs == 1 else model.params.size - model.trainable.size
-        opt.layer_m, opt.layer_v = np.zeros(shape), np.zeros(shape)
-        opt.rest_m, opt.rest_v = np.zeros(rest), np.zeros(rest)
-    return opt
+    rest = model.head.size if model.n_outputs == 1 else model.params.size - model.trainable.size
+    return OptimizerState(learning_rate, np.zeros(shape), np.zeros(shape), [0] * shape[0],
+                          np.zeros(rest), np.zeros(rest))
 
 
 def _moment_step(theta, grad, m, v, c1, c2, opt: OptimizerState):
@@ -169,14 +162,11 @@ def _moment_step(theta, grad, m, v, c1, c2, opt: OptimizerState):
     return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps), m, v
 
 
-def _unusable(new: np.ndarray, second: np.ndarray | None) -> np.ndarray:
+def _unusable(new: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Where a staged update must not be written: a non-finite parameter, or
     a second moment that overflowed to inf (which leaves the parameters
     finite but freezes the coordinate for good)."""
-    bad = ~np.isfinite(new)
-    if second is not None:
-        bad |= ~np.isfinite(second)
-    return bad
+    return ~np.isfinite(new) | ~np.isfinite(second)
 
 
 def staged_step(model: Model, grads: Gradients, active: np.ndarray, opt: OptimizerState,
@@ -189,26 +179,19 @@ def staged_step(model: Model, grads: Gradients, active: np.ndarray, opt: Optimiz
     so a non-finite update raises with the model and ``opt`` unchanged,
     naming ``at`` if given, else the first bad layer or the head."""
     rows = model.trainable
-    if len(opt.layer_step) != rows.shape[0] or (opt.layer_m is not None and opt.layer_m.shape != rows.shape):
+    if len(opt.layer_step) != rows.shape[0] or opt.layer_m.shape != rows.shape:
         raise ValueError("optimizer state is shaped for other layers than the model's")
     theta, grad = rows[active], grads.trainable[active]
     rest = model.params[rows.size : grads.params.size]
     rest_grad = grads.params[rows.size :]
-    if opt.mode == "plain":
-        new = theta - opt.learning_rate * grad
-        new_rest = rest - opt.learning_rate * rest_grad
-        second = rest_second = None
-    else:
-        steps = [opt.layer_step[lid] + 1 for lid in active]
-        c1 = np.array([1.0 - opt.beta1**t for t in steps])[:, None]
-        c2 = np.array([1.0 - opt.beta2**t for t in steps])[:, None]
-        new, first, second = _moment_step(
-            theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt
-        )
-        t = opt.rest_step + 1
-        new_rest, rest_first, rest_second = _moment_step(
-            rest, rest_grad, opt.rest_m, opt.rest_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
-        )
+    steps = [opt.layer_step[lid] + 1 for lid in active]
+    c1 = np.array([1.0 - opt.beta1**t for t in steps])[:, None]
+    c2 = np.array([1.0 - opt.beta2**t for t in steps])[:, None]
+    new, first, second = _moment_step(theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt)
+    t = opt.rest_step + 1
+    new_rest, rest_first, rest_second = _moment_step(
+        rest, rest_grad, opt.rest_m, opt.rest_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
+    )
     bad = _unusable(new, second).any(axis=1)
     bad_rest = _unusable(new_rest, rest_second).any()
     if at is not None and (bad.any() or bad_rest):
@@ -219,12 +202,11 @@ def staged_step(model: Model, grads: Gradients, active: np.ndarray, opt: Optimiz
         raise ValueError("non-finite update for the head")
     rows[active] = new
     rest[...] = new_rest
-    if opt.mode == "adaptive":
-        opt.layer_m[active] = first
-        opt.layer_v[active] = second
-        for lid in active:
-            opt.layer_step[lid] += 1
-        opt.rest_m, opt.rest_v, opt.rest_step = rest_first, rest_second, t
+    opt.layer_m[active] = first
+    opt.layer_v[active] = second
+    for lid in active:
+        opt.layer_step[lid] += 1
+    opt.rest_m, opt.rest_v, opt.rest_step = rest_first, rest_second, t
 
 
 def apply_update(

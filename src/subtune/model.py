@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import accumulate
 from typing import Union
 
@@ -104,8 +105,7 @@ class Layout:
     ``FROZEN_SLOTS``), ``offsets`` where each starts and then the size.
     ``layers`` holds each decomposed slot's (layer id, semantic part,
     ranks, pretrained energy), followed by the ``FactorStack`` constants
-    (none for a plain model); ``trained`` is ``trained_positions``'s for
-    a binary head."""
+    (none for a plain model)."""
 
     sections: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
@@ -113,7 +113,24 @@ class Layout:
     cross_mask: np.ndarray | None = field(repr=False)
     pair_scale: np.ndarray | None = field(repr=False)
     pretrained_frob_sq: np.ndarray | None = field(repr=False)
-    trained: np.ndarray | None = field(repr=False)
+
+    @cached_property
+    def trained(self) -> np.ndarray | None:
+        """``trained_positions``'s for a binary head, read-only and built on
+        first use: each row's real values, never its padding, then the
+        head.  None for a pretraining head, which trains every position."""
+        rows_shape, (n_outputs, d) = self.sections[:2]
+        if n_outputs != 1:
+            return None
+        index = np.arange(self.offsets[2])
+        rows, head = index[: self.offsets[1]].reshape(rows_shape), index[self.offsets[1] :]
+        parts = [rows]
+        if self.layers:  # the real columns of each padded row
+            parts = [part[..., : sum(ranks)] for (_, _, ranks, _), row in zip(self.layers, rows)
+                     for part in split_params(row, d, d, self.cross_mask.shape[1])]
+        trained = np.concatenate([part.ravel() for part in parts + [head]])
+        trained.setflags(write=False)
+        return trained
 
     def carve(self, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[dict[str, np.ndarray]]]:
         """``buf`` split into its views: (the (n_layers, P) rows, the head,
@@ -139,22 +156,16 @@ def _layout(cfg: ModelConfig, n_outputs: int, projections: list[Projection]) -> 
     sections = ((len(projections), row_size), (n_outputs, d), (d, d))
     sections += tuple(shapes[slot] for _ in range(cfg.n_blocks) for slot in FROZEN_SLOTS)
     offsets = tuple(accumulate((math.prod(shape) for shape in sections), initial=0))
-    trained = None  # a pretraining head trains every position
-    if n_outputs == 1:  # each row's real values, never its padding, then the head
-        index = np.arange(offsets[-1])
-        rows, head = index[: offsets[1]].reshape(sections[0]), index[offsets[1] : offsets[2]]
-        parts = [part for p, row in zip(projections, rows) for part in p.split(row)] if decomposed else [rows]
-        trained = np.concatenate([part.ravel() for part in parts + [head]])
     layers, constants = (), (None, None, None)
     if decomposed:
         layers = tuple((p.layer_id, p.semantic, p.ranks, p.pretrained_frob_sq) for p in projections)
         constants = (np.stack([cross_mask(p.ranks, width) for p in projections]),
                      np.array([p.pair_scale for p in projections]),
                      np.array([p.pretrained_frob_sq for p in projections]))
-    for a in (*constants, trained):
+    for a in constants:
         if a is not None:
             a.setflags(write=False)
-    return Layout(sections, offsets, layers, *constants, trained)
+    return Layout(sections, offsets, layers, *constants)
 
 
 @dataclass(frozen=True)

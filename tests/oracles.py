@@ -277,7 +277,7 @@ class LoopMasking:
     """EMA statistics, BVG and masked updates kept as one array per layer
     (a layer's padded row), stepped layer by layer."""
 
-    def __init__(self, params, head, mode, lr, ema, floor, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, head, lr, ema, floor, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = [p.copy() for p in params]
         self.head = head.copy()
         self.first = [np.zeros(p.size) for p in params]
@@ -288,7 +288,7 @@ class LoopMasking:
         self.rest_m = np.zeros(head.size)
         self.rest_v = np.zeros(head.size)
         self.rest_step = 0
-        self.mode, self.lr, self.ema, self.floor = mode, lr, ema, floor
+        self.lr, self.ema, self.floor = lr, ema, floor
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def update_stats(self, grads):
@@ -316,21 +316,14 @@ class LoopMasking:
 
     def apply(self, grads, head_grad, bits):
         for i in np.flatnonzero(bits):
-            if self.mode == "plain":
-                self.params[i] = self.params[i] - self.lr * grads[i]
-            else:
-                self.steps[i] += 1
-                self.params[i], self.m[i], self.v[i] = self._adam(
-                    self.params[i], grads[i], self.m[i], self.v[i], self.steps[i]
-                )
-        head = self.head.ravel()
-        if self.mode == "plain":
-            new = head - self.lr * head_grad.ravel()
-        else:
-            self.rest_step += 1
-            new, self.rest_m, self.rest_v = self._adam(
-                head, head_grad.ravel(), self.rest_m, self.rest_v, self.rest_step
+            self.steps[i] += 1
+            self.params[i], self.m[i], self.v[i] = self._adam(
+                self.params[i], grads[i], self.m[i], self.v[i], self.steps[i]
             )
+        self.rest_step += 1
+        new, self.rest_m, self.rest_v = self._adam(
+            self.head.ravel(), head_grad.ravel(), self.rest_m, self.rest_v, self.rest_step
+        )
         self.head = new.reshape(self.head.shape)
 
 

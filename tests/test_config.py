@@ -19,7 +19,6 @@ def test_default_preset_values():
     assert cfg.mask.active_layer_budget == 16
     assert cfg.mask.warmup_steps is None
     assert cfg.stats.ema_coeff == 0.9
-    assert cfg.optimizer.mode == "adaptive"
     assert cfg.optimizer.learning_rate == 2e-4
     assert cfg.weights.orth_weight == 1.0
     assert cfg.weights.spectral_weight == 1.0
@@ -38,6 +37,8 @@ def test_unknown_key_rejected_with_path():
         config_from_dict({"optimizer": {"learning_rte": 1e-3}})
     with pytest.raises(ValueError, match="bogus is not recognized"):
         config_from_dict({"bogus": 1})
+    with pytest.raises(ValueError, match="^config key optimizer.mode is not recognized$"):
+        config_from_dict({"optimizer": {"mode": "plain"}})
 
 
 def test_blocked_duplicate_scalar_rejected():
@@ -97,6 +98,14 @@ def test_yaml_round_trip(tmp_path):
     assert isinstance(echo["data"]["families_train"], list)
 
 
+def test_config_echo_names_no_update_rule_and_no_stats_warmup():
+    # one update rule, and the mask warmup is set in one place
+    echo = config_to_dict(default_config())
+    assert "mode" not in echo["optimizer"]
+    assert "warmup_steps" not in echo["stats"]
+    assert echo["mask"]["warmup_steps"] is None
+
+
 def test_empty_yaml_gives_defaults(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
@@ -106,8 +115,11 @@ def test_empty_yaml_gives_defaults(tmp_path):
 
 
 def test_invalid_mode_rejected():
-    with pytest.raises(ValueError, match="plain or adaptive"):
-        config_from_dict({"optimizer": {"mode": "sgd"}})
+    # one update rule: no value of optimizer.mode is taken, not even the
+    # former default
+    for mode in ("sgd", "adaptive"):
+        with pytest.raises(ValueError, match="optimizer.mode is not recognized"):
+            config_from_dict({"optimizer": {"mode": mode}})
 
 
 def test_yaml_exponent_without_dot_loads_as_float(tmp_path):
@@ -133,7 +145,7 @@ def test_yaml_exponent_without_dot_loads_as_float(tmp_path):
         ({"seed": False}, "seed must be an integer"),
         ({"mask": {"warmup_steps": 1.5}}, "mask.warmup_steps must be an integer"),
         ({"stats": {"ema_coeff": True}}, "stats.ema_coeff must be a number"),
-        ({"optimizer": {"mode": 3}}, "optimizer.mode must be a string"),
+        ({"decomposition": {"rank_policy": 3}}, "decomposition.rank_policy must be a string"),
         ({"data": {"families_train": "token-blur"}}, "data.families_train must be a list"),
         ({"data": {"families_train": ["token-blur", 7]}}, r"data.families_train\[1\] must be a string"),
     ],

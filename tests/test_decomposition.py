@@ -226,6 +226,19 @@ def test_a_layer_refuses_a_vector_of_the_wrong_size() -> None:
         layer.params = layer.params[:-1]
 
 
+def test_artifact_views_are_built_on_first_use() -> None:
+    layer = decompose(linalg.make_rng(4).normal(size=(10, 10)), DecompositionConfig(n_subspaces=3))
+    assert "artifacts" not in vars(layer)
+    views = layer.artifacts
+    assert layer.artifacts is views
+    assert [a.rank for a in views] == list(layer.ranks)
+    for a in views:
+        for part in (a.u, a.s, a.v):
+            assert np.shares_memory(part, layer.params)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.artifacts = views
+
+
 def test_energy_fractions_sum_to_one() -> None:
     layer = decompose(linalg.make_rng(8).normal(size=(12, 12)), DecompositionConfig(n_subspaces=4))
     sem, arts = energy_fractions(layer)

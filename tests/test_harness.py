@@ -138,7 +138,6 @@ def test_degenerate_config_reduces_to_plain_subspace_tuning(pretrained):
         **{
             "decomposition.n_subspaces": 1,
             "mask.active_layer_budget": 8,
-            "optimizer.mode": "plain",
             "weights.orth_weight": 0.0,
             "weights.spectral_weight": 0.0,
         }

@@ -12,6 +12,7 @@ change that is meant to move numbers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -105,7 +106,7 @@ def test_views_alias_params_after_clone_load_and_update(tmp_path) -> None:
     params = [layer.params for layer in decomposed_layers(model)]
     before = [p.copy() for p in params]
     n_layers = len(params)
-    opt = init_optimizer("adaptive", 1e-2, model)
+    opt = init_optimizer(1e-2, model)
     apply_update(model, grads, LayerMask(np.ones(n_layers, dtype=np.int8), n_layers), opt)
     for layer, p, old in zip(decomposed_layers(model), params, before):
         assert layer.params is p  # updated in place
@@ -139,10 +140,31 @@ def test_a_clone_shares_only_the_read_only_semantic_parts() -> None:
     assert_views_alias_params(twin)
 
 
+def test_the_trained_index_is_built_on_first_use_and_shared_read_only() -> None:
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=3))
+    model = init_model(cfg, make_rng(0))
+    assert model.layout.trained is None  # a pretraining head trains every position
+    decompose_attention(model)
+    reset_head(model, 1, make_rng(1))
+    twin = clone_model(model)
+    assert twin.layout is model.layout and "trained" not in vars(model.layout)
+    index = trained_positions(twin)
+    assert trained_positions(model) is index
+    assert not index.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.layout.trained = index
+    # each layer's real U, s and V values, never its padding, then the head
+    layers = decomposed_layers(model)
+    assert index.size == sum(layer.u.size + layer.s.size + layer.v.size for layer in layers) + model.head.size
+    assert np.all(np.diff(index) > 0)
+    n_rows = model.trainable.size
+    assert np.array_equal(index[-model.head.size :], np.arange(n_rows, n_rows + model.head.size))
+
+
 def test_no_two_layers_models_or_moments_share_storage() -> None:
     model = small_model()
     twin = clone_model(model)
-    opt = init_optimizer("adaptive", 1e-3, model)
+    opt = init_optimizer(1e-3, model)
     arrays = (
         [*model.trainable, model.head, *twin.trainable, twin.head]
         + list(opt.layer_m)
@@ -161,7 +183,7 @@ def test_non_finite_update_leaves_params_bit_unchanged() -> None:
     layers = decomposed_layers(model)
     before = [(layer.params, layer.params.tobytes()) for layer in layers]
     grads.trainable[5, -1] = np.nan  # block 1's k
-    opt = init_optimizer("plain", 0.1, model)
+    opt = init_optimizer(1e-3, model)
     with pytest.raises(ValueError, match="layer 5"):
         apply_update(model, grads, LayerMask(np.ones(len(layers), dtype=np.int8), len(layers)), opt)
     for layer, (params, raw) in zip(layers, before):

@@ -8,7 +8,6 @@ from subtune.decomposition import DecompositionConfig
 from subtune.losses import LossWeights
 from subtune.masking import (
     LayerMask,
-    OptimizerState,
     StatsConfig,
     _moment_step,
     apply_update,
@@ -74,26 +73,24 @@ def test_bvg_floor_handles_degenerate_variance() -> None:
 
 
 def test_build_mask_examples() -> None:
-    cfg = StatsConfig(warmup_steps=0)
-    mask = build_mask(np.array([3.0, 1.0, 2.0]), 2, 1, cfg)
+    mask = build_mask(np.array([3.0, 1.0, 2.0]), 2, 1, 0)
     assert mask.bits.tolist() == [1, 0, 1]
-    tie = build_mask(np.array([1.0, 1.0, 1.0]), 1, 1, cfg)
+    tie = build_mask(np.array([1.0, 1.0, 1.0]), 1, 1, 0)
     assert tie.bits.tolist() == [1, 0, 0]
-    allon = build_mask(np.array([1.0, 2.0]), 5, 1, cfg)
+    allon = build_mask(np.array([1.0, 2.0]), 5, 1, 0)
     assert allon.bits.tolist() == [1, 1]
     assert allon.active == 2
 
 
 def test_build_mask_warmup_and_cardinality() -> None:
-    cfg = StatsConfig(warmup_steps=3)
     scores = np.array([0.0, 5.0, 1.0, 4.0])
     for t in (1, 2, 3):
-        assert build_mask(scores, 2, t, cfg).bits.tolist() == [1, 1, 1, 1]
-    post = build_mask(scores, 2, 4, cfg)
+        assert build_mask(scores, 2, t, 3).bits.tolist() == [1, 1, 1, 1]
+    post = build_mask(scores, 2, 4, 3)
     assert post.bits.tolist() == [0, 1, 0, 1]
     assert post.active == 2
     with pytest.raises(ValueError):
-        build_mask(scores, 0, 1, cfg)
+        build_mask(scores, 0, 1, 3)
 
 
 def test_build_mask_tie_prefers_lower_layer_id() -> None:
@@ -102,7 +99,7 @@ def test_build_mask_tie_prefers_lower_layer_id() -> None:
         n = int(rng.integers(2, 12))
         scores = rng.integers(0, 3, size=n).astype(np.float64)  # many ties
         m = int(rng.integers(1, n + 1))
-        bits = build_mask(scores, m, 1, StatsConfig()).bits
+        bits = build_mask(scores, m, 1, 0).bits
         assert bits.sum() == min(m, n)
         # no inactive layer may beat an active one; among equals the active
         # ones must be the earliest
@@ -113,17 +110,38 @@ def test_build_mask_tie_prefers_lower_layer_id() -> None:
                 assert scores[i] > scores[j] or (scores[i] == scores[j] and i < j)
 
 
-def test_plain_step_example() -> None:
+def test_adaptive_step_example() -> None:
+    # the first bias-corrected step has m_hat = g and v_hat = g * g, so an
+    # active coordinate moves by lr * g / (|g| + eps)
     model, grads = _one_layer_setup()
-    opt = init_optimizer("plain", 0.1, model)
+    opt = init_optimizer(0.1, model)
     layer = model.blocks[0].q
     layer.params[0] = 1.0
     grads.trainable[0, 0] = 0.5
     bits = np.zeros(len(model.trainable), dtype=np.int8)
     bits[0] = 1
     apply_update(model, grads, LayerMask(bits=bits, budget=1), opt)
-    assert np.allclose(layer.params[0], 0.95, atol=1e-15)
-    assert opt.layer_m is None and opt.layer_v is None
+    assert abs(layer.params[0] - (1.0 - 0.1 * 0.5 / (0.5 + 1e-8))) <= 1e-15
+    assert abs(opt.layer_m[0, 0] - 0.05) <= 1e-15 and abs(opt.layer_v[0, 0] - 0.00025) <= 1e-15
+    assert opt.layer_step == [1] + [0] * (len(bits) - 1) and opt.rest_step == 1
+    assert not opt.layer_m[1:].any() and not opt.layer_v[1:].any()
+
+
+def test_init_optimizer_allocates_zero_moments_for_what_backward_forms() -> None:
+    model, _ = _one_layer_setup()
+    opt = init_optimizer(1e-3, model)
+    for a in (opt.layer_m, opt.layer_v):
+        assert a.shape == model.trainable.shape and not a.any()
+    for a in (opt.rest_m, opt.rest_v):
+        assert a.shape == (model.head.size,) and not a.any()
+    assert opt.layer_step == [0] * len(model.trainable) and opt.rest_step == 0
+    # a pretraining head trains every position past the rows
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, n_classes_pretrain=3)
+    pre = init_model(cfg, linalg.make_rng(0))
+    opt = init_optimizer(1e-3, pre)
+    rest = pre.params.size - pre.trainable.size
+    assert opt.rest_m.shape == opt.rest_v.shape == (rest,)
+    assert opt.layer_m.shape == opt.layer_v.shape == pre.trainable.shape
 
 
 def test_adaptive_step_matches_reference() -> None:
@@ -135,7 +153,7 @@ def test_adaptive_step_matches_reference() -> None:
         vh = v2 / (1 - b2**t)
         return theta - lr * mh / (np.sqrt(vh) + eps), m2, v2
 
-    opt = OptimizerState(mode="adaptive", learning_rate=2e-4)
+    opt = init_optimizer(2e-4, _one_layer_setup()[0])
     m0, v0 = np.zeros(3), np.zeros(3)
     theta = np.array([0.0, 1.0, -2.0])
     g1 = np.array([0.5, -0.25, 0.125])
@@ -178,7 +196,7 @@ def test_apply_update_all_masked_leaves_layers_untouched() -> None:
     before = [v.copy() for v in layer_vectors(model)]
     head_before = model.head.copy()
     sizes = [v.size for v in before]
-    opt = init_optimizer("adaptive", 1e-3, model)
+    opt = init_optimizer(1e-3, model)
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8), budget=1)
     apply_update(model, grads, mask, opt)
     after = layer_vectors(model)
@@ -192,7 +210,7 @@ def test_apply_update_all_masked_leaves_layers_untouched() -> None:
 def test_apply_update_masked_moments_frozen_active_layers_move() -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("adaptive", 1e-3, model)
+    opt = init_optimizer(1e-3, model)
     bits = np.zeros(len(sizes), dtype=np.int8)
     bits[::2] = 1
     mask = LayerMask(bits=bits, budget=int(bits.sum()))
@@ -211,26 +229,24 @@ def test_apply_update_masked_moments_frozen_active_layers_move() -> None:
             assert np.array_equal(opt.layer_m[lid], moments_before[lid])
 
 
-def test_apply_update_plain_mode_and_mask_size_check() -> None:
+def test_apply_update_mask_size_check() -> None:
     model, grads = _one_layer_setup()
-    sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("plain", 0.1, model)
-    theta0 = layer_vectors(model)[0].copy()
-    g0 = layer_vectors(grads)[0]
-    mask = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
-    apply_update(model, grads, mask, opt)
-    assert np.allclose(layer_vectors(model)[0], theta0 - 0.1 * g0, atol=1e-15)
-    with pytest.raises(ValueError):
+    opt = init_optimizer(1e-3, model)
+    params = model.params.tobytes()
+    with pytest.raises(ValueError, match="mask covers 2 layers"):
         apply_update(model, grads, LayerMask(bits=np.ones(2, dtype=np.int8), budget=2), opt)
+    assert model.params.tobytes() == params
+    assert opt.rest_step == 0 and not any(opt.layer_step)
 
 
 def test_apply_update_rejects_non_finite() -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("plain", 0.1, model)
+    opt = init_optimizer(1e-3, model)
     grads.head[...] = np.inf
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8), budget=1)
-    with pytest.raises(ValueError, match="head"):
+    # the moments are inf, so their ratio is nan
+    with pytest.raises(ValueError, match="head"), np.errstate(invalid="ignore"):
         apply_update(model, grads, mask, opt)
 
 
@@ -240,7 +256,7 @@ def test_apply_update_rejects_non_finite() -> None:
 def test_apply_update_non_finite_last_layer_changes_nothing(bad) -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
-    opt = init_optimizer("adaptive", 1e-3, model)
+    opt = init_optimizer(1e-3, model)
     everything = LayerMask(bits=np.ones(len(sizes), dtype=np.int8), budget=len(sizes))
     apply_update(model, grads, everything, opt)  # moments and counters non-trivial
     params = model.params.tobytes()
@@ -265,7 +281,7 @@ def test_pretraining_step_refuses_a_non_finite_update(bad) -> None:
     model = init_model(cfg, linalg.make_rng(0))
     x = linalg.make_rng(1).normal(size=(4, cfg.n_tokens, cfg.d_model))
     labels = np.array([0, 1, 2, 1])
-    opt = init_optimizer("adaptive", 1e-3, model)
+    opt = init_optimizer(1e-3, model)
     every_row = np.arange(model.trainable.shape[0])
     _, grads = backward(model, x, labels)
     staged_step(model, grads, every_row, opt, "pretraining step 1")  # non-trivial moments
@@ -282,12 +298,10 @@ def test_pretraining_step_refuses_a_non_finite_update(bad) -> None:
 def test_optimizer_validation() -> None:
     model, _ = _one_layer_setup()
     with pytest.raises(ValueError):
-        init_optimizer("momentum", 0.1, model)
-    with pytest.raises(ValueError):
-        init_optimizer("plain", 0.0, model)
+        init_optimizer(0.0, model)
     with pytest.raises(ValueError):
         StatsConfig(ema_coeff=1.0).validate()
     with pytest.raises(ValueError):
         StatsConfig(moment_floor=0.0).validate()
     with pytest.raises(ValueError):
-        StatsConfig(warmup_steps=-1).validate()
+        build_mask(np.zeros(2), 1, 1, -1)

@@ -27,7 +27,6 @@ from subtune.linalg import make_rng
 from subtune.losses import LossWeights
 from subtune.masking import (
     LayerMask,
-    OptimizerState,
     StatsConfig,
     apply_update,
     build_mask,
@@ -127,17 +126,15 @@ def test_backward_matches_the_per_layer_projection(case) -> None:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(stacked_models(), st.sampled_from(["plain", "adaptive"]))
-def test_masked_steps_match_the_per_layer_state(case, mode) -> None:
+@given(stacked_models())
+def test_masked_steps_match_the_per_layer_state(case) -> None:
     model, weights, seed = case
     rng = make_rng(seed + 4)
     stats_cfg = StatsConfig(ema_coeff=0.7)
     sizes = [row.size for row in model.trainable]
     stats = init_stats(sizes)
-    opt = init_optimizer(mode, 1e-2, model)
-    loop = LoopMasking(
-        list(model.trainable), model.head, mode, 1e-2, stats_cfg.ema_coeff, stats_cfg.moment_floor
-    )
+    opt = init_optimizer(1e-2, model)
+    loop = LoopMasking(list(model.trainable), model.head, 1e-2, stats_cfg.ema_coeff, stats_cfg.moment_floor)
     n_layers = len(sizes)
     for _ in range(4):
         x, y = _batch(model, rng)
@@ -153,11 +150,10 @@ def test_masked_steps_match_the_per_layer_state(case, mode) -> None:
         loop.apply(layer_grads, grads.head, bits)
         assert _bits(model.trainable) == _bits(loop.params)
         assert model.head.tobytes() == loop.head.tobytes()
-        assert opt.layer_step == loop.steps if mode == "adaptive" else opt.layer_step == [0] * n_layers
-        if mode == "adaptive":
-            assert _bits(opt.layer_m) == _bits(loop.m) and _bits(opt.layer_v) == _bits(loop.v)
-            assert (opt.rest_m.tobytes(), opt.rest_v.tobytes(), opt.rest_step) == (
-                loop.rest_m.tobytes(), loop.rest_v.tobytes(), loop.rest_step)
+        assert opt.layer_step == loop.steps
+        assert _bits(opt.layer_m) == _bits(loop.m) and _bits(opt.layer_v) == _bits(loop.v)
+        assert (opt.rest_m.tobytes(), opt.rest_v.tobytes(), opt.rest_step) == (
+            loop.rest_m.tobytes(), loop.rest_v.tobytes(), loop.rest_step)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -168,8 +164,8 @@ def test_pretraining_steps_match_the_whole_buffer_step(d, n_blocks, n_classes, k
     cfg = ModelConfig(d_model=d, n_blocks=n_blocks, n_tokens=3, n_classes_pretrain=n_classes)
     model = init_model(cfg, make_rng(seed))
     ref = clone_model(model)
-    opt = init_optimizer("adaptive", 1e-2, model)
-    ref_opt = OptimizerState(mode="adaptive", learning_rate=1e-2)
+    opt = init_optimizer(1e-2, model)
+    ref_opt = init_optimizer(1e-2, ref)
     m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
     every_row = np.arange(model.trainable.shape[0])
     n_rows = model.trainable.size
@@ -307,7 +303,7 @@ def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
     assert_gradient_layout(model, grads)
     buf = model.trainable
     before = buf.copy()
-    opt = init_optimizer("adaptive", 1e-2, model)
+    opt = init_optimizer(1e-2, model)
     assert opt.layer_m.shape == opt.layer_v.shape == buf.shape
     n_layers = len(buf)
     apply_update(model, grads, LayerMask(np.ones(n_layers, dtype=np.int8), n_layers), opt)
@@ -315,23 +311,22 @@ def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
     assert_one_buffer(model)
 
 
-@pytest.mark.parametrize("mode", ["plain", "adaptive"])
 @pytest.mark.parametrize("jitter", [False, True])
-def test_padding_stays_exactly_zero_through_training(mode, jitter) -> None:
+def test_padding_stays_exactly_zero_through_training(jitter) -> None:
     model = mixed_model()
     if jitter:
         jitter_trainables(model, make_rng(2))
     assert_zero_padding(model)
     rng = make_rng(5)
     sizes = [row.size for row in model.trainable]
-    stats_cfg = StatsConfig(ema_coeff=0.9, warmup_steps=5)
+    stats_cfg = StatsConfig(ema_coeff=0.9)
     stats = init_stats(sizes)
-    opt = init_optimizer(mode, 1e-2, model)
+    opt = init_optimizer(1e-2, model)
     for step in range(1, 201):
         x, y = _batch(model, rng)
         _, grads = backward(model, x, y, LossWeights())
         update_stats(stats, grads.trainable, stats_cfg)
-        mask = build_mask(compute_bvg(stats, stats_cfg), 3, step, stats_cfg)
+        mask = build_mask(compute_bvg(stats, stats_cfg), 3, step, 5)
         apply_update(model, grads, mask, opt)
         assert not padding(model, grads.trainable).any()
     assert not np.array_equal(model.trainable, mixed_model().trainable)
