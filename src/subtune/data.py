@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -344,14 +345,16 @@ def _blur(tokens: np.ndarray, level: int) -> np.ndarray:
     return out
 
 
-def _robustness_grid(cfg: DataConfig, test_in: Split) -> dict[tuple[str, int], Split]:
-    """Every (family, level) perturbation of ``test_in``'s tokens; each cell
-    shares ``test_in``'s other arrays, with ``intensity`` set to its level."""
-    grid = {}
+def robustness_cells(cfg: DataConfig, test_in: Split) -> Iterator[tuple[tuple[str, int], Split]]:
+    """Each (family, level) perturbation of ``test_in``'s tokens, made only
+    when asked for, keyed by (family, level); each cell is drawn from its
+    own stream and shares ``test_in``'s other arrays, with ``intensity`` set
+    to its level."""
     for cell, (family, level) in enumerate(itertools.product(FAMILIES, LEVELS)):
-        tokens = transform_tokens(test_in.tokens, family, level, make_rng(cfg.seed, _ROBUST_STREAM, cell))
-        grid[(family, level)] = replace(test_in, tokens=tokens, intensity=np.full(len(test_in), level))
-    return grid
+        rng = make_rng(cfg.seed, _ROBUST_STREAM, cell)
+        # no local keeps the cell's tokens, so the caller's is the only reference
+        yield (family, level), replace(test_in, tokens=transform_tokens(test_in.tokens, family, level, rng),
+                                       intensity=np.full(len(test_in), level))
 
 
 SPLITS = ("pretrain_train", "pretrain_test", "finetune_train", "test_in", "test_heldout", "robustness")
@@ -397,7 +400,7 @@ def build_splits(cfg: DataConfig, splits: tuple[str, ...]) -> SplitBundle:
         if "test_in" in wanted:
             bundle.test_in = test_in
         if "robustness" in wanted:
-            bundle.robustness = _robustness_grid(cfg, test_in)
+            bundle.robustness = dict(robustness_cells(cfg, test_in))
     if "test_heldout" in wanted:
         bundle.test_heldout = _detection_split(cfg, cfg.n_test, "test_heldout", cfg.families_heldout)
     return bundle

@@ -187,11 +187,14 @@ def staged_step(model: Model, grads: Gradients, active: np.ndarray, opt: Optimiz
     steps = [opt.layer_step[lid] + 1 for lid in active]
     c1 = np.array([1.0 - opt.beta1**t for t in steps])[:, None]
     c2 = np.array([1.0 - opt.beta2**t for t in steps])[:, None]
-    new, first, second = _moment_step(theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt)
     t = opt.rest_step + 1
-    new_rest, rest_first, rest_second = _moment_step(
-        rest, rest_grad, opt.rest_m, opt.rest_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
-    )
+    # an inf or huge gradient overflows or divides inf by inf here; the
+    # staged values are checked below, so the error is the one raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        new, first, second = _moment_step(theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt)
+        new_rest, rest_first, rest_second = _moment_step(
+            rest, rest_grad, opt.rest_m, opt.rest_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
+        )
     bad = _unusable(new, second).any(axis=1)
     bad_rest = _unusable(new_rest, rest_second).any()
     if at is not None and (bad.any() or bad_rest):

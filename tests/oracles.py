@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from subtune.decomposition import recompose
+from subtune.decomposition import DecomposedLayer, recompose
 from subtune.masking import _moment_step, _unusable
 from subtune.metrics import ScoredSet
 from subtune.model import PROJECTION_NAMES, attention_slots, backward, stack_trainables
@@ -339,3 +339,10 @@ def step_buffer(theta, grad, m, v, step, opt, what):
     theta[...] = new
     m[...] = first
     v[...] = second
+
+
+def projection_param_vector(p) -> np.ndarray:
+    """A copy of one attention slot's trainable values: a plain matrix, or a
+    decomposed layer's U, s and V columns without their padding."""
+    parts = p.split(p.params) if isinstance(p, DecomposedLayer) else [p]
+    return np.concatenate([part.ravel() for part in parts])

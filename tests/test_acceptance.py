@@ -14,7 +14,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import brute_ap, brute_auc, brute_eer_dense, brute_eer_exact, enumerate_count_instances
+from oracles import (
+    brute_ap,
+    brute_auc,
+    brute_eer_dense,
+    brute_eer_exact,
+    enumerate_count_instances,
+    projection_param_vector,
+)
 from split_checks import SAMPLE_SPLITS
 from subtune.config import config_from_dict, default_config
 from subtune.data import FAMILIES, LEVELS, build_splits
@@ -31,7 +38,6 @@ from subtune.model import (
     clone_model,
     decompose_attention,
     init_model,
-    projection_param_vector,
     reset_head,
 )
 

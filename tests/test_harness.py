@@ -1,10 +1,12 @@
 import json
 import pickle
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from oracles import projection_param_vector
 from split_checks import SAMPLE_SPLITS
 from subtune import harness, masking
 from subtune.checkpoint import load_model, save_model
@@ -29,7 +31,7 @@ from subtune.model import (
     clone_model,
     decompose_attention,
     init_model,
-    projection_param_vector,
+    reset_head,
 )
 
 
@@ -102,7 +104,7 @@ def test_pretrain_refuses_a_non_finite_update(monkeypatch, bad):
         return report, grads
 
     monkeypatch.setattr(harness, "backward", corrupted)
-    with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
+    with pytest.raises(ValueError) as err:
         run_pretrain(tiny_cfg())
     assert str(err.value) == "non-finite update at pretraining step 2"
 
@@ -469,6 +471,29 @@ def test_robustness_clean_cell_matches_finetune_exactly(tmp_path, pretrained):
     from subtune.data import FAMILIES
 
     assert len(rows) == 1 + 1 + len(FAMILIES) * 5
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_robustness_holds_one_cell_at_a_time(tmp_path):
+    cfg = config_from_dict({})
+    model = init_model(cfg.model, make_rng(0))
+    decompose_attention(model)
+    reset_head(model, 1, make_rng(1))
+    clean = _traced_peak(lambda: eval_split(model, build_splits(cfg.data, ("test_in",)).test_in))
+    grid = _traced_peak(lambda: run_robustness(cfg, model, tmp_path))
+    # scoring the clean split already holds it, its embedding and a row
+    # block's activations; the grid may add about one cell (and the cell
+    # being made), never all 25
+    cell_bytes = cfg.data.n_test * cfg.data.n_tokens * cfg.data.d_model * 8
+    assert grid - clean < 3 * cell_bytes, (grid, clean, cell_bytes)
 
 
 def test_ablation_row_sets_and_determinism(tmp_path):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import projection_param_vector
 from subtune import model as model_mod
 from subtune.checkpoint import load_model, save_model
 from subtune.decomposition import DecompositionConfig, decompose, layer_from_bytes, layer_to_bytes, recompose
@@ -253,9 +254,9 @@ def test_flat_round_trip_is_bit_exact_in_both_modes(case, n_blocks) -> None:
     vec = round_trip(model, np.array([1.0, 0.0]), rng)
     assert_views_alias_params(model)
     # a binary head trains each slot's real values in layer order, then the head
-    slots = [model_mod.projection_param_vector(layer) for layer in decomposed_layers(model)]
+    slots = [projection_param_vector(layer) for layer in decomposed_layers(model)]
     assert np.concatenate(slots + [model.head.ravel()]).tobytes() == vec.tobytes()
-    first = model_mod.projection_param_vector(model.blocks[0].q)
+    first = projection_param_vector(model.blocks[0].q)
     assert first.tobytes() == vec[: first.size].tobytes()
 
 

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import projection_param_vector
 from reference_forward import (
     _gelu_scalar,
     plain_gelu,
@@ -261,7 +262,7 @@ def test_param_vector_roundtrip() -> None:
     m.params[positions] = new
     assert np.array_equal(m.params[positions], new)
     # the write reaches every slot and the head, in layer order
-    slots = [model_mod.projection_param_vector(getattr(b, n)) for _, b, n in attention_slots(m)]
+    slots = [projection_param_vector(getattr(b, n)) for _, b, n in attention_slots(m)]
     assert np.array_equal(np.concatenate(slots + [m.head.ravel()]), new)
     plain = tiny_model(decomposed=False, binary=False)
     full = trained_positions(plain)
@@ -394,6 +395,21 @@ def test_backward_reaches_each_loss_function_through_its_module(monkeypatch) -> 
     assert calls == {"orth_loss": 1, "orth_loss_grads": 1, "spec_loss": 1}
 
 
+# samples in one of ``predict``'s row blocks
+_ROW_BLOCK = model_mod.PREDICT_ROWS // tiny_config().n_tokens
+
+
+def _at_row_block_edges(test):
+    """Explicit examples one short of, at, one past and one past two row
+    blocks, for every pairing of decomposed or plain and binary or
+    pretraining head."""
+    for n in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1):
+        for decomposed in (False, True):
+            for binary in (False, True):
+                test = example(n, decomposed, binary, n)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(1, 300),
@@ -401,12 +417,26 @@ def test_backward_reaches_each_loss_function_through_its_module(monkeypatch) -> 
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
+@_at_row_block_edges
 def test_predict_is_forward_probs_bit_for_bit(n, decomposed, binary, seed) -> None:
     m = tiny_model(seed=seed % 1000, decomposed=decomposed, binary=binary)
     x = linalg.make_rng(seed).normal(size=(n, m.config.n_tokens, m.config.d_model))
     got = predict(m, x)
     assert got.shape == ((n,) if binary else (n, m.config.n_classes_pretrain))
     assert got.tobytes() == forward(m, x).probs.tobytes()
+
+
+def test_predict_names_the_block_of_an_overflow_in_a_later_row_block() -> None:
+    m = tiny_model()
+    m.blocks[1].mlp_out[...] = 1e308
+    # an all-zero sample stays exactly zero through every block, so only the
+    # one random sample, in the last row block, overflows
+    x = np.zeros((2 * _ROW_BLOCK + 1, m.config.n_tokens, m.config.d_model))
+    assert np.all(np.isfinite(predict(m, x)))
+    x[-1] = linalg.make_rng(3).normal(size=x.shape[1:])
+    for fn in (forward, predict):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="block 1"):
+            fn(m, x)
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import LoopMasking, loop_backward, step_buffer
+from oracles import LoopMasking, loop_backward, projection_param_vector, step_buffer
 from subtune import losses
 from subtune import model as model_mod
 from subtune.checkpoint import load_model, save_model
@@ -45,7 +45,6 @@ from subtune.model import (
     clone_model,
     decompose_attention,
     init_model,
-    projection_param_vector,
     reset_head,
     stack_trainables,
 )
