@@ -118,7 +118,10 @@ def _parse_manifest(raw: bytes, path: str | Path) -> tuple[dict, int]:
         raise ValueError(
             f"{path} is truncated: its manifest needs {length} bytes, {len(raw) - offset} present"
         )
-    manifest = json.loads(raw[offset : offset + length])
+    try:
+        manifest = json.loads(raw[offset : offset + length])
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested past the stack
+        raise ValueError(f"{path}: the manifest is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: the manifest is not a JSON object")
     fmt = manifest.get("format")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .harness import (
 )
 from .linalg import make_rng
 from .losses import LossWeights
-from .model import ModelConfig, decompose_attention, init_model, reset_head
+from .model import ModelConfig, derive_model, init_model
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,9 +140,9 @@ def _cmd_gradcheck(args) -> None:
     if cfg is None:
         model_cfg.decomposition = DecompositionConfig(n_subspaces=2)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg is not None else 0)
-    model = init_model(model_cfg, make_rng(seed))
-    decompose_attention(model)
-    reset_head(model, 1, make_rng(seed, 1))
+    d = model_cfg.d_model
+    head = make_rng(seed, 1).normal(scale=1.0 / math.sqrt(d), size=(1, d))
+    model = derive_model(init_model(model_cfg, make_rng(seed)), head=head, split=model_cfg.decomposition)
     rng = make_rng(seed, 2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
     labels = rng.integers(0, 2, size=4).astype(float)

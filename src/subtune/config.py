@@ -173,9 +173,23 @@ def config_from_dict(raw: dict) -> TrainConfig:
     return cfg.finalize()
 
 
+def _yaml_problem(exc: Exception) -> str:
+    """Why PyYAML could not read a file, in one line: its problem and, when
+    it reports a mark, the 1-based line and column."""
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        return f"{exc.problem} at line {mark.line + 1} column {mark.column + 1}"
+    return " ".join(str(exc).split())  # PyYAML's own message, made one line
+
+
 def load_config(path: str | Path) -> TrainConfig:
     with Path(path).open() as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except (yaml.YAMLError, RecursionError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not valid YAML: {_yaml_problem(exc)}") from None
     if raw is None:
         raw = {}
     return config_from_dict(raw)

@@ -18,7 +18,6 @@ class GradCheckReport:
     n_coords: int
     tol: float
     passed: bool
-    warning: str | None = None
 
 
 def grad_check(
@@ -53,16 +52,12 @@ def grad_check(
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     rel = np.abs(analytic - numeric) / denom
     worst = int(np.argmax(rel))
-    warning = None
-    if h > 1e-2:
-        warning = f"step {h} is large; truncation error may dominate the comparison"
     return GradCheckReport(
         max_rel_err=float(rel[worst]),
         worst_index=worst,
         n_coords=int(positions.size),
         tol=tol,
         passed=bool(rel[worst] <= tol),
-        warning=warning,
     )
 
 

@@ -176,7 +176,7 @@ def _require_fit(cfg: TrainConfig, model: Model) -> None:
 
 def eval_split(model: Model, split: Split) -> EvalReport:
     frame = metrics_mod.ScoredSet(scores=predict(model, split.tokens), labels=split.labels, group_ids=split.clip_id)
-    video = metrics_mod.video_level(frame, pool="mean")
+    video = metrics_mod.video_level(frame)
     return EvalReport(
         frame_auc=metrics_mod.auc(frame),
         frame_ap=metrics_mod.average_precision(frame),

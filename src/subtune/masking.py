@@ -43,7 +43,6 @@ class GradientStats:
 
     first: np.ndarray
     second: np.ndarray
-    step: int = 0
 
 
 def init_stats(sizes: Sequence[int]) -> GradientStats:
@@ -70,7 +69,6 @@ def update_stats(
     scaled *= g
     stats.second *= a
     stats.second += scaled
-    stats.step += 1
     return stats
 
 

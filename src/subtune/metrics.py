@@ -105,17 +105,15 @@ def eer(s: ScoredSet) -> float:
     return float(prev_f + tau * (f - prev_f))
 
 
-def video_level(s: ScoredSet, pool: str = "mean") -> ScoredSet:
-    """Collapse frame scores to one score per clip (mean by default, max as
-    the alternative); clip labels must be homogeneous."""
+def video_level(s: ScoredSet) -> ScoredSet:
+    """Collapse frame scores to one score per clip, the mean of its frames;
+    clip labels must be homogeneous."""
     scores, labels = _validated(s)
     if s.group_ids is None:
         raise ValueError("video-level pooling needs group ids")
     groups = np.asarray(s.group_ids)
     if groups.shape != scores.shape:
         raise ValueError("group ids must align with scores")
-    if pool not in ("mean", "max"):
-        raise ValueError(f"pool must be 'mean' or 'max', got {pool!r}")
     # one stable sort by clip keeps each clip's frames in their given order,
     # so a clip's mean sums exactly as ``np.mean`` of its frames would
     order = np.argsort(groups, kind="stable")
@@ -134,5 +132,5 @@ def video_level(s: ScoredSet, pool: str = "mean") -> ScoredSet:
     for size in np.unique(sizes):
         clips = np.flatnonzero(sizes == size)
         members = sorted_scores[starts[clips, None] + np.arange(size)]
-        out_scores[clips] = members.sum(axis=1) / size if pool == "mean" else members.max(axis=1)
+        out_scores[clips] = members.sum(axis=1) / size
     return ScoredSet(scores=out_scores, labels=sorted_labels[starts], group_ids=uniq)

@@ -277,20 +277,6 @@ def derive_model(model: Model, *, head: np.ndarray | None = None, split: Decompo
     return stack_trainables(config, model.token_embed, blocks, model.head if head is None else head)
 
 
-def decompose_attention(model: Model, split: DecompositionConfig | None = None) -> None:
-    """Replace every plain attention projection with its subspace split under
-    ``split`` (by default the split in the model's config), and record the
-    split in the model's config.  The model becomes the new one whole."""
-    vars(model).update(vars(derive_model(model, split=model.config.decomposition if split is None else split)))
-
-
-def reset_head(model: Model, n_outputs: int, rng: np.random.Generator, scale: float | None = None) -> None:
-    if scale is None:
-        scale = 1.0 / math.sqrt(model.config.d_model)
-    head = rng.normal(scale=scale, size=(n_outputs, model.config.d_model))
-    vars(model).update(vars(derive_model(model, head=head)))
-
-
 def weight_stack(model: Model) -> np.ndarray:
     """Every attention slot's effective weight as one (n_layers, d_out,
     d_in) stack in layer-id order: a view of ``model.trainable`` for a plain

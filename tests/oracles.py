@@ -183,7 +183,7 @@ def loop_eer(scores, labels) -> float:
     raise AssertionError("ROC sweep must end at FPR=1, FNR=0")
 
 
-def loop_video_level(scores, labels, groups, pool: str = "mean") -> ScoredSet:
+def loop_video_level(scores, labels, groups) -> ScoredSet:
     """Clip pooling one clip at a time, by a mask over every frame."""
     uniq = np.unique(groups)
     out_scores = np.zeros(uniq.size)
@@ -195,7 +195,7 @@ def loop_video_level(scores, labels, groups, pool: str = "mean") -> ScoredSet:
             raise ValueError(f"clip {gid!r} mixes real and fake frames")
         out_labels[idx] = member_labels[0]
         member = scores[sel]
-        out_scores[idx] = float(member.mean()) if pool == "mean" else float(member.max())
+        out_scores[idx] = float(member.mean())
     return ScoredSet(scores=out_scores, labels=out_labels, group_ids=uniq)
 
 
@@ -346,3 +346,10 @@ def projection_param_vector(p) -> np.ndarray:
     decomposed layer's U, s and V columns without their padding."""
     parts = p.split(p.params) if isinstance(p, DecomposedLayer) else [p]
     return np.concatenate([part.ravel() for part in parts])
+
+
+def binary_head(model, rng: np.random.Generator) -> np.ndarray:
+    """A one-row head for ``model`` drawn from ``rng`` at N(0, 1/d_model),
+    as the gradient check's model gets it."""
+    d = model.config.d_model
+    return rng.normal(scale=1.0 / math.sqrt(d), size=(1, d))

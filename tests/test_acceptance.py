@@ -15,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (
+    binary_head,
     brute_ap,
     brute_auc,
     brute_eer_dense,
@@ -35,10 +36,8 @@ from subtune.metrics import ScoredSet, auc, average_precision, eer
 from subtune.model import (
     ModelConfig,
     attention_slots,
-    clone_model,
-    decompose_attention,
+    derive_model,
     init_model,
-    reset_head,
 )
 
 
@@ -78,8 +77,7 @@ def test_criterion_1_decomposition_fidelity():
 
 def test_criterion_2_init_regularizers_vanish():
     cfg = default_config()
-    model = init_model(cfg.model, make_rng(0))
-    decompose_attention(model)
+    model = derive_model(init_model(cfg.model, make_rng(0)), split=cfg.model.decomposition)
     slots = attention_slots(model)
     assert len(slots) == 24
     for _, block, name in slots:
@@ -95,8 +93,7 @@ def test_criterion_3_gradient_oracle():
         decomposition=DecompositionConfig(n_subspaces=2),
     )
     model = init_model(model_cfg, make_rng(0))
-    decompose_attention(model)
-    reset_head(model, 1, make_rng(1))
+    model = derive_model(model, head=binary_head(model, make_rng(1)), split=model_cfg.decomposition)
     jitter_trainables(model, make_rng(3))
     rng = make_rng(2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
@@ -140,8 +137,7 @@ def test_criterion_5_mask_semantics(smoke):
 
     frozen_id = 5
     forced = run_finetune(cfg, pretrained, forced_zero=(frozen_id,), splits=splits)
-    reference = clone_model(pretrained)
-    decompose_attention(reference)
+    reference = derive_model(pretrained, split=pretrained.config.decomposition)
     _, block, name = attention_slots(forced.model)[frozen_id]
     _, ref_block, ref_name = attention_slots(reference)[frozen_id]
     assert np.array_equal(
@@ -156,8 +152,7 @@ def test_criterion_5_mask_semantics(smoke):
 def test_criterion_6_frozen_semantic_invariant(smoke):
     runs, _ = smoke
     cfg, pretrained, record = runs[0]
-    reference = clone_model(pretrained)
-    decompose_attention(reference)
+    reference = derive_model(pretrained, split=pretrained.config.decomposition)
     expected = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(reference)]
     final = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(record.model)]
     assert record.semantic_start == expected

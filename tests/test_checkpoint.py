@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import binary_head
 from subtune.checkpoint import MAGIC, load_model, read_manifest, save_model
 from subtune.config import config_from_dict
 from subtune.data import DataConfig, export_csv, gen_clips
@@ -15,10 +16,9 @@ from subtune.model import (
     PROJECTION_NAMES,
     ModelConfig,
     attention_slots,
-    decompose_attention,
+    derive_model,
     forward,
     init_model,
-    reset_head,
 )
 
 
@@ -31,8 +31,7 @@ def tiny_model(seed=0, decomposed=False):
     )
     model = init_model(cfg, make_rng(seed))
     if decomposed:
-        decompose_attention(model)
-        reset_head(model, 1, make_rng(seed + 1))
+        model = derive_model(model, head=binary_head(model, make_rng(seed + 1)), split=cfg.decomposition)
     return model
 
 
@@ -252,6 +251,20 @@ def _rewrite_manifest(path, edit):
 
 
 @pytest.mark.parametrize(
+    "blob",
+    [b"{not json", b'{"format": 1, "kind": "\x80"}', b"[" * 100_000],
+    ids=["not-json", "not-utf8", "nested-past-the-stack"],
+)
+def test_unreadable_manifest_is_a_one_line_value_error_naming_the_file(tmp_path, blob):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)  # the manifest is read before any body
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: the manifest is not valid JSON: ") and "\n" not in message
+
+
+@pytest.mark.parametrize(
     "edit, field",
     [
         (lambda m: m.update(format=2), "format"),
@@ -417,8 +430,7 @@ def test_body_errors_name_the_file(tmp_path):
     raw = path.read_bytes()
     offsets, first_layer = _blob_offsets(raw)
     narrow_cfg = ModelConfig(d_model=6, n_blocks=1, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
-    narrow = init_model(narrow_cfg, make_rng(4))
-    decompose_attention(narrow)
+    narrow = derive_model(init_model(narrow_cfg, make_rng(4)), split=narrow_cfg.decomposition)
     q_end = first_layer + len(layer_to_bytes(model.blocks[0].q))
     cases = [
         (raw[: offsets["block0.mlp_in"] + 40], "matrix payload truncated"),

@@ -3,12 +3,13 @@ import json
 import pytest
 import yaml
 
+from oracles import binary_head
 from subtune import harness
 from subtune.checkpoint import load_model, save_model
 from subtune.cli import main
 from subtune.decomposition import DecompositionConfig
 from subtune.linalg import make_rng
-from subtune.model import ModelConfig, attention_slots, decompose_attention, init_model, reset_head
+from subtune.model import ModelConfig, attention_slots, derive_model, init_model
 
 TINY = {
     "seed": 11,
@@ -159,8 +160,7 @@ def test_checkpoint_of_another_token_grid_fails_before_building_data(tmp_path, c
     cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
     model = init_model(cfg, make_rng(0))
     if command != "finetune":
-        decompose_attention(model)
-        reset_head(model, 1, make_rng(1))
+        model = derive_model(model, head=binary_head(model, make_rng(1)), split=cfg.decomposition)
     save_model(tmp_path / "m.ckpt", model)
 
     def no_data(*args, **kwargs):
@@ -181,8 +181,7 @@ def test_checkpoint_of_another_block_count_fails_before_building_data(tmp_path, 
     # the default config's token grid and mask budget, but six blocks, not one
     model = init_model(ModelConfig(n_blocks=1), make_rng(0))
     if command != "finetune":
-        decompose_attention(model)
-        reset_head(model, 1, make_rng(1))
+        model = derive_model(model, head=binary_head(model, make_rng(1)), split=model.config.decomposition)
     save_model(tmp_path / "m.ckpt", model)
 
     def no_data(*args, **kwargs):
@@ -255,6 +254,26 @@ def test_derived_config_key_is_rejected(tmp_path, capsys):
     rc = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "is set via" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (b"seed: [1, 2\nmodel: {d_model: 8}\n", "at line 2 column 6"),  # an unclosed list
+        (b"[" * 5000 + b"]" * 5000 + b"\n", "nested too deeply"),
+        (b"seed: 1\n\xff\n", "can't decode byte 0xff"),
+    ],
+    ids=["syntax", "nested-past-the-stack", "not-utf8"],
+)
+def test_unreadable_yaml_is_a_one_line_error_naming_the_file(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(text)
+    rc = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ValueError: {bad}: ")
+    assert where in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_subcommand_exits_with_usage():

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import projection_param_vector
+from oracles import binary_head, projection_param_vector
 from split_checks import SAMPLE_SPLITS
 from subtune import harness, masking
 from subtune.checkpoint import load_model, save_model
@@ -29,9 +29,8 @@ from subtune.model import (
     attention_slots,
     backward,
     clone_model,
-    decompose_attention,
+    derive_model,
     init_model,
-    reset_head,
 )
 
 
@@ -195,8 +194,7 @@ def test_adjacent_seeds_do_not_share_shuffles(monkeypatch, pretrained):
 
 def test_forced_zero_layer_stays_at_initialization(pretrained):
     cfg, splits, model, _ = pretrained
-    reference = clone_model(model)
-    decompose_attention(reference)
+    reference = derive_model(model, split=model.config.decomposition)
     record = run_finetune(cfg, model, forced_zero=(3,), splits=splits)
     _, block, name = attention_slots(record.model)[3]
     _, ref_block, ref_name = attention_slots(reference)[3]
@@ -327,7 +325,7 @@ def test_a_snapshot_copies_every_array_of_the_state(pretrained):
                  on_step=lambda state: states.append(copy_state(state)) if state.step == 7 else None)
     state = states[0]
     assert len(state.steps) == len(state.mask_log) == len(state.gradient_log) == 7
-    assert state.opt.layer_m is not None and state.stats.step == 7
+    assert state.opt.layer_m is not None
     snap = copy_state(state)
     assert type(snap) is FinetuneState
     assert_copied(snap, state, "state")
@@ -417,8 +415,7 @@ def test_forced_zero_outside_the_layers_is_a_value_error(pretrained, lid):
 
 def test_semantic_subspace_bytes_frozen_through_finetune(pretrained):
     cfg, splits, model, _ = pretrained
-    reference = clone_model(model)
-    decompose_attention(reference)
+    reference = derive_model(model, split=model.config.decomposition)
     expected = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(reference)]
     record = run_finetune(cfg, model, splits=splits)
     after = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(record.model)]
@@ -485,8 +482,7 @@ def _traced_peak(fn):
 def test_robustness_holds_one_cell_at_a_time(tmp_path):
     cfg = config_from_dict({})
     model = init_model(cfg.model, make_rng(0))
-    decompose_attention(model)
-    reset_head(model, 1, make_rng(1))
+    model = derive_model(model, head=binary_head(model, make_rng(1)), split=cfg.decomposition)
     clean = _traced_peak(lambda: eval_split(model, build_splits(cfg.data, ("test_in",)).test_in))
     grid = _traced_peak(lambda: run_robustness(cfg, model, tmp_path))
     # scoring the clean split already holds it, its embedding and a row

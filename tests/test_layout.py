@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import projection_param_vector
+from oracles import binary_head, projection_param_vector
 from subtune import model as model_mod
 from subtune.checkpoint import load_model, save_model
 from subtune.decomposition import DecompositionConfig, decompose, layer_from_bytes, layer_to_bytes, recompose
@@ -35,10 +35,9 @@ from subtune.model import (
     attention_slots,
     backward,
     clone_model,
-    decompose_attention,
+    derive_model,
     init_model,
     predict,
-    reset_head,
     trained_positions,
 )
 
@@ -60,8 +59,7 @@ def small_model(seed: int = 0):
         d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=3)
     )
     model = init_model(cfg, make_rng(seed))
-    decompose_attention(model)
-    reset_head(model, 1, make_rng(seed + 1))
+    model = derive_model(model, head=binary_head(model, make_rng(seed + 1)), split=cfg.decomposition)
     jitter_trainables(model, make_rng(seed + 2))
     return model
 
@@ -145,8 +143,7 @@ def test_the_trained_index_is_built_on_first_use_and_shared_read_only() -> None:
     cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=3))
     model = init_model(cfg, make_rng(0))
     assert model.layout.trained is None  # a pretraining head trains every position
-    decompose_attention(model)
-    reset_head(model, 1, make_rng(1))
+    model = derive_model(model, head=binary_head(model, make_rng(1)), split=cfg.decomposition)
     twin = clone_model(model)
     assert twin.layout is model.layout and "trained" not in vars(model.layout)
     index = trained_positions(twin)
@@ -249,8 +246,7 @@ def test_flat_round_trip_is_bit_exact_in_both_modes(case, n_blocks) -> None:
     vec = round_trip(model, np.array([0, 1]), rng)
     # a pretraining head trains every value
     assert vec.size == model.params.size and model.params.tobytes() == vec.tobytes()
-    decompose_attention(model)
-    reset_head(model, 1, rng)
+    model = derive_model(model, head=binary_head(model, rng), split=dcfg)
     vec = round_trip(model, np.array([1.0, 0.0]), rng)
     assert_views_alias_params(model)
     # a binary head trains each slot's real values in layer order, then the head

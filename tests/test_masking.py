@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import binary_head
 from subtune import linalg
 from subtune.decomposition import DecompositionConfig
 from subtune.losses import LossWeights
@@ -18,7 +19,7 @@ from subtune.masking import (
     staged_step,
     update_stats,
 )
-from subtune.model import ModelConfig, backward, decompose_attention, init_model, reset_head
+from subtune.model import ModelConfig, backward, derive_model, init_model
 
 
 def test_ema_hand_recursion() -> None:
@@ -33,7 +34,6 @@ def test_ema_hand_recursion() -> None:
     assert np.array_equal(stats.first[0], [0.75, 0.0])
     assert np.array_equal(stats.second[0], [0.75, 0.0])
     assert abs(compute_bvg(stats, cfg)[0] - 3.0) <= 1e-12
-    assert stats.step == 2
 
 
 def test_zero_gradients_stay_zero() -> None:
@@ -177,8 +177,7 @@ def _one_layer_setup(seed: int = 0):
         decomposition=DecompositionConfig(n_subspaces=2),
     )
     m = init_model(cfg, linalg.make_rng(seed))
-    decompose_attention(m)
-    reset_head(m, 1, linalg.make_rng(seed + 1))
+    m = derive_model(m, head=binary_head(m, linalg.make_rng(seed + 1)), split=cfg.decomposition)
     rng = linalg.make_rng(seed + 2)
     x = rng.normal(size=(4, cfg.n_tokens, cfg.d_model))
     y = rng.integers(0, 2, size=4).astype(np.float64)

@@ -129,8 +129,6 @@ def test_video_level_pooling() -> None:
         pooled.scores, [0.3, 0.8], atol=1e-15
     )
     assert pooled.labels.tolist() == [0, 1]
-    maxed = video_level(s, pool="max")
-    assert maxed.scores.tolist() == [0.4, 0.9]
     singles = ss([0.1, 0.9], [0, 1], [5, 3])
     ident = video_level(singles)
     assert sorted(ident.scores.tolist()) == [0.1, 0.9]
@@ -153,8 +151,6 @@ def test_video_level_errors() -> None:
         video_level(ss([0.1, 0.2], [0, 1]))
     with pytest.raises(ValueError):
         video_level(ss([0.1, 0.2], [0, 1], ["a", "a"]))
-    with pytest.raises(ValueError):
-        video_level(ss([0.1, 0.2], [0, 0], ["a", "b"]), pool="median")
 
 
 @st.composite
@@ -180,17 +176,17 @@ def clip_sets(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(clip_sets(), st.sampled_from(["mean", "max"]))
-def test_video_level_matches_the_per_clip_loop_bit_for_bit(case, pool) -> None:
+@given(clip_sets())
+def test_video_level_matches_the_per_clip_loop_bit_for_bit(case) -> None:
     scores, labels, groups = case
     try:
-        want = loop_video_level(scores, labels, groups, pool)
+        want = loop_video_level(scores, labels, groups)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            video_level(ss(scores, labels, groups), pool=pool)
+            video_level(ss(scores, labels, groups))
         assert str(got.value) == str(exc)
         return
-    got = video_level(ss(scores, labels, groups), pool=pool)
+    got = video_level(ss(scores, labels, groups))
     assert got.scores.tobytes() == want.scores.tobytes()
     assert got.labels.tobytes() == want.labels.tobytes()
     assert np.array_equal(got.group_ids, want.group_ids)

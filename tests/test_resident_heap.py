@@ -18,14 +18,14 @@ import subtune
 
 # a fresh interpreter, so nothing another test did to the heap counts
 _CHILD = """
-import json, resource
+import json, math, resource
 from subtune import cli, linalg
-from subtune.model import ModelConfig, decompose_attention, init_model, predict, reset_head
+from subtune.model import ModelConfig, derive_model, init_model, predict
 
 cli.main(["gradcheck"])
-model = init_model(ModelConfig(), linalg.make_rng(0))
-decompose_attention(model)
-reset_head(model, 1, linalg.make_rng(1))
+cfg = ModelConfig()
+head = linalg.make_rng(1).normal(scale=1.0 / math.sqrt(cfg.d_model), size=(1, cfg.d_model))
+model = derive_model(init_model(cfg, linalg.make_rng(0)), head=head, split=cfg.decomposition)
 x = linalg.make_rng(2).normal(size=(256, model.config.n_tokens, model.config.d_model))
 for _ in range(2):
     predict(model, x)

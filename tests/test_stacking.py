@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import LoopMasking, loop_backward, projection_param_vector, step_buffer
+from oracles import LoopMasking, binary_head, loop_backward, projection_param_vector, step_buffer
 from subtune import losses
 from subtune import model as model_mod
 from subtune.checkpoint import load_model, save_model
@@ -43,9 +43,8 @@ from subtune.model import (
     attention_slots,
     backward,
     clone_model,
-    decompose_attention,
+    derive_model,
     init_model,
-    reset_head,
     stack_trainables,
 )
 
@@ -90,7 +89,7 @@ def stacked_models(draw, allow_plain: bool = True, pretraining_head: bool = Fals
     if not (allow_plain and draw(st.booleans())):
         model = decomposed_per_layer(model, lambda lid: configs[picks[lid]])
     if not (pretraining_head and draw(st.booleans())):
-        reset_head(model, 1, make_rng(seed + 1))
+        model = derive_model(model, head=binary_head(model, make_rng(seed + 1)))
     if draw(st.booleans()):  # off the spectral kink; else every layer sits on it
         jitter_trainables(model, make_rng(seed + 2), scale=0.05)
     if draw(st.booleans()):
@@ -266,8 +265,7 @@ def mixed_model(seed: int = 0):
     ]
     model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=configs[0]), make_rng(seed))
     model = decomposed_per_layer(model, lambda lid: configs[lid % 2])
-    reset_head(model, 1, make_rng(seed + 1))
-    return model
+    return derive_model(model, head=binary_head(model, make_rng(seed + 1)))
 
 
 def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
@@ -280,9 +278,9 @@ def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
         assert_gradient_layout(model, backward(model, x, labels)[1])
 
     check(y.astype(int))  # the pretraining head takes class ids
-    decompose_attention(model)
+    model = derive_model(model, split=cfg.decomposition)
     check(y.astype(int))
-    reset_head(model, 1, make_rng(1))
+    model = derive_model(model, head=binary_head(model, make_rng(1)))
     check(y)
     assert len({layer.tail_rank for layer in _layers(model)}) >= 2
     jitter_trainables(model, make_rng(2))
@@ -362,7 +360,7 @@ def test_a_clone_neither_packs_nor_lays_out(monkeypatch) -> None:
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(model_mod, name, counted)
-    reset_head(model, 1, make_rng(3))
+    model = derive_model(model, head=binary_head(model, make_rng(3)))
     assert calls == {"stack_trainables": 1, "_layout": 1, "cross_mask": 8}
     calls.clear()
     twin = clone_model(model)
