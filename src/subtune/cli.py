@@ -156,6 +156,16 @@ def _cmd_gradcheck(args) -> None:
         raise RuntimeError(f"gradient check failed: {report.max_rel_err:.3e} > {report.tol}")
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that cannot be a directory before any work: the
+    path itself, or its nearest existing ancestor, is something else."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"--out {out}: {path} is not a directory")
+            return
+
+
 def _keep_heap_resident() -> None:
     """Keep a step's temporaries on the heap, process-wide.  By default glibc
     serves every block above 128 KiB from a fresh mmap and hands freed heap
@@ -173,6 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     _keep_heap_resident()
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         args.run(args)
     except Exception as exc:  # noqa: BLE001 - the contract is a one-line error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ epoch's shuffle draw from their own keyed streams of the seed, the cells of
 an ablation table fine-tune one backbone on one set of splits, and result
 CSVs round to 6 decimals.
 Both phases step one ``masking.OptimizerState``.  A fine-tune starts from
-a ``FinetuneState``, fresh or taken after k steps, so arms that share a
+a ``FinetuneState``, fresh or taken after k steps, so cells that share a
 prefix run it once, and its ``RunRecord`` is that state run to the end.
 Wall-clock time appears only in the run summary, never in a CSV.
 """
@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -457,6 +457,41 @@ _K_GRID = (1, 3, 5, 7, 9)
 _M_GRID = (1, 4, 16, 48, 96)
 
 
+class _Cell(NamedTuple):
+    """A cell of an ablation table: its name in failure lines, the values
+    of the table's key columns, its dotted config overrides and its arm."""
+
+    name: str
+    key: tuple
+    overrides: dict
+    masft: bool = True
+    slm: bool = True
+
+
+def _ablation_tables(n_layers: int) -> list[tuple[str, tuple[str, ...], list[_Cell]]]:
+    """The four tables as (name, key columns, cells in row order):
+    component on/off, loss-weight on/off, subspace-count sweep and
+    active-budget sweep, whose budget is capped at the ``n_layers``
+    decomposable layers."""
+    return [
+        ("components", ("masft", "slm"), [
+            _Cell(f"masft={masft},slm={slm}", (masft, slm), {}, bool(masft), bool(slm))
+            for masft in (1, 0) for slm in (1, 0)
+        ]),
+        ("losses", ("orth_weight", "spec_weight"), [
+            _Cell(f"orth={w1},spec={w2}", (w1, w2), {"weights.orth_weight": w1, "weights.spectral_weight": w2})
+            for w1 in (0.0, 1.0) for w2 in (0.0, 1.0)
+        ]),
+        ("subspaces", ("n_subspaces",), [
+            _Cell(f"K={k}", (k,), {"decomposition.n_subspaces": k}) for k in _K_GRID
+        ]),
+        ("budget", ("m_requested", "m_effective"), [
+            _Cell(f"m={m}", (m, min(m, n_layers)), {"mask.active_layer_budget": min(m, n_layers)})
+            for m in _M_GRID
+        ]),
+    ]
+
+
 def _table_seed(seed: int, table: int) -> int:
     """The seed of ablation table ``table``, a 63-bit draw from the run
     seed's own table stream: the tables of nearby seeds are independent
@@ -487,81 +522,78 @@ def _run_cell(cfg: TrainConfig, masft: bool, slm: bool, start: Model | FinetuneS
 _METRIC_COLS = ("auc_in", "ap_in", "eer_in", "auc_heldout", "ap_heldout", "eer_heldout", "auc_mean")
 
 
-def _write_table(path: Path, key_cols: tuple[str, ...], rows: list[dict]) -> None:
+def _write_table(path: Path, key_cols: tuple[str, ...], cells: list[_Cell], results: list[dict]) -> None:
     lines = []
-    for row in rows:
-        line = [row[k] for k in key_cols]
-        if row["status"] == "ok":
-            line += [_fmt(row[m]) for m in _METRIC_COLS]
+    for cell, result in zip(cells, results):
+        line = list(cell.key)
+        if result["status"] == "ok":
+            line += [_fmt(result[m]) for m in _METRIC_COLS]
         else:
             line += [""] * len(_METRIC_COLS)
-        line.append(row["status"])
+        line.append(result["status"])
         lines.append(line)
     write_csv(path, list(key_cols) + list(_METRIC_COLS) + ["status"], lines)
 
 
-@dataclass
-class _Arm:
-    """A runnable cell of an ablation table: its config and arm, the row
-    its results go to, and its prefix keys ``(steps, key)``, shallowest
-    first, the last one covering the whole run."""
-
-    name: str
-    row: dict
-    cfg: TrainConfig
-    masft: bool
-    slm: bool
-    prefixes: list[tuple[int, str]]
-
-
-def _arm(name: str, row: dict, cfg: TrainConfig, masft: bool, slm: bool, n_train: int) -> _Arm:
-    """The arm's prefixes are its step-0 state, its warmup edge and its
-    whole run; two arms share a prefix when its keys are equal."""
-    _, warmup, total = _schedule(cfg, n_train)
-    budget = cfg.mask.active_layer_budget if slm else cfg.model.n_decomposable
-    config = config_to_dict(cfg)
-    prefixes = [(n, json.dumps(_prefix(config, masft, budget, (), n, warmup), sort_keys=True))
-                for n in sorted({0, min(warmup, total), total})]
-    return _Arm(name, row, cfg, masft, slm, prefixes)
-
-
-def _fail(table: str, name: str, row: dict, exc: Exception) -> None:
-    row["status"] = f"error:{type(exc).__name__}"
+def _failed(table: str, name: str, exc: Exception) -> dict:
     print(f"ablation cell {table}[{name}] failed: {exc}", file=sys.stderr)
+    return {"status": f"error:{type(exc).__name__}"}
 
 
-def _run_arms(table: str, arms: list[_Arm], backbone: Model, splits: SplitBundle) -> None:
-    """Fill the arms' rows in order, computing what they share once.  An
-    arm whose whole run equals an earlier arm's copies that arm's row,
-    status included.  Any other arm is one ``_run_cell``, started from the
-    deepest prefix it shares with an earlier arm (the step-0 state of a
-    decomposition, or a budget family's warmup), which the earlier arm
-    snapshotted on its way; an arm that failed before reaching such a
-    prefix fails every arm that would start from it."""
+def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list[dict]:
+    """The metrics and status of each cell of table ``t``, in order.  The
+    cells fine-tune one backbone, pretrained on one set of splits under
+    the table's own seed (``_table_seed``), and compute what they share
+    once.  A cell's prefixes are its step-0 state, its warmup edge and its
+    whole run; two cells share a prefix when its keys are equal.  A cell
+    whose whole run equals an earlier cell's copies that cell's result.
+    Any other cell is one ``_run_cell``, started from the deepest prefix
+    it shares with an earlier cell, which that cell snapshotted on its
+    way; a cell that failed before reaching such a prefix fails every cell
+    that would start from it."""
+    seed = _table_seed(cfg.seed, t)
+    try:
+        table_cfg = _cell_config(cfg, seed)
+        splits = build_splits(table_cfg.data, _PRETRAIN_SPLITS + _FINETUNE_SPLITS)
+        backbone = run_pretrain(table_cfg, splits=splits)[0]
+    except Exception as exc:  # noqa: BLE001 - the table is written regardless
+        print(f"ablation pretraining for {table} failed: {exc}", file=sys.stderr)
+        return [{"status": f"error:{type(exc).__name__}"}] * len(cells)
+    results: list[dict] = [{} for _ in cells]
+    plan = []  # (cell index, config, prefixes as (steps, key) shallowest first, start key)
     seen: set[str] = set()
-    starts: list[str | None] = []
-    users: Counter = Counter()  # arms still to start from each prefix
-    for arm in arms:
-        keys = [key for _, key in arm.prefixes]
-        shared = [key for key in keys if key in seen]
-        starts.append(shared[-1] if shared else None)
-        if shared and shared[-1] != keys[-1]:
-            users[shared[-1]] += 1
-        seen.update(keys)
-    results: dict[str, dict] = {}  # whole-run key -> metrics and status
+    users: Counter = Counter()  # cells still to start from each prefix
+    for i, cell in enumerate(cells):
+        try:
+            cell_cfg = _cell_config(cfg, seed, **cell.overrides)
+            _, warmup, total = _schedule(cell_cfg, len(splits.finetune_train))
+            budget = cell_cfg.mask.active_layer_budget if cell.slm else cell_cfg.model.n_decomposable
+            config = config_to_dict(cell_cfg)
+            prefixes = [(n, json.dumps(_prefix(config, cell.masft, budget, (), n, warmup), sort_keys=True))
+                        for n in sorted({0, min(warmup, total), total})]
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            results[i] = _failed(table, cell.name, exc)
+            continue
+        shared = [key for _, key in prefixes if key in seen]
+        start = shared[-1] if shared else None
+        if shared and start != prefixes[-1][1]:
+            users[start] += 1
+        seen.update(key for _, key in prefixes)
+        plan.append((i, cell_cfg, prefixes, start))
+    done: dict[str, dict] = {}  # whole-run key -> result
     saved: dict[str, FinetuneState | Exception] = {}
-    for arm, start in zip(arms, starts):
-        whole = arm.prefixes[-1][1]
-        if whole in results:
-            arm.row.update(results[whole])
+    for i, cell_cfg, prefixes, start in plan:
+        cell, whole = cells[i], prefixes[-1][1]
+        if whole in done:
+            results[i] = done[whole]
             continue
         origin: Model | FinetuneState | Exception = backbone
         if start is not None:
             origin = saved[start]
             users[start] -= 1
             if not users[start]:
-                del saved[start]  # a snapshot lives only until its last arm starts
-        keep = {n: key for n, key in arm.prefixes[:-1] if users[key] and key not in saved}
+                del saved[start]  # a snapshot lives only until its last cell starts
+        keep = {n: key for n, key in prefixes[:-1] if users[key] and key not in saved}
 
         def snapshot(state: FinetuneState) -> None:
             if state.step in keep:
@@ -570,65 +602,23 @@ def _run_arms(table: str, arms: list[_Arm], backbone: Model, splits: SplitBundle
         try:
             if isinstance(origin, Exception):
                 raise origin
-            arm.row.update(_run_cell(arm.cfg, arm.masft, arm.slm, origin, splits, snapshot), status="ok")
+            result = _run_cell(cell_cfg, cell.masft, cell.slm, origin, splits, snapshot) | {"status": "ok"}
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             for key in keep.values():
                 saved.setdefault(key, exc)
-            _fail(table, arm.name, arm.row, exc)
-        results[whole] = {k: v for k, v in arm.row.items() if k in _METRIC_COLS or k == "status"}
+            result = _failed(table, cell.name, exc)
+        results[i] = done[whole] = result
+    return results
 
 
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
-    """Four fixed grids: component on/off, loss-weight on/off, subspace-count
-    sweep, and active-budget sweep.  Each table is one paired draw: its cells
-    fine-tune one backbone, pretrained on one set of splits, under the table's
-    own seed (``_table_seed``), and share what they compute alike
-    (``_run_arms``).  Failures are recorded in the status column and the
+    """The four tables of ``_ablation_tables``, each one paired draw run by
+    ``_run_table``.  Failures are recorded in the status column and the
     sweep continues."""
-    out = Path(out_dir)
-    n_layers = cfg.model.n_decomposable
-    # (table, key columns, cells); a cell is (name, key values, config
-    # overrides, masft, slm), listed in the table's row order
-    grids = [
-        ("components", ("masft", "slm"), [
-            (f"masft={masft},slm={slm}", (masft, slm), {}, bool(masft), bool(slm))
-            for masft in (1, 0) for slm in (1, 0)
-        ]),
-        ("losses", ("orth_weight", "spec_weight"), [
-            (f"orth={w1},spec={w2}", (w1, w2),
-             {"weights.orth_weight": w1, "weights.spectral_weight": w2}, True, True)
-            for w1 in (0.0, 1.0) for w2 in (0.0, 1.0)
-        ]),
-        ("subspaces", ("n_subspaces",), [
-            (f"K={k}", (k,), {"decomposition.n_subspaces": k}, True, True) for k in _K_GRID
-        ]),
-        ("budget", ("m_requested", "m_effective"), [
-            (f"m={m}", (m, min(m, n_layers)), {"mask.active_layer_budget": min(m, n_layers)}, True, True)
-            for m in _M_GRID
-        ]),
-    ]
     paths = []
-    for t, (table, key_cols, cells) in enumerate(grids):
-        seed = _table_seed(cfg.seed, t)
-        try:
-            table_cfg = _cell_config(cfg, seed)
-            splits = build_splits(table_cfg.data, _PRETRAIN_SPLITS + _FINETUNE_SPLITS)
-            backbone, table_error = run_pretrain(table_cfg, splits=splits)[0], None
-        except Exception as exc:  # noqa: BLE001 - the table is written regardless
-            table_error = f"error:{type(exc).__name__}"
-            print(f"ablation pretraining for {table} failed: {exc}", file=sys.stderr)
-        rows = [dict(zip(key_cols, values), status=table_error) for _, values, *_ in cells]
-        if table_error is None:
-            arms = []
-            for row, (name, _, overrides, masft, slm) in zip(rows, cells):
-                try:
-                    cell_cfg = _cell_config(cfg, seed, **overrides)
-                    arms.append(_arm(name, row, cell_cfg, masft, slm, len(splits.finetune_train)))
-                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                    _fail(table, name, row, exc)
-            _run_arms(table, arms, backbone, splits)
-        path = out / f"{table}.csv"
-        _write_table(path, key_cols, rows)
+    for t, (table, key_cols, cells) in enumerate(_ablation_tables(cfg.model.n_decomposable)):
+        path = Path(out_dir) / f"{table}.csv"
+        _write_table(path, key_cols, cells, _run_table(cfg, t, table, cells))
         paths.append(path)
     return paths
 

@@ -29,7 +29,6 @@ class LossReport:
     orth_mean: float
     spec_mean: float
     total: float
-    n_layers: int
 
 
 def _cross_gram(tail: np.ndarray, cross_mask: np.ndarray) -> np.ndarray:
@@ -116,8 +115,7 @@ def total_loss(
     if len(orth_values) != len(spec_values) or not orth_values:
         raise ValueError("need one orthogonality and one spectral value per decomposed layer")
     weights.validate()
-    n = len(orth_values)
     orth_mean = float(np.mean(orth_values))
     spec_mean = float(np.mean(spec_values))
     total = cls + weights.orth_weight * orth_mean + weights.spectral_weight * spec_mean
-    return LossReport(cls=cls, orth_mean=orth_mean, spec_mean=spec_mean, total=total, n_layers=n)
+    return LossReport(cls=cls, orth_mean=orth_mean, spec_mean=spec_mean, total=total)

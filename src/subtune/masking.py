@@ -87,10 +87,6 @@ class LayerMask:
     bits: np.ndarray
     budget: int
 
-    @property
-    def active(self) -> int:
-        return int(self.bits.sum())
-
 
 def build_mask(bvg: np.ndarray, budget: int, step: int, warmup: int) -> LayerMask:
     """All-active up to step ``warmup``; afterwards the ``budget`` largest

@@ -666,7 +666,7 @@ def backward(
         order = [4 * b + j for b in range(cfg.n_blocks - 1, -1, -1) for j in range(4)]
         report = losses.total_loss(cls, orth[order].tolist(), spec[order].tolist(), weights)
     else:
-        report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls, n_layers=0)
+        report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls)
     return report, Gradients(params=params, trainable=grad, head=d_head)
 
 

@@ -21,8 +21,12 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from subtune import harness
 from subtune.config import config_from_dict
 from subtune.harness import run_ablation
 
@@ -63,6 +67,40 @@ def test_tiny_ablation_writes_the_recorded_bytes(tmp_path) -> None:
 
 def test_tiny_ablation_with_a_mid_epoch_warmup_writes_the_recorded_bytes(tmp_path) -> None:
     assert digests("ablation_digest_warmup5.json", tmp_path) == recorded("ablation_digest_warmup5.json")
+
+
+@pytest.mark.parametrize("name, edge", [("ablation_digest.json", 8), ("ablation_digest_warmup5.json", 5)])
+def test_tiny_ablation_runs_each_shared_prefix_once(tmp_path, monkeypatch, name, edge) -> None:
+    # 16 distinct cells of 18, one set of splits and one backbone per table;
+    # every state copy is a snapshot a later cell starts from, or the start
+    # of a cell resumed from one, at step 0 or at the warmup edge
+    calls = Counter()
+    copies = Counter()  # state copies by step
+    resumes = Counter()  # fine-tunes started from a saved state, by its step
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def copy_state(state, _real=harness.copy_state):
+        copies[state.step] += 1
+        return _real(state)
+
+    def run_finetune(cfg, start, _real=harness.run_finetune, **kwargs):
+        if isinstance(start, harness.FinetuneState):
+            resumes[start.step] += 1
+        return _real(cfg, start, **kwargs)
+
+    for fn in ("_run_cell", "build_splits", "run_pretrain"):
+        monkeypatch.setattr(harness, fn, counted(getattr(harness, fn)))
+    monkeypatch.setattr(harness, "copy_state", copy_state)
+    monkeypatch.setattr(harness, "run_finetune", run_finetune)
+    run_ablation(config_from_dict(RUNS[name]), tmp_path)
+    assert calls == {"_run_cell": 16, "build_splits": 4, "run_pretrain": 4}
+    assert resumes == {0: 3, edge: 4}
+    assert copies == {0: 1 + 3, edge: 3 + 4}
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

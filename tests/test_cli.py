@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from oracles import binary_head
-from subtune import harness
+from subtune import cli, harness
 from subtune.checkpoint import load_model, save_model
 from subtune.cli import main
 from subtune.decomposition import DecompositionConfig
@@ -194,6 +194,30 @@ def test_checkpoint_of_another_block_count_fails_before_building_data(tmp_path, 
         "error: ValueError: the checkpoint's model has n_blocks 1, but the run config has n_blocks 6"
     ]
     assert not (tmp_path / "o").exists()
+
+
+OUT_COMMANDS = ["gen-data", "pretrain", "finetune", "eval", "ablate", "robustness"]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_an_out_that_cannot_be_a_directory_fails_before_any_work(
+    tmp_path, cfg_path, capsys, monkeypatch, command, below
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    for module, name in [(harness, "build_splits"), (cli, "build_splits"), (cli, "load_model")]:
+        monkeypatch.setattr(module, name, no_work)
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    out = taken / "run" if below else taken
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command in ("finetune", "eval", "robustness"):
+        argv += ["--checkpoint", str(tmp_path / "m.ckpt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: ValueError: --out {out}: {taken} is not a directory"]
+    assert taken.read_bytes() == b""
 
 
 def test_inspect_takes_no_seed(tmp_path, capsys):

@@ -609,9 +609,10 @@ def test_a_failed_shared_warmup_fails_its_whole_family(tmp_path, monkeypatch):
                               "budget": ["error:InjectedFault"] * 5}
 
 
-def test_a_failure_after_the_fork_marks_only_its_own_arm(tmp_path, monkeypatch):
+def test_a_failure_after_the_fork_marks_only_its_own_arm(tmp_path, monkeypatch, capsys):
     cfg = tiny_cfg(**MID_WARMUP)
     clean = ablation_rows(run_ablation(cfg, tmp_path / "clean"))
+    capsys.readouterr()
 
     def failing(model, grads, mask, opt, _real=harness.apply_update):
         if mask.budget == 1 and mask.bits.sum() == 1:  # past the warmup of the budget-1 arm
@@ -620,6 +621,7 @@ def test_a_failure_after_the_fork_marks_only_its_own_arm(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "apply_update", failing)
     rows = ablation_rows(run_ablation(cfg, tmp_path / "faulty"))
+    assert capsys.readouterr().err.splitlines().count("ablation cell budget[m=1] failed: injected") == 1
     assert rows["budget"][0] == ",,,,,,,error:InjectedFault"
     assert rows["budget"][1:] == clean["budget"][1:]
     assert {t: r for t, r in rows.items() if t != "budget"} == {t: r for t, r in clean.items() if t != "budget"}
@@ -632,9 +634,13 @@ def test_a_failed_decomposition_fails_exactly_the_arms_that_use_it(tmp_path):
                               "subspaces": SUBSPACES, "budget": [error] * 5}
 
 
-def test_ablation_writes_every_table_when_pretraining_fails(tmp_path):
+def test_ablation_writes_every_table_when_pretraining_fails(tmp_path, capsys):
     cfg = tiny_cfg(**{"pretrain.max_epochs": 1, "pretrain.accuracy_floor": 1.0})
     paths = run_ablation(cfg, tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" failed: ")[0] for line in err] == [
+        f"ablation pretraining for {table}" for table in ("components", "losses", "subspaces", "budget")
+    ]
     assert [p.name for p in paths] == ["components.csv", "losses.csv", "subspaces.csv", "budget.csv"]
     rows = [r.split(",") for p in paths for r in p.read_text().splitlines()[1:]]
     assert len(rows) == 18

@@ -148,7 +148,9 @@ def test_total_loss_combination() -> None:
     w = LossWeights(orth_weight=1.0, spectral_weight=1.0)
     rep = total_loss(0.5, [0.1, 0.1], [0.2, 0.2], w)
     assert abs(rep.total - 0.8) <= 1e-12
-    assert rep.n_layers == 2
+    # each term is the mean over the layers given
+    two = total_loss(0.0, [0.1, 0.3], [0.2, 0.6], w)
+    assert (two.orth_mean, two.spec_mean) == pytest.approx((0.2, 0.4))
     zero = total_loss(0.7, [0.3], [0.4], LossWeights(0.0, 0.0))
     assert zero.total == 0.7
     # report invariant

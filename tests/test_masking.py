@@ -79,7 +79,7 @@ def test_build_mask_examples() -> None:
     assert tie.bits.tolist() == [1, 0, 0]
     allon = build_mask(np.array([1.0, 2.0]), 5, 1, 0)
     assert allon.bits.tolist() == [1, 1]
-    assert allon.active == 2
+    assert allon.bits.sum() == 2
 
 
 def test_build_mask_warmup_and_cardinality() -> None:
@@ -88,7 +88,7 @@ def test_build_mask_warmup_and_cardinality() -> None:
         assert build_mask(scores, 2, t, 3).bits.tolist() == [1, 1, 1, 1]
     post = build_mask(scores, 2, 4, 3)
     assert post.bits.tolist() == [0, 1, 0, 1]
-    assert post.active == 2
+    assert post.bits.sum() == 2
     with pytest.raises(ValueError):
         build_mask(scores, 0, 1, 3)
 
