@@ -190,10 +190,6 @@ def _require_names(path: str | Path, field: str, present: list, wanted: list[str
         )
 
 
-def read_manifest(path: str | Path) -> dict:
-    return _parse_manifest(Path(path).read_bytes(), path)[0]
-
-
 def load_model(path: str | Path) -> tuple[Model, dict]:
     raw = Path(path).read_bytes()
     manifest, offset = _parse_manifest(raw, path)

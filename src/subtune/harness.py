@@ -102,7 +102,7 @@ class FinetuneState:
     """What a fine-tune carries from one step to the next: the model, the
     optimizer state, the EMA gradient stats, the number of steps taken
     (the epoch and the batch within it follow from it and the config's
-    batch size), and the steps, masks and gradients logged so far.
+    batch size), and the steps logged so far, each with its mask.
     ``config``, ``masft``, ``budget`` (the effective layer budget) and
     ``forced_zero`` are the set-up that shaped it, held against the run
     that resumes it."""
@@ -112,8 +112,6 @@ class FinetuneState:
     stats: GradientStats
     step: int
     steps: list[StepLog]
-    mask_log: list[np.ndarray]
-    gradient_log: list[np.ndarray]
     config: dict
     masft: bool
     budget: int
@@ -137,8 +135,8 @@ class RunRecord(FinetuneState):
 def copy_state(state: FinetuneState) -> FinetuneState:
     """A copy of ``state``'s ``FinetuneState`` fields that shares no
     writeable array or list with it: the model cloned (sharing only its
-    read-only layout), the optimizer and stats arrays, the logs and the
-    config copied."""
+    read-only layout), the optimizer and stats arrays, the step log and
+    the config copied."""
     opt, stats = state.opt, state.stats
     moments = {name: getattr(opt, name).copy() for name in ("layer_m", "layer_v", "rest_m", "rest_v")}
     return FinetuneState(**{f.name: getattr(state, f.name) for f in fields(FinetuneState)} | dict(
@@ -146,8 +144,6 @@ def copy_state(state: FinetuneState) -> FinetuneState:
         opt=replace(opt, layer_step=list(opt.layer_step), **moments),
         stats=replace(stats, first=stats.first.copy(), second=stats.second.copy()),
         steps=[replace(log) for log in state.steps],
-        mask_log=[bits.copy() for bits in state.mask_log],
-        gradient_log=[rows.copy() for rows in state.gradient_log],
         config=copy.deepcopy(state.config),
     ))
 
@@ -240,8 +236,8 @@ def _evaluate(model: Model, splits: SplitBundle) -> dict[str, EvalReport]:
 def _mask_rule(cfg: TrainConfig, record: RunRecord, stats: GradientStats) -> Callable[[int, np.ndarray], LayerMask]:
     """The selective layer mask of ``record``'s run as a function of (step,
     gradient rows); it advances the EMA ``stats``, so each step is fed
-    once, in order.  The live run and its replay both build their masks
-    here."""
+    once, in order.  The live run builds every mask here, and so does the
+    tests' offline replay."""
     forced_zero = np.asarray(record.forced_zero, dtype=np.intp)
 
     def rule(step: int, grad_rows: np.ndarray) -> LayerMask:
@@ -291,13 +287,13 @@ def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
     model = derive_model(pretrained, head=head, split=cfg.decomposition if masft else None)
     return FinetuneState(
         model=model, opt=init_optimizer(cfg.optimizer.learning_rate, model),
-        stats=init_stats([row.size for row in model.trainable]), step=0, steps=[], mask_log=[], gradient_log=[],
+        stats=init_stats([row.size for row in model.trainable]), step=0, steps=[],
         config=config_to_dict(cfg), masft=masft, budget=budget, forced_zero=forced_zero,
     )
 
 
 def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, budget: int,
-                   forced_zero: tuple[int, ...], warmup: int, log_gradients: bool) -> FinetuneState:
+                   forced_zero: tuple[int, ...], warmup: int) -> FinetuneState:
     """A copy of ``state`` to continue under this run's set-up, which must
     agree with every part of the set-up that shaped its steps so far."""
     have = _prefix(state.config, state.masft, state.budget, state.forced_zero, state.step, warmup)
@@ -306,12 +302,8 @@ def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, budget: 
         if have.get(key) != want.get(key):
             raise ValueError(f"cannot resume: the state after {state.step} steps was made with "
                              f"{key} {have.get(key)!r}, this run has {want.get(key)!r}")
-    if log_gradients and len(state.gradient_log) != state.step:
-        raise ValueError(f"cannot log gradients from a state whose {state.step} steps were run without them")
     state = copy_state(state)
     state.config, state.budget = config_to_dict(cfg), budget
-    if not log_gradients:
-        state.gradient_log = []
     return state
 
 
@@ -323,7 +315,6 @@ def run_finetune(
     masft: bool = True,
     slm: bool = True,
     forced_zero: tuple[int, ...] = (),
-    log_gradients: bool = False,
     splits: SplitBundle | None = None,
     on_step: Callable[[FinetuneState], None] | None = None,
 ) -> RunRecord:
@@ -353,7 +344,7 @@ def run_finetune(
     train = splits.finetune_train
     per_epoch, warmup, _ = _schedule(cfg, len(train))
     if resuming:
-        state = _resumed_state(cfg, start, masft, budget, forced_zero, warmup, log_gradients)
+        state = _resumed_state(cfg, start, masft, budget, forced_zero, warmup)
     else:
         state = _fresh_state(cfg, start, masft, budget, forced_zero)
     model = state.model
@@ -382,9 +373,6 @@ def run_finetune(
                     popcount=int(mask.bits.sum()), mask_bits=bits_str,
                 )
             )
-            record.mask_log.append(mask.bits.copy())
-            if log_gradients:
-                record.gradient_log.append(grads.trainable.copy())
             if on_step is not None:
                 on_step(record)
         taken = 0
@@ -394,20 +382,6 @@ def run_finetune(
     if out_dir is not None:
         _write_finetune_artifacts(record, Path(out_dir))
     return record
-
-
-def replay_masks(record: RunRecord, cfg: TrainConfig, n_layers: int) -> list[np.ndarray]:
-    """Rebuild every mask offline from the logged gradients through the
-    live run's own mask rule, so every arm (budget, ``slm`` off,
-    ``forced_zero``) is reproduced from its record.  ``cfg`` supplies the
-    stats section; ``n_layers`` must be the run's layer count."""
-    if not record.gradient_log:
-        raise ValueError("run was recorded without gradient logging")
-    run_layers = record.model.trainable.shape[0]
-    if n_layers != run_layers:
-        raise ValueError(f"replay asked for {n_layers} layers, the run has {run_layers}")
-    mask_rule = _mask_rule(cfg, record, init_stats([row.size for row in record.model.trainable]))
-    return [mask_rule(step, rows).bits for step, rows in enumerate(record.gradient_log, start=1)]
 
 
 def _write_finetune_artifacts(record: RunRecord, out: Path) -> None:

@@ -1,5 +1,6 @@
-"""Brute-force metric oracles, exhaustive small-instance enumeration, and
-the per-layer training code that the stacked one replaced.
+"""Brute-force metric oracles, exhaustive small-instance enumeration, the
+per-layer training code that the stacked one replaced, and the offline
+replay of a fine-tune's masks.
 
 The brute-force oracles recount from scratch with plain loops (no sorting
 tricks shared with the implementation) and exact rational arithmetic.  The
@@ -7,7 +8,8 @@ tricks shared with the implementation) and exact rational arithmetic.  The
 pooling loop, the per-layer factor projection, EMA, BVG and
 adaptive-moment code, and pretraining's whole-buffer adaptive-moment step
 that the vectorized, stacked and shared versions replaced, kept to check
-them bit for bit.
+them bit for bit.  The replay rebuilds each step's mask from the gradient
+rows that ``capture_gradients`` copies off the live run.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from subtune import harness
 from subtune.decomposition import DecomposedLayer, recompose
-from subtune.masking import _moment_step, _unusable
+from subtune.masking import _moment_step, _unusable, init_stats
 from subtune.metrics import ScoredSet
 from subtune.model import PROJECTION_NAMES, attention_slots, backward, stack_trainables
 
@@ -353,3 +356,40 @@ def binary_head(model, rng: np.random.Generator) -> np.ndarray:
     as the gradient check's model gets it."""
     d = model.config.d_model
     return rng.normal(scale=1.0 / math.sqrt(d), size=(1, d))
+
+
+# --- offline mask replay ---------------------------------------------------
+
+def capture_gradients(monkeypatch) -> list[np.ndarray]:
+    """A list that receives a copy of each fine-tune step's gradient rows
+    from then on, taken by wrapping ``harness.apply_update``, which the
+    fine-tune calls once per step and pretraining never."""
+    rows = []
+    apply_update = harness.apply_update
+
+    def capturing(model, grads, mask, opt):
+        rows.append(grads.trainable.copy())
+        return apply_update(model, grads, mask, opt)
+
+    monkeypatch.setattr(harness, "apply_update", capturing)
+    return rows
+
+
+def replay_masks(record, cfg, n_layers: int, gradient_rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Every mask of ``record``'s run rebuilt offline from its steps'
+    ``gradient_rows`` through the live run's own mask rule, so every arm
+    (budget, ``slm`` off, ``forced_zero``) is reproduced from its record.
+    ``cfg`` supplies the stats section; ``n_layers`` must be the run's
+    layer count, and there must be one gradient row set per step taken."""
+    run_layers = record.model.trainable.shape[0]
+    if n_layers != run_layers:
+        raise ValueError(f"replay asked for {n_layers} layers, the run has {run_layers}")
+    if len(gradient_rows) != record.step:
+        raise ValueError(f"replay got gradient rows for {len(gradient_rows)} steps, the run took {record.step}")
+    mask_rule = harness._mask_rule(cfg, record, init_stats([row.size for row in record.model.trainable]))
+    return [mask_rule(step, rows).bits for step, rows in enumerate(gradient_rows, start=1)]
+
+
+def recorded_masks(record) -> list[np.ndarray]:
+    """Each step's mask as the run recorded it: its ``StepLog.mask_bits``."""
+    return [np.array([int(bit) for bit in log.mask_bits], dtype=np.int8) for log in record.steps]

@@ -20,15 +20,18 @@ from oracles import (
     brute_auc,
     brute_eer_dense,
     brute_eer_exact,
+    capture_gradients,
     enumerate_count_instances,
     projection_param_vector,
+    recorded_masks,
+    replay_masks,
 )
 from split_checks import SAMPLE_SPLITS
 from subtune.config import config_from_dict, default_config
 from subtune.data import FAMILIES, LEVELS, build_splits
 from subtune.decomposition import DecompositionConfig, decompose, recompose, semantic_to_bytes
 from subtune.gradcheck import grad_check, jitter_trainables
-from subtune.harness import replay_masks, run_ablation, run_finetune, run_pretrain, run_robustness
+from subtune.harness import run_ablation, run_finetune, run_pretrain, run_robustness
 from subtune.linalg import make_rng
 from subtune.losses import LossWeights, orth_loss, spec_loss
 from subtune.masking import StatsConfig, compute_bvg, init_stats, update_stats
@@ -116,7 +119,7 @@ def test_criterion_4_ema_bvg_hand_sequence():
     assert abs(compute_bvg(stats, cfg)[0] - 3.0) <= 1e-12
 
 
-def test_criterion_5_mask_semantics(smoke):
+def test_criterion_5_mask_semantics(smoke, monkeypatch):
     runs, _ = smoke
     _, pretrained, _ = runs[0]
     cfg = config_from_dict({"data": {"n_finetune": 640}})
@@ -124,15 +127,16 @@ def test_criterion_5_mask_semantics(smoke):
     n_layers = cfg.model.n_decomposable
     warmup = 640 // cfg.optimizer.batch_size
 
-    logged = run_finetune(cfg, pretrained, log_gradients=True, splits=splits)
+    gradient_rows = capture_gradients(monkeypatch)
+    logged = run_finetune(cfg, pretrained, splits=splits)
     assert len(logged.steps) == 200
     for s in logged.steps:
         want = n_layers if s.step <= warmup else min(cfg.mask.active_layer_budget, n_layers)
         assert s.popcount == want, (s.step, s.popcount)
 
-    rebuilt = replay_masks(logged, cfg, n_layers)
+    rebuilt = replay_masks(logged, cfg, n_layers, gradient_rows)
     assert len(rebuilt) == 200
-    for got, want in zip(rebuilt, logged.mask_log):
+    for got, want in zip(rebuilt, recorded_masks(logged)):
         assert np.array_equal(got, want)
 
     frozen_id = 5

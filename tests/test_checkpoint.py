@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import binary_head
-from subtune.checkpoint import MAGIC, load_model, read_manifest, save_model
+from subtune.checkpoint import MAGIC, load_model, save_model
 from subtune.config import config_from_dict
 from subtune.data import DataConfig, export_csv, gen_clips
 from subtune.decomposition import DecompositionConfig, layer_to_bytes
@@ -94,14 +94,14 @@ def test_same_state_writes_identical_bytes(tmp_path):
     save_model(a, model, step=3, config_echo={"seed": 2})
     save_model(b, model, step=3, config_echo={"seed": 2})
     assert a.read_bytes() == b.read_bytes()
-    assert read_manifest(a)["rng_state"] is None
+    assert load_model(a)[1]["rng_state"] is None
 
 
-def test_manifest_without_payload_parse(tmp_path):
+def test_manifest_echoes_the_step_config_and_array_names(tmp_path):
     model = tiny_model()
     path = tmp_path / "m.ckpt"
     save_model(path, model, step=11, config_echo={"seed": 0})
-    manifest = read_manifest(path)
+    manifest = load_model(path)[1]
     assert manifest["step"] == 11
     assert manifest["config"] == {"seed": 0}
     assert "token_embed" in manifest["arrays"]
@@ -113,8 +113,6 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(ValueError, match="bad magic"):
         load_model(path)
-    with pytest.raises(ValueError, match="bad magic"):
-        read_manifest(path)
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -152,10 +150,6 @@ def test_every_truncation_is_a_value_error_naming_it(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(ValueError, match="truncated"):
             load_model(cut)
-        if n < manifest_end:
-            with pytest.raises(ValueError, match="truncated"):
-                read_manifest(cut)
-    assert read_manifest(cut)["step"] == 2
     # cuts in the body: inside the first matrix header, inside a plain
     # matrix, in the first decomposed layer's header and rank list, and the
     # last byte
@@ -284,10 +278,9 @@ def test_manifest_of_another_format_or_kind_or_missing_a_field_is_rejected(tmp_p
     path = tmp_path / "m.ckpt"
     save_model(path, tiny_model(seed=6, decomposed=True), step=1)
     _rewrite_manifest(path, edit)
-    for read in (load_model, read_manifest):
-        with pytest.raises(ValueError, match=f"manifest field '{field}'") as info:
-            read(path)
-        assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match=f"manifest field '{field}'") as info:
+        load_model(path)
+    assert "\n" not in str(info.value)
 
 
 def _swap(m, key, i, j, field=None):
@@ -369,13 +362,9 @@ def test_manifest_missing_what_loading_reads_is_a_value_error(tmp_path, edit, me
     path = tmp_path / "m.ckpt"
     save_model(path, tiny_model(seed=6, decomposed=True), step=1)
     _rewrite_manifest(path, edit)
-    # read_manifest reads no array, so only load_model can hold a dimension
-    # against one
-    readers = (load_model,) if ", but '" in message else (load_model, read_manifest)
-    for read in readers:
-        with pytest.raises(ValueError, match=message) as info:
-            read(path)
-        assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match=message) as info:
+        load_model(path)
+    assert "\n" not in str(info.value)
 
 
 def _plain_names(decomposed):

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import binary_head, projection_param_vector
+from oracles import binary_head, capture_gradients, projection_param_vector, recorded_masks, replay_masks
 from split_checks import SAMPLE_SPLITS
 from subtune import harness, masking
 from subtune.checkpoint import load_model, save_model
@@ -18,7 +18,6 @@ from subtune.harness import (
     copy_state,
     decompose_inspect,
     eval_split,
-    replay_masks,
     run_ablation,
     run_finetune,
     run_pretrain,
@@ -216,42 +215,39 @@ def test_forced_zero_layer_stays_at_initialization(pretrained):
 @pytest.mark.parametrize(
     "arm", [{}, {"slm": False}, {"forced_zero": (2,)}], ids=["default", "slm-off", "forced-zero"]
 )
-def test_replay_reproduces_every_mask(pretrained, arm):
+def test_replay_reproduces_every_mask(monkeypatch, pretrained, arm):
     cfg, splits, model, _ = pretrained
-    record = run_finetune(cfg, model, log_gradients=True, splits=splits, **arm)
-    rebuilt = replay_masks(record, cfg, n_layers=8)
-    assert len(rebuilt) == len(record.mask_log)
-    for got, want in zip(rebuilt, record.mask_log):
+    rows = capture_gradients(monkeypatch)
+    record = run_finetune(cfg, model, splits=splits, **arm)
+    rebuilt = replay_masks(record, cfg, 8, rows)
+    assert len(rebuilt) == len(record.steps) == 16
+    for got, want in zip(rebuilt, recorded_masks(record)):
         assert np.array_equal(got, want)
 
 
-def test_replay_reads_the_recorded_warmup(pretrained):
+def test_replay_reads_the_recorded_warmup(monkeypatch, pretrained):
     cfg, splits, model, _ = pretrained
-    record = run_finetune(cfg, model, log_gradients=True, splits=splits)
+    rows = capture_gradients(monkeypatch)
+    record = run_finetune(cfg, model, splits=splits)
+    recorded = recorded_masks(record)
     # no warmup_steps configured: one epoch of 128 / 16 steps
     assert record.warmup_steps == 8
     # the warmup is read from the record, not re-derived from the config's
     # epoch count
     for replay_cfg in (cfg, tiny_cfg(**{"optimizer.epochs": 1})):
-        rebuilt = replay_masks(record, replay_cfg, n_layers=8)
-        assert all(np.array_equal(got, want) for got, want in zip(rebuilt, record.mask_log))
+        rebuilt = replay_masks(record, replay_cfg, 8, rows)
+        assert all(np.array_equal(got, want) for got, want in zip(rebuilt, recorded))
     record.warmup_steps = 0
-    rebuilt = replay_masks(record, cfg, n_layers=8)
-    assert not all(np.array_equal(got, want) for got, want in zip(rebuilt, record.mask_log))
+    rebuilt = replay_masks(record, cfg, 8, rows)
+    assert not all(np.array_equal(got, want) for got, want in zip(rebuilt, recorded))
 
 
-def test_replay_requires_gradient_log(pretrained):
+def test_replay_rejects_another_layer_count(monkeypatch, pretrained):
     cfg, splits, model, _ = pretrained
+    rows = capture_gradients(monkeypatch)
     record = run_finetune(cfg, model, splits=splits)
-    with pytest.raises(ValueError, match="gradient logging"):
-        replay_masks(record, cfg, n_layers=8)
-
-
-def test_replay_rejects_another_layer_count(pretrained):
-    cfg, splits, model, _ = pretrained
-    record = run_finetune(cfg, model, log_gradients=True, splits=splits)
     with pytest.raises(ValueError, match="replay asked for 24 layers, the run has 8"):
-        replay_masks(record, cfg, n_layers=24)
+        replay_masks(record, cfg, 24, rows)
 
 
 # 8 steps per epoch and 16 in all; the warmup ends mid-epoch, at step 5
@@ -261,15 +257,15 @@ RUN_FILES = ("train_log.csv", "finetuned.ckpt", "metrics.csv")
 
 
 def snapshots(cfg, model, splits, out_dir=None, **arm):
-    """One uninterrupted run, logging gradients, with a copy of its state
-    after each step count in RESUME_AT."""
+    """One uninterrupted run, with a copy of its state after each step
+    count in RESUME_AT."""
     snaps = {}
 
     def keep(state):
         if state.step in RESUME_AT:
             snaps[state.step] = copy_state(state)
 
-    record = run_finetune(cfg, model, out_dir=out_dir, log_gradients=True, splits=splits, on_step=keep, **arm)
+    record = run_finetune(cfg, model, out_dir=out_dir, splits=splits, on_step=keep, **arm)
     return record, snaps
 
 
@@ -280,23 +276,27 @@ def same_files(a, b):
 @pytest.mark.parametrize(
     "arm", [{}, {"slm": False}, {"masft": False}], ids=["default", "slm-off", "masft-off"]
 )
-def test_a_resumed_run_ends_byte_identical_to_an_uninterrupted_one(tmp_path, pretrained, arm):
+def test_a_resumed_run_ends_byte_identical_to_an_uninterrupted_one(monkeypatch, tmp_path, pretrained, arm):
     _, splits, model, _ = pretrained
     cfg = tiny_cfg(**MID_WARMUP)
+    rows = capture_gradients(monkeypatch)
     whole, snaps = snapshots(cfg, model, splits, tmp_path / "whole", **arm)
+    whole_rows = rows.copy()
     assert sorted(snaps) == list(RESUME_AT)
+    assert len(whole_rows) == 16
     for k, snap in snaps.items():
+        rows.clear()
         out = tmp_path / f"from{k}"
-        resumed = run_finetune(cfg, snap, out_dir=out, log_gradients=True, splits=splits, **arm)
+        resumed = run_finetune(cfg, snap, out_dir=out, splits=splits, **arm)
         assert same_files(out, tmp_path / "whole"), k
         assert resumed.semantic_start == whole.semantic_start
-        for log in ("mask_log", "gradient_log"):
-            got, want = getattr(resumed, log), getattr(whole, log)
-            assert len(got) == len(want) == 16
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (k, log)
-        rebuilt = replay_masks(resumed, cfg, n_layers=8)
+        # steps k+1..16 see the uninterrupted run's gradients, bit for bit
+        assert len(rows) == 16 - k
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(rows, whole_rows[k:])), k
+        # and the prefix's rows with the resumed ones replay to its masks
+        rebuilt = replay_masks(resumed, cfg, 8, whole_rows[:k] + rows)
         assert len(rebuilt) == 16
-        assert all(np.array_equal(g, w) for g, w in zip(rebuilt, resumed.mask_log)), k
+        assert all(np.array_equal(g, w) for g, w in zip(rebuilt, recorded_masks(resumed))), k
 
 
 def assert_copied(copy, source, where: str) -> None:
@@ -321,10 +321,10 @@ def assert_copied(copy, source, where: str) -> None:
 def test_a_snapshot_copies_every_array_of_the_state(pretrained):
     _, splits, model, _ = pretrained
     states = []
-    run_finetune(tiny_cfg(**MID_WARMUP), model, log_gradients=True, splits=splits,
+    run_finetune(tiny_cfg(**MID_WARMUP), model, splits=splits,
                  on_step=lambda state: states.append(copy_state(state)) if state.step == 7 else None)
     state = states[0]
-    assert len(state.steps) == len(state.mask_log) == len(state.gradient_log) == 7
+    assert len(state.steps) == 7
     assert state.opt.layer_m is not None
     snap = copy_state(state)
     assert type(snap) is FinetuneState
@@ -342,13 +342,12 @@ def test_a_resumed_run_leaves_its_snapshot_untouched(pretrained):
     _, snaps = snapshots(cfg, model, splits)
     snap = snaps[11]
     before = pickle.dumps(snap)
-    resumed = run_finetune(cfg, snap, log_gradients=True, splits=splits)
+    resumed = run_finetune(cfg, snap, splits=splits)
     resumed.model.params[...] += 1.0
     resumed.opt.layer_m += 1.0
     resumed.opt.layer_step[0] += 5
     resumed.steps[0].cls = -1.0
-    resumed.mask_log[0][:] = 0
-    resumed.gradient_log[0][:] = 0
+    resumed.steps[0].mask_bits = "0" * 8
     resumed.steps.clear()
     assert pickle.dumps(snap) == before
 
@@ -392,17 +391,6 @@ def test_resuming_under_a_setup_that_shaped_the_state_otherwise_is_a_value_error
     with pytest.raises(ValueError, match=rf"^cannot resume: the state after {k} steps was made with {key} ") as info:
         run_finetune(tiny_cfg(**{**MID_WARMUP, **change}), snap, splits=splits, **arm)
     assert "\n" not in str(info.value)
-
-
-def test_gradient_logging_resumes_only_a_logged_prefix(pretrained):
-    _, splits, model, _ = pretrained
-    cfg = tiny_cfg(**MID_WARMUP)
-    snaps = {}
-    run_finetune(cfg, model, splits=splits, on_step=lambda state: snaps.setdefault(state.step, copy_state(state)))
-    # nothing was logged at step 0, so a fresh state logs from the start
-    run_finetune(cfg, snaps[0], log_gradients=True, splits=splits)
-    with pytest.raises(ValueError, match="cannot log gradients from a state whose 5 steps were run without them"):
-        run_finetune(cfg, snaps[5], log_gradients=True, splits=splits)
 
 
 @pytest.mark.parametrize("lid", [-1, 8])
