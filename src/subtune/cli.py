@@ -34,11 +34,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, run, *, config=True, seed=True, out=False, ckpt=False):
+    def add(name: str, help_text: str, run, *, seed=True, out=False, ckpt=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        if config:
-            p.add_argument("--config", type=Path, default=None, help="YAML run configuration")
+        p.add_argument("--config", type=Path, default=None, help="YAML run configuration")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if out:

@@ -195,8 +195,8 @@ def load_config(path: str | Path) -> TrainConfig:
     return config_from_dict(raw)
 
 
-def default_config(seed: int = 0) -> TrainConfig:
-    return config_from_dict({"seed": seed})
+def default_config() -> TrainConfig:
+    return config_from_dict({})
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:

@@ -153,22 +153,24 @@ def _class_basis(seed: int, n_tokens: int, d_model: int, base_class: int) -> np.
     return basis
 
 
-def gen_clips(cfg: DataConfig, n_samples: int, split: str, families: tuple[str, ...] = ()) -> Split:
+def gen_clips(cfg: DataConfig, n_samples: int, split: str) -> Split:
     """Real clips, classes cycling per clip, drawn from the split's real
-    streams.  With ``families`` the clips are fakes, drawn from the split's
-    fake streams: each a fresh real clip pushed through one (family, level),
-    cycling families first and levels second for balanced coverage."""
+    streams."""
     cfg.validate()
     if n_samples % cfg.clip_size != 0:
         raise ValueError("sample count must be a multiple of clip_size")
-    return _fill_clips(cfg, np.empty((n_samples, cfg.n_tokens, cfg.d_model)), split, families)
+    return _fill_clips(cfg, np.empty((n_samples, cfg.n_tokens, cfg.d_model)), split)
 
 
 def _fill_clips(cfg: DataConfig, tokens: np.ndarray, split: str, families: tuple[str, ...] = ()) -> Split:
-    """``gen_clips`` writing its tokens into ``tokens`` (N, T, D): the noise
-    is drawn straight into them and each clip's clean signal added to its
-    members, then the fakes are transformed one (family, level) group of
-    clips at a time, each group from its own stream."""
+    """Clips written into ``tokens`` (N, T, D), classes cycling per clip:
+    real ones from the split's real streams, or with ``families`` fakes
+    from its fake streams, each a fresh real clip pushed through one
+    (family, level), cycling families first and levels second for balanced
+    coverage.  The noise is drawn straight into ``tokens`` and each clip's
+    clean signal added to its members, then the fakes are transformed one
+    (family, level) group of clips at a time, each group from its own
+    stream."""
     n_samples, t_count, d_count = tokens.shape
     tag, half = ("f", 1) if families else ("r", 0)
     key = (_SPLIT_STREAMS[split], half)

@@ -267,15 +267,15 @@ def recompose(layer: DecomposedLayer) -> np.ndarray:
     return layer.semantic.w + (layer.u * layer.s) @ layer.v.T
 
 
-def energy_fractions(layer: DecomposedLayer) -> tuple[float, list[float]]:
-    """Share of squared spectral energy held by the semantic part and by each
-    artifact subspace, measured from the current singular values."""
+def energy_fractions(layer: DecomposedLayer) -> float:
+    """Share of squared spectral energy held by the semantic part, measured
+    from the current singular values; the total adds each artifact
+    subspace's energy in turn."""
     sem = float(np.sum(layer.semantic.s**2))
-    arts = [float(np.sum(a.s**2)) for a in layer.artifacts]
-    total = sem + sum(arts)
+    total = sem + sum(float(np.sum(a.s**2)) for a in layer.artifacts)
     if total <= 0.0:
         raise ValueError("layer spectrum has zero energy")
-    return sem / total, [a / total for a in arts]
+    return sem / total
 
 
 _LAYER_HEADER = struct.Struct("<QQQQQd")

@@ -10,6 +10,12 @@ from . import model as model_mod
 from .losses import LossWeights
 from .model import Model
 
+# central-difference step, pass bound on the relative error, and the spread
+# of the offset that moves the trainables off the spectral penalty's kink
+_STEP = 1e-5
+_TOL = 1e-5
+_JITTER = 0.05
+
 
 @dataclass
 class GradCheckReport:
@@ -25,8 +31,6 @@ def grad_check(
     inputs: np.ndarray,
     labels: np.ndarray,
     weights: LossWeights | None = None,
-    h: float = 1e-5,
-    tol: float = 1e-5,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences at every
     ``trained_positions`` coordinate of ``model.params``, in buffer order.
@@ -42,12 +46,12 @@ def grad_check(
     numeric = np.zeros(positions.size)
     for i, at in enumerate(positions):
         theta = model.params[at]
-        model.params[at] = theta + h
+        model.params[at] = theta + _STEP
         up = model_mod.backward(model, inputs, labels, weights)[0].total
-        model.params[at] = theta - h
+        model.params[at] = theta - _STEP
         down = model_mod.backward(model, inputs, labels, weights)[0].total
         model.params[at] = theta
-        numeric[i] = (up - down) / (2.0 * h)
+        numeric[i] = (up - down) / (2.0 * _STEP)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     rel = np.abs(analytic - numeric) / denom
@@ -56,15 +60,15 @@ def grad_check(
         max_rel_err=float(rel[worst]),
         worst_index=worst,
         n_coords=int(positions.size),
-        tol=tol,
-        passed=bool(rel[worst] <= tol),
+        tol=_TOL,
+        passed=bool(rel[worst] <= _TOL),
     )
 
 
-def jitter_trainables(model: Model, rng: np.random.Generator, scale: float = 0.05) -> None:
+def jitter_trainables(model: Model, rng: np.random.Generator) -> None:
     """Move the ``trained_positions`` of ``model.params`` to a generic point.
     The spectral penalty is an absolute value sitting exactly at its kink
     after decomposition, where finite differences are meaningless; checks
     run from a nearby offset."""
     positions = model_mod.trained_positions(model)
-    model.params[positions] += scale * rng.normal(size=positions.shape)
+    model.params[positions] += _JITTER * rng.normal(size=positions.shape)

@@ -29,7 +29,7 @@ from . import metrics as metrics_mod
 from .checkpoint import save_model
 from .config import TrainConfig, config_to_dict
 from .data import FAMILIES, Split, SplitBundle, build_splits, robustness_cells
-from .decomposition import DecompositionConfig, semantic_to_bytes
+from .decomposition import DecompositionConfig
 from .files import write_csv, write_file
 from .linalg import make_rng
 from .masking import (
@@ -103,9 +103,8 @@ class FinetuneState:
     optimizer state, the EMA gradient stats, the number of steps taken
     (the epoch and the batch within it follow from it and the config's
     batch size), and the steps logged so far, each with its mask.
-    ``config``, ``masft``, ``budget`` (the effective layer budget) and
-    ``forced_zero`` are the set-up that shaped it, held against the run
-    that resumes it."""
+    ``config``, ``masft`` and ``budget`` (the effective layer budget) are
+    the set-up that shaped it, held against the run that resumes it."""
 
     model: Model
     opt: OptimizerState
@@ -115,18 +114,15 @@ class FinetuneState:
     config: dict
     masft: bool
     budget: int
-    forced_zero: tuple[int, ...]
 
 
 @dataclass
 class RunRecord(FinetuneState):
     """A fine-tune's state, live while it runs and final once it returns,
-    plus what the run adds: the warmup its mask rule reads, the semantic
-    bytes it started from, the evaluation, the wall-clock time and the
-    files written."""
+    plus what the run adds: the warmup its mask rule reads, the evaluation,
+    the wall-clock time and the files written."""
 
     warmup_steps: int
-    semantic_start: list[bytes]
     metrics: dict[str, EvalReport] = field(default_factory=dict)
     wall_clock: float = 0.0
     out_files: list[Path] = field(default_factory=list)
@@ -238,13 +234,10 @@ def _mask_rule(cfg: TrainConfig, record: RunRecord, stats: GradientStats) -> Cal
     gradient rows); it advances the EMA ``stats``, so each step is fed
     once, in order.  The live run builds every mask here, and so does the
     tests' offline replay."""
-    forced_zero = np.asarray(record.forced_zero, dtype=np.intp)
 
     def rule(step: int, grad_rows: np.ndarray) -> LayerMask:
         update_stats(stats, grad_rows, cfg.stats)
-        mask = build_mask(compute_bvg(stats, cfg.stats), record.budget, step, record.warmup_steps)
-        mask.bits[forced_zero] = 0
-        return mask
+        return build_mask(compute_bvg(stats, cfg.stats), record.budget, step, record.warmup_steps)
 
     return rule
 
@@ -257,13 +250,12 @@ def _schedule(cfg: TrainConfig, n_train: int) -> tuple[int, int, int]:
     return per_epoch, warmup, per_epoch * cfg.optimizer.epochs
 
 
-def _prefix(config: dict, masft: bool, budget: int, forced_zero: tuple[int, ...], n_steps: int,
-            warmup: int) -> dict:
+def _prefix(config: dict, masft: bool, budget: int, n_steps: int, warmup: int) -> dict:
     """What decides a fine-tune's state after ``n_steps`` steps, as a flat
     dict of dotted keys: the run config and arm, less the loss weights
     before the first step (they act through the gradients) and less the
     layer budget up to the warmup edge (every layer is active until then)."""
-    flat = {"steps": n_steps, "masft": masft, "forced_zero": list(forced_zero)}
+    flat = {"steps": n_steps, "masft": masft}
     for section, value in config.items():
         if isinstance(value, dict):
             flat.update((f"{section}.{name}", v) for name, v in value.items())
@@ -277,8 +269,7 @@ def _prefix(config: dict, masft: bool, budget: int, forced_zero: tuple[int, ...]
     return flat
 
 
-def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
-                 forced_zero: tuple[int, ...]) -> FinetuneState:
+def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int) -> FinetuneState:
     """Step 0: ``pretrained`` under a fresh binary head, its attention
     decomposed under the run config's split, not the one the checkpoint was
     saved with (unless the decomposition arm is off), packed into one new
@@ -288,16 +279,15 @@ def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int,
     return FinetuneState(
         model=model, opt=init_optimizer(cfg.optimizer.learning_rate, model),
         stats=init_stats([row.size for row in model.trainable]), step=0, steps=[],
-        config=config_to_dict(cfg), masft=masft, budget=budget, forced_zero=forced_zero,
+        config=config_to_dict(cfg), masft=masft, budget=budget,
     )
 
 
-def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, budget: int,
-                   forced_zero: tuple[int, ...], warmup: int) -> FinetuneState:
+def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, budget: int, warmup: int) -> FinetuneState:
     """A copy of ``state`` to continue under this run's set-up, which must
     agree with every part of the set-up that shaped its steps so far."""
-    have = _prefix(state.config, state.masft, state.budget, state.forced_zero, state.step, warmup)
-    want = _prefix(config_to_dict(cfg), masft, budget, forced_zero, state.step, warmup)
+    have = _prefix(state.config, state.masft, state.budget, state.step, warmup)
+    want = _prefix(config_to_dict(cfg), masft, budget, state.step, warmup)
     for key in sorted(have.keys() | want.keys()):
         if have.get(key) != want.get(key):
             raise ValueError(f"cannot resume: the state after {state.step} steps was made with "
@@ -314,7 +304,6 @@ def run_finetune(
     out_dir: str | Path | None = None,
     masft: bool = True,
     slm: bool = True,
-    forced_zero: tuple[int, ...] = (),
     splits: SplitBundle | None = None,
     on_step: Callable[[FinetuneState], None] | None = None,
 ) -> RunRecord:
@@ -325,34 +314,26 @@ def run_finetune(
     ``FinetuneState`` taken after k steps, which is copied and continued
     at step k + 1 by rebuilding the epoch's batch order and skipping the
     batches already taken.  The returned ``RunRecord`` is the run's own
-    state: ``on_step`` sees it live before the first step and after every
-    step; keep it with ``copy_state``."""
+    state: ``on_step`` sees it live before the first step, where a caller
+    reads what the run starts from, and after every step; keep it with
+    ``copy_state``."""
     t0 = time.perf_counter()
     resuming = isinstance(start, FinetuneState)
     model = start.model if resuming else start
     if not resuming and model.decomposed:
         raise ValueError("expected a plain pretrained model")
     _require_fit(cfg, model)
-    n_layers = model.config.n_decomposable
-    for lid in forced_zero:
-        if not 0 <= lid < n_layers:
-            raise ValueError(f"forced_zero layer id {lid} is outside [0, {n_layers})")
-    forced_zero = tuple(forced_zero)
-    budget = cfg.mask.active_layer_budget if slm else n_layers
+    budget = cfg.mask.active_layer_budget if slm else model.config.n_decomposable
     if splits is None:
         splits = build_splits(cfg.data, _FINETUNE_SPLITS)
     train = splits.finetune_train
     per_epoch, warmup, _ = _schedule(cfg, len(train))
     if resuming:
-        state = _resumed_state(cfg, start, masft, budget, forced_zero, warmup)
+        state = _resumed_state(cfg, start, masft, budget, warmup)
     else:
-        state = _fresh_state(cfg, start, masft, budget, forced_zero)
+        state = _fresh_state(cfg, start, masft, budget)
     model = state.model
-    semantic_start = [
-        semantic_to_bytes(getattr(block, name)) for _, block, name in attention_slots(model)
-    ] if model.decomposed else []
-    record = RunRecord(**{f.name: getattr(state, f.name) for f in fields(FinetuneState)},
-                       warmup_steps=warmup, semantic_start=semantic_start)
+    record = RunRecord(**{f.name: getattr(state, f.name) for f in fields(FinetuneState)}, warmup_steps=warmup)
     mask_rule = _mask_rule(cfg, record, record.stats)
     if on_step is not None:
         on_step(record)
@@ -543,7 +524,7 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list
             _, warmup, total = _schedule(cell_cfg, len(splits.finetune_train))
             budget = cell_cfg.mask.active_layer_budget if cell.slm else cell_cfg.model.n_decomposable
             config = config_to_dict(cell_cfg)
-            prefixes = [(n, json.dumps(_prefix(config, cell.masft, budget, (), n, warmup), sort_keys=True))
+            prefixes = [(n, json.dumps(_prefix(config, cell.masft, budget, n, warmup), sort_keys=True))
                         for n in sorted({0, min(warmup, total), total})]
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             results[i] = _failed(table, cell.name, exc)
@@ -628,7 +609,6 @@ class LayerReport:
     semantic_rank: int
     artifact_ranks: list[int]
     energy_semantic: float
-    energy_artifacts: list[float]
     orth: float
     spec: float
 
@@ -645,7 +625,6 @@ def decompose_inspect(model: Model, split: DecompositionConfig | None = None) ->
     out = []
     for lid, block, name in attention_slots(model):
         layer = getattr(block, name)
-        sem_share, art_shares = energy_fractions(layer)
         out.append(
             LayerReport(
                 layer_id=lid,
@@ -653,8 +632,7 @@ def decompose_inspect(model: Model, split: DecompositionConfig | None = None) ->
                 total_rank=layer.total_rank,
                 semantic_rank=layer.semantic_rank,
                 artifact_ranks=list(layer.ranks),
-                energy_semantic=sem_share,
-                energy_artifacts=art_shares,
+                energy_semantic=energy_fractions(layer),
                 orth=losses_mod.orth_loss(layer),
                 spec=losses_mod.spec_loss(layer),
             )

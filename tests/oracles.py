@@ -9,7 +9,10 @@ pooling loop, the per-layer factor projection, EMA, BVG and
 adaptive-moment code, and pretraining's whole-buffer adaptive-moment step
 that the vectorized, stacked and shared versions replaced, kept to check
 them bit for bit.  The replay rebuilds each step's mask from the gradient
-rows that ``capture_gradients`` copies off the live run.
+rows that ``capture_gradients`` copies off the live run.  ``zero_layers``
+and ``StartCores`` are the test-side hooks on a fine-tune: one freezes
+chosen layers through the mask, the other keeps the frozen semantic cores
+a run starts from.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from subtune import harness
-from subtune.decomposition import DecomposedLayer, recompose
+from subtune.decomposition import DecomposedLayer, recompose, semantic_to_bytes
 from subtune.masking import _moment_step, _unusable, init_stats
 from subtune.metrics import ScoredSet
 from subtune.model import PROJECTION_NAMES, attention_slots, backward, stack_trainables
@@ -375,10 +378,48 @@ def capture_gradients(monkeypatch) -> list[np.ndarray]:
     return rows
 
 
+def zero_layers(monkeypatch, layer_ids: tuple[int, ...]) -> None:
+    """From then on, clear the bits of ``layer_ids`` in every mask built,
+    by wrapping ``harness.build_mask``, which ``harness._mask_rule`` calls
+    once per step: the layers stay at their start in a fine-tune, and a
+    replay rebuilds the same masks."""
+    build_mask = harness.build_mask
+    ids = np.asarray(layer_ids, dtype=np.intp)
+
+    def zeroing(*args, **kwargs):
+        mask = build_mask(*args, **kwargs)
+        mask.bits[ids] = 0
+        return mask
+
+    monkeypatch.setattr(harness, "build_mask", zeroing)
+
+
+def semantic_cores(model) -> list[bytes]:
+    """Each attention slot's frozen semantic core, serialized; none for a
+    plain model."""
+    if not model.decomposed:
+        return []
+    return [semantic_to_bytes(getattr(block, name)) for _, block, name in attention_slots(model)]
+
+
+class StartCores:
+    """An ``on_step`` hook that keeps the ``semantic_cores`` of the first
+    state a fine-tune shows it: the run's start, before its first step (or
+    after step k, for a run resumed there)."""
+
+    def __init__(self):
+        self.cores = None
+
+    def __call__(self, state) -> None:
+        if self.cores is None:
+            self.cores = semantic_cores(state.model)
+
+
 def replay_masks(record, cfg, n_layers: int, gradient_rows: list[np.ndarray]) -> list[np.ndarray]:
     """Every mask of ``record``'s run rebuilt offline from its steps'
     ``gradient_rows`` through the live run's own mask rule, so every arm
-    (budget, ``slm`` off, ``forced_zero``) is reproduced from its record.
+    (budget, ``slm`` off, and layers zeroed by ``zero_layers`` while the
+    hook is still in place) is reproduced from its record.
     ``cfg`` supplies the stats section; ``n_layers`` must be the run's
     layer count, and there must be one gradient row set per step taken."""
     run_layers = record.model.trainable.shape[0]

@@ -15,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (
+    StartCores,
     binary_head,
     brute_ap,
     brute_auc,
@@ -25,6 +26,7 @@ from oracles import (
     projection_param_vector,
     recorded_masks,
     replay_masks,
+    zero_layers,
 )
 from split_checks import SAMPLE_SPLITS
 from subtune.config import config_from_dict, default_config
@@ -46,15 +48,17 @@ from subtune.model import (
 
 @pytest.fixture(scope="module")
 def smoke():
-    """Three full pretrain + fine-tune runs on the default preset."""
+    """Three full pretrain + fine-tune runs on the default preset, each with
+    the frozen semantic cores it started from."""
     t0 = time.perf_counter()
     runs = []
     for seed in (0, 1, 2):
-        cfg = default_config(seed)
+        cfg = config_from_dict({"seed": seed})
         splits = build_splits(cfg.data, SAMPLE_SPLITS)
         model, _, _ = run_pretrain(cfg, splits=splits)
-        record = run_finetune(cfg, model, splits=splits)
-        runs.append((cfg, model, record))
+        start = StartCores()
+        record = run_finetune(cfg, model, splits=splits, on_step=start)
+        runs.append((cfg, model, record, start.cores))
     return runs, time.perf_counter() - t0
 
 
@@ -101,7 +105,7 @@ def test_criterion_3_gradient_oracle():
     rng = make_rng(2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
     labels = rng.integers(0, 2, size=4).astype(float)
-    report = grad_check(model, inputs, labels, LossWeights(), h=1e-5, tol=1e-5)
+    report = grad_check(model, inputs, labels, LossWeights())
     assert report.passed
     assert report.max_rel_err <= 1e-5
     assert time.perf_counter() - t0 <= 60.0
@@ -121,7 +125,7 @@ def test_criterion_4_ema_bvg_hand_sequence():
 
 def test_criterion_5_mask_semantics(smoke, monkeypatch):
     runs, _ = smoke
-    _, pretrained, _ = runs[0]
+    _, pretrained, _, _ = runs[0]
     cfg = config_from_dict({"data": {"n_finetune": 640}})
     splits = build_splits(cfg.data, SAMPLE_SPLITS)
     n_layers = cfg.model.n_decomposable
@@ -140,7 +144,8 @@ def test_criterion_5_mask_semantics(smoke, monkeypatch):
         assert np.array_equal(got, want)
 
     frozen_id = 5
-    forced = run_finetune(cfg, pretrained, forced_zero=(frozen_id,), splits=splits)
+    zero_layers(monkeypatch, (frozen_id,))
+    forced = run_finetune(cfg, pretrained, splits=splits)
     reference = derive_model(pretrained, split=pretrained.config.decomposition)
     _, block, name = attention_slots(forced.model)[frozen_id]
     _, ref_block, ref_name = attention_slots(reference)[frozen_id]
@@ -155,11 +160,11 @@ def test_criterion_5_mask_semantics(smoke, monkeypatch):
 
 def test_criterion_6_frozen_semantic_invariant(smoke):
     runs, _ = smoke
-    cfg, pretrained, record = runs[0]
+    cfg, pretrained, record, start_cores = runs[0]
     reference = derive_model(pretrained, split=pretrained.config.decomposition)
     expected = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(reference)]
     final = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(record.model)]
-    assert record.semantic_start == expected
+    assert start_cores == expected
     assert final == expected
 
     full = run_finetune(cfg, pretrained, masft=False, slm=False)
@@ -197,8 +202,8 @@ def test_criterion_8_end_to_end_smoke(smoke):
     assert cfg.optimizer.batch_size == 32
     assert cfg.optimizer.epochs == 10
 
-    in_domain = [r.metrics["in_domain"].frame_auc for _, _, r in runs]
-    heldout = [r.metrics["heldout"].frame_auc for _, _, r in runs]
+    in_domain = [r.metrics["in_domain"].frame_auc for _, _, r, _ in runs]
+    heldout = [r.metrics["heldout"].frame_auc for _, _, r, _ in runs]
     mean_in = sum(in_domain) / 3.0
     mean_held = sum(heldout) / 3.0
     print(f"in-domain frame AUC {mean_in:.4f} (seeds {in_domain}), "

@@ -235,7 +235,7 @@ def test_fake_clips_flip_the_label_and_record_family_and_level():
     cfg = small_cfg()
     families = ("high-frequency-ripple", "token-blur")
     real = gen_clips(cfg, 16, "test_in")
-    fake = gen_clips(cfg, 16, "test_in", families)
+    fake = data._fill_clips(cfg, np.empty((16, cfg.n_tokens, cfg.d_model)), "test_in", families)
     assert fake.labels.dtype == np.float64 and fake.labels.tolist() == [1.0] * 16
     # families cycle per clip first, levels second
     assert fake.family.tolist() == [f for f in families * 2 for _ in range(4)]

@@ -241,7 +241,9 @@ def test_artifact_views_are_built_on_first_use() -> None:
 
 def test_energy_fractions_sum_to_one() -> None:
     layer = decompose(linalg.make_rng(8).normal(size=(12, 12)), DecompositionConfig(n_subspaces=4))
-    sem, arts = energy_fractions(layer)
+    sem = energy_fractions(layer)
+    energies = [float(np.sum(part.s**2)) for part in (layer.semantic, *layer.artifacts)]
+    arts = [e / sum(energies) for e in energies[1:]]
     assert len(arts) == 4
     assert abs(sem + sum(arts) - 1.0) <= 1e-12
     assert sem > max(arts)

@@ -6,7 +6,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import binary_head, capture_gradients, projection_param_vector, recorded_masks, replay_masks
+from oracles import (
+    StartCores,
+    binary_head,
+    capture_gradients,
+    projection_param_vector,
+    recorded_masks,
+    replay_masks,
+    semantic_cores,
+    zero_layers,
+)
 from split_checks import SAMPLE_SPLITS
 from subtune import harness, masking
 from subtune.checkpoint import load_model, save_model
@@ -191,10 +200,11 @@ def test_adjacent_seeds_do_not_share_shuffles(monkeypatch, pretrained):
     assert len(orders) == 4 and not np.array_equal(seed1_epoch0, seed0_epoch1)
 
 
-def test_forced_zero_layer_stays_at_initialization(pretrained):
+def test_forced_zero_layer_stays_at_initialization(monkeypatch, pretrained):
     cfg, splits, model, _ = pretrained
     reference = derive_model(model, split=model.config.decomposition)
-    record = run_finetune(cfg, model, forced_zero=(3,), splits=splits)
+    zero_layers(monkeypatch, (3,))
+    record = run_finetune(cfg, model, splits=splits)
     _, block, name = attention_slots(record.model)[3]
     _, ref_block, ref_name = attention_slots(reference)[3]
     assert np.array_equal(
@@ -213,11 +223,12 @@ def test_forced_zero_layer_stays_at_initialization(pretrained):
 
 
 @pytest.mark.parametrize(
-    "arm", [{}, {"slm": False}, {"forced_zero": (2,)}], ids=["default", "slm-off", "forced-zero"]
+    "arm, zeroed", [({}, ()), ({"slm": False}, ()), ({}, (2,))], ids=["default", "slm-off", "forced-zero"]
 )
-def test_replay_reproduces_every_mask(monkeypatch, pretrained, arm):
+def test_replay_reproduces_every_mask(monkeypatch, pretrained, arm, zeroed):
     cfg, splits, model, _ = pretrained
     rows = capture_gradients(monkeypatch)
+    zero_layers(monkeypatch, zeroed)
     record = run_finetune(cfg, model, splits=splits, **arm)
     rebuilt = replay_masks(record, cfg, 8, rows)
     assert len(rebuilt) == len(record.steps) == 16
@@ -280,16 +291,17 @@ def test_a_resumed_run_ends_byte_identical_to_an_uninterrupted_one(monkeypatch, 
     _, splits, model, _ = pretrained
     cfg = tiny_cfg(**MID_WARMUP)
     rows = capture_gradients(monkeypatch)
-    whole, snaps = snapshots(cfg, model, splits, tmp_path / "whole", **arm)
+    _, snaps = snapshots(cfg, model, splits, tmp_path / "whole", **arm)
     whole_rows = rows.copy()
     assert sorted(snaps) == list(RESUME_AT)
     assert len(whole_rows) == 16
     for k, snap in snaps.items():
         rows.clear()
         out = tmp_path / f"from{k}"
-        resumed = run_finetune(cfg, snap, out_dir=out, splits=splits, **arm)
+        start = StartCores()
+        resumed = run_finetune(cfg, snap, out_dir=out, splits=splits, on_step=start, **arm)
         assert same_files(out, tmp_path / "whole"), k
-        assert resumed.semantic_start == whole.semantic_start
+        assert start.cores == semantic_cores(snaps[0].model)
         # steps k+1..16 see the uninterrupted run's gradients, bit for bit
         assert len(rows) == 16 - k
         assert all(g.tobytes() == w.tobytes() for g, w in zip(rows, whole_rows[k:])), k
@@ -376,7 +388,6 @@ def test_a_state_resumes_under_settings_that_have_not_acted_yet(tmp_path, pretra
     (5, {"mask.warmup_steps": 4}, {}, "mask.warmup_steps"),
     (0, {"decomposition.n_subspaces": 3}, {}, "decomposition.n_subspaces"),
     (0, {}, {"masft": False}, "masft"),
-    (1, {}, {"forced_zero": (2,)}, "forced_zero"),
 ])
 def test_resuming_under_a_setup_that_shaped_the_state_otherwise_is_a_value_error(pretrained, k, change, arm, key):
     _, splits, model, _ = pretrained
@@ -393,29 +404,23 @@ def test_resuming_under_a_setup_that_shaped_the_state_otherwise_is_a_value_error
     assert "\n" not in str(info.value)
 
 
-@pytest.mark.parametrize("lid", [-1, 8])
-def test_forced_zero_outside_the_layers_is_a_value_error(pretrained, lid):
-    cfg, splits, model, _ = pretrained
-    with pytest.raises(ValueError, match=rf"forced_zero layer id {lid} is outside \[0, 8\)") as info:
-        run_finetune(cfg, model, forced_zero=(lid,), splits=splits)
-    assert "\n" not in str(info.value)
-
-
 def test_semantic_subspace_bytes_frozen_through_finetune(pretrained):
     cfg, splits, model, _ = pretrained
     reference = derive_model(model, split=model.config.decomposition)
     expected = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(reference)]
-    record = run_finetune(cfg, model, splits=splits)
+    start = StartCores()
+    record = run_finetune(cfg, model, splits=splits, on_step=start)
     after = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(record.model)]
-    assert record.semantic_start == expected
+    assert start.cores == expected
     assert after == expected
 
 
 def test_masft_off_trains_plain_attention(pretrained):
     cfg, splits, model, _ = pretrained
-    record = run_finetune(cfg, model, masft=False, splits=splits)
+    start = StartCores()
+    record = run_finetune(cfg, model, masft=False, splits=splits, on_step=start)
     assert not record.model.decomposed
-    assert record.semantic_start == []
+    assert start.cores == []
     for s in record.steps:
         assert s.orth_mean == 0.0 and s.spec_mean == 0.0 and s.total == s.cls
     changed = [
@@ -643,12 +648,15 @@ def test_inspect_fresh_decomposition(pretrained):
     from subtune.linalg import svd
 
     reference = clone_model(model)
-    for row, (_, block, name) in zip(rows, attention_slots(reference)):
+    derived = derive_model(model, split=model.config.decomposition)
+    for row, (_, block, name), (_, d_block, d_name) in zip(rows, attention_slots(reference), attention_slots(derived)):
         assert row.orth <= 1e-9
         assert row.spec <= 1e-9
         assert row.semantic_rank + sum(row.artifact_ranks) == row.total_rank
-        total = row.energy_semantic + sum(row.energy_artifacts)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        # the semantic share of the whole spectrum, semantic and artifact parts
+        layer = getattr(d_block, d_name)
+        energies = [float(np.sum(part.s**2)) for part in (layer.semantic, *layer.artifacts)]
+        assert row.energy_semantic == pytest.approx(energies[0] / sum(energies), abs=1e-12)
         s = svd(getattr(block, name), name).s
         want = resolve_semantic_rank(s, DecompositionConfig(n_subspaces=2))
         assert row.semantic_rank == want

@@ -1,17 +1,32 @@
-"""The package holds only what a command runs: every module-level function
-and class in ``src/subtune`` is named somewhere in the package outside its
-own definition, as a name, an attribute or an imported name.  Docstrings
-and comments do not count, and neither does a test, so a helper that only
-the tests call fails here and belongs under ``tests/``."""
+"""The package holds only what a command runs.  Three rules, checked on the
+``ast`` of every ``src/subtune/*.py``:
+
+- every module-level function and class is named somewhere in the package
+  outside its own definition, as a name, an attribute or an imported name;
+- every defaulted parameter of a function is passed, by keyword or by
+  position, by some call inside the package;
+- every field of a dataclass or NamedTuple is read as an attribute, or
+  named in a string (as ``getattr`` takes it), somewhere in the package.
+
+Docstrings and comments do not count, and neither does a test, so a
+helper, a keyword or a field that only the tests use fails here and belongs
+under ``tests/``.  The one exemption is a ``[project.scripts]`` entry point
+in ``pyproject.toml``: its parameters are the program's outside input."""
 
 from __future__ import annotations
 
 import ast
+import tomllib
 from pathlib import Path
 
 import subtune
 
 PACKAGE = Path(subtune.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def _modules(package: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -32,9 +47,7 @@ def _unreferenced(package: Path) -> list[str]:
     """``module.name`` of each module-level function or class in
     ``package`` that no other top-level statement of the package names;
     a statement's own body does not count for its definition."""
-    statements = [
-        (path.stem, stmt) for path in sorted(package.glob("*.py")) for stmt in ast.parse(path.read_text()).body
-    ]
+    statements = [(module, stmt) for module, tree in _modules(package).items() for stmt in tree.body]
     names = [_names(stmt) for _, stmt in statements]
     unused = []
     for i, (module, stmt) in enumerate(statements):
@@ -44,8 +57,128 @@ def _unreferenced(package: Path) -> list[str]:
     return unused
 
 
+def _definitions(node: ast.AST, prefix: str, in_class: bool = False):
+    """(qualified name, definition, defined in a class body) of every
+    function and class under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            yield name, child, in_class
+            yield from _definitions(child, name, isinstance(child, ast.ClassDef))
+        else:
+            yield from _definitions(child, prefix, in_class)
+
+
+def _entry_points(pyproject: Path) -> set[str]:
+    """``module.function`` of each ``[project.scripts]`` target."""
+    scripts = tomllib.loads(pyproject.read_text()).get("project", {}).get("scripts", {})
+    out = set()
+    for target in scripts.values():
+        module, _, function = target.partition(":")
+        out.add(f"{module.rpartition('.')[2]}.{function}")
+    return out
+
+
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(position in a call, or None if keyword-only; name) of each
+    parameter of ``fn`` that has a default.  A method's first parameter is
+    bound, so its call positions start after it."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(positional) - len(args.defaults)
+    return ([(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            + [(None, p.arg) for p, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None])
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name``: by that keyword, or
+    by enough positional arguments (a starred one reaches any position)."""
+    if any(keyword.arg == name for keyword in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _unpassed(package: Path, pyproject: Path) -> list[str]:
+    """``module.function(parameter)`` of each defaulted parameter that no
+    call in ``package`` to a function of that name passes; the
+    ``[project.scripts]`` entry points are exempt."""
+    modules = _modules(package)
+    calls = [node for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    exempt = _entry_points(pyproject)
+    out = []
+    for module, tree in modules.items():
+        for name, fn, method in _definitions(tree, module):
+            if isinstance(fn, ast.ClassDef) or name in exempt:
+                continue
+            mine = [call for call in calls if _callee(call) == fn.name]
+            out += [f"{name}({param})" for position, param in _defaulted(fn, method)
+                    if not any(_passes(call, position, param) for call in mine)]
+    return out
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring nodes in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                out.add(id(first.value))
+    return out
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A ``@dataclass`` (called or not) or a ``NamedTuple`` subclass."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+    return any(name(d) == "dataclass" for d in cls.decorator_list) or any(name(b) == "NamedTuple" for b in cls.bases)
+
+
+def _unread(package: Path) -> list[str]:
+    """``module.Class.field`` of each dataclass or NamedTuple field in
+    ``package`` that nothing there reads as an attribute or names in a
+    string other than a docstring."""
+    modules = _modules(package)
+    read = set()
+    for tree in modules.values():
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                read.add(node.value)
+    out = []
+    for module, tree in modules.items():
+        for name, cls, _ in _definitions(tree, module):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                out += [f"{name}.{stmt.target.id}" for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read]
+    return out
+
+
 def test_every_module_level_definition_is_used_by_the_package():
     assert _unreferenced(PACKAGE) == []
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    assert _unpassed(PACKAGE, PYPROJECT) == []
+
+
+def test_every_record_field_is_read_by_the_package():
+    assert _unread(PACKAGE) == []
+
+
+def test_the_only_exemption_is_the_entry_point():
+    assert _entry_points(PYPROJECT) == {"cli.main"}
 
 
 def test_a_definition_named_only_by_itself_or_a_docstring_is_reported(tmp_path):
@@ -58,3 +191,35 @@ def test_a_definition_named_only_by_itself_or_a_docstring_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import used as run\n\nrun()\n")
     assert _unreferenced(tmp_path) == ["a.helper"]
+
+
+def test_a_default_no_call_passes_is_reported_unless_an_entry_point_takes_it(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def run(argv=None, *, quiet=False):\n    return step(1, 2) + step(1, scale=3) + Box().size(4)\n\n\n"
+        "def step(x, shift=0, scale=1, tol=1e-5):\n"
+        '    """tol is named here and below, never passed."""\n    return (x + shift) * scale  # tol\n\n\n'
+        "class Box:\n    def size(self, n, pad=0):\n        return n + pad\n\n"
+        "    def area(self, n, pad=0):\n        return self.size(n, pad)\n"
+    )
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text('[project.scripts]\ntool = "pkg.a:run"\n')
+    assert _entry_points(pyproject) == {"a.run"}
+    # shift by position, scale by keyword, Box.size's pad by position after
+    # the bound self; argv and quiet belong to the entry point
+    assert _unpassed(tmp_path, pyproject) == ["a.step(tol)", "a.Box.area(pad)"]
+    pyproject.write_text('[project]\nname = "pkg"\n')
+    assert _unpassed(tmp_path, pyproject) == ["a.run(argv)", "a.run(quiet)", "a.step(tol)", "a.Box.area(pad)"]
+
+
+def test_a_field_nothing_reads_is_reported_unless_a_string_names_it(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+        "@dataclass(eq=False)\nclass Report:\n"
+        '    """spare is described here, never read."""\n\n'
+        "    auc: float\n    eer: float\n    spare: float\n\n\n"
+        "class Cell(NamedTuple):\n    name: str\n    note: str = ''\n\n\n"
+        "def show(r: Report, c: Cell):\n"
+        "    r.spare = 0.0  # a store is not a read\n"
+        "    return r.auc, getattr(r, 'eer'), c.name\n"
+    )
+    assert _unread(tmp_path) == ["a.Report.spare", "a.Cell.note"]

@@ -91,7 +91,7 @@ def stacked_models(draw, allow_plain: bool = True, pretraining_head: bool = Fals
     if not (pretraining_head and draw(st.booleans())):
         model = derive_model(model, head=binary_head(model, make_rng(seed + 1)))
     if draw(st.booleans()):  # off the spectral kink; else every layer sits on it
-        jitter_trainables(model, make_rng(seed + 2), scale=0.05)
+        jitter_trainables(model, make_rng(seed + 2))
     if draw(st.booleans()):
         model = clone_model(model)
     weights = LossWeights(draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.sampled_from([0.0, 1.0])))
