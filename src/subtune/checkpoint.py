@@ -8,11 +8,12 @@ from __future__ import annotations
 import io
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .decomposition import DecompositionConfig, layer_from_bytes, layer_to_bytes
+from .decomposition import layer_from_bytes, layer_to_bytes
 from .files import write_file
 from .linalg import matrix_from_bytes, matrix_to_bytes
 from .model import BLOCK_SLOTS, PROJECTION_NAMES, Block, Model, ModelConfig, block_shapes, stack_trainables
@@ -26,14 +27,13 @@ def _matrix_bytes(arr: np.ndarray) -> bytes:
     return matrix_to_bytes(arr.reshape(1, -1) if arr.ndim == 1 else arr)
 
 
-# the manifest's ``model`` fields: the ``ModelConfig`` ones, then two more
-_CONFIG_FIELDS = ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain")
-_MODEL_FIELDS = (*_CONFIG_FIELDS, "n_subspaces", "n_outputs")
+# the manifest's ``model`` fields: the ``ModelConfig`` ones, then the head's rows
+_CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
+_MODEL_FIELDS = (*_CONFIG_FIELDS, "n_outputs")
 
 
 def _model_config(spec: dict) -> ModelConfig:
-    return ModelConfig(**{key: spec[key] for key in _CONFIG_FIELDS},
-                       decomposition=DecompositionConfig(n_subspaces=spec["n_subspaces"]))
+    return ModelConfig(**{key: spec[key] for key in _CONFIG_FIELDS})
 
 
 def _body(spec: dict, decomposed: bool) -> tuple[list, list]:
@@ -69,8 +69,7 @@ def save_model(
 ) -> None:
     cfg = model.config
     decomposed = model.decomposed
-    spec = {key: getattr(cfg, key) for key in _CONFIG_FIELDS}
-    spec.update(n_subspaces=cfg.decomposition.n_subspaces, n_outputs=model.n_outputs)
+    spec = {key: getattr(cfg, key) for key in _CONFIG_FIELDS} | {"n_outputs": model.n_outputs}
     plain, layers = _body(spec, decomposed)
     named = _named_arrays(model)
     manifest = {
@@ -80,8 +79,6 @@ def save_model(
         "decomposed": decomposed,
         "model": spec,
         "arrays": [name for name, _ in plain],
-        # kept in the format; nothing records a generator state yet
-        "rng_state": None,
         "config": config_echo,
     }
     if decomposed:

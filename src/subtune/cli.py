@@ -120,10 +120,9 @@ def _cmd_robustness(args) -> None:
 
 def _cmd_inspect(args) -> None:
     model, _ = load_model(args.checkpoint)
-    # split a plain checkpoint as `finetune` would under this config; the
-    # checkpoint keeps only the subspace count it was pretrained with
-    split = load_config(args.config).decomposition if args.config is not None and not model.decomposed else None
-    rows = decompose_inspect(model, split)
+    # a plain checkpoint is split as `finetune` splits it under the same config
+    cfg = load_config(args.config) if args.config is not None else default_config()
+    rows = decompose_inspect(model, cfg.decomposition)
     print("layer name           R   r   artifact_ranks      energy_sem  orth        spec")
     for r in rows:
         ranks = "+".join(str(k) for k in r.artifact_ranks)
@@ -136,12 +135,11 @@ def _cmd_inspect(args) -> None:
 def _cmd_gradcheck(args) -> None:
     cfg = _config_for(args) if args.config is not None else None
     model_cfg = cfg.model if cfg is not None else ModelConfig(d_model=8, n_blocks=2, n_tokens=4)
-    if cfg is None:
-        model_cfg.decomposition = DecompositionConfig(n_subspaces=2)
+    split = cfg.decomposition if cfg is not None else DecompositionConfig(n_subspaces=2)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg is not None else 0)
     d = model_cfg.d_model
     head = make_rng(seed, 1).normal(scale=1.0 / math.sqrt(d), size=(1, d))
-    model = derive_model(init_model(model_cfg, make_rng(seed)), head=head, split=model_cfg.decomposition)
+    model = derive_model(init_model(model_cfg, make_rng(seed)), head=head, split=split)
     rng = make_rng(seed, 2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
     labels = rng.integers(0, 2, size=4).astype(float)

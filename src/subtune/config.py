@@ -77,7 +77,6 @@ class TrainConfig:
         validate everything.  Token grid and seed have one source of truth."""
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        self.model.decomposition = self.decomposition
         self.data.n_tokens = self.model.n_tokens
         self.data.d_model = self.model.d_model
         self.data.n_base_classes = self.model.n_classes_pretrain

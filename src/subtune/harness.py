@@ -103,8 +103,8 @@ class FinetuneState:
     optimizer state, the EMA gradient stats, the number of steps taken
     (the epoch and the batch within it follow from it and the config's
     batch size), and the steps logged so far, each with its mask.
-    ``config``, ``masft`` and ``budget`` (the effective layer budget) are
-    the set-up that shaped it, held against the run that resumes it."""
+    ``config`` (its layer budget included) and ``masft`` are the set-up
+    that shaped it, held against the run that resumes it."""
 
     model: Model
     opt: OptimizerState
@@ -113,7 +113,6 @@ class FinetuneState:
     steps: list[StepLog]
     config: dict
     masft: bool
-    budget: int
 
 
 @dataclass
@@ -237,7 +236,7 @@ def _mask_rule(cfg: TrainConfig, record: RunRecord, stats: GradientStats) -> Cal
 
     def rule(step: int, grad_rows: np.ndarray) -> LayerMask:
         update_stats(stats, grad_rows, cfg.stats)
-        return build_mask(compute_bvg(stats, cfg.stats), record.budget, step, record.warmup_steps)
+        return build_mask(compute_bvg(stats, cfg.stats), cfg.mask.active_layer_budget, step, record.warmup_steps)
 
     return rule
 
@@ -250,7 +249,7 @@ def _schedule(cfg: TrainConfig, n_train: int) -> tuple[int, int, int]:
     return per_epoch, warmup, per_epoch * cfg.optimizer.epochs
 
 
-def _prefix(config: dict, masft: bool, budget: int, n_steps: int, warmup: int) -> dict:
+def _prefix(config: dict, masft: bool, n_steps: int, warmup: int) -> dict:
     """What decides a fine-tune's state after ``n_steps`` steps, as a flat
     dict of dotted keys: the run config and arm, less the loss weights
     before the first step (they act through the gradients) and less the
@@ -261,7 +260,7 @@ def _prefix(config: dict, masft: bool, budget: int, n_steps: int, warmup: int) -
             flat.update((f"{section}.{name}", v) for name, v in value.items())
         else:
             flat[section] = value
-    del flat["mask.active_layer_budget"]
+    budget = flat.pop("mask.active_layer_budget")
     if n_steps > warmup:
         flat["budget"] = budget
     if n_steps == 0:
@@ -269,31 +268,31 @@ def _prefix(config: dict, masft: bool, budget: int, n_steps: int, warmup: int) -
     return flat
 
 
-def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool, budget: int) -> FinetuneState:
+def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool) -> FinetuneState:
     """Step 0: ``pretrained`` under a fresh binary head, its attention
-    decomposed under the run config's split, not the one the checkpoint was
-    saved with (unless the decomposition arm is off), packed into one new
-    buffer, with a zero optimizer and zero stats."""
+    decomposed under the run config's split (unless the decomposition arm
+    is off), packed into one new buffer, with a zero optimizer and zero
+    stats."""
     head = make_rng(cfg.seed, _HEAD_STREAM).normal(scale=_HEAD_INIT_SCALE, size=(1, pretrained.config.d_model))
     model = derive_model(pretrained, head=head, split=cfg.decomposition if masft else None)
     return FinetuneState(
         model=model, opt=init_optimizer(cfg.optimizer.learning_rate, model),
-        stats=init_stats([row.size for row in model.trainable]), step=0, steps=[],
-        config=config_to_dict(cfg), masft=masft, budget=budget,
+        stats=init_stats(model.trainable.shape), step=0, steps=[],
+        config=config_to_dict(cfg), masft=masft,
     )
 
 
-def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, budget: int, warmup: int) -> FinetuneState:
+def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, warmup: int) -> FinetuneState:
     """A copy of ``state`` to continue under this run's set-up, which must
     agree with every part of the set-up that shaped its steps so far."""
-    have = _prefix(state.config, state.masft, state.budget, state.step, warmup)
-    want = _prefix(config_to_dict(cfg), masft, budget, state.step, warmup)
+    have = _prefix(state.config, state.masft, state.step, warmup)
+    want = _prefix(config_to_dict(cfg), masft, state.step, warmup)
     for key in sorted(have.keys() | want.keys()):
         if have.get(key) != want.get(key):
             raise ValueError(f"cannot resume: the state after {state.step} steps was made with "
                              f"{key} {have.get(key)!r}, this run has {want.get(key)!r}")
     state = copy_state(state)
-    state.config, state.budget = config_to_dict(cfg), budget
+    state.config = config_to_dict(cfg)
     return state
 
 
@@ -303,14 +302,14 @@ def run_finetune(
     *,
     out_dir: str | Path | None = None,
     masft: bool = True,
-    slm: bool = True,
     splits: SplitBundle | None = None,
     on_step: Callable[[FinetuneState], None] | None = None,
 ) -> RunRecord:
     """Run the masked fine-tuning loop to the end of the config's epochs
-    and evaluate the in-domain and heldout splits.  ``start`` is a plain
+    and evaluate the in-domain and heldout splits; past the warmup the
+    mask keeps ``mask.active_layer_budget`` layers.  ``start`` is a plain
     pretrained model, which gets a fresh binary head and its attention
-    decomposed (unless the decomposition arm is switched off), or a
+    decomposed under the config's split (unless ``masft`` is off), or a
     ``FinetuneState`` taken after k steps, which is copied and continued
     at step k + 1 by rebuilding the epoch's batch order and skipping the
     batches already taken.  The returned ``RunRecord`` is the run's own
@@ -323,15 +322,14 @@ def run_finetune(
     if not resuming and model.decomposed:
         raise ValueError("expected a plain pretrained model")
     _require_fit(cfg, model)
-    budget = cfg.mask.active_layer_budget if slm else model.config.n_decomposable
     if splits is None:
         splits = build_splits(cfg.data, _FINETUNE_SPLITS)
     train = splits.finetune_train
     per_epoch, warmup, _ = _schedule(cfg, len(train))
     if resuming:
-        state = _resumed_state(cfg, start, masft, budget, warmup)
+        state = _resumed_state(cfg, start, masft, warmup)
     else:
-        state = _fresh_state(cfg, start, masft, budget)
+        state = _fresh_state(cfg, start, masft)
     model = state.model
     record = RunRecord(**{f.name: getattr(state, f.name) for f in fields(FinetuneState)}, warmup_steps=warmup)
     mask_rule = _mask_rule(cfg, record, record.stats)
@@ -420,17 +418,18 @@ class _Cell(NamedTuple):
     key: tuple
     overrides: dict
     masft: bool = True
-    slm: bool = True
 
 
 def _ablation_tables(n_layers: int) -> list[tuple[str, tuple[str, ...], list[_Cell]]]:
     """The four tables as (name, key columns, cells in row order):
     component on/off, loss-weight on/off, subspace-count sweep and
     active-budget sweep, whose budget is capped at the ``n_layers``
-    decomposable layers."""
+    decomposable layers.  A component cell with the selective layer mask
+    off gives every layer the budget."""
     return [
         ("components", ("masft", "slm"), [
-            _Cell(f"masft={masft},slm={slm}", (masft, slm), {}, bool(masft), bool(slm))
+            _Cell(f"masft={masft},slm={slm}", (masft, slm),
+                  {} if slm else {"mask.active_layer_budget": n_layers}, bool(masft))
             for masft in (1, 0) for slm in (1, 0)
         ]),
         ("losses", ("orth_weight", "spec_weight"), [
@@ -463,9 +462,9 @@ def _cell_config(cfg: TrainConfig, seed: int, **overrides) -> TrainConfig:
     return cell.finalize()
 
 
-def _run_cell(cfg: TrainConfig, masft: bool, slm: bool, start: Model | FinetuneState, splits: SplitBundle,
+def _run_cell(cfg: TrainConfig, masft: bool, start: Model | FinetuneState, splits: SplitBundle,
               on_step: Callable[[FinetuneState], None] | None = None) -> dict[str, float]:
-    record = run_finetune(cfg, start, masft=masft, slm=slm, splits=splits, on_step=on_step)
+    record = run_finetune(cfg, start, masft=masft, splits=splits, on_step=on_step)
     r_in, r_out = record.metrics["in_domain"], record.metrics["heldout"]
     return {
         "auc_in": r_in.frame_auc, "ap_in": r_in.frame_ap, "eer_in": r_in.frame_eer,
@@ -499,8 +498,9 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list
     """The metrics and status of each cell of table ``t``, in order.  The
     cells fine-tune one backbone, pretrained on one set of splits under
     the table's own seed (``_table_seed``), and compute what they share
-    once.  A cell's prefixes are its step-0 state, its warmup edge and its
-    whole run; two cells share a prefix when its keys are equal.  A cell
+    once.  A cell is its config overrides (its layer budget among them)
+    and its ``masft`` arm.  Its prefixes are its step-0 state, its warmup
+    edge and its whole run; two cells share a prefix when its keys are equal.  A cell
     whose whole run equals an earlier cell's copies that cell's result.
     Any other cell is one ``_run_cell``, started from the deepest prefix
     it shares with an earlier cell, which that cell snapshotted on its
@@ -522,9 +522,8 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list
         try:
             cell_cfg = _cell_config(cfg, seed, **cell.overrides)
             _, warmup, total = _schedule(cell_cfg, len(splits.finetune_train))
-            budget = cell_cfg.mask.active_layer_budget if cell.slm else cell_cfg.model.n_decomposable
             config = config_to_dict(cell_cfg)
-            prefixes = [(n, json.dumps(_prefix(config, cell.masft, budget, n, warmup), sort_keys=True))
+            prefixes = [(n, json.dumps(_prefix(config, cell.masft, n, warmup), sort_keys=True))
                         for n in sorted({0, min(warmup, total), total})]
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             results[i] = _failed(table, cell.name, exc)
@@ -557,7 +556,7 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list
         try:
             if isinstance(origin, Exception):
                 raise origin
-            result = _run_cell(cell_cfg, cell.masft, cell.slm, origin, splits, snapshot) | {"status": "ok"}
+            result = _run_cell(cell_cfg, cell.masft, origin, splits, snapshot) | {"status": "ok"}
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             for key in keep.values():
                 saved.setdefault(key, exc)
@@ -613,15 +612,16 @@ class LayerReport:
     spec: float
 
 
-def decompose_inspect(model: Model, split: DecompositionConfig | None = None) -> list[LayerReport]:
+def decompose_inspect(model: Model, split: DecompositionConfig) -> list[LayerReport]:
     """Per-layer view of a freshly decomposed (or loaded) model: rank split,
     cumulative energy at the semantic cut, and the init regularizer values.
-    A plain model is split under ``split``, by default its config's."""
+    A plain model is split under ``split``, as ``run_finetune`` splits it
+    under its run config's; a decomposed one is read as it stands."""
     from . import losses as losses_mod
     from .decomposition import energy_fractions
 
     if not model.decomposed:
-        model = derive_model(model, split=model.config.decomposition if split is None else split)
+        model = derive_model(model, split=split)
     out = []
     for lid, block, name in attention_slots(model):
         layer = getattr(block, name)

@@ -26,15 +26,6 @@ class StatsConfig:
             raise ValueError(f"moment_floor must be > 0, got {self.moment_floor}")
 
 
-def _moment_shape(sizes: Sequence[int]) -> tuple[int, int]:
-    """(n_layers, P) of per-layer state for layers of the given sizes, which
-    must be equal: one row per layer, as in ``Model.trainable``."""
-    sizes = [int(n) for n in sizes]
-    if len(set(sizes)) > 1:
-        raise ValueError(f"layer sizes must all be equal, got {sorted(set(sizes))}")
-    return len(sizes), sizes[0] if sizes else 0
-
-
 @dataclass
 class GradientStats:
     """EMA first and second moments of each layer's flattened gradient, one
@@ -45,9 +36,8 @@ class GradientStats:
     second: np.ndarray
 
 
-def init_stats(sizes: Sequence[int]) -> GradientStats:
-    """Zero moments for layers of the given (equal) sizes."""
-    shape = _moment_shape(sizes)
+def init_stats(shape: tuple[int, int]) -> GradientStats:
+    """Zero moments of the (n_layers, P) shape of ``Model.trainable``."""
     return GradientStats(np.zeros(shape), np.zeros(shape))
 
 
@@ -85,7 +75,6 @@ def compute_bvg(stats: GradientStats, cfg: StatsConfig) -> np.ndarray:
 @dataclass
 class LayerMask:
     bits: np.ndarray
-    budget: int
 
 
 def build_mask(bvg: np.ndarray, budget: int, step: int, warmup: int) -> LayerMask:
@@ -104,7 +93,7 @@ def build_mask(bvg: np.ndarray, budget: int, step: int, warmup: int) -> LayerMas
         take = min(budget, n)
         order = np.argsort(-scores, kind="stable")
         bits[order[:take]] = 1
-    return LayerMask(bits=bits, budget=budget)
+    return LayerMask(bits=bits)
 
 
 @dataclass

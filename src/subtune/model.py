@@ -52,7 +52,6 @@ class ModelConfig:
     n_blocks: int = 6
     n_tokens: int = 8
     n_classes_pretrain: int = 4
-    decomposition: DecompositionConfig = field(default_factory=DecompositionConfig)
 
     @property
     def n_decomposable(self) -> int:
@@ -70,7 +69,6 @@ class ModelConfig:
             )
         if self.n_classes_pretrain < 2:
             raise ValueError("need at least two base classes for pretraining")
-        self.decomposition.validate()
 
 
 @dataclass(frozen=True)
@@ -264,13 +262,13 @@ def stack_trainables(config: ModelConfig, token_embed: np.ndarray, blocks: list[
 def derive_model(model: Model, *, head: np.ndarray | None = None, split: DecompositionConfig | None = None) -> Model:
     """A new model of ``model``'s arrays, packed once, with its own copy of
     ``model``'s config; ``head`` replaces the head if given, and given a
-    ``split``, every plain attention projection is decomposed under it and
-    the split is recorded in the new config."""
+    ``split``, every plain attention projection is decomposed under it.
+    The split is not recorded: the decomposed layers hold their ranks, and
+    the run config holds the split that made them."""
     config, blocks = copy.deepcopy(model.config), model.blocks
     if split is not None:
         if model.decomposed:
             raise ValueError("attention projections are already decomposed")
-        config.decomposition = copy.deepcopy(split)
         blocks = [replace(block, **{name: decompose(getattr(block, name), split, layer_id=lid)
                                     for lid, name in enumerate(PROJECTION_NAMES, start=4 * b)})
                   for b, block in enumerate(model.blocks)]

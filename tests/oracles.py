@@ -418,16 +418,18 @@ class StartCores:
 def replay_masks(record, cfg, n_layers: int, gradient_rows: list[np.ndarray]) -> list[np.ndarray]:
     """Every mask of ``record``'s run rebuilt offline from its steps'
     ``gradient_rows`` through the live run's own mask rule, so every arm
-    (budget, ``slm`` off, and layers zeroed by ``zero_layers`` while the
-    hook is still in place) is reproduced from its record.
-    ``cfg`` supplies the stats section; ``n_layers`` must be the run's
-    layer count, and there must be one gradient row set per step taken."""
+    (any budget, every layer's among them, and layers zeroed by
+    ``zero_layers`` while the hook is still in place) is reproduced; the
+    warmup is read from the record.  ``cfg`` supplies the stats section and
+    the layer budget, as the run's own config did; ``n_layers`` must be the
+    run's layer count, and there must be one gradient row set per step
+    taken."""
     run_layers = record.model.trainable.shape[0]
     if n_layers != run_layers:
         raise ValueError(f"replay asked for {n_layers} layers, the run has {run_layers}")
     if len(gradient_rows) != record.step:
         raise ValueError(f"replay got gradient rows for {len(gradient_rows)} steps, the run took {record.step}")
-    mask_rule = harness._mask_rule(cfg, record, init_stats([row.size for row in record.model.trainable]))
+    mask_rule = harness._mask_rule(cfg, record, init_stats(record.model.trainable.shape))
     return [mask_rule(step, rows).bits for step, rows in enumerate(gradient_rows, start=1)]
 
 

@@ -7,6 +7,7 @@ any larger system.
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,7 @@ def test_criterion_1_decomposition_fidelity():
 
 def test_criterion_2_init_regularizers_vanish():
     cfg = default_config()
-    model = derive_model(init_model(cfg.model, make_rng(0)), split=cfg.model.decomposition)
+    model = derive_model(init_model(cfg.model, make_rng(0)), split=cfg.decomposition)
     slots = attention_slots(model)
     assert len(slots) == 24
     for _, block, name in slots:
@@ -95,12 +96,9 @@ def test_criterion_2_init_regularizers_vanish():
 
 def test_criterion_3_gradient_oracle():
     t0 = time.perf_counter()
-    model_cfg = ModelConfig(
-        d_model=8, n_blocks=2, n_tokens=4,
-        decomposition=DecompositionConfig(n_subspaces=2),
-    )
+    model_cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4)
     model = init_model(model_cfg, make_rng(0))
-    model = derive_model(model, head=binary_head(model, make_rng(1)), split=model_cfg.decomposition)
+    model = derive_model(model, head=binary_head(model, make_rng(1)), split=DecompositionConfig(n_subspaces=2))
     jitter_trainables(model, make_rng(3))
     rng = make_rng(2)
     inputs = rng.normal(size=(4, model_cfg.n_tokens, model_cfg.d_model))
@@ -113,7 +111,7 @@ def test_criterion_3_gradient_oracle():
 
 def test_criterion_4_ema_bvg_hand_sequence():
     cfg = StatsConfig(ema_coeff=0.5)
-    stats = init_stats([2])
+    stats = init_stats((1, 2))
     g = np.array([1.0, 0.0])
     update_stats(stats, [g], cfg)
     assert np.max(np.abs(stats.first[0] - [0.5, 0.0])) <= 1e-12
@@ -146,7 +144,7 @@ def test_criterion_5_mask_semantics(smoke, monkeypatch):
     frozen_id = 5
     zero_layers(monkeypatch, (frozen_id,))
     forced = run_finetune(cfg, pretrained, splits=splits)
-    reference = derive_model(pretrained, split=pretrained.config.decomposition)
+    reference = derive_model(pretrained, split=cfg.decomposition)
     _, block, name = attention_slots(forced.model)[frozen_id]
     _, ref_block, ref_name = attention_slots(reference)[frozen_id]
     assert np.array_equal(
@@ -161,13 +159,14 @@ def test_criterion_5_mask_semantics(smoke, monkeypatch):
 def test_criterion_6_frozen_semantic_invariant(smoke):
     runs, _ = smoke
     cfg, pretrained, record, start_cores = runs[0]
-    reference = derive_model(pretrained, split=pretrained.config.decomposition)
+    reference = derive_model(pretrained, split=cfg.decomposition)
     expected = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(reference)]
     final = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(record.model)]
     assert start_cores == expected
     assert final == expected
 
-    full = run_finetune(cfg, pretrained, masft=False, slm=False)
+    every_layer = replace(cfg, mask=replace(cfg.mask, active_layer_budget=cfg.model.n_decomposable))
+    full = run_finetune(every_layer, pretrained, masft=False)
     assert not full.model.decomposed
     for (_, b, n), (_, pb, pn) in zip(attention_slots(full.model), attention_slots(pretrained)):
         assert not np.array_equal(getattr(b, n), getattr(pb, pn))

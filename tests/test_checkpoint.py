@@ -9,7 +9,7 @@ from subtune.checkpoint import MAGIC, load_model, save_model
 from subtune.config import config_from_dict
 from subtune.data import DataConfig, export_csv, gen_clips
 from subtune.decomposition import DecompositionConfig, layer_to_bytes
-from subtune.harness import evaluate_to_dir
+from subtune.harness import decompose_inspect, evaluate_to_dir
 from subtune.linalg import make_rng, matrix_from_bytes, matrix_to_bytes
 from subtune.model import (
     BLOCK_SLOTS,
@@ -23,15 +23,10 @@ from subtune.model import (
 
 
 def tiny_model(seed=0, decomposed=False):
-    cfg = ModelConfig(
-        d_model=8,
-        n_blocks=2,
-        n_tokens=4,
-        decomposition=DecompositionConfig(n_subspaces=2),
-    )
-    model = init_model(cfg, make_rng(seed))
+    model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4), make_rng(seed))
     if decomposed:
-        model = derive_model(model, head=binary_head(model, make_rng(seed + 1)), split=cfg.decomposition)
+        model = derive_model(model, head=binary_head(model, make_rng(seed + 1)),
+                             split=DecompositionConfig(n_subspaces=2))
     return model
 
 
@@ -94,7 +89,31 @@ def test_same_state_writes_identical_bytes(tmp_path):
     save_model(a, model, step=3, config_echo={"seed": 2})
     save_model(b, model, step=3, config_echo={"seed": 2})
     assert a.read_bytes() == b.read_bytes()
-    assert load_model(a)[1]["rng_state"] is None
+
+
+@pytest.mark.parametrize("decomposed", [False, True])
+def test_a_manifest_records_no_split_and_no_generator_state(tmp_path, decomposed):
+    # the run config echo holds the split; a decomposed model's layers hold its ranks
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_model(seed=2, decomposed=decomposed), config_echo={"seed": 2})
+    manifest = load_model(path)[1]
+    assert "rng_state" not in manifest
+    assert sorted(manifest["model"]) == ["d_model", "n_blocks", "n_classes_pretrain", "n_outputs", "n_tokens"]
+
+
+def test_a_default_model_split_by_a_fixed_rank_round_trips_whole(tmp_path):
+    # the loaded model is the saved one: same config, same ranks, same report
+    split = DecompositionConfig(n_subspaces=3, rank_policy="fixed", fixed_rank=6)
+    plain = init_model(ModelConfig(), make_rng(0))
+    model = derive_model(plain, head=binary_head(plain, make_rng(1)), split=split)
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+    loaded = load_model(path)[0]
+    assert loaded.config == model.config
+    ranks = [(getattr(b, n).semantic_rank, getattr(b, n).ranks) for _, b, n in attention_slots(model)]
+    assert ranks == [(getattr(b, n).semantic_rank, getattr(b, n).ranks) for _, b, n in attention_slots(loaded)]
+    assert set(ranks) == {(6, (4, 3, 3))}
+    assert decompose_inspect(loaded, split) == decompose_inspect(model, split)
 
 
 def test_manifest_echoes_the_step_config_and_array_names(tmp_path):
@@ -305,7 +324,7 @@ def _drop_entry(key, name):
     [
         (lambda m: m.pop("decomposed_layers"), "manifest field 'decomposed_layers' is missing"),
         *[(lambda m, k=k: m["model"].pop(k), f"manifest field 'model.{k}' is missing")
-          for k in ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_subspaces", "n_outputs")],
+          for k in ("d_model", "n_blocks", "n_tokens", "n_classes_pretrain", "n_outputs")],
         (lambda m: m["model"].update(n_blocks="2"), "manifest field 'model.n_blocks' is '2'"),
         (_drop_entry("arrays", "block1.mlp_in"), "manifest field 'arrays' lacks 'block1.mlp_in'"),
         (_drop_entry("arrays", "token_embed"), "manifest field 'arrays' lacks 'token_embed'"),
@@ -350,7 +369,7 @@ def _drop_entry(key, name):
          "manifest field 'decomposed_layers\\[0\\].layer_id' is -1, expected a non-negative int"),
     ],
     ids=["no-decomposed-layers", "no-d_model", "no-n_blocks", "no-n_tokens",
-         "no-n_classes_pretrain", "no-n_subspaces", "no-n_outputs", "n_blocks-string", "no-block-array",
+         "no-n_classes_pretrain", "no-n_outputs", "n_blocks-string", "no-block-array",
          "no-token-embed", "no-layer-entry", "entry-without-id", "n_subspaces-string",
          "n_tokens-string", "n_classes_pretrain-bool", "n_outputs-zero", "model-list",
          "decomposed-int", "arrays-int", "layers-int", "entry-int", "d_model-off-the-arrays",
@@ -418,8 +437,8 @@ def test_body_errors_name_the_file(tmp_path):
     save_model(path, model)
     raw = path.read_bytes()
     offsets, first_layer = _blob_offsets(raw)
-    narrow_cfg = ModelConfig(d_model=6, n_blocks=1, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
-    narrow = derive_model(init_model(narrow_cfg, make_rng(4)), split=narrow_cfg.decomposition)
+    narrow = derive_model(init_model(ModelConfig(d_model=6, n_blocks=1, n_tokens=4), make_rng(4)),
+                          split=DecompositionConfig(n_subspaces=2))
     q_end = first_layer + len(layer_to_bytes(model.blocks[0].q))
     cases = [
         (raw[: offsets["block0.mlp_in"] + 40], "matrix payload truncated"),

@@ -7,6 +7,7 @@ from oracles import binary_head
 from subtune import cli, harness
 from subtune.checkpoint import load_model, save_model
 from subtune.cli import main
+from subtune.config import config_from_dict
 from subtune.decomposition import DecompositionConfig
 from subtune.linalg import make_rng
 from subtune.model import ModelConfig, attention_slots, derive_model, init_model
@@ -89,8 +90,8 @@ def test_training_chain(tmp_path, cfg_path, capsys):
 
 
 def test_finetune_decomposes_under_the_run_config(tmp_path, cfg_path):
-    # the checkpoint keeps only the subspace count it was pretrained with;
-    # the fine-tune's own decomposition section decides the split
+    # the checkpoint records no split; the fine-tune's own decomposition
+    # section decides it, and the config echo records it
     pre = tmp_path / "pre"
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(pre)]) == 0
     fixed = tmp_path / "fixed.yaml"
@@ -105,13 +106,12 @@ def test_finetune_decomposes_under_the_run_config(tmp_path, cfg_path):
     model, manifest = load_model(fine / "finetuned.ckpt")
     layers = [getattr(block, name) for _, block, name in attention_slots(model)]
     assert {(layer.semantic_rank, layer.ranks) for layer in layers} == {(4, (2, 1, 1))}
-    assert manifest["model"]["n_subspaces"] == 3
     assert manifest["config"]["decomposition"]["n_subspaces"] == 3
 
 
 def test_inspect_decomposes_under_the_given_config(tmp_path, cfg_path, capsys):
     # a K=2 plain checkpoint inspected under a K=3 fixed-rank config is
-    # split as that config says; without --config the checkpoint's K holds
+    # split as that config says; without --config the default config's K holds
     pre = tmp_path / "pre"
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(pre)]) == 0
     fixed = tmp_path / "fixed.yaml"
@@ -127,7 +127,28 @@ def test_inspect_decomposes_under_the_given_config(tmp_path, cfg_path, capsys):
         return [(int(row[3]), row[4].split("+")) for row in rows]
 
     assert all(r == 4 and len(ranks) == 3 for r, ranks in report("--config", str(fixed)))
-    assert all(len(ranks) == 2 for _, ranks in report())
+    assert all(len(ranks) == DecompositionConfig().n_subspaces for _, ranks in report())
+
+
+def test_inspect_reports_the_split_finetune_makes(tmp_path, cfg_path, capsys, monkeypatch):
+    # neither command is given --config: both split a K=3 checkpoint under
+    # the default decomposition section; the default's model and data are
+    # cut to the tiny preset's so that the fine-tune takes a second
+    tiny_default = {key: value for key, value in TINY.items() if key != "decomposition"}
+    monkeypatch.setattr(cli, "default_config", lambda: config_from_dict(tiny_default))
+    k3 = tmp_path / "k3.yaml"
+    k3.write_text(yaml.safe_dump(TINY | {"decomposition": {"n_subspaces": 3}}))
+    pre, fine = tmp_path / "pre", tmp_path / "fine"
+    assert main(["pretrain", "--config", str(k3), "--out", str(pre)]) == 0
+    assert main(["finetune", "--checkpoint", str(pre / "pretrained.ckpt"), "--out", str(fine)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--checkpoint", str(pre / "pretrained.ckpt")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    finetuned = load_model(fine / "finetuned.ckpt")[0]
+    written = [(layer.semantic_rank, "+".join(map(str, layer.ranks)))
+               for layer in (getattr(block, name) for _, block, name in attention_slots(finetuned))]
+    assert [(int(row[3]), row[4]) for row in rows] == written
+    assert {len(ranks.split("+")) for _, ranks in written} == {DecompositionConfig().n_subspaces}
 
 
 @pytest.mark.parametrize("command", ["eval", "robustness"])
@@ -157,10 +178,9 @@ def test_scoring_a_pretrained_checkpoint_fails_before_building_data(
 @pytest.mark.parametrize("command", ["finetune", "eval", "robustness"])
 def test_checkpoint_of_another_token_grid_fails_before_building_data(tmp_path, capsys, monkeypatch, command):
     # the default config reads 8x16 token grids; this model takes 4x8 ones
-    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
-    model = init_model(cfg, make_rng(0))
+    model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4), make_rng(0))
     if command != "finetune":
-        model = derive_model(model, head=binary_head(model, make_rng(1)), split=cfg.decomposition)
+        model = derive_model(model, head=binary_head(model, make_rng(1)), split=DecompositionConfig(n_subspaces=2))
     save_model(tmp_path / "m.ckpt", model)
 
     def no_data(*args, **kwargs):
@@ -181,7 +201,7 @@ def test_checkpoint_of_another_block_count_fails_before_building_data(tmp_path, 
     # the default config's token grid and mask budget, but six blocks, not one
     model = init_model(ModelConfig(n_blocks=1), make_rng(0))
     if command != "finetune":
-        model = derive_model(model, head=binary_head(model, make_rng(1)), split=model.config.decomposition)
+        model = derive_model(model, head=binary_head(model, make_rng(1)), split=DecompositionConfig())
     save_model(tmp_path / "m.ckpt", model)
 
     def no_data(*args, **kwargs):

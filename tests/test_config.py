@@ -29,7 +29,8 @@ def test_finalize_propagates_shared_scalars():
     assert cfg.data.d_model == 12
     assert cfg.data.n_tokens == 6
     assert cfg.data.seed == 9
-    assert cfg.model.decomposition is cfg.decomposition
+    # the split has one record, the decomposition section
+    assert "decomposition" not in config_to_dict(cfg)["model"]
 
 
 def test_unknown_key_rejected_with_path():
@@ -46,6 +47,8 @@ def test_blocked_duplicate_scalar_rejected():
         config_from_dict({"data": {"seed": 4}})
     with pytest.raises(ValueError, match="data.d_model is set via model.d_model"):
         config_from_dict({"data": {"d_model": 8}})
+    with pytest.raises(ValueError, match="^config key model.decomposition is set via decomposition$"):
+        config_from_dict({"model": {"decomposition": {"n_subspaces": 3}}})
 
 
 def test_stats_warmup_steps_rejected_in_favour_of_the_mask_section():

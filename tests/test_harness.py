@@ -202,7 +202,7 @@ def test_adjacent_seeds_do_not_share_shuffles(monkeypatch, pretrained):
 
 def test_forced_zero_layer_stays_at_initialization(monkeypatch, pretrained):
     cfg, splits, model, _ = pretrained
-    reference = derive_model(model, split=model.config.decomposition)
+    reference = derive_model(model, split=cfg.decomposition)
     zero_layers(monkeypatch, (3,))
     record = run_finetune(cfg, model, splits=splits)
     _, block, name = attention_slots(record.model)[3]
@@ -222,14 +222,17 @@ def test_forced_zero_layer_stays_at_initialization(monkeypatch, pretrained):
     assert any(moved)
 
 
+# "slm-off" is the selective layer mask off: every layer in the budget
 @pytest.mark.parametrize(
-    "arm, zeroed", [({}, ()), ({"slm": False}, ()), ({}, (2,))], ids=["default", "slm-off", "forced-zero"]
+    "change, zeroed", [({}, ()), ({"mask.active_layer_budget": 8}, ()), ({}, (2,))],
+    ids=["default", "slm-off", "forced-zero"]
 )
-def test_replay_reproduces_every_mask(monkeypatch, pretrained, arm, zeroed):
-    cfg, splits, model, _ = pretrained
+def test_replay_reproduces_every_mask(monkeypatch, pretrained, change, zeroed):
+    _, splits, model, _ = pretrained
+    cfg = tiny_cfg(**change)
     rows = capture_gradients(monkeypatch)
     zero_layers(monkeypatch, zeroed)
-    record = run_finetune(cfg, model, splits=splits, **arm)
+    record = run_finetune(cfg, model, splits=splits)
     rebuilt = replay_masks(record, cfg, 8, rows)
     assert len(rebuilt) == len(record.steps) == 16
     for got, want in zip(rebuilt, recorded_masks(record)):
@@ -285,11 +288,12 @@ def same_files(a, b):
 
 
 @pytest.mark.parametrize(
-    "arm", [{}, {"slm": False}, {"masft": False}], ids=["default", "slm-off", "masft-off"]
+    "change, arm", [({}, {}), ({"mask.active_layer_budget": 8}, {}), ({}, {"masft": False})],
+    ids=["default", "slm-off", "masft-off"]
 )
-def test_a_resumed_run_ends_byte_identical_to_an_uninterrupted_one(monkeypatch, tmp_path, pretrained, arm):
+def test_a_resumed_run_ends_byte_identical_to_an_uninterrupted_one(monkeypatch, tmp_path, pretrained, change, arm):
     _, splits, model, _ = pretrained
-    cfg = tiny_cfg(**MID_WARMUP)
+    cfg = tiny_cfg(**MID_WARMUP, **change)
     rows = capture_gradients(monkeypatch)
     _, snaps = snapshots(cfg, model, splits, tmp_path / "whole", **arm)
     whole_rows = rows.copy()
@@ -365,10 +369,10 @@ def test_a_resumed_run_leaves_its_snapshot_untouched(pretrained):
 
 
 # each setting acts from its step: the loss weights from the first step,
-# the layer budget (and so ``slm``) after the warmup
+# the layer budget (every layer's, with the selective mask off) after the warmup
 @pytest.mark.parametrize("k, change, arm", [
     (5, {"mask.active_layer_budget": 2}, {}),
-    (5, {}, {"slm": False}),
+    (5, {"mask.active_layer_budget": 8}, {}),
     (0, {"weights.orth_weight": 0.0, "weights.spectral_weight": 0.0}, {}),
 ], ids=["budget-at-warmup-edge", "slm-off-at-warmup-edge", "weights-at-step-0"])
 def test_a_state_resumes_under_settings_that_have_not_acted_yet(tmp_path, pretrained, k, change, arm):
@@ -382,7 +386,7 @@ def test_a_state_resumes_under_settings_that_have_not_acted_yet(tmp_path, pretra
 
 @pytest.mark.parametrize("k, change, arm, key", [
     (6, {"mask.active_layer_budget": 2}, {}, "budget"),
-    (6, {}, {"slm": False}, "budget"),
+    (6, {"mask.active_layer_budget": 8}, {}, "budget"),
     (1, {"weights.orth_weight": 0.0}, {}, "weights.orth_weight"),
     (0, {"optimizer.learning_rate": 1e-3}, {}, "optimizer.learning_rate"),
     (5, {"mask.warmup_steps": 4}, {}, "mask.warmup_steps"),
@@ -406,7 +410,7 @@ def test_resuming_under_a_setup_that_shaped_the_state_otherwise_is_a_value_error
 
 def test_semantic_subspace_bytes_frozen_through_finetune(pretrained):
     cfg, splits, model, _ = pretrained
-    reference = derive_model(model, split=model.config.decomposition)
+    reference = derive_model(model, split=cfg.decomposition)
     expected = [semantic_to_bytes(getattr(b, n)) for _, b, n in attention_slots(reference)]
     start = StartCores()
     record = run_finetune(cfg, model, splits=splits, on_step=start)
@@ -514,7 +518,7 @@ def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypat
         def recorded(cfg, *args, _name=name, _real=getattr(harness, name), **kwargs):
             seeds[_name].append(cfg.seed)
             if _name == "run_finetune":
-                arm_keywords.append({"masft", "slm"} <= kwargs.keys())
+                arm_keywords.append("masft" in kwargs)
             open_runs.append(_name)
             try:
                 return _real(cfg, *args, **kwargs)
@@ -590,12 +594,12 @@ SUBSPACES = ["ok"] * 4 + ["error:ValueError"]  # K=9 leaves no rank at d_model 8
 
 
 def test_a_failed_shared_warmup_fails_its_whole_family(tmp_path, monkeypatch):
-    def failing(model, grads, mask, opt, _real=harness.apply_update):
-        if mask.budget == 1:  # the budget table's first arm runs its family's warmup
+    def failing(bvg, budget, step, warmup, _real=harness.build_mask):
+        if budget == 1:  # the budget table's first arm runs its family's warmup
             raise InjectedFault("injected")
-        return _real(model, grads, mask, opt)
+        return _real(bvg, budget, step, warmup)
 
-    monkeypatch.setattr(harness, "apply_update", failing)
+    monkeypatch.setattr(harness, "build_mask", failing)
     rows = ablation_rows(run_ablation(tiny_cfg(**MID_WARMUP), tmp_path))
     assert rows["budget"] == [",,,,,,,error:InjectedFault"] * 5
     assert statuses(rows) == {"components": ["ok"] * 4, "losses": ["ok"] * 4, "subspaces": SUBSPACES,
@@ -607,12 +611,13 @@ def test_a_failure_after_the_fork_marks_only_its_own_arm(tmp_path, monkeypatch, 
     clean = ablation_rows(run_ablation(cfg, tmp_path / "clean"))
     capsys.readouterr()
 
-    def failing(model, grads, mask, opt, _real=harness.apply_update):
-        if mask.budget == 1 and mask.bits.sum() == 1:  # past the warmup of the budget-1 arm
+    def failing(bvg, budget, step, warmup, _real=harness.build_mask):
+        mask = _real(bvg, budget, step, warmup)
+        if budget == 1 and mask.bits.sum() == 1:  # past the warmup of the budget-1 arm
             raise InjectedFault("injected")
-        return _real(model, grads, mask, opt)
+        return mask
 
-    monkeypatch.setattr(harness, "apply_update", failing)
+    monkeypatch.setattr(harness, "build_mask", failing)
     rows = ablation_rows(run_ablation(cfg, tmp_path / "faulty"))
     assert capsys.readouterr().err.splitlines().count("ablation cell budget[m=1] failed: injected") == 1
     assert rows["budget"][0] == ",,,,,,,error:InjectedFault"
@@ -641,14 +646,14 @@ def test_ablation_writes_every_table_when_pretraining_fails(tmp_path, capsys):
 
 
 def test_inspect_fresh_decomposition(pretrained):
-    _, _, model, _ = pretrained
-    rows = decompose_inspect(model)
+    cfg, _, model, _ = pretrained
+    rows = decompose_inspect(model, cfg.decomposition)
     assert len(rows) == 8
     from subtune.decomposition import DecompositionConfig, resolve_semantic_rank
     from subtune.linalg import svd
 
     reference = clone_model(model)
-    derived = derive_model(model, split=model.config.decomposition)
+    derived = derive_model(model, split=cfg.decomposition)
     for row, (_, block, name), (_, d_block, d_name) in zip(rows, attention_slots(reference), attention_slots(derived)):
         assert row.orth <= 1e-9
         assert row.spec <= 1e-9

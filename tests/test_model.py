@@ -34,20 +34,17 @@ from subtune.model import (
 )
 
 
-def tiny_config(n_subspaces: int = 2) -> ModelConfig:
-    return ModelConfig(
-        d_model=8,
-        n_blocks=2,
-        n_tokens=4,
-        n_classes_pretrain=3,
-        decomposition=DecompositionConfig(n_subspaces=n_subspaces),
-    )
+TINY_SPLIT = DecompositionConfig(n_subspaces=2)
+
+
+def tiny_config() -> ModelConfig:
+    return ModelConfig(d_model=8, n_blocks=2, n_tokens=4, n_classes_pretrain=3)
 
 
 def tiny_model(seed: int = 42, decomposed: bool = False, binary: bool = True) -> Model:
     m = init_model(tiny_config(), linalg.make_rng(seed))
     if decomposed:
-        m = derive_model(m, split=m.config.decomposition)
+        m = derive_model(m, split=TINY_SPLIT)
     if binary:
         m = derive_model(m, head=binary_head(m, linalg.make_rng(seed + 1)))
     return m
@@ -103,11 +100,10 @@ def test_forward_matches_reference_pretrain_softmax() -> None:
 @pytest.mark.parametrize("decomposed, binary", [(False, True), (True, True), (False, False)])
 def test_forward_matches_reference_at_other_token_counts(n_tokens, decomposed, binary) -> None:
     # the softmax row maximum is taken one key column at a time
-    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=n_tokens, n_classes_pretrain=3,
-                      decomposition=DecompositionConfig(n_subspaces=2))
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=n_tokens, n_classes_pretrain=3)
     m = init_model(cfg, linalg.make_rng(11))
     if decomposed:
-        m = derive_model(m, split=m.config.decomposition)
+        m = derive_model(m, split=TINY_SPLIT)
     if binary:
         m = derive_model(m, head=binary_head(m, linalg.make_rng(12)))
     x, _ = batch(13, 5, cfg)
@@ -299,20 +295,19 @@ def test_init_model_follows_the_block_shape_table() -> None:
         assert not block.norm1_bias.any() and not block.norm2_bias.any()
 
 
-def test_derive_model_takes_its_split_and_records_it() -> None:
-    cfg = tiny_config(n_subspaces=2)
+def test_derive_model_takes_its_split() -> None:
+    cfg = tiny_config()
     split = DecompositionConfig(n_subspaces=3, rank_policy="fixed", fixed_rank=4)
     m = derive_model(init_model(cfg, linalg.make_rng(0)), split=split)
     layers = [getattr(block, name) for _, block, name in attention_slots(m)]
     assert {(layer.semantic_rank, layer.ranks) for layer in layers} == {(4, (2, 1, 1))}
-    assert m.config.decomposition == split and m.config.decomposition is not split
-    assert cfg.decomposition == DecompositionConfig(n_subspaces=2)  # the caller's config is left as it was
+    assert m.config == cfg and m.config is not cfg
 
 
 def test_derive_model_splits_only_once() -> None:
     m = tiny_model(decomposed=True)
     with pytest.raises(ValueError):
-        derive_model(m, split=m.config.decomposition)
+        derive_model(m, split=TINY_SPLIT)
 
 
 def test_derive_model_leaves_its_source_as_it_was() -> None:
@@ -328,7 +323,7 @@ def test_derive_model_leaves_its_source_as_it_was() -> None:
 @pytest.mark.parametrize("seed", [0, 7])
 def test_one_derivation_equals_a_split_then_a_new_head(seed) -> None:
     m = init_model(tiny_config(), linalg.make_rng(seed))
-    head, split = binary_head(m, linalg.make_rng(seed + 1)), m.config.decomposition
+    head, split = binary_head(m, linalg.make_rng(seed + 1)), TINY_SPLIT
     once = derive_model(m, head=head, split=split)
     twice = derive_model(derive_model(m, split=split), head=head)
     assert once.params.tobytes() == twice.params.tobytes()
@@ -355,12 +350,9 @@ def test_gelu_matches_scalar_reference_and_its_derivative() -> None:
 
 @pytest.mark.parametrize("d_model, n_subspaces", [(8, 1), (12, 9)])
 def test_grad_check_with_both_regularizers_at_extreme_subspace_counts(d_model, n_subspaces) -> None:
-    cfg = ModelConfig(
-        d_model=d_model, n_blocks=1, n_tokens=3, n_classes_pretrain=3,
-        decomposition=DecompositionConfig(n_subspaces=n_subspaces),
-    )
+    cfg = ModelConfig(d_model=d_model, n_blocks=1, n_tokens=3, n_classes_pretrain=3)
     m = init_model(cfg, linalg.make_rng(7))
-    m = derive_model(m, split=m.config.decomposition)
+    m = derive_model(m, split=DecompositionConfig(n_subspaces=n_subspaces))
     assert all(getattr(b, n).n_subspaces == n_subspaces for _, b, n in attention_slots(m))
     m = derive_model(m, head=binary_head(m, linalg.make_rng(8)))
     jitter_trainables(m, linalg.make_rng(9))
@@ -503,7 +495,7 @@ def test_predict_keeps_no_backward_cache() -> None:
     # forward holds every block's activations for backward; predict holds
     # one block's at a time, so its traced peak is a fraction of forward's
     m = init_model(ModelConfig(), linalg.make_rng(0))
-    m = derive_model(m, head=binary_head(m, linalg.make_rng(1)), split=m.config.decomposition)
+    m = derive_model(m, head=binary_head(m, linalg.make_rng(1)), split=DecompositionConfig())
     x = linalg.make_rng(2).normal(size=(256, m.config.n_tokens, m.config.d_model))
     peaks = {}
     for name, fn in (("forward", forward), ("predict", predict)):

@@ -20,12 +20,13 @@ import subtune
 _CHILD = """
 import json, math, resource
 from subtune import cli, linalg
+from subtune.decomposition import DecompositionConfig
 from subtune.model import ModelConfig, derive_model, init_model, predict
 
 cli.main(["gradcheck"])
 cfg = ModelConfig()
 head = linalg.make_rng(1).normal(scale=1.0 / math.sqrt(cfg.d_model), size=(1, cfg.d_model))
-model = derive_model(init_model(cfg, linalg.make_rng(0)), head=head, split=cfg.decomposition)
+model = derive_model(init_model(cfg, linalg.make_rng(0)), head=head, split=DecompositionConfig())
 x = linalg.make_rng(2).normal(size=(256, model.config.n_tokens, model.config.d_model))
 for _ in range(2):
     predict(model, x)

@@ -83,7 +83,7 @@ def stacked_models(draw, allow_plain: bool = True, pretraining_head: bool = Fals
     picks = draw(st.lists(st.integers(0, 1), min_size=4 * n_blocks, max_size=4 * n_blocks))
     seed = draw(st.integers(0, 2**32 - 1))
     model = init_model(
-        ModelConfig(d_model=d, n_blocks=n_blocks, n_tokens=3, decomposition=configs[0]),
+        ModelConfig(d_model=d, n_blocks=n_blocks, n_tokens=3),
         make_rng(seed),
     )
     if not (allow_plain and draw(st.booleans())):
@@ -129,11 +129,10 @@ def test_masked_steps_match_the_per_layer_state(case) -> None:
     model, weights, seed = case
     rng = make_rng(seed + 4)
     stats_cfg = StatsConfig(ema_coeff=0.7)
-    sizes = [row.size for row in model.trainable]
-    stats = init_stats(sizes)
+    stats = init_stats(model.trainable.shape)
     opt = init_optimizer(1e-2, model)
     loop = LoopMasking(list(model.trainable), model.head, 1e-2, stats_cfg.ema_coeff, stats_cfg.moment_floor)
-    n_layers = len(sizes)
+    n_layers = len(model.trainable)
     for _ in range(4):
         x, y = _batch(model, rng)
         _, grads = backward(model, x, y, weights)
@@ -144,7 +143,7 @@ def test_masked_steps_match_the_per_layer_state(case) -> None:
         assert _bits(stats.second) == _bits(loop.second)
         assert compute_bvg(stats, stats_cfg).tobytes() == loop.bvg().tobytes()
         bits = (rng.random(n_layers) < 0.6).astype(np.int8)
-        apply_update(model, grads, LayerMask(bits=bits, budget=max(1, int(bits.sum()))), opt)
+        apply_update(model, grads, LayerMask(bits=bits), opt)
         loop.apply(layer_grads, grads.head, bits)
         assert _bits(model.trainable) == _bits(loop.params)
         assert model.head.tobytes() == loop.head.tobytes()
@@ -263,14 +262,13 @@ def mixed_model(seed: int = 0):
         DecompositionConfig(n_subspaces=2),
         DecompositionConfig(n_subspaces=3, rank_policy="fixed", fixed_rank=4),
     ]
-    model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=configs[0]), make_rng(seed))
+    model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4), make_rng(seed))
     model = decomposed_per_layer(model, lambda lid: configs[lid % 2])
     return derive_model(model, head=binary_head(model, make_rng(seed + 1)))
 
 
 def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
-    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=4, decomposition=DecompositionConfig(n_subspaces=2))
-    model = init_model(cfg, make_rng(0))
+    model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4), make_rng(0))
     x, y = _batch(model, make_rng(3))
 
     def check(labels) -> None:
@@ -278,7 +276,7 @@ def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
         assert_gradient_layout(model, backward(model, x, labels)[1])
 
     check(y.astype(int))  # the pretraining head takes class ids
-    model = derive_model(model, split=cfg.decomposition)
+    model = derive_model(model, split=DecompositionConfig(n_subspaces=2))
     check(y.astype(int))
     model = derive_model(model, head=binary_head(model, make_rng(1)))
     check(y)
@@ -303,7 +301,7 @@ def test_every_view_aliases_the_one_buffer(tmp_path) -> None:
     opt = init_optimizer(1e-2, model)
     assert opt.layer_m.shape == opt.layer_v.shape == buf.shape
     n_layers = len(buf)
-    apply_update(model, grads, LayerMask(np.ones(n_layers, dtype=np.int8), n_layers), opt)
+    apply_update(model, grads, LayerMask(np.ones(n_layers, dtype=np.int8)), opt)
     assert model.trainable is buf and not np.array_equal(buf, before)
     assert_one_buffer(model)
 
@@ -315,9 +313,8 @@ def test_padding_stays_exactly_zero_through_training(jitter) -> None:
         jitter_trainables(model, make_rng(2))
     assert_zero_padding(model)
     rng = make_rng(5)
-    sizes = [row.size for row in model.trainable]
     stats_cfg = StatsConfig(ema_coeff=0.9)
-    stats = init_stats(sizes)
+    stats = init_stats(model.trainable.shape)
     opt = init_optimizer(1e-2, model)
     for step in range(1, 201):
         x, y = _batch(model, rng)
