@@ -166,14 +166,18 @@ def _check_out(out: Path) -> None:
 def _keep_heap_resident() -> None:
     """Keep a step's temporaries on the heap, process-wide.  By default glibc
     serves every block above 128 KiB from a fresh mmap and hands freed heap
-    back to the OS, so each pass faults its memory in again.  Changes no
+    back to the OS, so each pass faults its memory in again; and it gives
+    each new thread an arena of its own, so ``predict``'s worker thread
+    would allocate from a second heap beside the main one.  Changes no
     number; does nothing without glibc's ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to open
         return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: blocks below 8 MiB come from the heap
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of freed heap
+    mallopt(-8, 1)  # M_ARENA_MAX: every thread allocates from the main heap
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate
@@ -293,9 +296,9 @@ def weight_stack(model: Model) -> np.ndarray:
 # products: numpy's float power loop costs about ten times as much as two
 # multiplications on these arrays.  GELU and its derivative share the tanh
 # t = gelu_tanh(x): the training forward keeps it for the backward pass.
-def gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(a * (x + b * x*x*x)) in a new array."""
-    t = x * x
+def gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tanh(a * (x + b * x*x*x)) in a new array, or in ``out``."""
+    t = np.multiply(x, x, out=out)
     t *= x
     t *= _GELU_B
     t += x
@@ -303,14 +306,18 @@ def gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * x * (1 + t) in a new array, t left as it is; without ``t`` the
-    tanh is formed here and overwritten by the result."""
+def gelu(x: np.ndarray, t: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * x * (1 + t) in a new array, x and t left as they are.  Without
+    ``t`` (the scoring path) it makes no temporary: the tanh is formed in
+    ``out`` (a new array if None) and overwritten by the result, and x is
+    overwritten by 0.5 * x."""
     if t is None:
-        t = gelu_tanh(x)
+        t = gelu_tanh(x, out)
         t += 1.0
-    else:
-        t = t + 1.0
+        x *= 0.5
+        t *= x
+        return t
+    t = t + 1.0
     t *= 0.5 * x
     return t
 
@@ -338,10 +345,14 @@ def _mean(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layer_norm(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+    out: np.ndarray | None = None, xhat: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(out, xhat, inv_std), ``out`` and ``xhat`` in new arrays unless given."""
     mean = _mean(x)
-    xhat = x - mean
-    out = xhat * xhat
+    xhat = np.subtract(x, mean, out=xhat)
+    out = np.multiply(xhat, xhat, out=out)
     # centred once; this is exactly how ``x.var`` computes it
     var = _mean(out)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
@@ -390,14 +401,17 @@ class ForwardCache:
     probs: np.ndarray
 
 
-def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for an (n, t, k) stack, as one GEMM over its n * t token
     rows: about twice as fast as n small ones.  Over k = d_model it rounds
     as the stacked product does wherever that was checked (t >= 2 and
     d_model <= 24, on OpenBLAS); over 2 * d_model (act @ W2^T) it did not,
-    so those products stay stacked."""
+    so those products stay stacked.  ``out``, if given, is a contiguous
+    (n, t, m) array to write into."""
     n, t, k = a.shape
-    return (a.reshape(n * t, k) @ b).reshape(n, t, b.shape[-1])
+    m = b.shape[-1]
+    flat = None if out is None else out.reshape(n * t, m)
+    return np.matmul(a.reshape(n * t, k), b, out=flat).reshape(n, t, m)
 
 
 def _embed(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -414,20 +428,45 @@ def _embed(model: Model, inputs: np.ndarray) -> np.ndarray:
     return x @ model.token_embed.T
 
 
-def _block_forward(
-    block: Block, w: np.ndarray, a_in: np.ndarray, index: int, keep: str | None
-) -> tuple[np.ndarray, _BlockCache | None]:
-    """One block: h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T with
-    m_in = a_in + softmax(q k^T / sqrt(d)) v @ Wo^T, where ``w`` stacks the
-    block's effective Wq, Wk, Wv, Wo.  ``keep`` is what to return for the
-    backward pass: None (nothing; the GELU then works in place), "trainable"
-    (what the attention gradients read) or "all" (also the frozen slots')."""
-    n, t, d = a_in.shape
-    u, ln1_xhat, ln1_inv = _layer_norm(a_in, block.norm1_gain, block.norm1_bias)
+def _scratch_size(n: int, t: int, d: int) -> int:
+    """Elements of a scratch buffer for a row block of up to n samples: five
+    (n, t, d) slots and the (n, t, t) attention probabilities."""
+    return n * t * (5 * d + t)
+
+
+def _slot(buf: np.ndarray | None, shape: tuple[int, ...], at: int, width: int) -> np.ndarray | None:
+    """The contiguous (n, t, width) view of ``buf`` that starts at slot
+    ``at``, a slot being n * t * d elements of a row block of ``shape`` =
+    (n, t, d); None without ``buf``, so numpy makes a new array.  The two
+    halves of a block place what they make so that nothing they still read
+    is overwritten: the attention half puts its layer norm's xhat and
+    output in slots 0 and 1, q, k, v in slots 2-4, the probabilities after
+    slot 5, ctx in slot 0 and m_in in slot 4; the MLP half then puts its
+    layer norm's in slots 0 and 1, z1 in slots 2-3 and the GELU in 0-1."""
+    if buf is None:
+        return None
+    n, t, d = shape
+    lo = at * n * t * d
+    return buf[lo : lo + n * t * width].reshape(n, t, width)
+
+
+def _attention(
+    block: Block, w: np.ndarray, a_in: np.ndarray, buf: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The attention half, m_in = a_in + softmax(q k^T / sqrt(d)) v @ Wo^T,
+    where ``w`` stacks the block's effective Wq, Wk, Wv, Wo, and what the
+    backward pass reads of it: (u, ln1_xhat, ln1_inv_std, q, k, v, probs,
+    ctx).  With a scratch buffer ``buf`` (``_slot``) every row-sized array
+    lives there, and only m_in stays valid after the MLP half has run."""
+    shape = a_in.shape
+    _, t, d = shape
+    u, ln1_xhat, ln1_inv = _layer_norm(
+        a_in, block.norm1_gain, block.norm1_bias, _slot(buf, shape, 1, d), _slot(buf, shape, 0, d)
+    )
     # one product for q, k and v; each column block rounds as its own product
-    qkv = _rows_matmul(u, w[:3].reshape(3 * d, d).T)
+    qkv = _rows_matmul(u, w[:3].reshape(3 * d, d).T, _slot(buf, shape, 2, 3 * d))
     q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    probs = q @ k.transpose(0, 2, 1)
+    probs = np.matmul(q, k.transpose(0, 2, 1), out=_slot(buf, shape, 5, t))
     probs *= 1.0 / math.sqrt(d)
     # the row maximum, one key column at a time: a maximum is exact in any
     # order, and np.max over a short last axis costs several times as much
@@ -437,20 +476,49 @@ def _block_forward(
     probs -= row_max
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    ctx = probs @ v
-    m_in = _rows_matmul(ctx, w[3].T)
+    ctx = np.matmul(probs, v, out=_slot(buf, shape, 0, d))
+    m_in = _rows_matmul(ctx, w[3].T, _slot(buf, shape, 4, d))
     m_in += a_in
-    wn, ln2_xhat, ln2_inv = _layer_norm(m_in, block.norm2_gain, block.norm2_bias)
-    z1 = _rows_matmul(wn, block.mlp_in.T)
-    gelu_t = None if keep is None else gelu_tanh(z1)
-    act = gelu(z1, gelu_t)
-    h = act @ block.mlp_out.T  # over 2 * d_model, so stacked (``_rows_matmul``)
+    return m_in, (u, ln1_xhat, ln1_inv, q, k, v, probs, ctx)
+
+
+def _mlp(
+    block: Block, m_in: np.ndarray, index: int, buf: np.ndarray | None = None, out: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    """The MLP half, h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T, of block
+    ``index``, and what the backward pass reads of it: (ln2_xhat,
+    ln2_inv_std, wn, z1, gelu_t, act).  With the scratch buffer ``buf`` of
+    the attention half that made m_in, h_out goes to ``out`` and nothing is
+    kept: the GELU works in place on its tanh and on z1, and the cache is
+    None."""
+    shape = m_in.shape
+    d = shape[-1]
+    wn, ln2_xhat, ln2_inv = _layer_norm(
+        m_in, block.norm2_gain, block.norm2_bias, _slot(buf, shape, 1, d), _slot(buf, shape, 0, d)
+    )
+    z1 = _rows_matmul(wn, block.mlp_in.T, _slot(buf, shape, 2, 2 * d))
+    if buf is None:
+        gelu_t = gelu_tanh(z1)
+        act = gelu(z1, gelu_t)
+    else:
+        act = gelu(z1, None, _slot(buf, shape, 0, 2 * d))
+    # over 2 * d_model, so stacked (``_rows_matmul``)
+    h = np.matmul(act, block.mlp_out.T, out=out)
     h += m_in
     if not np.all(np.isfinite(h)):
         raise ValueError(f"non-finite activations in block {index}")
-    if keep is None:
+    if buf is not None:
         return h, None
-    frozen = keep == "all"
+    return h, (ln2_xhat, ln2_inv, wn, z1, gelu_t, act)
+
+
+def _block_forward(
+    block: Block, w: np.ndarray, a_in: np.ndarray, index: int, frozen: bool
+) -> tuple[np.ndarray, _BlockCache]:
+    """One block and what ``backward`` reads of it: what the attention
+    gradients read, and with ``frozen`` also what the frozen slots' read."""
+    m_in, (u, ln1_xhat, ln1_inv, q, k, v, probs, ctx) = _attention(block, w, a_in)
+    h, (ln2_xhat, ln2_inv, wn, z1, gelu_t, act) = _mlp(block, m_in, index)
     return h, _BlockCache(
         ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv, u=u,
         q=q, k=k, v=v, probs=probs, ctx=ctx,
@@ -480,46 +548,134 @@ def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
     (for a binary head, only those its fine-tuned gradients read)."""
     h = _embed(model, inputs)
     w = weight_stack(model)
-    keep = "trainable" if model.n_outputs == 1 else "all"
+    frozen = model.n_outputs != 1
     caches: list[_BlockCache] = []
     for b, block in enumerate(model.blocks):
-        h, cache = _block_forward(block, w[4 * b : 4 * b + 4], h, b, keep)
+        h, cache = _block_forward(block, w[4 * b : 4 * b + 4], h, b, frozen)
         caches.append(cache)
     pool, probs = _head(model, h)
     return ForwardCache(blocks=caches, weights=w, pool=pool, probs=probs)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# ``predict``'s pool: one task queue per thread.  Threads are made as a
+# call first needs them and kept for the life of the process, since a
+# thread made per call faults its stack and heap in anew.  A forked child
+# has none of its parent's threads, so it drops them and makes its own.
+_workers: list[queue.SimpleQueue] = []
+_workers_lock = threading.Lock()
+
+
+def _pool(n: int) -> list[queue.SimpleQueue]:
+    """The task queues of the pool's first ``n`` threads, starting any not
+    made yet."""
+    with _workers_lock:
+        while len(_workers) < n:
+            _workers.append(queue.SimpleQueue())
+            threading.Thread(target=_serve, args=(_workers[-1],), name="subtune-predict", daemon=True).start()
+        return _workers[:n]
+
+
+def _drop_pool() -> None:
+    global _workers_lock
+    _workers.clear()
+    _workers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A pool thread: run each share it takes and put what ``_score_rows``
+    returns on the share's result queue; an error outside any block ranks
+    before every block's."""
+    while True:
+        share, results = tasks.get()
+        try:
+            result = _score_rows(*share)
+        except Exception as exc:  # noqa: BLE001 - the caller waits for a result and raises this one
+            result = (-1, 0, exc)
+        # drop the batch and the scratch buffer before the caller may free them
+        del share
+        results.put(result)
+        del result, results
+
+
+def _score_rows(model: Model, w: np.ndarray, h: np.ndarray, starts: range, step: int,
+                errstate: dict[str, str], buf: np.ndarray) -> tuple[int, int, Exception] | None:
+    """Run each row block that starts at one of ``starts`` through every
+    block, writing its output back over its input, with its activations in
+    the scratch buffer ``buf``.  A row block stops at its first error; the
+    result is the first error by (block, row start), or None.  ``errstate``
+    is the caller's numpy error handling, which is kept per thread."""
+    first = None
+    with np.errstate(**errstate):
+        for lo in starts:
+            rows = h[lo : lo + step]
+            for b, block in enumerate(model.blocks):
+                try:
+                    m_in = _attention(block, w[4 * b : 4 * b + 4], rows, buf)[0]
+                    _mlp(block, m_in, b, buf, rows)
+                except Exception as exc:  # noqa: BLE001 - raised by the caller, in the order forward meets it
+                    if first is None or (b, lo) < first[:2]:
+                        first = (b, lo, exc)
+                    break
+    return first
+
+
 def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     """Probabilities only: (N,) fake-probability for the binary head, (N, C)
     class distribution for the pretraining head.  Bit for bit
-    ``forward(model, inputs).probs``, but each block runs over
-    ``PREDICT_ROWS`` token rows at a time, writing its output back over its
-    input, and its activations are dropped as soon as it returns.  Blocks
-    run one after the other over the whole batch, so a non-finite
-    activation names the block ``forward`` names.  The embedding and the
-    head see the whole batch: the head's (N, d) @ (d, 1) product rounds
+    ``forward(model, inputs).probs``, but nothing is kept: the batch runs
+    through the blocks in row blocks of ``PREDICT_ROWS`` token rows, each
+    written back over its input, so only one row block's activations are
+    alive per runner, in a scratch buffer of its own.  A sample's tokens
+    attend only to each other, so row blocks are independent: with more
+    than one row block and more than one usable CPU, the caller and up to
+    (usable CPUs - 1) threads of a persistent pool each take every n-th row
+    block.  The caller makes every runner's buffer before any starts, so
+    what a call allocates does not depend on how the threads interleave.  An
+    error is raised by the caller, and it is the one for the lowest (block,
+    row block), the error ``forward`` raises.  The embedding and the head
+    see the whole batch: the head's (N, d) @ (d, 1) product rounds
     differently with N."""
     h = _embed(model, inputs)
     w = weight_stack(model)
     step = max(1, PREDICT_ROWS // model.config.n_tokens)
-    for b, block in enumerate(model.blocks):
-        for lo in range(0, h.shape[0], step):
-            # a sample's tokens attend only to each other, so rows are independent
-            h[lo : lo + step] = _block_forward(block, w[4 * b : 4 * b + 4], h[lo : lo + step], b, None)[0]
+    starts = range(0, h.shape[0], step)
+    runners = min(len(starts), _usable_cpus())
+    bufs = [np.empty(_scratch_size(min(step, h.shape[0]), *h.shape[1:])) for _ in range(runners)]
+    errstate = np.geterr()
+    results: queue.SimpleQueue = queue.SimpleQueue()
+    for i, tasks in enumerate(_pool(runners - 1), start=1):
+        tasks.put(((model, w, h, starts[i::runners], step, errstate, bufs[i]), results))
+    try:
+        mine = _score_rows(model, w, h, starts[::runners], step, errstate, bufs[0])
+    finally:  # the workers write into h: wait for every one of them
+        theirs = [results.get() for _ in range(1, runners)]
+    failures = [failure for failure in (mine, *theirs) if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
     return _head(model, h)[1]
 
 
 @dataclass
 class Gradients:
     """Gradients laid out like ``model.params``, with ``trainable`` (one row
-    per attention slot) and ``head`` views of ``params``.  A binary-head
-    ``backward`` forms only the fine-tuned gradients, so its ``params`` is
-    the layout's prefix of rows and head; a pretraining head's covers the
-    whole layout."""
+    per attention slot) a view of ``params``; ``model.layout.carve`` gives
+    the rest.  A binary-head ``backward`` forms only the fine-tuned
+    gradients, so its ``params`` is the layout's prefix of rows and head; a
+    pretraining head's covers the whole layout."""
 
     params: np.ndarray
     trainable: np.ndarray
-    head: np.ndarray
 
 
 def _project_factors(
@@ -665,7 +821,7 @@ def backward(
         report = losses.total_loss(cls, orth[order].tolist(), spec[order].tolist(), weights)
     else:
         report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls)
-    return report, Gradients(params=params, trainable=grad, head=d_head)
+    return report, Gradients(params=params, trainable=grad)
 
 
 def trained_positions(model: Model) -> np.ndarray:

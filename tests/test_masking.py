@@ -231,7 +231,7 @@ def test_apply_update_rejects_non_finite() -> None:
     model, grads = _one_layer_setup()
     sizes = [v.size for v in layer_vectors(model)]
     opt = init_optimizer(1e-3, model)
-    grads.head[...] = np.inf
+    model.layout.carve(grads.params)[1][...] = np.inf
     mask = LayerMask(bits=np.zeros(len(sizes), dtype=np.int8))
     # the moments are inf, so their ratio is nan
     with pytest.raises(ValueError, match="head"):

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import copy
+import os
+import signal
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -152,7 +157,7 @@ def test_backward_zero_signal_when_probabilities_match_labels() -> None:
     p = predict(big, big_x)
     assert p[0] == 1.0 - 1e-12 and p[1] == 1e-12
     _, g2 = backward(big, big_x, big_y, LossWeights(0.0, 0.0))
-    assert np.abs(g2.head).max() <= 1e-8
+    assert np.abs(big.layout.carve(g2.params)[1]).max() <= 1e-8
     assert np.abs(grad_vector(big, g2)).max() <= 1e-6
 
 
@@ -342,9 +347,13 @@ def test_gelu_matches_scalar_reference_and_its_derivative() -> None:
     rng = linalg.make_rng(21)
     x = np.concatenate([rng.normal(scale=3.0, size=200), [0.0, -1e-8, 1e-8, -12.0, 12.0]])
     want = np.array([_gelu_scalar(float(v)) for v in x])
-    assert np.max(np.abs(model_mod.gelu(x) - want) / np.maximum(1.0, np.abs(x))) <= 1e-15
+
+    def gelu(v):
+        return model_mod.gelu(v, model_mod.gelu_tanh(v))
+
+    assert np.max(np.abs(gelu(x) - want) / np.maximum(1.0, np.abs(x))) <= 1e-15
     h = 1e-6
-    numeric = (model_mod.gelu(x + h) - model_mod.gelu(x - h)) / (2.0 * h)
+    numeric = (gelu(x + h) - gelu(x - h)) / (2.0 * h)
     assert np.max(np.abs(model_mod.gelu_grad(x, model_mod.gelu_tanh(x)) - numeric)) <= 1e-8
 
 
@@ -450,6 +459,131 @@ def test_predict_names_the_block_of_an_overflow_in_a_later_row_block() -> None:
             fn(m, x)
 
 
+@pytest.fixture
+def runners(monkeypatch):
+    """Calling the fixture's value with n makes the process report n usable
+    CPUs; the list it returns collects the thread that runs each (block,
+    row block) pair of ``predict``."""
+    seen: list[int] = []
+    attention = model_mod._attention
+
+    def recorded(*args):
+        seen.append(threading.get_ident())
+        return attention(*args)
+
+    monkeypatch.setattr(model_mod, "_attention", recorded)
+
+    def set_cpus(n: int) -> list[int]:
+        monkeypatch.setattr(model_mod.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return seen
+
+    return set_cpus
+
+
+@pytest.mark.parametrize("n_runners", [1, 2, 3])
+@pytest.mark.parametrize("n", [_ROW_BLOCK - 3, _ROW_BLOCK, 2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 5, 3 * _ROW_BLOCK])
+def test_predict_is_forward_probs_bit_for_bit_on_every_runner_count(runners, n_runners, n) -> None:
+    seen = runners(n_runners)
+    m = tiny_model(seed=n, decomposed=True)
+    x = linalg.make_rng(n).normal(size=(n, m.config.n_tokens, m.config.d_model))
+    want = forward(m, x).probs.tobytes()
+    seen.clear()
+    assert predict(m, x).tobytes() == want
+    n_row_blocks = -(-n // _ROW_BLOCK)
+    assert len(seen) == n_row_blocks * m.config.n_blocks
+    assert len(set(seen)) == min(n_runners, n_row_blocks)
+    assert predict(m, x).tobytes() == want  # again, on the pool the first call made
+
+
+@pytest.mark.parametrize("n_runners, n", [(2, _ROW_BLOCK), (1, 3 * _ROW_BLOCK)])
+def test_predict_starts_no_thread_for_one_row_block_or_one_cpu(runners, n_runners, n) -> None:
+    seen = runners(n_runners)
+    m = tiny_model()
+    threads = threading.active_count()
+    predict(m, linalg.make_rng(0).normal(size=(n, m.config.n_tokens, m.config.d_model)))
+    assert set(seen) == {threading.get_ident()}
+    assert threading.active_count() == threads
+
+
+def _overflow_in_two_row_blocks():
+    """A 4-block model and a two-row-block batch of zero samples but one
+    random sample at the end.  Zero samples pass blocks 0 to 2 unchanged
+    and overflow in block 3, whose layer-norm bias feeds its huge MLP
+    output weights; the random sample overflows in block 1.  The first
+    row block's first error is therefore in block 3, the second's in block
+    1; a healthy clone of the model comes with them."""
+    m = init_model(ModelConfig(d_model=8, n_blocks=4, n_tokens=4, n_classes_pretrain=3), linalg.make_rng(5))
+    m = derive_model(m, head=binary_head(m, linalg.make_rng(6)))
+    healthy = model_mod.clone_model(m)
+    m.blocks[1].mlp_out[...] = 1e308
+    m.blocks[3].mlp_out[...] = 1e308
+    m.blocks[3].norm2_bias[...] = 1.0
+    x = np.zeros((2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
+    x[-1] = linalg.make_rng(7).normal(size=x.shape[1:])
+    return m, healthy, x
+
+
+def test_predict_raises_the_error_of_the_lowest_block_across_runners(runners) -> None:
+    seen = runners(2)
+    m, healthy, x = _overflow_in_two_row_blocks()
+    want = predict(healthy, x).tobytes()
+    for fn in (forward, predict):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="block 1$"):
+            fn(m, x)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="block 3$"):
+        predict(m, x[:_ROW_BLOCK])
+    assert len(set(seen)) == 2  # the row blocks did run on two threads
+    assert predict(healthy, x).tobytes() == want
+
+
+@pytest.mark.parametrize("where", ["_attention", "_score_rows"])  # inside a block, or around them
+def test_an_error_in_a_worker_reaches_the_caller(runners, monkeypatch, where) -> None:
+    runners(2)
+    m = tiny_model()
+    x = linalg.make_rng(1).normal(size=(2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
+    want = predict(m, x).tobytes()
+    original = getattr(model_mod, where)
+    caller = threading.get_ident()
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker failed")
+        return original(*args)
+
+    monkeypatch.setattr(model_mod, where, failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        predict(m, x)
+    monkeypatch.setattr(model_mod, where, original)
+    assert predict(m, x).tobytes() == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_scores_as_its_parent(runners) -> None:
+    seen = runners(2)
+    m = tiny_model(decomposed=True)
+    x = linalg.make_rng(2).normal(size=(2 * _ROW_BLOCK + 1, m.config.n_tokens, m.config.d_model))
+    want = predict(m, x).tobytes()
+    assert len(set(seen)) == 2
+    with warnings.catch_warnings():  # newer Pythons warn about forking a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: its parent's pool thread is gone, so it must make its own
+        code = 1
+        try:
+            seen.clear()
+            code = 0 if predict(m, x).tobytes() == want and len(set(seen)) == 2 else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
              1e-160, 1e154, -1e154, 1e300, -1e300, 1.7976931348623157e308]
 _kernel_floats = st.one_of(
@@ -467,14 +601,19 @@ def _same_bits(got, want) -> None:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=9), elements=_kernel_floats))
 def test_gelu_kernels_match_the_plain_expressions_bit_for_bit(x) -> None:
-    # scoring forms the tanh in place; training keeps it for the gradient
+    # scoring overwrites its scratch; training keeps the tanh for the gradient
     with np.errstate(all="ignore"):
-        _same_bits(model_mod.gelu(x), plain_gelu(x))
+        _same_bits(model_mod.gelu(x.copy()), plain_gelu(x))
+        scratch, out = x.copy(), np.empty_like(x)
+        got = model_mod.gelu(scratch, None, out)
+        assert got is out
+        _same_bits(got, plain_gelu(x))
         t = model_mod.gelu_tanh(x)
-        kept = t.copy()
+        kept, x_kept = t.copy(), x.copy()
         _same_bits(model_mod.gelu(x, t), plain_gelu(x))
         _same_bits(model_mod.gelu_grad(x, t), plain_gelu_grad(x))
         _same_bits(t, kept)
+        _same_bits(x, x_kept)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -488,6 +627,12 @@ def test_layer_norm_matches_the_plain_expression_bit_for_bit(n, t, d, data) -> N
     bias = data.draw(hnp.arrays(np.float64, (d,), elements=st.floats(-4.0, 4.0)))
     with np.errstate(all="ignore"):
         for got, want in zip(model_mod._layer_norm(x, gain, bias), plain_layer_norm(x, gain, bias)):
+            _same_bits(got, want)
+        # into given arrays, as the scoring path's scratch buffer has them
+        out, xhat = np.empty_like(x), np.empty_like(x)
+        got = model_mod._layer_norm(x, gain, bias, out, xhat)
+        assert got[0] is out and got[1] is xhat
+        for got, want in zip(got, plain_layer_norm(x, gain, bias)):
             _same_bits(got, want)
 
 
@@ -512,7 +657,7 @@ def test_binary_head_backward_forms_only_the_fine_tuned_gradients() -> None:
     _, grads = backward(m, x, y, LossWeights(1.0, 1.0))
     # the gradient is the layout's prefix of rows and head, nothing frozen
     assert grads.params.shape == (m.trainable.size + m.head.size,) and grads.params.size < m.params.size
-    assert (grads.trainable.shape, grads.head.shape) == (m.trainable.shape, m.head.shape)
+    assert (grads.trainable.shape, m.layout.carve(grads.params)[1].shape) == (m.trainable.shape, m.head.shape)
     assert grad_vector(m, grads).shape == m.params[trained_positions(m)].shape
     binary_plain = tiny_model(seed=8)
     _, plain_grads = backward(binary_plain, x, y)

@@ -144,7 +144,7 @@ def test_masked_steps_match_the_per_layer_state(case) -> None:
         assert compute_bvg(stats, stats_cfg).tobytes() == loop.bvg().tobytes()
         bits = (rng.random(n_layers) < 0.6).astype(np.int8)
         apply_update(model, grads, LayerMask(bits=bits), opt)
-        loop.apply(layer_grads, grads.head, bits)
+        loop.apply(layer_grads, model.layout.carve(grads.params)[1], bits)
         assert _bits(model.trainable) == _bits(loop.params)
         assert model.head.tobytes() == loop.head.tobytes()
         assert opt.layer_step == loop.steps
@@ -231,11 +231,12 @@ def assert_one_buffer(model) -> None:
 def assert_gradient_layout(model, grads) -> None:
     """``grads.params`` is laid out like ``model.params``: a binary head's
     is the prefix of rows and head, a pretraining head's the whole layout,
-    and ``trainable`` and ``head`` are its views."""
+    and ``trainable`` and the layout's head are its views."""
     want = model.trainable.size + model.head.size if model.n_outputs == 1 else model.params.size
     assert grads.params.shape == (want,) and grads.params.base is None
-    assert (grads.trainable.shape, grads.head.shape) == (model.trainable.shape, model.head.shape)
-    assert_tiles(grads.params[: model.trainable.size + model.head.size], [grads.trainable, grads.head])
+    head = model.layout.carve(grads.params)[1]
+    assert (grads.trainable.shape, head.shape) == (model.trainable.shape, model.head.shape)
+    assert_tiles(grads.params[: model.trainable.size + model.head.size], [grads.trainable, head])
 
 
 def padding(model, rows=None) -> np.ndarray:
