@@ -198,7 +198,8 @@ def load_model(path: str | Path) -> tuple[Model, dict]:
 
 def _read_body(raw: bytes, offset: int, manifest: dict) -> Model:
     """The model the body holds from ``offset`` on, read in ``_body``'s order
-    (``_parse_manifest`` has held the names to it), each array held to its shape."""
+    (``_parse_manifest`` has held the names to it), each array held to its
+    shape and each decomposed layer to its manifest entry and its slot."""
     spec = manifest["model"]
     plain, layers = _body(spec, manifest["decomposed"])
     named = {}
@@ -215,6 +216,9 @@ def _read_body(raw: bytes, offset: int, manifest: dict) -> Model:
             if entry[key] != saved:
                 raise ValueError(f"manifest field 'decomposed_layers[{i}].{key}' is {entry[key]!r}, "
                                  f"but '{name}' has {saved!r}")
+        if layer.layer_id != i:  # the i-th layer is slot i % 4 of block i // 4
+            raise ValueError(f"manifest field 'decomposed_layers[{i}].layer_id' is {layer.layer_id}, "
+                             f"but '{name}' is layer {i} (4 * block + slot)")
         named[name] = layer
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after checkpoint payload")

@@ -33,10 +33,11 @@ def grad_check(
     weights: LossWeights | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences at every
-    ``trained_positions`` coordinate of ``model.params``, in buffer order.
-    Relative error uses max(|analytic|, |numeric|, 1e-3) as denominator so
-    near-zero coordinates are compared at a sane absolute scale."""
-    positions = model_mod.trained_positions(model)
+    coordinate of ``model.params`` that ``backward`` differentiates
+    (``Layout.trained``), in buffer order.  Relative error uses
+    max(|analytic|, |numeric|, 1e-3) as denominator so near-zero
+    coordinates are compared at a sane absolute scale."""
+    positions = model.layout.trained
     if positions.size > 10_000:
         raise ValueError(f"model too large for exhaustive checking: {positions.size} coordinates")
 
@@ -66,9 +67,9 @@ def grad_check(
 
 
 def jitter_trainables(model: Model, rng: np.random.Generator) -> None:
-    """Move the ``trained_positions`` of ``model.params`` to a generic point.
-    The spectral penalty is an absolute value sitting exactly at its kink
-    after decomposition, where finite differences are meaningless; checks
-    run from a nearby offset."""
-    positions = model_mod.trained_positions(model)
+    """Move the trained positions (``Layout.trained``) of ``model.params``
+    to a generic point.  The spectral penalty is an absolute value sitting
+    exactly at its kink after decomposition, where finite differences are
+    meaningless; checks run from a nearby offset."""
+    positions = model.layout.trained
     model.params[positions] += _JITTER * rng.normal(size=positions.shape)

@@ -126,7 +126,7 @@ def init_optimizer(learning_rate: float, model: Model) -> OptimizerState:
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     shape = model.trainable.shape
-    rest = model.head.size if model.n_outputs == 1 else model.params.size - model.trainable.size
+    rest = model.layout.grad_size - model.trainable.size
     return OptimizerState(learning_rate, np.zeros(shape), np.zeros(shape), [0] * shape[0],
                           np.zeros(rest), np.zeros(rest))
 

@@ -120,21 +120,25 @@ class Layout:
     pair_scale: np.ndarray | None = field(repr=False)
     pretrained_frob_sq: np.ndarray | None = field(repr=False)
 
+    @property
+    def grad_size(self) -> int:
+        """The length of ``backward``'s gradient: the rows and the head for
+        a binary head, the whole buffer for a pretraining head."""
+        return self.offsets[2] if self.sections[1][0] == 1 else self.offsets[-1]
+
     @cached_property
-    def trained(self) -> np.ndarray | None:
-        """``trained_positions``'s for a binary head, read-only and built on
-        first use: each row's real values, never its padding, then the
-        head.  None for a pretraining head, which trains every position."""
-        rows_shape, (n_outputs, d) = self.sections[:2]
-        if n_outputs != 1:
-            return None
-        index = np.arange(self.offsets[2])
-        rows, head = index[: self.offsets[1]].reshape(rows_shape), index[self.offsets[1] :]
-        parts = [rows]
-        if self.layers:  # the real columns of each padded row
+    def trained(self) -> np.ndarray:
+        """The buffer positions of what ``backward`` differentiates, in
+        order, read-only and built on first use: for a binary head, each
+        row's real values (never a decomposed layer's padding) and then the
+        head; for a pretraining head, every position."""
+        trained = np.arange(self.grad_size)
+        if self.layers and self.grad_size == self.offsets[2]:  # a binary head: each row's real columns
+            rows_shape, (_, d) = self.sections[:2]
+            rows, head = trained[: self.offsets[1]].reshape(rows_shape), trained[self.offsets[1] :]
             parts = [part[..., : sum(ranks)] for (_, _, ranks, _), row in zip(self.layers, rows)
                      for part in split_params(row, d, d, self.cross_mask.shape[1])]
-        trained = np.concatenate([part.ravel() for part in parts + [head]])
+            trained = np.concatenate([part.ravel() for part in parts + [head]])
         trained.setflags(write=False)
         return trained
 
@@ -370,32 +374,13 @@ def _layer_norm_input_grad(
 
 
 @dataclass
-class _BlockCache:
-    """What ``backward`` reads of one block.  ``wn`` and ``act`` feed only
-    the frozen slots' gradients, so a binary-head forward leaves them None."""
-
-    ln1_xhat: np.ndarray
-    ln1_inv_std: np.ndarray
-    u: np.ndarray
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    probs: np.ndarray
-    ctx: np.ndarray
-    ln2_xhat: np.ndarray
-    ln2_inv_std: np.ndarray
-    wn: np.ndarray | None
-    z1: np.ndarray
-    gelu_t: np.ndarray
-    act: np.ndarray | None
-
-
-@dataclass
 class ForwardCache:
-    """``weights`` is the effective-weight stack the pass used
-    (``weight_stack``)."""
+    """``blocks`` holds each block's (``_attention`` cache, ``_mlp`` cache),
+    the latter's ``wn`` and ``act`` None for a binary head: only the frozen
+    slots' gradients read them.  ``weights`` is the effective-weight stack
+    the pass used (``weight_stack``)."""
 
-    blocks: list[_BlockCache]
+    blocks: list[tuple[tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]]
     weights: np.ndarray
     pool: np.ndarray
     probs: np.ndarray
@@ -454,10 +439,11 @@ def _attention(
     block: Block, w: np.ndarray, a_in: np.ndarray, buf: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The attention half, m_in = a_in + softmax(q k^T / sqrt(d)) v @ Wo^T,
-    where ``w`` stacks the block's effective Wq, Wk, Wv, Wo, and what the
-    backward pass reads of it: (u, ln1_xhat, ln1_inv_std, q, k, v, probs,
-    ctx).  With a scratch buffer ``buf`` (``_slot``) every row-sized array
-    lives there, and only m_in stays valid after the MLP half has run."""
+    where ``w`` stacks the block's effective Wq, Wk, Wv, Wo, and its cache,
+    all that ``backward`` reads of it: (u, ln1_xhat, ln1_inv_std, q, k, v,
+    probs, ctx), which ``forward`` keeps as it is.  With a scratch buffer
+    ``buf`` (``_slot``) every row-sized array lives there, and only m_in
+    stays valid after the MLP half has run."""
     shape = a_in.shape
     _, t, d = shape
     u, ln1_xhat, ln1_inv = _layer_norm(
@@ -486,8 +472,9 @@ def _mlp(
     block: Block, m_in: np.ndarray, index: int, buf: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
     """The MLP half, h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T, of block
-    ``index``, and what the backward pass reads of it: (ln2_xhat,
-    ln2_inv_std, wn, z1, gelu_t, act).  With the scratch buffer ``buf`` of
+    ``index``, and its cache, what ``backward`` reads of it: (ln2_xhat,
+    ln2_inv_std, wn, z1, gelu_t, act), of which ``forward`` keeps wn and
+    act for a pretraining head only.  With the scratch buffer ``buf`` of
     the attention half that made m_in, h_out goes to ``out`` and nothing is
     kept: the GELU works in place on its tanh and on z1, and the cache is
     None."""
@@ -512,21 +499,6 @@ def _mlp(
     return h, (ln2_xhat, ln2_inv, wn, z1, gelu_t, act)
 
 
-def _block_forward(
-    block: Block, w: np.ndarray, a_in: np.ndarray, index: int, frozen: bool
-) -> tuple[np.ndarray, _BlockCache]:
-    """One block and what ``backward`` reads of it: what the attention
-    gradients read, and with ``frozen`` also what the frozen slots' read."""
-    m_in, (u, ln1_xhat, ln1_inv, q, k, v, probs, ctx) = _attention(block, w, a_in)
-    h, (ln2_xhat, ln2_inv, wn, z1, gelu_t, act) = _mlp(block, m_in, index)
-    return h, _BlockCache(
-        ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv, u=u,
-        q=q, k=k, v=v, probs=probs, ctx=ctx,
-        ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv, wn=wn if frozen else None,
-        z1=z1, gelu_t=gelu_t, act=act if frozen else None,
-    )
-
-
 def _head(model: Model, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pool, probabilities) of the last block's output."""
     pool = h.mean(axis=1)
@@ -544,15 +516,17 @@ def _head(model: Model, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
-    """The forward pass with every block's activations kept for ``backward``
-    (for a binary head, only those its fine-tuned gradients read)."""
+    """The forward pass, with what ``backward`` reads of each block kept
+    as ``ForwardCache`` describes."""
     h = _embed(model, inputs)
     w = weight_stack(model)
-    frozen = model.n_outputs != 1
-    caches: list[_BlockCache] = []
+    caches = []
     for b, block in enumerate(model.blocks):
-        h, cache = _block_forward(block, w[4 * b : 4 * b + 4], h, b, frozen)
-        caches.append(cache)
+        h, attention = _attention(block, w[4 * b : 4 * b + 4], h)
+        h, (ln2_xhat, ln2_inv, wn, z1, gelu_t, act) = _mlp(block, h, b)
+        if model.n_outputs == 1:
+            wn = act = None
+        caches.append((attention, (ln2_xhat, ln2_inv, wn, z1, gelu_t, act)))
     pool, probs = _head(model, h)
     return ForwardCache(blocks=caches, weights=w, pool=pool, probs=probs)
 
@@ -756,7 +730,7 @@ def backward(
         dlogits = (cache.probs - onehot) / n
 
     layout = model.layout
-    params = np.empty(layout.offsets[-1 if full else 2])
+    params = np.empty(layout.grad_size)
     grad, d_head, d_embed, d_frozen = layout.carve(params)
     np.matmul(dlogits.T, cache.pool, out=d_head)
     d_pool = dlogits @ model.head
@@ -772,26 +746,26 @@ def backward(
 
     for b in range(cfg.n_blocks - 1, -1, -1):
         block = model.blocks[b]
-        c = cache.blocks[b]
+        (u, ln1_xhat, ln1_inv, q, k, v, probs, ctx), (ln2_xhat, ln2_inv, wn, z1, gelu_t, act) = cache.blocks[b]
 
         # MLP half: h_out = m_in + gelu(ln2(m_in) @ W1^T) @ W2^T
         dact = _rows_matmul(dh, block.mlp_out)
-        dz1 = gelu_grad(c.z1, c.gelu_t)
+        dz1 = gelu_grad(z1, gelu_t)
         dz1 *= dact
         dwn = dz1 @ block.mlp_in  # over 2 * d_model: left stacked
-        dm_in = dh + _layer_norm_input_grad(dwn, c.ln2_xhat, c.ln2_inv_std, block.norm2_gain)
+        dm_in = dh + _layer_norm_input_grad(dwn, ln2_xhat, ln2_inv, block.norm2_gain)
 
         # attention half: m_in = a_in + (softmax(q k^T / sqrt(d)) v) @ Wo^T
         q_row, k_row, v_row, o_row = range(4 * b, 4 * b + 4)
         do_ctx = _rows_matmul(dm_in, w[o_row])
-        np.matmul(dm_in.reshape(n_rows, -1).T, c.ctx.reshape(n_rows, -1), out=g_w[o_row])
-        dprobs = do_ctx @ c.v.transpose(0, 2, 1)
-        dv_tok = c.probs.transpose(0, 2, 1) @ do_ctx
+        np.matmul(dm_in.reshape(n_rows, -1).T, ctx.reshape(n_rows, -1), out=g_w[o_row])
+        dprobs = do_ctx @ v.transpose(0, 2, 1)
+        dv_tok = probs.transpose(0, 2, 1) @ do_ctx
         # softmax rows backward
-        dscores = c.probs * (dprobs - np.sum(dprobs * c.probs, axis=-1, keepdims=True))
-        dq_tok = (dscores @ c.k) * scale
-        dk_tok = (dscores.transpose(0, 2, 1) @ c.q) * scale
-        u_rows = c.u.reshape(n_rows, -1)
+        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+        dq_tok = (dscores @ k) * scale
+        dk_tok = (dscores.transpose(0, 2, 1) @ q) * scale
+        u_rows = u.reshape(n_rows, -1)
         np.matmul(dq_tok.reshape(n_rows, -1).T, u_rows, out=g_w[q_row])
         np.matmul(dk_tok.reshape(n_rows, -1).T, u_rows, out=g_w[k_row])
         np.matmul(dv_tok.reshape(n_rows, -1).T, u_rows, out=g_w[v_row])
@@ -801,13 +775,13 @@ def backward(
         # formed before dh moves on to this block's input gradient
         if full:
             g = d_frozen[b]
-            np.sum(du * c.ln1_xhat, axis=(0, 1), out=g["norm1_gain"])
+            np.sum(du * ln1_xhat, axis=(0, 1), out=g["norm1_gain"])
             np.sum(du, axis=(0, 1), out=g["norm1_bias"])
-            np.sum(dwn * c.ln2_xhat, axis=(0, 1), out=g["norm2_gain"])
+            np.sum(dwn * ln2_xhat, axis=(0, 1), out=g["norm2_gain"])
             np.sum(dwn, axis=(0, 1), out=g["norm2_bias"])
-            np.matmul(dz1.reshape(n_rows, -1).T, c.wn.reshape(n_rows, -1), out=g["mlp_in"])
-            np.matmul(dh.reshape(n_rows, -1).T, c.act.reshape(n_rows, -1), out=g["mlp_out"])
-        dh = dm_in + _layer_norm_input_grad(du, c.ln1_xhat, c.ln1_inv_std, block.norm1_gain)
+            np.matmul(dz1.reshape(n_rows, -1).T, wn.reshape(n_rows, -1), out=g["mlp_in"])
+            np.matmul(dh.reshape(n_rows, -1).T, act.reshape(n_rows, -1), out=g["mlp_out"])
+        dh = dm_in + _layer_norm_input_grad(du, ln1_xhat, ln1_inv, block.norm1_gain)
 
     if full:
         x_rows = np.asarray(inputs, dtype=np.float64).reshape(n_rows, -1)
@@ -822,15 +796,6 @@ def backward(
     else:
         report = losses.LossReport(cls=cls, orth_mean=0.0, spec_mean=0.0, total=cls)
     return report, Gradients(params=params, trainable=grad)
-
-
-def trained_positions(model: Model) -> np.ndarray:
-    """The positions in ``model.params`` of what ``backward`` differentiates,
-    in buffer order: for a binary head, each attention row's real values (a
-    decomposed layer's U, s and V columns, never its padding, or the plain
-    matrix) and then the head (``Layout.trained``); for a pretraining head,
-    every position."""
-    return model.layout.trained if model.n_outputs == 1 else np.arange(model.params.size)
 
 
 def clone_model(model: Model) -> Model:

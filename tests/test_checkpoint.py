@@ -455,3 +455,10 @@ def test_body_errors_name_the_file(tmp_path):
     path.write_bytes(raw)
     _rewrite_manifest(path, lambda m: m["decomposed_layers"][0].update(layer_id=5))
     assert "manifest field 'decomposed_layers[0].layer_id' is 5, but 'block0.q' has 0" in _load_error(path)
+    # an id the layer header and the manifest agree on, but not its slot's
+    spoiled = bytearray(raw)
+    struct.pack_into("<Q", spoiled, first_layer, 7)
+    path.write_bytes(bytes(spoiled))
+    _rewrite_manifest(path, lambda m: m["decomposed_layers"][0].update(layer_id=7))
+    assert ("manifest field 'decomposed_layers[0].layer_id' is 7, but 'block0.q' is layer 0 (4 * block + slot)"
+            in _load_error(path))

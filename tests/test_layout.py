@@ -38,7 +38,6 @@ from subtune.model import (
     derive_model,
     init_model,
     predict,
-    trained_positions,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -150,12 +149,13 @@ def test_a_clone_shares_only_the_read_only_semantic_parts() -> None:
 
 def test_the_trained_index_is_built_on_first_use_and_shared_read_only() -> None:
     model = init_model(ModelConfig(d_model=8, n_blocks=2, n_tokens=4), make_rng(0))
-    assert model.layout.trained is None  # a pretraining head trains every position
+    # a pretraining head trains every position
+    assert np.array_equal(model.layout.trained, np.arange(model.params.size))
     model = derive_model(model, head=binary_head(model, make_rng(1)), split=DecompositionConfig(n_subspaces=3))
     twin = clone_model(model)
     assert twin.layout is model.layout and "trained" not in vars(model.layout)
-    index = trained_positions(twin)
-    assert trained_positions(model) is index
+    index = twin.layout.trained
+    assert model.layout.trained is index
     assert not index.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.layout.trained = index
@@ -233,7 +233,7 @@ def test_layer_bytes_and_recompose_properties(case) -> None:
 def round_trip(model, labels: np.ndarray, rng) -> np.ndarray:
     """Write a random vector to the trained positions of the model's buffer,
     read it back, and check that the gradients hold the same positions."""
-    positions = trained_positions(model)
+    positions = model.layout.trained
     assert np.all(np.diff(positions) > 0)  # buffer order, each once
     vec = rng.normal(size=positions.shape)
     model.params[positions] = vec

@@ -35,7 +35,6 @@ from subtune.model import (
     forward,
     init_model,
     predict,
-    trained_positions,
 )
 
 
@@ -63,7 +62,7 @@ def batch(seed: int, n: int, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grad_vector(model: Model, grads) -> np.ndarray:
-    return grads.params[trained_positions(model)]
+    return grads.params[model.layout.trained]
 
 
 def test_zero_head_gives_half_probability() -> None:
@@ -191,6 +190,7 @@ def test_grad_check_finetune_passes() -> None:
     x, y = batch(11, 3, m.config)
     rep = grad_check(m, x, y, LossWeights(1.0, 1.0))
     assert rep.passed, f"max rel err {rep.max_rel_err} at coord {rep.worst_index}"
+    assert rep.n_coords == 467  # each layer's real U, s and V values and the head
 
 
 def test_grad_check_full_pretrain_model_passes() -> None:
@@ -199,6 +199,7 @@ def test_grad_check_full_pretrain_model_passes() -> None:
     labels = np.array([0, 2, 1])
     rep = grad_check(m, x, labels, None)
     assert rep.passed, f"max rel err {rep.max_rel_err} at coord {rep.worst_index}"
+    assert rep.n_coords == m.params.size == 1176
 
 
 def test_grad_check_reports_corrupted_coordinate(monkeypatch) -> None:
@@ -216,7 +217,7 @@ def test_grad_check_reports_corrupted_coordinate(monkeypatch) -> None:
     def corrupted(*args, **kwargs):
         report, grads = backward(*args, **kwargs)
         if not calls:
-            grads.params[trained_positions(m)[target]] *= 2.0
+            grads.params[m.layout.trained[target]] *= 2.0
         calls.append(1)
         return report, grads
 
@@ -248,7 +249,7 @@ def test_an_array_cannot_be_rebound_off_the_buffer(rebind, decomposed) -> None:
 
 def test_param_vector_roundtrip() -> None:
     m = tiny_model(decomposed=True)
-    positions = trained_positions(m)
+    positions = m.layout.trained
     vec = m.params[positions]
     rng = linalg.make_rng(3)
     new = vec + rng.normal(size=vec.shape)
@@ -258,7 +259,7 @@ def test_param_vector_roundtrip() -> None:
     slots = [projection_param_vector(getattr(b, n)) for _, b, n in attention_slots(m)]
     assert np.array_equal(np.concatenate(slots + [m.head.ravel()]), new)
     plain = tiny_model(decomposed=False, binary=False)
-    full = trained_positions(plain)
+    full = plain.layout.trained
     new_full = plain.params[full] + rng.normal(size=full.shape)
     plain.params[full] = new_full
     assert np.array_equal(plain.params[full], new_full)
@@ -268,7 +269,7 @@ def test_param_vector_roundtrip() -> None:
 
 def test_full_view_lists_every_parameter_exactly_once() -> None:
     m = tiny_model(seed=8, binary=False)
-    assert np.array_equal(trained_positions(m), np.arange(m.params.size))
+    assert np.array_equal(m.layout.trained, np.arange(m.params.size))
     slots = [m.token_embed, m.head] + [
         getattr(block, name) for block in m.blocks for name in model_mod.BLOCK_SLOTS
     ]
@@ -658,7 +659,7 @@ def test_binary_head_backward_forms_only_the_fine_tuned_gradients() -> None:
     # the gradient is the layout's prefix of rows and head, nothing frozen
     assert grads.params.shape == (m.trainable.size + m.head.size,) and grads.params.size < m.params.size
     assert (grads.trainable.shape, m.layout.carve(grads.params)[1].shape) == (m.trainable.shape, m.head.shape)
-    assert grad_vector(m, grads).shape == m.params[trained_positions(m)].shape
+    assert grad_vector(m, grads).shape == m.params[m.layout.trained].shape
     binary_plain = tiny_model(seed=8)
     _, plain_grads = backward(binary_plain, x, y)
     assert plain_grads.params.shape == (binary_plain.trainable.size + binary_plain.head.size,)
@@ -666,3 +667,38 @@ def test_binary_head_backward_forms_only_the_fine_tuned_gradients() -> None:
     plain = tiny_model(seed=8, binary=False)
     _, full_grads = backward(plain, x, np.array([0, 1, 2, 1, 0]))
     assert full_grads.params.shape == plain.params.shape
+
+
+@pytest.mark.parametrize("decomposed", [False, True])
+@pytest.mark.parametrize("binary", [True, False])
+def test_forward_keeps_the_mlp_input_and_activation_for_a_pretraining_head_only(decomposed, binary) -> None:
+    # only the frozen slots' gradients read them, and a binary head trains none
+    m = tiny_model(seed=8, decomposed=decomposed, binary=binary)
+    x, _ = batch(9, 5, m.config)
+    cache = forward(m, x)
+    assert len(cache.blocks) == m.config.n_blocks
+    rows, d = (5, m.config.n_tokens), m.config.d_model
+    for attention, (ln2_xhat, ln2_inv, wn, z1, gelu_t, act) in cache.blocks:
+        assert len(attention) == 8
+        assert ln2_xhat.shape == (*rows, d) and z1.shape == gelu_t.shape == (*rows, 2 * d)
+        if binary:
+            assert wn is None and act is None
+        else:
+            assert wn.shape == (*rows, d) and act.shape == (*rows, 2 * d)
+
+
+@pytest.mark.parametrize("decomposed", [False, True])
+def test_the_layout_sizes_the_gradient_and_lists_what_backward_differentiates(decomposed) -> None:
+    x, y = batch(9, 5, tiny_config())
+    binary = tiny_model(seed=8, decomposed=decomposed)
+    layout = binary.layout
+    assert layout.grad_size == layout.offsets[2] == binary.trainable.size + binary.head.size
+    assert backward(binary, x, y)[1].params.size == layout.grad_size
+    n_rows = sum(slot.size if isinstance(slot, np.ndarray) else slot.u.size + slot.s.size + slot.v.size
+                 for slot in (getattr(block, name) for _, block, name in attention_slots(binary)))
+    assert layout.trained.size == n_rows + binary.head.size
+    assert np.array_equal(layout.trained[-binary.head.size :], np.arange(binary.trainable.size, layout.grad_size))
+    pretrain = tiny_model(seed=8, decomposed=decomposed, binary=False)
+    assert pretrain.layout.grad_size == pretrain.params.size
+    assert backward(pretrain, x, np.array([0, 1, 2, 1, 0]))[1].params.size == pretrain.params.size
+    assert np.array_equal(pretrain.layout.trained, np.arange(pretrain.params.size))

@@ -1,8 +1,10 @@
-"""The package holds only what a command runs.  Three rules, checked on the
+"""The package holds only what a command runs.  Four rules, checked on the
 ``ast`` of every ``src/subtune/*.py``:
 
 - every module-level function and class is named somewhere in the package
   outside its own definition, as a name, an attribute or an imported name;
+- every method, property or cached property of a class (dunders aside) is
+  named somewhere in the package outside its own body, in the same way;
 - every defaulted parameter of a function is passed, by keyword or by
   position, by some call inside the package;
 - every field of a dataclass or NamedTuple is read as an attribute, or
@@ -11,7 +13,13 @@
 Docstrings and comments do not count, and neither does a test, so a
 helper, a keyword or a field that only the tests use fails here and belongs
 under ``tests/``.  The one exemption is a ``[project.scripts]`` entry point
-in ``pyproject.toml``: its parameters are the program's outside input."""
+in ``pyproject.toml``: its parameters are the program's outside input.
+
+The field rule knows a read by its attribute name, not by the class of
+the object read, so a field passes whenever any field of its name is read.
+``SHARED_FIELDS`` pins the names that two or more record classes share;
+each was checked by hand to be read on every class that has it, and a new
+shared name fails until it is checked and added."""
 
 from __future__ import annotations
 
@@ -23,6 +31,12 @@ import subtune
 
 PACKAGE = Path(subtune.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SHARED_FIELDS = {
+    "batch_size", "blocks", "cls", "config", "cross_mask", "d_model", "labels", "layer_id",
+    "learning_rate", "masft", "model", "n_tokens", "name", "orth_mean", "pair_scale", "params",
+    "pretrained_frob_sq", "s", "seed", "spec_mean", "stats", "step", "total", "trainable", "u", "v",
+    "warmup_steps", "weights",
+}
 
 
 def _modules(package: Path) -> dict[str, ast.Module]:
@@ -54,6 +68,24 @@ def _unreferenced(package: Path) -> list[str]:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not any(stmt.name in seen for j, seen in enumerate(names) if j != i):
                 unused.append(f"{module}.{stmt.name}")
+    return unused
+
+
+def _unused_methods(package: Path) -> list[str]:
+    """``module.Class.method`` of each method, property or cached property
+    in ``package``, dunders aside, that nothing there names outside its own
+    body."""
+    modules = _modules(package)
+    naming = [(id(sub), name) for tree in modules.values() for sub in ast.walk(tree)
+              if isinstance(sub, (ast.Name, ast.Attribute, ast.alias)) for name in _names(sub)]
+    unused = []
+    for module, tree in modules.items():
+        for name, fn, in_class in _definitions(tree, module):
+            if not in_class or isinstance(fn, ast.ClassDef) or fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            own = {id(sub) for sub in ast.walk(fn)}
+            if not any(seen == fn.name and at not in own for at, seen in naming):
+                unused.append(name)
     return unused
 
 
@@ -142,31 +174,45 @@ def _is_record(cls: ast.ClassDef) -> bool:
     return any(name(d) == "dataclass" for d in cls.decorator_list) or any(name(b) == "NamedTuple" for b in cls.bases)
 
 
+def _record_fields(package: Path):
+    """(``module.Class``, field name) of every field of every dataclass or
+    NamedTuple in ``package``."""
+    for module, tree in _modules(package).items():
+        for name, cls, _ in _definitions(tree, module):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                yield from ((name, stmt.target.id) for stmt in cls.body
+                            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+
+
 def _unread(package: Path) -> list[str]:
     """``module.Class.field`` of each dataclass or NamedTuple field in
     ``package`` that nothing there reads as an attribute or names in a
     string other than a docstring."""
-    modules = _modules(package)
     read = set()
-    for tree in modules.values():
+    for tree in _modules(package).values():
         docstrings = _docstrings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
                 read.add(node.value)
-    out = []
-    for module, tree in modules.items():
-        for name, cls, _ in _definitions(tree, module):
-            if isinstance(cls, ast.ClassDef) and _is_record(cls):
-                out += [f"{name}.{stmt.target.id}" for stmt in cls.body
-                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                        and stmt.target.id not in read]
-    return out
+    return [f"{cls}.{field}" for cls, field in _record_fields(package) if field not in read]
+
+
+def _shared_fields(package: Path) -> set[str]:
+    """The field names that two or more record classes in ``package`` have."""
+    owners: dict[str, set[str]] = {}
+    for cls, field in _record_fields(package):
+        owners.setdefault(field, set()).add(cls)
+    return {field for field, classes in owners.items() if len(classes) > 1}
 
 
 def test_every_module_level_definition_is_used_by_the_package():
     assert _unreferenced(PACKAGE) == []
+
+
+def test_every_method_and_property_is_used_by_the_package():
+    assert _unused_methods(PACKAGE) == []
 
 
 def test_every_defaulted_parameter_is_passed_by_the_package():
@@ -175,6 +221,10 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
 
 def test_every_record_field_is_read_by_the_package():
     assert _unread(PACKAGE) == []
+
+
+def test_the_field_names_two_records_share_were_each_checked_by_hand():
+    assert _shared_fields(PACKAGE) == SHARED_FIELDS
 
 
 def test_the_only_exemption_is_the_entry_point():
@@ -223,3 +273,31 @@ def test_a_field_nothing_reads_is_reported_unless_a_string_names_it(tmp_path):
         "    return r.auc, getattr(r, 'eer'), c.name\n"
     )
     assert _unread(tmp_path) == ["a.Report.spare", "a.Cell.note"]
+
+
+def test_a_method_named_only_in_its_own_body_or_a_docstring_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from functools import cached_property\n\n\n"
+        "class Box:\n"
+        '    """spare is described here, never called."""\n\n'
+        "    def __len__(self):\n        return 0\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    @cached_property\n    def area(self):\n        return self.area  # itself alone is no use\n\n"
+        "    def spare(self):\n        return self.size\n\n"
+        "    @staticmethod\n    def make():\n        return Box()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Box\n\nBox.make()\n")
+    assert _unused_methods(tmp_path) == ["a.Box.area", "a.Box.spare"]
+
+
+def test_a_field_name_two_records_share_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+        "@dataclass\nclass Report:\n    auc: float\n    budget: int\n\n\n"
+        "class Cell(NamedTuple):\n    name: str\n    budget: int\n\n\n"
+        "class Plain:\n    auc: float\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Step:\n    name: str\n"
+    )
+    assert _shared_fields(tmp_path) == {"budget", "name"}
