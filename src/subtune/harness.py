@@ -5,7 +5,9 @@ frame- and video-level metrics, and drive the ablation and robustness grids.
 Every run is a pure function of (config, seed): the init, the head and each
 epoch's shuffle draw from their own keyed streams of the seed, the cells of
 an ablation table fine-tune one backbone on one set of splits, and result
-CSVs round to 6 decimals.
+CSVs round to 6 decimals.  The ablation tables share nothing, so they run
+on the caller and on forked workers, one per further usable CPU, and the
+caller writes every byte in table order.
 Both phases step one ``masking.OptimizerState``.  A fine-tune starts from
 a ``FinetuneState``, fresh or taken after k steps, so cells that share a
 prefix run it once, and its ``RunRecord`` is that state run to the end.
@@ -14,14 +16,19 @@ Wall-clock time appears only in the run summary, never in a CSV.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
 import json
+import os
+import signal
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,12 +53,14 @@ from .masking import (
 )
 from .model import (
     Model,
+    _usable_cpus,
     attention_slots,
     backward,
     clone_model,
     derive_model,
     init_model,
     predict,
+    stop_pool,
 )
 
 # stream keys, above the data streams': make_rng(seed, key[, epoch])
@@ -420,7 +429,10 @@ class _Cell(NamedTuple):
     masft: bool = True
 
 
-def _ablation_tables(n_layers: int) -> list[tuple[str, tuple[str, ...], list[_Cell]]]:
+_Table = tuple[str, tuple[str, ...], list[_Cell]]
+
+
+def _ablation_tables(n_layers: int) -> list[_Table]:
     """The four tables as (name, key columns, cells in row order):
     component on/off, loss-weight on/off, subspace-count sweep and
     active-budget sweep, whose budget is capped at the ``n_layers``
@@ -489,13 +501,14 @@ def _write_table(path: Path, key_cols: tuple[str, ...], cells: list[_Cell], resu
     write_csv(path, list(key_cols) + list(_METRIC_COLS) + ["status"], lines)
 
 
-def _failed(table: str, name: str, exc: Exception) -> dict:
-    print(f"ablation cell {table}[{name}] failed: {exc}", file=sys.stderr)
+def _failed(failures: list[str], table: str, name: str, exc: Exception) -> dict:
+    failures.append(f"ablation cell {table}[{name}] failed: {exc}")
     return {"status": f"error:{type(exc).__name__}"}
 
 
-def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list[dict]:
-    """The metrics and status of each cell of table ``t``, in order.  The
+def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> tuple[list[dict], list[str]]:
+    """The metrics and status of each cell of table ``t``, in order, and
+    the stderr lines of its failures, which the caller prints.  The
     cells fine-tune one backbone, pretrained on one set of splits under
     the table's own seed (``_table_seed``), and compute what they share
     once.  A cell is its config overrides (its layer budget among them)
@@ -507,13 +520,14 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list
     way; a cell that failed before reaching such a prefix fails every cell
     that would start from it."""
     seed = _table_seed(cfg.seed, t)
+    failures: list[str] = []
     try:
         table_cfg = _cell_config(cfg, seed)
         splits = build_splits(table_cfg.data, _PRETRAIN_SPLITS + _FINETUNE_SPLITS)
         backbone = run_pretrain(table_cfg, splits=splits)[0]
     except Exception as exc:  # noqa: BLE001 - the table is written regardless
-        print(f"ablation pretraining for {table} failed: {exc}", file=sys.stderr)
-        return [{"status": f"error:{type(exc).__name__}"}] * len(cells)
+        failures.append(f"ablation pretraining for {table} failed: {exc}")
+        return [{"status": f"error:{type(exc).__name__}"}] * len(cells), failures
     results: list[dict] = [{} for _ in cells]
     plan = []  # (cell index, config, prefixes as (steps, key) shallowest first, start key)
     seen: set[str] = set()
@@ -526,7 +540,7 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list
             prefixes = [(n, json.dumps(_prefix(config, cell.masft, n, warmup), sort_keys=True))
                         for n in sorted({0, min(warmup, total), total})]
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            results[i] = _failed(table, cell.name, exc)
+            results[i] = _failed(failures, table, cell.name, exc)
             continue
         shared = [key for _, key in prefixes if key in seen]
         start = shared[-1] if shared else None
@@ -560,19 +574,143 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> list
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             for key in keep.values():
                 saved.setdefault(key, exc)
-            result = _failed(table, cell.name, exc)
+            result = _failed(failures, table, cell.name, exc)
         results[i] = done[whole] = result
-    return results
+    return results, failures
+
+
+def _end_with(parent: int) -> None:
+    """Have the kernel kill this process when ``parent`` ends (Linux's
+    ``PR_SET_PDEATHSIG``): a caller killed by a signal runs no ``finally``,
+    and its workers would run on until their tables were done.  Where
+    there is no ``prctl``, they do."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to open
+        return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent ended before the request was made
+        os._exit(1)
+
+
+def _fork_runner(cfg: TrainConfig, tables: list[_Table], i: int, n: int,
+                 others: list[BinaryIO]) -> tuple[int, int, BinaryIO]:
+    """Fork the runner of tables i, i + n, ...: it ends when the caller
+    does (``_end_with``), closes every pipe end but its own write end
+    (``others`` are the read ends of the runners forked before it), writes
+    the ``_run_table`` outcome of each of its tables as one JSON list and
+    ends with ``os._exit``, 0 once everything is written.  Returns (i, its
+    pid, the read end of its pipe)."""
+    caller = os.getpid()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            _end_with(caller)
+            os.close(read)
+            for pipe in others:
+                pipe.close()
+            outcomes = [_run_table(cfg, t, table, cells)
+                        for t, (table, _, cells) in enumerate(tables) if t % n == i]
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(json.dumps(outcomes).encode())
+            status = 0
+        finally:
+            os._exit(status)  # no caller frame, exit handler or stdio buffer runs in the child
+    os.close(write)
+    return i, pid, os.fdopen(read, "rb")
+
+
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count get and set calls of the OpenBLAS this process has
+    loaded, found through ``/proc/self/maps`` under the names of the
+    scipy-openblas, 64-bit-integer and plain builds; None where there is
+    no such library or map."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        libraries = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for library in libraries:
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _run_tables(cfg: TrainConfig, tables: list[_Table]) -> list[tuple[list[dict], list[str]]]:
+    """The ``_run_table`` outcome of each table, in table order, from
+    n = min(tables, usable CPUs) runners.  The caller runs tables
+    t = 0 (mod n), and each of n - 1 workers, forked first, runs tables
+    t = i (mod n) and sends their outcomes back as JSON, which
+    round-trips every float exactly.  The tables share nothing, so each
+    outcome is the one a serial run makes.  A fork copies only the forking
+    thread, so the workers are forked only from a process with one thread:
+    ``predict``'s pool is stopped first, and if any other thread is alive
+    the tables run serially.  With more than one runner, OpenBLAS runs one thread in
+    each, since every CPU already has a runner (its threads change no
+    byte); its thread count is restored on the way out.  A worker that
+    ends other than with status 0 fails the run; on every way out, each
+    worker still running is killed, and every worker is reaped."""
+    n = min(len(tables), _usable_cpus()) if hasattr(os, "fork") else 1
+    if n > 1:
+        stop_pool()
+        if threading.active_count() > 1:
+            n = 1
+    blas = _openblas_threads() if n > 1 else None
+    blas_threads = blas[0]() if blas is not None else 1
+    outcomes: list = [None] * len(tables)
+    workers: list[tuple[int, int, BinaryIO]] = []  # (i, pid, read end), until reaped
+    try:
+        if blas is not None:
+            blas[1](1)
+        for i in range(1, n):
+            workers.append(_fork_runner(cfg, tables, i, n, [pipe for _, _, pipe in workers]))
+        for t in range(0, len(tables), n):
+            table, _, cells = tables[t]
+            outcomes[t] = _run_table(cfg, t, table, cells)
+        while workers:
+            i, pid, pipe = workers[0]
+            sent = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            pipe.close()
+            if status != 0:
+                names = ", ".join(table for table, _, _ in tables[i::n])
+                ended = f"exit status {status}" if status > 0 else f"signal {-status}"
+                raise RuntimeError(f"the ablation worker for tables {names} ended with {ended}")
+            outcomes[i::n] = json.loads(sent)
+    finally:
+        for _, pid, pipe in workers:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if blas is not None:
+            blas[1](blas_threads)
+    return outcomes
 
 
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     """The four tables of ``_ablation_tables``, each one paired draw run by
-    ``_run_table``.  Failures are recorded in the status column and the
-    sweep continues."""
+    ``_run_table``, on up to as many runners as usable CPUs
+    (``_run_tables``).  Failures are recorded in the status column and
+    the sweep continues.  Every table's CSV and stderr lines are written
+    here, in table order, so every byte is the one a serial run writes."""
     paths = []
-    for t, (table, key_cols, cells) in enumerate(_ablation_tables(cfg.model.n_decomposable)):
+    tables = _ablation_tables(cfg.model.n_decomposable)
+    for (table, key_cols, cells), (results, failures) in zip(tables, _run_tables(cfg, tables)):
+        for line in failures:
+            print(line, file=sys.stderr)
         path = Path(out_dir) / f"{table}.csv"
-        _write_table(path, key_cols, cells, _run_table(cfg, t, table, cells))
+        _write_table(path, key_cols, cells, results)
         paths.append(path)
     return paths
 

@@ -538,11 +538,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# ``predict``'s pool: one task queue per thread.  Threads are made as a
-# call first needs them and kept for the life of the process, since a
+# ``predict``'s pool: one task queue and thread per worker.  Threads are
+# made as a call first needs them and kept until ``stop_pool``, since a
 # thread made per call faults its stack and heap in anew.  A forked child
 # has none of its parent's threads, so it drops them and makes its own.
-_workers: list[queue.SimpleQueue] = []
+_workers: list[tuple[queue.SimpleQueue, threading.Thread]] = []
 _workers_lock = threading.Lock()
 
 
@@ -551,9 +551,22 @@ def _pool(n: int) -> list[queue.SimpleQueue]:
     made yet."""
     with _workers_lock:
         while len(_workers) < n:
-            _workers.append(queue.SimpleQueue())
-            threading.Thread(target=_serve, args=(_workers[-1],), name="subtune-predict", daemon=True).start()
-        return _workers[:n]
+            tasks: queue.SimpleQueue = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(tasks,), name="subtune-predict", daemon=True)
+            thread.start()
+            _workers.append((tasks, thread))
+        return [tasks for tasks, _ in _workers[:n]]
+
+
+def stop_pool() -> None:
+    """End the pool's threads and wait for each; the next ``predict`` that
+    needs them makes them again."""
+    with _workers_lock:
+        for tasks, _ in _workers:
+            tasks.put(None)
+        for _, thread in _workers:
+            thread.join()
+        _workers.clear()
 
 
 def _drop_pool() -> None:
@@ -568,10 +581,11 @@ if hasattr(os, "register_at_fork"):
 
 def _serve(tasks: queue.SimpleQueue) -> None:
     """A pool thread: run each share it takes and put what ``_score_rows``
-    returns on the share's result queue; an error outside any block ranks
-    before every block's."""
-    while True:
-        share, results = tasks.get()
+    returns on the share's result queue, until it takes None; an error
+    outside any block ranks before every block's."""
+    while (task := tasks.get()) is not None:
+        share, results = task
+        del task
         try:
             result = _score_rows(*share)
         except Exception as exc:  # noqa: BLE001 - the caller waits for a result and raises this one

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from collections import Counter
@@ -73,7 +74,9 @@ def test_tiny_ablation_with_a_mid_epoch_warmup_writes_the_recorded_bytes(tmp_pat
 def test_tiny_ablation_runs_each_shared_prefix_once(tmp_path, monkeypatch, name, edge) -> None:
     # 16 distinct cells of 18, one set of splits and one backbone per table;
     # every state copy is a snapshot a later cell starts from, or the start
-    # of a cell resumed from one, at step 0 or at the warmup edge
+    # of a cell resumed from one, at step 0 or at the warmup edge; at one
+    # usable CPU every table runs in this process, where the counts are kept
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = Counter()
     copies = Counter()  # state copies by step
     resumes = Counter()  # fine-tunes started from a saved state, by its step

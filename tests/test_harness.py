@@ -1,4 +1,5 @@
 import json
+import os
 import pickle
 import tracemalloc
 from dataclasses import fields
@@ -511,6 +512,8 @@ def test_ablation_row_sets_and_determinism(tmp_path):
 
 
 def test_ablation_tables_are_paired_draws_on_their_own_seeds(tmp_path, monkeypatch):
+    # at one usable CPU every table runs in this process, where the calls are recorded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     seeds = {"build_splits": [], "run_pretrain": [], "run_finetune": [], "_run_cell": []}
     arm_keywords = []
     open_runs = []

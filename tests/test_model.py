@@ -35,6 +35,7 @@ from subtune.model import (
     forward,
     init_model,
     predict,
+    stop_pool,
 )
 
 
@@ -556,6 +557,23 @@ def test_an_error_in_a_worker_reaches_the_caller(runners, monkeypatch, where) ->
         predict(m, x)
     monkeypatch.setattr(model_mod, where, original)
     assert predict(m, x).tobytes() == want
+
+
+def test_a_stopped_pool_leaves_no_thread_and_the_next_call_makes_it_again(runners) -> None:
+    seen = runners(2)
+    m = tiny_model(decomposed=True)
+    x = linalg.make_rng(3).normal(size=(2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
+    want = forward(m, x).probs.tobytes()
+    stop_pool()
+    baseline = threading.active_count()
+    assert predict(m, x).tobytes() == want
+    assert threading.active_count() == baseline + 1
+    stop_pool()
+    assert threading.active_count() == baseline
+    seen.clear()
+    assert predict(m, x).tobytes() == want
+    assert len(set(seen)) == 2  # the row blocks ran on the caller and a new pool thread
+    assert threading.active_count() == baseline + 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
