@@ -86,6 +86,11 @@ class DataConfig:
         for fam in self.families_train + self.families_heldout:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown artifact family {fam!r}")
+        for key in ("families_train", "families_heldout"):
+            families = getattr(self, key)
+            repeated = next((fam for i, fam in enumerate(families) if fam in families[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"data.{key} lists {repeated!r} more than once")
         if not self.families_train or not self.families_heldout:
             raise ValueError("train and heldout family sets must be nonempty")
         if set(self.families_train) & set(self.families_heldout):

@@ -175,7 +175,8 @@ class FactorStack(NamedTuple):
     """Every decomposed layer of a model as stacked views of its (n_layers,
     P) trainable rows, each padded to the largest tail rank R: U (n,
     d_out, R), s (n, R), V (n, d_in, R), with the layout's per-layer
-    ``cross_mask`` (n, R, R), ``pair_scale`` and ``pretrained_frob_sq``.
+    ``cross_mask`` (n, R, R), ``pair_scale`` and ``pretrained_frob_sq``,
+    so layers of any tail rank and any K share one batched call.
     ``losses`` takes it wherever it takes a layer."""
 
     u: np.ndarray
@@ -263,7 +264,9 @@ def decompose(w: np.ndarray, cfg: DecompositionConfig, layer_id: int = 0) -> Dec
 
 def recompose(layer: DecomposedLayer) -> np.ndarray:
     """Effective weight: frozen semantic product plus the whole tail's
-    product, which is the sum of every artifact subspace's product."""
+    product, which is the sum of every artifact subspace's product (to
+    within roundoff of summing them one by one).  On a freshly decomposed
+    layer it is the original matrix to within roundoff."""
     return layer.semantic.w + (layer.u * layer.s) @ layer.v.T
 
 
@@ -282,6 +285,8 @@ _LAYER_HEADER = struct.Struct("<QQQQQd")
 
 
 def layer_to_bytes(layer: DecomposedLayer) -> bytes:
+    """The header, the ranks, the semantic part and each artifact
+    subspace's U, s and V: the real columns only, never a model's padding."""
     parts = [
         _LAYER_HEADER.pack(
             layer.layer_id,

@@ -6,8 +6,8 @@ Every run is a pure function of (config, seed): the init, the head and each
 epoch's shuffle draw from their own keyed streams of the seed, the cells of
 an ablation table fine-tune one backbone on one set of splits, and result
 CSVs round to 6 decimals.  The ablation tables share nothing, so they run
-on the caller and on forked workers, one per further usable CPU, and the
-caller writes every byte in table order.
+on n = min(4 tables, usable CPUs) runners, the caller and n - 1 forked
+workers, and the caller writes every byte in table order.
 Both phases step one ``masking.OptimizerState``.  A fine-tune starts from
 a ``FinetuneState``, fresh or taken after k steps, so cells that share a
 prefix run it once, and its ``RunRecord`` is that state run to the end.
@@ -700,10 +700,10 @@ def _run_tables(cfg: TrainConfig, tables: list[_Table]) -> list[tuple[list[dict]
 
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     """The four tables of ``_ablation_tables``, each one paired draw run by
-    ``_run_table``, on up to as many runners as usable CPUs
-    (``_run_tables``).  Failures are recorded in the status column and
-    the sweep continues.  Every table's CSV and stderr lines are written
-    here, in table order, so every byte is the one a serial run writes."""
+    ``_run_table``, on min(4, usable CPUs) runners (``_run_tables``).
+    Failures are recorded in the status column and the sweep continues.
+    Every table's CSV and stderr lines are written here, in table order, so
+    every byte is the one a serial run writes."""
     paths = []
     tables = _ablation_tables(cfg.model.n_decomposable)
     for (table, key_cols, cells), (results, failures) in zip(tables, _run_tables(cfg, tables)):
@@ -717,8 +717,9 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
 
 def run_robustness(cfg: TrainConfig, model: Model, out_dir: str | Path) -> Path:
     """Video-level AUC for every (family, level) perturbation of the in-domain
-    test split, plus the clean baseline row.  Only one cell is held at a
-    time."""
+    test split, plus the clean baseline row.  Only one of the 25 cells is
+    held at a time, each made as it is scored (``robustness_cells``), so
+    the whole grid (6.5 MB of tokens on the default preset) never is."""
     _require_binary_head(model)
     _require_fit(cfg, model)
     test_in = build_splits(cfg.data, ("test_in",)).test_in

@@ -64,7 +64,8 @@ def update_stats(
 
 def compute_bvg(stats: GradientStats, cfg: StatsConfig) -> np.ndarray:
     """Per-layer squared-bias over floored variance score, one row sum per
-    layer (a row sums exactly as the layer's own vector would)."""
+    layer, padding included (a row sums exactly as the layer's own vector
+    would)."""
     cfg.validate()
     sq = stats.first * stats.first
     num = sq.sum(axis=1)

@@ -268,7 +268,8 @@ def stack_trainables(config: ModelConfig, token_embed: np.ndarray, blocks: list[
 
 def derive_model(model: Model, *, head: np.ndarray | None = None, split: DecompositionConfig | None = None) -> Model:
     """A new model of ``model``'s arrays, packed once, with its own copy of
-    ``model``'s config; ``head`` replaces the head if given, and given a
+    ``model``'s config, ``model`` itself left as it was; ``head`` replaces
+    the head if given (its row count may differ), and given a
     ``split``, every plain attention projection is decomposed under it.
     The split is not recorded: the decomposed layers hold their ranks, and
     the run config holds the split that made them."""
@@ -378,7 +379,8 @@ class ForwardCache:
     """``blocks`` holds each block's (``_attention`` cache, ``_mlp`` cache),
     the latter's ``wn`` and ``act`` None for a binary head: only the frozen
     slots' gradients read them.  ``weights`` is the effective-weight stack
-    the pass used (``weight_stack``)."""
+    the pass used (``weight_stack``), which ``backward`` reuses for the
+    input gradients and the regularizers."""
 
     blocks: list[tuple[tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]]
     weights: np.ndarray
@@ -389,10 +391,12 @@ class ForwardCache:
 def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for an (n, t, k) stack, as one GEMM over its n * t token
     rows: about twice as fast as n small ones.  Over k = d_model it rounds
-    as the stacked product does wherever that was checked (t >= 2 and
-    d_model <= 24, on OpenBLAS); over 2 * d_model (act @ W2^T) it did not,
-    so those products stay stacked.  ``out``, if given, is a contiguous
-    (n, t, m) array to write into."""
+    as the stacked product does wherever that was checked (n_tokens 2 to 16
+    and d_model up to 24, on OpenBLAS); a one-token model, or d_model 32
+    and up, can differ in the last bit, since BLAS then takes another
+    kernel for the stacked form.  Over 2 * d_model (act @ W2^T) it did not
+    round alike, so those products stay stacked.  ``out``, if given, is a
+    contiguous (n, t, m) array to write into."""
     n, t, k = a.shape
     m = b.shape[-1]
     flat = None if out is None else out.reshape(n * t, m)
@@ -415,7 +419,8 @@ def _embed(model: Model, inputs: np.ndarray) -> np.ndarray:
 
 def _scratch_size(n: int, t: int, d: int) -> int:
     """Elements of a scratch buffer for a row block of up to n samples: five
-    (n, t, d) slots and the (n, t, t) attention probabilities."""
+    (n, t, d) slots and the (n, t, t) attention probabilities, 704 KiB for
+    a default-shape row block of ``PREDICT_ROWS`` token rows."""
     return n * t * (5 * d + t)
 
 
@@ -532,6 +537,8 @@ def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
 
 
 def _usable_cpus() -> int:
+    """The CPUs this process may run on: ``os.sched_getaffinity``, else
+    ``os.cpu_count()``."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -542,6 +549,8 @@ def _usable_cpus() -> int:
 # made as a call first needs them and kept until ``stop_pool``, since a
 # thread made per call faults its stack and heap in anew.  A forked child
 # has none of its parent's threads, so it drops them and makes its own.
+# Plain ``threading`` and ``queue``: ``concurrent.futures`` imports
+# ``logging`` and more, which cost memory in runs that start no thread.
 _workers: list[tuple[queue.SimpleQueue, threading.Thread]] = []
 _workers_lock = threading.Lock()
 
@@ -625,15 +634,17 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     through the blocks in row blocks of ``PREDICT_ROWS`` token rows, each
     written back over its input, so only one row block's activations are
     alive per runner, in a scratch buffer of its own.  A sample's tokens
-    attend only to each other, so row blocks are independent: with more
-    than one row block and more than one usable CPU, the caller and up to
-    (usable CPUs - 1) threads of a persistent pool each take every n-th row
-    block.  The caller makes every runner's buffer before any starts, so
-    what a call allocates does not depend on how the threads interleave.  An
-    error is raised by the caller, and it is the one for the lowest (block,
-    row block), the error ``forward`` raises.  The embedding and the head
-    see the whole batch: the head's (N, d) @ (d, 1) product rounds
-    differently with N."""
+    attend only to each other, so row blocks are independent: the batch
+    runs on n = min(row blocks, usable CPUs) runners, the caller and n - 1
+    threads of a persistent pool, each taking every n-th row block, so a
+    batch of one row block, or a process on one CPU, starts no thread.
+    numpy releases the interpreter lock in its products and elementwise
+    loops, so the runners overlap.  The caller makes every runner's buffer
+    before any starts, so what a call allocates does not depend on how the
+    threads interleave.  An error is raised by the caller, and it is the one
+    for the lowest (block, row block), the error ``forward`` raises.  The
+    embedding and the head see the whole batch: the head's (N, d) @ (d, 1)
+    product rounds differently with N."""
     h = _embed(model, inputs)
     w = weight_stack(model)
     step = max(1, PREDICT_ROWS // model.config.n_tokens)
@@ -679,7 +690,9 @@ def _project_factors(
     gradient rows laid out like the model's.  ``g_w`` is overwritten.
     Returns each layer's orthogonality and spectral values.  A padded
     column's gradient is zero, since its U, s and V are zero and the cross
-    mask zeroes its Gram row and column, so padding stays zero."""
+    mask zeroes its Gram row and column, so padding stays zero.  Each
+    stacked product or sum rounds exactly as the same 2-D call on one
+    layer's padded row."""
     n_layers = g_w.shape[0]
     energy = np.sum(w_eff * w_eff, axis=(1, 2))
     spec = losses.spec_loss(stack, energy)

@@ -12,18 +12,22 @@ them bit for bit.  The replay rebuilds each step's mask from the gradient
 rows that ``capture_gradients`` copies off the live run.  ``zero_layers``
 and ``StartCores`` are the test-side hooks on a fine-tune: one freezes
 chosen layers through the mask, the other keeps the frozen semantic cores
-a run starts from.
+a run starts from.  ``child_env`` is the environment of a fresh
+interpreter that must import the ``subtune`` under test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import subtune
 from subtune import harness
 from subtune.decomposition import DecomposedLayer, recompose, semantic_to_bytes
 from subtune.masking import _moment_step, _unusable, init_stats
@@ -436,3 +440,11 @@ def replay_masks(record, cfg, n_layers: int, gradient_rows: list[np.ndarray]) ->
 def recorded_masks(record) -> list[np.ndarray]:
     """Each step's mask as the run recorded it: its ``StepLog.mask_bits``."""
     return [np.array([int(bit) for bit in log.mask_bits], dtype=np.int8) for log in record.steps]
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the directory of the ``subtune`` it
+    imported first on ``PYTHONPATH``, so a child interpreter imports the
+    same package, installed or not."""
+    src = str(Path(subtune.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

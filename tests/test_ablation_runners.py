@@ -1,5 +1,5 @@
-"""The ablation tables run on up to as many runners as usable CPUs: the
-caller takes every n-th table and forked workers take the rest.  Every
+"""The ablation tables run on n = min(4, usable CPUs) runners: the caller
+takes every n-th table and forked workers take the rest.  Every
 written byte is the one the serial run writes, a worker that fails never
 hangs the caller, and no worker outlives ``run_ablation``."""
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-import subtune
+from oracles import child_env
 from subtune import cli, harness
 from subtune.config import config_from_dict
 
@@ -179,8 +179,7 @@ sys.exit(cli.main(["ablate", "--config", sys.argv[1], "--out", "out"]))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the run with os.sched_setaffinity")
 def test_a_fresh_interpreter_writes_the_same_bytes_pinned_to_one_cpu_and_unpinned(tmp_path, config) -> None:
     usable = sorted(os.sched_getaffinity(0))
-    src = str(Path(subtune.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
 
     def ablate(name: str, cpus: list[int] | None):
         cwd = tmp_path / name
@@ -233,9 +232,7 @@ def test_the_workers_of_a_caller_killed_by_a_signal_end_with_it(tmp_path) -> Non
     usable = len(os.sched_getaffinity(0))
     if usable < 2:
         pytest.skip(f"{usable} usable CPU: the tables would run serially, with no worker")
-    src = str(Path(subtune.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    caller = subprocess.Popen([sys.executable, "-c", _WAITING, json.dumps(TINY), str(tmp_path)], env=env)
+    caller = subprocess.Popen([sys.executable, "-c", _WAITING, json.dumps(TINY), str(tmp_path)], env=child_env())
     workers: list[int] = []
     try:
         deadline = time.monotonic() + 60

@@ -173,6 +173,9 @@ def test_criterion_6_frozen_semantic_invariant(smoke):
 
 
 def test_criterion_7_metrics_oracle():
+    """AUC, AP and EER equal their brute-force oracles exactly on every
+    (scores, labels) instance of 1 to 12 samples over a 4-value alphabet, up
+    to permutation: 125,969 instances."""
     checked = 0
     for scores, labels in enumerate_count_instances(12):
         n_pos = int(labels.sum())

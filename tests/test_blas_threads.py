@@ -6,14 +6,12 @@ model shapes, each run in a fresh interpreter with
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import yaml
 
-import subtune
+from oracles import child_env
 
 # the default model section, a small data preset and two fine-tune epochs
 _CONFIG = {"data": {"n_finetune": 512}, "optimizer": {"epochs": 2}}
@@ -24,9 +22,9 @@ _FILES = ("pretrained.ckpt", "train_log.csv", "finetuned.ckpt", "robustness.csv"
 # it loads; it prints the thread count the library reports, or null where
 # the library, its symbol or the process's memory map is not found
 _CHILD = """
-import ctypes, json, sys
+import json, sys
 from pathlib import Path
-from subtune import cli
+from subtune import cli, harness
 
 config, out = sys.argv[1], Path(sys.argv[2])
 for argv in (["pretrain", "--out", out], ["finetune", "--checkpoint", out / "pretrained.ckpt", "--out", out],
@@ -34,35 +32,17 @@ for argv in (["pretrain", "--out", out], ["finetune", "--checkpoint", out / "pre
     if cli.main([str(a) for a in argv] + ["--config", config]) != 0:
         sys.exit(f"{argv[0]} failed")
 
-
-def blas_threads():
-    try:
-        with open("/proc/self/maps") as maps:
-            libraries = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except FileNotFoundError:
-        return None
-    for path in libraries:
-        library = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(library, symbol):
-                get = getattr(library, symbol)
-                get.argtypes, get.restype = [], ctypes.c_int
-                return get()
-    return None
-
-
-print(json.dumps(blas_threads()))
+blas = harness._openblas_threads()
+print(json.dumps(blas[0]() if blas is not None else None))
 """
 
 
 def test_outputs_are_byte_identical_at_one_and_two_blas_threads(tmp_path) -> None:
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(_CONFIG))
-    src = str(Path(subtune.__file__).resolve().parent.parent)
     written = {}
     for threads in (1, 2):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        env = dict(child_env(), OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
         out = tmp_path / f"threads{threads}"
         done = subprocess.run([sys.executable, "-c", _CHILD, str(config), str(out)],
                               env=env, capture_output=True, text=True, check=True)

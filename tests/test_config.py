@@ -83,6 +83,16 @@ def test_family_lists_become_tuples():
     assert cfg.data.families_train == ("token-blur", "structured-noise")
 
 
+@pytest.mark.parametrize("key", ["families_train", "families_heldout"])
+def test_a_family_listed_twice_is_refused(key):
+    # fakes cycle through the list, so a repeated family would take more
+    # than its share of them
+    families = {"families_train": ["token-blur"], "families_heldout": ["structured-noise"]}
+    families[key] = families[key] * 2
+    with pytest.raises(ValueError, match=f"^data.{key} lists '{families[key][0]}' more than once$"):
+        config_from_dict({"data": families})
+
+
 def test_yaml_round_trip(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(

@@ -6,15 +6,13 @@ and a default-shape ``predict`` takes about 1,100 minor faults."""
 from __future__ import annotations
 
 import json
-import os
 import platform
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import subtune
+from oracles import child_env
 
 # a fresh interpreter, so nothing another test did to the heap counts
 _CHILD = """
@@ -39,8 +37,6 @@ print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
 def test_scoring_after_main_faults_no_fresh_pages() -> None:
-    src = str(Path(subtune.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", _CHILD], env=child_env(), capture_output=True, text=True, check=True)
     faults = json.loads(done.stdout.splitlines()[-1])
     assert faults < 50, f"5 predict calls took {faults} minor page faults"
