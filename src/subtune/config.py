@@ -4,10 +4,8 @@ unknown-key rejection, and the default preset used by the end-to-end runs."""
 from __future__ import annotations
 
 import dataclasses
-import math
-import types
-import typing
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import yaml
@@ -17,52 +15,33 @@ from .decomposition import DecompositionConfig
 from .losses import LossWeights
 from .masking import StatsConfig
 from .model import ModelConfig
+from .settings import check, setting
 
 
 @dataclass
 class MaskSection:
-    active_layer_budget: int = 16
-    warmup_steps: int | None = None  # None: one epoch of steps
-
-    def validate(self) -> None:
-        if self.active_layer_budget < 1:
-            raise ValueError(f"active_layer_budget must be >= 1, got {self.active_layer_budget}")
-        if self.warmup_steps is not None and self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+    active_layer_budget: int = setting(16, ge=1)
+    warmup_steps: int | None = setting(None, ge=0)  # None: one epoch of steps
 
 
 @dataclass
 class OptimizerSection:
-    learning_rate: float = 2e-4
-    batch_size: int = 32
-    epochs: int = 10
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+    learning_rate: float = setting(2e-4, gt=0.0)
+    batch_size: int = setting(32, ge=1)
+    epochs: int = setting(10, ge=0)
 
 
 @dataclass
 class PretrainSection:
-    learning_rate: float = 1e-2
-    batch_size: int = 32
-    max_epochs: int = 40
-    accuracy_floor: float = 0.9
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("pretrain learning_rate must be > 0")
-        if self.batch_size < 1 or self.max_epochs < 0:
-            raise ValueError("pretrain batch_size must be >= 1 and max_epochs >= 0")
-        if not 0.0 < self.accuracy_floor <= 1.0:
-            raise ValueError("accuracy_floor must be in (0, 1]")
+    learning_rate: float = setting(1e-2, gt=0.0)
+    batch_size: int = setting(32, ge=1)
+    max_epochs: int = setting(40, ge=0)
+    accuracy_floor: float = setting(0.9, gt=0.0, le=1.0)
 
 
 @dataclass
 class TrainConfig:
-    seed: int = 0
+    seed: int = setting(0, ge=0)
     model: ModelConfig = field(default_factory=ModelConfig)
     data: DataConfig = field(default_factory=DataConfig)
     decomposition: DecompositionConfig = field(default_factory=DecompositionConfig)
@@ -73,26 +52,16 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def finalize(self) -> "TrainConfig":
-        """Propagate shared scalars into the sections that mirror them, then
-        validate everything.  Token grid and seed have one source of truth."""
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        self.data.n_tokens = self.model.n_tokens
-        self.data.d_model = self.model.d_model
-        self.data.n_base_classes = self.model.n_classes_pretrain
-        self.data.seed = self.seed
-        self.decomposition.validate()
-        self.data.validate()
-        self.mask.validate()
-        self.stats.validate()
-        self.optimizer.validate()
-        self.pretrain.validate()
+        """Copy into ``data`` the scalars it mirrors (``_BLOCKED_KEYS``), then
+        validate every key, ``model``'s before ``data``'s, so a refusal names
+        the key a file sets and never a mirrored copy.  Token grid and seed
+        have one source of truth."""
+        for key, source in _BLOCKED_KEYS["data"].items():
+            setattr(self.data, key, attrgetter(source)(self))
+        check(self, "")
         if self.mask.active_layer_budget > self.model.n_decomposable:
-            raise ValueError(
-                f"active_layer_budget {self.mask.active_layer_budget} exceeds the "
-                f"{self.model.n_decomposable} decomposable layers"
-            )
-        self.weights.validate()
+            raise ValueError(f"config key mask.active_layer_budget must be <= 4 * model.n_blocks = "
+                             f"{self.model.n_decomposable}, got {self.mask.active_layer_budget}")
         return self
 
 
@@ -106,45 +75,23 @@ _BLOCKED_KEYS = {
 }
 
 
-def _typed_value(value, hint, where: str):
-    """``value`` as the field type ``hint`` takes it, or a ValueError naming
-    the dotted key.  A string in a float field is parsed, because YAML 1.1
-    reads exponent forms without a dot, such as ``1e-4``, as strings; ints
-    stay valid in float fields, but a bool is no int and a float no int."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        if value is None and type(None) in typing.get_args(hint):
-            return None
-        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"config key {where} must be a list, got {value!r}")
-        item = typing.get_args(hint)[0]
-        return tuple(_typed_value(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-    if hint is float:
-        if isinstance(value, str):
-            try:
-                value = float(value)
-            except ValueError:
-                raise ValueError(f"config key {where} must be a number, got {value!r}") from None
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key {where} must be a number, got {value!r}")
+def _typed_value(value, default, where: str):
+    """``value`` as YAML gives it, in the form of the key's ``default``: a
+    list becomes a tuple, and a string in place of a float is parsed,
+    because YAML 1.1 reads exponent forms without a dot, such as ``1e-4``,
+    as strings.  ``finalize`` then checks the result like any other value."""
+    if isinstance(value, list) and isinstance(default, tuple):
+        return tuple(value)
+    if isinstance(value, str) and isinstance(default, float):
         try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"config key {where} must be finite, got {value!r}")
-        return value
-    if hint is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"config key {where} must be an integer, got {value!r}")
-    if hint is str and not isinstance(value, str):
-        raise ValueError(f"config key {where} must be a string, got {value!r}")
+            return float(value)
+        except ValueError:
+            raise ValueError(f"config key {where} must be a number, got {value!r}") from None
     return value
 
 
 def _fill_section(obj, section: dict, path: str):
     valid = {f.name: f for f in fields(obj)}
-    hints = typing.get_type_hints(type(obj))
     blocked = _BLOCKED_KEYS.get(path, {})
     for key, value in section.items():
         where = f"{path}.{key}" if path else key
@@ -160,7 +107,7 @@ def _fill_section(obj, section: dict, path: str):
         else:
             if isinstance(value, dict):
                 raise ValueError(f"config key {where} does not take a mapping")
-            setattr(obj, key, _typed_value(value, hints[key], where))
+            setattr(obj, key, _typed_value(value, current, where))
     return obj
 
 

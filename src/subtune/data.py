@@ -25,6 +25,7 @@ import numpy as np
 
 from .files import write_csv
 from .linalg import make_rng
+from .settings import check, setting
 
 FAMILIES = (
     "localized-patch",
@@ -69,44 +70,35 @@ _SPLIT_SIZES = {"n_pretrain": 1, "n_pretrain_test": 1, "n_finetune": 2, "n_test"
 
 @dataclass
 class DataConfig:
-    n_tokens: int = 8
-    d_model: int = 16
-    n_base_classes: int = 4
-    families_train: tuple[str, ...] = ("localized-patch", "high-frequency-ripple", "token-blur")
-    families_heldout: tuple[str, ...] = ("block-quantization", "structured-noise")
+    n_tokens: int = setting(8, ge=2)
+    d_model: int = setting(16, ge=2)
+    n_base_classes: int = setting(4, ge=2)
+    families_train: tuple[str, ...] = setting(
+        ("localized-patch", "high-frequency-ripple", "token-blur"), one_of=FAMILIES)
+    families_heldout: tuple[str, ...] = setting(("block-quantization", "structured-noise"), one_of=FAMILIES)
     n_pretrain: int = 512
     n_pretrain_test: int = 128
     n_finetune: int = 4096
     n_test: int = 256
-    clip_size: int = 8
-    noise_level: float = 0.03
+    clip_size: int = setting(8, ge=1)
+    noise_level: float = setting(0.03, ge=0.0)
     seed: int = 0
 
     def validate(self) -> None:
-        for fam in self.families_train + self.families_heldout:
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown artifact family {fam!r}")
+        check(self, "data")  # token grid and class count repeat model's bounds, checked first in a run
         for key in ("families_train", "families_heldout"):
             families = getattr(self, key)
-            repeated = next((fam for i, fam in enumerate(families) if fam in families[:i]), None)
-            if repeated is not None:
-                raise ValueError(f"data.{key} lists {repeated!r} more than once")
-        if not self.families_train or not self.families_heldout:
-            raise ValueError("train and heldout family sets must be nonempty")
-        if set(self.families_train) & set(self.families_heldout):
-            raise ValueError("train and heldout family sets must be disjoint")
-        if self.n_tokens < 2 or self.d_model < 2:
-            raise ValueError("token grid must be at least 2x2")
-        if self.n_base_classes < 2:
-            raise ValueError("need at least two base classes")
-        if self.clip_size < 1:
-            raise ValueError("clip_size must be >= 1")
-        if self.noise_level < 0.0:
-            raise ValueError("noise_level must be >= 0")
+            if not families or len(set(families)) < len(families):
+                raise ValueError(f"config key data.{key} must list at least one family, each once, got {families!r}")
+        shared = next((fam for fam in self.families_heldout if fam in self.families_train), None)
+        if shared is not None:
+            raise ValueError(f"config keys data.families_train and data.families_heldout must be disjoint, "
+                             f"both list {shared!r}")
         for name, clips in _SPLIT_SIZES.items():
             size = getattr(self, name)
             if size % (clips * self.clip_size) != 0 or size <= 0:
-                raise ValueError(f"{name} must be a positive multiple of {'2*' if clips == 2 else ''}clip_size")
+                raise ValueError(f"config key data.{name} must be a positive multiple of "
+                                 f"{'2 * ' if clips == 2 else ''}data.clip_size {self.clip_size}, got {size}")
 
 
 @dataclass

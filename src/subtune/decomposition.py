@@ -12,6 +12,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
+from .settings import check, setting
 
 
 @dataclass
@@ -23,20 +24,19 @@ class DecompositionConfig:
     subspace keeps at least one component) or "fixed" (use ``fixed_rank``).
     """
 
-    n_subspaces: int = 5
-    rank_policy: str = "energy"
+    n_subspaces: int = setting(5, ge=1)
+    rank_policy: str = setting("energy", one_of=("energy", "fixed"))
     energy_fraction: float = 0.9
     fixed_rank: int | None = None
 
     def validate(self) -> None:
-        if self.n_subspaces < 1:
-            raise ValueError(f"n_subspaces must be >= 1, got {self.n_subspaces}")
-        if self.rank_policy not in ("energy", "fixed"):
-            raise ValueError(f"rank_policy must be 'energy' or 'fixed', got {self.rank_policy!r}")
+        check(self, "decomposition")  # then the bounds that hold under one rank_policy only
         if self.rank_policy == "energy" and not 0.0 < self.energy_fraction <= 1.0:
-            raise ValueError(f"energy_fraction must be in (0, 1], got {self.energy_fraction}")
+            raise ValueError("config key decomposition.energy_fraction must be in (0, 1] when decomposition"
+                             f".rank_policy is 'energy', got {self.energy_fraction!r}")
         if self.rank_policy == "fixed" and (self.fixed_rank is None or self.fixed_rank < 1):
-            raise ValueError("fixed rank_policy requires fixed_rank >= 1")
+            raise ValueError("config key decomposition.fixed_rank must be >= 1 when decomposition"
+                             f".rank_policy is 'fixed', got {self.fixed_rank!r}")
 
 
 @dataclass

@@ -9,18 +9,18 @@ import numpy as np
 
 from . import linalg
 from .decomposition import DecomposedLayer, FactorStack, recompose
+from .settings import check, setting
 
 PROB_FLOOR = 1e-12
 
 
 @dataclass
 class LossWeights:
-    orth_weight: float = 1.0
-    spectral_weight: float = 1.0
+    orth_weight: float = setting(1.0, ge=0.0)
+    spectral_weight: float = setting(1.0, ge=0.0)
 
     def validate(self) -> None:
-        if self.orth_weight < 0.0 or self.spectral_weight < 0.0:
-            raise ValueError("loss weights must be >= 0")
+        check(self, "weights")
 
 
 @dataclass

@@ -12,18 +12,16 @@ from typing import Sequence
 import numpy as np
 
 from .model import Gradients, Model
+from .settings import check, setting
 
 
 @dataclass
 class StatsConfig:
-    ema_coeff: float = 0.9
-    moment_floor: float = 1e-12
+    ema_coeff: float = setting(0.9, ge=0.0, lt=1.0)
+    moment_floor: float = setting(1e-12, gt=0.0)
 
     def validate(self) -> None:
-        if not 0.0 <= self.ema_coeff < 1.0:
-            raise ValueError(f"ema_coeff must be in [0, 1), got {self.ema_coeff}")
-        if self.moment_floor <= 0.0:
-            raise ValueError(f"moment_floor must be > 0, got {self.moment_floor}")
+        check(self, "stats")
 
 
 @dataclass

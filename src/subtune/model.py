@@ -36,6 +36,7 @@ from .decomposition import (
     recompose,
     split_params,
 )
+from .settings import check, setting
 
 Projection = Union[np.ndarray, DecomposedLayer]
 
@@ -51,10 +52,10 @@ _GELU_B = 0.044715
 
 @dataclass
 class ModelConfig:
-    d_model: int = 16
-    n_blocks: int = 6
-    n_tokens: int = 8
-    n_classes_pretrain: int = 4
+    d_model: int = setting(16, ge=2)
+    n_blocks: int = setting(6, ge=1)
+    n_tokens: int = setting(8, ge=2)
+    n_classes_pretrain: int = setting(4, ge=2)
 
     @property
     def n_decomposable(self) -> int:
@@ -65,13 +66,7 @@ class ModelConfig:
         return 2 * self.d_model
 
     def validate(self) -> None:
-        if self.d_model < 2 or self.n_blocks < 1 or self.n_tokens < 1:
-            raise ValueError(
-                f"bad model dimensions d_model={self.d_model} "
-                f"n_blocks={self.n_blocks} n_tokens={self.n_tokens}"
-            )
-        if self.n_classes_pretrain < 2:
-            raise ValueError("need at least two base classes for pretraining")
+        check(self, "model")
 
 
 @dataclass(frozen=True)

@@ -256,12 +256,14 @@ def test_seed_override_changes_the_run(tmp_path, cfg_path):
     assert (a / "pretrained.ckpt").read_bytes() != (b / "pretrained.ckpt").read_bytes()
 
 
-@pytest.mark.parametrize("with_config", [True, False])
-def test_negative_seed_is_a_one_line_error(tmp_path, cfg_path, capsys, with_config):
-    # gen-data refuses it in the config, gradcheck without one in make_rng
+@pytest.mark.parametrize("with_config, message", [
+    pytest.param(True, "config key seed must be >= 0, got -1", id="True"),  # the config's check
+    pytest.param(False, "seed must be non-negative, got -1", id="False"),  # make_rng's: no config
+])
+def test_negative_seed_is_a_one_line_error(tmp_path, cfg_path, capsys, with_config, message):
     argv = ["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "o")] if with_config else ["gradcheck"]
     assert main(argv + ["--seed", "-1"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: ValueError: seed must be non-negative, got -1"]
+    assert capsys.readouterr().err.splitlines() == [f"error: ValueError: {message}"]
     assert not (tmp_path / "o").exists()
 
 

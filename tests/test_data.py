@@ -68,8 +68,19 @@ def test_config_rejects_overlapping_families():
 
 def test_config_rejects_unknown_family():
     cfg = small_cfg(families_train=("speckle",))
-    with pytest.raises(ValueError, match="unknown artifact family"):
+    with pytest.raises(ValueError, match=r"^config key data.families_train\[0\] must be one of 'localized-patch', "):
         cfg.validate()
+
+
+@pytest.mark.parametrize("key, value", [("n_base_classes", 1), ("n_base_classes", 0), ("n_tokens", -1),
+                                        ("d_model", 1)])
+def test_a_data_config_built_in_code_holds_its_grid_and_class_count_to_models_bounds(key, value):
+    # a run copies these from model, whose bounds it checks first; a
+    # DataConfig made directly is held to the same ones
+    with pytest.raises(ValueError, match=f"^config key data.{key} must be >= 2, got {value}$"):
+        build_splits(small_cfg(**{key: value}), ("pretrain_train",))
+    with pytest.raises(ValueError, match=f"^config key data.{key} must be >= 2, got {value}$"):
+        gen_clips(small_cfg(**{key: value}), 8, "pretrain_train")
 
 
 def test_config_rejects_bad_split_sizes():

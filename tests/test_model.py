@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import os
 import signal
 import threading
@@ -23,6 +24,7 @@ from reference_forward import (
     reference_predict,
 )
 from subtune import linalg, model as model_mod
+from subtune.checkpoint import load_model, save_model
 from subtune.decomposition import DecompositionConfig, semantic_to_bytes
 from subtune.gradcheck import grad_check, jitter_trainables
 from subtune.losses import LossWeights, orth_loss, spec_loss
@@ -103,15 +105,22 @@ def test_forward_matches_reference_pretrain_softmax() -> None:
 
 @pytest.mark.parametrize("n_tokens", [1, 3])
 @pytest.mark.parametrize("decomposed, binary", [(False, True), (True, True), (False, False)])
-def test_forward_matches_reference_at_other_token_counts(n_tokens, decomposed, binary) -> None:
-    # the softmax row maximum is taken one key column at a time
-    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=n_tokens, n_classes_pretrain=3)
+def test_forward_matches_reference_at_other_token_counts(n_tokens, decomposed, binary, tmp_path) -> None:
+    # the softmax row maximum is taken one key column at a time.  A config
+    # refuses one token, but a checkpoint of one loads; no array's shape
+    # depends on the token count, so that model is a 2-token one saved under
+    # a 1-token config and loaded back
+    cfg = ModelConfig(d_model=8, n_blocks=2, n_tokens=max(n_tokens, 2), n_classes_pretrain=3)
     m = init_model(cfg, linalg.make_rng(11))
     if decomposed:
         m = derive_model(m, split=TINY_SPLIT)
     if binary:
         m = derive_model(m, head=binary_head(m, linalg.make_rng(12)))
-    x, _ = batch(13, 5, cfg)
+    if n_tokens == 1:
+        save_model(tmp_path / "one.ckpt", dataclasses.replace(m, config=dataclasses.replace(cfg, n_tokens=1)))
+        m = load_model(tmp_path / "one.ckpt")[0]
+    x, _ = batch(13, 5, m.config)
+    assert x.shape[1] == n_tokens
     assert np.max(np.abs(predict(m, x) - reference_predict(m, x))) <= 1e-12
 
 

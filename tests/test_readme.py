@@ -1,11 +1,12 @@
 """README.md is the user's manual, held to the code: its command table names
 every subcommand with exactly its flags, its configuration table every
-settable key with its default, and its module list every module of the
-package once."""
+settable key with its default and what it accepts, and its module list
+every module of the package once."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
@@ -68,6 +69,20 @@ def test_the_config_table_gives_every_settable_key_its_default():
         assert re.fullmatch(r"`[^`]+`", cell), (key, cell)
         loaded = yaml.safe_load(cell[1:-1])
         assert loaded == default and type(loaded) is type(default), (key, cell, default)
+
+
+def test_the_config_table_states_what_each_key_accepts_as_its_declaration_does():
+    # the accepts cell reads as the refusal message states the bound; a key
+    # that declares none (the split sizes, bound by clip_size, and the keys
+    # each rank_policy bounds) has a dash
+    table = _table(_section("Configuration"))
+    cfg = default_config()
+    for key in _settable_keys():
+        prefix, _, name = key.rpartition(".")
+        section = getattr(cfg, prefix) if prefix else cfg
+        (f,) = [f for f in dataclasses.fields(section) if f.name == name]
+        text = f.metadata.get("accepts")
+        assert table[key][1] == (f"`{text}`" if text else "—"), key
 
 
 def test_the_config_example_loads():
