@@ -1,5 +1,7 @@
 """Splits a pretrained weight matrix into a frozen semantic subspace (top of
-the spectrum) plus contiguous trainable artifact subspaces over the tail."""
+the spectrum) plus contiguous trainable artifact subspaces over the tail.
+``split_ranks`` is the one place the split is decided: every layer that
+is decomposed takes its semantic rank and subspace ranks from it."""
 
 from __future__ import annotations
 
@@ -17,12 +19,8 @@ from .settings import check, setting
 
 @dataclass
 class DecompositionConfig:
-    """How to split the spectrum.
-
-    ``rank_policy`` is "energy" (semantic rank = smallest prefix reaching
-    ``energy_fraction`` of squared spectral energy, clamped so every artifact
-    subspace keeps at least one component) or "fixed" (use ``fixed_rank``).
-    """
+    """How to split the spectrum; ``split_ranks`` says what each policy
+    does with it."""
 
     n_subspaces: int = setting(5, ge=1)
     rank_policy: str = setting("energy", one_of=("energy", "fixed"))
@@ -41,12 +39,18 @@ class DecompositionConfig:
 
 @dataclass
 class SemanticPart:
-    """Frozen top-of-spectrum factors plus their cached product."""
+    """Frozen top-of-spectrum factors plus their product ``w``, formed when
+    the part is made; all four arrays are read-only."""
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    w: np.ndarray = field(repr=False)
+    w: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.w = (self.u * self.s) @ self.v.T
+        for a in (self.u, self.s, self.v, self.w):
+            a.setflags(write=False)
 
 
 def split_params(
@@ -192,52 +196,33 @@ class FactorStack(NamedTuple):
         return split_params(rows, self.u.shape[1], self.v.shape[1], self.s.shape[1])
 
 
-def partition_tail(total_rank: int, semantic_rank: int, n_subspaces: int) -> list[tuple[int, int]]:
-    """Contiguous half-open [start, stop) index blocks covering the tail
-    of the spectrum (indices semantic_rank..total_rank-1), earlier blocks
-    absorbing the remainder so sizes differ by at most one."""
-    if semantic_rank < 1:
-        raise ValueError(f"semantic_rank must be >= 1, got {semantic_rank}")
-    if n_subspaces < 1:
-        raise ValueError(f"n_subspaces must be >= 1, got {n_subspaces}")
-    tail = total_rank - semantic_rank
-    if tail < n_subspaces:
-        raise ValueError(
-            f"tail of {tail} spectral components cannot populate {n_subspaces} subspaces"
-        )
-    base, rem = divmod(tail, n_subspaces)
-    blocks: list[tuple[int, int]] = []
-    start = semantic_rank
-    for k in range(n_subspaces):
-        size = base + (1 if k < rem else 0)
-        blocks.append((start, start + size))
-        start += size
-    return blocks
-
-
-def resolve_semantic_rank(s: np.ndarray, cfg: DecompositionConfig) -> int:
-    """Pick the semantic rank for a spectrum under the configured policy."""
+def split_ranks(s: np.ndarray, cfg: DecompositionConfig) -> tuple[int, tuple[int, ...]]:
+    """(semantic rank, each artifact subspace's rank) for a layer of
+    singular values ``s``.  The semantic rank is ``fixed_rank``, or the
+    smallest prefix reaching ``energy_fraction`` of the squared spectral
+    energy, clamped so every subspace keeps at least one component; the
+    tail past it is cut into K contiguous blocks whose sizes differ by at
+    most one, the earlier blocks taking the remainder.  A K or a
+    ``fixed_rank`` the layer's rank cannot hold is refused here, when a
+    layer is split, naming its config key."""
     cfg.validate()
-    total_rank = int(s.shape[0])
-    if total_rank - 1 < cfg.n_subspaces:
-        raise ValueError(
-            f"matrix rank budget {total_rank} is too small for {cfg.n_subspaces} "
-            "artifact subspaces plus a semantic subspace"
-        )
+    total, k = int(s.shape[0]), cfg.n_subspaces
+    if k > total - 1:
+        raise ValueError(f"config key decomposition.n_subspaces must be <= {total - 1} for a layer of rank "
+                         f"{total} (one semantic component and one per subspace), got {k}")
     if cfg.rank_policy == "fixed":
         r = int(cfg.fixed_rank)  # type: ignore[arg-type]
-        if not 1 <= r <= total_rank - cfg.n_subspaces:
-            raise ValueError(
-                f"fixed_rank {r} out of range [1, {total_rank - cfg.n_subspaces}]"
-            )
-        return r
-    energy = s.astype(np.float64) ** 2
-    cum = np.cumsum(energy)
-    if cum[-1] <= 0.0:
-        raise ValueError("spectrum has zero energy")
-    frac = cum / cum[-1]  # last entry is exactly 1.0
-    r = int(np.argmax(frac >= cfg.energy_fraction)) + 1
-    return max(1, min(r, total_rank - cfg.n_subspaces))
+        if r > total - k:
+            raise ValueError(f"config key decomposition.fixed_rank must be <= {total - k} for a layer of rank "
+                             f"{total} split into {k} subspaces, got {r}")
+    else:
+        cum = np.cumsum(s.astype(np.float64) ** 2)
+        if cum[-1] <= 0.0:
+            raise ValueError("spectrum has zero energy")
+        # cum / cum[-1] ends at exactly 1.0, so some prefix always reaches the fraction
+        r = min(int(np.argmax(cum / cum[-1] >= cfg.energy_fraction)) + 1, total - k)
+    base, rem = divmod(total - r, k)
+    return r, tuple(base + (i < rem) for i in range(k))
 
 
 def decompose(w: np.ndarray, cfg: DecompositionConfig, layer_id: int = 0) -> DecomposedLayer:
@@ -245,18 +230,11 @@ def decompose(w: np.ndarray, cfg: DecompositionConfig, layer_id: int = 0) -> Dec
     if not np.any(arr):
         raise ValueError(f"layer {layer_id} is a zero matrix and cannot be decomposed")
     res = linalg.svd(arr, f"layer {layer_id}")
-    r = resolve_semantic_rank(res.s, cfg)
-    blocks = partition_tail(int(res.s.shape[0]), r, cfg.n_subspaces)
-    sem_u = res.u[:, :r].copy()
-    sem_s = res.s[:r].copy()
-    sem_v = res.v[:, :r].copy()
-    sem_w = (sem_u * sem_s) @ sem_v.T
-    for a in (sem_u, sem_s, sem_v, sem_w):
-        a.setflags(write=False)
+    r, ranks = split_ranks(res.s, cfg)
     return DecomposedLayer(
         layer_id=layer_id,
-        semantic=SemanticPart(u=sem_u, s=sem_s, v=sem_v, w=sem_w),
-        ranks=tuple(hi - lo for lo, hi in blocks),
+        semantic=SemanticPart(res.u[:, :r].copy(), res.s[:r].copy(), res.v[:, :r].copy()),
+        ranks=ranks,
         params=np.concatenate([res.u[:, r:].ravel(), res.s[r:], res.v[:, r:].ravel()]),
         pretrained_frob_sq=linalg.frobenius_sq(arr),
     )
@@ -332,12 +310,7 @@ def layer_from_bytes(buf: bytes, offset: int = 0) -> tuple[DecomposedLayer, int]
             raise ValueError(f"expected {rows}x{cols} block, got {m.shape}")
         return m
 
-    sem_u = take(d_out, sem_rank)
-    sem_s = take(1, sem_rank)[0]
-    sem_v = take(d_in, sem_rank)
-    sem_w = (sem_u * sem_s) @ sem_v.T
-    for a in (sem_u, sem_s, sem_v, sem_w):
-        a.setflags(write=False)
+    semantic = SemanticPart(take(d_out, sem_rank), take(1, sem_rank)[0], take(d_in, sem_rank))
     n_params = (d_out + 1 + d_in) * sum(ranks)
     # the factors' values alone take 8 bytes each, so a corrupt rank list
     # cannot make this allocate more than the buffer holds
@@ -345,7 +318,7 @@ def layer_from_bytes(buf: bytes, offset: int = 0) -> tuple[DecomposedLayer, int]
         raise ValueError("layer artifact factors truncated")
     layer = DecomposedLayer(
         layer_id=int(layer_id),
-        semantic=SemanticPart(u=sem_u, s=sem_s, v=sem_v, w=sem_w),
+        semantic=semantic,
         ranks=tuple(ranks),
         params=np.empty(n_params),
         pretrained_frob_sq=float(frob),

@@ -53,7 +53,6 @@ from .masking import (
 )
 from .model import (
     Model,
-    _usable_cpus,
     attention_slots,
     backward,
     clone_model,
@@ -61,6 +60,7 @@ from .model import (
     init_model,
     predict,
     stop_pool,
+    usable_cpus,
 )
 
 # stream keys, above the data streams': make_rng(seed, key[, epoch])
@@ -659,7 +659,7 @@ def _run_tables(cfg: TrainConfig, tables: list[_Table]) -> list[tuple[list[dict]
     byte); its thread count is restored on the way out.  A worker that
     ends other than with status 0 fails the run; on every way out, each
     worker still running is killed, and every worker is reaped."""
-    n = min(len(tables), _usable_cpus()) if hasattr(os, "fork") else 1
+    n = min(len(tables), usable_cpus()) if hasattr(os, "fork") else 1
     if n > 1:
         stop_pool()
         if threading.active_count() > 1:

@@ -81,10 +81,6 @@ def build_mask(bvg: np.ndarray, budget: int, step: int, warmup: int) -> LayerMas
     scores win, ties going to the lower layer id."""
     scores = np.asarray(bvg, dtype=np.float64)
     n = scores.shape[0]
-    if budget < 1:
-        raise ValueError(f"active-layer budget must be >= 1, got {budget}")
-    if warmup < 0:
-        raise ValueError(f"warmup_steps must be >= 0, got {warmup}")
     bits = np.zeros(n, dtype=np.int8)
     if step <= warmup:
         bits[:] = 1
@@ -122,8 +118,6 @@ def init_optimizer(learning_rate: float, model: Model) -> OptimizerState:
     """Fresh state for the gradients ``backward`` forms for ``model``: its
     rows and head for a binary head, all of ``model.params`` for a
     pretraining head."""
-    if learning_rate <= 0.0:
-        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     shape = model.trainable.shape
     rest = model.layout.grad_size - model.trainable.size
     return OptimizerState(learning_rate, np.zeros(shape), np.zeros(shape), [0] * shape[0],

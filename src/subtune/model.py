@@ -531,7 +531,7 @@ def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(blocks=caches, weights=w, pool=pool, probs=probs)
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """The CPUs this process may run on: ``os.sched_getaffinity``, else
     ``os.cpu_count()``."""
     try:
@@ -644,7 +644,7 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     w = weight_stack(model)
     step = max(1, PREDICT_ROWS // model.config.n_tokens)
     starts = range(0, h.shape[0], step)
-    runners = min(len(starts), _usable_cpus())
+    runners = min(len(starts), usable_cpus())
     bufs = [np.empty(_scratch_size(min(step, h.shape[0]), *h.shape[1:])) for _ in range(runners)]
     errstate = np.geterr()
     results: queue.SimpleQueue = queue.SimpleQueue()

@@ -5,14 +5,14 @@ replay of a fine-tune's masks.
 The brute-force oracles recount from scratch with plain loops (no sorting
 tricks shared with the implementation) and exact rational arithmetic.  The
 ``loop_*`` versions are the per-element tied-block sweeps, the per-clip
-pooling loop, the per-layer factor projection, EMA, BVG and
-adaptive-moment code, and pretraining's whole-buffer adaptive-moment step
-that the vectorized, stacked and shared versions replaced, kept to check
-them bit for bit.  The replay rebuilds each step's mask from the gradient
-rows that ``capture_gradients`` copies off the live run.  ``zero_layers``
-and ``StartCores`` are the test-side hooks on a fine-tune: one freezes
-chosen layers through the mask, the other keeps the frozen semantic cores
-a run starts from.  ``child_env`` is the environment of a fresh
+pooling loop, the two-step rank split, the per-layer factor projection,
+EMA, BVG and adaptive-moment code, and pretraining's whole-buffer
+adaptive-moment step that the vectorized, single, stacked and shared
+versions replaced, kept to check them bit for bit.  The replay rebuilds
+each step's mask from the gradient rows that ``capture_gradients`` copies
+off the live run.  ``zero_layers`` and ``StartCores`` are the test-side
+hooks on a fine-tune: one freezes chosen layers through the mask, the
+other keeps the frozen semantic cores a run starts from.  ``child_env`` is the environment of a fresh
 interpreter that must import the ``subtune`` under test.
 """
 
@@ -207,6 +207,34 @@ def loop_video_level(scores, labels, groups) -> ScoredSet:
         member = scores[sel]
         out_scores[idx] = float(member.mean())
     return ScoredSet(scores=out_scores, labels=out_labels, group_ids=uniq)
+
+
+# --- the rank split ------------------------------------------------------
+
+def loop_split_ranks(s, cfg) -> tuple[int, tuple[int, ...]]:
+    """The two-step split that ``split_ranks`` replaced, as plain loops:
+    first the semantic rank (a running sum of squared singular values,
+    clamped to leave K components), then the tail cut into [start, stop)
+    blocks by dealing its components out one at a time, read back as
+    sizes.  For a ``cfg`` the spectrum can hold."""
+    total, k = len(s), cfg.n_subspaces
+    if cfg.rank_policy == "fixed":
+        r = cfg.fixed_rank
+    else:
+        cum, acc = [], 0.0
+        for x in s:
+            acc += float(x) * float(x)
+            cum.append(acc)
+        r = next(i + 1 for i, c in enumerate(cum) if c / cum[-1] >= cfg.energy_fraction)
+        r = max(1, min(r, total - k))
+    sizes = [0] * k
+    for j in range(total - r):
+        sizes[j % k] += 1
+    blocks, start = [], r
+    for size in sizes:
+        blocks.append((start, start + size))
+        start += size
+    return r, tuple(hi - lo for lo, hi in blocks)
 
 
 # --- per-layer training code ---------------------------------------------

@@ -240,6 +240,22 @@ def test_an_out_that_cannot_be_a_directory_fails_before_any_work(
     assert taken.read_bytes() == b""
 
 
+@pytest.mark.parametrize("split, message", [
+    ({"n_subspaces": 8}, "config key decomposition.n_subspaces must be <= 7 for a layer of rank 8 "
+                         "(one semantic component and one per subspace), got 8"),
+    ({"n_subspaces": 2, "rank_policy": "fixed", "fixed_rank": 7},
+     "config key decomposition.fixed_rank must be <= 6 for a layer of rank 8 split into 2 subspaces, got 7"),
+])
+def test_a_split_the_layers_cannot_hold_is_refused_by_its_key(tmp_path, capsys, split, message):
+    # the file loads, since the bound is each layer's rank; inspect refuses
+    # it where the checkpoint's rank-8 layers are split
+    save_model(tmp_path / "m.ckpt", init_model(ModelConfig(d_model=8, n_blocks=1, n_tokens=2), make_rng(0)))
+    path = tmp_path / "split.yaml"
+    path.write_text(yaml.safe_dump({"decomposition": split}))
+    assert main(["inspect", "--config", str(path), "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: ValueError: {message}"]
+
+
 def test_inspect_takes_no_seed(tmp_path, capsys):
     save_model(tmp_path / "m.ckpt", init_model(ModelConfig(d_model=4, n_blocks=1, n_tokens=2), make_rng(0)))
     with pytest.raises(SystemExit) as info:

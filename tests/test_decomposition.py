@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import loop_split_ranks
 from reference_forward import per_subspace_recompose
 
 from subtune import linalg
@@ -19,50 +21,41 @@ from subtune.decomposition import (
     energy_fractions,
     layer_from_bytes,
     layer_to_bytes,
-    partition_tail,
     recompose,
-    resolve_semantic_rank,
     semantic_to_bytes,
+    split_ranks,
 )
 
 
-def test_partition_tail_examples() -> None:
+def _fixed(total: int, semantic_rank: int, n_subspaces: int) -> tuple[int, tuple[int, ...]]:
+    """The split of a rank-``total`` spectrum at a fixed semantic rank."""
+    cfg = DecompositionConfig(n_subspaces=n_subspaces, rank_policy="fixed", fixed_rank=semantic_rank)
+    return split_ranks(np.linspace(5.0, 0.5, total), cfg)
+
+
+def test_split_ranks_examples() -> None:
     # stated rule, remainder-first rule, single tail component
-    assert partition_tail(10, 4, 3) == [(4, 6), (6, 8), (8, 10)]
-    assert partition_tail(10, 3, 3) == [(3, 6), (6, 8), (8, 10)]
-    assert partition_tail(5, 4, 1) == [(4, 5)]
+    assert _fixed(10, 4, 3) == (4, (2, 2, 2))
+    assert _fixed(10, 3, 3) == (3, (3, 2, 2))
+    assert _fixed(5, 4, 1) == (4, (1,))
 
 
-def test_partition_tail_properties() -> None:
+def test_split_ranks_sizes() -> None:
     rng = linalg.make_rng(42)
     for _ in range(200):
         total = int(rng.integers(2, 60))
         sem = int(rng.integers(1, total))
         n_sub = int(rng.integers(1, total - sem + 1))
-        blocks = partition_tail(total, sem, n_sub)
-        assert len(blocks) == n_sub
-        # contiguous, disjoint, covering exactly the tail
-        assert blocks[0][0] == sem
-        assert blocks[-1][1] == total
-        for (a0, a1), (b0, b1) in zip(blocks, blocks[1:]):
-            assert a1 == b0
-            assert a1 > a0 and b1 > b0
-        sizes = [hi - lo for lo, hi in blocks]
-        assert max(sizes) - min(sizes) <= 1
+        r, ranks = _fixed(total, sem, n_sub)
+        assert r == sem and len(ranks) == n_sub
+        # every subspace populated, the tail covered exactly
+        assert min(ranks) >= 1 and sum(ranks) == total - sem
+        assert max(ranks) - min(ranks) <= 1
         # earlier blocks receive the remainder
-        assert sizes == sorted(sizes, reverse=True)
+        assert list(ranks) == sorted(ranks, reverse=True)
 
 
-def test_partition_tail_errors() -> None:
-    with pytest.raises(ValueError):
-        partition_tail(5, 3, 3)
-    with pytest.raises(ValueError):
-        partition_tail(5, 0, 2)
-    with pytest.raises(ValueError):
-        partition_tail(5, 2, 0)
-
-
-def test_resolve_semantic_rank_energy_oracle() -> None:
+def test_split_ranks_energy_oracle() -> None:
     # oracle: independent cumulative-energy scan over the spectrum
     rng = linalg.make_rng(16)
     cfg = DecompositionConfig(n_subspaces=5, rank_policy="energy", energy_fraction=0.9)
@@ -79,34 +72,66 @@ def test_resolve_semantic_rank_energy_oracle() -> None:
                 break
         assert want is not None
         want = max(1, min(want, len(s) - cfg.n_subspaces))
-        assert resolve_semantic_rank(s, cfg) == want
+        assert split_ranks(s, cfg)[0] == want
 
 
-def test_resolve_semantic_rank_clamping() -> None:
+def test_split_ranks_clamping() -> None:
     # full-capture threshold would demand r = R; the clamp leaves K components
     s = np.array([4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05])
     cfg = DecompositionConfig(n_subspaces=5, rank_policy="energy", energy_fraction=1.0)
-    assert resolve_semantic_rank(s, cfg) == 3
+    assert split_ranks(s, cfg) == (3, (1, 1, 1, 1, 1))
     # steep spectrum: first component alone crosses the threshold
     steep = np.array([100.0, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
-    assert resolve_semantic_rank(steep, DecompositionConfig(n_subspaces=5)) == 1
+    assert split_ranks(steep, DecompositionConfig(n_subspaces=5)) == (1, (2, 2, 1, 1, 1))
 
 
-def test_resolve_semantic_rank_fixed_policy() -> None:
+def test_split_ranks_fixed_policy() -> None:
     s = np.linspace(5.0, 0.5, 10)
     cfg = DecompositionConfig(n_subspaces=3, rank_policy="fixed", fixed_rank=4)
-    assert resolve_semantic_rank(s, cfg) == 4
-    bad = DecompositionConfig(n_subspaces=3, rank_policy="fixed", fixed_rank=8)
-    with pytest.raises(ValueError):
-        resolve_semantic_rank(s, bad)
+    assert split_ranks(s, cfg) == (4, (2, 2, 2))
     with pytest.raises(ValueError):
         DecompositionConfig(rank_policy="fixed").validate()
     with pytest.raises(ValueError):
         DecompositionConfig(rank_policy="nonsense").validate()
-    with pytest.raises(ValueError):
-        DecompositionConfig(n_subspaces=0).validate()
-    with pytest.raises(ValueError):
-        resolve_semantic_rank(np.ones(4), DecompositionConfig(n_subspaces=5))
+
+
+@pytest.mark.parametrize("total, n_subspaces, fixed_rank, message", [
+    (4, 5, None, "config key decomposition.n_subspaces must be <= 3 for a layer of rank 4 "
+                 "(one semantic component and one per subspace), got 5"),
+    (4, 4, None, "config key decomposition.n_subspaces must be <= 3 for a layer of rank 4"),
+    (10, 3, 8, "config key decomposition.fixed_rank must be <= 7 for a layer of rank 10 split into 3 subspaces, got 8"),
+    (5, 3, 3, "config key decomposition.fixed_rank must be <= 2 for a layer of rank 5 split into 3 subspaces, got 3"),
+    (5, 2, 0, "config key decomposition.fixed_rank must be >= 1"),
+    (5, 0, None, "config key decomposition.n_subspaces must be >= 1"),
+])
+def test_split_ranks_refusals_name_the_key(total, n_subspaces, fixed_rank, message) -> None:
+    # a K or fixed_rank the layer cannot hold is refused where the layer is
+    # split, directly or through decompose, stating the layer's rank
+    policy = "energy" if fixed_rank is None else "fixed"
+    cfg = DecompositionConfig(n_subspaces=n_subspaces, rank_policy=policy, fixed_rank=fixed_rank)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        split_ranks(np.linspace(5.0, 0.5, total), cfg)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decompose(linalg.make_rng(3).normal(size=(total + 2, total)), cfg)
+
+
+@st.composite
+def spectra_and_configs(draw) -> tuple[np.ndarray, DecompositionConfig]:
+    """A descending positive spectrum and a split config it can hold."""
+    s = np.array(sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40)), reverse=True))
+    k = draw(st.integers(1, s.shape[0] - 1))
+    if draw(st.booleans()):
+        return s, DecompositionConfig(n_subspaces=k, rank_policy="fixed",
+                                      fixed_rank=draw(st.integers(1, s.shape[0] - k)))
+    fraction = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return s, DecompositionConfig(n_subspaces=k, energy_fraction=fraction)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spectra_and_configs())
+def test_split_ranks_matches_the_two_step_loop(case) -> None:
+    s, cfg = case
+    assert split_ranks(s, cfg) == loop_split_ranks(s, cfg)
 
 
 def test_decompose_diagonal_example() -> None:
@@ -195,7 +220,7 @@ def padded_layers(draw) -> DecomposedLayer:
     sem_u, sem_s, sem_v = rng.normal(size=(d_out, sem_r)), rng.normal(size=sem_r), rng.normal(size=(d_in, sem_r))
     layer = DecomposedLayer(
         layer_id=0,
-        semantic=SemanticPart(sem_u, sem_s, sem_v, (sem_u * sem_s) @ sem_v.T),
+        semantic=SemanticPart(sem_u, sem_s, sem_v),
         ranks=ranks,
         params=np.zeros((d_out + 1 + d_in) * width),
         pretrained_frob_sq=1.0,

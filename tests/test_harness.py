@@ -652,7 +652,7 @@ def test_inspect_fresh_decomposition(pretrained):
     cfg, _, model, _ = pretrained
     rows = decompose_inspect(model, cfg.decomposition)
     assert len(rows) == 8
-    from subtune.decomposition import DecompositionConfig, resolve_semantic_rank
+    from subtune.decomposition import DecompositionConfig, split_ranks
     from subtune.linalg import svd
 
     reference = clone_model(model)
@@ -666,5 +666,5 @@ def test_inspect_fresh_decomposition(pretrained):
         energies = [float(np.sum(part.s**2)) for part in (layer.semantic, *layer.artifacts)]
         assert row.energy_semantic == pytest.approx(energies[0] / sum(energies), abs=1e-12)
         s = svd(getattr(block, name), name).s
-        want = resolve_semantic_rank(s, DecompositionConfig(n_subspaces=2))
+        want = split_ranks(s, DecompositionConfig(n_subspaces=2))[0]
         assert row.semantic_rank == want

@@ -1,5 +1,6 @@
-"""The package holds only what a command runs.  Four rules, checked on the
-``ast`` of every ``src/subtune/*.py``:
+"""The package holds only what a command runs, and each module keeps its
+own private names.  Five rules, checked on the ``ast`` of every
+``src/subtune/*.py``:
 
 - every module-level function and class is named somewhere in the package
   outside its own definition, as a name, an attribute or an imported name;
@@ -8,7 +9,9 @@
 - every defaulted parameter of a function is passed, by keyword or by
   position, by some call inside the package;
 - every field of a dataclass or NamedTuple is read as an attribute, or
-  named in a string (as ``getattr`` takes it), somewhere in the package.
+  named in a string (as ``getattr`` takes it), somewhere in the package;
+- no module imports another module's ``_``-prefixed name: a name that
+  two modules share is public, and is named so.
 
 Docstrings and comments do not count, and neither does a test, so a
 helper, a keyword or a field that only the tests use fails here and belongs
@@ -207,6 +210,20 @@ def _shared_fields(package: Path) -> set[str]:
     return {field for field, classes in owners.items() if len(classes) > 1}
 
 
+def _private_imports(package: Path) -> list[str]:
+    """``module: from.name`` of each import in ``package`` of a
+    ``_``-prefixed (not dunder) name from a module of the package, by a
+    relative import or by the package's own name."""
+    out = []
+    for module, tree in _modules(package).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == package.name):
+                source = "." * node.level + (node.module or "")
+                out += [f"{module}: {source}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return out
+
+
 def test_every_module_level_definition_is_used_by_the_package():
     assert _unreferenced(PACKAGE) == []
 
@@ -221,6 +238,10 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
 
 def test_every_record_field_is_read_by_the_package():
     assert _unread(PACKAGE) == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert _private_imports(PACKAGE) == []
 
 
 def test_the_field_names_two_records_share_were_each_checked_by_hand():
@@ -301,3 +322,15 @@ def test_a_field_name_two_records_share_is_reported(tmp_path):
         "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Step:\n    name: str\n"
     )
     assert _shared_fields(tmp_path) == {"budget", "name"}
+
+
+def test_a_private_name_imported_from_another_module_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\nfrom os import _exit  # not the package's\n\n\n"
+        "def _helper():\n    return 1\n\n\ndef run():\n    return _helper()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a, __name__ as pkg\nfrom .a import _helper, run\n"
+        f"from {tmp_path.name}.a import _helper as again\n"
+    )
+    assert _private_imports(tmp_path) == ["b: .a._helper", f"b: {tmp_path.name}.a._helper"]
