@@ -196,15 +196,16 @@ class FactorStack(NamedTuple):
         return split_params(rows, self.u.shape[1], self.v.shape[1], self.s.shape[1])
 
 
-def split_ranks(s: np.ndarray, cfg: DecompositionConfig) -> tuple[int, tuple[int, ...]]:
-    """(semantic rank, each artifact subspace's rank) for a layer of
-    singular values ``s``.  The semantic rank is ``fixed_rank``, or the
-    smallest prefix reaching ``energy_fraction`` of the squared spectral
-    energy, clamped so every subspace keeps at least one component; the
-    tail past it is cut into K contiguous blocks whose sizes differ by at
-    most one, the earlier blocks taking the remainder.  A K or a
-    ``fixed_rank`` the layer's rank cannot hold is refused here, when a
-    layer is split, naming its config key."""
+def split_ranks(s: np.ndarray, cfg: DecompositionConfig, layer_id: int = 0) -> tuple[int, tuple[int, ...]]:
+    """(semantic rank, each artifact subspace's rank) for layer
+    ``layer_id``, of singular values ``s``.  The semantic rank is
+    ``fixed_rank``, or the smallest prefix reaching ``energy_fraction`` of
+    the squared spectral energy, clamped so every subspace keeps at least
+    one component; the tail past it is cut into K contiguous blocks whose
+    sizes differ by at most one, the earlier blocks taking the remainder.
+    A K or a ``fixed_rank`` the layer's rank cannot hold is refused here,
+    when a layer is split, naming its config key; a layer whose energy
+    underflows, under the energy policy, naming the layer."""
     cfg.validate()
     total, k = int(s.shape[0]), cfg.n_subspaces
     if k > total - 1:
@@ -218,7 +219,8 @@ def split_ranks(s: np.ndarray, cfg: DecompositionConfig) -> tuple[int, tuple[int
     else:
         cum = np.cumsum(s.astype(np.float64) ** 2)
         if cum[-1] <= 0.0:
-            raise ValueError("spectrum has zero energy")
+            raise ValueError(f"layer {layer_id}'s squared singular values underflow to 0: "
+                             "decomposition.rank_policy energy cannot split it")
         # cum / cum[-1] ends at exactly 1.0, so some prefix always reaches the fraction
         r = min(int(np.argmax(cum / cum[-1] >= cfg.energy_fraction)) + 1, total - k)
     base, rem = divmod(total - r, k)
@@ -230,7 +232,7 @@ def decompose(w: np.ndarray, cfg: DecompositionConfig, layer_id: int = 0) -> Dec
     if not np.any(arr):
         raise ValueError(f"layer {layer_id} is a zero matrix and cannot be decomposed")
     res = linalg.svd(arr, f"layer {layer_id}")
-    r, ranks = split_ranks(res.s, cfg)
+    r, ranks = split_ranks(res.s, cfg, layer_id)
     return DecomposedLayer(
         layer_id=layer_id,
         semantic=SemanticPart(res.u[:, :r].copy(), res.s[:r].copy(), res.v[:, :r].copy()),

@@ -8,7 +8,8 @@ the head (token embed, layer norms, MLPs) is frozen during fine-tuning.  A
 model is an immutable ``Layout``, which a model shares with its clones, plus
 one parameter buffer, ``Model.params``, of which every array of the model is
 a view.  ``stack_trainables`` is the one packer, the only code that copies
-values into a new buffer; a clone is one copy of the buffer.
+values into a new buffer; a clone is one copy of the buffer.  Short-axis
+sums are BLAS products (``_row_sums``), rounding in BLAS's order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Union
 
@@ -339,10 +340,38 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g
 
 
-# ``_mean`` is ``ndarray.mean`` over the last axis without its Python
-# wrapper: the same sum, then the same true divide, so the same bits.
+@lru_cache(maxsize=8)
+def _ones(m: int) -> np.ndarray:
+    """A read-only (m, 8) block of ones, shared by ``predict``'s threads."""
+    ones = np.ones((m, 8))
+    ones.setflags(write=False)
+    return ones
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Last-axis sums, keepdims, as one product with ``_ones``: numpy's
+    reduction calls its inner loop once per row, several times the cost.
+    A row rounds the same whatever rows share the product (2 to 40,000
+    rows, 2 to 32 wide, OpenBLAS), so ``predict``'s row blocks match
+    ``forward``.  An (m, 1) column or four columns would not: BLAS rounds
+    their last rows, or rows past its small-matrix kernel, another way."""
+    m = x.shape[-1]
+    return (x.reshape(-1, m) @ _ones(m))[:, :1].reshape(*x.shape[:-1], 1)
+
+
+# ``_mean`` divides ``_row_sums`` as ``ndarray.mean`` divides its sum, so it
+# rounds like ``ndarray.mean`` up to the order of the sum, not to the bit.
 def _mean(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    return _row_sums(x) / x.shape[-1]
+
+
+@lru_cache(maxsize=8)
+def _centring(m: int) -> np.ndarray:
+    """The read-only (m, m) I - 1/m, a row times which is the row less its
+    mean: only ``backward``, with no row blocks to match, uses it."""
+    centring = np.eye(m) - 1.0 / m
+    centring.setflags(write=False)
+    return centring
 
 
 def _layer_norm(
@@ -353,7 +382,7 @@ def _layer_norm(
     mean = _mean(x)
     xhat = np.subtract(x, mean, out=xhat)
     out = np.multiply(xhat, xhat, out=out)
-    # centred once; this is exactly how ``x.var`` computes it
+    # centred once, as ``x.var`` does
     var = _mean(out)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv_std
@@ -366,7 +395,7 @@ def _layer_norm_input_grad(
     dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray
 ) -> np.ndarray:
     g = dy * gain
-    return inv_std * (g - _mean(g) - xhat * _mean(g * xhat))
+    return inv_std * (_rows_matmul(g, _centring(g.shape[-1])) - xhat * _mean(g * xhat))
 
 
 @dataclass
@@ -390,8 +419,9 @@ def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
     and d_model up to 24, on OpenBLAS); a one-token model, or d_model 32
     and up, can differ in the last bit, since BLAS then takes another
     kernel for the stacked form.  Over 2 * d_model (act @ W2^T) it did not
-    round alike, so those products stay stacked.  ``out``, if given, is a
-    contiguous (n, t, m) array to write into."""
+    round alike, so those products stay stacked.  Over 3 * d_model (the
+    q, k and v input gradient) it rounds as one GEMM, not as three
+    products summed.  ``out``, if given, is a contiguous (n, t, m) array."""
     n, t, k = a.shape
     m = b.shape[-1]
     flat = None if out is None else out.reshape(n * t, m)
@@ -461,7 +491,7 @@ def _attention(
         np.maximum(row_max, probs[..., j : j + 1], out=row_max)
     probs -= row_max
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= _row_sums(probs)
     ctx = np.matmul(probs, v, out=_slot(buf, shape, 0, d))
     m_in = _rows_matmul(ctx, w[3].T, _slot(buf, shape, 4, d))
     m_in += a_in
@@ -756,10 +786,11 @@ def backward(
     grad, d_head, d_embed, d_frozen = layout.carve(params)
     np.matmul(dlogits.T, cache.pool, out=d_head)
     d_pool = dlogits @ model.head
-    dh = np.repeat(d_pool[:, None, :], cfg.n_tokens, axis=1) / cfg.n_tokens
+    t, d = cfg.n_tokens, cfg.d_model
+    dh = np.repeat(d_pool[:, None, :], t, axis=1) / t
 
-    scale = 1.0 / math.sqrt(cfg.d_model)
-    n_rows = n * cfg.n_tokens
+    scale = 1.0 / math.sqrt(d)
+    n_rows = n * t
     decomposed = model.decomposed
     w = cache.weights
     # each attention slot's weight gradient by layer id; a plain model's
@@ -778,22 +809,25 @@ def backward(
         dm_in = dh + _layer_norm_input_grad(dwn, ln2_xhat, ln2_inv, block.norm2_gain)
 
         # attention half: m_in = a_in + (softmax(q k^T / sqrt(d)) v) @ Wo^T
-        q_row, k_row, v_row, o_row = range(4 * b, 4 * b + 4)
+        w_qkv, o_row = slice(4 * b, 4 * b + 3), 4 * b + 3
         do_ctx = _rows_matmul(dm_in, w[o_row])
         np.matmul(dm_in.reshape(n_rows, -1).T, ctx.reshape(n_rows, -1), out=g_w[o_row])
         dprobs = do_ctx @ v.transpose(0, 2, 1)
-        dv_tok = probs.transpose(0, 2, 1) @ do_ctx
-        # softmax rows backward
-        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-        dq_tok = (dscores @ k) * scale
-        dk_tok = (dscores.transpose(0, 2, 1) @ q) * scale
-        u_rows = u.reshape(n_rows, -1)
-        np.matmul(dq_tok.reshape(n_rows, -1).T, u_rows, out=g_w[q_row])
-        np.matmul(dk_tok.reshape(n_rows, -1).T, u_rows, out=g_w[k_row])
-        np.matmul(dv_tok.reshape(n_rows, -1).T, u_rows, out=g_w[v_row])
+        # q's, k's and v's token gradients side by side, as qkv is
+        dqkv = np.empty((n, t, 3 * d))
+        np.matmul(probs.transpose(0, 2, 1), do_ctx, out=dqkv[..., 2 * d :])
+        # softmax rows backward, scaled once before its two products
+        dscores = dprobs * probs
+        dprobs -= _row_sums(dscores)
+        np.multiply(probs, dprobs, out=dscores)
+        dscores *= scale
+        np.matmul(dscores, k, out=dqkv[..., :d])
+        np.matmul(dscores.transpose(0, 2, 1), q, out=dqkv[..., d : 2 * d])
+        # Wq's, Wk's and Wv's gradients, consecutive in g_w, in one product
+        np.matmul(dqkv.reshape(n_rows, -1).T, u.reshape(n_rows, -1), out=g_w[w_qkv].reshape(3 * d, d))
         if b == 0 and not full:
             break  # nothing reads the input gradient of block 0
-        du = _rows_matmul(dq_tok, w[q_row]) + _rows_matmul(dk_tok, w[k_row]) + _rows_matmul(dv_tok, w[v_row])
+        du = _rows_matmul(dqkv, w[w_qkv].reshape(3 * d, d))
         # formed before dh moves on to this block's input gradient
         if full:
             g = d_frozen[b]

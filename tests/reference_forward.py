@@ -115,6 +115,22 @@ def plain_gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def plain_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Each mean a product with a block of ones, then a divide."""
+    d = x.shape[-1]
+    ones = np.ones((d, 8))
+
+    def mean(a: np.ndarray) -> np.ndarray:
+        return (a.reshape(-1, d) @ ones)[:, :1].reshape(*a.shape[:-1], 1) / d
+
+    xhat = x - mean(x)
+    inv_std = 1.0 / np.sqrt(mean(xhat * xhat) + 1e-6)
+    xhat = xhat * inv_std
+    return xhat * gain + bias, xhat, inv_std
+
+
+def textbook_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm with numpy's own mean and variance, as the model summed
+    before its sums became products: held to the same rounding bound."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + 1e-6)

@@ -153,6 +153,16 @@ def test_decompose_rejects_zero_matrix() -> None:
         decompose(np.zeros((4, 4)), cfg)
 
 
+def test_an_underflowing_spectrum_is_refused_by_layer_under_the_energy_policy_only() -> None:
+    # non-zero, but every squared singular value underflows to 0.0
+    w = linalg.make_rng(0).normal(size=(6, 6)) * 1e-170
+    message = "layer 7's squared singular values underflow to 0: decomposition.rank_policy energy cannot split it"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decompose(w, DecompositionConfig(n_subspaces=2), layer_id=7)
+    layer = decompose(w, DecompositionConfig(n_subspaces=2, rank_policy="fixed", fixed_rank=2), layer_id=7)
+    assert (layer.semantic_rank, layer.ranks) == (2, (2, 2))
+
+
 def test_decompose_reconstruction_and_rank_budget() -> None:
     rng = linalg.make_rng(77)
     cfg = DecompositionConfig(n_subspaces=5)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import os
 import signal
 import threading
@@ -22,6 +23,7 @@ from reference_forward import (
     plain_gelu_grad,
     plain_layer_norm,
     reference_predict,
+    textbook_layer_norm,
 )
 from subtune import linalg, model as model_mod
 from subtune.checkpoint import load_model, save_model
@@ -457,6 +459,15 @@ def test_predict_is_forward_probs_bit_for_bit(n, decomposed, binary, seed) -> No
     assert got.tobytes() == forward(m, x).probs.tobytes()
 
 
+def test_predict_is_forward_probs_bit_for_bit_past_blas_small_matrix_kernel() -> None:
+    # 16,400 token rows 16 wide: forward's whole-batch products leave BLAS's
+    # small-matrix kernel, predict's row blocks stay in it
+    m = init_model(ModelConfig(d_model=16, n_blocks=1, n_tokens=2), linalg.make_rng(4))
+    m = derive_model(m, head=binary_head(m, linalg.make_rng(5)))
+    x = linalg.make_rng(6).normal(size=(8200, 2, 16))
+    assert predict(m, x).tobytes() == forward(m, x).probs.tobytes()
+
+
 def test_predict_names_the_block_of_an_overflow_in_a_later_row_block() -> None:
     m = tiny_model()
     m.blocks[1].mlp_out[...] = 1e308
@@ -662,6 +673,124 @@ def test_layer_norm_matches_the_plain_expression_bit_for_bit(n, t, d, data) -> N
         assert got[0] is out and got[1] is xhat
         for got, want in zip(got, plain_layer_norm(x, gain, bias)):
             _same_bits(got, want)
+
+
+# The block math's short-axis sums are BLAS products, which sum in another
+# order than numpy does; the tests below hold them within rounding of exact
+# sums (``math.fsum``).  A sum of d terms, each at most M in magnitude, is
+# off by at most about d ulps of M, so each bound is a few times d * eps *
+# M, plus a few of the smallest subnormal where a term or a quotient lands
+# among the subnormals.
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+_wide_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e-160, 1e150, -1e150]),
+    st.floats(-1e150, 1e150),
+    st.floats(-40.0, 40.0),
+)
+
+
+def _exact_means(x: np.ndarray) -> np.ndarray:
+    """Each last-axis row's correctly rounded sum, divided by its length."""
+    d = x.shape[-1]
+    return np.array([math.fsum(row) / d for row in x.reshape(-1, d)]).reshape(*x.shape[:-1], 1)
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(x), axis=-1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(2, 32), st.data())
+def test_layer_norm_is_within_rounding_of_the_exact_sums(n, t, d, data) -> None:
+    """The model's layer norm and the textbook one (``x.mean``, ``x.var``)
+    against fsum: each mean within d * eps * M; the variance, read back
+    from inv_std, within (2d + 16) eps (var + LN_EPS) + 2 (d eps M)^2; and
+    the centred values, read back as xhat / inv_std, within d eps M plus 4
+    eps of themselves, M being the row's largest magnitude.  ``out`` is
+    xhat * gain + bias, which the bit-for-bit test pins."""
+    x = data.draw(hnp.arrays(np.float64, (n, t, d), elements=_wide_floats))
+    gain = data.draw(hnp.arrays(np.float64, (d,), elements=st.floats(-4.0, 4.0)))
+    bias = data.draw(hnp.arrays(np.float64, (d,), elements=st.floats(-4.0, 4.0)))
+    big = _row_max(x)
+    mean = _exact_means(x)
+    centred = x - mean
+    var = _exact_means(centred * centred)
+    assert np.all(np.abs(model_mod._mean(x) - mean) <= d * _EPS * big + _TINY)
+    for layer_norm in (model_mod._layer_norm, textbook_layer_norm):
+        _, xhat, inv_std = layer_norm(x, gain, bias)
+        var_bound = (2 * d + 16) * _EPS * (var + model_mod.LN_EPS) + 2 * (d * _EPS * big) ** 2
+        assert np.all(np.abs(1.0 / (inv_std * inv_std) - model_mod.LN_EPS - var) <= var_bound), layer_norm
+        centred_bound = d * _EPS * big + 4 * _EPS * np.abs(centred) + 2 * _TINY * np.maximum(1.0, 1.0 / inv_std)
+        assert np.all(np.abs(xhat / inv_std - centred) <= centred_bound), layer_norm
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(2, 32), st.data())
+def test_layer_norm_input_grad_is_within_rounding_of_the_exact_sums(n, t, d, data) -> None:
+    """inv_std * (g - mean(g) - xhat * mean(g * xhat)), g = dy * gain, with
+    both means by fsum: the model is within inv_std * (2 (d + 4) eps (M_g
+    + |xhat| M_gx) + 2 d tiny) + 2 eps of the result, M_g and M_gx being
+    the largest magnitudes in the rows of g and g * xhat."""
+    dy = data.draw(hnp.arrays(np.float64, (n, t, d), elements=_wide_floats))
+    xhat = data.draw(hnp.arrays(np.float64, (n, t, d), elements=st.floats(-4.0, 4.0)))
+    inv_std = data.draw(hnp.arrays(np.float64, (n, t, 1), elements=st.floats(1e-3, 1e3)))
+    gain = data.draw(hnp.arrays(np.float64, (d,), elements=st.floats(-4.0, 4.0)))
+    g = dy * gain
+    want = inv_std * (g - _exact_means(g) - xhat * _exact_means(g * xhat))
+    got = model_mod._layer_norm_input_grad(dy, xhat, inv_std, gain)
+    scale = _row_max(g) + np.abs(xhat) * _row_max(g * xhat)
+    bound = inv_std * (2 * (d + 4) * _EPS * scale + 2 * d * _TINY) + 2 * _EPS * np.abs(want) + _TINY
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(2, 16), st.integers(2, 16), st.sampled_from([1.0, 10.0, 100.0]), st.data())
+def test_attention_softmax_is_within_rounding_of_the_exact_row_sums(n, t, d, weight_scale, data) -> None:
+    """Each attention probability within t * eps of itself (plus the
+    smallest subnormal) of exp(score - row max) / fsum(row): the scores and
+    their exponentials are formed as the model forms them, so only the
+    row sum differs.  Large weights spread the scores, so that some
+    exponentials underflow."""
+    a_in = data.draw(hnp.arrays(np.float64, (n, t, d), elements=_wide_floats))
+    m = init_model(ModelConfig(d_model=d, n_blocks=1, n_tokens=t), linalg.make_rng(t * 100 + d))
+    w = model_mod.weight_stack(m) * weight_scale
+    _, (_, _, _, q, k, _, probs, _) = model_mod._attention(m.blocks[0], w, a_in)
+    with np.errstate(under="ignore"):
+        e = np.matmul(q, k.transpose(0, 2, 1))
+        e *= 1.0 / math.sqrt(d)
+        e = np.exp(e - e.max(axis=-1, keepdims=True))
+    want = e / np.array([math.fsum(row) for row in e.reshape(-1, t)]).reshape(n, t, 1)
+    assert np.all(np.abs(probs - want) <= t * _EPS * want + _TINY)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 32), st.integers(2, 2100), st.data(), st.integers(0, 2**32 - 1))
+@example(16, 2100, None, 0)
+@example(8, 2100, None, 1)
+@example(16, 20_000, None, 2)
+def test_a_row_sum_rounds_the_same_whatever_rows_share_its_product(d, n_rows, data, seed) -> None:
+    """``predict`` sums a row block's rows where ``forward`` sums the whole
+    batch, so each row's sum must not depend on which rows share its
+    product.  Slices of 2 rows up are checked (the model's row count is
+    samples * n_tokens, at least 2).  The explicit examples cut the array
+    into ``predict``'s row blocks, and across a block edge; at 20,000 rows
+    the whole array's product is past BLAS's small-matrix kernel and the
+    blocks' are not.  Each row's magnitude is drawn from the subnormals to
+    1e150, its terms alike, so that the order of a sum shows in its
+    rounding."""
+    rng = linalg.make_rng(seed)
+    x = rng.normal(size=(n_rows, d)) * 10.0 ** rng.integers(-320, 150, size=(n_rows, 1))
+    whole = model_mod._row_sums(x)
+    if data is None:
+        step = model_mod.PREDICT_ROWS
+        slices = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+        slices += [(step - 3, step + 2), (step - 2, step + 1)]
+    else:
+        lo = data.draw(st.integers(0, n_rows - 2))
+        slices = [(lo, data.draw(st.integers(lo + 2, n_rows)))]
+    for lo, hi in slices:
+        assert model_mod._row_sums(x[lo:hi]).tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
 
 def test_predict_keeps_no_backward_cache() -> None:
