@@ -1,11 +1,14 @@
 """Command-line front end.  Every subcommand exits 0 on success; failures
-print one ``error: <type>: <message>`` line on stderr and exit 1."""
+print one ``error: <type>: <message>`` line on stderr and exit 1, and a
+stdout closed by its reader (``| head -1``) ends the command quietly with
+141, as SIGPIPE would."""
 
 from __future__ import annotations
 
 import argparse
 import ctypes
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -164,15 +167,14 @@ def _check_out(out: Path) -> None:
 
 
 def _keep_heap_resident() -> None:
-    """Keep a step's temporaries on the heap, process-wide.  By default glibc
-    serves every block above 128 KiB from a fresh mmap and hands freed heap
-    back to the OS, so each pass faults its memory in again; and it gives
-    each new thread an arena of its own, so ``predict``'s pool threads
-    would allocate from heaps beside the main one.  On a 2-core x86-64 VM
-    (numpy 2.4.6, OpenBLAS, one thread), a warmed-up default-shape 256-row
-    ``predict`` took about 1,056 minor page faults per call without it and
-    0 with it, a 32-row fine-tuning ``backward`` about 700 and 0.  Changes
-    no number; does nothing without glibc's ``mallopt``."""
+    """Keep a step's temporaries on the heap, process-wide, and in every
+    process it forks.  By default glibc serves every block above 128 KiB
+    from a fresh mmap and hands freed heap back to the OS, so each pass
+    faults its memory in again.  On a 2-core x86-64 VM (numpy 2.4.6,
+    OpenBLAS, one thread), a warmed-up default-shape 256-row ``predict``
+    took about 1,056 minor page faults per call without it and 0 with it,
+    a 32-row fine-tuning ``backward`` about 700 and 0.  Changes no number;
+    does nothing without glibc's ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to open
@@ -180,7 +182,6 @@ def _keep_heap_resident() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: blocks below 8 MiB come from the heap
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of freed heap
-    mallopt(-8, 1)  # M_ARENA_MAX: every thread allocates from the main heap
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,6 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
         args.run(args)
+    except BrokenPipeError:
+        # point stdout at nothing, so the flush at exit writes no line either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001 - the contract is a one-line error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

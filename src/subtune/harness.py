@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import ctypes
 import json
 import os
 import signal
@@ -57,9 +56,10 @@ from .model import (
     backward,
     clone_model,
     derive_model,
+    fork_child,
     init_model,
     predict,
-    stop_pool,
+    scoring_alone,
     usable_cpus,
 )
 
@@ -579,70 +579,26 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> tupl
     return results, failures
 
 
-def _end_with(parent: int) -> None:
-    """Have the kernel kill this process when ``parent`` ends (Linux's
-    ``PR_SET_PDEATHSIG``): a caller killed by a signal runs no ``finally``,
-    and its workers would run on until their tables were done.  Where
-    there is no ``prctl``, they do."""
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to open
-        return
-    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:  # the parent ended before the request was made
-        os._exit(1)
-
-
 def _fork_runner(cfg: TrainConfig, tables: list[_Table], i: int, n: int,
                  others: list[BinaryIO]) -> tuple[int, int, BinaryIO]:
-    """Fork the runner of tables i, i + n, ...: it ends when the caller
-    does (``_end_with``), closes every pipe end but its own write end
-    (``others`` are the read ends of the runners forked before it), writes
-    the ``_run_table`` outcome of each of its tables as one JSON list and
-    ends with ``os._exit``, 0 once everything is written.  Returns (i, its
-    pid, the read end of its pipe)."""
-    caller = os.getpid()
+    """Fork (``fork_child``) the runner of tables i, i + n, ...: it closes
+    every pipe end but its own write end (``others`` are the read ends of
+    the runners forked before it) and writes the ``_run_table`` outcome of
+    each of its tables as one JSON list.  Returns (i, its pid, the read end
+    of its pipe)."""
     read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            _end_with(caller)
-            os.close(read)
-            for pipe in others:
-                pipe.close()
-            outcomes = [_run_table(cfg, t, table, cells)
-                        for t, (table, _, cells) in enumerate(tables) if t % n == i]
-            with os.fdopen(write, "wb") as pipe:
-                pipe.write(json.dumps(outcomes).encode())
-            status = 0
-        finally:
-            os._exit(status)  # no caller frame, exit handler or stdio buffer runs in the child
+
+    def run() -> None:
+        os.close(read)
+        for pipe in others:
+            pipe.close()
+        outcomes = [_run_table(cfg, t, table, cells) for t, (table, _, cells) in enumerate(tables) if t % n == i]
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(json.dumps(outcomes).encode())
+
+    pid = fork_child(run)
     os.close(write)
     return i, pid, os.fdopen(read, "rb")
-
-
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count get and set calls of the OpenBLAS this process has
-    loaded, found through ``/proc/self/maps`` under the names of the
-    scipy-openblas, 64-bit-integer and plain builds; None where there is
-    no such library or map."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-        libraries = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return None
-    for library in libraries:
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
 
 
 def _run_tables(cfg: TrainConfig, tables: list[_Table]) -> list[tuple[list[dict], list[str]]]:
@@ -653,48 +609,40 @@ def _run_tables(cfg: TrainConfig, tables: list[_Table]) -> list[tuple[list[dict]
     round-trips every float exactly.  The tables share nothing, so each
     outcome is the one a serial run makes.  A fork copies only the forking
     thread, so the workers are forked only from a process with one thread:
-    ``predict``'s pool is stopped first, and if any other thread is alive
-    the tables run serially.  With more than one runner, OpenBLAS runs one thread in
-    each, since every CPU already has a runner (its threads change no
-    byte); its thread count is restored on the way out.  A worker that
-    ends other than with status 0 fails the run; on every way out, each
-    worker still running is killed, and every worker is reaped."""
+    if any other thread is alive the tables run serially.  With more than
+    one runner every CPU has one, so each scores alone (``scoring_alone``).
+    A worker that ends other than with status 0 fails the run; on every
+    way out, each worker still running is killed, and every worker is
+    reaped."""
     n = min(len(tables), usable_cpus()) if hasattr(os, "fork") else 1
-    if n > 1:
-        stop_pool()
-        if threading.active_count() > 1:
-            n = 1
-    blas = _openblas_threads() if n > 1 else None
-    blas_threads = blas[0]() if blas is not None else 1
+    if n > 1 and threading.active_count() > 1:
+        n = 1
     outcomes: list = [None] * len(tables)
     workers: list[tuple[int, int, BinaryIO]] = []  # (i, pid, read end), until reaped
-    try:
-        if blas is not None:
-            blas[1](1)
-        for i in range(1, n):
-            workers.append(_fork_runner(cfg, tables, i, n, [pipe for _, _, pipe in workers]))
-        for t in range(0, len(tables), n):
-            table, _, cells = tables[t]
-            outcomes[t] = _run_table(cfg, t, table, cells)
-        while workers:
-            i, pid, pipe = workers[0]
-            sent = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(0)
-            pipe.close()
-            if status != 0:
-                names = ", ".join(table for table, _, _ in tables[i::n])
-                ended = f"exit status {status}" if status > 0 else f"signal {-status}"
-                raise RuntimeError(f"the ablation worker for tables {names} ended with {ended}")
-            outcomes[i::n] = json.loads(sent)
-    finally:
-        for _, pid, pipe in workers:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if blas is not None:
-            blas[1](blas_threads)
+    with scoring_alone() if n > 1 else contextlib.nullcontext():
+        try:
+            for i in range(1, n):
+                workers.append(_fork_runner(cfg, tables, i, n, [pipe for _, _, pipe in workers]))
+            for t in range(0, len(tables), n):
+                table, _, cells = tables[t]
+                outcomes[t] = _run_table(cfg, t, table, cells)
+            while workers:
+                i, pid, pipe = workers[0]
+                sent = pipe.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                workers.pop(0)
+                pipe.close()
+                if status != 0:
+                    names = ", ".join(table for table, _, _ in tables[i::n])
+                    ended = f"exit status {status}" if status > 0 else f"signal {-status}"
+                    raise RuntimeError(f"the ablation worker for tables {names} ended with {ended}")
+                outcomes[i::n] = json.loads(sent)
+        finally:
+            for _, pid, pipe in workers:
+                pipe.close()
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     return outcomes
 
 

@@ -14,15 +14,20 @@ sums are BLAS products (``_row_sums``), rounding in BLAS's order.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import copy
+import ctypes
 import math
 import os
-import queue
+import pickle
+import signal
 import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -342,7 +347,7 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _ones(m: int) -> np.ndarray:
-    """A read-only (m, 8) block of ones, shared by ``predict``'s threads."""
+    """A read-only (m, 8) block of ones, shared by every caller."""
     ones = np.ones((m, 8))
     ones.setflags(write=False)
     return ones
@@ -570,85 +575,205 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# ``predict``'s pool: one task queue and thread per worker.  Threads are
-# made as a call first needs them and kept until ``stop_pool``, since a
-# thread made per call faults its stack and heap in anew.  A forked child
-# has none of its parent's threads, so it drops them and makes its own.
-# Plain ``threading`` and ``queue``: ``concurrent.futures`` imports
-# ``logging`` and more, which cost memory in runs that start no thread.
-_workers: list[tuple[queue.SimpleQueue, threading.Thread]] = []
-_workers_lock = threading.Lock()
-
-
-def _pool(n: int) -> list[queue.SimpleQueue]:
-    """The task queues of the pool's first ``n`` threads, starting any not
-    made yet."""
-    with _workers_lock:
-        while len(_workers) < n:
-            tasks: queue.SimpleQueue = queue.SimpleQueue()
-            thread = threading.Thread(target=_serve, args=(tasks,), name="subtune-predict", daemon=True)
-            thread.start()
-            _workers.append((tasks, thread))
-        return [tasks for tasks, _ in _workers[:n]]
-
-
-def stop_pool() -> None:
-    """End the pool's threads and wait for each; the next ``predict`` that
-    needs them makes them again."""
-    with _workers_lock:
-        for tasks, _ in _workers:
-            tasks.put(None)
-        for _, thread in _workers:
-            thread.join()
-        _workers.clear()
-
-
-def _drop_pool() -> None:
-    global _workers_lock
-    _workers.clear()
-    _workers_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """A pool thread: run each share it takes and put what ``_score_rows``
-    returns on the share's result queue, until it takes None; an error
-    outside any block ranks before every block's."""
-    while (task := tasks.get()) is not None:
-        share, results = task
-        del task
+def fork_child(child: Callable[[], None]) -> int:
+    """The pid of a forked process that runs ``child`` and ends with
+    ``os._exit``, 0 if ``child`` returned, so no caller frame, exit handler
+    or stdio buffer runs in it.  It is killed when the caller ends (Linux's
+    ``PR_SET_PDEATHSIG``), as a caller killed by a signal runs no cleanup."""
+    caller = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
         try:
-            result = _score_rows(*share)
-        except Exception as exc:  # noqa: BLE001 - the caller waits for a result and raises this one
-            result = (-1, 0, exc)
-        # drop the batch and the scratch buffer before the caller may free them
-        del share
-        results.put(result)
-        del result, results
+            with contextlib.suppress(AttributeError, OSError, TypeError):  # no symbol, or no C library
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+                prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+            if os.getppid() == caller:  # else the caller ended before the request was made
+                child()
+                status = 0
+        finally:
+            os._exit(status)
+    return pid
 
 
-def _score_rows(model: Model, w: np.ndarray, h: np.ndarray, starts: range, step: int,
-                errstate: dict[str, str], buf: np.ndarray) -> tuple[int, int, Exception] | None:
+@lru_cache(maxsize=1)
+def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count get and set calls of the OpenBLAS this process has
+    loaded, found through ``/proc/self/maps`` under the names of the
+    scipy-openblas, 64-bit-integer and plain builds; None where there is
+    no such library or map."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        libraries = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for library in libraries:
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run OpenBLAS on one thread in the block, for a process with a runner
+    on every CPU, where more would only contend; its threads change no
+    byte."""
+    blas = openblas_threads()
+    threads = blas[0]() if blas is not None else 1
+    if threads > 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if threads > 1:
+            blas[1](threads)
+
+
+# ``predict``'s helpers: (pid, request pipe, reply pipe) of each forked
+# scoring process, kept until ``stop_helpers`` (a fork round trip costs
+# about 3 ms, a default-shape 256-sample ``predict`` about 10 ms).
+_helpers: list[tuple[int, BinaryIO, BinaryIO]] = []
+_alone = False  # set by ``scoring_alone``
+
+
+def _fill(pipe: BinaryIO, array: np.ndarray) -> None:
+    if pipe.readinto(array) < array.nbytes:
+        raise EOFError
+
+
+def _serve(requests: BinaryIO, replies: BinaryIO) -> None:
+    """A helper's loop, until its request pipe ends.  A request is a pickled
+    header (config, rows sent, ``step``, numpy error handling), then one
+    float64 message: the weight stack, the blocks' ``FROZEN_SLOTS`` arrays
+    in ``model.params`` order and the helper's row blocks end to end.  The
+    reply is the pickled ``_score_rows`` result, its row start counted in
+    the rows sent, then, if that is None, the rows.  The arrays cross the
+    pipes unpickled: a pickled copy per call made the caller's heap drift
+    onto pages it still shared with the helpers since the fork, each a
+    fault on first write."""
+    buffer = np.empty(0)
+    while True:
+        try:
+            cfg, n_rows, step, errstate = pickle.load(requests)
+        except EOFError:
+            return
+        d, t, k = cfg.d_model, cfg.n_tokens, len(FROZEN_SLOTS)
+        shapes = [block_shapes(cfg)[slot] for slot in FROZEN_SLOTS] * cfg.n_blocks
+        ends = list(accumulate([cfg.n_decomposable * d * d, *map(math.prod, shapes), n_rows * t * d]))
+        if buffer.size < ends[-1]:
+            buffer = np.empty(ends[-1])
+        _fill(requests, buffer[: ends[-1]])
+        parts = [buffer[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        w, rows = parts[0].reshape(-1, d, d), parts[-1].reshape(n_rows, t, d)
+        frozen = [part.reshape(shape) for part, shape in zip(parts[1:-1], shapes)]
+        blocks = [Block(q=None, k=None, v=None, o=None, **dict(zip(FROZEN_SLOTS, frozen[i : i + k])))
+                  for i in range(0, len(frozen), k)]
+        try:
+            with np.errstate(**errstate):
+                failure = _score_rows(blocks, w, rows, range(0, n_rows, step), step,
+                                      np.empty(_scratch_size(min(step, n_rows), t, d)))
+        except Exception as exc:  # noqa: BLE001 - the caller raises it, before every block's error
+            failure = (-1, 0, exc)
+        pickle.dump(failure, replies)
+        if failure is None:
+            replies.write(rows)
+        replies.flush()
+
+
+def _fork_helper() -> tuple[int, BinaryIO, BinaryIO]:
+    """Fork a helper that runs one BLAS thread, since the caller runs on
+    another CPU, and ignores SIGINT, so a Ctrl-C prints the caller's
+    traceback alone; the fork hook has it close its siblings' pipes."""
+    (their_requests, requests), (replies, their_replies) = os.pipe(), os.pipe()
+
+    def serve() -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(requests)
+        os.close(replies)
+        with one_blas_thread(), os.fdopen(their_requests, "rb") as ask, os.fdopen(their_replies, "wb") as tell:
+            _serve(ask, tell)
+
+    pid = fork_child(serve)
+    os.close(their_requests)
+    os.close(their_replies)
+    return pid, os.fdopen(requests, "wb"), os.fdopen(replies, "rb")
+
+
+def _end(helper: tuple[int, BinaryIO, BinaryIO], kill: bool) -> str:
+    """Forget ``helper``, close its pipes, which ends it, or kill it, and
+    reap it; how it ended."""
+    pid, requests, replies = helper
+    _helpers.remove(helper)
+    with contextlib.suppress(OSError):  # a broken pipe
+        requests.close()
+    replies.close()
+    if kill:
+        os.kill(pid, signal.SIGKILL)  # no effect on one that has already ended
+    try:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:  # reaped elsewhere
+        return "an unknown status"
+    return f"exit status {status}" if status >= 0 else f"signal {-status}"
+
+
+def stop_helpers() -> None:
+    """End and reap every helper (also at exit); a later call forks anew."""
+    while _helpers:
+        _end(_helpers[-1], kill=False)
+
+
+def _forget_helpers() -> None:
+    """In a forked child: close the parent's helpers' pipes and forget them."""
+    for _, requests, replies in _helpers:
+        requests.close()
+        replies.close()
+    _helpers.clear()
+
+
+atexit.register(stop_helpers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+@contextlib.contextmanager
+def scoring_alone() -> Iterator[None]:
+    """For a caller that runs a process on every CPU: stop the helpers, and
+    while the block runs, in this process and in any forked in it, fork
+    none and run one BLAS thread."""
+    global _alone
+    stop_helpers()
+    before, _alone = _alone, True
+    try:
+        with one_blas_thread():
+            yield
+    finally:
+        _alone = before
+
+
+def _score_rows(blocks: list[Block], w: np.ndarray, h: np.ndarray, starts: range, step: int,
+                buf: np.ndarray) -> tuple[int, int, Exception] | None:
     """Run each row block that starts at one of ``starts`` through every
     block, writing its output back over its input, with its activations in
     the scratch buffer ``buf``.  A row block stops at its first error; the
-    result is the first error by (block, row start), or None.  ``errstate``
-    is the caller's numpy error handling, which is kept per thread."""
+    result is the first error by (block, row start), or None."""
     first = None
-    with np.errstate(**errstate):
-        for lo in starts:
-            rows = h[lo : lo + step]
-            for b, block in enumerate(model.blocks):
-                try:
-                    m_in = _attention(block, w[4 * b : 4 * b + 4], rows, buf)[0]
-                    _mlp(block, m_in, b, buf, rows)
-                except Exception as exc:  # noqa: BLE001 - raised by the caller, in the order forward meets it
-                    if first is None or (b, lo) < first[:2]:
-                        first = (b, lo, exc)
-                    break
+    for lo in starts:
+        rows = h[lo : lo + step]
+        for b, block in enumerate(blocks):
+            try:
+                m_in = _attention(block, w[4 * b : 4 * b + 4], rows, buf)[0]
+                _mlp(block, m_in, b, buf, rows)
+            except Exception as exc:  # noqa: BLE001 - raised by the caller, in the order forward meets it
+                if first is None or (b, lo) < first[:2]:
+                    first = (b, lo, exc)
+                break
     return first
 
 
@@ -661,30 +786,60 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     alive per runner, in a scratch buffer of its own.  A sample's tokens
     attend only to each other, so row blocks are independent: the batch
     runs on n = min(row blocks, usable CPUs) runners, the caller and n - 1
-    threads of a persistent pool, each taking every n-th row block, so a
-    batch of one row block, or a process on one CPU, starts no thread.
-    numpy releases the interpreter lock in its products and elementwise
-    loops, so the runners overlap.  The caller makes every runner's buffer
-    before any starts, so what a call allocates does not depend on how the
-    threads interleave.  An error is raised by the caller, and it is the one
-    for the lowest (block, row block), the error ``forward`` raises.  The
-    embedding and the head see the whole batch: the head's (N, d) @ (d, 1)
-    product rounds differently with N."""
+    helpers (``_serve``), each taking every n-th row block, on one BLAS
+    thread.  Helpers are processes, since every numpy call takes the
+    interpreter lock first: two threads scored at 0.9-1.2x one thread's
+    rate, two processes at 1.9-2.0x (2-vCPU x86-64).  One is forked when a
+    call first needs it, only from a process with one thread (a fork copies
+    only the forking thread) and outside ``scoring_alone``; otherwise the
+    call is serial, as under a numpy error mode of ``call`` or ``log``,
+    whose callback only the caller can run.  An error is raised by the
+    caller, and it is the one for the lowest (block, row block), the error
+    ``forward`` raises; a helper whose pipe breaks is killed and forgotten,
+    and the call raises a RuntimeError that names it.  The embedding and
+    the head see the whole batch: the head's (N, d) @ (d, 1) product rounds
+    differently with N."""
     h = _embed(model, inputs)
     w = weight_stack(model)
     step = max(1, PREDICT_ROWS // model.config.n_tokens)
     starts = range(0, h.shape[0], step)
-    runners = min(len(starts), usable_cpus())
-    bufs = [np.empty(_scratch_size(min(step, h.shape[0]), *h.shape[1:])) for _ in range(runners)]
     errstate = np.geterr()
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    for i, tasks in enumerate(_pool(runners - 1), start=1):
-        tasks.put(((model, w, h, starts[i::runners], step, errstate, bufs[i]), results))
+    callback = {"call", "log"} & set(errstate.values())
+    serial = _alone or callback or threading.active_count() > 1 or not hasattr(os, "fork")
+    n = 1 if serial else min(len(starts), usable_cpus())
+    while len(_helpers) < n - 1:
+        _helpers.append(_fork_helper())
+    frozen = model.params[model.layout.offsets[3] :]
+    helpers = _helpers[: n - 1]
+    failures, unread, helper = [], list(helpers), None
     try:
-        mine = _score_rows(model, w, h, starts[::runners], step, errstate, bufs[0])
-    finally:  # the workers write into h: wait for every one of them
-        theirs = [results.get() for _ in range(1, runners)]
-    failures = [failure for failure in (mine, *theirs) if failure is not None]
+        with one_blas_thread() if helpers else contextlib.nullcontext():
+            for i, helper in enumerate(helpers, start=1):
+                share = [h[lo : lo + step] for lo in starts[i::n]]
+                pickle.dump((model.config, sum(map(len, share)), step, errstate), helper[1])
+                for part in (w, frozen, *share):
+                    helper[1].write(part)
+                helper[1].flush()
+            helper = None
+            failures.append(_score_rows(model.blocks, w, h, starts[::n], step,
+                                        np.empty(_scratch_size(min(step, h.shape[0]), *h.shape[1:]))))
+            for i, helper in enumerate(helpers, start=1):
+                failure = pickle.load(helper[2])
+                for lo in starts[i::n] if failure is None else ():
+                    _fill(helper[2], h[lo : lo + step])
+                unread.remove(helper)
+                if failure is not None:
+                    b, lo, exc = failure
+                    failures.append((b, starts[i::n][lo // step] if b >= 0 else lo, exc))
+    except (OSError, EOFError, pickle.UnpicklingError):
+        if helper is None:
+            raise
+        raise RuntimeError(f"scoring helper {helper[0]} ended with {_end(helper, kill=True)}") from None
+    finally:  # a helper whose reply was not read in full is out of step
+        for helper in unread:
+            if helper in _helpers:
+                _end(helper, kill=True)
+    failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
     return _head(model, h)[1]

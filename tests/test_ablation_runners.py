@@ -18,10 +18,18 @@ import pytest
 import yaml
 
 from oracles import child_env
-from subtune import cli, harness
+from subtune import cli, harness, model
 from subtune.config import config_from_dict
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+
+
+@pytest.fixture(autouse=True)
+def no_helpers():
+    """``predict``'s helpers from earlier tests are children too: stop them,
+    so that ``assert_no_child`` sees the table runners alone."""
+    model.stop_helpers()
+
 
 # d_model 8 leaves no rank for K=9, so the subspaces table has a failed cell
 TINY = {
@@ -146,7 +154,7 @@ def test_an_interrupted_caller_kills_and_reaps_every_worker(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("n, seen", [(1, "2"), (2, "1")])
 def test_forked_runners_score_on_one_blas_thread_and_the_count_is_restored(tmp_path, monkeypatch, n, seen) -> None:
-    blas = harness._openblas_threads()
+    blas = model.openblas_threads()
     if blas is None:
         pytest.skip("no OpenBLAS thread-count call found in this process")
     get, put = blas
@@ -164,6 +172,35 @@ def test_forked_runners_score_on_one_blas_thread_and_the_count_is_restored(tmp_p
     finally:
         put(before)
     assert {line.rsplit(",", 1)[1] for p in paths for line in p.read_text().splitlines()[1:]} == {f"blas{seen}"}
+
+
+def test_no_table_runner_forks_a_scoring_helper(tmp_path, monkeypatch) -> None:
+    # 200 test samples at 6 tokens are two of predict's row blocks
+    cfg = config_from_dict({**TINY, "data": {**TINY["data"], "n_test": 200}})
+    report_cpus(monkeypatch, 2)
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def recorded(name, real):
+        def call(*args, **kwargs):
+            os.write(log, f"{name} {len(args[1]) if name == 'predict' else ''}\n".encode())
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(harness, "predict", recorded("predict", harness.predict))
+    monkeypatch.setattr(model, "_fork_helper", recorded("fork", model._fork_helper))
+    try:
+        with deadline(120):
+            harness.run_ablation(cfg, tmp_path / "out")
+        assert_no_child()
+        # outside the tables, a batch of that size does fork a helper
+        m = model.init_model(cfg.model, harness.make_rng(0))
+        model.predict(m, harness.make_rng(1).normal(size=(200, 6, 8)))
+        model.stop_helpers()
+    finally:
+        os.close(log)
+    calls = (tmp_path / "log").read_text().splitlines()
+    assert max(int(line.split()[1]) for line in calls if line.startswith("predict")) == 200
+    assert [line for line in calls if line.startswith("fork")] == [calls[-1]]
 
 
 # a fresh interpreter runs `subtune ablate` with the out directory relative

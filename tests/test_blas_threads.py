@@ -24,7 +24,7 @@ _FILES = ("pretrained.ckpt", "train_log.csv", "finetuned.ckpt", "robustness.csv"
 _CHILD = """
 import json, sys
 from pathlib import Path
-from subtune import cli, harness
+from subtune import cli, model
 
 config, out = sys.argv[1], Path(sys.argv[2])
 for argv in (["pretrain", "--out", out], ["finetune", "--checkpoint", out / "pretrained.ckpt", "--out", out],
@@ -32,7 +32,7 @@ for argv in (["pretrain", "--out", out], ["finetune", "--checkpoint", out / "pre
     if cli.main([str(a) for a in argv] + ["--config", config]) != 0:
         sys.exit(f"{argv[0]} failed")
 
-blas = harness._openblas_threads()
+blas = model.openblas_threads()
 print(json.dumps(blas[0]() if blas is not None else None))
 """
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from oracles import binary_head
+from oracles import binary_head, child_env
 from subtune import cli, harness
 from subtune.checkpoint import load_model, save_model
 from subtune.cli import main
@@ -11,6 +15,8 @@ from subtune.config import config_from_dict
 from subtune.decomposition import DecompositionConfig
 from subtune.linalg import make_rng
 from subtune.model import ModelConfig, attention_slots, derive_model, init_model
+
+DATA = Path(__file__).parent / "data"
 
 TINY = {
     "seed": 11,
@@ -341,3 +347,15 @@ def test_unreadable_yaml_is_a_one_line_error_naming_the_file(tmp_path, capsys, t
 def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [["inspect", "--checkpoint", str(DATA / "tiny_decomposed.ckpt")], ["gradcheck"]])
+def test_a_closed_stdout_ends_the_command_quietly(argv) -> None:
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the first line is written
+    try:
+        done = subprocess.run([sys.executable, "-m", "subtune.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=child_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 import os
 import signal
-import threading
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import binary_head, projection_param_vector
+from oracles import binary_head, child_env, projection_param_vector
 from reference_forward import (
     _gelu_scalar,
     plain_gelu,
@@ -39,7 +41,7 @@ from subtune.model import (
     forward,
     init_model,
     predict,
-    stop_pool,
+    stop_helpers,
 )
 
 
@@ -481,25 +483,61 @@ def test_predict_names_the_block_of_an_overflow_in_a_later_row_block() -> None:
             fn(m, x)
 
 
+class Seen:
+    """The pid of the process that ran each (block, row block) pair of
+    ``predict`` since the last ``clear``, read from a file that the caller
+    and its helpers append to."""
+
+    def __init__(self, path) -> None:
+        self.fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND)
+
+    def record(self) -> None:
+        os.write(self.fd, b"%d\n" % os.getpid())
+
+    def clear(self) -> None:
+        os.ftruncate(self.fd, 0)
+
+    def __call__(self) -> list[int]:
+        os.lseek(self.fd, 0, os.SEEK_SET)
+        return [int(line) for line in os.read(self.fd, 1 << 20).split()]
+
+
 @pytest.fixture
-def runners(monkeypatch):
+def runners(monkeypatch, tmp_path):
     """Calling the fixture's value with n makes the process report n usable
-    CPUs; the list it returns collects the thread that runs each (block,
-    row block) pair of ``predict``."""
-    seen: list[int] = []
+    CPUs; the ``Seen`` it returns collects the process that runs each
+    (block, row block) pair of ``predict``.  A helper holds the code of its
+    fork, so the helpers are stopped before the recorder goes in and after
+    the test."""
+    seen = Seen(tmp_path / "pids")
     attention = model_mod._attention
 
     def recorded(*args):
-        seen.append(threading.get_ident())
+        seen.record()
         return attention(*args)
 
+    stop_helpers()
     monkeypatch.setattr(model_mod, "_attention", recorded)
 
-    def set_cpus(n: int) -> list[int]:
+    def set_cpus(n: int) -> Seen:
         monkeypatch.setattr(model_mod.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         return seen
 
-    return set_cpus
+    yield set_cpus
+    stop_helpers()
+    os.close(seen.fd)
+
+
+def helper_pids() -> list[int]:
+    return [pid for pid, _, _ in model_mod._helpers]
+
+
+def gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("n_runners", [1, 2, 3])
@@ -512,19 +550,18 @@ def test_predict_is_forward_probs_bit_for_bit_on_every_runner_count(runners, n_r
     seen.clear()
     assert predict(m, x).tobytes() == want
     n_row_blocks = -(-n // _ROW_BLOCK)
-    assert len(seen) == n_row_blocks * m.config.n_blocks
-    assert len(set(seen)) == min(n_runners, n_row_blocks)
-    assert predict(m, x).tobytes() == want  # again, on the pool the first call made
+    assert len(seen()) == n_row_blocks * m.config.n_blocks
+    assert len(set(seen())) == min(n_runners, n_row_blocks)
+    assert predict(m, x).tobytes() == want  # again, on the helpers the first call forked
 
 
 @pytest.mark.parametrize("n_runners, n", [(2, _ROW_BLOCK), (1, 3 * _ROW_BLOCK)])
-def test_predict_starts_no_thread_for_one_row_block_or_one_cpu(runners, n_runners, n) -> None:
+def test_predict_forks_no_helper_for_one_row_block_or_one_cpu(runners, n_runners, n) -> None:
     seen = runners(n_runners)
     m = tiny_model()
-    threads = threading.active_count()
     predict(m, linalg.make_rng(0).normal(size=(n, m.config.n_tokens, m.config.d_model)))
-    assert set(seen) == {threading.get_ident()}
-    assert threading.active_count() == threads
+    assert set(seen()) == {os.getpid()}
+    assert helper_pids() == []
 
 
 def _overflow_in_two_row_blocks():
@@ -554,46 +591,124 @@ def test_predict_raises_the_error_of_the_lowest_block_across_runners(runners) ->
             fn(m, x)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="block 3$"):
         predict(m, x[:_ROW_BLOCK])
-    assert len(set(seen)) == 2  # the row blocks did run on two threads
+    assert len(set(seen())) == 2  # the row blocks did run on two processes
     assert predict(healthy, x).tobytes() == want
 
 
+def test_an_overflow_in_a_helper_raises_what_forward_raises_under_the_callers_error_state(runners) -> None:
+    seen = runners(2)
+    m = tiny_model()
+    m.blocks[1].mlp_out[...] = 1e308
+    # only the last sample, in the helper's row block, overflows
+    x = np.zeros((2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
+    # the helper is forked here, under numpy's default error handling
+    assert np.all(np.isfinite(predict(m, x)))
+    assert len(helper_pids()) == 1
+    x[-1] = linalg.make_rng(3).normal(size=x.shape[1:])
+    raised = {}
+    for fn in (forward, predict):
+        with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError) as error:
+            fn(m, x)
+        raised[fn.__name__] = str(error.value)
+    assert raised["predict"] == raised["forward"]
+    assert len(set(seen())) == 2
+
+
+@pytest.mark.parametrize("mode", ["call", "log"])
+def test_an_error_callback_makes_the_call_serial(runners, mode) -> None:
+    seen = runners(2)
+    m = tiny_model(decomposed=True)
+    x = linalg.make_rng(4).normal(size=(2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
+    want = forward(m, x).probs.tobytes()
+
+    class Log:
+        def write(self, message: str) -> None:
+            pass
+
+    seen.clear()
+    with np.errstate(all=mode, call=print if mode == "call" else Log()):
+        assert predict(m, x).tobytes() == want
+    assert set(seen()) == {os.getpid()}
+    assert helper_pids() == []
+
+
 @pytest.mark.parametrize("where", ["_attention", "_score_rows"])  # inside a block, or around them
-def test_an_error_in_a_worker_reaches_the_caller(runners, monkeypatch, where) -> None:
+def test_an_error_in_a_helper_reaches_the_caller(runners, monkeypatch, where) -> None:
     runners(2)
     m = tiny_model()
     x = linalg.make_rng(1).normal(size=(2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
     want = predict(m, x).tobytes()
     original = getattr(model_mod, where)
-    caller = threading.get_ident()
+    caller = os.getpid()
 
     def failing(*args):
-        if threading.get_ident() != caller:
-            raise RuntimeError("worker failed")
+        if os.getpid() != caller:
+            raise RuntimeError("helper failed")
         return original(*args)
 
+    stop_helpers()  # so the next helper is forked with the failing code
     monkeypatch.setattr(model_mod, where, failing)
-    with pytest.raises(RuntimeError, match="worker failed"):
+    with pytest.raises(RuntimeError, match="helper failed"):
         predict(m, x)
     monkeypatch.setattr(model_mod, where, original)
+    stop_helpers()
     assert predict(m, x).tobytes() == want
 
 
-def test_a_stopped_pool_leaves_no_thread_and_the_next_call_makes_it_again(runners) -> None:
+def test_stopped_helpers_are_reaped_and_the_next_call_forks_new_ones(runners) -> None:
     seen = runners(2)
     m = tiny_model(decomposed=True)
     x = linalg.make_rng(3).normal(size=(2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
     want = forward(m, x).probs.tobytes()
-    stop_pool()
-    baseline = threading.active_count()
     assert predict(m, x).tobytes() == want
-    assert threading.active_count() == baseline + 1
-    stop_pool()
-    assert threading.active_count() == baseline
+    first = helper_pids()
+    assert len(first) == 1
+    stop_helpers()
+    assert helper_pids() == [] and gone(first[0])
     seen.clear()
     assert predict(m, x).tobytes() == want
-    assert len(set(seen)) == 2  # the row blocks ran on the caller and a new pool thread
-    assert threading.active_count() == baseline + 1
+    assert len(set(seen())) == 2  # the row blocks ran on the caller and a new helper
+    assert len(helper_pids()) == 1 and helper_pids() != first
+
+
+def test_a_killed_helper_fails_one_call_by_name_and_the_next_forks_a_new_one(runners) -> None:
+    runners(2)
+    m = tiny_model(decomposed=True)
+    x = linalg.make_rng(5).normal(size=(2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
+    want = forward(m, x).probs.tobytes()
+    assert predict(m, x).tobytes() == want
+    (pid,) = helper_pids()
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError) as raised:
+        predict(m, x)
+    assert str(raised.value) == f"scoring helper {pid} ended with signal 9"
+    assert helper_pids() == [] and gone(pid)
+    assert predict(m, x).tobytes() == want
+    assert len(helper_pids()) == 1
+
+
+# a fresh interpreter that reports two usable CPUs scores a two-row-block
+# batch, prints its helpers' pids and exits
+_SCORES_AND_EXITS = """
+import json, os
+from subtune import linalg, model
+from subtune.model import ModelConfig, init_model, predict
+
+os.sched_getaffinity = lambda pid: {0, 1}
+m = init_model(ModelConfig(), linalg.make_rng(0))
+predict(m, linalg.make_rng(1).normal(size=(2 * model.PREDICT_ROWS // 8, 8, 16)))
+print(json.dumps([pid for pid, _, _ in model._helpers]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_no_helper_outlives_its_process() -> None:
+    done = subprocess.run([sys.executable, "-c", _SCORES_AND_EXITS], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    pids = json.loads(done.stdout)
+    assert len(pids) == 1
+    assert all(gone(pid) for pid in pids)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -602,15 +717,20 @@ def test_a_forked_child_scores_as_its_parent(runners) -> None:
     m = tiny_model(decomposed=True)
     x = linalg.make_rng(2).normal(size=(2 * _ROW_BLOCK + 1, m.config.n_tokens, m.config.d_model))
     want = predict(m, x).tobytes()
-    assert len(set(seen)) == 2
-    with warnings.catch_warnings():  # newer Pythons warn about forking a process with threads
+    parents = helper_pids()
+    assert len(parents) == 1
+    with warnings.catch_warnings():  # newer Pythons warn about forking beside BLAS threads
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
-    if pid == 0:  # the child: its parent's pool thread is gone, so it must make its own
+    if pid == 0:  # the child: it forgets its parent's helper and forks its own
         code = 1
         try:
             seen.clear()
-            code = 0 if predict(m, x).tobytes() == want and len(set(seen)) == 2 else 2
+            same = predict(m, x).tobytes() == want
+            runs = set(seen())
+            mine = helper_pids()
+            stop_helpers()
+            code = 0 if same and runs == {os.getpid(), *mine} and len(mine) == 1 and mine != parents else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
@@ -621,6 +741,10 @@ def test_a_forked_child_scores_as_its_parent(runners) -> None:
         os.waitpid(pid, 0)
         pytest.fail("the forked child did not finish within 60 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+    # the parent's helper is still its own
+    seen.clear()
+    assert predict(m, x).tobytes() == want
+    assert helper_pids() == parents and set(seen()) == {os.getpid(), *parents}
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
