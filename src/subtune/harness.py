@@ -7,7 +7,8 @@ epoch's shuffle draw from their own keyed streams of the seed, the cells of
 an ablation table fine-tune one backbone on one set of splits, and result
 CSVs round to 6 decimals.  The ablation tables share nothing, so they run
 on n = min(4 tables, usable CPUs) runners, the caller and n - 1 forked
-workers, and the caller writes every byte in table order.
+helpers like those ``predict`` scores on (``model.run_calls``), and the
+caller writes every byte in table order.
 Both phases step one ``masking.OptimizerState``.  A fine-tune starts from
 a ``FinetuneState``, fresh or taken after k steps, so cells that share a
 prefix run it once, and its ``RunRecord`` is that state run to the end.
@@ -16,18 +17,14 @@ Wall-clock time appears only in the run summary, never in a CSV.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import json
-import os
-import signal
 import sys
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,16 +48,17 @@ from .masking import (
     update_stats,
 )
 from .model import (
+    Call,
     Model,
     attention_slots,
     backward,
     clone_model,
     derive_model,
-    fork_child,
     init_model,
     predict,
-    scoring_alone,
-    usable_cpus,
+    run_calls,
+    runners,
+    stop_helpers,
 )
 
 # stream keys, above the data streams': make_rng(seed, key[, epoch])
@@ -579,76 +577,37 @@ def _run_table(cfg: TrainConfig, t: int, table: str, cells: list[_Cell]) -> tupl
     return results, failures
 
 
-def _fork_runner(cfg: TrainConfig, tables: list[_Table], i: int, n: int,
-                 others: list[BinaryIO]) -> tuple[int, int, BinaryIO]:
-    """Fork (``fork_child``) the runner of tables i, i + n, ...: it closes
-    every pipe end but its own write end (``others`` are the read ends of
-    the runners forked before it) and writes the ``_run_table`` outcome of
-    each of its tables as one JSON list.  Returns (i, its pid, the read end
-    of its pipe)."""
-    read, write = os.pipe()
-
-    def run() -> None:
-        os.close(read)
-        for pipe in others:
-            pipe.close()
-        outcomes = [_run_table(cfg, t, table, cells) for t, (table, _, cells) in enumerate(tables) if t % n == i]
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(json.dumps(outcomes).encode())
-
-    pid = fork_child(run)
-    os.close(write)
-    return i, pid, os.fdopen(read, "rb")
+def _run_share(cfg: TrainConfig, tables: list[_Table], i: int, n: int) -> tuple[list, list]:
+    """Runner i's part of ``_run_tables`` as a ``Call`` returns it: the
+    ``_run_table`` outcome of each table t = i (mod n), and no arrays."""
+    return [_run_table(cfg, t, table, cells) for t, (table, _, cells) in enumerate(tables) if t % n == i], []
 
 
 def _run_tables(cfg: TrainConfig, tables: list[_Table]) -> list[tuple[list[dict], list[str]]]:
     """The ``_run_table`` outcome of each table, in table order, from
-    n = min(tables, usable CPUs) runners.  The caller runs tables
-    t = 0 (mod n), and each of n - 1 workers, forked first, runs tables
-    t = i (mod n) and sends their outcomes back as JSON, which
-    round-trips every float exactly.  The tables share nothing, so each
-    outcome is the one a serial run makes.  A fork copies only the forking
-    thread, so the workers are forked only from a process with one thread:
-    if any other thread is alive the tables run serially.  With more than
-    one runner every CPU has one, so each scores alone (``scoring_alone``).
-    A worker that ends other than with status 0 fails the run; on every
-    way out, each worker still running is killed, and every worker is
-    reaped."""
-    n = min(len(tables), usable_cpus()) if hasattr(os, "fork") else 1
-    if n > 1 and threading.active_count() > 1:
-        n = 1
+    n = ``runners(tables)`` runners: the caller runs tables t = 0 (mod n)
+    and helper i of n - 1 tables t = i (mod n) (``run_calls``), fresh forks
+    of this process, stopped on every way out.  The tables share nothing,
+    so each outcome is the one a serial run makes.  A helper that ends
+    mid-call fails the run with an error that names its tables."""
+    n = runners(len(tables))
+    calls = [Call(f"the ablation worker for tables {', '.join(table for table, _, _ in tables[i::n])}",
+                  _run_share, (cfg, tables, i, n)) for i in range(1, n)]
+    stop_helpers()
+    try:
+        mine, theirs = run_calls(calls, lambda: _run_share(cfg, tables, 0, n)[0])
+    finally:
+        stop_helpers()
     outcomes: list = [None] * len(tables)
-    workers: list[tuple[int, int, BinaryIO]] = []  # (i, pid, read end), until reaped
-    with scoring_alone() if n > 1 else contextlib.nullcontext():
-        try:
-            for i in range(1, n):
-                workers.append(_fork_runner(cfg, tables, i, n, [pipe for _, _, pipe in workers]))
-            for t in range(0, len(tables), n):
-                table, _, cells = tables[t]
-                outcomes[t] = _run_table(cfg, t, table, cells)
-            while workers:
-                i, pid, pipe = workers[0]
-                sent = pipe.read()
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                workers.pop(0)
-                pipe.close()
-                if status != 0:
-                    names = ", ".join(table for table, _, _ in tables[i::n])
-                    ended = f"exit status {status}" if status > 0 else f"signal {-status}"
-                    raise RuntimeError(f"the ablation worker for tables {names} ended with {ended}")
-                outcomes[i::n] = json.loads(sent)
-        finally:
-            for _, pid, pipe in workers:
-                pipe.close()
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+    for i, share in enumerate([mine, *theirs]):
+        outcomes[i::n] = share
     return outcomes
 
 
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[Path]:
     """The four tables of ``_ablation_tables``, each one paired draw run by
-    ``_run_table``, on min(4, usable CPUs) runners (``_run_tables``).
+    ``_run_table``, on min(4, usable CPUs) runners, the caller and helpers
+    (``_run_tables``).
     Failures are recorded in the status column and the sweep continues.
     Every table's CSV and stderr lines are written here, in table order, so
     every byte is the one a serial run writes."""

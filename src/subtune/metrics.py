@@ -35,23 +35,6 @@ def _validated(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels.astype(np.int64)
 
 
-def _split_counts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return scores[labels == 1], scores[labels == 0]
-
-
-def auc(s: ScoredSet) -> float:
-    """Probability a positive outscores a negative, ties counting half."""
-    scores, labels = _validated(s)
-    pos, neg = _split_counts(scores, labels)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("AUC needs at least one positive and one negative")
-    neg_sorted = np.sort(neg)
-    below = np.searchsorted(neg_sorted, pos, side="left").sum()
-    equal = (np.searchsorted(neg_sorted, pos, side="right") - np.searchsorted(neg_sorted, pos, side="left")).sum()
-    num = Fraction(int(2 * below + equal), 2)
-    return float(num / (pos.size * neg.size))
-
-
 def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative true- and false-positive counts of a descending-threshold
     sweep: entry 0 is the empty prefix, then one entry per distinct score,
@@ -62,6 +45,20 @@ def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     tp = np.concatenate(([0], np.cumsum(labels[order])[ends]))
     fp = np.concatenate(([0], ends + 1)) - tp
     return tp, fp
+
+
+def auc(s: ScoredSet) -> float:
+    """Probability a positive outscores a negative, ties counting half.
+    Each block of the sweep pairs its negatives with the positives above it
+    and, at half weight, with its own, so 2 * n_pos * n_neg * AUC is the
+    exact sum over blocks of (fp_i - fp_(i-1)) * (tp_(i-1) + tp_i)."""
+    scores, labels = _validated(s)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs at least one positive and one negative")
+    tp, fp = _sweep(scores, labels)
+    return float(Fraction(int((np.diff(fp) * (tp[:-1] + tp[1:])).sum()), 2 * n_pos * n_neg))
 
 
 def average_precision(s: ScoredSet) -> float:

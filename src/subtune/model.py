@@ -22,12 +22,14 @@ import math
 import os
 import pickle
 import signal
+import sys
 import threading
-from collections.abc import Callable, Iterator
+import warnings
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import BinaryIO, Union
+from typing import BinaryIO, NamedTuple, Union
 
 import numpy as np
 
@@ -566,37 +568,6 @@ def forward(model: Model, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(blocks=caches, weights=w, pool=pool, probs=probs)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: ``os.sched_getaffinity``, else
-    ``os.cpu_count()``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def fork_child(child: Callable[[], None]) -> int:
-    """The pid of a forked process that runs ``child`` and ends with
-    ``os._exit``, 0 if ``child`` returned, so no caller frame, exit handler
-    or stdio buffer runs in it.  It is killed when the caller ends (Linux's
-    ``PR_SET_PDEATHSIG``), as a caller killed by a signal runs no cleanup."""
-    caller = os.getpid()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            with contextlib.suppress(AttributeError, OSError, TypeError):  # no symbol, or no C library
-                prctl = ctypes.CDLL(None).prctl
-                prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-                prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-            if os.getppid() == caller:  # else the caller ended before the request was made
-                child()
-                status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
 @lru_cache(maxsize=1)
 def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """The thread-count get and set calls of the OpenBLAS this process has
@@ -636,11 +607,33 @@ def one_blas_thread() -> Iterator[None]:
             blas[1](threads)
 
 
-# ``predict``'s helpers: (pid, request pipe, reply pipe) of each forked
-# scoring process, kept until ``stop_helpers`` (a fork round trip costs
-# about 3 ms, a default-shape 256-sample ``predict`` about 10 ms).
+# (pid, request pipe, reply pipe) of each helper, kept until ``stop_helpers``
+# (a fork round trip costs about 3 ms, a default-shape 256-sample ``predict``
+# about 10 ms); ``_alone`` in a helper, and in a caller while its helpers run
 _helpers: list[tuple[int, BinaryIO, BinaryIO]] = []
-_alone = False  # set by ``scoring_alone``
+_alone = False
+
+
+class Call(NamedTuple):
+    """Work for a helper: the module-level function ``fn``, run there as
+    ``fn(*args, *arrays)``, returns (value, arrays), which are read back
+    over the last of ``arrays``, as if it had run here.  ``name`` names the
+    helper, ``{pid}`` its pid, in the error raised if it ends mid-call."""
+
+    name: str
+    fn: Callable
+    args: tuple
+    arrays: Sequence[np.ndarray] = ()
+
+
+def runners(shares: int) -> int:
+    """The processes to run ``shares`` shares of work on: one per usable CPU
+    up to ``shares``, but 1 in a process that is alone, cannot fork or has
+    another thread alive (a fork copies only the forking thread)."""
+    if _alone or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return 1
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(shares, usable)
 
 
 def _fill(pipe: BinaryIO, array: np.ndarray) -> None:
@@ -649,58 +642,62 @@ def _fill(pipe: BinaryIO, array: np.ndarray) -> None:
 
 
 def _serve(requests: BinaryIO, replies: BinaryIO) -> None:
-    """A helper's loop, until its request pipe ends.  A request is a pickled
-    header (config, rows sent, ``step``, numpy error handling), then one
-    float64 message: the weight stack, the blocks' ``FROZEN_SLOTS`` arrays
-    in ``model.params`` order and the helper's row blocks end to end.  The
-    reply is the pickled ``_score_rows`` result, its row start counted in
-    the rows sent, then, if that is None, the rows.  The arrays cross the
-    pipes unpickled: a pickled copy per call made the caller's heap drift
-    onto pages it still shared with the helpers since the fork, each a
-    fault on first write."""
+    """A helper's loop, until its request pipe ends.  A request is a
+    ``Call``'s pickled (function, args, array shapes), then its arrays, raw
+    float64, read into one reused buffer; the reply is a pickled (value,
+    array count, the warnings the call raised), then the arrays, raw.  The
+    arrays cross unpickled: a pickled copy per call made the caller's heap
+    drift onto pages it still shared with the helpers since the fork, each
+    a fault on first write.  An exception of the call ends the helper."""
     buffer = np.empty(0)
     while True:
         try:
-            cfg, n_rows, step, errstate = pickle.load(requests)
+            fn, args, shapes = pickle.load(requests)
         except EOFError:
             return
-        d, t, k = cfg.d_model, cfg.n_tokens, len(FROZEN_SLOTS)
-        shapes = [block_shapes(cfg)[slot] for slot in FROZEN_SLOTS] * cfg.n_blocks
-        ends = list(accumulate([cfg.n_decomposable * d * d, *map(math.prod, shapes), n_rows * t * d]))
+        ends = list(accumulate(map(math.prod, shapes), initial=0))
         if buffer.size < ends[-1]:
             buffer = np.empty(ends[-1])
         _fill(requests, buffer[: ends[-1]])
-        parts = [buffer[lo:hi] for lo, hi in zip([0, *ends], ends)]
-        w, rows = parts[0].reshape(-1, d, d), parts[-1].reshape(n_rows, t, d)
-        frozen = [part.reshape(shape) for part, shape in zip(parts[1:-1], shapes)]
-        blocks = [Block(q=None, k=None, v=None, o=None, **dict(zip(FROZEN_SLOTS, frozen[i : i + k])))
-                  for i in range(0, len(frozen), k)]
-        try:
-            with np.errstate(**errstate):
-                failure = _score_rows(blocks, w, rows, range(0, n_rows, step), step,
-                                      np.empty(_scratch_size(min(step, n_rows), t, d)))
-        except Exception as exc:  # noqa: BLE001 - the caller raises it, before every block's error
-            failure = (-1, 0, exc)
-        pickle.dump(failure, replies)
-        if failure is None:
-            replies.write(rows)
+        arrays = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value, out = fn(*args, *arrays)
+        pickle.dump((value, len(out), [(w.message, w.category, w.filename, w.lineno) for w in caught]), replies)
+        replies.writelines(out)
         replies.flush()
 
 
 def _fork_helper() -> tuple[int, BinaryIO, BinaryIO]:
-    """Fork a helper that runs one BLAS thread, since the caller runs on
-    another CPU, and ignores SIGINT, so a Ctrl-C prints the caller's
-    traceback alone; the fork hook has it close its siblings' pipes."""
+    """Fork a helper: a process that runs ``_serve`` alone, on one BLAS
+    thread, and ends with ``os._exit`` (1 if ``_serve`` raised), so no
+    caller frame, exit handler or stdio buffer runs in it.  It ignores
+    SIGINT, so a Ctrl-C prints the caller's traceback alone, and dies with
+    the caller (Linux's ``PR_SET_PDEATHSIG``), as a caller killed by a
+    signal runs no cleanup; the fork hook closes its siblings' pipes."""
+    global _alone
     (their_requests, requests), (replies, their_replies) = os.pipe(), os.pipe()
-
-    def serve() -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        os.close(requests)
-        os.close(replies)
-        with one_blas_thread(), os.fdopen(their_requests, "rb") as ask, os.fdopen(their_replies, "wb") as tell:
-            _serve(ask, tell)
-
-    pid = fork_child(serve)
+    caller = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            with contextlib.suppress(AttributeError, OSError, TypeError):  # no symbol, or no C library
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+                prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(requests)
+            os.close(replies)
+            _alone = True
+            if os.getppid() == caller:  # else the caller ended before the request was made
+                # left open, the pipes end with the process, once its exit status is set
+                ask, tell = os.fdopen(their_requests, "rb"), os.fdopen(their_replies, "wb")
+                with one_blas_thread():
+                    _serve(ask, tell)
+                status = 0
+        finally:
+            os._exit(status)
     os.close(their_requests)
     os.close(their_replies)
     return pid, os.fdopen(requests, "wb"), os.fdopen(replies, "rb")
@@ -742,39 +739,88 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-@contextlib.contextmanager
-def scoring_alone() -> Iterator[None]:
-    """For a caller that runs a process on every CPU: stop the helpers, and
-    while the block runs, in this process and in any forked in it, fork
-    none and run one BLAS thread."""
+def _warn(message: Warning | str, category: type[Warning], filename: str, lineno: int) -> None:
+    """Issue a helper's warning as the code at ``filename``:``lineno`` does
+    here, in its module's registry, through this process's filters."""
+    module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
+    where = (module.__name__, vars(module).setdefault("__warningregistry__", {})) if module else ()
+    warnings.warn_explicit(message, category, filename, lineno, *where)
+
+
+def run_calls(calls: list[Call], own: Callable[[], object]) -> tuple[object, list]:
+    """Run ``calls[i]`` on helper i, forked if there is none yet, while
+    ``own()`` runs here alone, every runner on one BLAS thread; returns
+    (``own()``, each call's value) and issues each reply's warnings here,
+    in order.  A helper whose pipe breaks mid-call fails the call with a
+    RuntimeError that names it and how it ended, and on every way out a
+    helper whose reply was not read in full, being out of step, is killed."""
     global _alone
-    stop_helpers()
-    before, _alone = _alone, True
+    while len(_helpers) < len(calls):
+        _helpers.append(_fork_helper())
+    helpers, before = _helpers[: len(calls)], _alone
+    unread, values, helper, call = list(helpers), [], None, None
     try:
-        with one_blas_thread():
-            yield
+        with one_blas_thread() if calls else contextlib.nullcontext():
+            for helper, call in zip(helpers, calls):
+                pickle.dump((call.fn, call.args, [array.shape for array in call.arrays]), helper[1])
+                helper[1].writelines(call.arrays)
+                helper[1].flush()
+            helper, _alone = None, before or bool(calls)
+            mine = own()
+            for helper, call in zip(helpers, calls):
+                value, n_arrays, caught = pickle.load(helper[2])
+                for array in call.arrays[len(call.arrays) - n_arrays :]:
+                    _fill(helper[2], array)
+                unread.remove(helper)
+                values.append(value)
+                for warning in caught:
+                    _warn(*warning)
+    except (OSError, EOFError, pickle.UnpicklingError):
+        if helper is None:
+            raise
+        raise RuntimeError(f"{call.name.format(pid=helper[0])} ended with {_end(helper, kill=True)}") from None
     finally:
         _alone = before
+        for helper in unread:
+            if helper in _helpers:
+                _end(helper, kill=True)
+    return mine, values
 
 
-def _score_rows(blocks: list[Block], w: np.ndarray, h: np.ndarray, starts: range, step: int,
-                buf: np.ndarray) -> tuple[int, int, Exception] | None:
-    """Run each row block that starts at one of ``starts`` through every
-    block, writing its output back over its input, with its activations in
-    the scratch buffer ``buf``.  A row block stops at its first error; the
-    result is the first error by (block, row start), or None."""
-    first = None
-    for lo in starts:
-        rows = h[lo : lo + step]
+def _score_rows(blocks: list[Block], w: np.ndarray, row_blocks: Sequence[np.ndarray]) -> tuple | None:
+    """Run each of ``row_blocks`` through every block, writing its output
+    back over its input, with its activations in one scratch buffer.  A
+    row block stops at its first error; the result is the first error as
+    (block, row block's index, error), by (block, index), or None."""
+    first, buf = None, np.empty(_scratch_size(*row_blocks[0].shape))
+    for j, rows in enumerate(row_blocks):
         for b, block in enumerate(blocks):
             try:
                 m_in = _attention(block, w[4 * b : 4 * b + 4], rows, buf)[0]
                 _mlp(block, m_in, b, buf, rows)
             except Exception as exc:  # noqa: BLE001 - raised by the caller, in the order forward meets it
-                if first is None or (b, lo) < first[:2]:
-                    first = (b, lo, exc)
+                if first is None or (b, j) < first[:2]:
+                    first = (b, j, exc)
                 break
     return first
+
+
+def _score_share(errstate: dict, w: np.ndarray, *arrays: np.ndarray) -> tuple[tuple | None, list[np.ndarray]]:
+    """A helper's share of ``predict``: after the weight stack ``w``, each
+    block's ``FROZEN_SLOTS`` arrays and the row blocks, scored under the
+    caller's numpy ``errstate``.  Returns the ``_score_rows`` result, (-1,
+    0, error) for an error outside the blocks, and, with no error, the row
+    blocks, scored in place."""
+    k = len(FROZEN_SLOTS)
+    frozen, row_blocks = arrays[: k * len(w) // 4], arrays[k * len(w) // 4 :]
+    blocks = [Block(q=None, k=None, v=None, o=None, **dict(zip(FROZEN_SLOTS, frozen[i : i + k])))
+              for i in range(0, len(frozen), k)]
+    try:
+        with np.errstate(**errstate):
+            failure = _score_rows(blocks, w, row_blocks)
+    except Exception as exc:  # noqa: BLE001 - the caller raises it, before every block's error
+        failure = (-1, 0, exc)
+    return failure, list(row_blocks) if failure is None else []
 
 
 def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -782,64 +828,29 @@ def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
     class distribution for the pretraining head.  Bit for bit
     ``forward(model, inputs).probs``, but nothing is kept: the batch runs
     through the blocks in row blocks of ``PREDICT_ROWS`` token rows, each
-    written back over its input, so only one row block's activations are
-    alive per runner, in a scratch buffer of its own.  A sample's tokens
-    attend only to each other, so row blocks are independent: the batch
-    runs on n = min(row blocks, usable CPUs) runners, the caller and n - 1
-    helpers (``_serve``), each taking every n-th row block, on one BLAS
-    thread.  Helpers are processes, since every numpy call takes the
+    written back over its input, so a runner holds one row block's
+    activations.  A sample's tokens attend only to each other, so row
+    blocks are independent: the caller and n - 1 helpers (n =
+    ``runners(row blocks)``, ``_score_share``) each take every n-th row
+    block.  Helpers are processes, since every numpy call takes the
     interpreter lock first: two threads scored at 0.9-1.2x one thread's
-    rate, two processes at 1.9-2.0x (2-vCPU x86-64).  One is forked when a
-    call first needs it, only from a process with one thread (a fork copies
-    only the forking thread) and outside ``scoring_alone``; otherwise the
-    call is serial, as under a numpy error mode of ``call`` or ``log``,
-    whose callback only the caller can run.  An error is raised by the
-    caller, and it is the one for the lowest (block, row block), the error
-    ``forward`` raises; a helper whose pipe breaks is killed and forgotten,
-    and the call raises a RuntimeError that names it.  The embedding and
-    the head see the whole batch: the head's (N, d) @ (d, 1) product rounds
-    differently with N."""
+    rate, two processes at 1.9-2.0x (2-vCPU x86-64).  A numpy error mode of
+    ``call`` or ``log``, whose callback only the caller can run, makes the
+    call serial.  The caller raises the error of the lowest (block, row
+    block), the one ``forward`` raises.  The embedding and the head see the
+    whole batch: the head's (N, d) @ (d, 1) product rounds with N."""
     h = _embed(model, inputs)
     w = weight_stack(model)
     step = max(1, PREDICT_ROWS // model.config.n_tokens)
     starts = range(0, h.shape[0], step)
     errstate = np.geterr()
-    callback = {"call", "log"} & set(errstate.values())
-    serial = _alone or callback or threading.active_count() > 1 or not hasattr(os, "fork")
-    n = 1 if serial else min(len(starts), usable_cpus())
-    while len(_helpers) < n - 1:
-        _helpers.append(_fork_helper())
-    frozen = model.params[model.layout.offsets[3] :]
-    helpers = _helpers[: n - 1]
-    failures, unread, helper = [], list(helpers), None
-    try:
-        with one_blas_thread() if helpers else contextlib.nullcontext():
-            for i, helper in enumerate(helpers, start=1):
-                share = [h[lo : lo + step] for lo in starts[i::n]]
-                pickle.dump((model.config, sum(map(len, share)), step, errstate), helper[1])
-                for part in (w, frozen, *share):
-                    helper[1].write(part)
-                helper[1].flush()
-            helper = None
-            failures.append(_score_rows(model.blocks, w, h, starts[::n], step,
-                                        np.empty(_scratch_size(min(step, h.shape[0]), *h.shape[1:]))))
-            for i, helper in enumerate(helpers, start=1):
-                failure = pickle.load(helper[2])
-                for lo in starts[i::n] if failure is None else ():
-                    _fill(helper[2], h[lo : lo + step])
-                unread.remove(helper)
-                if failure is not None:
-                    b, lo, exc = failure
-                    failures.append((b, starts[i::n][lo // step] if b >= 0 else lo, exc))
-    except (OSError, EOFError, pickle.UnpicklingError):
-        if helper is None:
-            raise
-        raise RuntimeError(f"scoring helper {helper[0]} ended with {_end(helper, kill=True)}") from None
-    finally:  # a helper whose reply was not read in full is out of step
-        for helper in unread:
-            if helper in _helpers:
-                _end(helper, kill=True)
-    failures = [failure for failure in failures if failure is not None]
+    n = 1 if {"call", "log"} & set(errstate.values()) else runners(len(starts))
+    frozen = [getattr(block, slot) for block in model.blocks for slot in FROZEN_SLOTS]
+    shares = [[h[lo : lo + step] for lo in starts[i::n]] for i in range(n)]
+    calls = [Call("scoring helper {pid}", _score_share, (errstate,), [w, *frozen, *share]) for share in shares[1:]]
+    mine, theirs = run_calls(calls, lambda: _score_rows(model.blocks, w, shares[0]))
+    failures = [(failure[0], starts[i::n][failure[1]], failure[2])
+                for i, failure in enumerate([mine, *theirs]) if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
     return _head(model, h)[1]

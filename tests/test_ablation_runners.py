@@ -24,13 +24,6 @@ from subtune.config import config_from_dict
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
 
 
-@pytest.fixture(autouse=True)
-def no_helpers():
-    """``predict``'s helpers from earlier tests are children too: stop them,
-    so that ``assert_no_child`` sees the table runners alone."""
-    model.stop_helpers()
-
-
 # d_model 8 leaves no rank for K=9, so the subspaces table has a failed cell
 TINY = {
     "seed": 11,
@@ -180,27 +173,32 @@ def test_no_table_runner_forks_a_scoring_helper(tmp_path, monkeypatch) -> None:
     report_cpus(monkeypatch, 2)
     log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-    def recorded(name, real):
-        def call(*args, **kwargs):
-            os.write(log, f"{name} {len(args[1]) if name == 'predict' else ''}\n".encode())
-            return real(*args, **kwargs)
-        return call
+    def predict(m, x, _real=harness.predict):
+        os.write(log, f"predict {len(x)}\n".encode())
+        return _real(m, x)
 
-    monkeypatch.setattr(harness, "predict", recorded("predict", harness.predict))
-    monkeypatch.setattr(model, "_fork_helper", recorded("fork", model._fork_helper))
+    def fork_helper(_real=model._fork_helper):
+        helper = _real()
+        os.write(log, f"fork {os.getpid()} {helper[0]}\n".encode())
+        return helper
+
+    monkeypatch.setattr(harness, "predict", predict)
+    monkeypatch.setattr(model, "_fork_helper", fork_helper)
     try:
         with deadline(120):
             harness.run_ablation(cfg, tmp_path / "out")
+        assert model._helpers == []
         assert_no_child()
-        # outside the tables, a batch of that size does fork a helper
+        # outside the tables, a batch of that size forks a fresh helper
         m = model.init_model(cfg.model, harness.make_rng(0))
         model.predict(m, harness.make_rng(1).normal(size=(200, 6, 8)))
-        model.stop_helpers()
     finally:
         os.close(log)
     calls = (tmp_path / "log").read_text().splitlines()
     assert max(int(line.split()[1]) for line in calls if line.startswith("predict")) == 200
-    assert [line for line in calls if line.startswith("fork")] == [calls[-1]]
+    forks = [line.split()[1:] for line in calls if line.startswith("fork")]
+    assert [parent for parent, _ in forks] == [str(os.getpid())] * 2
+    assert forks[0][1] != forks[1][1]
 
 
 # a fresh interpreter runs `subtune ablate` with the out directory relative

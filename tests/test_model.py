@@ -614,6 +614,33 @@ def test_an_overflow_in_a_helper_raises_what_forward_raises_under_the_callers_er
     assert len(set(seen())) == 2
 
 
+def test_a_helpers_warnings_pass_the_callers_filters(runners, capfd) -> None:
+    m = tiny_model()
+    m.blocks[1].mlp_out[...] = 1e308
+    # only the last sample, in the second row block, overflows
+    x = np.zeros((2 * _ROW_BLOCK, m.config.n_tokens, m.config.d_model))
+    x[-1] = linalg.make_rng(3).normal(size=x.shape[1:])
+    got = {}
+    for n in (1, 2):
+        seen = runners(n)
+        seen.clear()
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError) as raised:
+            warnings.simplefilter("always")
+            predict(m, x)
+        assert len(set(seen())) == n
+        got[n] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught], str(raised.value)
+    assert got[1][0] and all(category is RuntimeWarning for category, *_ in got[1][0])
+    assert got[2] == got[1]
+    assert capfd.readouterr().err == ""
+    # and into the caller's registry: the default action shows each once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                predict(m, x)
+    assert len(caught) == len({(message, line) for _, message, _, line in got[1][0]})
+
+
 @pytest.mark.parametrize("mode", ["call", "log"])
 def test_an_error_callback_makes_the_call_serial(runners, mode) -> None:
     seen = runners(2)
