@@ -1,7 +1,9 @@
-"""Single-file binary checkpoints: a magic tag, a length-prefixed JSON
-manifest with sorted keys, then raw float64 matrix blobs in manifest order.
+"""Every on-disk byte format: the matrix blob, the decomposed-layer blob,
+and the single-file checkpoint, a magic tag, a length-prefixed JSON
+manifest with sorted keys, then the body's blobs in manifest order.
 Writing the same state twice yields byte-identical files, and a write that
-fails leaves any earlier file at the path as it was (``files.write_file``)."""
+fails leaves any earlier file at the path as it was (``files.write_file``).
+A blob holding a NaN or an inf is refused when read, naming its array."""
 
 from __future__ import annotations
 
@@ -13,18 +15,101 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomposition import layer_from_bytes, layer_to_bytes
+from .decomposition import DecomposedLayer, SemanticPart
 from .files import write_file
-from .linalg import matrix_from_bytes, matrix_to_bytes
+from .linalg import check_matrix
 from .model import BLOCK_SLOTS, PROJECTION_NAMES, Block, Model, ModelConfig, block_shapes, stack_trainables
 
 MAGIC = b"SUBT0001"
 _LEN = struct.Struct("<Q")
+# a matrix blob: 8-byte little-endian unsigned row and column counts, then
+# rows*cols little-endian float64 values, row-major
+_MATRIX_HEADER = struct.Struct("<QQ")
+# a layer blob: its id, d_out, d_in, semantic rank and K, then its
+# pretrained squared Frobenius norm; then the K ranks and matrix blobs
+_LAYER_HEADER = struct.Struct("<QQQQQd")
 
 
-def _matrix_bytes(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float64)
-    return matrix_to_bytes(arr.reshape(1, -1) if arr.ndim == 1 else arr)
+def matrix_to_bytes(w: np.ndarray) -> bytes:
+    """A matrix's blob; a vector's holds it as one row."""
+    arr = np.asarray(w, dtype=np.float64)
+    arr = check_matrix(arr.reshape(1, -1) if arr.ndim == 1 else arr)
+    return _MATRIX_HEADER.pack(*arr.shape) + arr.astype("<f8").tobytes(order="C")
+
+
+def matrix_from_bytes(buf: bytes, offset: int = 0, name: str = "matrix") -> tuple[np.ndarray, int]:
+    """Decode one matrix starting at ``offset``; returns (matrix, next
+    offset).  A NaN or an inf in it is refused naming ``name``."""
+    if len(buf) - offset < _MATRIX_HEADER.size:
+        raise ValueError("matrix header truncated")
+    rows, cols = _MATRIX_HEADER.unpack_from(buf, offset)
+    offset += _MATRIX_HEADER.size
+    nbytes = rows * cols * 8
+    if rows == 0 or cols == 0:
+        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    if len(buf) - offset < nbytes:
+        raise ValueError(f"matrix payload truncated: need {nbytes} bytes")
+    arr = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset)
+    return check_matrix(arr.reshape(rows, cols).astype(np.float64), name), offset + nbytes
+
+
+def layer_to_bytes(layer: DecomposedLayer) -> bytes:
+    """The header, the ranks, the semantic part and each artifact
+    subspace's U, s and V: the real columns only, never a model's padding."""
+    parts = [
+        _LAYER_HEADER.pack(layer.layer_id, layer.d_out, layer.d_in, layer.semantic_rank, layer.n_subspaces,
+                           layer.pretrained_frob_sq),
+        struct.pack(f"<{layer.n_subspaces}Q", *layer.ranks),
+        semantic_to_bytes(layer),
+    ]
+    parts.extend(matrix_to_bytes(m) for a in layer.artifacts for m in a)
+    return b"".join(parts)
+
+
+def semantic_to_bytes(layer: DecomposedLayer) -> bytes:
+    """Frozen-part bytes only; unchanged across training by construction."""
+    return b"".join(matrix_to_bytes(m) for m in (layer.semantic.u, layer.semantic.s, layer.semantic.v))
+
+
+def layer_from_bytes(buf: bytes, offset: int = 0, name: str = "layer") -> tuple[DecomposedLayer, int]:
+    """Decode one layer starting at ``offset``; returns (layer, next
+    offset).  A NaN or an inf in it is refused naming ``name``."""
+    if len(buf) - offset < _LAYER_HEADER.size:
+        raise ValueError("layer header truncated")
+    layer_id, d_out, d_in, sem_rank, n_sub, frob = _LAYER_HEADER.unpack_from(buf, offset)
+    offset += _LAYER_HEADER.size
+    if not np.isfinite(frob):
+        raise ValueError(f"{name} contains non-finite entries")
+    if len(buf) - offset < 8 * n_sub:
+        raise ValueError("layer artifact ranks truncated")
+    ranks = struct.unpack_from(f"<{n_sub}Q", buf, offset)
+    offset += 8 * n_sub
+
+    def take(rows: int, cols: int) -> np.ndarray:
+        nonlocal offset
+        m, offset = matrix_from_bytes(buf, offset, name)
+        if m.shape != (rows, cols):
+            raise ValueError(f"expected {rows}x{cols} block, got {m.shape}")
+        return m
+
+    semantic = SemanticPart(take(d_out, sem_rank), take(1, sem_rank)[0], take(d_in, sem_rank))
+    n_params = (d_out + 1 + d_in) * sum(ranks)
+    # the factors' values alone take 8 bytes each, so a corrupt rank list
+    # cannot make this allocate more than the buffer holds
+    if 8 * n_params > len(buf) - offset:
+        raise ValueError("layer artifact factors truncated")
+    layer = DecomposedLayer(
+        layer_id=int(layer_id),
+        semantic=semantic,
+        ranks=tuple(ranks),
+        params=np.empty(n_params),
+        pretrained_frob_sq=float(frob),
+    )
+    for a in layer.artifacts:
+        a.u[...] = take(d_out, a.rank)
+        a.s[...] = take(1, a.rank)[0]
+        a.v[...] = take(d_in, a.rank)
+    return layer, offset
 
 
 # the manifest's ``model`` fields: the ``ModelConfig`` ones, then the head's rows
@@ -93,7 +178,7 @@ def save_model(
     out.write(_LEN.pack(len(blob)))
     out.write(blob)
     for name, _ in plain:
-        out.write(_matrix_bytes(named[name]))
+        out.write(matrix_to_bytes(named[name]))
     for name, _ in layers:
         out.write(layer_to_bytes(named[name]))
     write_file(path, out.getvalue())
@@ -204,11 +289,11 @@ def _read_body(raw: bytes, offset: int, manifest: dict) -> Model:
     plain, layers = _body(spec, manifest["decomposed"])
     named = {}
     for name, shape in plain:
-        arr, offset = matrix_from_bytes(raw, offset)
+        arr, offset = matrix_from_bytes(raw, offset, name)
         _require_shape(spec, name, arr.shape, (1,) * (2 - len(shape)) + shape)
         named[name] = arr.reshape(shape)
     for i, (name, shape) in enumerate(layers):
-        layer, offset = layer_from_bytes(raw, offset)
+        layer, offset = layer_from_bytes(raw, offset, name)
         _require_shape(spec, name, (layer.d_out, layer.d_in), shape)
         entry = manifest["decomposed_layers"][i]
         for key, saved in (("layer_id", layer.layer_id), ("semantic_rank", layer.semantic_rank),

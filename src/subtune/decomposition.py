@@ -1,11 +1,11 @@
 """Splits a pretrained weight matrix into a frozen semantic subspace (top of
-the spectrum) plus contiguous trainable artifact subspaces over the tail.
+the spectrum) plus contiguous trainable artifact subspaces over the tail,
+and lays a layer's trainable values out in one vector (``DecomposedLayer``).
 ``split_ranks`` is the one place the split is decided: every layer that
 is decomposed takes its semantic rank and subspace ranks from it."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -260,73 +260,3 @@ def energy_fractions(layer: DecomposedLayer) -> float:
         raise ValueError("layer spectrum has zero energy")
     return sem / total
 
-
-_LAYER_HEADER = struct.Struct("<QQQQQd")
-
-
-def layer_to_bytes(layer: DecomposedLayer) -> bytes:
-    """The header, the ranks, the semantic part and each artifact
-    subspace's U, s and V: the real columns only, never a model's padding."""
-    parts = [
-        _LAYER_HEADER.pack(
-            layer.layer_id,
-            layer.d_out,
-            layer.d_in,
-            layer.semantic_rank,
-            layer.n_subspaces,
-            layer.pretrained_frob_sq,
-        )
-    ]
-    parts.append(struct.pack(f"<{layer.n_subspaces}Q", *layer.ranks))
-    parts.append(semantic_to_bytes(layer))
-    for a in layer.artifacts:
-        parts.append(linalg.matrix_to_bytes(a.u))
-        parts.append(linalg.matrix_to_bytes(a.s[None, :]))
-        parts.append(linalg.matrix_to_bytes(a.v))
-    return b"".join(parts)
-
-
-def semantic_to_bytes(layer: DecomposedLayer) -> bytes:
-    """Frozen-part bytes only; unchanged across training by construction."""
-    return (
-        linalg.matrix_to_bytes(layer.semantic.u)
-        + linalg.matrix_to_bytes(layer.semantic.s[None, :])
-        + linalg.matrix_to_bytes(layer.semantic.v)
-    )
-
-
-def layer_from_bytes(buf: bytes, offset: int = 0) -> tuple[DecomposedLayer, int]:
-    if len(buf) - offset < _LAYER_HEADER.size:
-        raise ValueError("layer header truncated")
-    layer_id, d_out, d_in, sem_rank, n_sub, frob = _LAYER_HEADER.unpack_from(buf, offset)
-    offset += _LAYER_HEADER.size
-    if len(buf) - offset < 8 * n_sub:
-        raise ValueError("layer artifact ranks truncated")
-    ranks = struct.unpack_from(f"<{n_sub}Q", buf, offset)
-    offset += 8 * n_sub
-
-    def take(rows: int, cols: int) -> np.ndarray:
-        nonlocal offset
-        m, offset = linalg.matrix_from_bytes(buf, offset)
-        if m.shape != (rows, cols):
-            raise ValueError(f"expected {rows}x{cols} block, got {m.shape}")
-        return m
-
-    semantic = SemanticPart(take(d_out, sem_rank), take(1, sem_rank)[0], take(d_in, sem_rank))
-    n_params = (d_out + 1 + d_in) * sum(ranks)
-    # the factors' values alone take 8 bytes each, so a corrupt rank list
-    # cannot make this allocate more than the buffer holds
-    if 8 * n_params > len(buf) - offset:
-        raise ValueError("layer artifact factors truncated")
-    layer = DecomposedLayer(
-        layer_id=int(layer_id),
-        semantic=semantic,
-        ranks=tuple(ranks),
-        params=np.empty(n_params),
-        pretrained_frob_sq=float(frob),
-    )
-    for a in layer.artifacts:
-        a.u[...] = take(d_out, a.rank)
-        a.s[...] = take(1, a.rank)[0]
-        a.v[...] = take(d_in, a.rank)
-    return layer, offset

@@ -100,26 +100,33 @@ class StepLog:
     orth_mean: float
     spec_mean: float
     total: float
-    popcount: int
     mask_bits: str
+
+    @property
+    def popcount(self) -> int:
+        """The layers the step updated."""
+        return self.mask_bits.count("1")
 
 
 @dataclass
 class FinetuneState:
     """What a fine-tune carries from one step to the next: the model, the
-    optimizer state, the EMA gradient stats, the number of steps taken
-    (the epoch and the batch within it follow from it and the config's
-    batch size), and the steps logged so far, each with its mask.
-    ``config`` (its layer budget included) and ``masft`` are the set-up
-    that shaped it, held against the run that resumes it."""
+    optimizer state, the EMA gradient stats and the steps logged so far,
+    each with its mask.  ``config`` (its layer budget included) and the
+    arm (whether the model is decomposed) are the set-up that shaped it,
+    held against the run that resumes it."""
 
     model: Model
     opt: OptimizerState
     stats: GradientStats
-    step: int
     steps: list[StepLog]
     config: dict
-    masft: bool
+
+    @property
+    def step(self) -> int:
+        """The steps taken; the epoch and the batch within it follow from
+        it and the config's batch size."""
+        return len(self.steps)
 
 
 @dataclass
@@ -284,15 +291,14 @@ def _fresh_state(cfg: TrainConfig, pretrained: Model, masft: bool) -> FinetuneSt
     model = derive_model(pretrained, head=head, split=cfg.decomposition if masft else None)
     return FinetuneState(
         model=model, opt=init_optimizer(cfg.optimizer.learning_rate, model),
-        stats=init_stats(model.trainable.shape), step=0, steps=[],
-        config=config_to_dict(cfg), masft=masft,
+        stats=init_stats(model.trainable.shape), steps=[], config=config_to_dict(cfg),
     )
 
 
 def _resumed_state(cfg: TrainConfig, state: FinetuneState, masft: bool, warmup: int) -> FinetuneState:
     """A copy of ``state`` to continue under this run's set-up, which must
     agree with every part of the set-up that shaped its steps so far."""
-    have = _prefix(state.config, state.masft, state.step, warmup)
+    have = _prefix(state.config, state.model.decomposed, state.step, warmup)
     want = _prefix(config_to_dict(cfg), masft, state.step, warmup)
     for key in sorted(have.keys() | want.keys()):
         if have.get(key) != want.get(key):
@@ -350,13 +356,11 @@ def run_finetune(
             report, grads = backward(model, train.tokens[batch], train.labels[batch], cfg.weights)
             mask = mask_rule(step, grads.trainable)
             apply_update(model, grads, mask, record.opt)
-            record.step = step
             bits_str = "".join(str(int(b)) for b in mask.bits)
             record.steps.append(
                 StepLog(
                     step=step, epoch=epoch, cls=report.cls, orth_mean=report.orth_mean,
-                    spec_mean=report.spec_mean, total=report.total,
-                    popcount=int(mask.bits.sum()), mask_bits=bits_str,
+                    spec_mean=report.spec_mean, total=report.total, mask_bits=bits_str,
                 )
             )
             if on_step is not None:

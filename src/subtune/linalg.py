@@ -1,9 +1,8 @@
-"""Dense float64 matrix helpers: SVD with a fixed sign convention, norms,
-seeded RNG construction, and a little-endian binary matrix layout."""
+"""Dense float64 matrix helpers: SVD with a fixed sign convention, norms
+and keyed RNG streams."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,28 +74,3 @@ def make_rng(seed: int, *key: int) -> Generator:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return Generator(PCG64(SeedSequence(int(seed), spawn_key=key)))
 
-
-# Binary layout: 8-byte little-endian unsigned row count, 8-byte little-endian
-# unsigned column count, then rows*cols little-endian float64 values row-major.
-
-_HEADER = struct.Struct("<QQ")
-
-
-def matrix_to_bytes(w: np.ndarray) -> bytes:
-    arr = check_matrix(w)
-    return _HEADER.pack(arr.shape[0], arr.shape[1]) + arr.astype("<f8").tobytes(order="C")
-
-
-def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one matrix starting at ``offset``; returns (matrix, next offset)."""
-    if len(buf) - offset < _HEADER.size:
-        raise ValueError("matrix header truncated")
-    rows, cols = _HEADER.unpack_from(buf, offset)
-    offset += _HEADER.size
-    nbytes = rows * cols * 8
-    if rows == 0 or cols == 0:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if len(buf) - offset < nbytes:
-        raise ValueError(f"matrix payload truncated: need {nbytes} bytes")
-    arr = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset)
-    return arr.reshape(rows, cols).astype(np.float64), offset + nbytes

@@ -91,6 +91,10 @@ def build_mask(bvg: np.ndarray, budget: int, step: int, warmup: int) -> LayerMas
     return LayerMask(bits=bits)
 
 
+# the moments' decay rates and the denominator's guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adaptive-moment updates of the gradient buffer ``backward`` forms:
@@ -109,9 +113,6 @@ class OptimizerState:
     rest_m: np.ndarray
     rest_v: np.ndarray
     rest_step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(learning_rate: float, model: Model) -> OptimizerState:
@@ -126,16 +127,16 @@ def init_optimizer(learning_rate: float, model: Model) -> OptimizerState:
 
 def _moment_step(theta, grad, m, v, c1, c2, opt: OptimizerState):
     """Bias-corrected adaptive-moment update with corrections ``c1`` =
-    1 - beta1**t and ``c2`` = 1 - beta2**t (floats, or one per row);
+    1 - BETA1**t and ``c2`` = 1 - BETA2**t (floats, or one per row);
     returns the new parameters and moments and leaves its arguments
     untouched."""
-    m = m * opt.beta1
-    m += (1.0 - opt.beta1) * grad
-    v = v * opt.beta2
-    v += (1.0 - opt.beta2) * grad * grad
+    m = m * BETA1
+    m += (1.0 - BETA1) * grad
+    v = v * BETA2
+    v += (1.0 - BETA2) * grad * grad
     m_hat = m / c1
     v_hat = v / c2
-    return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps), m, v
+    return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + EPS), m, v
 
 
 def _unusable(new: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -161,15 +162,15 @@ def staged_step(model: Model, grads: Gradients, active: np.ndarray, opt: Optimiz
     rest = model.params[rows.size : grads.params.size]
     rest_grad = grads.params[rows.size :]
     steps = [opt.layer_step[lid] + 1 for lid in active]
-    c1 = np.array([1.0 - opt.beta1**t for t in steps])[:, None]
-    c2 = np.array([1.0 - opt.beta2**t for t in steps])[:, None]
+    c1 = np.array([1.0 - BETA1**t for t in steps])[:, None]
+    c2 = np.array([1.0 - BETA2**t for t in steps])[:, None]
     t = opt.rest_step + 1
     # an inf or huge gradient overflows or divides inf by inf here; the
     # staged values are checked below, so the error is the one raised
     with np.errstate(over="ignore", invalid="ignore"):
         new, first, second = _moment_step(theta, grad, opt.layer_m[active], opt.layer_v[active], c1, c2, opt)
         new_rest, rest_first, rest_second = _moment_step(
-            rest, rest_grad, opt.rest_m, opt.rest_v, 1.0 - opt.beta1**t, 1.0 - opt.beta2**t, opt
+            rest, rest_grad, opt.rest_m, opt.rest_v, 1.0 - BETA1**t, 1.0 - BETA2**t, opt
         )
     bad = _unusable(new, second).any(axis=1)
     bad_rest = _unusable(new_rest, rest_second).any()

@@ -29,8 +29,9 @@ import numpy as np
 
 import subtune
 from subtune import harness
-from subtune.decomposition import DecomposedLayer, recompose, semantic_to_bytes
-from subtune.masking import _moment_step, _unusable, init_stats
+from subtune.checkpoint import semantic_to_bytes
+from subtune.decomposition import DecomposedLayer, recompose
+from subtune.masking import BETA1, BETA2, _moment_step, _unusable, init_stats
 from subtune.metrics import ScoredSet
 from subtune.model import PROJECTION_NAMES, attention_slots, backward, stack_trainables
 
@@ -371,7 +372,7 @@ def step_buffer(theta, grad, m, v, step, opt, what):
     place, with ``step`` the already-incremented counter.  All or nothing:
     a non-finite update raises a ValueError naming ``what`` and writes
     nothing."""
-    new, first, second = _moment_step(theta, grad, m, v, 1.0 - opt.beta1**step, 1.0 - opt.beta2**step, opt)
+    new, first, second = _moment_step(theta, grad, m, v, 1.0 - BETA1**step, 1.0 - BETA2**step, opt)
     if _unusable(new, second).any():
         raise ValueError(f"non-finite update at {what}")
     theta[...] = new

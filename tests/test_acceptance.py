@@ -30,9 +30,10 @@ from oracles import (
     zero_layers,
 )
 from split_checks import SAMPLE_SPLITS
+from subtune.checkpoint import semantic_to_bytes
 from subtune.config import config_from_dict, default_config
 from subtune.data import FAMILIES, LEVELS, build_splits
-from subtune.decomposition import DecompositionConfig, decompose, recompose, semantic_to_bytes
+from subtune.decomposition import DecompositionConfig, decompose, recompose
 from subtune.gradcheck import grad_check, jitter_trainables
 from subtune.harness import run_ablation, run_finetune, run_pretrain, run_robustness
 from subtune.linalg import make_rng

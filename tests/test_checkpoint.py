@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 from oracles import binary_head
-from subtune.checkpoint import MAGIC, load_model, save_model
+from subtune.checkpoint import (
+    MAGIC,
+    layer_from_bytes,
+    layer_to_bytes,
+    load_model,
+    matrix_from_bytes,
+    matrix_to_bytes,
+    save_model,
+    semantic_to_bytes,
+)
 from subtune.config import config_from_dict
 from subtune.data import DataConfig, export_csv, gen_clips
-from subtune.decomposition import DecompositionConfig, layer_to_bytes
+from subtune.decomposition import DecompositionConfig, decompose
 from subtune.harness import decompose_inspect, evaluate_to_dir
-from subtune.linalg import make_rng, matrix_from_bytes, matrix_to_bytes
+from subtune.linalg import make_rng
 from subtune.model import (
     BLOCK_SLOTS,
     PROJECTION_NAMES,
@@ -28,6 +37,83 @@ def tiny_model(seed=0, decomposed=False):
         model = derive_model(model, head=binary_head(model, make_rng(seed + 1)),
                              split=DecompositionConfig(n_subspaces=2))
     return model
+
+
+def test_matrix_bytes_roundtrip_bit_exact() -> None:
+    rng = make_rng(21)
+    for shape in [(1, 1), (3, 5), (17, 2)]:
+        w = rng.normal(size=shape)
+        blob = matrix_to_bytes(w)
+        assert len(blob) == 16 + w.size * 8
+        back, end = matrix_from_bytes(blob)
+        assert end == len(blob)
+        assert back.shape == w.shape
+        assert np.array_equal(back, w)  # bit-exact, includes -0.0 and subnormals
+
+
+def test_matrix_bytes_layout_is_little_endian_row_major() -> None:
+    w = np.array([[1.0, 2.0], [3.0, 4.0]])
+    blob = matrix_to_bytes(w)
+    assert blob[:8] == (2).to_bytes(8, "little")
+    assert blob[8:16] == (2).to_bytes(8, "little")
+    vals = np.frombuffer(blob[16:], dtype="<f8")
+    assert np.array_equal(vals, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_matrix_read_rejects_truncation_and_zero_dims() -> None:
+    w = np.ones((2, 2))
+    blob = matrix_to_bytes(w)
+    with pytest.raises(ValueError):
+        matrix_from_bytes(blob[:10])
+    with pytest.raises(ValueError):
+        matrix_from_bytes(blob[:-8])
+    bad = (0).to_bytes(8, "little") + (2).to_bytes(8, "little")
+    with pytest.raises(ValueError):
+        matrix_from_bytes(bad)
+
+
+def test_layer_serialization_roundtrip_bit_exact() -> None:
+    rng = make_rng(30)
+    layer = decompose(rng.normal(size=(9, 7)), DecompositionConfig(n_subspaces=3), layer_id=11)
+    blob = layer_to_bytes(layer)
+    back, end = layer_from_bytes(blob)
+    assert end == len(blob)
+    assert back.layer_id == 11
+    assert back.pretrained_frob_sq == layer.pretrained_frob_sq
+    assert layer_to_bytes(back) == blob
+    assert np.array_equal(back.semantic.u, layer.semantic.u)
+    for a, b in zip(back.artifacts, layer.artifacts):
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(a.v, b.v)
+
+
+def test_layer_from_bytes_rejects_corrupt_rank_list() -> None:
+    cfg = DecompositionConfig(n_subspaces=2, rank_policy="fixed", fixed_rank=2)
+    layer = decompose(make_rng(32).normal(size=(6, 5)), cfg)
+    assert layer.ranks == (2, 1)
+    blob = layer_to_bytes(layer)
+    rank_offset = 48  # the rank list follows the fixed-size layer header
+    swapped = bytearray(blob)
+    struct.pack_into("<QQ", swapped, rank_offset, 1, 2)
+    with pytest.raises(ValueError, match="expected 6x1 block"):
+        layer_from_bytes(bytes(swapped))
+    # a rank no buffer could hold is refused before anything is allocated
+    huge = bytearray(blob)
+    struct.pack_into("<Q", huge, rank_offset, 2**40)
+    with pytest.raises(ValueError, match="truncated"):
+        layer_from_bytes(bytes(huge))
+
+
+def test_semantic_bytes_unchanged_by_artifact_mutation() -> None:
+    rng = make_rng(31)
+    layer = decompose(rng.normal(size=(8, 8)), DecompositionConfig(n_subspaces=3))
+    before = semantic_to_bytes(layer)
+    for a in layer.artifacts:
+        a.u[...] += rng.normal(size=a.u.shape)
+        a.s[...] += rng.normal(size=a.s.shape)
+        a.v[...] += rng.normal(size=a.v.shape)
+    assert semantic_to_bytes(layer) == before
 
 
 def model_state_equal(a, b):
@@ -462,3 +548,25 @@ def test_body_errors_name_the_file(tmp_path):
     _rewrite_manifest(path, lambda m: m["decomposed_layers"][0].update(layer_id=7))
     assert ("manifest field 'decomposed_layers[0].layer_id' is 7, but 'block0.q' is layer 0 (4 * block + slot)"
             in _load_error(path))
+
+
+def test_a_nan_in_a_plain_array_is_refused_naming_the_file_and_the_array(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_model(seed=5))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, _blob_offsets(bytes(raw))[0]["head"] + 16, np.nan)
+    path.write_bytes(bytes(raw))
+    assert _load_error(path) == f"{path}: head contains non-finite entries"
+
+
+def test_a_nan_or_inf_in_a_layer_blob_is_refused_naming_the_file_and_the_layer(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_model(seed=5, decomposed=True))
+    raw = path.read_bytes()
+    first_layer = _blob_offsets(raw)[1]
+    # the last layer's last V value, and the first layer's pretrained norm, 40 bytes into its header
+    for at, value, name in ((len(raw) - 8, np.nan, "block1.o"), (first_layer + 40, np.inf, "block0.q")):
+        spoiled = bytearray(raw)
+        struct.pack_into("<d", spoiled, at, value)
+        path.write_bytes(bytes(spoiled))
+        assert _load_error(path) == f"{path}: {name} contains non-finite entries"

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -19,10 +18,7 @@ from subtune.decomposition import (
     SemanticPart,
     decompose,
     energy_fractions,
-    layer_from_bytes,
-    layer_to_bytes,
     recompose,
-    semantic_to_bytes,
     split_ranks,
 )
 
@@ -284,45 +280,3 @@ def test_energy_fractions_sum_to_one() -> None:
     assert sem > max(arts)
 
 
-def test_layer_serialization_roundtrip_bit_exact() -> None:
-    rng = linalg.make_rng(30)
-    layer = decompose(rng.normal(size=(9, 7)), DecompositionConfig(n_subspaces=3), layer_id=11)
-    blob = layer_to_bytes(layer)
-    back, end = layer_from_bytes(blob)
-    assert end == len(blob)
-    assert back.layer_id == 11
-    assert back.pretrained_frob_sq == layer.pretrained_frob_sq
-    assert layer_to_bytes(back) == blob
-    assert np.array_equal(back.semantic.u, layer.semantic.u)
-    for a, b in zip(back.artifacts, layer.artifacts):
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.s, b.s)
-        assert np.array_equal(a.v, b.v)
-
-
-def test_layer_from_bytes_rejects_corrupt_rank_list() -> None:
-    cfg = DecompositionConfig(n_subspaces=2, rank_policy="fixed", fixed_rank=2)
-    layer = decompose(linalg.make_rng(32).normal(size=(6, 5)), cfg)
-    assert layer.ranks == (2, 1)
-    blob = layer_to_bytes(layer)
-    rank_offset = 48  # the rank list follows the fixed-size layer header
-    swapped = bytearray(blob)
-    struct.pack_into("<QQ", swapped, rank_offset, 1, 2)
-    with pytest.raises(ValueError, match="expected 6x1 block"):
-        layer_from_bytes(bytes(swapped))
-    # a rank no buffer could hold is refused before anything is allocated
-    huge = bytearray(blob)
-    struct.pack_into("<Q", huge, rank_offset, 2**40)
-    with pytest.raises(ValueError, match="truncated"):
-        layer_from_bytes(bytes(huge))
-
-
-def test_semantic_bytes_unchanged_by_artifact_mutation() -> None:
-    rng = linalg.make_rng(31)
-    layer = decompose(rng.normal(size=(8, 8)), DecompositionConfig(n_subspaces=3))
-    before = semantic_to_bytes(layer)
-    for a in layer.artifacts:
-        a.u[...] += rng.normal(size=a.u.shape)
-        a.s[...] += rng.normal(size=a.s.shape)
-        a.v[...] += rng.normal(size=a.v.shape)
-    assert semantic_to_bytes(layer) == before

@@ -19,10 +19,9 @@ from oracles import (
 )
 from split_checks import SAMPLE_SPLITS
 from subtune import harness, masking
-from subtune.checkpoint import load_model, save_model
+from subtune.checkpoint import load_model, save_model, semantic_to_bytes
 from subtune.config import config_from_dict
 from subtune.data import build_splits
-from subtune.decomposition import semantic_to_bytes
 from subtune.harness import (
     FinetuneState,
     copy_state,
@@ -393,6 +392,7 @@ def test_a_state_resumes_under_settings_that_have_not_acted_yet(tmp_path, pretra
     (5, {"mask.warmup_steps": 4}, {}, "mask.warmup_steps"),
     (0, {"decomposition.n_subspaces": 3}, {}, "decomposition.n_subspaces"),
     (0, {}, {"masft": False}, "masft"),
+    (3, {}, {"masft": True}, "masft"),
 ])
 def test_resuming_under_a_setup_that_shaped_the_state_otherwise_is_a_value_error(pretrained, k, change, arm, key):
     _, splits, model, _ = pretrained
@@ -403,10 +403,27 @@ def test_resuming_under_a_setup_that_shaped_the_state_otherwise_is_a_value_error
         if state.step == k:
             snap = copy_state(state)
 
-    run_finetune(tiny_cfg(**MID_WARMUP), model, splits=splits, on_step=keep)
+    # a run resumed under an arm was snapshotted under the other one
+    made = {"masft": not arm["masft"]} if "masft" in arm else {}
+    run_finetune(tiny_cfg(**MID_WARMUP), model, splits=splits, on_step=keep, **made)
     with pytest.raises(ValueError, match=rf"^cannot resume: the state after {k} steps was made with {key} ") as info:
         run_finetune(tiny_cfg(**{**MID_WARMUP, **change}), snap, splits=splits, **arm)
     assert "\n" not in str(info.value)
+
+
+def test_the_step_count_is_the_optimizer_s_at_every_step_of_a_fresh_and_a_resumed_run(pretrained):
+    _, splits, model, _ = pretrained
+    cfg = tiny_cfg(**MID_WARMUP)
+    _, snaps = snapshots(cfg, model, splits)
+    seen = []
+
+    def check(state):
+        assert state.step == state.opt.rest_step
+        seen.append(state.step)
+
+    run_finetune(cfg, model, splits=splits, on_step=check)
+    run_finetune(cfg, snaps[11], splits=splits, on_step=check)
+    assert seen == [*range(17), *range(11, 17)]
 
 
 def test_semantic_subspace_bytes_frozen_through_finetune(pretrained):

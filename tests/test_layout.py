@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from oracles import binary_head, projection_param_vector
 from subtune import model as model_mod
-from subtune.checkpoint import MAGIC, load_model, save_model
-from subtune.decomposition import DecompositionConfig, decompose, layer_from_bytes, layer_to_bytes, recompose
+from subtune.checkpoint import MAGIC, layer_from_bytes, layer_to_bytes, load_model, save_model
+from subtune.decomposition import DecompositionConfig, decompose, recompose
 from subtune.gradcheck import jitter_trainables
 from subtune.linalg import make_rng
 from subtune.losses import LossWeights

@@ -96,37 +96,7 @@ def test_rng_rejects_non_integer_seed() -> None:
         linalg.make_rng(1.5)  # type: ignore[arg-type]
 
 
-def test_matrix_bytes_roundtrip_bit_exact() -> None:
-    rng = linalg.make_rng(21)
-    for shape in [(1, 1), (3, 5), (17, 2)]:
-        w = rng.normal(size=shape)
-        blob = linalg.matrix_to_bytes(w)
-        assert len(blob) == 16 + w.size * 8
-        back, end = linalg.matrix_from_bytes(blob)
-        assert end == len(blob)
-        assert back.shape == w.shape
-        assert np.array_equal(back, w)  # bit-exact, includes -0.0 and subnormals
 
-
-def test_matrix_bytes_layout_is_little_endian_row_major() -> None:
-    w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    blob = linalg.matrix_to_bytes(w)
-    assert blob[:8] == (2).to_bytes(8, "little")
-    assert blob[8:16] == (2).to_bytes(8, "little")
-    vals = np.frombuffer(blob[16:], dtype="<f8")
-    assert np.array_equal(vals, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_matrix_read_rejects_truncation_and_zero_dims() -> None:
-    w = np.ones((2, 2))
-    blob = linalg.matrix_to_bytes(w)
-    with pytest.raises(ValueError):
-        linalg.matrix_from_bytes(blob[:10])
-    with pytest.raises(ValueError):
-        linalg.matrix_from_bytes(blob[:-8])
-    bad = (0).to_bytes(8, "little") + (2).to_bytes(8, "little")
-    with pytest.raises(ValueError):
-        linalg.matrix_from_bytes(bad)
 
 
 def test_rng_without_a_key_is_the_plain_pcg64_stream() -> None:

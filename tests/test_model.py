@@ -28,8 +28,8 @@ from reference_forward import (
     textbook_layer_norm,
 )
 from subtune import linalg, model as model_mod
-from subtune.checkpoint import load_model, save_model
-from subtune.decomposition import DecompositionConfig, semantic_to_bytes
+from subtune.checkpoint import load_model, save_model, semantic_to_bytes
+from subtune.decomposition import DecompositionConfig
 from subtune.gradcheck import grad_check, jitter_trainables
 from subtune.losses import LossWeights, orth_loss, spec_loss
 from subtune.model import (

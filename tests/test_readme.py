@@ -94,3 +94,12 @@ def test_the_module_list_names_each_module_once():
     listed = re.findall(r"^- `([^`]+)` ", _section("What is inside"), flags=re.M)
     modules = [path.stem for path in Path(subtune.__file__).parent.glob("*.py")]
     assert sorted(listed) == sorted(modules)
+
+
+def test_the_testing_block_lists_every_digest_regeneration():
+    # a test file with a --write mode ends in ``if __name__ == "__main__" and ... "--write"``
+    tests = Path(__file__).resolve().parent
+    writers = [path.name for path in tests.glob("*.py")
+               if re.search(r'^if __name__ == "__main__".*"--write"', path.read_text(), flags=re.M)]
+    listed = re.findall(r"^PYTHONPATH=src python tests/(\S+) --write$", _section("Testing"), flags=re.M)
+    assert sorted(listed) == sorted(writers)

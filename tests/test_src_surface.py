@@ -36,8 +36,8 @@ PACKAGE = Path(subtune.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SHARED_FIELDS = {
     "batch_size", "blocks", "cls", "config", "cross_mask", "d_model", "labels", "layer_id",
-    "learning_rate", "masft", "model", "n_tokens", "name", "orth_mean", "pair_scale", "params",
-    "pretrained_frob_sq", "s", "seed", "spec_mean", "stats", "step", "total", "trainable", "u", "v",
+    "learning_rate", "model", "n_tokens", "name", "orth_mean", "pair_scale", "params",
+    "pretrained_frob_sq", "s", "seed", "spec_mean", "stats", "total", "trainable", "u", "v",
     "warmup_steps", "weights",
 }
 

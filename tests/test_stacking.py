@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from oracles import LoopMasking, binary_head, loop_backward, projection_param_vector, step_buffer
 from subtune import losses
 from subtune import model as model_mod
-from subtune.checkpoint import load_model, save_model
-from subtune.decomposition import DecomposedLayer, DecompositionConfig, decompose, layer_to_bytes
+from subtune.checkpoint import layer_to_bytes, load_model, save_model
+from subtune.decomposition import DecomposedLayer, DecompositionConfig, decompose
 from subtune.gradcheck import jitter_trainables
 from subtune.linalg import make_rng
 from subtune.losses import LossWeights
